@@ -39,13 +39,15 @@ class ParseError(EtacalcError, ValueError):
 class IllDefinedHomError(EtacalcError, ValueError):
     """A generator-image assignment does not extend to a homomorphism.
 
-    ``relator`` holds one offending word over the source generators (as a
-    tuple of (generator index, sign) pairs) whose image is not the identity.
+    ``edge`` is one (point, generator index) pair of the source where the
+    labelling of source points by target points breaks: the label of the
+    generator's image of the point is not the generator's target image of
+    the point's label.
     """
 
-    def __init__(self, message: str, *, relator=None):
+    def __init__(self, message: str, *, edge):
         super().__init__(message)
-        self.relator = relator
+        self.edge = edge
 
 
 class InvalidActionError(EtacalcError, ValueError):

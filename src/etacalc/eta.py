@@ -18,7 +18,9 @@ for a generating subset during enumeration; afterwards the full families,
 the injectivity of both embeddings, and their homomorphy are all checked
 against the finished carrier, with a fall back to the complete relator set
 if any audit fails.  A returned EtaGroup therefore satisfies every defining
-relation, not just the ones handed to the enumerator.
+relation, not just the ones handed to the enumerator; it keeps the
+presentation that was enumerated, and build_eta_presentation gives the
+complete one.
 """
 
 from __future__ import annotations
@@ -31,11 +33,16 @@ import numpy as np
 from .abelian import z_tensor
 from .action import ActionPair, require_compatible
 from .errors import CapacityError, ConstructionError, InvarianceError
-from .fpgroup import CosetTable, Presentation, Word, regular_representation, todd_coxeter
+from .fpgroup import (
+    DEFAULT_MAX_COSETS,
+    CosetTable,
+    Presentation,
+    Word,
+    regular_representation,
+    todd_coxeter,
+)
 from .groups import TableGroup
 from .perm import Perm, PermGroup
-
-DEFAULT_MAX_COSETS = 10**6
 
 
 def _word_of(prefix: str, element: int) -> Word:
@@ -150,7 +157,13 @@ def _tensor_set_from(tensor_map: dict[tuple[int, int], Perm]) -> TensorSet:
 
 @dataclass(eq=False)
 class EtaGroup:
-    """A finished eta construction over a regular permutation carrier."""
+    """A finished eta construction over a regular permutation carrier.
+
+    ``presentation`` is the one that was enumerated into ``table``: its
+    conjugator families may run over generating subsets only, while the
+    carrier is audited against the full families. It is None for the pair
+    of trivial groups, which is built without enumeration.
+    """
 
     pair: ActionPair
     presentation: Presentation | None
@@ -223,7 +236,7 @@ def _audit_families(
 
 
 def _trivial_eta(pair: ActionPair) -> EtaGroup:
-    carrier = PermGroup([], degree=1)
+    carrier = PermGroup._regular_from_edges([], 1, {0: None})
     ident = Perm.identity(1)
     tensor_map = {(0, 0): ident}
     return EtaGroup(
@@ -283,7 +296,7 @@ def construct_eta(pair: ActionPair, *, max_cosets: int = DEFAULT_MAX_COSETS) -> 
         tensor_subgroup = carrier.subgroup(tensor_set.members)
         return EtaGroup(
             pair=pair,
-            presentation=build_eta_presentation(pair),
+            presentation=pres,
             table=table,
             carrier=carrier,
             embed_g=embed_g,

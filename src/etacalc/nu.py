@@ -10,9 +10,10 @@ with both actions conjugation.  Three distinguished pieces come with it:
     has the derived subgroup as its quotient;
   * delta, the subgroup generated by the diagonal brackets [g, g'].
 
-Everything is certified at construction time: rho is validated against the
-full defining presentation, rho' through its graph, and mu's centrality is
-checked generator by generator.
+Everything is certified at construction time: rho and rho' are each checked
+as a labelling of carrier points by points of G's regular action (GroupHom),
+mu is generated by the tensor elements whose points rho' labels with the
+identity, and mu's centrality is checked generator by generator.
 """
 
 from __future__ import annotations
@@ -56,40 +57,13 @@ class NuGroup:
         return self.eta.tensor_order()
 
 
-def _indexed_relators(eta: EtaGroup) -> list[tuple[tuple[int, int], ...]]:
-    names = {name: i for i, name in enumerate(eta.presentation.generators)}
-    return [
-        tuple((names[sym], sign) for sym, sign in rel.letters)
-        for rel in eta.presentation.relators
-        if rel.letters
-    ]
-
-
-def _trivial_nu(group: TableGroup, eta: EtaGroup) -> NuGroup:
-    reg = PermGroup([], degree=1)
-    ident = Perm.identity(1)
-    hom = GroupHom(eta.carrier, reg, [], relators=[])
-    return NuGroup(
-        group=group,
-        eta=eta,
-        reg=reg,
-        reg_perms=(ident,),
-        rho=hom,
-        rho_prime=GroupHom(eta.tensor_subgroup, reg, [], relators=[]),
-        mu=eta.tensor_subgroup,
-        delta=eta.carrier.subgroup([]),
-    )
-
-
 def construct_nu(group: TableGroup, *, max_cosets: int = DEFAULT_MAX_COSETS) -> NuGroup:
     """Build nu(G) and certify rho, rho', the central mu, and delta."""
     eta = construct_eta(conjugation_pair(group), max_cosets=max_cosets)
-    if group.n == 1:
-        return _trivial_nu(group, eta)
     reg, reg_perms = regular_permgroup(group)
     images = [reg_perms[a] for a in group.non_identity()]
     images += [reg_perms[b] for b in group.non_identity()]
-    rho = GroupHom(eta.carrier, reg, images, relators=_indexed_relators(eta))
+    rho = GroupHom(eta.carrier, reg, images)
 
     derived = set(group.derived_indices())
     tensor_gens = eta.tensor_subgroup.generators

@@ -1,16 +1,16 @@
-"""Finite permutation groups with word-tracked stabilizer chains.
+"""Finite permutation groups with stabilizer chains.
 
 Elements are bijections of {0, ..., degree-1} with the fixed left-to-right
 composition convention (p*q)(x) = q(p(x)). Groups carry a chain of point
-stabilizers whose transversals track words over the original generators, so
-elements can be rewritten over the generators; that is what makes
-homomorphism evaluation and kernel extraction possible without a
-presentation.
+stabilizers with Schreier-tree transversals.
 
 Groups known to act freely on the orbit of point 0 (regular carriers coming
 out of coset enumeration, and their subgroups) use a single-level chain:
 the stabilizer of a point is trivial, so no Schreier generators need
 processing and membership reduces to one transversal lookup and compare.
+Such a group's element is determined by the point it sends 0 to, so a
+homomorphism between two of them is a labelling of source points by target
+points, checked edge by edge (GroupHom).
 """
 
 from __future__ import annotations
@@ -46,15 +46,8 @@ __all__ = [
 
 DEFAULT_MAX_ORDER = 10**6
 
-# Word over generators: tuple of (generator index, sign) with sign +1 or -1.
-Word = tuple[tuple[int, int], ...]
-
 _ELEMENTS_LIMIT = 10**5
 _CACHE_BUDGET = 4_000_000  # cached transversal entries, in total array cells
-
-
-def _invert_word(word: Word) -> Word:
-    return tuple((i, -s) for i, s in reversed(word))
 
 
 class Perm:
@@ -195,7 +188,7 @@ class _Level:
     this one; together they generate this level's stabilizer.
     """
 
-    __slots__ = ("base", "edges", "order", "gen_slots", "pending", "perm_cache", "word_cache")
+    __slots__ = ("base", "edges", "order", "gen_slots", "pending", "perm_cache")
 
     def __init__(self, base: int):
         self.base = base
@@ -204,18 +197,16 @@ class _Level:
         self.gen_slots: list[int] = []
         self.pending: deque[tuple[int, int]] = deque()
         self.perm_cache: dict[int, Perm] = {}
-        self.word_cache: dict[int, Word] = {}
 
 
 class PermGroup:
-    """A finite permutation group with a word-tracked stabilizer chain."""
+    """A finite permutation group with a stabilizer chain."""
 
     def __init__(
         self,
         generators: Iterable[Perm],
         *,
         degree: int | None = None,
-        base_prefix: Sequence[int] | None = None,
         max_order: int = DEFAULT_MAX_ORDER,
     ):
         gens = tuple(generators)
@@ -236,18 +227,13 @@ class PermGroup:
         self.degree = degree
         self.generators = gens
         self._max_order = max_order
-        self._pool: list[tuple[Perm, Word]] = []
+        self._pool: list[Perm] = []
         self._levels: list[_Level] = []
         self._free0 = False
         self._order: int | None = None
-        if base_prefix is not None:
-            for b in base_prefix:
-                if not (0 <= b < degree):
-                    raise ValueError(f"base point {b} out of range")
-                self._levels.append(_Level(b))
-        for i, g in enumerate(gens):
+        for g in gens:
             if not g.is_identity():
-                self._attach(g, ((i, 1),))
+                self._attach(g)
         self._drain()
         self._order = self._chain_order()
 
@@ -264,13 +250,14 @@ class PermGroup:
 
         The caller certifies that the generators act regularly (the coset
         enumerator's audited table provides exactly that) and hands over a
-        spanning tree of the single orbit rooted at point 0.
+        spanning tree of the single orbit rooted at point 0, each point listed
+        after its parent; slot i of an edge names generator i.
         """
         self = cls.__new__(cls)
         self.degree = degree
         self.generators = tuple(generators)
         self._max_order = max(DEFAULT_MAX_ORDER, degree)
-        self._pool = [(g, ((i, 1),)) for i, g in enumerate(self.generators)]
+        self._pool = list(self.generators)
         level = _Level(0)
         level.edges = edges
         level.order = [0] + [p for p in edges if p != 0]
@@ -294,21 +281,19 @@ class PermGroup:
         """
         self = cls.__new__(cls)
         self.degree = degree
-        self.generators = tuple(generators)
+        self.generators = ()
         self._max_order = max_order
         self._pool = []
         self._levels = [_Level(0)]
         self._free0 = True
-        self._order = None
-        for i, g in enumerate(self.generators):
-            if not g.is_identity():
-                self._add_free_generator(g, ((i, 1),))
-        self._order = len(self._levels[0].order)
+        self._order = 1
+        for g in generators:
+            self._add_free_generator(g)
         return self
 
     # -- chain construction -------------------------------------------------
 
-    def _attach(self, perm: Perm, word: Word, lvl: int = 0) -> int:
+    def _attach(self, perm: Perm, lvl: int = 0) -> int:
         """Put a strong generator on every level from lvl to k; return k.
 
         perm must fix the bases above lvl; a generator of the whole group
@@ -320,7 +305,7 @@ class PermGroup:
         there, and with them group order and members.
         """
         slot = len(self._pool)
-        self._pool.append((perm, word))
+        self._pool.append(perm)
         while True:
             if lvl == len(self._levels):
                 moved = int(np.nonzero(perm.images != np.arange(self.degree))[0][0])
@@ -349,7 +334,7 @@ class PermGroup:
                 lvl -= 1
                 continue
             pt, slot = level.pending.popleft()
-            g, gw = self._pool[slot]
+            g = self._pool[slot]
             img = int(g.images[pt])
             if img not in level.edges:
                 level.edges[img] = (slot, 1, pt)
@@ -360,16 +345,11 @@ class PermGroup:
             u_img_inv = self._transversal_perm(lvl, img).inverse()
             schreier = u_pt * g * u_img_inv
             if not schreier.is_identity():
-                sw = (
-                    self._transversal_word(lvl, pt)
-                    + gw
-                    + _invert_word(self._transversal_word(lvl, img))
-                )
-                deepest = self._sift_attach(schreier, sw, lvl + 1)
+                deepest = self._sift_attach(schreier, lvl + 1)
                 if deepest is not None:
                     lvl = deepest
 
-    def _sift_attach(self, perm: Perm, word: Word, from_level: int) -> int | None:
+    def _sift_attach(self, perm: Perm, from_level: int) -> int | None:
         """Sift a Schreier generator of level from_level-1; install any residue.
 
         The residue fixes the bases of every level above the one where the
@@ -378,7 +358,7 @@ class PermGroup:
         identity.
         """
         lvl = from_level
-        r, rw = perm, word
+        r = perm
         while lvl < len(self._levels):
             level = self._levels[lvl]
             img = r(level.base)
@@ -387,7 +367,6 @@ class PermGroup:
                 continue
             if img in level.edges:
                 r = r * self._transversal_perm(lvl, img).inverse()
-                rw = rw + _invert_word(self._transversal_word(lvl, img))
                 if r.is_identity():
                     return None
                 lvl += 1
@@ -395,29 +374,38 @@ class PermGroup:
             break
         if r.is_identity():
             return None
-        return self._attach(r, rw, from_level)
+        return self._attach(r, from_level)
 
-    def _add_free_generator(self, perm: Perm, word: Word) -> None:
-        """Extend the single free level with one more generator."""
+    def _add_free_generator(self, perm: Perm) -> None:
+        """Extend the single free level with one more generator.
+
+        The orbit is closed under the earlier generators, so its points are
+        walked with the new one only, and the points it reaches with every
+        generator. A generator sending 0 into the orbit is, by freeness,
+        already a member: it reaches nothing and is never walked.
+        """
         level = self._levels[0]
         slot = len(self._pool)
-        self._pool.append((perm, word))
+        self._pool.append(perm)
+        self.generators += (perm,)
+        if int(perm.images[0]) in level.edges:
+            return
         level.gen_slots.append(slot)
-        queue = deque(level.order)
+        queue: deque[int] = deque()
+
+        def reach(pt: int, s: int) -> None:
+            img = int(self._pool[s].images[pt])
+            if img not in level.edges:
+                level.edges[img] = (s, 1, pt)
+                level.order.append(img)
+                queue.append(img)
+
+        for pt in level.order[:]:
+            reach(pt, slot)
         while queue:
             pt = queue.popleft()
             for s in level.gen_slots:
-                g, _ = self._pool[s]
-                img = int(g.images[pt])
-                if img not in level.edges:
-                    level.edges[img] = (s, 1, pt)
-                    level.order.append(img)
-                    queue.append(img)
-                    if len(level.order) > self._max_order:
-                        raise CapacityError(
-                            "orbit exceeded the configured cap",
-                            count=len(level.order),
-                        )
+                reach(pt, s)
         self._order = len(level.order)
 
     def _check_capacity(self) -> None:
@@ -447,33 +435,11 @@ class PermGroup:
             cur = parent
         u = level.perm_cache.get(cur, Perm.identity(self.degree))
         for slot, sign in reversed(steps):
-            g = self._pool[slot][0]
+            g = self._pool[slot]
             u = u * (g if sign > 0 else g.inverse())
         if len(level.perm_cache) * self.degree <= _CACHE_BUDGET:
             level.perm_cache[pt] = u
         return u
-
-    def _transversal_word(self, lvl: int, pt: int) -> Word:
-        level = self._levels[lvl]
-        cached = level.word_cache.get(pt)
-        if cached is not None:
-            return cached
-        steps = []
-        cur = pt
-        while level.edges[cur] is not None:
-            if cur in level.word_cache:
-                break
-            slot, sign, parent = level.edges[cur]
-            steps.append((slot, sign))
-            cur = parent
-        word = list(level.word_cache.get(cur, ()))
-        for slot, sign in reversed(steps):
-            w = self._pool[slot][1]
-            word.extend(w if sign > 0 else _invert_word(w))
-        word_t = tuple(word)
-        if len(level.word_cache) <= 4 * _CACHE_BUDGET // max(self.degree, 1):
-            level.word_cache[pt] = word_t
-        return word_t
 
     # -- queries ---------------------------------------------------------------
 
@@ -485,55 +451,27 @@ class PermGroup:
     def is_trivial(self) -> bool:
         return self.order() == 1
 
-    def _sift(self, p: Perm) -> tuple[Perm, Word]:
-        """Reduce p through the chain; p = evaluate(word) * residue."""
+    def _sift(self, p: Perm) -> Perm:
+        """Reduce p through the chain; the residue is the identity for members."""
         r = p
-        word: list[tuple[int, int]] = []
         for lvl, level in enumerate(self._levels):
             img = r(level.base)
             if img == level.base:
                 continue
             if img not in level.edges:
-                return r, tuple(word)
-            u = self._transversal_perm(lvl, img)
-            r = r * u.inverse()
-            # p = ... * u_deep * ... * u_shallow, deepest transversal first.
-            word = list(self._transversal_word(lvl, img)) + word
-        return r, tuple(word)
+                return r
+            r = r * self._transversal_perm(lvl, img).inverse()
+        return r
 
     def contains(self, p: Perm) -> bool:
         if p.degree != self.degree:
             raise DegreeMismatchError(
                 f"membership of degree {p.degree} element in degree {self.degree} group"
             )
-        residue, _ = self._sift(p)
-        return residue.is_identity()
+        return self._sift(p).is_identity()
 
     def __contains__(self, p: Perm) -> bool:
         return self.contains(p)
-
-    def word_for(self, p: Perm) -> Word:
-        """Express p over the original generators; raises MembershipError."""
-        if p.degree != self.degree:
-            raise DegreeMismatchError(
-                f"cannot express degree {p.degree} element in degree {self.degree} group"
-            )
-        residue, word = self._sift(p)
-        if not residue.is_identity():
-            raise MembershipError("element is not in the group")
-        return word
-
-    def evaluate_word(self, word: Word, images: Sequence[Perm] | None = None) -> Perm:
-        """Evaluate a word over the generators (or over substitute images)."""
-        gens = self.generators if images is None else tuple(images)
-        if images is not None and len(gens) != len(self.generators):
-            raise ValueError("need exactly one image per generator")
-        deg = gens[0].degree if gens else self.degree
-        result = Perm.identity(deg)
-        for idx, sign in word:
-            g = gens[idx]
-            result = result * (g if sign > 0 else g.inverse())
-        return result
 
     def orbit0(self) -> tuple[int, ...]:
         """Orbit of point 0 in BFS order (the coset ordering for carriers)."""
@@ -652,14 +590,13 @@ def normal_closure(group: PermGroup, seeds: Iterable[Perm]) -> PermGroup:
         for c, cinv in zip(conjugators, inverses):
             y = cinv * x * c
             if not closure.contains(y):
-                idx = len(closure.generators)
                 if closure._free0:
-                    closure._add_free_generator(y, ((idx, 1),))
+                    closure._add_free_generator(y)
                 else:
-                    closure._attach(y, ((idx, 1),))
+                    closure._attach(y)
                     closure._drain()
                     closure._order = closure._chain_order()
-                closure.generators = closure.generators + (y,)
+                    closure.generators += (y,)
                 queue.append(y)
     return closure
 
@@ -749,25 +686,23 @@ def abelian_invariants_of(group: PermGroup) -> AbelianInvariants:
 class GroupHom:
     """A homomorphism given by generator images, with verified well-definedness.
 
-    Validation has two modes. When `relators` is supplied (words over source
-    generator indices that define the source), every relator is evaluated over
-    the images and must land on the identity. Otherwise the hom is validated
-    through its graph: the subgroup of the direct product generated by the
-    paired generators has the order of the source exactly when the assignment
-    extends to a homomorphism. Graph validation requires a source that acts
-    freely on the orbit of point 0 (which all enumeration carriers and their
-    subgroups do); an offending relator is extracted from the graph chain on
-    failure.
+    Source and target must both act freely on the orbit of point 0, as every
+    enumeration carrier and its subgroups do, so an element of either is
+    the point it sends 0 to. The assignment is then a labelling of source
+    points by target points, grown along the source's Schreier tree from
+    label(0) = 0, and it extends to a homomorphism exactly when
+    label(g(p)) == img(g)(label(p)) holds for every orbit point p and
+    generator g. That check is complete: a word trivial in the source walks
+    0 back to 0, so its image walks label(0) = 0 back to 0 as well and is
+    trivial by freeness. The first failing (point, generator index) is
+    raised as IllDefinedHomError's edge.
     """
 
-    def __init__(
-        self,
-        source: PermGroup,
-        target: PermGroup,
-        images: Sequence[Perm],
-        *,
-        relators: Sequence[Word] | None = None,
-    ):
+    def __init__(self, source: PermGroup, target: PermGroup, images: Sequence[Perm]):
+        if not (source._free0 and target._free0):
+            raise ValueError(
+                "a homomorphism needs a source and a target acting freely on the orbit of 0"
+            )
         if len(images) != len(source.generators):
             raise ValueError("need exactly one image per source generator")
         for img in images:
@@ -775,58 +710,34 @@ class GroupHom:
                 raise DegreeMismatchError("image degree does not match target degree")
             if not target.contains(img):
                 raise MembershipError("generator image is not in the target group")
-        for g, img in zip(source.generators, images):
-            if g.is_identity() and not img.is_identity():
-                raise IllDefinedHomError(
-                    "identity generator must map to the identity", relator=None
-                )
         self.source = source
         self.target = target
         self.generator_images = tuple(images)
         self._image_group: PermGroup | None = None
-        if relators is not None:
-            for rel in relators:
-                value = source.evaluate_word(rel, self.generator_images)
-                if not value.is_identity():
-                    raise IllDefinedHomError(
-                        "a defining relator maps to a non-identity element",
-                        relator=rel,
-                    )
-        else:
-            if not source._free0:
-                raise ValueError(
-                    "graph validation needs a source acting freely on the orbit of 0; "
-                    "pass defining relators instead"
-                )
-            graph = PermGroup(
-                self._diagonal_generators(),
-                degree=source.degree + target.degree,
-                base_prefix=[0],
-                max_order=source.order() * target.order(),
-            )
-            if graph.order() != source.order():
-                witness = None
-                for lvl in range(1, len(graph._levels)):
-                    slots = graph._levels[lvl].gen_slots
-                    if slots:
-                        witness = graph._pool[slots[0]][1]
-                        break
+        level = source._levels[0]
+        label = np.full(source.degree, -1, dtype=np.int64)
+        label[0] = 0
+        steps: dict[tuple[int, int], np.ndarray] = {}
+        for pt in level.order[1:]:
+            slot, sign, parent = level.edges[pt]
+            if (slot, sign) not in steps:
+                img = self.generator_images[slot]
+                steps[(slot, sign)] = (img if sign > 0 else img.inverse()).images
+            label[pt] = steps[(slot, sign)][label[parent]]
+        orbit = np.asarray(level.order)
+        for i, (g, img) in enumerate(zip(source.generators, self.generator_images)):
+            bad = np.nonzero(label[g.images[orbit]] != img.images[label[orbit]])[0]
+            if bad.size:
                 raise IllDefinedHomError(
                     "generator images do not satisfy the source's relations",
-                    relator=witness,
+                    edge=(int(orbit[bad[0]]), i),
                 )
-
-    def _diagonal_generators(self) -> list[Perm]:
-        ds = self.source.degree
-        out = []
-        for g, img in zip(self.source.generators, self.generator_images):
-            combined = np.concatenate([g.images, img.images + ds])
-            out.append(Perm(combined, _trusted=True))
-        return out
+        self._labels = label
 
     def apply(self, p: Perm) -> Perm:
-        word = self.source.word_for(p)
-        return self.source.evaluate_word(word, self.generator_images)
+        if not self.source.contains(p):
+            raise MembershipError("element is not in the source group")
+        return self.target._transversal_perm(0, int(self._labels[p(0)]))
 
     def image_group(self) -> PermGroup:
         if self._image_group is None:
@@ -834,36 +745,21 @@ class GroupHom:
             self._image_group = self.target.subgroup(gens)
         return self._image_group
 
-    def kernel(self) -> PermGroup:
-        return hom_kernel(self)
-
 
 def hom_kernel(f: GroupHom) -> PermGroup:
     """Kernel of a verified homomorphism, as a subgroup of the source.
 
-    Builds the graph group with every target point installed as a leading
-    base, so the stabilizer of those levels is exactly the set of graph
-    elements with trivial target part. The strong generators on the first
-    level below them (level dt) generate that stabilizer, and each sits on
-    that level once; their source projections generate the kernel. Verifies
+    A source element is in the kernel exactly when its point is labelled 0,
+    so the transversal elements of those points generate it; one is added
+    only when its point is not yet in the kernel's orbit. Verifies
     |source| = |kernel| * |image| before returning.
     """
-    ds = f.source.degree
-    dt = f.target.degree
-    graph = PermGroup(
-        f._diagonal_generators(),
-        degree=ds + dt,
-        base_prefix=[ds + i for i in range(dt)],
-        max_order=max(f.source.order() * 2, DEFAULT_MAX_ORDER),
-    )
-    kernel_gens = []
-    slots = graph._levels[dt].gen_slots if len(graph._levels) > dt else []
-    for slot in slots:
-        perm = graph._pool[slot][0]
-        if not np.array_equal(perm.images[ds:], np.arange(dt) + ds):
-            raise ConstructionError("kernel extraction produced a non-kernel element")
-        kernel_gens.append(Perm(perm.images[:ds], _trusted=True))
-    kern = f.source.subgroup(kernel_gens)
-    if kern.order() * f.image_group().order() != f.source.order():
+    source = f.source
+    kern = PermGroup._free_subgroup(source.degree, (), source._max_order)
+    reached = kern._levels[0].edges
+    for pt in np.nonzero(f._labels == 0)[0].tolist():
+        if pt not in reached:
+            kern._add_free_generator(source._transversal_perm(0, pt))
+    if kern.order() * f.image_group().order() != source.order():
         raise ConstructionError("kernel/image orders do not multiply to the source order")
     return kern

@@ -143,6 +143,17 @@ def test_tensor_set_is_normal_in_carrier():
     assert "member" in exc.value.witness
 
 
+def test_eta_keeps_the_enumerated_presentation():
+    # The conjugator families run over a generating subset when enumerating;
+    # the carrier is audited against the full ones, which are not rebuilt.
+    pair = conjugation_pair(symmetric3())
+    eta = construct_eta(pair)
+    assert eta.presentation is eta.table.presentation
+    full = build_eta_presentation(pair)
+    assert eta.presentation.generators == full.generators
+    assert len(eta.presentation.relators) < len(full.relators)
+
+
 def test_doubly_trivial_pair():
     eta = construct_eta(trivial_pair(cyclic(1), cyclic(1)))
     assert eta.order() == 1

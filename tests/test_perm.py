@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -15,7 +15,13 @@ from etacalc.errors import (
     IllDefinedHomError,
     MembershipError,
 )
-from etacalc.groups import regular_permgroup, table_from_permgroup
+from etacalc.groups import (
+    builtin,
+    builtin_names,
+    cyclic,
+    regular_permgroup,
+    table_from_permgroup,
+)
 from etacalc.perm import (
     GroupHom,
     Perm,
@@ -159,17 +165,6 @@ def test_membership_differential_random(case):
     assert g.contains(probe) == (tuple(probe.as_list()) in table)
 
 
-def test_word_for_round_trip():
-    for g in (s3(), d8(), a4()):
-        for p in g.elements():
-            w = g.word_for(p)
-            assert g.evaluate_word(w) == p
-    with pytest.raises(MembershipError):
-        d8().word_for(P((0, 1), degree=4))
-    with pytest.raises(DegreeMismatchError):
-        s3().word_for(Perm.identity(4))
-
-
 def test_membership_degree_mismatch():
     with pytest.raises(DegreeMismatchError):
         s3().contains(Perm.identity(2))
@@ -272,33 +267,6 @@ def test_abelian_invariants():
     assert abelian_invariants_of(klein).factors == (2, 2)
 
 
-def test_hom_relator_mode():
-    c4 = group_from_generators([P((0, 1, 2, 3), degree=4)])
-    c2 = group_from_generators([P((0, 1), degree=2)])
-    f = GroupHom(c4, c2, [P((0, 1), degree=2)], relators=[((0, 1),) * 4])
-    assert f.apply(P((0, 1, 2, 3), degree=4)) == P((0, 1), degree=2)
-    assert f.apply(P((0, 2), (1, 3), degree=4)).is_identity()
-    k = hom_kernel(f)
-    assert k.order() == 2
-    assert k.contains(P((0, 2), (1, 3), degree=4))
-    assert f.image_group().order() == 2
-
-
-def test_hom_relator_mode_rejects():
-    c4 = group_from_generators([P((0, 1, 2, 3), degree=4)])
-    c3 = group_from_generators([P((0, 1, 2), degree=3)])
-    with pytest.raises(IllDefinedHomError) as exc:
-        GroupHom(c4, c3, [P((0, 1, 2), degree=3)], relators=[((0, 1),) * 4])
-    assert exc.value.relator == ((0, 1),) * 4
-
-
-def test_hom_image_must_be_in_target():
-    c2 = group_from_generators([P((0, 1), degree=2)])
-    c4 = group_from_generators([P((0, 1, 2, 3), degree=4)])
-    with pytest.raises(MembershipError):
-        GroupHom(c2, c4, [P((0, 1), degree=4)], relators=[((0, 1),) * 2])
-
-
 def regular_cyclic(n):
     """Regular representation of a cyclic group through the certified path."""
     base = Perm(np.roll(np.arange(n), -1))
@@ -319,7 +287,6 @@ def test_certified_regular_carrier():
     assert g._free0
     for p in g.elements():
         assert g.contains(p)
-        assert g.evaluate_word(g.word_for(p)) == p
     assert sorted(g.element_orders()) == [1, 2, 3, 3, 6, 6]
     sub = g.subgroup([g.generators[1]])  # the square of the base rotation
     assert sub.order() == 3
@@ -328,84 +295,231 @@ def test_certified_regular_carrier():
     assert not sub.contains(g.generators[0])
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(builtin_names()), st.data())
+def test_free_subgroup_matches_table_closure(name, data):
+    # Generators are added one at a time, redundant ones included, so every
+    # step of the incremental orbit walk is compared with the table closure.
+    group = builtin(name)
+    seed = data.draw(st.lists(st.sampled_from(range(group.n)), max_size=4))
+    reg, perms = regular_permgroup(group)
+    sub = reg.subgroup([perms[a] for a in seed])
+    assert sorted(sub.orbit0()) == list(group.subgroup_closure(seed))
+    assert sub.order() == len(group.subgroup_closure(seed))
+    for p in reg.elements():
+        assert sub.contains(p) == (p(0) in group.subgroup_closure(seed))
+
+
+def tree_label(source, images, pt):
+    """Target point that the source's Schreier-tree path to pt labels it with."""
+    level = source._levels[0]
+    path = []
+    while level.edges[pt] is not None:
+        slot, sign, pt = level.edges[pt]
+        path.append(images[slot] if sign > 0 else images[slot].inverse())
+    label = 0
+    for img in reversed(path):
+        label = img(label)
+    return label
+
+
+def assert_breaks_labelling(source, images, edge):
+    pt, i = edge
+    g = source.generators[i]
+    assert tree_label(source, images, g(pt)) != images[i](tree_label(source, images, pt))
+
+
 def test_hom_graph_mode():
+    # C4 onto C2: the odd rotations go to the flip.
     g = regular_cyclic(4)
-    c2 = group_from_generators([P((0, 1), degree=2)])
-    images = [P((0, 1), degree=2), Perm.identity(2), P((0, 1), degree=2)]
-    f = GroupHom(g, c2, images)
+    c2 = regular_cyclic(2)
+    t = c2.generators[0]
+    f = GroupHom(g, c2, [t, Perm.identity(2), t])
     k = hom_kernel(f)
     assert k.order() == 2
+    assert k.contains(g.generators[1])
     assert f.image_group().order() == 2
-    assert f.apply(g.generators[0]) == P((0, 1), degree=2)
+    assert f.apply(g.generators[0]) == t
+    assert f.apply(g.generators[1]).is_identity()
+    assert f.apply(g.generators[2]) == t
+    with pytest.raises(MembershipError):
+        f.apply(Perm([1, 0, 2, 3]))
 
 
 def test_hom_graph_mode_rejects():
+    # A hom C4 -> C3 sending r to t would send r^4 = 1 to t^4 = t, so every
+    # assignment with r -> t is refused, here two of them.
     g = regular_cyclic(4)
-    c3 = group_from_generators([P((0, 1, 2), degree=3)])
-    t = P((0, 1, 2), degree=3)
+    c3 = regular_cyclic(3)
+    t = c3.generators[0]
+    for images in ([t, t * t, t * t * t], [t, t, t]):
+        with pytest.raises(IllDefinedHomError) as exc:
+            GroupHom(g, c3, images)
+        assert_breaks_labelling(g, images, exc.value.edge)
+
+
+def single_rotation(n):
+    """C_n = <r | r^n> on n points, r the rotation, as a certified carrier."""
+    r = Perm(np.roll(np.arange(n), -1))
+    edges = {0: None}
+    for k in range(1, n):
+        edges[k] = (0, 1, k - 1)
+    return PermGroup._regular_from_edges([r], n, edges)
+
+
+def test_hom_relator_mode():
+    # C4 = <r | r^4> onto C2 with r -> t: the relator r^4 is the tree's one
+    # closing edge, from point 3 back to 0, so the labelling checks exactly it.
+    c4 = single_rotation(4)
+    c2 = regular_cyclic(2)
+    t = c2.generators[0]
+    r = c4.generators[0]
+    f = GroupHom(c4, c2, [t])
+    assert f.apply(r) == t
+    assert f.apply(r * r).is_identity()
+    k = hom_kernel(f)
+    assert k.order() == 2
+    assert k.contains(r * r)
+    assert f.image_group().order() == 2
+
+
+def test_hom_relator_mode_rejects():
+    # C4 = <r | r^4> onto C3 with r -> t fails on r^4, the closing edge.
+    c4 = single_rotation(4)
+    c3 = regular_cyclic(3)
+    t = c3.generators[0]
     with pytest.raises(IllDefinedHomError) as exc:
-        GroupHom(g, c3, [t, t * t, t * t * t])
-    w = exc.value.relator
-    assert w is not None
-    assert g.evaluate_word(w).is_identity()
-    assert not g.evaluate_word(w, [t, t * t, t * t * t]).is_identity()
+        GroupHom(c4, c3, [t])
+    assert exc.value.edge == (3, 0)
+    assert_breaks_labelling(c4, [t], exc.value.edge)
+
+
+def test_hom_image_must_be_in_target():
+    c2 = regular_cyclic(2)
+    c4 = regular_cyclic(4)
+    with pytest.raises(MembershipError):
+        GroupHom(c2, c4, [P((0, 1), degree=4)])
+
+
+def test_hom_needs_free_source_and_target():
+    reg, _ = regular_permgroup(builtin("S3"))
+    c2 = regular_cyclic(2)
+    t = c2.generators[0]
+    with pytest.raises(ValueError):
+        GroupHom(s3(), c2, [t, Perm.identity(2)])
+    with pytest.raises(ValueError):
+        GroupHom(reg, s3(), [Perm.identity(3)] * 5)
 
 
 def test_kernel_order_identity():
     # |source| = |kernel| * |image| for a quotient with a bigger kernel.
     g = regular_cyclic(12)
-    c3 = group_from_generators([P((0, 1, 2), degree=3)])
-    t = P((0, 1, 2), degree=3)
-    powers = [Perm.identity(3)] * 11
-    for k in range(1, 12):
-        img = Perm.identity(3)
-        for _ in range(k % 3):
-            img = img * t
-        powers[k - 1] = img
+    c3 = regular_cyclic(3)
+    t = c3.generators[0]
+    powers = [t if k % 3 == 1 else t * t if k % 3 == 2 else Perm.identity(3) for k in range(1, 12)]
     f = GroupHom(g, c3, powers)
     k = hom_kernel(f)
     assert k.order() * f.image_group().order() == g.order() == 12
     assert k.order() == 4
 
 
-def test_graph_mode_with_target_fixed_points():
-    # The natural images of S3's transpositions fix target points, so their
-    # graph generators sit on several levels of the kernel chain.
-    nat = s3()
-    elems = sorted(nat.elements(), key=lambda p: p.as_list())
-    reg, _ = regular_permgroup(table_from_permgroup(nat))
-    natural = GroupHom(reg, nat, elems[1:])
+def test_hom_s3_natural_and_sign():
+    # S3's regular action onto itself (kernel 1) and onto C2 by sign (kernel 3).
+    table = table_from_permgroup(s3())
+    reg, perms = regular_permgroup(table)
+    natural = GroupHom(reg, reg, perms[1:])
     assert hom_kernel(natural).order() == 1
     assert natural.image_group().order() == 6
-    t = P((0, 1), degree=2)
-    c2 = group_from_generators([t])
-    signs = [t if p.order() == 2 else Perm.identity(2) for p in elems[1:]]
+    c2 = regular_cyclic(2)
+    t = c2.generators[0]
+    signs = [t if table.element_order(a) == 2 else Perm.identity(2) for a in table.non_identity()]
     sign = GroupHom(reg, c2, signs)
     k = hom_kernel(sign)
     assert k.order() * sign.image_group().order() == reg.order()
     assert k.order() == 3
     assert all(sign.apply(g).is_identity() for g in k.generators)
-    bad = [P((0, 1, 2), degree=3)] * len(elems[1:])
+    bad = [perms[table.non_identity()[-1]]] * 5
     with pytest.raises(IllDefinedHomError) as exc:
-        GroupHom(reg, nat, bad)
-    w = exc.value.relator
-    assert w is not None
-    assert reg.evaluate_word(w).is_identity()
-    assert not reg.evaluate_word(w, bad).is_identity()
+        GroupHom(reg, reg, bad)
+    assert_breaks_labelling(reg, bad, exc.value.edge)
 
 
-def test_kernel_relator_mode_non_free_source():
-    # S4 = <a, b | a^4, b^2, (ab)^3> on 4 points onto C2 by sign: kernel A4.
-    a = P((0, 1, 2, 3), degree=4)
-    b = P((0, 1), degree=4)
-    s4 = group_from_generators([a, b])
-    c2 = group_from_generators([P((0, 1), degree=2)])
-    t = P((0, 1), degree=2)
-    relators = [((0, 1),) * 4, ((1, 1),) * 2, ((0, 1), (1, 1)) * 3]
-    f = GroupHom(s4, c2, [t, t], relators=relators)
+def test_kernel_s4_sign():
+    # S4 acting on itself, onto C2 by sign: the kernel is A4.
+    s4 = group_from_generators([P((0, 1, 2, 3), degree=4), P((0, 1), degree=4)])
+    table = table_from_permgroup(s4)
+    elems = sorted(s4.elements(), key=lambda p: tuple(p.as_list()))
+    elems.remove(Perm.identity(4))
+    elems.insert(0, Perm.identity(4))  # the element order of table_from_permgroup
+    odd = [sum(len(c) - 1 for c in p.cycles()) % 2 == 1 for p in elems]
+    reg, perms = regular_permgroup(table)
+    c2 = regular_cyclic(2)
+    t = c2.generators[0]
+    f = GroupHom(reg, c2, [t if odd[a] else Perm.identity(2) for a in table.non_identity()])
     k = hom_kernel(f)
     assert k.order() == 12
-    assert k.order() * f.image_group().order() == s4.order() == 24
-    for images in permutations(range(4)):
-        p = Perm(list(images))
-        assert k.contains(p) == f.apply(p).is_identity()
+    assert k.order() * f.image_group().order() == reg.order() == 24
+    for a in range(24):
+        assert k.contains(perms[a]) == (not odd[a])
+        assert f.apply(perms[a]) == (t if odd[a] else Perm.identity(2))
+
+
+@st.composite
+def assignments_to_cyclic(draw):
+    """A builtin group G, m, and an image in Z_m for every element of G.
+
+    The images come from a genuine homomorphism G -> C_m (found by trying
+    every generator assignment against the table), possibly with one entry
+    perturbed.
+    """
+    group = builtin(draw(st.sampled_from(builtin_names())))
+    m = draw(st.integers(min_value=1, max_value=6))
+    gens = group.generating_subset()
+    homs = []
+    for ks in product(range(m), repeat=len(gens)):
+        assign = {0: 0}
+        frontier = [0]
+        for x in frontier:
+            for s, k in zip(gens, ks):
+                y = group.mul(x, s)
+                if y not in assign:
+                    assign[y] = (assign[x] + k) % m
+                    frontier.append(y)
+        if table_hom(group, assign, m):
+            homs.append(assign)
+    assign = dict(homs[draw(st.integers(min_value=0, max_value=len(homs) - 1))])
+    if group.n > 1 and m > 1 and draw(st.booleans()):
+        a = draw(st.sampled_from(group.non_identity()))
+        assign[a] = (assign[a] + draw(st.integers(min_value=1, max_value=m - 1))) % m
+    return group, m, assign
+
+
+def table_hom(group, assign, m):
+    return all(
+        assign[group.mul(a, b)] == (assign[a] + assign[b]) % m
+        for a in group.elements()
+        for b in group.elements()
+    )
+
+
+# Pinned: C2xC2 -> C3 is consistent along the first generator's edges
+# (element 1 maps to 0 and the map is constant on the cosets of <1>) and
+# breaks only on the second's, first at point 2.
+@settings(max_examples=60, deadline=None)
+@given(assignments_to_cyclic())
+@example((builtin("C2xC2"), 3, {0: 0, 1: 0, 2: 1, 3: 1}))
+def test_hom_labelling_matches_table_oracle(case):
+    group, m, assign = case
+    source, _ = regular_permgroup(group)
+    target, powers = regular_permgroup(cyclic(m))
+    images = [powers[assign[a]] for a in group.non_identity()]
+    if not table_hom(group, assign, m):
+        with pytest.raises(IllDefinedHomError) as exc:
+            GroupHom(source, target, images)
+        assert_breaks_labelling(source, images, exc.value.edge)
+        return
+    f = GroupHom(source, target, images)
+    k = hom_kernel(f)
+    # In the right-regular action element a sends 0 to a.
+    assert set(k.orbit0()) == {a for a in group.elements() if assign[a] == 0}
+    assert k.order() * f.image_group().order() == group.n
