@@ -5,7 +5,8 @@ repeated invocation with the same inputs is byte-identical; `--pretty` adds
 an aligned human-readable summary (including timings) on standard error.
 
 Exit codes: 0 success, 1 verification failure, 2 parse or input error,
-3 invalid action table, 4 incompatible actions, 5 capacity exceeded.
+3 invalid action table, 4 incompatible actions, 5 capacity exceeded,
+6 failed certification (a bug).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .action import (
 )
 from .errors import (
     CapacityError,
+    ConstructionError,
     IncompatibleActionError,
     InvalidActionError,
     ParseError,
@@ -559,6 +561,9 @@ def main(argv=None) -> int:
     except CapacityError as err:
         print(f"etacalc: capacity exceeded: {err}", file=sys.stderr)
         return 5
+    except ConstructionError as err:
+        print(f"etacalc: construction failed: {err}", file=sys.stderr)
+        return 6
     except ValueError as err:
         print(f"etacalc: {err}", file=sys.stderr)
         return 2

@@ -1,32 +1,30 @@
 """Construction of the eta group of a compatible pair, with certified audits.
 
 Given groups G and H acting compatibly on each other, the eta group is
-presented on one generator per non-identity element of each group, subject
-to both multiplication tables and to two families of defining relations:
+generated by copies of G and H subject to two families of relations:
 
     [g, h']^(g1) == [g^(g1), (h^(g1))']      for g, g1 in G and h in H
     [g, h']^(h1') == [g^(h1), (h^(h1))']     for g in G and h, h1 in H
 
-where a primed symbol is the generator for the second copy, exponents on
-group elements are the mutual actions (conjugation inside a single group),
-and exponents on bracketed words are conjugation in the presented group.
+where a primed symbol lies in the copy of H, exponents on group elements
+are the mutual actions (conjugation inside a single group), and exponents
+on bracketed words are conjugation in the presented group.
 
-The constructor enumerates the presented group onto a regular coset table,
-so every element is a coset and two elements are equal exactly when they
-move coset 0 to the same place.  Conjugator families are instantiated only
-for a generating subset during enumeration; afterwards the full families,
-the injectivity of both embeddings, and their homomorphy are all checked
-against the finished carrier, with a fall back to the complete relator set
-if any audit fails.  A returned EtaGroup therefore satisfies every defining
-relation, not just the ones handed to the enumerator; it keeps the
-presentation that was enumerated, and build_eta_presentation gives the
-complete one.
+It is presented on generating subsets, as in Ellis and Leonard (1995): a
+generator per member of each subset, a Cayley-graph relator w(x) s w(xs)^-1
+per element x and generator s of each group, with w(x) the BFS-tree word of
+x, and both families for generators g, g1, h, h1 only.  The enumerated
+carrier acts regularly on its cosets, so an element is the point it sends
+0 to.  Every element of G and H is embedded by evaluating its tree word;
+both embeddings and the full families, over all g, g1, h, h1, are then
+checked by point chasing, so the carrier is eta.  A failed audit is a bug.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import reduce
+from typing import Sequence
 
 import numpy as np
 
@@ -45,63 +43,63 @@ from .groups import TableGroup
 from .perm import Perm, PermGroup
 
 
-def _word_of(prefix: str, element: int) -> Word:
-    return Word() if element == 0 else Word.gen(f"{prefix}{element}")
+def _tree_words(group: TableGroup, prefix: str) -> list[Word]:
+    """BFS-tree word of each element: right multiplication, generators ascending."""
+    gens = group.generating_subset()
+    words, queue = {0: Word()}, [0]
+    for x in queue:
+        for s in gens:
+            y = group.mul(x, s)
+            if y not in words:
+                words[y] = words[x] * Word.gen(f"{prefix}{s}")
+                queue.append(y)
+    return [words[x] for x in range(group.n)]
 
 
-def _table_relators(group: TableGroup, prefix: str) -> list[Word]:
-    relators = []
-    for a in group.non_identity():
-        for b in group.non_identity():
-            product = _word_of(prefix, group.mul(a, b))
-            relators.append(_word_of(prefix, a) * _word_of(prefix, b) * product.inverse())
-    return relators
+def _cayley_relators(group: TableGroup, prefix: str, words: list[Word]) -> list[Word]:
+    """w(x) s w(xs)^-1 for every element x and generator s; tree edges vanish."""
+    gens = group.generating_subset()
+    relators = (
+        words[x] * Word.gen(f"{prefix}{s}") * words[group.mul(x, s)].inverse()
+        for x in range(group.n)
+        for s in gens
+    )
+    return [r for r in relators if not r.is_empty()]
 
 
-def _family_relators(
-    pair: ActionPair,
-    g_conjugators: Iterable[int],
-    h_conjugators: Iterable[int],
-) -> list[Word]:
+def _family_relators(pair: ActionPair, g_words: list[Word], h_words: list[Word]) -> list[Word]:
     g, h = pair.g, pair.h
     goh, hog = pair.g_on_h.rows, pair.h_on_g.rows
+    g_gens, h_gens = g.generating_subset(), h.generating_subset()
+
+    def bracket(a: int, b: int) -> Word:
+        return g_words[a].commutator(h_words[b])
+
     relators = []
-    for gg in g.non_identity():
-        base = {hh: _word_of("g", gg).commutator(_word_of("h", hh)) for hh in h.non_identity()}
-        for g1 in g_conjugators:
-            conj = _word_of("g", g1)
-            for hh in h.non_identity():
-                image = _word_of("g", g.conj(gg, g1)).commutator(_word_of("h", goh[g1][hh]))
-                relators.append(base[hh].conjugate_by(conj) * image.inverse())
-    for gg in g.non_identity():
-        base = {hh: _word_of("g", gg).commutator(_word_of("h", hh)) for hh in h.non_identity()}
-        for hh in h.non_identity():
-            for h1 in h_conjugators:
-                conj = _word_of("h", h1)
-                image = _word_of("g", hog[h1][gg]).commutator(_word_of("h", h.conj(hh, h1)))
-                relators.append(base[hh].conjugate_by(conj) * image.inverse())
+    for gg in g_gens:
+        for g1 in g_gens:
+            for hh in h_gens:
+                image = bracket(g.conj(gg, g1), goh[g1][hh])
+                relators.append(bracket(gg, hh).conjugate_by(g_words[g1]) * image.inverse())
+    for gg in g_gens:
+        for hh in h_gens:
+            for h1 in h_gens:
+                image = bracket(hog[h1][gg], h.conj(hh, h1))
+                relators.append(bracket(gg, hh).conjugate_by(h_words[h1]) * image.inverse())
     return relators
-
-
-def _presentation(
-    pair: ActionPair,
-    g_conjugators: Iterable[int],
-    h_conjugators: Iterable[int],
-) -> Presentation:
-    g, h = pair.g, pair.h
-    generators = tuple(f"g{a}" for a in g.non_identity()) + tuple(
-        f"h{b}" for b in h.non_identity()
-    )
-    relators = _table_relators(g, "g") + _table_relators(h, "h")
-    relators += _family_relators(pair, g_conjugators, h_conjugators)
-    return Presentation(generators, tuple(relators))
 
 
 def build_eta_presentation(pair: ActionPair) -> Presentation:
-    """The full defining presentation, conjugators running over everything."""
-    if pair.g.n == 1 and pair.h.n == 1:
+    """The defining presentation of eta on generating subsets of G and H."""
+    g, h = pair.g, pair.h
+    if g.n == 1 and h.n == 1:
         raise ValueError("the pair of trivial groups presents no generators")
-    return _presentation(pair, range(pair.g.n), range(pair.h.n))
+    g_words, h_words = _tree_words(g, "g"), _tree_words(h, "h")
+    generators = tuple(f"g{a}" for a in g.generating_subset())
+    generators += tuple(f"h{b}" for b in h.generating_subset())
+    relators = _cayley_relators(g, "g", g_words) + _cayley_relators(h, "h", h_words)
+    relators += _family_relators(pair, g_words, h_words)
+    return Presentation(generators, tuple(relators))
 
 
 @dataclass(eq=False)
@@ -159,10 +157,9 @@ def _tensor_set_from(tensor_map: dict[tuple[int, int], Perm]) -> TensorSet:
 class EtaGroup:
     """A finished eta construction over a regular permutation carrier.
 
-    ``presentation`` is the one that was enumerated into ``table``: its
-    conjugator families may run over generating subsets only, while the
-    carrier is audited against the full families. It is None for the pair
-    of trivial groups, which is built without enumeration.
+    ``presentation`` is build_eta_presentation(pair), the one enumerated
+    into ``table``; the carrier is audited against the full families. It is
+    None for the pair of trivial groups, which is built without enumeration.
     """
 
     pair: ActionPair
@@ -255,10 +252,10 @@ def _trivial_eta(pair: ActionPair) -> EtaGroup:
 def construct_eta(pair: ActionPair, *, max_cosets: int = DEFAULT_MAX_COSETS) -> EtaGroup:
     """Enumerate, carry, embed, and audit the eta group of a compatible pair.
 
-    Raises IncompatibleActionError when the pair fails the compatibility
-    equations, CapacityError when the carrier would need more cosets than
-    allowed, and ConstructionError if any certification audit fails even on
-    the complete relator set.
+    The presentation on generating subsets is enumerated once. Raises
+    IncompatibleActionError when the pair fails the compatibility equations,
+    CapacityError when the carrier would need more cosets than allowed, and
+    ConstructionError if a certification audit fails, which is a bug.
     """
     require_compatible(pair)
     g, h = pair.g, pair.h
@@ -271,42 +268,33 @@ def construct_eta(pair: ActionPair, *, max_cosets: int = DEFAULT_MAX_COSETS) -> 
                 f"carrier needs {predicted} cosets, above the limit of {max_cosets}",
                 count=predicted,
             )
-    attempts = [
-        (g.generating_subset(), h.generating_subset()),
-        (range(g.n), range(h.n)),
-    ]
-    last_error: ConstructionError | None = None
-    for index, (g_conj, h_conj) in enumerate(attempts):
-        pres = _presentation(pair, g_conj, h_conj)
-        table = todd_coxeter(pres, max_cosets=max_cosets)
-        carrier, gen_map = regular_representation(table)
-        try:
-            embed_g = _certify_embedding(g, "g", gen_map, table.n)
-            embed_h = _certify_embedding(h, "h", gen_map, table.n)
-            tensor_map = {
-                (a, b): embed_g[a].commutator(embed_h[b])
-                for a in range(g.n)
-                for b in range(h.n)
-            }
-            _audit_families(pair, embed_g, embed_h, tensor_map)
-        except ConstructionError as err:
-            last_error = err
-            continue
-        tensor_set = _tensor_set_from(tensor_map)
-        tensor_subgroup = carrier.subgroup(tensor_set.members)
-        return EtaGroup(
-            pair=pair,
-            presentation=pres,
-            table=table,
-            carrier=carrier,
-            embed_g=embed_g,
-            embed_h=embed_h,
-            tensor_map=tensor_map,
-            tensor_set=tensor_set,
-            tensor_subgroup=tensor_subgroup,
-        )
-    raise ConstructionError(
-        f"complete relator set still fails certification: {last_error}"
+    pres = build_eta_presentation(pair)
+    table = todd_coxeter(pres, max_cosets=max_cosets)
+    carrier, gen_map = regular_representation(table)
+    # tree words are positive: each is a product of carrier generators
+    ident = Perm.identity(table.n)
+    elements = {
+        f"{prefix}{a}": reduce(Perm.__mul__, (gen_map[s] for s, _ in word.letters), ident)
+        for prefix, group in (("g", g), ("h", h))
+        for a, word in enumerate(_tree_words(group, prefix))
+    }
+    embed_g = _certify_embedding(g, "g", elements, table.n)
+    embed_h = _certify_embedding(h, "h", elements, table.n)
+    tensor_map = {
+        (a, b): embed_g[a].commutator(embed_h[b]) for a in range(g.n) for b in range(h.n)
+    }
+    _audit_families(pair, embed_g, embed_h, tensor_map)
+    tensor_set = _tensor_set_from(tensor_map)
+    return EtaGroup(
+        pair=pair,
+        presentation=pres,
+        table=table,
+        carrier=carrier,
+        embed_g=embed_g,
+        embed_h=embed_h,
+        tensor_map=tensor_map,
+        tensor_set=tensor_set,
+        tensor_subgroup=carrier.subgroup(tensor_set.members),
     )
 
 

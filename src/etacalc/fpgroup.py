@@ -3,8 +3,9 @@
 Presentations use a small text grammar: `< a, b | a^2, b^3, (a b)^2 >`.
 Inside relators, juxtaposition (or `*`) multiplies, `^n` is an integer
 power, `x^y` with a non-integer exponent is the conjugate y^-1 x y, and
-`[x, y]` is the commutator x^-1 y^-1 x y. All sugar expands eagerly, so a
-parsed relator is a flat, freely reduced word.
+`[x, y]` is the commutator x^-1 y^-1 x y. `ab` is `a b` and `A` is `a^-1`
+unless declared. All sugar expands eagerly, so a parsed relator is a flat,
+freely reduced word.
 
 Coset enumeration is the relator-scanning strategy with full row filling.
 Every scan keeps the table's mirror invariant (an entry and its inverse
@@ -291,11 +292,16 @@ class _Parser:
     def atom(self, known: set[str]) -> Word:
         tok = self.next()
         if tok.kind == "SYM":
-            if tok.value not in known:
-                raise ParseError(
-                    f"unknown generator {tok.value!r}", line=tok.line, column=tok.column
-                )
-            return Word.gen(tok.value)
+            if tok.value in known:
+                return Word.gen(tok.value)
+            # An undeclared name spelled in single-letter generators is their
+            # product; an undeclared upper-case letter inverts its lower case.
+            letters = [(ch, 1) if ch in known else (ch.lower(), -1) for ch in tok.value]
+            if all(sym in known for sym, _ in letters):
+                return Word(tuple(letters))
+            raise ParseError(
+                f"unknown generator {tok.value!r}", line=tok.line, column=tok.column
+            )
         if tok.kind == "LPAREN":
             if self.peek().kind == "RPAREN":
                 self.next()

@@ -61,9 +61,8 @@ def construct_nu(group: TableGroup, *, max_cosets: int = DEFAULT_MAX_COSETS) -> 
     """Build nu(G) and certify rho, rho', the central mu, and delta."""
     eta = construct_eta(conjugation_pair(group), max_cosets=max_cosets)
     reg, reg_perms = regular_permgroup(group)
-    images = [reg_perms[a] for a in group.non_identity()]
-    images += [reg_perms[b] for b in group.non_identity()]
-    rho = GroupHom(eta.carrier, reg, images)
+    gens = group.generating_subset()
+    rho = GroupHom(eta.carrier, reg, [reg_perms[a] for a in gens + gens])
 
     derived = set(group.derived_indices())
     tensor_gens = eta.tensor_subgroup.generators

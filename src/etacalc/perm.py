@@ -644,6 +644,8 @@ def centralizer_index(
 def abelian_invariants_of(group: PermGroup) -> AbelianInvariants:
     """Invariant factors of the abelianization of the group."""
     derived = derived_subgroup(group)
+    if derived.order() == 1:  # abelian: its element orders give the invariants
+        return invariants_from_element_orders(group.element_orders())
     quotient_order, rem = divmod(group.order(), derived.order())
     if rem:
         raise ConstructionError("derived subgroup order does not divide group order")

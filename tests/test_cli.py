@@ -239,6 +239,23 @@ def test_capacity_cap_exits_5():
     assert "capacity" in result.stderr
 
 
+def test_construction_error_exits_6_without_traceback(monkeypatch, capsys):
+    # A failed certification is a bug, reported in one line, never exit 1.
+    from etacalc import cli
+    from etacalc.errors import ConstructionError
+
+    def broken(pair, **kwargs):
+        raise ConstructionError("first relation family fails at g=1, g1=2, h=1")
+
+    monkeypatch.setattr(cli, "construct_eta", broken)
+    assert cli.main(["tensor", "--builtin", "S3", "--conjugation"]) == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "etacalc: construction failed: first relation family fails at g=1, g1=2, h=1\n"
+    )
+
+
 def test_argparse_usage_error_exits_2():
     result = run_cli("tensor")
     assert result.returncode == 2

@@ -80,6 +80,26 @@ def test_parse_star_multiplication():
     assert p.relators[0].letters == (("a", 1), ("b", 1), ("a", -1), ("b", -1))
 
 
+def test_parse_juxtaposed_letters_and_upper_case_inverse():
+    # The README's syntax: (ab)^3 multiplies single-letter generators.
+    p = parse_presentation("< a, b | a^2, b^2, (ab)^3 >")
+    assert p.relators[2] == parse_presentation("< a, b | (a b)^3 >").relators[0]
+    assert todd_coxeter(p).n == 6
+    # An undeclared upper-case letter is the inverse of its lower case.
+    assert parse_presentation("< a | A^2 a^-2 >").relators[0].letters == (("a", -1),) * 4
+    assert parse_presentation("< a, b | aBA >").relators[0].letters == (
+        ("a", 1),
+        ("b", -1),
+        ("a", -1),
+    )
+    # A declared upper-case generator is itself, not an inverse.
+    assert parse_presentation("< a, A | aA >").relators[0].letters == (("a", 1), ("A", 1))
+    for text, column in (("< a, b | ac >", 10), ("< a | a1 >", 7), ("< ab | a >", 8)):
+        with pytest.raises(ParseError) as exc:
+            parse_presentation(text)
+        assert exc.value.column == column
+
+
 def test_parse_errors_have_position():
     with pytest.raises(ParseError) as exc:
         parse_presentation("<a| b >")

@@ -97,3 +97,14 @@ def test_nu_quaternion():
     assert nu.rho_prime.image_group().order() == 2
     assert nu.tensor_order() == nu.mu.order() * 2
     assert check_derived_decomposition(nu)["ok"]
+
+
+def test_abelian_invariants_of_nu_pieces():
+    # An abelian group reads its element orders; a non-abelian one still
+    # enumerates its quotient by the derived subgroup.
+    s3 = construct_nu(symmetric3())
+    assert tuple(abelian_invariants_of(s3.carrier)) == (2, 2)
+    assert tuple(abelian_invariants_of(s3.tensor_subgroup)) == (6,)
+    a4 = construct_nu(builtin("A4"))
+    assert not a4.tensor_subgroup.is_abelian()
+    assert tuple(abelian_invariants_of(a4.tensor_subgroup)) == (2, 6)
