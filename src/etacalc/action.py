@@ -81,6 +81,8 @@ class ActionTable:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ActionTable":
+        if not isinstance(data, dict):
+            raise ValueError("action table json must be an object")
         if data.get("schema") != _SCHEMA:
             raise ValueError(f"unsupported action table schema: {data.get('schema')!r}")
         if "rows" not in data:
@@ -240,6 +242,8 @@ def trivial_pair(g: TableGroup, h: TableGroup) -> ActionPair:
 
 
 def pair_from_json_dict(data: dict) -> ActionPair:
+    if not isinstance(data, dict):
+        raise ValueError("pair json must be an object")
     if data.get("schema") != _SCHEMA:
         raise ValueError(f"unsupported pair schema: {data.get('schema')!r}")
     for key in ("g", "h", "g_on_h", "h_on_g"):

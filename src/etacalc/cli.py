@@ -66,6 +66,15 @@ def _read_json(path: str) -> dict:
         ) from err
 
 
+def _load(path: str, loader):
+    """Build an object from a JSON file; a malformed shape is an input error."""
+    data = _read_json(path)
+    try:
+        return loader(data)
+    except (TypeError, AttributeError, KeyError, IndexError, OverflowError) as err:
+        raise _CliError(2, f"{path}: malformed input: {err}") from err
+
+
 def _emit(report: dict, pretty_lines: list[str] | None, pretty: bool) -> None:
     print(json.dumps(report, sort_keys=True))
     if pretty and pretty_lines:
@@ -90,19 +99,23 @@ def _group_from_spec(kind: str, value: str, max_cosets: int) -> tuple[TableGroup
             raise _CliError(2, str(err)) from err
         return group, {"kind": "builtin", "value": value, "order": group.n}
     if kind == "cayley":
-        data = _read_json(value)
-        group = TableGroup.from_json_dict(data)
+        group = _load(value, TableGroup.from_json_dict)
         return group, {"kind": "cayley", "value": value, "order": group.n}
     if kind == "perms":
-        data = _read_json(value)
-        if not isinstance(data, dict) or data.get("schema") != 1:
-            raise _CliError(2, f"{value}: permutation file must carry schema 1")
-        gens_field = data.get("generators")
-        if not isinstance(gens_field, list) or not gens_field:
-            raise _CliError(2, f"{value}: needs a non-empty generators list")
-        degree = data.get("degree")
-        gens = [Perm(images) for images in gens_field]
-        group = table_from_permgroup(group_from_generators(gens, degree=degree))
+
+        def from_perms(data) -> TableGroup:
+            if not isinstance(data, dict) or data.get("schema") != 1:
+                raise _CliError(2, f"{value}: permutation file must carry schema 1")
+            gens_field = data.get("generators")
+            if not isinstance(gens_field, list) or not gens_field:
+                raise _CliError(2, f"{value}: needs a non-empty generators list")
+            degree = data.get("degree")
+            if degree is not None and type(degree) is not int:
+                raise _CliError(2, f"{value}: degree must be an integer")
+            gens = [Perm(images) for images in gens_field]
+            return table_from_permgroup(group_from_generators(gens, degree=degree))
+
+        group = _load(value, from_perms)
         return group, {"kind": "perms", "value": value, "order": group.n}
     if kind == "presentation":
         text = value
@@ -134,7 +147,7 @@ def _resolve_pair(args, max_cosets: int) -> tuple[ActionPair, dict]:
     if args.pair:
         if specs or args.conjugation or args.trivial_actions:
             raise _CliError(2, "--pair replaces group specs and action flags")
-        pair = pair_from_json_dict(_read_json(args.pair))
+        pair = _load(args.pair, pair_from_json_dict)
         echo = {
             "kind": "pair",
             "value": args.pair,

@@ -13,11 +13,20 @@ on bracketed words are conjugation in the presented group.
 It is presented on generating subsets, as in Ellis and Leonard (1995): a
 generator per member of each subset, a Cayley-graph relator w(x) s w(xs)^-1
 per element x and generator s of each group, with w(x) the BFS-tree word of
-x, and both families for generators g, g1, h, h1 only.  The enumerated
-carrier acts regularly on its cosets, so an element is the point it sends
-0 to.  Every element of G and H is embedded by evaluating its tree word;
-both embeddings and the full families, over all g, g1, h, h1, are then
-checked by point chasing, so the carrier is eta.  A failed audit is a bug.
+x, and both families for generators g, g1, h, h1 only.
+
+That presentation is not enumerated. eta is an extension of G (x) H by
+G x H, and every element is uniquely t x y with t in T = [G, H'], which is
+isomorphic to G (x) H. So T alone is enumerated, from the Brown-Loday
+presentation of the tensor product, and eta's coset table is assembled as
+the action on the products t x y, as in Rocco's nu(G) = ((G (x) G) x| G) x| G.
+The assembled table is renumbered canonically and audited against the
+presentation of eta above: it is then a transitive action of eta on
+|G (x) H| |G| |H| points, at least |eta| of them, so it is the regular
+action, and an element is the point it sends 0 to. Every element of G and
+H is embedded by evaluating its tree word; both embeddings and the full
+families, over all g, g1, h, h1, are then checked by point chasing, so the
+carrier is eta.  A failed audit is a bug.
 """
 
 from __future__ import annotations
@@ -30,12 +39,14 @@ import numpy as np
 
 from .abelian import z_tensor
 from .action import ActionPair, require_compatible
-from .errors import CapacityError, ConstructionError, InvarianceError
+from .errors import CapacityError, ConstructionError, IncompleteTableError, InvarianceError
 from .fpgroup import (
     DEFAULT_MAX_COSETS,
+    ColumnPresentation,
     CosetTable,
     Presentation,
     Word,
+    bfs_renumber,
     regular_representation,
     todd_coxeter,
 )
@@ -157,9 +168,11 @@ def _tensor_set_from(tensor_map: dict[tuple[int, int], Perm]) -> TensorSet:
 class EtaGroup:
     """A finished eta construction over a regular permutation carrier.
 
-    ``presentation`` is build_eta_presentation(pair), the one enumerated
-    into ``table``; the carrier is audited against the full families. It is
-    None for the pair of trivial groups, which is built without enumeration.
+    ``table`` is assembled from the tensor factor T and audited against
+    ``presentation``, which is build_eta_presentation(pair); it equals the
+    table coset enumeration of that presentation would give. The carrier is
+    audited against the full families. Both are None for the pair of
+    trivial groups, which is built without a table.
     """
 
     pair: ActionPair
@@ -249,12 +262,116 @@ def _trivial_eta(pair: ActionPair) -> EtaGroup:
     )
 
 
-def construct_eta(pair: ActionPair, *, max_cosets: int = DEFAULT_MAX_COSETS) -> EtaGroup:
-    """Enumerate, carry, embed, and audit the eta group of a compatible pair.
+def _tensor_presentation(pair: ActionPair) -> ColumnPresentation:
+    """The defining presentation of G (x) H (Brown and Loday, 1987).
 
-    The presentation on generating subsets is enumerated once. Raises
+    A generator t(a, b) per pair of non-identity elements; t(e, b) and
+    t(a, e) are the empty word. In the right-action convention the
+    relators read, for all a, a1 in G and b, b1 in H,
+
+        t(a a1, b) == t(a^a1, b^a1) t(a1, b)
+        t(a, b b1) == t(a, b1) t(a^b1, b^b1)
+
+    They are built as column tuples, freely reduced and deduplicated.
+    """
+    g, h = pair.g, pair.h
+    gt, ginv = g.table.tolist(), g.inverse_table.tolist()
+    ht, hinv = h.table.tolist(), h.inverse_table.tolist()
+    goh, hog = pair.g_on_h.rows, pair.h_on_g.rows
+    width = h.n - 1
+
+    def col(a: int, b: int) -> int:
+        """Column of t(a, b); -1 for the empty word."""
+        return -1 if a == 0 or b == 0 else 2 * ((a - 1) * width + b - 1)
+
+    relators: dict[tuple[int, ...], None] = {}
+
+    def relate(lhs: int, first: int, second: int) -> None:
+        """Record lhs == first second as lhs second^-1 first^-1."""
+        word: list[int] = []
+        for c in (lhs, second ^ 1, first ^ 1):
+            if c < 0:
+                continue
+            if word and word[-1] == c ^ 1:
+                word.pop()
+            else:
+                word.append(c)
+        if word:
+            relators[tuple(word)] = None
+
+    for a in range(1, g.n):
+        for a1 in range(1, g.n):
+            conj = gt[gt[ginv[a1]][a]][a1]
+            for b in range(1, h.n):
+                relate(col(gt[a][a1], b), col(conj, goh[a1][b]), col(a1, b))
+    for a in range(1, g.n):
+        for b in range(1, h.n):
+            for b1 in range(1, h.n):
+                conj = ht[ht[hinv[b1]][b]][b1]
+                relate(col(a, ht[b][b1]), col(a, b1), col(hog[b1][a], conj))
+    names = tuple(f"t{a}_{b}" for a in range(1, g.n) for b in range(1, h.n))
+    return ColumnPresentation(names, tuple(relators))
+
+
+def _tensor_table(pair: ActionPair, max_cosets: int) -> np.ndarray:
+    """The regular coset table of T = G (x) H; no columns when T has no generators."""
+    if pair.g.n == 1 or pair.h.n == 1:
+        return np.zeros((1, 0), dtype=np.int32)
+    table = todd_coxeter(_tensor_presentation(pair), max_cosets=max_cosets)
+    return np.asarray(table.rows, dtype=np.int32)
+
+
+def _assemble(pair: ActionPair, tensor: np.ndarray) -> np.ndarray:
+    """Columns of eta acting on its elements t x y, numbered (t |G| + x) |H| + y.
+
+    An H generator s sends t x y to t x (ys). A G generator s sends it to
+    (t sigma)(xs) y, where sigma is [s, y']^-1 conjugated by y^-1 and then
+    by (xs)^-1. Both conjugations send a generator t(a, b) of T to another,
+    t(s^(y^-1) ^ (xs)^-1, y^(xs)^-1), so sigma is one column of T's table.
+    """
+    g, h = pair.g, pair.h
+    nt, ng, nh = len(tensor), g.n, h.n
+    n = nt * ng * nh
+    steps = np.column_stack([tensor, np.arange(nt, dtype=np.int32)])
+    no_step = tensor.shape[1]
+    goh, hog = np.asarray(pair.g_on_h.rows), np.asarray(pair.h_on_g.rows)
+    gt, ginv, ht, hinv = g.table, g.inverse_table, h.table, h.inverse_table
+    t = np.arange(nt, dtype=np.int32).reshape(-1, 1, 1)
+    x = np.arange(ng, dtype=np.int32).reshape(1, -1, 1)
+    y = np.arange(nh, dtype=np.int32).reshape(1, 1, -1)
+    images = []
+    for s in g.generating_subset():
+        z = ginv[gt[:, s]]  # (xs)^-1, per x
+        u = hog[hinv, s]  # s^(y^-1), per y
+        a = gt[gt[ginv[z][:, None], u[None, :]], z[:, None]]  # u^z, per (x, y)
+        b = goh[z]  # y^z, per (x, y)
+        step = np.where((a == 0) | (b == 0), no_step, 2 * ((a - 1) * (nh - 1) + b - 1) + 1)
+        images.append((steps[t, step] * ng + gt[x, s]) * nh + y)
+    for s in h.generating_subset():
+        images.append((t * ng + x) * nh + ht[y, s])
+    columns = np.empty((n, 2 * len(images)), dtype=np.int32)
+    points = np.arange(n, dtype=np.int32)
+    for i, image in enumerate(images):
+        image = image.ravel()
+        if not (np.bincount(image, minlength=n) == 1).all():
+            raise ConstructionError(f"assembled column {i} is not a permutation")
+        columns[:, 2 * i] = image
+        columns[image, 2 * i + 1] = points
+    return columns
+
+
+def _require_room(n: int, max_cosets: int) -> None:
+    if n > max_cosets:
+        raise CapacityError(f"carrier needs {n} cosets, above the limit of {max_cosets}", count=n)
+
+
+def construct_eta(pair: ActionPair, *, max_cosets: int = DEFAULT_MAX_COSETS) -> EtaGroup:
+    """Assemble, carry, embed, and audit the eta group of a compatible pair.
+
+    T = G (x) H is enumerated from its own presentation, and eta's table is
+    assembled from T's as the action on elements t x y. Raises
     IncompatibleActionError when the pair fails the compatibility equations,
-    CapacityError when the carrier would need more cosets than allowed, and
+    CapacityError when T or the carrier needs more cosets than allowed, and
     ConstructionError if a certification audit fails, which is a bug.
     """
     require_compatible(pair)
@@ -262,14 +379,20 @@ def construct_eta(pair: ActionPair, *, max_cosets: int = DEFAULT_MAX_COSETS) -> 
     if g.n == 1 and h.n == 1:
         return _trivial_eta(pair)
     if pair.g_on_h.is_trivial() and pair.h_on_g.is_trivial():
-        predicted = z_tensor(g.abelian_invariants(), h.abelian_invariants()).order * g.n * h.n
-        if predicted > max_cosets:
-            raise CapacityError(
-                f"carrier needs {predicted} cosets, above the limit of {max_cosets}",
-                count=predicted,
-            )
+        # G (x) H is the Z-tensor: refuse an oversized carrier before enumerating it
+        predicted = z_tensor(g.abelian_invariants(), h.abelian_invariants()).order
+        _require_room(predicted * g.n * h.n, max_cosets)
+    tensor = _tensor_table(pair, max_cosets)
+    n = len(tensor) * g.n * h.n
+    _require_room(n, max_cosets)
+    try:
+        rows, tree = bfs_renumber(_assemble(pair, tensor))
+    except IncompleteTableError as err:
+        raise ConstructionError(f"assembled table: {err}") from err
     pres = build_eta_presentation(pair)
-    table = todd_coxeter(pres, max_cosets=max_cosets)
+    table = CosetTable(presentation=pres, subgroup=(), n=n, rows=rows, _tree=tree)
+    # a transitive action of the presented eta on |T| |G| |H| >= |eta| points is regular
+    table.verify_complete()
     carrier, gen_map = regular_representation(table)
     # tree words are positive: each is a product of carrier generators
     ident = Perm.identity(table.n)

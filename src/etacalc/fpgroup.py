@@ -5,14 +5,16 @@ Inside relators, juxtaposition (or `*`) multiplies, `^n` is an integer
 power, `x^y` with a non-integer exponent is the conjugate y^-1 x y, and
 `[x, y]` is the commutator x^-1 y^-1 x y. `ab` is `a b` and `A` is `a^-1`
 unless declared. All sugar expands eagerly, so a parsed relator is a flat,
-freely reduced word.
+freely reduced word. A presentation built by machine may instead give its
+relators as tuples of table columns (ColumnPresentation).
 
 Coset enumeration is the relator-scanning strategy with full row filling.
 Every scan keeps the table's mirror invariant (an entry and its inverse
 entry are set and cleared together), which is what makes coincidence
 processing able to repair every stale reference by walking dead rows.
 Tables are renumbered by breadth-first search from coset 0 over the columns
-in order before they are returned, so the numbering depends only on the
+in order before they are returned (bfs_renumber, which also renumbers
+tables built by other means), so the numbering depends only on the
 quotient itself, not on the enumeration history.
 """
 
@@ -32,6 +34,7 @@ from .perm import Perm, PermGroup
 __all__ = [
     "Word",
     "Presentation",
+    "ColumnPresentation",
     "CosetTable",
     "parse_presentation",
     "todd_coxeter",
@@ -148,6 +151,34 @@ class Presentation:
 
     def __str__(self) -> str:
         return self.render()
+
+    def columns(self) -> list[tuple[int, ...]]:
+        """The distinct non-empty relators as coset-table column tuples."""
+        return _compile_relators(self, self.relators)
+
+
+@dataclass(frozen=True)
+class ColumnPresentation:
+    """A presentation whose relators are given as coset-table column tuples.
+
+    Column 2i is generator i and column 2i+1 its inverse. Presentations
+    built by machine with thousands of short relators use this form, which
+    skips a Word object per relator.
+    """
+
+    generators: tuple[str, ...]
+    relators: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        if not self.generators:
+            raise ValueError("a presentation needs at least one generator")
+        ncols = 2 * len(self.generators)
+        for cols in self.relators:
+            if not cols or not all(0 <= c < ncols for c in cols):
+                raise ValueError(f"bad relator columns {cols!r}")
+
+    def columns(self) -> list[tuple[int, ...]]:
+        return list(self.relators)
 
 
 # -- parsing ------------------------------------------------------------------
@@ -334,7 +365,7 @@ def parse_presentation(text: str) -> Presentation:
 class CosetTable:
     """A complete, audited, canonically numbered coset table."""
 
-    presentation: Presentation
+    presentation: Presentation | ColumnPresentation
     subgroup: tuple[Word, ...]
     n: int
     rows: tuple[tuple[int, ...], ...]  # one row per coset, one entry per column
@@ -373,7 +404,7 @@ class _Full(Exception):
 
 
 def _compile_relators(
-    presentation: Presentation, words: Sequence[Word]
+    presentation: Presentation | ColumnPresentation, words: Sequence[Word]
 ) -> list[tuple[int, ...]]:
     index = {name: i for i, name in enumerate(presentation.generators)}
     out = []
@@ -387,7 +418,12 @@ def _compile_relators(
 
 
 class _Enumerator:
-    def __init__(self, presentation: Presentation, subgroup: Sequence[Word], max_cosets: int):
+    def __init__(
+        self,
+        presentation: Presentation | ColumnPresentation,
+        subgroup: Sequence[Word],
+        max_cosets: int,
+    ):
         self.pres = presentation
         self.nc = 2 * len(presentation.generators)
         self.max = max_cosets
@@ -395,7 +431,7 @@ class _Enumerator:
         self.p = array("i", [0])
         self.nrows = 1
         self.alive = 1
-        self.relators = _compile_relators(presentation, presentation.relators)
+        self.relators = presentation.columns()
         self.subgroup = _compile_relators(presentation, subgroup)
 
     def rep(self, k: int) -> int:
@@ -549,66 +585,84 @@ class _Enumerator:
                                 row = alpha * self.nc
             alpha += 1
 
-    def finish(self) -> tuple[int, array, dict[int, tuple[int, int, int] | None]]:
-        """Compact, then renumber cosets by BFS from 0 over the columns in order."""
+    def finish(self) -> tuple[tuple[tuple[int, ...], ...], dict[int, tuple[int, int, int] | None]]:
+        """Compact, then renumber canonically (see bfs_renumber)."""
         self.compact(0)
-        n, nc, tbl = self.nrows, self.nc, self.tbl
-        order = array("i", [-1] * n)  # old -> new
-        tree: dict[int, tuple[int, int, int] | None] = {0: None}
-        order[0] = 0
-        queue = deque([0])
-        assigned = 1
-        while queue:
-            cur = queue.popleft()
-            base = cur * nc
-            for c in range(nc):
-                v = tbl[base + c]
-                if v >= 0 and order[v] < 0:
-                    order[v] = assigned
-                    tree[assigned] = (c // 2, 1 if c % 2 == 0 else -1, order[cur])
-                    assigned += 1
-                    queue.append(v)
-        if assigned != n:
-            raise IncompleteTableError("coset graph is not connected from coset 0")
-        fresh = array("i", [-1] * (n * nc))
-        for i in range(n):
-            src = i * nc
-            dst = order[i] * nc
-            for c in range(nc):
-                v = tbl[src + c]
-                if v < 0:
-                    raise IncompleteTableError("enumeration left an undefined entry")
-                fresh[dst + c] = order[v]
-        return n, fresh, tree
+        flat = np.frombuffer(self.tbl, dtype=np.int32)
+        return bfs_renumber(flat.reshape(self.nrows, self.nc))
+
+
+def bfs_renumber(
+    table: np.ndarray,
+) -> tuple[tuple[tuple[int, ...], ...], dict[int, tuple[int, int, int] | None]]:
+    """Renumber a complete (n, ncols) table by BFS from 0 over the columns in order.
+
+    The numbering depends only on the action and its base point 0, not on
+    how the table was built. Returns the renumbered rows, as CosetTable
+    holds them, and the BFS tree, which maps each point but 0 to the
+    (generator index, sign, parent) of the edge that first reached it.
+
+    A whole level is taken at once: its rows, flattened in row-major
+    order, list the edges in the order a FIFO queue visits them, so the
+    earliest edge to each unvisited point is the one that reaches it.
+    """
+    n, nc = table.shape
+    if table.min() < 0:
+        raise IncompleteTableError("enumeration left an undefined entry")
+    order = np.full(n, -1, dtype=np.int32)  # old -> new
+    order[0] = 0
+    first = np.full(n, n * nc, dtype=np.int64)  # earliest edge of a level reaching each point
+    frontier = np.zeros(1, dtype=np.int32)
+    cols, parents = [], []
+    assigned = 1
+    while frontier.size:
+        reached = table[frontier].ravel()
+        fresh = np.flatnonzero(order[reached] < 0)
+        np.minimum.at(first, reached[fresh], fresh)
+        fresh = fresh[first[reached[fresh]] == fresh]
+        cols.append(fresh % nc)
+        parents.append(order[frontier[fresh // nc]])
+        frontier = reached[fresh]
+        order[frontier] = np.arange(assigned, assigned + frontier.size, dtype=np.int32)
+        assigned += frontier.size
+    if assigned != n:
+        raise IncompleteTableError("coset graph is not connected from coset 0")
+    col = np.concatenate(cols)
+    edges = zip((col // 2).tolist(), (1 - 2 * (col % 2)).tolist(), np.concatenate(parents).tolist())
+    tree: dict[int, tuple[int, int, int] | None] = {0: None}
+    tree.update(zip(range(1, n), edges))
+    renumbered = np.empty((n, nc), dtype=np.int32)
+    renumbered[order] = order[table]
+    # row by row: a list of all rows at once would double the peak memory
+    return tuple(tuple(row.tolist()) for row in renumbered), tree
 
 
 def _audit_table(table: CosetTable) -> None:
-    n = table.n
-    nc = table.ncols
-    flat = np.array([v for row in table.rows for v in row], dtype=np.int32)
-    cols = flat.reshape(n, nc)
-    idx = np.arange(n, dtype=np.int32)
+    # one contiguous array per column: gathers from it run about 3x faster
+    # than from a strided column of the row-major table
+    cols = np.asarray(table.rows, dtype=np.int32).T.copy()
+    idx = np.arange(table.n, dtype=np.int32)
     # inverse-column consistency
-    for c in range(nc):
-        if not np.array_equal(cols[:, c ^ 1][cols[:, c]], idx):
+    for c in range(table.ncols):
+        if not np.array_equal(cols[c ^ 1].take(cols[c]), idx):
             raise ConstructionError("table columns are not mutually inverse")
-    for cs in _compile_relators(table.presentation, table.presentation.relators):
+    for cs in table.presentation.columns():
         v = idx
         for c in cs:
-            v = cols[:, c][v]
+            v = cols[c].take(v)
         if not np.array_equal(v, idx):
             bad = int(np.nonzero(v != idx)[0][0])
             raise ConstructionError(f"relator fails at coset {bad}")
     for cs in _compile_relators(table.presentation, table.subgroup):
         v = 0
         for c in cs:
-            v = int(cols[v, c])
+            v = int(cols[c, v])
         if v != 0:
             raise ConstructionError("subgroup word does not stabilize coset 0")
 
 
 def todd_coxeter(
-    presentation: Presentation,
+    presentation: Presentation | ColumnPresentation,
     subgroup: Sequence[Word] = (),
     *,
     max_cosets: int = DEFAULT_MAX_COSETS,
@@ -622,13 +676,11 @@ def todd_coxeter(
     """
     enum = _Enumerator(presentation, tuple(subgroup), max_cosets)
     enum.run()
-    n, flat, tree = enum.finish()
-    nc = enum.nc
-    rows = tuple(tuple(flat[i * nc : (i + 1) * nc]) for i in range(n))
+    rows, tree = enum.finish()
     table = CosetTable(
         presentation=presentation,
         subgroup=tuple(subgroup),
-        n=n,
+        n=len(rows),
         rows=rows,
         _tree=tree,
     )

@@ -223,6 +223,8 @@ class TableGroup:
             raise ValueError('expected an object with "schema": 1')
         if "table" not in data:
             raise ValueError('missing "table"')
+        if data.get("labels") is not None and not isinstance(data["labels"], list):
+            raise ValueError('"labels" must be a list')
         group = cls(data["table"], data.get("labels"))
         if group.identity == 0:
             return group

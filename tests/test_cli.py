@@ -7,12 +7,17 @@ calling command functions directly.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etacalc.action import conjugation_pair, incompatible_example
 from etacalc.groups import builtin
@@ -429,3 +434,97 @@ def test_version_flag():
     result = run_cli("--version")
     assert result.returncode == 0
     assert "etacalc" in result.stdout
+
+
+# ---------------------------------------------------------------------------
+# malformed JSON input
+
+
+@pytest.mark.parametrize(
+    "option, data",
+    [
+        ("--perms", {"schema": 1, "generators": [[1, 0]], "degree": "x"}),
+        ("--cayley", {"schema": 1, "table": [[0]], "labels": 5}),
+        ("--pair", [1, 2]),
+    ],
+    ids=["perms-degree", "cayley-labels", "pair-list"],
+)
+def test_malformed_json_exits_2_in_one_line(tmp_path, option, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    command = "tensor" if option == "--pair" else "nu"
+    result = run_cli(command, option, str(path))
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.count("\n") == 1 and result.stderr.startswith("etacalc: ")
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=10,
+)
+_SMALL_INTS = st.lists(st.integers(-1, 4), max_size=4)
+
+
+def _shaped(fields: dict) -> st.SearchStrategy:
+    """An object with each field kept, dropped, or replaced by any JSON value."""
+    return st.fixed_dictionaries(
+        {},
+        optional={key: st.one_of(value, _JSON) for key, value in fields.items()},
+    )
+
+
+_TABLE = _shaped(
+    {
+        "schema": st.just(1),
+        "table": st.lists(_SMALL_INTS, max_size=4),
+        "labels": st.lists(st.text(max_size=2), max_size=4),
+    }
+)
+_ACTION = _shaped(
+    {"schema": st.just(1), "rows": st.lists(_SMALL_INTS, max_size=4)}
+)
+_SHAPES = {
+    "--perms": _shaped(
+        {
+            "schema": st.just(1),
+            "generators": st.lists(_SMALL_INTS, max_size=3),
+            "degree": st.integers(-1, 5),
+        }
+    ),
+    "--cayley": _TABLE,
+    "--pair": _shaped(
+        {
+            "schema": st.just(1),
+            "g": _TABLE,
+            "h": _TABLE,
+            "g_on_h": _ACTION,
+            "h_on_g": _ACTION,
+        }
+    ),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_SHAPES)).flatmap(
+    lambda option: st.tuples(st.just(option), _SHAPES[option] | _JSON)
+))
+def test_any_json_shape_ends_in_a_documented_exit_code(case):
+    # In process, so an uncaught exception (a traceback at the command
+    # line) fails the test directly.
+    from etacalc import cli
+
+    option, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        command = ["tensor", option, path] if option == "--pair" else ["nu", option, path]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(command)
+    assert code in (0, 2, 3, 4, 5)
+    if code:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("etacalc: ")

@@ -22,7 +22,16 @@ from etacalc.eta import (
     construct_eta,
     trivial_action_baseline,
 )
-from etacalc.groups import TableGroup, builtin, builtin_names, cyclic, symmetric3
+from etacalc.fpgroup import todd_coxeter
+from etacalc.groups import (
+    TableGroup,
+    builtin,
+    builtin_names,
+    cyclic,
+    dihedral,
+    direct_product,
+    symmetric3,
+)
 from etacalc.perm import abelian_invariants_of
 
 
@@ -147,8 +156,9 @@ def test_tensor_set_is_normal_in_carrier():
 
 
 def test_eta_keeps_the_enumerated_presentation():
-    # The one presentation on generating subsets is enumerated; the carrier
-    # is audited against the full families, which are never presented.
+    # The assembled table is audited against the one presentation on
+    # generating subsets; the carrier is audited against the full families,
+    # which are never presented.
     pair = conjugation_pair(symmetric3())
     eta = construct_eta(pair)
     assert eta.presentation is eta.table.presentation
@@ -178,9 +188,17 @@ def test_capacity_precheck_reports_exact_carrier_size():
 
 
 def test_capacity_mid_enumeration_reports_the_limit():
+    # nu(S3)'s tensor factor defines 26 cosets before it closes at 6
+    with pytest.raises(CapacityError) as exc:
+        construct_eta(conjugation_pair(symmetric3()), max_cosets=20)
+    assert exc.value.count == 20
+
+
+def test_capacity_of_the_assembled_carrier_reports_its_size():
+    # the tensor factor fits in 50 cosets; the carrier needs 6 * 6 * 6
     with pytest.raises(CapacityError) as exc:
         construct_eta(conjugation_pair(symmetric3()), max_cosets=50)
-    assert exc.value.count == 50
+    assert exc.value.count == 216
 
 
 def test_incompatible_pair_is_refused():
@@ -287,3 +305,45 @@ def test_normal_subgroup_pairs(name, members, order):
         eta = construct_eta(_normal_pair(group, list(members(group)), swap))
         assert eta.order() == order
         assert check_decomposition(eta)["ok"]
+
+
+@pytest.mark.parametrize(
+    "make_pair",
+    [
+        lambda: conjugation_pair(symmetric3()),
+        lambda: conjugation_pair(builtin("Q8")),
+        lambda: conjugation_pair(builtin("A4")),
+        lambda: trivial_pair(builtin("C2xC6"), builtin("C6")),
+        lambda: trivial_pair(cyclic(1), cyclic(4)),
+        lambda: trivial_pair(symmetric3(), cyclic(1)),
+        lambda: _relabelled_pair(
+            "A4", list(builtin("A4").derived_indices()), False, [0, *range(11, 0, -1)], [3, 1, 2]
+        ),
+    ],
+    ids=["nu(S3)", "nu(Q8)", "nu(A4)", "C2xC6,C6", "C1,C4", "S3,C1", "A4,V4 relabelled"],
+)
+def test_assembled_table_equals_enumerated_eta(make_pair):
+    # The table assembled from G (x) H is the one coset enumeration of the
+    # presentation of eta gives, row for row and edge for edge.
+    pair = make_pair()
+    eta = construct_eta(pair)
+    reference = todd_coxeter(build_eta_presentation(pair))
+    assert eta.table.rows == reference.rows
+    assert eta.table._tree == reference._tree
+
+
+@pytest.mark.parametrize(
+    "group, tensor_order",
+    [
+        # D_2n with n even: |D_2n (x) D_2n| = 8n (Brown, Johnson, Robertson 1987)
+        (dihedral(16), 64),
+        # abelian: C4xC4 (x) C4xC4 is the Z-tensor, 4^4
+        (direct_product(cyclic(4), cyclic(4)), 256),
+    ],
+    ids=["D16", "C4xC4"],
+)
+def test_nu_at_order_16(group, tensor_order):
+    eta = construct_eta(conjugation_pair(group))
+    assert eta.tensor_order() == tensor_order
+    assert eta.order() == tensor_order * 256
+    assert check_decomposition(eta)["ok"]

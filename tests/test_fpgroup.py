@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import json
+from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etacalc.errors import CapacityError, ParseError
+from etacalc.errors import CapacityError, IncompleteTableError, ParseError
 from etacalc.fpgroup import (
+    ColumnPresentation,
     CosetTable,
     Presentation,
     Word,
+    bfs_renumber,
     parse_presentation,
     regular_representation,
     todd_coxeter,
@@ -240,3 +244,68 @@ def test_coset_table_column_consistency():
         inv = t.column(i, -1)
         for pt in range(t.n):
             assert inv[fwd[pt]] == pt
+
+
+def _queue_renumber(table):
+    """Reference: BFS from 0 with a FIFO queue, one edge at a time."""
+    n, nc = len(table), len(table[0])
+    order = [-1] * n
+    order[0] = 0
+    tree = {0: None}
+    queue = deque([0])
+    assigned = 1
+    while queue:
+        cur = queue.popleft()
+        for c in range(nc):
+            v = table[cur][c]
+            if order[v] < 0:
+                order[v] = assigned
+                tree[assigned] = (c // 2, 1 if c % 2 == 0 else -1, order[cur])
+                assigned += 1
+                queue.append(v)
+    if assigned != n:
+        raise IncompleteTableError("coset graph is not connected from coset 0")
+    rows = [None] * n
+    for i in range(n):
+        rows[order[i]] = tuple(order[v] for v in table[i])
+    return tuple(rows), tree
+
+
+@st.composite
+def _permutation_tables(draw):
+    n = draw(st.integers(1, 40))
+    gens = draw(st.integers(1, 3))
+    table = np.empty((n, 2 * gens), dtype=np.int32)
+    for i in range(gens):
+        image = np.array(draw(st.permutations(range(n))), dtype=np.int32)
+        table[:, 2 * i] = image
+        table[image, 2 * i + 1] = np.arange(n, dtype=np.int32)
+    return table
+
+
+@settings(max_examples=200, deadline=None)
+@given(_permutation_tables())
+def test_bfs_renumber_matches_the_queue(table):
+    try:
+        expected = _queue_renumber(table.tolist())
+    except IncompleteTableError:
+        with pytest.raises(IncompleteTableError):
+            bfs_renumber(table)
+        return
+    assert bfs_renumber(table) == expected
+
+
+def test_bfs_renumber_rejects_undefined_entries():
+    with pytest.raises(IncompleteTableError):
+        bfs_renumber(np.array([[0, -1]], dtype=np.int32))
+
+
+def test_column_presentation_enumerates_like_words():
+    words = parse_presentation("<a,b|a^2,b^3,(a b)^2>")
+    columns = ColumnPresentation(("a", "b"), ((0, 0), (2, 2, 2), (0, 2, 0, 2)))
+    assert columns.columns() == words.columns()
+    assert todd_coxeter(columns).rows == todd_coxeter(words).rows
+    with pytest.raises(ValueError):
+        ColumnPresentation(("a",), ((0, 2),))
+    with pytest.raises(ValueError):
+        ColumnPresentation(("a",), ((),))
