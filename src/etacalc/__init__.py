@@ -49,7 +49,7 @@ from .groups import (
     direct_product,
     quaternion8,
     regular_permgroup,
-    table_from_permgroup,
+    table_from_perms,
 )
 from .perm import (
     GroupHom,
@@ -59,7 +59,6 @@ from .perm import (
     centralizer_index,
     compose,
     derived_subgroup,
-    group_from_generators,
     hom_kernel,
     normal_closure,
 )

@@ -41,9 +41,15 @@ from .errors import (
 )
 from .eta import DEFAULT_MAX_COSETS, check_decomposition, construct_eta
 from .fpgroup import parse_presentation, regular_representation, todd_coxeter
-from .groups import TableGroup, builtin, builtin_names, table_from_permgroup
+from .groups import (
+    TableGroup,
+    builtin,
+    builtin_names,
+    check_table_size,
+    table_from_perms,
+)
 from .nu import check_derived_decomposition, construct_nu
-from .perm import Perm, abelian_invariants_of, group_from_generators
+from .perm import Perm, abelian_invariants_of
 from .verify import corpus_from_json_dict, run_corpus, summary
 
 
@@ -113,7 +119,7 @@ def _group_from_spec(kind: str, value: str, max_cosets: int) -> tuple[TableGroup
             if degree is not None and type(degree) is not int:
                 raise _CliError(2, f"{value}: degree must be an integer")
             gens = [Perm(images) for images in gens_field]
-            return table_from_permgroup(group_from_generators(gens, degree=degree))
+            return table_from_perms(gens, degree=degree)
 
         group = _load(value, from_perms)
         return group, {"kind": "perms", "value": value, "order": group.n}
@@ -127,8 +133,9 @@ def _group_from_spec(kind: str, value: str, max_cosets: int) -> tuple[TableGroup
                 raise _CliError(2, f"{value}: {err.strerror or err}") from err
         pres = parse_presentation(text)
         table = todd_coxeter(pres, max_cosets=max_cosets)
+        check_table_size(table.n)  # the index of the trivial subgroup is |G|
         carrier, _ = regular_representation(table)
-        group = table_from_permgroup(carrier)
+        group = table_from_perms(carrier.generators, degree=table.n)
         return group, {"kind": "presentation", "value": value, "order": group.n}
     raise _CliError(2, f"unknown group spec kind {kind!r}")
 
@@ -184,17 +191,18 @@ def _resolve_group(args, max_cosets: int) -> tuple[TableGroup, dict]:
 
 def _max_cosets(args) -> int:
     if getattr(args, "max_cosets", None) is not None:
-        return args.max_cosets
-    env = os.environ.get("ETA_MAX_COSETS")
-    if env:
-        try:
-            value = int(env)
-            if value < 1:
-                raise ValueError
-        except ValueError:
-            raise _CliError(2, f"ETA_MAX_COSETS={env!r} is not a positive integer")
-        return value
-    return DEFAULT_MAX_COSETS
+        source, text = "--max-cosets", str(args.max_cosets)
+    else:
+        source, text = "ETA_MAX_COSETS", os.environ.get("ETA_MAX_COSETS")
+        if not text:
+            return DEFAULT_MAX_COSETS
+    try:
+        value = int(text)
+        if value < 1:
+            raise ValueError
+    except ValueError:
+        raise _CliError(2, f"{source}={text!r} is not a positive integer")
+    return value
 
 
 # ---------------------------------------------------------------------------

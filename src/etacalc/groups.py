@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .abelian import AbelianInvariants, invariants_from_element_orders, pi_set
-from .errors import CapacityError
+from .errors import CapacityError, DegreeMismatchError
 from .fpgroup import Presentation, Word
 from .perm import Perm, PermGroup
 
@@ -33,12 +33,22 @@ __all__ = [
     "direct_product",
     "builtin",
     "builtin_names",
-    "table_from_permgroup",
+    "table_from_perms",
+    "check_table_size",
     "regular_permgroup",
     "cayley_presentation",
 ]
 
 _VALIDATION_SIZE_LIMIT = 512
+
+
+def check_table_size(n: int) -> None:
+    """Refuse a group of n elements before any table of it is built."""
+    if n > _VALIDATION_SIZE_LIMIT:
+        raise CapacityError(
+            f"table groups above {_VALIDATION_SIZE_LIMIT} elements are not supported",
+            count=n,
+        )
 
 
 class TableGroup:
@@ -49,11 +59,7 @@ class TableGroup:
         n = arr.shape[0] if arr.ndim == 2 else 0
         if arr.ndim != 2 or arr.shape != (n, n) or n == 0:
             raise ValueError("multiplication table must be square and non-empty")
-        if n > _VALIDATION_SIZE_LIMIT:
-            raise CapacityError(
-                f"table groups above {_VALIDATION_SIZE_LIMIT} elements are not supported",
-                count=n,
-            )
+        check_table_size(n)
         if arr.min() < 0 or arr.max() >= n:
             raise ValueError("table entries must be element indices")
         ident = np.arange(n, dtype=np.int32)
@@ -334,12 +340,10 @@ def _perm_label(images: tuple[int, ...]) -> str:
 
 
 def _group_of_perms(images_list: list[tuple[int, ...]]) -> TableGroup:
-    index = {imgs: i for i, imgs in enumerate(images_list)}
-    degree = len(images_list[0])
-    table = [
-        [index[tuple(b[a[x]] for x in range(degree))] for b in images_list]
-        for a in images_list
-    ]
+    perms = np.asarray(images_list, dtype=np.int32)
+    index = {row.tobytes(): i for i, row in enumerate(perms)}
+    # Row a of the table: a*b, that is b after a, for every b at once.
+    table = [[index[row.tobytes()] for row in perms[:, a]] for a in perms]
     return TableGroup(table, [_perm_label(imgs) for imgs in images_list])
 
 
@@ -413,25 +417,35 @@ def builtin_names() -> list[str]:
     return sorted(k for k in _BUILTINS if k not in skip)
 
 
-def table_from_permgroup(group: PermGroup) -> TableGroup:
-    """Multiplication table of a permutation group, identity listed first.
+def table_from_perms(generators: Sequence[Perm], degree: int | None = None) -> TableGroup:
+    """Multiplication table of the group the permutations generate.
 
-    Elements after the identity are ordered lexicographically by their image
-    tuples, so the table does not depend on how the group was generated.
+    The image tuples are closed breadth-first, and a group above the table
+    limit is refused at its first element past the limit, before any table
+    is built. The elements are then listed in lexicographic order of their
+    image tuples (the identity, the least, comes first), so the table does
+    not depend on how the group was generated.
     """
-    elems = sorted(group.elements(), key=lambda p: tuple(p.as_list()))
-    ident = Perm.identity(group.degree)
-    elems.remove(ident)
-    elems.insert(0, ident)
-    key = {p._key(): i for i, p in enumerate(elems)}
-    table = [[key[(a * b)._key()] for b in elems] for a in elems]
-    labels = []
-    for p in elems:
-        cyc = p.cycles()
-        labels.append(
-            "e" if not cyc else "".join("(" + " ".join(map(str, c)) + ")" for c in cyc)
-        )
-    return TableGroup(table, labels)
+    if degree is None:
+        degree = generators[0].degree if generators else 1
+    if degree < 1:
+        raise ValueError("degree must be at least 1")
+    for g in generators:
+        if g.degree != degree:
+            raise DegreeMismatchError(
+                f"generator degree {g.degree} does not match group degree {degree}"
+            )
+    gens = [g.as_list() for g in generators]
+    seen = {tuple(range(degree))}
+    frontier = list(seen)
+    for p in frontier:
+        for g in gens:
+            q = tuple([g[x] for x in p])
+            if q not in seen:
+                seen.add(q)
+                check_table_size(len(seen))
+                frontier.append(q)
+    return _group_of_perms(sorted(seen))
 
 
 def regular_permgroup(group: TableGroup) -> tuple[PermGroup, list[Perm]]:

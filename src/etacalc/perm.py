@@ -1,22 +1,22 @@
-"""Finite permutation groups with stabilizer chains.
+"""Permutations, and the groups that act freely on the orbit of point 0.
 
 Elements are bijections of {0, ..., degree-1} with the fixed left-to-right
-composition convention (p*q)(x) = q(p(x)). Groups carry a chain of point
-stabilizers with Schreier-tree transversals.
+composition convention (p*q)(x) = q(p(x)).
 
-Groups known to act freely on the orbit of point 0 (regular carriers coming
-out of coset enumeration, and their subgroups) use a single-level chain:
-the stabilizer of a point is trivial, so no Schreier generators need
-processing and membership reduces to one transversal lookup and compare.
-Such a group's element is determined by the point it sends 0 to, so a
-homomorphism between two of them is a labelling of source points by target
-points, checked edge by edge (GroupHom).
+Every PermGroup is a regular carrier coming out of coset enumeration (or the
+right-regular action of a table group), or a subgroup of one. Such a group
+acts freely on the orbit of 0, so its element is determined by the point it
+sends 0 to: the group keeps one spanning tree of that orbit, membership is
+one tree lookup and one compare, and a homomorphism between two of them is a
+labelling of source points by target points, checked edge by edge
+(GroupHom). Groups given by arbitrary permutation generators are closed into
+multiplication tables instead (groups.table_from_perms).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from math import lcm, prod
+from math import lcm
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,16 +35,12 @@ __all__ = [
     "PermGroup",
     "GroupHom",
     "compose",
-    "group_from_generators",
     "normal_closure",
     "derived_subgroup",
     "centralizer_index",
     "hom_kernel",
     "abelian_invariants_of",
-    "DEFAULT_MAX_ORDER",
 ]
-
-DEFAULT_MAX_ORDER = 10**6
 
 _ELEMENTS_LIMIT = 10**5
 _CACHE_BUDGET = 4_000_000  # cached transversal entries, in total array cells
@@ -181,63 +177,29 @@ def compose(p: Perm, q: Perm) -> Perm:
     return p * q
 
 
-class _Level:
-    """One stabilizer-chain level: base point, Schreier tree, generator slots.
+class PermGroup:
+    """A regular carrier or a subgroup of one, acting freely on the orbit of 0.
 
-    The slots name strong generators that fix the bases of every level above
-    this one; together they generate this level's stabilizer.
+    The stabilizer of 0 is trivial, so an element is the point it sends 0
+    to. The group keeps a spanning tree of that orbit: the element sending
+    0 to p (its transversal element) is the product of generators along the
+    tree path to p, and membership is one lookup and one array compare.
     """
 
-    __slots__ = ("base", "edges", "order", "gen_slots", "pending", "perm_cache")
-
-    def __init__(self, base: int):
-        self.base = base
-        self.edges: dict[int, tuple[int, int, int] | None] = {base: None}
-        self.order: list[int] = [base]
-        self.gen_slots: list[int] = []
-        self.pending: deque[tuple[int, int]] = deque()
-        self.perm_cache: dict[int, Perm] = {}
-
-
-class PermGroup:
-    """A finite permutation group with a stabilizer chain."""
-
-    def __init__(
-        self,
-        generators: Iterable[Perm],
-        *,
-        degree: int | None = None,
-        max_order: int = DEFAULT_MAX_ORDER,
-    ):
-        gens = tuple(generators)
-        if degree is None:
-            if not gens:
-                degree = 1
-            else:
-                degree = gens[0].degree
+    def __init__(self, degree: int):
+        """The trivial group on degree points; the constructors below grow it."""
         if degree < 1:
             raise ValueError("degree must be at least 1")
-        for g in gens:
-            if g.degree != degree:
-                raise DegreeMismatchError(
-                    f"generator degree {g.degree} does not match group degree {degree}"
-                )
-        if max_order < 1:
-            raise ValueError("max_order must be at least 1")
         self.degree = degree
-        self.generators = gens
-        self._max_order = max_order
-        self._pool: list[Perm] = []
-        self._levels: list[_Level] = []
-        self._free0 = False
-        self._order: int | None = None
-        for g in gens:
-            if not g.is_identity():
-                self._attach(g)
-        self._drain()
-        self._order = self._chain_order()
+        self.generators: tuple[Perm, ...] = ()
+        # Tree edges (generator index, sign, parent), the orbit in tree order,
+        # the generators that walk the orbit, and cached transversal elements.
+        self._tree: dict[int, tuple[int, int, int] | None] = {0: None}
+        self._orbit: list[int] = [0]
+        self._slots: list[int] = []
+        self._cache: dict[int, Perm] = {}
 
-    # -- alternative constructors ------------------------------------------
+    # -- constructors ---------------------------------------------------------
 
     @classmethod
     def _regular_from_edges(
@@ -246,287 +208,131 @@ class PermGroup:
         degree: int,
         edges: dict[int, tuple[int, int, int] | None],
     ) -> "PermGroup":
-        """Certified regular group: one free level whose tree is supplied.
+        """Certified regular group whose spanning tree is supplied.
 
         The caller certifies that the generators act regularly (the coset
         enumerator's audited table provides exactly that) and hands over a
         spanning tree of the single orbit rooted at point 0, each point listed
         after its parent; slot i of an edge names generator i.
         """
-        self = cls.__new__(cls)
-        self.degree = degree
-        self.generators = tuple(generators)
-        self._max_order = max(DEFAULT_MAX_ORDER, degree)
-        self._pool = list(self.generators)
-        level = _Level(0)
-        level.edges = edges
-        level.order = [0] + [p for p in edges if p != 0]
-        level.gen_slots = list(range(len(self._pool)))
-        self._levels = [level]
-        self._free0 = True
-        self._order = degree
         if len(edges) != degree:
             raise ConstructionError("regular carrier tree does not span the point set")
+        self = cls(degree)
+        self.generators = tuple(generators)
+        self._tree = edges
+        self._orbit = [0] + [p for p in edges if p != 0]
+        self._slots = list(range(len(self.generators)))
         return self
 
     @classmethod
-    def _free_subgroup(
-        cls, degree: int, generators: Sequence[Perm], max_order: int
-    ) -> "PermGroup":
-        """Subgroup of a group acting freely on the orbit of 0.
+    def _free_subgroup(cls, degree: int, generators: Sequence[Perm]) -> "PermGroup":
+        """Subgroup generated by members of a group acting freely on the orbit of 0.
 
-        A subgroup inherits freeness, so the chain is a single level built by
-        plain orbit BFS; Schreier generators are identity by freeness and are
-        never formed.
+        A subgroup inherits freeness, so plain orbit BFS builds it.
         """
-        self = cls.__new__(cls)
-        self.degree = degree
-        self.generators = ()
-        self._max_order = max_order
-        self._pool = []
-        self._levels = [_Level(0)]
-        self._free0 = True
-        self._order = 1
+        self = cls(degree)
         for g in generators:
             self._add_free_generator(g)
         return self
 
-    # -- chain construction -------------------------------------------------
-
-    def _attach(self, perm: Perm, lvl: int = 0) -> int:
-        """Put a strong generator on every level from lvl to k; return k.
-
-        perm must fix the bases above lvl; a generator of the whole group
-        enters at level 0. k is the first level at or below lvl whose base
-        perm moves; when it fixes every base, a new level opens at its first
-        moved point. perm lies in the stabilizer of each level from lvl to k,
-        so each of their orbits is built with it and each owes its Schreier
-        generators. Leaving it off the levels above k would lose orbit points
-        there, and with them group order and members.
-        """
-        slot = len(self._pool)
-        self._pool.append(perm)
-        while True:
-            if lvl == len(self._levels):
-                moved = int(np.nonzero(perm.images != np.arange(self.degree))[0][0])
-                self._levels.append(_Level(moved))
-            level = self._levels[lvl]
-            level.gen_slots.append(slot)
-            level.pending.extend((pt, slot) for pt in level.order)
-            if perm(level.base) != level.base:
-                return lvl
-            lvl += 1
-
-    def _drain(self) -> None:
-        """Process pending orbit/Schreier work, the deepest level first.
-
-        A Schreier generator of level lvl is sifted through the levels below
-        it, so those are completed first: a residue installed from lvl lands
-        on levels lvl+1 .. k, and the drain moves down to k before it comes
-        back up. Shallow-first order sifts against half-built levels, where
-        nearly every Schreier generator leaves a residue that becomes one
-        more strong generator (tens of thousands on S9).
-        """
-        lvl = len(self._levels) - 1
-        while lvl >= 0:
-            level = self._levels[lvl]
-            if not level.pending:
-                lvl -= 1
-                continue
-            pt, slot = level.pending.popleft()
-            g = self._pool[slot]
-            img = int(g.images[pt])
-            if img not in level.edges:
-                level.edges[img] = (slot, 1, pt)
-                level.order.append(img)
-                level.pending.extend((img, s) for s in level.gen_slots)
-                self._check_capacity()
-            u_pt = self._transversal_perm(lvl, pt)
-            u_img_inv = self._transversal_perm(lvl, img).inverse()
-            schreier = u_pt * g * u_img_inv
-            if not schreier.is_identity():
-                deepest = self._sift_attach(schreier, lvl + 1)
-                if deepest is not None:
-                    lvl = deepest
-
-    def _sift_attach(self, perm: Perm, from_level: int) -> int | None:
-        """Sift a Schreier generator of level from_level-1; install any residue.
-
-        The residue fixes the bases of every level above the one where the
-        sift stopped, so it goes on levels from_level .. k with k that level
-        (or a new one). Returns k, or None when the generator sifts to the
-        identity.
-        """
-        lvl = from_level
-        r = perm
-        while lvl < len(self._levels):
-            level = self._levels[lvl]
-            img = r(level.base)
-            if img == level.base:
-                lvl += 1
-                continue
-            if img in level.edges:
-                r = r * self._transversal_perm(lvl, img).inverse()
-                if r.is_identity():
-                    return None
-                lvl += 1
-                continue
-            break
-        if r.is_identity():
-            return None
-        return self._attach(r, from_level)
-
     def _add_free_generator(self, perm: Perm) -> None:
-        """Extend the single free level with one more generator.
+        """Extend the orbit with one more generator.
 
         The orbit is closed under the earlier generators, so its points are
         walked with the new one only, and the points it reaches with every
         generator. A generator sending 0 into the orbit is, by freeness,
         already a member: it reaches nothing and is never walked.
         """
-        level = self._levels[0]
-        slot = len(self._pool)
-        self._pool.append(perm)
+        slot = len(self.generators)
         self.generators += (perm,)
-        if int(perm.images[0]) in level.edges:
+        if int(perm.images[0]) in self._tree:
             return
-        level.gen_slots.append(slot)
+        self._slots.append(slot)
         queue: deque[int] = deque()
 
         def reach(pt: int, s: int) -> None:
-            img = int(self._pool[s].images[pt])
-            if img not in level.edges:
-                level.edges[img] = (s, 1, pt)
-                level.order.append(img)
+            img = int(self.generators[s].images[pt])
+            if img not in self._tree:
+                self._tree[img] = (s, 1, pt)
+                self._orbit.append(img)
                 queue.append(img)
 
-        for pt in level.order[:]:
+        for pt in self._orbit[:]:
             reach(pt, slot)
         while queue:
             pt = queue.popleft()
-            for s in level.gen_slots:
+            for s in self._slots:
                 reach(pt, s)
-        self._order = len(level.order)
 
-    def _check_capacity(self) -> None:
-        if self._chain_order() > self._max_order:
-            raise CapacityError(
-                "group order exceeded the configured cap",
-                count=self._chain_order(),
-            )
-
-    def _chain_order(self) -> int:
-        return prod(len(level.order) for level in self._levels) if self._levels else 1
-
-    # -- transversals ---------------------------------------------------------
-
-    def _transversal_perm(self, lvl: int, pt: int) -> Perm:
-        level = self._levels[lvl]
-        cached = level.perm_cache.get(pt)
+    def _transversal_perm(self, pt: int) -> Perm:
+        """The element sending 0 to the orbit point pt."""
+        cached = self._cache.get(pt)
         if cached is not None:
             return cached
         steps = []
         cur = pt
-        while level.edges[cur] is not None:
-            if cur in level.perm_cache:
+        while self._tree[cur] is not None:
+            if cur in self._cache:
                 break
-            slot, sign, parent = level.edges[cur]
+            slot, sign, parent = self._tree[cur]
             steps.append((slot, sign))
             cur = parent
-        u = level.perm_cache.get(cur, Perm.identity(self.degree))
+        u = self._cache.get(cur, Perm.identity(self.degree))
         for slot, sign in reversed(steps):
-            g = self._pool[slot]
+            g = self.generators[slot]
             u = u * (g if sign > 0 else g.inverse())
-        if len(level.perm_cache) * self.degree <= _CACHE_BUDGET:
-            level.perm_cache[pt] = u
+        if len(self._cache) * self.degree <= _CACHE_BUDGET:
+            self._cache[pt] = u
         return u
 
     # -- queries ---------------------------------------------------------------
 
     def order(self) -> int:
-        if self._order is None:
-            self._order = self._chain_order()
-        return self._order
+        return len(self._orbit)
 
     def is_trivial(self) -> bool:
         return self.order() == 1
-
-    def _sift(self, p: Perm) -> Perm:
-        """Reduce p through the chain; the residue is the identity for members."""
-        r = p
-        for lvl, level in enumerate(self._levels):
-            img = r(level.base)
-            if img == level.base:
-                continue
-            if img not in level.edges:
-                return r
-            r = r * self._transversal_perm(lvl, img).inverse()
-        return r
 
     def contains(self, p: Perm) -> bool:
         if p.degree != self.degree:
             raise DegreeMismatchError(
                 f"membership of degree {p.degree} element in degree {self.degree} group"
             )
-        return self._sift(p).is_identity()
+        pt = int(p.images[0])
+        return pt in self._tree and np.array_equal(
+            p.images, self._transversal_perm(pt).images
+        )
 
     def __contains__(self, p: Perm) -> bool:
         return self.contains(p)
 
     def orbit0(self) -> tuple[int, ...]:
-        """Orbit of point 0 in BFS order (the coset ordering for carriers)."""
-        if self._levels and self._levels[0].base == 0:
-            return tuple(self._levels[0].order)
-        orbit = [0]
-        seen = {0}
-        queue = deque(orbit)
-        while queue:
-            pt = queue.popleft()
-            for g in self.generators:
-                img = int(g.images[pt])
-                if img not in seen:
-                    seen.add(img)
-                    orbit.append(img)
-                    queue.append(img)
-        return tuple(orbit)
+        """Orbit of point 0 in tree order (the coset ordering for carriers)."""
+        return tuple(self._orbit)
 
     def elements(self, limit: int = _ELEMENTS_LIMIT) -> list[Perm]:
-        """All elements, deterministically ordered along the chain."""
+        """All elements, in the order of the points they send 0 to."""
         n = self.order()
         if n > limit:
             raise CapacityError(
                 f"refusing to enumerate {n} elements (limit {limit})", count=n
             )
-        result = [Perm.identity(self.degree)]
-        for lvl in range(len(self._levels) - 1, -1, -1):
-            level = self._levels[lvl]
-            if len(level.order) == 1:
-                continue
-            new = []
-            for pt in level.order:
-                u = self._transversal_perm(lvl, pt)
-                if pt == level.base:
-                    new.extend(result)
-                else:
-                    new.extend(r * u for r in result)
-            result = new
-        return result
+        return [self._transversal_perm(pt) for pt in self._orbit]
 
     def element_orders(self) -> list[int]:
-        """Orders of all elements; uses point-0 cycle length on free carriers."""
-        if self._free0:
-            # On a free orbit every cycle of an element has the same length,
-            # so the cycle through 0 gives the order.
-            orders = []
-            for p in self.elements():
-                k = 1
-                pt = int(p.images[0])
-                while pt != 0:
-                    pt = int(p.images[pt])
-                    k += 1
-                orders.append(k)
-            return orders
-        return [p.order() for p in self.elements()]
+        """Orders of all elements, each the length of its cycle through 0.
+
+        On a free orbit every cycle of an element has the same length.
+        """
+        orders = []
+        for p in self.elements():
+            k = 1
+            pt = int(p.images[0])
+            while pt != 0:
+                pt = int(p.images[pt])
+                k += 1
+            orders.append(k)
+        return orders
 
     def subgroup(self, generators: Iterable[Perm]) -> "PermGroup":
         """Subgroup generated by the given members of this group."""
@@ -537,13 +343,10 @@ class PermGroup:
                 raise MembershipError("subgroup generator is not in the group")
             if g.is_identity():
                 continue
-            key = int(g.images[0]) if self._free0 else g._key()
-            if key not in seen:
-                seen.add(key)
+            if int(g.images[0]) not in seen:
+                seen.add(int(g.images[0]))
                 gens.append(g)
-        if self._free0:
-            return PermGroup._free_subgroup(self.degree, gens, self._max_order)
-        return PermGroup(gens, degree=self.degree, max_order=self._max_order)
+        return PermGroup._free_subgroup(self.degree, gens)
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         return all(other.contains(g) for g in self.generators)
@@ -563,16 +366,6 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order()})"
 
 
-def group_from_generators(
-    gens: Iterable[Perm],
-    *,
-    degree: int | None = None,
-    max_order: int = DEFAULT_MAX_ORDER,
-) -> PermGroup:
-    """Group generated by the given permutations (empty list: trivial group)."""
-    return PermGroup(gens, degree=degree, max_order=max_order)
-
-
 def normal_closure(group: PermGroup, seeds: Iterable[Perm]) -> PermGroup:
     """Smallest normal subgroup of `group` containing the seeds."""
     seed_list = list(seeds)
@@ -590,13 +383,7 @@ def normal_closure(group: PermGroup, seeds: Iterable[Perm]) -> PermGroup:
         for c, cinv in zip(conjugators, inverses):
             y = cinv * x * c
             if not closure.contains(y):
-                if closure._free0:
-                    closure._add_free_generator(y)
-                else:
-                    closure._attach(y)
-                    closure._drain()
-                    closure._order = closure._chain_order()
-                    closure.generators += (y,)
+                closure._add_free_generator(y)
                 queue.append(y)
     return closure
 
@@ -688,23 +475,18 @@ def abelian_invariants_of(group: PermGroup) -> AbelianInvariants:
 class GroupHom:
     """A homomorphism given by generator images, with verified well-definedness.
 
-    Source and target must both act freely on the orbit of point 0, as every
-    enumeration carrier and its subgroups do, so an element of either is
-    the point it sends 0 to. The assignment is then a labelling of source
-    points by target points, grown along the source's Schreier tree from
-    label(0) = 0, and it extends to a homomorphism exactly when
-    label(g(p)) == img(g)(label(p)) holds for every orbit point p and
-    generator g. That check is complete: a word trivial in the source walks
-    0 back to 0, so its image walks label(0) = 0 back to 0 as well and is
-    trivial by freeness. The first failing (point, generator index) is
-    raised as IllDefinedHomError's edge.
+    Source and target act freely on the orbit of point 0, as every PermGroup
+    does, so an element of either is the point it sends 0 to. The assignment
+    is then a labelling of source points by target points, grown along the
+    source's spanning tree from label(0) = 0, and it extends to a
+    homomorphism exactly when label(g(p)) == img(g)(label(p)) holds for
+    every orbit point p and generator g. That check is complete: a word
+    trivial in the source walks 0 back to 0, so its image walks label(0) = 0
+    back to 0 as well and is trivial by freeness. The first failing
+    (point, generator index) is raised as IllDefinedHomError's edge.
     """
 
     def __init__(self, source: PermGroup, target: PermGroup, images: Sequence[Perm]):
-        if not (source._free0 and target._free0):
-            raise ValueError(
-                "a homomorphism needs a source and a target acting freely on the orbit of 0"
-            )
         if len(images) != len(source.generators):
             raise ValueError("need exactly one image per source generator")
         for img in images:
@@ -716,17 +498,16 @@ class GroupHom:
         self.target = target
         self.generator_images = tuple(images)
         self._image_group: PermGroup | None = None
-        level = source._levels[0]
         label = np.full(source.degree, -1, dtype=np.int64)
         label[0] = 0
         steps: dict[tuple[int, int], np.ndarray] = {}
-        for pt in level.order[1:]:
-            slot, sign, parent = level.edges[pt]
+        for pt in source._orbit[1:]:
+            slot, sign, parent = source._tree[pt]
             if (slot, sign) not in steps:
                 img = self.generator_images[slot]
                 steps[(slot, sign)] = (img if sign > 0 else img.inverse()).images
             label[pt] = steps[(slot, sign)][label[parent]]
-        orbit = np.asarray(level.order)
+        orbit = np.asarray(source._orbit)
         for i, (g, img) in enumerate(zip(source.generators, self.generator_images)):
             bad = np.nonzero(label[g.images[orbit]] != img.images[label[orbit]])[0]
             if bad.size:
@@ -739,7 +520,7 @@ class GroupHom:
     def apply(self, p: Perm) -> Perm:
         if not self.source.contains(p):
             raise MembershipError("element is not in the source group")
-        return self.target._transversal_perm(0, int(self._labels[p(0)]))
+        return self.target._transversal_perm(int(self._labels[p(0)]))
 
     def image_group(self) -> PermGroup:
         if self._image_group is None:
@@ -757,11 +538,11 @@ def hom_kernel(f: GroupHom) -> PermGroup:
     |source| = |kernel| * |image| before returning.
     """
     source = f.source
-    kern = PermGroup._free_subgroup(source.degree, (), source._max_order)
-    reached = kern._levels[0].edges
+    kern = PermGroup(source.degree)
+    reached = kern._tree
     for pt in np.nonzero(f._labels == 0)[0].tolist():
         if pt not in reached:
-            kern._add_free_generator(source._transversal_perm(0, pt))
+            kern._add_free_generator(source._transversal_perm(pt))
     if kern.order() * f.image_group().order() != source.order():
         raise ConstructionError("kernel/image orders do not multiply to the source order")
     return kern

@@ -297,10 +297,15 @@ class _Context:
         return value
 
 
-def _instance_eta(ctx: _Context, claim: str, cp: CorpusPair, t0: float, label: str | None = None):
+def _instance(build, claim: str, cp: CorpusPair, t0: float, label: str | None = None):
+    """Return (build(cp.label), None), or (None, the report of why it failed).
+
+    build is ctx.eta or ctx.nu; label names the report's instance when it
+    differs from the pair's.
+    """
     instance = label or cp.label
     try:
-        return ctx.eta(cp.label), None
+        return build(cp.label), None
     except CapacityError as err:
         detail = f"capacity exceeded: {err.count} cosets requested"
         return None, _report(claim, instance, "SKIPPED", detail, None, t0)
@@ -308,18 +313,6 @@ def _instance_eta(ctx: _Context, claim: str, cp: CorpusPair, t0: float, label: s
         witness = err.report[0] if err.report else None
         detail = "incompatible actions: pair rejected before construction"
         return None, _report(claim, instance, "FAIL", detail, witness, t0)
-
-
-def _instance_nu(ctx: _Context, claim: str, cp: CorpusPair, t0: float):
-    try:
-        return ctx.nu(cp.label), None
-    except CapacityError as err:
-        detail = f"capacity exceeded: {err.count} cosets requested"
-        return None, _report(claim, cp.label, "SKIPPED", detail, None, t0)
-    except IncompatibleActionError as err:
-        witness = err.report[0] if err.report else None
-        detail = "incompatible actions: pair rejected before construction"
-        return None, _report(claim, cp.label, "FAIL", detail, witness, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -844,7 +837,7 @@ def _drive_decomposition(ctx: _Context) -> list[ClaimReport]:
     out = []
     for cp in ctx.corpus.pairs:
         t0 = time.perf_counter()
-        eta, rep = _instance_eta(ctx, "decomposition", cp, t0)
+        eta, rep = _instance(ctx.eta, "decomposition", cp, t0)
         if rep is not None:
             out.append(rep)
             continue
@@ -876,7 +869,7 @@ def _drive_ztensor(ctx: _Context) -> list[ClaimReport]:
         if not (cp.pair.g_on_h.is_trivial() and cp.pair.h_on_g.is_trivial()):
             continue
         t0 = time.perf_counter()
-        eta, rep = _instance_eta(ctx, "ztensor", cp, t0)
+        eta, rep = _instance(ctx.eta, "ztensor", cp, t0)
         if rep is not None:
             out.append(rep)
             continue
@@ -919,7 +912,7 @@ def _drive_lemma21(ctx: _Context) -> list[ClaimReport]:
         if ctx.conjugation_group(cp) is None:
             continue
         t0 = time.perf_counter()
-        nu, rep = _instance_nu(ctx, "lemma21", cp, t0)
+        nu, rep = _instance(ctx.nu, "lemma21", cp, t0)
         if rep is not None:
             out.append(rep)
             continue
@@ -964,7 +957,7 @@ def _drive_lemma22(ctx: _Context) -> list[ClaimReport]:
     out = []
     for cp in ctx.corpus.pairs:
         t0 = time.perf_counter()
-        eta, rep = _instance_eta(ctx, "lemma22", cp, t0)
+        eta, rep = _instance(ctx.eta, "lemma22", cp, t0)
         if rep is not None:
             out.append(rep)
             continue
@@ -976,7 +969,7 @@ def _drive_lemma22(ctx: _Context) -> list[ClaimReport]:
     for case in ctx.corpus.subgroup_cases:
         t0 = time.perf_counter()
         host = ctx.entry(case.host)
-        eta, rep = _instance_eta(ctx, "lemma22", host, t0, label=case.label)
+        eta, rep = _instance(ctx.eta, "lemma22", host, t0, label=case.label)
         if rep is not None:
             out.append(rep)
             continue
@@ -992,7 +985,7 @@ def _drive_lemma23(ctx: _Context) -> list[ClaimReport]:
     out = []
     for cp in ctx.corpus.pairs:
         t0 = time.perf_counter()
-        eta, rep = _instance_eta(ctx, "lemma23", cp, t0)
+        eta, rep = _instance(ctx.eta, "lemma23", cp, t0)
         if rep is not None:
             out.append(rep)
             continue
@@ -1006,7 +999,7 @@ def _drive_mu_quotient(ctx: _Context) -> list[ClaimReport]:
         if ctx.conjugation_group(cp) is None:
             continue
         t0 = time.perf_counter()
-        nu, rep = _instance_nu(ctx, "mu-quotient", cp, t0)
+        nu, rep = _instance(ctx.nu, "mu-quotient", cp, t0)
         if rep is not None:
             out.append(rep)
             continue
@@ -1058,7 +1051,7 @@ def _drive_thma(ctx: _Context) -> list[ClaimReport]:
     out = []
     for cp in ctx.corpus.pairs:
         t0 = time.perf_counter()
-        eta, rep = _instance_eta(ctx, "thma", cp, t0)
+        eta, rep = _instance(ctx.eta, "thma", cp, t0)
         if rep is not None:
             out.append(rep)
             continue
@@ -1070,7 +1063,7 @@ def _drive_thma(ctx: _Context) -> list[ClaimReport]:
     for case in ctx.corpus.subgroup_cases:
         t0 = time.perf_counter()
         host = ctx.entry(case.host)
-        eta, rep = _instance_eta(ctx, "thma", host, t0, label=case.label)
+        eta, rep = _instance(ctx.eta, "thma", host, t0, label=case.label)
         if rep is not None:
             out.append(rep)
             continue
@@ -1088,7 +1081,7 @@ def _drive_cor32(ctx: _Context) -> list[ClaimReport]:
         if ctx.conjugation_group(cp) is None:
             continue
         t0 = time.perf_counter()
-        nu, rep = _instance_nu(ctx, "cor32", cp, t0)
+        nu, rep = _instance(ctx.nu, "cor32", cp, t0)
         if rep is not None:
             out.append(rep)
             continue
@@ -1102,7 +1095,7 @@ def _drive_prop31(ctx: _Context) -> list[ClaimReport]:
         if ctx.conjugation_group(cp) is None:
             continue
         t0 = time.perf_counter()
-        nu, rep = _instance_nu(ctx, "prop31-delta", cp, t0)
+        nu, rep = _instance(ctx.nu, "prop31-delta", cp, t0)
         if rep is not None:
             out.append(rep)
             continue
@@ -1142,7 +1135,7 @@ def _drive_thmc(ctx: _Context) -> list[ClaimReport]:
         if ctx.conjugation_group(cp) is None:
             continue
         t0 = time.perf_counter()
-        nu, rep = _instance_nu(ctx, "thmc-pi", cp, t0)
+        nu, rep = _instance(ctx.nu, "thmc-pi", cp, t0)
         if rep is not None:
             out.append(rep)
             continue

@@ -127,7 +127,7 @@ def test_group_from_cayley_file(tmp_path):
 
 def test_group_from_perm_generators(tmp_path):
     # S3 twice: on 3 points, and on 5 points as <(0 1), (1 2)>, where (1 2)
-    # fixes the first base point 0.
+    # fixes point 0 and neither generator moves 3 or 4.
     cases = ((3, [[1, 2, 0], [1, 0, 2]]), (5, [[1, 0, 2, 3, 4], [0, 2, 1, 3, 4]]))
     for degree, gens in cases:
         path = tmp_path / f"s3_on_{degree}.json"
@@ -242,6 +242,32 @@ def test_capacity_cap_exits_5():
     )
     assert result.returncode == 5
     assert "capacity" in result.stderr
+
+
+def symmetric_perms_file(tmp_path, n):
+    path = tmp_path / f"s{n}.json"
+    gens = [list(range(1, n)) + [0], [1, 0] + list(range(2, n))]
+    path.write_text(json.dumps({"schema": 1, "generators": gens}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["perms:6", "perms:9", "presentation:< a | a^600 >"],
+    ids=["S6", "S9", "C600"],
+)
+def test_groups_above_the_table_limit_are_refused_alike(tmp_path, spec):
+    # S6 and S9 by generators, C600 by presentation: one refusal, one line,
+    # decided before any multiplication table is built.
+    kind, value = spec.split(":")
+    if kind == "perms":
+        value = symmetric_perms_file(tmp_path, int(value))
+    result = run_cli("nu", f"--{kind}", value)
+    assert result.returncode == 5
+    assert result.stdout == ""
+    assert result.stderr == (
+        "etacalc: capacity exceeded: table groups above 512 elements are not supported\n"
+    )
 
 
 def test_construction_error_exits_6_without_traceback(monkeypatch, capsys):
@@ -383,6 +409,16 @@ def test_bad_env_var_exits_2():
     result = run_cli("nu", "--builtin", "C2", env_extra={"ETA_MAX_COSETS": "banana"})
     assert result.returncode == 2
     assert "ETA_MAX_COSETS" in result.stderr
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_nonpositive_max_cosets_exits_2(value):
+    # The flag and the environment variable follow one rule, with one message.
+    flag = run_cli("nu", "--builtin", "C2", "--max-cosets", value)
+    env = run_cli("nu", "--builtin", "C2", env_extra={"ETA_MAX_COSETS": value})
+    for result, source in ((flag, "--max-cosets"), (env, "ETA_MAX_COSETS")):
+        assert result.returncode == 2
+        assert result.stderr == f"etacalc: {source}={value!r} is not a positive integer\n"
 
 
 def test_verify_runs_are_byte_identical(tmp_path):

@@ -19,9 +19,10 @@ from etacalc.groups import (
     quaternion8,
     regular_permgroup,
     symmetric3,
-    table_from_permgroup,
+    table_from_perms,
 )
-from etacalc.perm import Perm, group_from_generators
+from etacalc.perm import Perm
+from oracles import naive_closure
 
 
 def test_cyclic():
@@ -193,7 +194,6 @@ def test_regular_permgroup():
     s3 = symmetric3()
     reg, perms = regular_permgroup(s3)
     assert reg.order() == 6
-    assert reg._free0
     for a in s3.elements():
         for b in s3.elements():
             assert perms[a] * perms[b] == perms[s3.mul(a, b)]
@@ -203,12 +203,16 @@ def test_regular_permgroup():
         assert perms[a](0) == a
 
 
-def test_table_from_permgroup():
-    g = group_from_generators(
-        [Perm.from_cycles(3, [(0, 1)]), Perm.from_cycles(3, [(0, 1, 2)])]
+def test_table_from_perms():
+    gens = [Perm.from_cycles(3, [(0, 1)]), Perm.from_cycles(3, [(0, 1, 2)])]
+    t = table_from_perms(gens)
+    closure = sorted(naive_closure([tuple(g.as_list()) for g in gens]))
+    assert t.n == len(closure) == 6
+    # Elements are listed in the order of their image tuples.
+    assert t.labels == symmetric3().labels == tuple(
+        "".join(f"({' '.join(map(str, c))})" for c in Perm(p).cycles()) or "e"
+        for p in closure
     )
-    t = table_from_permgroup(g)
-    assert t.n == 6
     assert t.identity == 0
     assert t.labels[0] == "e"
     assert t.abelian_invariants().factors == (2,)
