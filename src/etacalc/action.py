@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import IncompatibleActionError, InvalidActionError
 from .groups import TableGroup
 
@@ -113,10 +115,8 @@ def validate_action(action: ActionTable, acted: TableGroup, acting: TableGroup) 
     report: list[dict] = []
     rows = action.rows
     full = list(range(acted.n))
-    bad_rows = set()
     for a, row in enumerate(rows):
         if sorted(row) != full:
-            bad_rows.add(a)
             report.append(
                 {
                     "axiom": "row-bijection",
@@ -136,41 +136,39 @@ def validate_action(action: ActionTable, acted: TableGroup, acting: TableGroup) 
                     "image": rows[e][x],
                 }
             )
+    # One acting element at a time, so each comparison is |X|^2 or |A| |X|.
+    arr = np.asarray(rows, dtype=np.intp)
+    mul = acted.table
     for a in range(acting.n):
-        row = rows[a]
-        for x in range(acted.n):
-            for y in range(acted.n):
-                lhs = row[acted.mul(x, y)]
-                rhs = acted.mul(row[x], row[y])
-                if lhs != rhs:
-                    report.append(
-                        {
-                            "axiom": "row-homomorphism",
-                            "acting": a,
-                            "acting_label": acting.labels[a],
-                            "left": x,
-                            "right": y,
-                            "lhs": lhs,
-                            "rhs": rhs,
-                        }
-                    )
+        row = arr[a]
+        lhs = row[mul]  # lhs[x, y] = (x y)^a
+        rhs = mul[row[:, None], row[None, :]]  # rhs[x, y] = x^a y^a
+        for x, y in np.argwhere(lhs != rhs):
+            report.append(
+                {
+                    "axiom": "row-homomorphism",
+                    "acting": a,
+                    "acting_label": acting.labels[a],
+                    "left": int(x),
+                    "right": int(y),
+                    "lhs": int(lhs[x, y]),
+                    "rhs": int(rhs[x, y]),
+                }
+            )
     for a in range(acting.n):
-        for b in range(acting.n):
-            combined = rows[acting.mul(a, b)]
-            for x in range(acted.n):
-                lhs = combined[x]
-                rhs = rows[b][rows[a][x]]
-                if lhs != rhs:
-                    report.append(
-                        {
-                            "axiom": "composition",
-                            "first": a,
-                            "second": b,
-                            "acted": x,
-                            "lhs": lhs,
-                            "rhs": rhs,
-                        }
-                    )
+        lhs = arr[acting.table[a]]  # lhs[b, x] = x^(a b)
+        rhs = arr[:, arr[a]]  # rhs[b, x] = (x^a)^b
+        for b, x in np.argwhere(lhs != rhs):
+            report.append(
+                {
+                    "axiom": "composition",
+                    "first": a,
+                    "second": int(b),
+                    "acted": int(x),
+                    "lhs": int(lhs[b, x]),
+                    "rhs": int(rhs[b, x]),
+                }
+            )
     return report
 
 
@@ -288,53 +286,67 @@ def check_compatibility(pair: ActionPair) -> list[dict]:
     a proof of compatibility for these tables.
     """
     g, h = pair.g, pair.h
-    goh, hog = pair.g_on_h.rows, pair.h_on_g.rows
+    goh = np.asarray(pair.g_on_h.rows, dtype=np.intp)
+    hog = np.asarray(pair.h_on_g.rows, dtype=np.intp)
     failures: list[dict] = []
-    for gg in range(g.n):
-        for g1 in range(g.n):
-            twisted = g.conj(gg, g.inv(g1))
-            for hh in range(h.n):
-                lhs = hog[goh[g1][hh]][gg]
-                rhs = g.conj(hog[hh][twisted], g1)
-                if lhs != rhs:
-                    failures.append(
-                        {
-                            "family": 1,
-                            "g": gg,
-                            "g1": g1,
-                            "h": hh,
-                            "g_label": g.labels[gg],
-                            "g1_label": g.labels[g1],
-                            "h_label": h.labels[hh],
-                            "lhs": lhs,
-                            "rhs": rhs,
-                            "lhs_label": g.labels[lhs],
-                            "rhs_label": g.labels[rhs],
-                        }
-                    )
-    for hh in range(h.n):
-        for h1 in range(h.n):
-            twisted = h.conj(hh, h.inv(h1))
-            for gg in range(g.n):
-                lhs = goh[hog[h1][gg]][hh]
-                rhs = h.conj(goh[gg][twisted], h1)
-                if lhs != rhs:
-                    failures.append(
-                        {
-                            "family": 2,
-                            "h": hh,
-                            "h1": h1,
-                            "g": gg,
-                            "h_label": h.labels[hh],
-                            "h1_label": h.labels[h1],
-                            "g_label": g.labels[gg],
-                            "lhs": lhs,
-                            "rhs": rhs,
-                            "lhs_label": h.labels[lhs],
-                            "rhs_label": h.labels[rhs],
-                        }
-                    )
+    # Family 1 one g at a time: arrays are indexed [g1, h].
+    for gg, g1, hh, lhs, rhs in _compat_failures(g, h, hog, goh):
+        failures.append(
+            {
+                "family": 1,
+                "g": gg,
+                "g1": g1,
+                "h": hh,
+                "g_label": g.labels[gg],
+                "g1_label": g.labels[g1],
+                "h_label": h.labels[hh],
+                "lhs": lhs,
+                "rhs": rhs,
+                "lhs_label": g.labels[lhs],
+                "rhs_label": g.labels[rhs],
+            }
+        )
+    # Family 2 is the mirror, one h at a time over [h1, g].
+    for hh, h1, gg, lhs, rhs in _compat_failures(h, g, goh, hog):
+        failures.append(
+            {
+                "family": 2,
+                "h": hh,
+                "h1": h1,
+                "g": gg,
+                "h_label": h.labels[hh],
+                "h1_label": h.labels[h1],
+                "g_label": g.labels[gg],
+                "lhs": lhs,
+                "rhs": rhs,
+                "lhs_label": h.labels[lhs],
+                "rhs_label": h.labels[rhs],
+            }
+        )
     return failures
+
+
+def _compat_failures(g: TableGroup, h: TableGroup, h_on_g, g_on_h):
+    """Failing (g, g1, h, lhs, rhs) of g^(h^(g1)) == ((g^(g1^-1))^h)^(g1).
+
+    The two actions are int arrays indexed [acting, acted].  Triples come
+    out in the order of a loop over g, then g1, then h.
+    """
+    mul, inv = g.table, g.inverse_table
+    column = np.arange(g.n)[:, None]
+    for gg in range(g.n):
+        twisted = mul[mul[:, gg], inv]  # twisted[g1] = g^(g1^-1) = g1 g g1^-1
+        lhs = h_on_g[:, gg][g_on_h]  # lhs[g1, h] = g^(h^(g1))
+        acted = h_on_g[:, twisted].T  # acted[g1, h] = (g^(g1^-1))^h
+        rhs = mul[mul[inv[:, None], acted], column]  # conjugated by g1
+        for g1, hh in np.argwhere(lhs != rhs):
+            yield gg, int(g1), int(hh), int(lhs[g1, hh]), int(rhs[g1, hh])
+
+
+def compatibility_triples(pair: ActionPair) -> int:
+    """How many triples check_compatibility tests: |G|^2 |H| + |H|^2 |G|."""
+    g, h = pair.g.n, pair.h.n
+    return g * g * h + h * h * g
 
 
 def require_compatible(pair: ActionPair) -> None:

@@ -28,6 +28,7 @@ from .abelian import (
 from .action import (
     ActionPair,
     check_compatibility,
+    compatibility_triples,
     conjugation_pair,
     pair_from_json_dict,
     trivial_pair,
@@ -310,9 +311,7 @@ def _cmd_compat(args) -> int:
     max_cosets = _max_cosets(args)
     pair, echo = _resolve_pair(args, max_cosets)
     failures = check_compatibility(pair)
-    checked = (
-        pair.g.n * pair.g.n * pair.h.n + pair.h.n * pair.h.n * pair.g.n
-    )
+    checked = compatibility_triples(pair)
     report = {
         "schema": 1,
         "command": "compat",
@@ -338,7 +337,7 @@ def _cmd_verify(args) -> int:
     max_cosets = _max_cosets(args)
     corpus = None
     if args.corpus:
-        corpus = corpus_from_json_dict(_read_json(args.corpus))
+        corpus = _load(args.corpus, corpus_from_json_dict)
     t0 = time.perf_counter()
     reports = run_corpus(
         max_cosets=max_cosets, claim_filter=args.filter, corpus=corpus

@@ -7,9 +7,13 @@ FAIL, or SKIPPED, a deterministic detail string, and a concrete witness
 whenever something fails.  Capacity overruns are recorded as SKIPPED and
 are never counted as passes.
 
-run_corpus evaluates every claim over the default corpus (or a caller
-supplied one) and returns reports sorted by (instance, claim), so two runs
-over the same corpus emit byte-identical JSON lines.
+The claims form one table, _CLAIMS: each row is a claim id, the corpus
+instances it applies to, and a check that returns (verdict, detail,
+witness).  run_corpus first builds every instance the selected claims need,
+once and in corpus order, then runs each row over its instances in one
+loop.  A report's elapsed time covers its check alone, never construction.
+Reports are sorted by (instance, claim), so two runs over the same corpus
+emit byte-identical JSON lines.
 """
 
 from __future__ import annotations
@@ -17,11 +21,13 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .abelian import delta_of_abelian, pi_set
 from .action import (
     ActionPair,
     check_compatibility,
+    compatibility_triples,
     conjugation_pair,
     incompatible_example,
     pair_from_json_dict,
@@ -113,14 +119,10 @@ _ANCHORS = {
 }
 
 
-def _report(
-    claim: str,
-    instance: str,
-    verdict: str,
-    detail: str,
-    witness: dict | None,
-    t0: float,
-) -> ClaimReport:
+def _timed(claim: str, instance: str, check, *args) -> ClaimReport:
+    """Report check(*args) under the claim; elapsed covers the check alone."""
+    t0 = time.perf_counter()
+    verdict, detail, witness = check(*args)
     return ClaimReport(
         claim=claim,
         anchor=_ANCHORS[claim],
@@ -236,86 +238,6 @@ def corpus_from_json_dict(data: dict) -> Corpus:
 
 
 # ---------------------------------------------------------------------------
-# shared per-run construction cache
-
-
-class _Context:
-    """Builds each carrier once and replays capacity failures consistently."""
-
-    def __init__(self, corpus: Corpus, max_cosets: int):
-        self.corpus = corpus
-        self.max_cosets = max_cosets
-        self._entries = {cp.label: cp for cp in (*corpus.pairs, *corpus.incompatible)}
-        self._etas: dict[str, EtaGroup | Exception] = {}
-        self._nus: dict[str, NuGroup | Exception] = {}
-
-    def entry(self, label: str) -> CorpusPair:
-        return self._entries[label]
-
-    def conjugation_group(self, cp: CorpusPair) -> TableGroup | None:
-        if cp.kind == "conjugation":
-            return cp.pair.g
-        if cp.kind == "custom" and cp.pair.is_conjugation():
-            return cp.pair.g
-        return None
-
-    def eta(self, label: str) -> EtaGroup:
-        cached = self._etas.get(label)
-        if isinstance(cached, Exception):
-            raise cached
-        if cached is not None:
-            return cached
-        cp = self._entries[label]
-        try:
-            if self.conjugation_group(cp) is not None:
-                value = self.nu(label).eta
-            else:
-                value = construct_eta(cp.pair, max_cosets=self.max_cosets)
-        except (CapacityError, IncompatibleActionError) as err:
-            self._etas[label] = err
-            raise
-        self._etas[label] = value
-        return value
-
-    def nu(self, label: str) -> NuGroup:
-        cached = self._nus.get(label)
-        if isinstance(cached, Exception):
-            raise cached
-        if cached is not None:
-            return cached
-        cp = self._entries[label]
-        group = self.conjugation_group(cp)
-        if group is None:
-            raise ValueError(f"{label} is not a conjugation instance")
-        try:
-            value = construct_nu(group, max_cosets=self.max_cosets)
-        except (CapacityError, IncompatibleActionError) as err:
-            self._nus[label] = err
-            self._etas[label] = err
-            raise
-        self._nus[label] = value
-        return value
-
-
-def _instance(build, claim: str, cp: CorpusPair, t0: float, label: str | None = None):
-    """Return (build(cp.label), None), or (None, the report of why it failed).
-
-    build is ctx.eta or ctx.nu; label names the report's instance when it
-    differs from the pair's.
-    """
-    instance = label or cp.label
-    try:
-        return build(cp.label), None
-    except CapacityError as err:
-        detail = f"capacity exceeded: {err.count} cosets requested"
-        return None, _report(claim, instance, "SKIPPED", detail, None, t0)
-    except IncompatibleActionError as err:
-        witness = err.report[0] if err.report else None
-        detail = "incompatible actions: pair rejected before construction"
-        return None, _report(claim, instance, "FAIL", detail, witness, t0)
-
-
-# ---------------------------------------------------------------------------
 # per-carrier lookup tables
 
 
@@ -349,11 +271,151 @@ class _EtaView:
         self.h_inv0 = [int(a[0]) for a in self.h_inv]
 
 
+def _tensor_frame(eta: EtaGroup, N: tuple[int, ...], K: tuple[int, ...]):
+    """(M, conjugators generating M, T(N,K)) for M = <N, K^phi>.
+
+    For the full pair M is the whole carrier, generated by the embedded
+    generating subsets of G and H; otherwise M is the subgroup generated
+    by the embedded members of N and K.
+    """
+    g, h = eta.pair.g, eta.pair.h
+    if len(N) == g.n and len(K) == h.n:
+        conjugators = [eta.embed_g[a] for a in g.generating_subset()]
+        conjugators += [eta.embed_h[b] for b in h.generating_subset()]
+        return eta.carrier, conjugators, eta.tensor_set
+    members = [eta.embed_g[a] for a in N if a] + [eta.embed_h[b] for b in K if b]
+    big_m = eta.carrier.subgroup(members)
+    return big_m, list(big_m.generators), restricted_tensor_set(eta, N, K)
+
+
 # ---------------------------------------------------------------------------
-# claims
+# claim checks: each returns (verdict, detail, witness)
 
 
-def verify_lemma_identities(eta: EtaGroup, instance: str = "") -> ClaimReport:
+def _failure_text(f: dict) -> str:
+    if f["family"] == 1:
+        spot = f"g={f['g_label']}, g1={f['g1_label']}, h={f['h_label']}"
+    else:
+        spot = f"h={f['h_label']}, h1={f['h1_label']}, g={f['g_label']}"
+    return f"family {f['family']} at ({spot})"
+
+
+def _compat(pair: ActionPair, expect_compatible: bool):
+    failures = check_compatibility(pair)
+    if expect_compatible and failures:
+        return (
+            "FAIL",
+            f"{len(failures)} of {compatibility_triples(pair)} triples fail, first at "
+            + _failure_text(failures[0]),
+            failures[0],
+        )
+    if expect_compatible:
+        checked = compatibility_triples(pair)
+        return "PASS", f"both families hold over {checked} triples", None
+    if failures:
+        return (
+            "PASS",
+            f"rejected: {len(failures)} failing triples, first at "
+            + _failure_text(failures[0]),
+            failures[0],
+        )
+    return "FAIL", "expected rejection, but both families hold", None
+
+
+def _decomposition(eta: EtaGroup):
+    audit = check_decomposition(eta)
+    if not audit["ok"]:
+        return "FAIL", "product decomposition audit failed", audit
+    detail = (
+        f"|eta| = {audit['order']} = {audit['tensor_order']} * "
+        f"{audit['g_order']} * {audit['h_order']}; products cover, "
+        "intersections trivial, factors generate"
+    )
+    return "PASS", detail, None
+
+
+def _ztensor(eta: EtaGroup, pair: ActionPair):
+    baseline = trivial_action_baseline(pair.g, pair.h)
+    abelian = eta.tensor_subgroup.is_abelian()
+    observed = abelian_invariants_of(eta.tensor_subgroup) if abelian else None
+    checks = {
+        "tensor_abelian": abelian,
+        "invariants_match": observed == baseline,
+        "order_match": eta.tensor_order() == baseline.order,
+        "carrier_order": eta.order() == baseline.order * pair.g.n * pair.h.n,
+    }
+    if all(checks.values()):
+        detail = (
+            f"tensor invariants {list(observed.factors)} match "
+            f"G^ab tensor_Z H^ab of order {baseline.order}"
+        )
+        return "PASS", detail, None
+    witness = {k: bool(okv) for k, okv in checks.items()}
+    witness["expected"] = list(baseline.factors)
+    witness["observed"] = list(observed.factors) if observed else None
+    return "FAIL", "tensor subgroup disagrees with the abelianized baseline", witness
+
+
+def _derived_decomposition(nu: NuGroup):
+    audit = check_derived_decomposition(nu)
+    derived = nu.group.derived_indices()
+    t_keys = {int(p.images[0]) for p in nu.eta.tensor_set.members}
+    gd_keys = {int(nu.eta.embed_g[d].images[0]) for d in derived}
+    hd_keys = {int(nu.eta.embed_h[d].images[0]) for d in derived}
+    tg_keys = {int(nu.eta.embed_g[d].images[tk]) for tk in t_keys for d in derived}
+    meets = {
+        "tensor_meets_g_derived": sorted(t_keys & gd_keys),
+        "tg_meets_h_derived": sorted(tg_keys & hd_keys),
+    }
+    trivial_meets = meets["tensor_meets_g_derived"] == [0] and meets[
+        "tg_meets_h_derived"
+    ] == [0]
+    if audit["ok"] and trivial_meets:
+        detail = (
+            f"|nu(G)'| = {audit['derived_order']} = {audit['tensor_order']} * "
+            f"{audit['g_derived_order']}^2; intersections trivial"
+        )
+        return "PASS", detail, None
+    witness = dict(audit)
+    witness.update(meets)
+    return "FAIL", "derived subgroup decomposition audit failed", witness
+
+
+def _centralizer_bound(eta: EtaGroup, n_elements, k_elements):
+    """Conjugacy classes of tensors are no larger than the tensor set.
+
+    T(N,K) is a finite normal subset of M = <N, K^phi>, so the index of
+    each member's centralizer in M is bounded by |T(N,K)|.
+    """
+    N = tuple(sorted(set(n_elements)))
+    K = tuple(sorted(set(k_elements)))
+    big_m, conjugators, tset = _tensor_frame(eta, N, K)
+    try:
+        tset.require_invariant_under(conjugators)
+    except InvarianceError as err:
+        detail = "tensor set is not a normal subset, bound does not apply"
+        return "FAIL", detail, err.witness
+
+    bound = tset.size
+    worst = 0
+    for t in tset.members:
+        index = centralizer_index(big_m, t, conjugators=conjugators)
+        worst = max(worst, index)
+        if index > bound:
+            witness = {
+                "member": list(tset.pair_for[int(t.images[0])]),
+                "index": index,
+                "bound": bound,
+            }
+            return "FAIL", f"class size {index} exceeds |T(N,K)| = {bound}", witness
+    detail = (
+        f"largest class size {worst} <= {bound} over {tset.size} members, "
+        f"|M| = {big_m.order()}"
+    )
+    return "PASS", detail, None
+
+
+def _lemma_identities(eta: EtaGroup):
     """Exhaustive check of the two bracket identities over the carrier.
 
     Identity (b) is checked in both printed forms: the conjugation form
@@ -368,7 +430,6 @@ def verify_lemma_identities(eta: EtaGroup, instance: str = "") -> ClaimReport:
     coincide, and its outcome is recorded in the detail without affecting
     the verdict.
     """
-    t0 = time.perf_counter()
     v = _EtaView(eta)
     g, h, goh, hog = v.g, v.h, v.goh, v.hog
 
@@ -475,15 +536,40 @@ def verify_lemma_identities(eta: EtaGroup, instance: str = "") -> ClaimReport:
     )
     verdict = "PASS" if not failures else "FAIL"
     witness = failures[0] if failures else None
-    return _report("lemma23", instance, verdict, detail, witness, t0)
+    return verdict, detail, witness
 
 
-def verify_theorem_A_machinery(
-    eta: EtaGroup,
-    n_elements,
-    k_elements,
-    instance: str = "",
-) -> ClaimReport:
+def _mu_quotient(nu: NuGroup):
+    derived_order = len(nu.group.derived_indices())
+    image_order = nu.rho_prime.image_group().order()
+    mu_order = nu.mu.order()
+    checks = {
+        "image_is_derived": image_order == derived_order,
+        "orders_multiply": nu.tensor_order() == mu_order * derived_order,
+        "mu_central": all(
+            m.conj(c) == m for m in nu.mu.generators for c in nu.carrier.generators
+        ),
+        "mu_in_tensor": all(nu.tensor_subgroup.contains(m) for m in nu.mu.generators),
+    }
+    if all(checks.values()):
+        detail = (
+            f"|[G,G^phi]| = {nu.tensor_order()} = {mu_order} * {derived_order}; "
+            f"mu(G) of order {mu_order} is central"
+        )
+        return "PASS", detail, None
+    witness = {k: bool(okv) for k, okv in checks.items()}
+    witness.update(
+        {
+            "tensor_order": nu.tensor_order(),
+            "mu_order": mu_order,
+            "derived_order": derived_order,
+            "image_order": image_order,
+        }
+    )
+    return "FAIL", "quotient of the tensor subgroup by mu is not G'", witness
+
+
+def _theorem_A(eta: EtaGroup, n_elements, k_elements):
     """The five structural steps behind Theorem A, over one carrier.
 
     Steps (1)-(3) are unconditional: the restricted tensor set is a normal
@@ -493,7 +579,6 @@ def verify_theorem_A_machinery(
     hypotheses ([N,K^phi] abelian, K^phi centralizing [N,K^phi]); the
     report records whether each hypothesis held.
     """
-    t0 = time.perf_counter()
     v = _EtaView(eta)
     g, h, goh, hog = v.g, v.h, v.goh, v.hog
     N = tuple(sorted(set(n_elements)))
@@ -504,27 +589,13 @@ def verify_theorem_A_machinery(
         goh[n][k] in kset for n in N for k in K
     )
     if not invariant:
-        return _report(
-            "thma",
-            instance,
+        return (
             "FAIL",
             "precondition fails: N and K are not mutually invariant",
             {"n_elements": list(N), "k_elements": list(K)},
-            t0,
         )
 
-    full = len(N) == g.n and len(K) == h.n
-    if full:
-        big_m = eta.carrier
-        conjugators = [eta.embed_g[a] for a in g.generating_subset()]
-        conjugators += [eta.embed_h[b] for b in h.generating_subset()]
-        tset = eta.tensor_set
-    else:
-        members = [eta.embed_g[a] for a in N if a] + [eta.embed_h[b] for b in K if b]
-        big_m = eta.carrier.subgroup(members)
-        conjugators = list(big_m.generators)
-        tset = restricted_tensor_set(eta, N, K)
-
+    big_m, conjugators, tset = _tensor_frame(eta, N, K)
     parts = [f"|N|={len(N)} |K|={len(K)} |T(N,K)|={tset.size} |M|={big_m.order()}"]
     failures: list[dict] = []
 
@@ -664,82 +735,16 @@ def verify_theorem_A_machinery(
 
     verdict = "PASS" if not failures else "FAIL"
     witness = failures[0] if failures else None
-    return _report("thma", instance, verdict, "; ".join(parts), witness, t0)
+    return verdict, "; ".join(parts), witness
 
 
-def verify_centralizer_bound(
-    eta: EtaGroup,
-    n_elements,
-    k_elements,
-    instance: str = "",
-) -> ClaimReport:
-    """Conjugacy classes of tensors are no larger than the tensor set.
-
-    T(N,K) is a finite normal subset of M = <N, K^phi>, so the index of
-    each member's centralizer in M is bounded by |T(N,K)|.
-    """
-    t0 = time.perf_counter()
-    g, h = eta.pair.g, eta.pair.h
-    N = tuple(sorted(set(n_elements)))
-    K = tuple(sorted(set(k_elements)))
-    full = len(N) == g.n and len(K) == h.n
-    if full:
-        big_m = eta.carrier
-        conjugators = [eta.embed_g[a] for a in g.generating_subset()]
-        conjugators += [eta.embed_h[b] for b in h.generating_subset()]
-        tset = eta.tensor_set
-    else:
-        members = [eta.embed_g[a] for a in N if a] + [eta.embed_h[b] for b in K if b]
-        big_m = eta.carrier.subgroup(members)
-        conjugators = list(big_m.generators)
-        tset = restricted_tensor_set(eta, N, K)
-
-    try:
-        tset.require_invariant_under(conjugators)
-    except InvarianceError as err:
-        return _report(
-            "lemma22",
-            instance,
-            "FAIL",
-            "tensor set is not a normal subset, bound does not apply",
-            err.witness,
-            t0,
-        )
-
-    bound = tset.size
-    worst = 0
-    for t in tset.members:
-        index = centralizer_index(big_m, t, conjugators=conjugators)
-        worst = max(worst, index)
-        if index > bound:
-            witness = {
-                "member": list(tset.pair_for[int(t.images[0])]),
-                "index": index,
-                "bound": bound,
-            }
-            return _report(
-                "lemma22",
-                instance,
-                "FAIL",
-                f"class size {index} exceeds |T(N,K)| = {bound}",
-                witness,
-                t0,
-            )
-    detail = (
-        f"largest class size {worst} <= {bound} over {tset.size} members, "
-        f"|M| = {big_m.order()}"
-    )
-    return _report("lemma22", instance, "PASS", detail, None, t0)
-
-
-def verify_corollary_finiteness(nu: NuGroup, instance: str = "") -> ClaimReport:
+def _finiteness(nu: NuGroup):
     """Finitely many tensors force the tensor subgroup and nu(G) finite.
 
     Checked at finite scale: the tensor set is no larger than the subgroup
     it generates, regenerating from the set recovers [G,G^phi], and
     |nu(G)| = |[G,G^phi]| * |G|^2.
     """
-    t0 = time.perf_counter()
     set_size = nu.eta.tensor_set.size
     tensor_order = nu.tensor_order()
     n = nu.group.n
@@ -754,449 +759,203 @@ def verify_corollary_finiteness(nu: NuGroup, instance: str = "") -> ClaimReport:
         f"|nu(G)| = {tensor_order} * {n}^2 = {nu.order()}"
     )
     if all(checks.values()):
-        return _report("cor32", instance, "PASS", detail, None, t0)
+        return "PASS", detail, None
     witness = {k: bool(ok) for k, ok in checks.items()}
     witness.update({"set_size": set_size, "tensor_order": tensor_order, "order": nu.order()})
-    return _report("cor32", instance, "FAIL", "finiteness chain broken", witness, t0)
+    return "FAIL", "finiteness chain broken", witness
+
+
+def _delta_divisibility(nu: NuGroup):
+    d_ab = delta_of_abelian(nu.group.abelian_invariants())
+    delta_order = nu.delta.order()
+    divides = d_ab.order >= 1 and delta_order % d_ab.order == 0
+    primes_contained = pi_set(d_ab) <= pi_set(nu.delta.element_orders())
+    if divides and primes_contained:
+        detail = (
+            f"|Delta(G^ab)| = {d_ab.order} divides |Delta(G)| = {delta_order}; "
+            "prime support carries over"
+        )
+        return "PASS", detail, None
+    witness = {
+        "delta_ab_order": d_ab.order,
+        "delta_order": delta_order,
+        "divides": bool(divides),
+        "primes_contained": bool(primes_contained),
+    }
+    detail = "diagonal of the abelianization does not embed at finite scale"
+    return "FAIL", detail, witness
+
+
+def _prime_support(nu: NuGroup):
+    group = nu.group
+    if group.n == 1:
+        return "PASS", "trivial group: vacuous", None
+    a_inv = group.abelian_invariants()
+    d_ab = delta_of_abelian(a_inv)
+    tensor_primes = pi_set(nu.tensor_subgroup.element_orders())
+    checks = {
+        "abelianization_primes": pi_set(a_inv) == pi_set(d_ab),
+        "group_primes_in_tensor": group.pi() <= tensor_primes,
+    }
+    if all(checks.values()):
+        detail = (
+            f"pi(G) = {sorted(group.pi())} inside pi([G,G^phi]) = "
+            f"{sorted(tensor_primes)}; pi(G^ab) = pi(Delta(G^ab)) = "
+            f"{sorted(pi_set(d_ab))}"
+        )
+        return "PASS", detail, None
+    witness = {k: bool(okv) for k, okv in checks.items()}
+    witness.update(
+        {
+            "group_primes": sorted(group.pi()),
+            "tensor_primes": sorted(tensor_primes),
+            "abelianization_primes_set": sorted(pi_set(a_inv)),
+            "delta_primes": sorted(pi_set(d_ab)),
+        }
+    )
+    return "FAIL", "prime support of the tensor subgroup is too small", witness
+
+
+def _refusal(err: CapacityError | IncompatibleActionError):
+    """The outcome of every claim on an instance that could not be built."""
+    if isinstance(err, CapacityError):
+        return "SKIPPED", f"capacity exceeded: {err.count} cosets requested", None
+    witness = err.report[0] if err.report else None
+    return "FAIL", "incompatible actions: pair rejected before construction", witness
 
 
 # ---------------------------------------------------------------------------
-# corpus drivers, one per claim
+# single-carrier entry points
 
 
-def _failure_text(f: dict) -> str:
-    if f["family"] == 1:
-        spot = f"g={f['g_label']}, g1={f['g1_label']}, h={f['h_label']}"
-    else:
-        spot = f"h={f['h_label']}, h1={f['h1_label']}, g={f['g_label']}"
-    return f"family {f['family']} at ({spot})"
+def verify_lemma_identities(eta: EtaGroup, instance: str = "") -> ClaimReport:
+    """Lemma 2.3's bracket identities over one carrier (see _lemma_identities)."""
+    return _timed("lemma23", instance, _lemma_identities, eta)
 
 
-def _drive_compat(ctx: _Context) -> list[ClaimReport]:
-    out = []
-    for cp in ctx.corpus.pairs:
-        t0 = time.perf_counter()
-        failures = check_compatibility(cp.pair)
-        checked = (
-            cp.pair.g.n * cp.pair.g.n * cp.pair.h.n
-            + cp.pair.h.n * cp.pair.h.n * cp.pair.g.n
-        )
-        if failures:
-            out.append(
-                _report(
-                    "compat",
-                    cp.label,
-                    "FAIL",
-                    f"{len(failures)} of {checked} triples fail, first at "
-                    + _failure_text(failures[0]),
-                    failures[0],
-                    t0,
-                )
-            )
-        else:
-            out.append(
-                _report(
-                    "compat",
-                    cp.label,
-                    "PASS",
-                    f"both families hold over {checked} triples",
-                    None,
-                    t0,
-                )
-            )
-    for cp in ctx.corpus.incompatible:
-        t0 = time.perf_counter()
-        failures = check_compatibility(cp.pair)
-        if failures:
-            out.append(
-                _report(
-                    "compat",
-                    cp.label,
-                    "PASS",
-                    f"rejected: {len(failures)} failing triples, first at "
-                    + _failure_text(failures[0]),
-                    failures[0],
-                    t0,
-                )
-            )
-        else:
-            out.append(
-                _report(
-                    "compat",
-                    cp.label,
-                    "FAIL",
-                    "expected rejection, but both families hold",
-                    None,
-                    t0,
-                )
-            )
-    return out
+def verify_theorem_A_machinery(
+    eta: EtaGroup,
+    n_elements,
+    k_elements,
+    instance: str = "",
+) -> ClaimReport:
+    """Theorem A's five steps for one (N, K) choice (see _theorem_A)."""
+    return _timed("thma", instance, _theorem_A, eta, n_elements, k_elements)
 
 
-def _drive_decomposition(ctx: _Context) -> list[ClaimReport]:
-    out = []
-    for cp in ctx.corpus.pairs:
-        t0 = time.perf_counter()
-        eta, rep = _instance(ctx.eta, "decomposition", cp, t0)
-        if rep is not None:
-            out.append(rep)
-            continue
-        audit = check_decomposition(eta)
-        if audit["ok"]:
-            detail = (
-                f"|eta| = {audit['order']} = {audit['tensor_order']} * "
-                f"{audit['g_order']} * {audit['h_order']}; products cover, "
-                "intersections trivial, factors generate"
-            )
-            out.append(_report("decomposition", cp.label, "PASS", detail, None, t0))
-        else:
-            out.append(
-                _report(
-                    "decomposition",
-                    cp.label,
-                    "FAIL",
-                    "product decomposition audit failed",
-                    audit,
-                    t0,
-                )
-            )
-    return out
+def verify_centralizer_bound(
+    eta: EtaGroup,
+    n_elements,
+    k_elements,
+    instance: str = "",
+) -> ClaimReport:
+    """Lemma 2.2's class bound for one (N, K) choice (see _centralizer_bound)."""
+    return _timed("lemma22", instance, _centralizer_bound, eta, n_elements, k_elements)
 
 
-def _drive_ztensor(ctx: _Context) -> list[ClaimReport]:
-    out = []
-    for cp in ctx.corpus.pairs:
-        if not (cp.pair.g_on_h.is_trivial() and cp.pair.h_on_g.is_trivial()):
-            continue
-        t0 = time.perf_counter()
-        eta, rep = _instance(ctx.eta, "ztensor", cp, t0)
-        if rep is not None:
-            out.append(rep)
-            continue
-        baseline = trivial_action_baseline(cp.pair.g, cp.pair.h)
-        abelian = eta.tensor_subgroup.is_abelian()
-        observed = abelian_invariants_of(eta.tensor_subgroup) if abelian else None
-        checks = {
-            "tensor_abelian": abelian,
-            "invariants_match": observed == baseline,
-            "order_match": eta.tensor_order() == baseline.order,
-            "carrier_order": eta.order()
-            == baseline.order * cp.pair.g.n * cp.pair.h.n,
-        }
-        if all(checks.values()):
-            detail = (
-                f"tensor invariants {list(observed.factors)} match "
-                f"G^ab tensor_Z H^ab of order {baseline.order}"
-            )
-            out.append(_report("ztensor", cp.label, "PASS", detail, None, t0))
-        else:
-            witness = {k: bool(okv) for k, okv in checks.items()}
-            witness["expected"] = list(baseline.factors)
-            witness["observed"] = list(observed.factors) if observed else None
-            out.append(
-                _report(
-                    "ztensor",
-                    cp.label,
-                    "FAIL",
-                    "tensor subgroup disagrees with the abelianized baseline",
-                    witness,
-                    t0,
-                )
-            )
-    return out
+def verify_corollary_finiteness(nu: NuGroup, instance: str = "") -> ClaimReport:
+    """Corollary 3.2's finiteness chain for one nu(G) (see _finiteness)."""
+    return _timed("cor32", instance, _finiteness, nu)
 
 
-def _drive_lemma21(ctx: _Context) -> list[ClaimReport]:
-    out = []
-    for cp in ctx.corpus.pairs:
-        if ctx.conjugation_group(cp) is None:
-            continue
-        t0 = time.perf_counter()
-        nu, rep = _instance(ctx.nu, "lemma21", cp, t0)
-        if rep is not None:
-            out.append(rep)
-            continue
-        audit = check_derived_decomposition(nu)
-        derived = nu.group.derived_indices()
-        t_keys = {int(p.images[0]) for p in nu.eta.tensor_set.members}
-        gd_keys = {int(nu.eta.embed_g[d].images[0]) for d in derived}
-        hd_keys = {int(nu.eta.embed_h[d].images[0]) for d in derived}
-        tg_keys = {
-            int(nu.eta.embed_g[d].images[tk]) for tk in t_keys for d in derived
-        }
-        meets = {
-            "tensor_meets_g_derived": sorted(t_keys & gd_keys),
-            "tg_meets_h_derived": sorted(tg_keys & hd_keys),
-        }
-        trivial_meets = meets["tensor_meets_g_derived"] == [0] and meets[
-            "tg_meets_h_derived"
-        ] == [0]
-        if audit["ok"] and trivial_meets:
-            detail = (
-                f"|nu(G)'| = {audit['derived_order']} = {audit['tensor_order']} * "
-                f"{audit['g_derived_order']}^2; intersections trivial"
-            )
-            out.append(_report("lemma21", cp.label, "PASS", detail, None, t0))
-        else:
-            witness = dict(audit)
-            witness.update(meets)
-            out.append(
-                _report(
-                    "lemma21",
-                    cp.label,
-                    "FAIL",
-                    "derived subgroup decomposition audit failed",
-                    witness,
-                    t0,
-                )
-            )
-    return out
+# ---------------------------------------------------------------------------
+# the claim table and its one driver
 
 
-def _drive_lemma22(ctx: _Context) -> list[ClaimReport]:
-    out = []
-    for cp in ctx.corpus.pairs:
-        t0 = time.perf_counter()
-        eta, rep = _instance(ctx.eta, "lemma22", cp, t0)
-        if rep is not None:
-            out.append(rep)
-            continue
-        out.append(
-            verify_centralizer_bound(
-                eta, range(cp.pair.g.n), range(cp.pair.h.n), instance=cp.label
-            )
-        )
-    for case in ctx.corpus.subgroup_cases:
-        t0 = time.perf_counter()
-        host = ctx.entry(case.host)
-        eta, rep = _instance(ctx.eta, "lemma22", host, t0, label=case.label)
-        if rep is not None:
-            out.append(rep)
-            continue
-        out.append(
-            verify_centralizer_bound(
-                eta, case.n_elements, case.k_elements, instance=case.label
-            )
-        )
-    return out
+def _conjugation_group(cp: CorpusPair) -> TableGroup | None:
+    """G when the pair is (G, G) acting by conjugation, built as nu(G)."""
+    if cp.kind == "conjugation" or (cp.kind == "custom" and cp.pair.is_conjugation()):
+        return cp.pair.g
+    return None
 
 
-def _drive_lemma23(ctx: _Context) -> list[ClaimReport]:
-    out = []
-    for cp in ctx.corpus.pairs:
-        t0 = time.perf_counter()
-        eta, rep = _instance(ctx.eta, "lemma23", cp, t0)
-        if rep is not None:
-            out.append(rep)
-            continue
-        out.append(verify_lemma_identities(eta, instance=cp.label))
-    return out
+# A scope lists a claim's jobs over a corpus: (instance, host pair, extra
+# arguments for the check after its subject).
 
 
-def _drive_mu_quotient(ctx: _Context) -> list[ClaimReport]:
-    out = []
-    for cp in ctx.corpus.pairs:
-        if ctx.conjugation_group(cp) is None:
-            continue
-        t0 = time.perf_counter()
-        nu, rep = _instance(ctx.nu, "mu-quotient", cp, t0)
-        if rep is not None:
-            out.append(rep)
-            continue
-        derived_order = len(nu.group.derived_indices())
-        image_order = nu.rho_prime.image_group().order()
-        mu_order = nu.mu.order()
-        checks = {
-            "image_is_derived": image_order == derived_order,
-            "orders_multiply": nu.tensor_order() == mu_order * derived_order,
-            "mu_central": all(
-                m.conj(c) == m
-                for m in nu.mu.generators
-                for c in nu.carrier.generators
-            ),
-            "mu_in_tensor": all(
-                nu.tensor_subgroup.contains(m) for m in nu.mu.generators
-            ),
-        }
-        if all(checks.values()):
-            detail = (
-                f"|[G,G^phi]| = {nu.tensor_order()} = {mu_order} * {derived_order}; "
-                f"mu(G) of order {mu_order} is central"
-            )
-            out.append(_report("mu-quotient", cp.label, "PASS", detail, None, t0))
-        else:
-            witness = {k: bool(okv) for k, okv in checks.items()}
-            witness.update(
-                {
-                    "tensor_order": nu.tensor_order(),
-                    "mu_order": mu_order,
-                    "derived_order": derived_order,
-                    "image_order": image_order,
-                }
-            )
-            out.append(
-                _report(
-                    "mu-quotient",
-                    cp.label,
-                    "FAIL",
-                    "quotient of the tensor subgroup by mu is not G'",
-                    witness,
-                    t0,
-                )
-            )
-    return out
+def _every_pair(corpus: Corpus):
+    return [(cp.label, cp, ()) for cp in corpus.pairs]
 
 
-def _drive_thma(ctx: _Context) -> list[ClaimReport]:
-    out = []
-    for cp in ctx.corpus.pairs:
-        t0 = time.perf_counter()
-        eta, rep = _instance(ctx.eta, "thma", cp, t0)
-        if rep is not None:
-            out.append(rep)
-            continue
-        out.append(
-            verify_theorem_A_machinery(
-                eta, range(cp.pair.g.n), range(cp.pair.h.n), instance=cp.label
-            )
-        )
-    for case in ctx.corpus.subgroup_cases:
-        t0 = time.perf_counter()
-        host = ctx.entry(case.host)
-        eta, rep = _instance(ctx.eta, "thma", host, t0, label=case.label)
-        if rep is not None:
-            out.append(rep)
-            continue
-        out.append(
-            verify_theorem_A_machinery(
-                eta, case.n_elements, case.k_elements, instance=case.label
-            )
-        )
-    return out
+def _pairs_and_rejects(corpus: Corpus):
+    jobs = [(cp.label, cp, (True,)) for cp in corpus.pairs]
+    return jobs + [(cp.label, cp, (False,)) for cp in corpus.incompatible]
 
 
-def _drive_cor32(ctx: _Context) -> list[ClaimReport]:
-    out = []
-    for cp in ctx.corpus.pairs:
-        if ctx.conjugation_group(cp) is None:
-            continue
-        t0 = time.perf_counter()
-        nu, rep = _instance(ctx.nu, "cor32", cp, t0)
-        if rep is not None:
-            out.append(rep)
-            continue
-        out.append(verify_corollary_finiteness(nu, instance=cp.label))
-    return out
+def _trivial_pairs(corpus: Corpus):
+    return [
+        (cp.label, cp, (cp.pair,))
+        for cp in corpus.pairs
+        if cp.pair.g_on_h.is_trivial() and cp.pair.h_on_g.is_trivial()
+    ]
 
 
-def _drive_prop31(ctx: _Context) -> list[ClaimReport]:
-    out = []
-    for cp in ctx.corpus.pairs:
-        if ctx.conjugation_group(cp) is None:
-            continue
-        t0 = time.perf_counter()
-        nu, rep = _instance(ctx.nu, "prop31-delta", cp, t0)
-        if rep is not None:
-            out.append(rep)
-            continue
-        d_ab = delta_of_abelian(nu.group.abelian_invariants())
-        delta_order = nu.delta.order()
-        divides = d_ab.order >= 1 and delta_order % d_ab.order == 0
-        primes_contained = pi_set(d_ab) <= pi_set(nu.delta.element_orders())
-        if divides and primes_contained:
-            detail = (
-                f"|Delta(G^ab)| = {d_ab.order} divides |Delta(G)| = {delta_order}; "
-                "prime support carries over"
-            )
-            out.append(_report("prop31-delta", cp.label, "PASS", detail, None, t0))
-        else:
-            witness = {
-                "delta_ab_order": d_ab.order,
-                "delta_order": delta_order,
-                "divides": bool(divides),
-                "primes_contained": bool(primes_contained),
-            }
-            out.append(
-                _report(
-                    "prop31-delta",
-                    cp.label,
-                    "FAIL",
-                    "diagonal of the abelianization does not embed at finite scale",
-                    witness,
-                    t0,
-                )
-            )
-    return out
+def _conjugation_instances(corpus: Corpus):
+    return [
+        (cp.label, cp, ())
+        for cp in corpus.pairs
+        if _conjugation_group(cp) is not None
+    ]
 
 
-def _drive_thmc(ctx: _Context) -> list[ClaimReport]:
-    out = []
-    for cp in ctx.corpus.pairs:
-        if ctx.conjugation_group(cp) is None:
-            continue
-        t0 = time.perf_counter()
-        nu, rep = _instance(ctx.nu, "thmc-pi", cp, t0)
-        if rep is not None:
-            out.append(rep)
-            continue
-        group = nu.group
-        if group.n == 1:
-            out.append(
-                _report("thmc-pi", cp.label, "PASS", "trivial group: vacuous", None, t0)
-            )
-            continue
-        a_inv = group.abelian_invariants()
-        d_ab = delta_of_abelian(a_inv)
-        tensor_primes = pi_set(nu.tensor_subgroup.element_orders())
-        checks = {
-            "abelianization_primes": pi_set(a_inv) == pi_set(d_ab),
-            "group_primes_in_tensor": group.pi() <= tensor_primes,
-        }
-        if all(checks.values()):
-            detail = (
-                f"pi(G) = {sorted(group.pi())} inside pi([G,G^phi]) = "
-                f"{sorted(tensor_primes)}; pi(G^ab) = pi(Delta(G^ab)) = "
-                f"{sorted(pi_set(d_ab))}"
-            )
-            out.append(_report("thmc-pi", cp.label, "PASS", detail, None, t0))
-        else:
-            witness = {k: bool(okv) for k, okv in checks.items()}
-            witness.update(
-                {
-                    "group_primes": sorted(group.pi()),
-                    "tensor_primes": sorted(tensor_primes),
-                    "abelianization_primes_set": sorted(pi_set(a_inv)),
-                    "delta_primes": sorted(pi_set(d_ab)),
-                }
-            )
-            out.append(
-                _report(
-                    "thmc-pi",
-                    cp.label,
-                    "FAIL",
-                    "prime support of the tensor subgroup is too small",
-                    witness,
-                    t0,
-                )
-            )
-    return out
+def _pairs_and_cases(corpus: Corpus):
+    hosts = {cp.label: cp for cp in (*corpus.pairs, *corpus.incompatible)}
+    jobs = [
+        (cp.label, cp, (range(cp.pair.g.n), range(cp.pair.h.n))) for cp in corpus.pairs
+    ]
+    for case in corpus.subgroup_cases:
+        jobs.append((case.label, hosts[case.host], (case.n_elements, case.k_elements)))
+    return jobs
+
+
+class _Claim(NamedTuple):
+    """One row of the claim table."""
+
+    id: str
+    scope: Callable[[Corpus], list]
+    subject: str  # what the check gets first: "pair", "eta" or "nu"
+    check: Callable[..., tuple]
 
 
 _CLAIMS = (
-    ("compat", _drive_compat),
-    ("decomposition", _drive_decomposition),
-    ("ztensor", _drive_ztensor),
-    ("lemma21", _drive_lemma21),
-    ("lemma22", _drive_lemma22),
-    ("lemma23", _drive_lemma23),
-    ("mu-quotient", _drive_mu_quotient),
-    ("thma", _drive_thma),
-    ("cor32", _drive_cor32),
-    ("prop31-delta", _drive_prop31),
-    ("thmc-pi", _drive_thmc),
+    _Claim("compat", _pairs_and_rejects, "pair", _compat),
+    _Claim("decomposition", _every_pair, "eta", _decomposition),
+    _Claim("ztensor", _trivial_pairs, "eta", _ztensor),
+    _Claim("lemma21", _conjugation_instances, "nu", _derived_decomposition),
+    _Claim("lemma22", _pairs_and_cases, "eta", _centralizer_bound),
+    _Claim("lemma23", _every_pair, "eta", _lemma_identities),
+    _Claim("mu-quotient", _conjugation_instances, "nu", _mu_quotient),
+    _Claim("thma", _pairs_and_cases, "eta", _theorem_A),
+    _Claim("cor32", _conjugation_instances, "nu", _finiteness),
+    _Claim("prop31-delta", _conjugation_instances, "nu", _delta_divisibility),
+    _Claim("thmc-pi", _conjugation_instances, "nu", _prime_support),
 )
 
-CLAIM_IDS = tuple(claim for claim, _ in _CLAIMS)
+CLAIM_IDS = tuple(claim.id for claim in _CLAIMS)
+
+
+def _build(hosts: list[CorpusPair], max_cosets: int) -> dict[str, dict]:
+    """Construct each host once, in order: label -> {"eta": ..., "nu": ...}.
+
+    A conjugation instance is built as nu(G), whose eta is nu.eta; any other
+    pair by construct_eta.  A capacity overrun or an incompatible pair is
+    kept in place of the construction and replayed by every claim that
+    needs it.  Both constructors are looked up in this module's namespace
+    at call time, so a caller may rebind them (perfbench serves prebuilt
+    instances this way).
+    """
+    built: dict[str, dict] = {}
+    for cp in hosts:
+        group = _conjugation_group(cp)
+        try:
+            if group is not None:
+                nu = construct_nu(group, max_cosets=max_cosets)
+                built[cp.label] = {"eta": nu.eta, "nu": nu}
+            else:
+                built[cp.label] = {"eta": construct_eta(cp.pair, max_cosets=max_cosets)}
+        except (CapacityError, IncompatibleActionError) as err:
+            built[cp.label] = {"eta": err, "nu": err}
+    return built
 
 
 def run_corpus(
@@ -1207,17 +966,31 @@ def run_corpus(
     """Evaluate every claim over the corpus and sort by (instance, claim).
 
     claim_filter keeps only claims whose id contains the given substring.
-    Construction happens once per instance and is shared across claims;
+    The instances the kept claims need are constructed once, before any
+    check runs, so a report's elapsed time excludes construction;
     instances that exceed max_cosets yield SKIPPED reports.
     """
     if corpus is None:
         corpus = default_corpus()
-    ctx = _Context(corpus, max_cosets)
+    jobs = [
+        (claim, job)
+        for claim in _CLAIMS
+        if claim_filter is None or claim_filter in claim.id
+        for job in claim.scope(corpus)
+    ]
+    needed = {cp.label for claim, (_, cp, _) in jobs if claim.subject != "pair"}
+    hosts = [cp for cp in (*corpus.pairs, *corpus.incompatible) if cp.label in needed]
+    built = _build(hosts, max_cosets)
     reports: list[ClaimReport] = []
-    for claim, driver in _CLAIMS:
-        if claim_filter is not None and claim_filter not in claim:
-            continue
-        reports.extend(driver(ctx))
+    for claim, (instance, cp, args) in jobs:
+        if claim.subject == "pair":
+            subject = cp.pair
+        else:
+            subject = built[cp.label][claim.subject]
+        if isinstance(subject, Exception):
+            reports.append(_timed(claim.id, instance, _refusal, subject))
+        else:
+            reports.append(_timed(claim.id, instance, claim.check, subject, *args))
     reports.sort(key=lambda r: (r.instance, r.claim))
     return reports
 

@@ -154,3 +154,145 @@ def brute_delta_of_abelian(invariants: tuple[int, ...]) -> tuple[int, ...]:
                 o = lcm(o, m // gcd(a, m))
         orders.append(o)
     return order_census_invariants(orders)
+
+
+# The action audits as triple loops: the reference for etacalc.action's
+# vectorised validate_action and check_compatibility.
+
+
+def naive_validate_action(action, acted, acting) -> list[dict]:
+    """Audit the action axioms, returning one record per violated instance.
+
+    Four axioms are checked: each row permutes the acted set, the identity
+    row fixes everything, each row respects the acted multiplication, and
+    rows compose the way acting products do.  An empty report means the
+    table is an action by automorphisms.
+    """
+    if action.acting_size != acting.n:
+        raise ValueError(
+            f"action has {action.acting_size} rows but the acting group has order {acting.n}"
+        )
+    if action.acted_size != acted.n:
+        raise ValueError(
+            f"action rows have length {action.acted_size} but the acted group has order {acted.n}"
+        )
+    report: list[dict] = []
+    rows = action.rows
+    full = list(range(acted.n))
+    bad_rows = set()
+    for a, row in enumerate(rows):
+        if sorted(row) != full:
+            bad_rows.add(a)
+            report.append(
+                {
+                    "axiom": "row-bijection",
+                    "acting": a,
+                    "acting_label": acting.labels[a],
+                    "row": list(row),
+                }
+            )
+    e = acting.identity
+    for x in range(acted.n):
+        if rows[e][x] != x:
+            report.append(
+                {
+                    "axiom": "identity-row",
+                    "acted": x,
+                    "acted_label": acted.labels[x],
+                    "image": rows[e][x],
+                }
+            )
+    for a in range(acting.n):
+        row = rows[a]
+        for x in range(acted.n):
+            for y in range(acted.n):
+                lhs = row[acted.mul(x, y)]
+                rhs = acted.mul(row[x], row[y])
+                if lhs != rhs:
+                    report.append(
+                        {
+                            "axiom": "row-homomorphism",
+                            "acting": a,
+                            "acting_label": acting.labels[a],
+                            "left": x,
+                            "right": y,
+                            "lhs": lhs,
+                            "rhs": rhs,
+                        }
+                    )
+    for a in range(acting.n):
+        for b in range(acting.n):
+            combined = rows[acting.mul(a, b)]
+            for x in range(acted.n):
+                lhs = combined[x]
+                rhs = rows[b][rows[a][x]]
+                if lhs != rhs:
+                    report.append(
+                        {
+                            "axiom": "composition",
+                            "first": a,
+                            "second": b,
+                            "acted": x,
+                            "lhs": lhs,
+                            "rhs": rhs,
+                        }
+                    )
+    return report
+
+
+def naive_check_compatibility(pair) -> list[dict]:
+    """Test both compatibility equations on every triple; report failures.
+
+    Family 1 runs over (g, g1, h) and compares g^(h^(g1)) with
+    ((g^(g1^-1))^h)^(g1); family 2 is the mirror over (h, h1, g).  Each
+    failing triple is recorded with both side values, so an empty list is
+    a proof of compatibility for these tables.
+    """
+    g, h = pair.g, pair.h
+    goh, hog = pair.g_on_h.rows, pair.h_on_g.rows
+    failures: list[dict] = []
+    for gg in range(g.n):
+        for g1 in range(g.n):
+            twisted = g.conj(gg, g.inv(g1))
+            for hh in range(h.n):
+                lhs = hog[goh[g1][hh]][gg]
+                rhs = g.conj(hog[hh][twisted], g1)
+                if lhs != rhs:
+                    failures.append(
+                        {
+                            "family": 1,
+                            "g": gg,
+                            "g1": g1,
+                            "h": hh,
+                            "g_label": g.labels[gg],
+                            "g1_label": g.labels[g1],
+                            "h_label": h.labels[hh],
+                            "lhs": lhs,
+                            "rhs": rhs,
+                            "lhs_label": g.labels[lhs],
+                            "rhs_label": g.labels[rhs],
+                        }
+                    )
+    for hh in range(h.n):
+        for h1 in range(h.n):
+            twisted = h.conj(hh, h.inv(h1))
+            for gg in range(g.n):
+                lhs = goh[hog[h1][gg]][hh]
+                rhs = h.conj(goh[gg][twisted], h1)
+                if lhs != rhs:
+                    failures.append(
+                        {
+                            "family": 2,
+                            "h": hh,
+                            "h1": h1,
+                            "g": gg,
+                            "h_label": h.labels[hh],
+                            "h1_label": h.labels[h1],
+                            "g_label": g.labels[gg],
+                            "lhs": lhs,
+                            "rhs": rhs,
+                            "lhs_label": h.labels[lhs],
+                            "rhs_label": h.labels[rhs],
+                        }
+                    )
+    return failures

@@ -1,9 +1,11 @@
-"""Acceptance gate: ten checks, one printed verdict line each.
+"""Acceptance gate: eleven checks, one printed verdict line each.
 
 Run with `pytest tests/test_acceptance.py -s` to see the verdict lines.
-Criteria 1-5 and 7-9 read a single shared corpus run; criterion 6 compares
-the closed-form diagonal subgroup against an independent brute-force
-enumeration; criterion 10 byte-compares two fresh command line runs.
+Criteria 1-5, 7-9 and 11 read a single shared corpus run; criterion 6
+compares the closed-form diagonal subgroup against an independent
+brute-force enumeration; criterion 10 byte-compares two fresh command line
+runs; criterion 11 byte-compares the shared run with the reference reports
+that perfbench checks.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import subprocess
 import sys
 import time
 from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +26,8 @@ from etacalc.verify import default_corpus, run_corpus
 from oracles import brute_delta_of_abelian
 
 FULL_CAP = 10**6
+REPO = Path(__file__).resolve().parent.parent
+REFERENCE = REPO / "perfbench" / "reference" / "corpus-default.jsonl"
 
 
 @pytest.fixture(scope="module")
@@ -230,4 +235,18 @@ def test_criterion_10_deterministic_reports():
         ok,
         f"two full verify runs byte-identical: {lines} report lines, "
         f"exit codes {runs[0].returncode}/{runs[1].returncode}",
+    )
+
+
+def test_criterion_11_reference_reports(corpus_run):
+    reports, _ = corpus_run
+    lines = [r.to_json_line() for r in reports]
+    expected = REFERENCE.read_text(encoding="utf-8").splitlines()
+    differing = sum(a != b for a, b in zip(lines, expected))
+    ok = lines == expected
+    verdict(
+        11,
+        ok,
+        f"{len(lines)} report lines against {len(expected)} in {REFERENCE.name}, "
+        f"{differing} differing",
     )

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import json
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etacalc.action import (
     ActionPair,
     ActionTable,
     check_compatibility,
+    compatibility_triples,
     conjugation_pair,
     incompatible_example,
     pair_from_json_dict,
@@ -17,6 +23,8 @@ from etacalc.action import (
 )
 from etacalc.errors import IncompatibleActionError, InvalidActionError
 from etacalc.groups import builtin, cyclic, symmetric3
+
+from oracles import naive_check_compatibility, naive_validate_action
 
 
 def test_action_table_validation():
@@ -114,6 +122,8 @@ def test_incompatible_pair_reports_failing_triples():
     with pytest.raises(IncompatibleActionError) as exc:
         require_compatible(pair)
     assert exc.value.report == failures
+    # |G|^2 |H| triples in family 1 and |H|^2 |G| in family 2
+    assert compatibility_triples(pair) == 6 * 6 * 2 + 2 * 2 * 6
 
 
 def test_swapping_the_pair_mirrors_the_families():
@@ -169,3 +179,39 @@ def test_pair_json_renumbers_identity_to_zero():
     assert loaded.g.labels[0] == "e"
     assert loaded.is_conjugation()
     assert check_compatibility(loaded) == []
+
+
+_AUDITED = (
+    *(conjugation_pair(builtin(g)) for g in ("C3", "C2xC2", "S3", "D8", "Q8", "A4")),
+    trivial_pair(builtin("C4"), builtin("C6")),
+    trivial_pair(builtin("S3"), builtin("C2")),
+    incompatible_example(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_vectorised_audits_match_the_triple_loops(data):
+    pair = data.draw(st.sampled_from(_AUDITED))
+    rows = {
+        "g_on_h": [list(row) for row in pair.g_on_h.rows],
+        "h_on_g": [list(row) for row in pair.h_on_g.rows],
+    }
+    if data.draw(st.booleans()):
+        table = rows[data.draw(st.sampled_from(sorted(rows)))]
+        a = data.draw(st.integers(0, len(table) - 1))
+        x = data.draw(st.integers(0, len(table[0]) - 1))
+        table[a][x] = data.draw(st.integers(0, len(table[0]) - 1))
+    g_on_h = ActionTable.from_rows(rows["g_on_h"])
+    h_on_g = ActionTable.from_rows(rows["h_on_g"])
+    # A perturbed table need not be an action, so ActionPair would refuse it;
+    # the compatibility audit only reads these four fields.
+    loose = SimpleNamespace(g=pair.g, h=pair.h, g_on_h=g_on_h, h_on_g=h_on_g)
+    # json.dumps compares key order and refuses numpy integers
+    assert json.dumps(check_compatibility(loose)) == json.dumps(
+        naive_check_compatibility(loose)
+    )
+    for table, acted, acting in ((g_on_h, pair.h, pair.g), (h_on_g, pair.g, pair.h)):
+        assert json.dumps(validate_action(table, acted, acting)) == json.dumps(
+            naive_validate_action(table, acted, acting)
+        )

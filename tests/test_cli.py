@@ -482,19 +482,35 @@ def test_version_flag():
         ("--perms", {"schema": 1, "generators": [[1, 0]], "degree": "x"}),
         ("--cayley", {"schema": 1, "table": [[0]], "labels": 5}),
         ("--pair", [1, 2]),
+        (
+            "--corpus",
+            {
+                "schema": 1,
+                "pairs": [
+                    {
+                        "schema": 1,
+                        "g": {"schema": 1, "table": [[0]]},
+                        "h": {"schema": 1, "table": [[0]]},
+                        "g_on_h": {"schema": 1, "rows": 5},
+                        "h_on_g": {"schema": 1, "rows": [[0]]},
+                    }
+                ],
+            },
+        ),
     ],
-    ids=["perms-degree", "cayley-labels", "pair-list"],
+    ids=["perms-degree", "cayley-labels", "pair-list", "corpus-rows"],
 )
 def test_malformed_json_exits_2_in_one_line(tmp_path, option, data):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))
-    command = "tensor" if option == "--pair" else "nu"
+    command = _COMMANDS.get(option, "nu")
     result = run_cli(command, option, str(path))
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert result.stderr.count("\n") == 1 and result.stderr.startswith("etacalc: ")
 
 
+_COMMANDS = {"--pair": "tensor", "--corpus": "verify"}
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=4)
@@ -522,6 +538,15 @@ _TABLE = _shaped(
 _ACTION = _shaped(
     {"schema": st.just(1), "rows": st.lists(_SMALL_INTS, max_size=4)}
 )
+_PAIR = _shaped(
+    {
+        "schema": st.just(1),
+        "g": _TABLE,
+        "h": _TABLE,
+        "g_on_h": _ACTION,
+        "h_on_g": _ACTION,
+    }
+)
 _SHAPES = {
     "--perms": _shaped(
         {
@@ -531,19 +556,12 @@ _SHAPES = {
         }
     ),
     "--cayley": _TABLE,
-    "--pair": _shaped(
-        {
-            "schema": st.just(1),
-            "g": _TABLE,
-            "h": _TABLE,
-            "g_on_h": _ACTION,
-            "h_on_g": _ACTION,
-        }
-    ),
+    "--pair": _PAIR,
+    "--corpus": _shaped({"schema": st.just(1), "pairs": st.lists(_PAIR, max_size=2)}),
 }
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(st.sampled_from(sorted(_SHAPES)).flatmap(
     lambda option: st.tuples(st.just(option), _SHAPES[option] | _JSON)
 ))
@@ -557,10 +575,14 @@ def test_any_json_shape_ends_in_a_documented_exit_code(case):
         path = os.path.join(tmp, "input.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(data, fh)
-        command = ["tensor", option, path] if option == "--pair" else ["nu", option, path]
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        command = [_COMMANDS.get(option, "nu"), option, path]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(command)
-    assert code in (0, 2, 3, 4, 5)
-    if code:
+    assert code in (0, 1, 2, 3, 4, 5)
+    if code == 1:
+        # exit 1 is a failed check: an incompatible custom pair fails compat
+        verdicts = {json.loads(line)["verdict"] for line in out.getvalue().splitlines()}
+        assert option == "--corpus" and "FAIL" in verdicts
+    elif code:
         assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("etacalc: ")

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
+from etacalc import verify
 from etacalc.action import conjugation_pair, incompatible_example, trivial_pair
 from etacalc.eta import construct_eta
 from etacalc.groups import builtin
@@ -124,6 +126,42 @@ def test_claim_coverage_on_mini_corpus(mini_reports):
     assert "trivial:C2,C3" in by_claim["decomposition"]
     assert "sub:S3:A3,A3" in by_claim["lemma22"]
     assert "sub:S3:A3,A3" in by_claim["thma"]
+
+
+@pytest.mark.parametrize(
+    "claim_filter, built",
+    [
+        (None, ["nu:C4", "nu:S3", "trivial:C2,C3"]),
+        ("compat", []),
+        ("mu-quotient", ["nu:C4", "nu:S3"]),
+    ],
+)
+def test_instances_are_built_once_before_the_checks(
+    monkeypatch, mini_corpus, claim_filter, built
+):
+    # Benchmarks rebind both constructors in etacalc.verify to serve prebuilt
+    # instances, so run_corpus must call them through those names, build each
+    # instance once, build nu(G) for conjugation instances only, and keep
+    # construction out of every report's elapsed time.
+    labels = {id(cp.pair): cp.label for cp in mini_corpus.pairs}
+    labels.update({id(cp.pair.g): cp.label for cp in mini_corpus.pairs})
+    calls = []
+
+    def slow(kind, construct):
+        def build(obj, *, max_cosets):
+            calls.append((kind, labels[id(obj)]))
+            time.sleep(0.2)
+            return construct(obj, max_cosets=max_cosets)
+
+        return build
+
+    monkeypatch.setattr(verify, "construct_nu", slow("nu", verify.construct_nu))
+    monkeypatch.setattr(verify, "construct_eta", slow("eta", verify.construct_eta))
+    reports = run_corpus(corpus=mini_corpus, claim_filter=claim_filter)
+    assert [label for _, label in calls] == built
+    conjugation = {cp.label for cp in mini_corpus.pairs if cp.kind == "conjugation"}
+    assert all((kind == "nu") == (label in conjugation) for kind, label in calls)
+    assert reports and all(r.elapsed < 0.2 for r in reports)
 
 
 def test_lemma_identities_counts_and_both_readings():
