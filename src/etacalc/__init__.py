@@ -48,16 +48,13 @@ from .groups import (
     dihedral,
     direct_product,
     quaternion8,
-    regular_permgroup,
     table_from_perms,
 )
 from .perm import (
     GroupHom,
-    Perm,
     PermGroup,
     abelian_invariants_of,
     centralizer_index,
-    compose,
     derived_subgroup,
     hom_kernel,
     normal_closure,

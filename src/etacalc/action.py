@@ -187,13 +187,12 @@ class ActionPair:
     h_on_g: ActionTable
 
     def __post_init__(self) -> None:
-        report = []
-        for entry in validate_action(self.g_on_h, acted=self.h, acting=self.g):
-            entry["table"] = "g_on_h"
-            report.append(entry)
-        for entry in validate_action(self.h_on_g, acted=self.g, acting=self.h):
-            entry["table"] = "h_on_g"
-            report.append(entry)
+        found = validate_action(self.g_on_h, acted=self.h, acting=self.g)
+        report = [{**entry, "table": "g_on_h"} for entry in found]
+        # a group acting on itself through one shared table is validated once
+        if self.h_on_g is not self.g_on_h or self.g is not self.h:
+            found = validate_action(self.h_on_g, acted=self.g, acting=self.h)
+        report += [{**entry, "table": "h_on_g"} for entry in found]
         if report:
             raise InvalidActionError(
                 f"{len(report)} action axiom violation(s)", report=report
@@ -222,10 +221,7 @@ class ActionPair:
 
 def conjugation_pair(group: TableGroup) -> ActionPair:
     """The pair (G, G) where both actions are conjugation inside G."""
-    rows = tuple(
-        tuple(group.conj(x, a) for x in range(group.n)) for a in range(group.n)
-    )
-    table = ActionTable(group.n, group.n, rows)
+    table = ActionTable(group.n, group.n, group.conj_table().T.tolist())
     return ActionPair(group, group, table, table)
 
 

@@ -41,7 +41,7 @@ from .errors import (
     ParseError,
 )
 from .eta import DEFAULT_MAX_COSETS, check_decomposition, construct_eta
-from .fpgroup import parse_presentation, regular_representation, todd_coxeter
+from .fpgroup import parse_presentation, todd_coxeter
 from .groups import (
     TableGroup,
     builtin,
@@ -50,7 +50,7 @@ from .groups import (
     table_from_perms,
 )
 from .nu import check_derived_decomposition, construct_nu
-from .perm import Perm, abelian_invariants_of
+from .perm import abelian_invariants_of
 from .verify import corpus_from_json_dict, run_corpus, summary
 
 
@@ -119,8 +119,7 @@ def _group_from_spec(kind: str, value: str, max_cosets: int) -> tuple[TableGroup
             degree = data.get("degree")
             if degree is not None and type(degree) is not int:
                 raise _CliError(2, f"{value}: degree must be an integer")
-            gens = [Perm(images) for images in gens_field]
-            return table_from_perms(gens, degree=degree)
+            return table_from_perms(gens_field, degree=degree)
 
         group = _load(value, from_perms)
         return group, {"kind": "perms", "value": value, "order": group.n}
@@ -135,8 +134,8 @@ def _group_from_spec(kind: str, value: str, max_cosets: int) -> tuple[TableGroup
         pres = parse_presentation(text)
         table = todd_coxeter(pres, max_cosets=max_cosets)
         check_table_size(table.n)  # the index of the trivial subgroup is |G|
-        carrier, _ = regular_representation(table)
-        group = table_from_perms(carrier.generators, degree=table.n)
+        # the generators' columns are the regular action of the presented group
+        group = table_from_perms(table.rows[:, ::2].T.tolist(), degree=table.n)
         return group, {"kind": "presentation", "value": value, "order": group.n}
     raise _CliError(2, f"unknown group spec kind {kind!r}")
 
@@ -257,13 +256,10 @@ def _cmd_nu(args) -> int:
     decomposition = check_decomposition(nu.eta)
     derived = check_derived_decomposition(nu)
     derived_order = len(group.derived_indices())
-    mu_central = all(
-        m.conj(c) == m for m in nu.mu.generators for c in nu.carrier.generators
-    )
     checks = {
         "decomposition": decomposition["ok"],
         "derived_decomposition": derived["ok"],
-        "mu_central": mu_central,
+        "mu_central": nu.mu.is_central_in(nu.carrier),
         "tensor_is_mu_times_derived": nu.tensor_order()
         == nu.mu.order() * derived_order,
     }

@@ -23,16 +23,18 @@ the action on the products t x y, as in Rocco's nu(G) = ((G (x) G) x| G) x| G.
 The assembled table is renumbered canonically and audited against the
 presentation of eta above: it is then a transitive action of eta on
 |G (x) H| |G| |H| points, at least |eta| of them, so it is the regular
-action, and an element is the point it sends 0 to. Every element of G and
-H is embedded by evaluating its tree word; both embeddings and the full
-families, over all g, g1, h, h1, are then checked by point chasing, so the
+action, and an element is the point it sends 0 to: embed_g, embed_h, the
+tensors and every subgroup generator are plain ints. Every element of G
+and H is embedded by evaluating its tree word, which builds its
+right-multiplication array once; a bracket [a, b'] is then three lookups
+into those arrays from the point of a^-1. Both embeddings and the full
+families, over all g, g1, h, h1, are checked by point chasing, so the
 carrier is eta.  A failed audit is a bug.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -51,19 +53,29 @@ from .fpgroup import (
     todd_coxeter,
 )
 from .groups import TableGroup
-from .perm import Perm, PermGroup
+from .perm import PermGroup
 
 
-def _tree_words(group: TableGroup, prefix: str) -> list[Word]:
-    """BFS-tree word of each element: right multiplication, generators ascending."""
+def _tree_edges(group: TableGroup) -> list[tuple[int, int, int]]:
+    """BFS tree of right multiplication, generators ascending: (x, s, x s) per edge."""
     gens = group.generating_subset()
-    words, queue = {0: Word()}, [0]
+    edges, seen = [], {0}
+    queue = [0]
     for x in queue:
         for s in gens:
             y = group.mul(x, s)
-            if y not in words:
-                words[y] = words[x] * Word.gen(f"{prefix}{s}")
+            if y not in seen:
+                seen.add(y)
                 queue.append(y)
+                edges.append((x, s, y))
+    return edges
+
+
+def _tree_words(group: TableGroup, prefix: str) -> list[Word]:
+    """BFS-tree word of each element."""
+    words = {0: Word()}
+    for x, s, y in _tree_edges(group):
+        words[y] = words[x] * Word.gen(f"{prefix}{s}")
     return [words[x] for x in range(group.n)]
 
 
@@ -117,12 +129,11 @@ def build_eta_presentation(pair: ActionPair) -> Presentation:
 class TensorSet:
     """The distinct bracket values [g, h'], tagged with witnessing pairs.
 
-    The carrier must act regularly, so a member is identified by where it
-    moves point 0; ``pair_for`` records the first (g, h) producing each.
+    A member is a point of the regular carrier, so it is its own key;
+    ``pair_for`` records the first (g, h) producing each.
     """
 
-    members: tuple[Perm, ...]
-    keys: frozenset[int]
+    members: tuple[int, ...]
     pair_for: dict[int, tuple[int, int]]
 
     @property
@@ -130,43 +141,59 @@ class TensorSet:
         return len(self.members)
 
     def require_invariant_under(
-        self, conjugators: Sequence[Perm], labels: Sequence[str] | None = None
+        self, conjugations: Sequence[np.ndarray], labels: Sequence[str] | None = None
     ) -> None:
-        """Check closure under conjugation by each given permutation.
+        """Check closure under each conjugation map (PermGroup.conj_map).
 
-        The set is finite, so invariance under a generating set proves the
-        full group leaves it invariant.  Raises InvarianceError naming the
-        member pair and the offending conjugator.
+        The set is finite, so invariance under the conjugations by a
+        generating set proves the full group leaves it invariant.  Raises
+        InvarianceError naming the member pair and the offending conjugator.
         """
-        for i, c in enumerate(conjugators):
-            fwd = c.images
-            start = int(c.inverse().images[0])
-            for t in self.members:
-                key = int(fwd[t.images[start]])
-                if key not in self.keys:
-                    witness = {
-                        "member": self.pair_for[int(t.images[0])],
-                        "conjugator": labels[i] if labels else i,
-                    }
-                    raise InvarianceError(
-                        "tensor set is not closed under conjugation", witness=witness
-                    )
+        members = np.asarray(self.members)
+        for i, conjugation in enumerate(conjugations):
+            outside = ~np.isin(conjugation[members], members)
+            if outside.any():
+                witness = {
+                    "member": self.pair_for[self.members[int(np.argmax(outside))]],
+                    "conjugator": labels[i] if labels else i,
+                }
+                raise InvarianceError(
+                    "tensor set is not closed under conjugation", witness=witness
+                )
 
 
-def _tensor_set_from(tensor_map: dict[tuple[int, int], Perm]) -> TensorSet:
-    members: list[Perm] = []
+def _tensor_set_from(tensor_map: dict[tuple[int, int], int]) -> TensorSet:
     pair_for: dict[int, tuple[int, int]] = {}
-    for (a, b), perm in tensor_map.items():
-        key = int(perm.images[0])
-        if key not in pair_for:
-            pair_for[key] = (a, b)
-            members.append(perm)
-    return TensorSet(tuple(members), frozenset(pair_for), pair_for)
+    for pair, point in tensor_map.items():
+        pair_for.setdefault(point, pair)
+    return TensorSet(tuple(pair_for), pair_for)
+
+
+def _bracket_walk(
+    pair: ActionPair, g_arrays: np.ndarray, h_arrays: np.ndarray, p, a, b
+) -> np.ndarray:
+    """The points p [a, b'] = p a^-1 b^-1 a b, with p, a and b broadcast together.
+
+    The arrays are the right-multiplication arrays of the embedded elements,
+    one row per element, and a, b index them; a bracket is never built as
+    an array of its own.
+    """
+    x = g_arrays[pair.g.inverse_table[a], p]
+    x = h_arrays[pair.h.inverse_table[b], x]
+    return h_arrays[b, g_arrays[a, x]]
+
+
+def _brackets_after(
+    pair: ActionPair, g_arrays: np.ndarray, h_arrays: np.ndarray, start
+) -> np.ndarray:
+    """start [a, b'] for all a in G and b in H, as a (|G|, |H|) array."""
+    a, b = np.arange(pair.g.n)[:, None], np.arange(pair.h.n)[None, :]
+    return _bracket_walk(pair, g_arrays, h_arrays, start, a, b)
 
 
 @dataclass(eq=False)
 class EtaGroup:
-    """A finished eta construction over a regular permutation carrier.
+    """A finished eta construction over a regular carrier; elements are points.
 
     ``table`` is assembled from the tensor factor T and audited against
     ``presentation``, which is build_eta_presentation(pair); it equals the
@@ -179,9 +206,9 @@ class EtaGroup:
     presentation: Presentation | None
     table: CosetTable | None
     carrier: PermGroup
-    embed_g: tuple[Perm, ...]
-    embed_h: tuple[Perm, ...]
-    tensor_map: dict[tuple[int, int], Perm]
+    embed_g: tuple[int, ...]
+    embed_h: tuple[int, ...]
+    tensor_map: dict[tuple[int, int], int]
     tensor_set: TensorSet
     tensor_subgroup: PermGroup
 
@@ -191,71 +218,88 @@ class EtaGroup:
     def tensor_order(self) -> int:
         return self.tensor_subgroup.order()
 
-    def tensor(self, g: int, h: int) -> Perm:
+    def tensor(self, g: int, h: int) -> int:
         return self.tensor_map[(g, h)]
 
+    def embedded_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Right-multiplication arrays of the embedded G and H, one row per element."""
+        right = self.carrier.right
+        g_arrays = np.stack([right(p) for p in self.embed_g])
+        return g_arrays, np.stack([right(p) for p in self.embed_h])
 
-def _certify_embedding(group: TableGroup, prefix: str, gen_map: dict[str, Perm], degree: int) -> tuple[Perm, ...]:
-    ident = Perm.identity(degree)
-    embed = tuple(
-        ident if a == 0 else gen_map[f"{prefix}{a}"] for a in range(group.n)
-    )
-    keys = [int(p.images[0]) for p in embed]
-    if len(set(keys)) != group.n:
+    def brackets_after(self, start, arrays: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """start [a, b'] for all a in G and b in H; arrays from embedded_arrays()."""
+        return _brackets_after(self.pair, *arrays, start)
+
+    def times_bracket(
+        self, points, a: int, b: int, arrays: tuple[np.ndarray, np.ndarray]
+    ) -> np.ndarray:
+        """points [a, b'] for an array of points; arrays from embedded_arrays()."""
+        return _bracket_walk(self.pair, *arrays, points, a, b)
+
+
+def _embedding(
+    group: TableGroup, prefix: str, gen_map: dict[str, np.ndarray], n: int
+) -> np.ndarray:
+    """Right-multiplication arrays of the embedded elements, one row each.
+
+    Row x s is row x followed by generator s's column, so row x evaluates
+    x's tree word, and its entry at 0 is the point of x.
+    """
+    arrays = np.empty((group.n, n), dtype=np.int32)
+    arrays[0] = np.arange(n, dtype=np.int32)
+    for x, s, y in _tree_edges(group):
+        arrays[y] = gen_map[f"{prefix}{s}"][arrays[x]]
+    return arrays
+
+
+def _certify_embedding(group: TableGroup, prefix: str, arrays: np.ndarray) -> tuple[int, ...]:
+    points = arrays[:, 0]
+    if len(set(points.tolist())) != group.n:
         raise ConstructionError(f"embedding of the {prefix}-side is not injective")
-    for a in range(group.n):
-        for b in range(group.n):
-            if int(embed[b].images[keys[a]]) != keys[group.mul(a, b)]:
-                raise ConstructionError(
-                    f"embedding of the {prefix}-side is not a homomorphism"
-                )
-    return embed
+    # arrays[b, points[a]] is the point of a b
+    if not np.array_equal(arrays[:, points], points[group.table.T]):
+        raise ConstructionError(f"embedding of the {prefix}-side is not a homomorphism")
+    return tuple(points.tolist())
 
 
 def _audit_families(
-    pair: ActionPair,
-    embed_g: tuple[Perm, ...],
-    embed_h: tuple[Perm, ...],
-    tensor_map: dict[tuple[int, int], Perm],
+    pair: ActionPair, g_arrays: np.ndarray, h_arrays: np.ndarray, tensor: np.ndarray
 ) -> None:
-    """Check both full relation families by point chasing on the carrier."""
+    """Check both full relation families by point chasing on the carrier.
+
+    Conjugating a bracket by c is walking it from the point of c^-1 and
+    then applying c; tensor[a, b] is the point of [a, b'].
+    """
     g, h = pair.g, pair.h
-    goh, hog = pair.g_on_h.rows, pair.h_on_g.rows
+    goh, hog = np.asarray(pair.g_on_h.rows), np.asarray(pair.h_on_g.rows)
+    g_conj, h_conj = g.conj_table(), h.conj_table()
     for g1 in range(g.n):
-        c = embed_g[g1]
-        fwd = c.images
-        start = int(c.inverse().images[0])
-        for (gg, hh), t in tensor_map.items():
-            lhs = int(fwd[t.images[start]])
-            rhs = int(tensor_map[(g.conj(gg, g1), goh[g1][hh])].images[0])
-            if lhs != rhs:
-                raise ConstructionError(
-                    f"first relation family fails at g={gg}, g1={g1}, h={hh}"
-                )
+        lhs = g_arrays[g1][_brackets_after(pair, g_arrays, h_arrays, g_arrays[g.inv(g1), 0])]
+        rhs = tensor[g_conj[:, g1, None], goh[g1][None, :]]
+        bad = np.argwhere(lhs != rhs)
+        if bad.size:
+            gg, hh = bad[0].tolist()
+            raise ConstructionError(f"first relation family fails at g={gg}, g1={g1}, h={hh}")
     for h1 in range(h.n):
-        c = embed_h[h1]
-        fwd = c.images
-        start = int(c.inverse().images[0])
-        for (gg, hh), t in tensor_map.items():
-            lhs = int(fwd[t.images[start]])
-            rhs = int(tensor_map[(hog[h1][gg], h.conj(hh, h1))].images[0])
-            if lhs != rhs:
-                raise ConstructionError(
-                    f"second relation family fails at g={gg}, h={hh}, h1={h1}"
-                )
+        lhs = h_arrays[h1][_brackets_after(pair, g_arrays, h_arrays, h_arrays[h.inv(h1), 0])]
+        rhs = tensor[hog[h1][:, None], h_conj[None, :, h1]]
+        bad = np.argwhere(lhs != rhs)
+        if bad.size:
+            gg, hh = bad[0].tolist()
+            raise ConstructionError(f"second relation family fails at g={gg}, h={hh}, h1={h1}")
 
 
 def _trivial_eta(pair: ActionPair) -> EtaGroup:
-    carrier = PermGroup._regular_from_edges([], 1, {0: None})
-    ident = Perm.identity(1)
-    tensor_map = {(0, 0): ident}
+    carrier = PermGroup.regular(np.zeros((0, 1), dtype=np.int32), {0: None})
+    tensor_map = {(0, 0): 0}
     return EtaGroup(
         pair=pair,
         presentation=None,
         table=None,
         carrier=carrier,
-        embed_g=(ident,),
-        embed_h=(ident,),
+        embed_g=(0,),
+        embed_h=(0,),
         tensor_map=tensor_map,
         tensor_set=_tensor_set_from(tensor_map),
         tensor_subgroup=carrier.subgroup([]),
@@ -317,8 +361,7 @@ def _tensor_table(pair: ActionPair, max_cosets: int) -> np.ndarray:
     """The regular coset table of T = G (x) H; no columns when T has no generators."""
     if pair.g.n == 1 or pair.h.n == 1:
         return np.zeros((1, 0), dtype=np.int32)
-    table = todd_coxeter(_tensor_presentation(pair), max_cosets=max_cosets)
-    return np.asarray(table.rows, dtype=np.int32)
+    return todd_coxeter(_tensor_presentation(pair), max_cosets=max_cosets).rows
 
 
 def _assemble(pair: ActionPair, tensor: np.ndarray) -> np.ndarray:
@@ -394,19 +437,15 @@ def construct_eta(pair: ActionPair, *, max_cosets: int = DEFAULT_MAX_COSETS) -> 
     # a transitive action of the presented eta on |T| |G| |H| >= |eta| points is regular
     table.verify_complete()
     carrier, gen_map = regular_representation(table)
-    # tree words are positive: each is a product of carrier generators
-    ident = Perm.identity(table.n)
-    elements = {
-        f"{prefix}{a}": reduce(Perm.__mul__, (gen_map[s] for s, _ in word.letters), ident)
-        for prefix, group in (("g", g), ("h", h))
-        for a, word in enumerate(_tree_words(group, prefix))
-    }
-    embed_g = _certify_embedding(g, "g", elements, table.n)
-    embed_h = _certify_embedding(h, "h", elements, table.n)
-    tensor_map = {
-        (a, b): embed_g[a].commutator(embed_h[b]) for a in range(g.n) for b in range(h.n)
-    }
-    _audit_families(pair, embed_g, embed_h, tensor_map)
+    # tree words are positive: each element's array is a product of generator columns
+    g_arrays = _embedding(g, "g", gen_map, n)
+    h_arrays = _embedding(h, "h", gen_map, n)
+    embed_g = _certify_embedding(g, "g", g_arrays)
+    embed_h = _certify_embedding(h, "h", h_arrays)
+    tensor = _brackets_after(pair, g_arrays, h_arrays, 0)
+    _audit_families(pair, g_arrays, h_arrays, tensor)
+    rows = tensor.tolist()
+    tensor_map = {(a, b): rows[a][b] for a in range(g.n) for b in range(h.n)}
     tensor_set = _tensor_set_from(tensor_map)
     return EtaGroup(
         pair=pair,
@@ -455,24 +494,14 @@ def check_decomposition(eta: EtaGroup) -> dict:
     g, h = eta.pair.g, eta.pair.h
     n_eta = eta.carrier.order()
     t_keys = np.fromiter(sorted(eta.tensor_subgroup.orbit0()), dtype=np.int64)
-    g_keys = {int(p.images[0]) for p in eta.embed_g}
-    h_keys = {int(p.images[0]) for p in eta.embed_h}
+    g_arrays, h_arrays = eta.embedded_arrays()
     tensor_order = len(t_keys)
     counts_match = n_eta == tensor_order * g.n * h.n
-    chunks = []
-    tg_keys: set[int] = set()
-    for a in range(g.n):
-        after_g = eta.embed_g[a].images[t_keys]
-        tg_keys.update(int(x) for x in after_g)
-        for b in range(h.n):
-            chunks.append(eta.embed_h[b].images[after_g])
-    products = np.concatenate(chunks)
-    covers = len(np.unique(products)) == n_eta
-    tensor_meets_g = set(int(x) for x in t_keys) & g_keys
-    tg_meets_h = tg_keys & h_keys
-    generators = list(eta.tensor_set.members)
-    generators += [p for p in eta.embed_g if not p.is_identity()]
-    generators += [p for p in eta.embed_h if not p.is_identity()]
+    after_g = g_arrays[:, t_keys]
+    covers = len(np.unique(h_arrays[:, after_g])) == n_eta
+    tensor_meets_g = set(t_keys.tolist()) & set(eta.embed_g)
+    tg_meets_h = set(after_g.ravel().tolist()) & set(eta.embed_h)
+    generators = [*eta.tensor_set.members, *eta.embed_g, *eta.embed_h]
     generated = eta.carrier.subgroup(generators).order() == n_eta
     ok = (
         counts_match

@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapacityError, ConstructionError, IncompleteTableError, ParseError
-from .perm import Perm, PermGroup
+from .perm import PermGroup
 
 __all__ = [
     "Word",
@@ -361,26 +361,19 @@ def parse_presentation(text: str) -> Presentation:
 # -- coset enumeration ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CosetTable:
     """A complete, audited, canonically numbered coset table."""
 
     presentation: Presentation | ColumnPresentation
     subgroup: tuple[Word, ...]
     n: int
-    rows: tuple[tuple[int, ...], ...]  # one row per coset, one entry per column
-    status: str = "complete"
-    _tree: dict[int, tuple[int, int, int] | None] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    rows: np.ndarray  # (n, ncols) int32: one row per coset, one entry per column
+    _tree: dict[int, tuple[int, int, int] | None] = field(default_factory=dict, repr=False)
 
     @property
     def ncols(self) -> int:
         return 2 * len(self.presentation.generators)
-
-    def column(self, gen_index: int, sign: int = 1) -> np.ndarray:
-        c = 2 * gen_index + (0 if sign > 0 else 1)
-        return np.array([row[c] for row in self.rows], dtype=np.int32)
 
     def to_json_dict(self) -> dict:
         return {
@@ -388,10 +381,7 @@ class CosetTable:
             "generators": list(self.presentation.generators),
             "subgroup": [w.render() for w in self.subgroup],
             "cosets": self.n,
-            "table": [
-                [row[2 * i] for i in range(len(self.presentation.generators))]
-                for row in self.rows
-            ],
+            "table": self.rows[:, ::2].tolist(),
         }
 
     def verify_complete(self) -> None:
@@ -585,22 +575,21 @@ class _Enumerator:
                                 row = alpha * self.nc
             alpha += 1
 
-    def finish(self) -> tuple[tuple[tuple[int, ...], ...], dict[int, tuple[int, int, int] | None]]:
+    def finish(self) -> tuple[np.ndarray, dict[int, tuple[int, int, int] | None]]:
         """Compact, then renumber canonically (see bfs_renumber)."""
         self.compact(0)
         flat = np.frombuffer(self.tbl, dtype=np.int32)
         return bfs_renumber(flat.reshape(self.nrows, self.nc))
 
 
-def bfs_renumber(
-    table: np.ndarray,
-) -> tuple[tuple[tuple[int, ...], ...], dict[int, tuple[int, int, int] | None]]:
+def bfs_renumber(table: np.ndarray) -> tuple[np.ndarray, dict[int, tuple[int, int, int] | None]]:
     """Renumber a complete (n, ncols) table by BFS from 0 over the columns in order.
 
     The numbering depends only on the action and its base point 0, not on
-    how the table was built. Returns the renumbered rows, as CosetTable
-    holds them, and the BFS tree, which maps each point but 0 to the
-    (generator index, sign, parent) of the edge that first reached it.
+    how the table was built. Returns the renumbered (n, ncols) int32 table,
+    read-only, as CosetTable holds it, and the BFS tree, which maps each
+    point but 0 to the (generator index, sign, parent) of the edge that
+    first reached it.
 
     A whole level is taken at once: its rows, flattened in row-major
     order, list the edges in the order a FIFO queue visits them, so the
@@ -633,14 +622,14 @@ def bfs_renumber(
     tree.update(zip(range(1, n), edges))
     renumbered = np.empty((n, nc), dtype=np.int32)
     renumbered[order] = order[table]
-    # row by row: a list of all rows at once would double the peak memory
-    return tuple(tuple(row.tolist()) for row in renumbered), tree
+    renumbered.setflags(write=False)
+    return renumbered, tree
 
 
 def _audit_table(table: CosetTable) -> None:
     # one contiguous array per column: gathers from it run about 3x faster
     # than from a strided column of the row-major table
-    cols = np.asarray(table.rows, dtype=np.int32).T.copy()
+    cols = table.rows.T.copy()
     idx = np.arange(table.n, dtype=np.int32)
     # inverse-column consistency
     for c in range(table.ncols):
@@ -688,19 +677,19 @@ def todd_coxeter(
     return table
 
 
-def regular_representation(table: CosetTable) -> tuple[PermGroup, dict[str, Perm]]:
-    """Permutation group of a trivial-subgroup table, acting on its cosets.
+def regular_representation(table: CosetTable) -> tuple[PermGroup, dict[str, np.ndarray]]:
+    """The regular carrier of a trivial-subgroup table, and each generator's column.
 
     For an empty subgroup the audited table is the regular action of the
-    presented group on itself, so the resulting group is certified to act
-    freely and its order equals the number of cosets.
+    presented group on itself, so the carrier is certified to act regularly
+    and its order equals the number of cosets. A generator's column is its
+    right-multiplication array on the points; its point is the column's
+    entry at 0.
     """
     if table.subgroup:
         raise ValueError("regular representation needs a trivial subgroup")
-    gens = []
-    for i in range(len(table.presentation.generators)):
-        images = np.fromiter((row[2 * i] for row in table.rows), dtype=np.int32, count=table.n)
-        gens.append(Perm(images, _trusted=True))
-    group = PermGroup._regular_from_edges(gens, table.n, dict(table._tree))
-    gen_map = {name: gens[i] for i, name in enumerate(table.presentation.generators)}
+    # one contiguous array per column, as _audit_table reads them
+    columns = table.rows.T.copy()
+    group = PermGroup.regular(columns, dict(table._tree))
+    gen_map = {name: columns[2 * i] for i, name in enumerate(table.presentation.generators)}
     return group, gen_map

@@ -21,7 +21,6 @@ import numpy as np
 from .abelian import AbelianInvariants, invariants_from_element_orders, pi_set
 from .errors import CapacityError, DegreeMismatchError
 from .fpgroup import Presentation, Word
-from .perm import Perm, PermGroup
 
 __all__ = [
     "TableGroup",
@@ -35,7 +34,6 @@ __all__ = [
     "builtin_names",
     "table_from_perms",
     "check_table_size",
-    "regular_permgroup",
     "cayley_presentation",
 ]
 
@@ -112,17 +110,14 @@ class TableGroup:
         """a^b = b^-1 a b."""
         return self.mul(self.mul(self.inv(b), a), b)
 
+    def conj_table(self) -> np.ndarray:
+        """conj_table()[a, b] = a^b = b^-1 a b, for all a and b at once."""
+        b = np.arange(self.n)
+        return self.table[self.table[self.inverse_table[None, :], b[:, None]], b[None, :]]
+
     def comm(self, a: int, b: int) -> int:
         """[a, b] = a^-1 b^-1 a b."""
         return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
-
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv(a), -k)
-        result = self.identity
-        for _ in range(k):
-            result = self.mul(result, a)
-        return result
 
     def element_order(self, a: int) -> int:
         k = 1
@@ -332,11 +327,19 @@ def quaternion8() -> TableGroup:
 
 
 def _perm_label(images: tuple[int, ...]) -> str:
-    p = Perm(list(images))
-    cyc = p.cycles()
-    if not cyc:
-        return "e"
-    return "".join("(" + " ".join(str(x) for x in c) + ")" for c in cyc)
+    """Cycle notation of the non-trivial cycles, each from its least point; e if none."""
+    seen: set[int] = set()
+    cycles = []
+    for start in range(len(images)):
+        cycle = []
+        pt = start
+        while pt not in seen:
+            seen.add(pt)
+            cycle.append(pt)
+            pt = images[pt]
+        if len(cycle) > 1:
+            cycles.append("(" + " ".join(str(x) for x in cycle) + ")")
+    return "".join(cycles) or "e"
 
 
 def _group_of_perms(images_list: list[tuple[int, ...]]) -> TableGroup:
@@ -417,25 +420,37 @@ def builtin_names() -> list[str]:
     return sorted(k for k in _BUILTINS if k not in skip)
 
 
-def table_from_perms(generators: Sequence[Perm], degree: int | None = None) -> TableGroup:
+def _images(perm: Sequence[int]) -> list[int]:
+    """The image list of a permutation of {0, ..., degree-1}, validated."""
+    arr = np.asarray(perm, dtype=np.int32)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("a permutation needs a non-empty 1-d image array")
+    if not np.array_equal(np.sort(arr), np.arange(arr.size)):
+        raise ValueError("images are not a bijection of the point set")
+    return arr.tolist()
+
+
+def table_from_perms(generators: Sequence[Sequence[int]], degree: int | None = None) -> TableGroup:
     """Multiplication table of the group the permutations generate.
 
-    The image tuples are closed breadth-first, and a group above the table
-    limit is refused at its first element past the limit, before any table
-    is built. The elements are then listed in lexicographic order of their
-    image tuples (the identity, the least, comes first), so the table does
-    not depend on how the group was generated.
+    Each generator is the image list of a permutation of {0, ..., degree-1}
+    and is checked to be one. The image tuples are closed breadth-first, and
+    a group above the table limit is refused at its first element past the
+    limit, before any table is built. The elements are then listed in
+    lexicographic order of their image tuples (the identity, the least,
+    comes first), so the table does not depend on how the group was
+    generated.
     """
+    gens = [_images(g) for g in generators]
     if degree is None:
-        degree = generators[0].degree if generators else 1
+        degree = len(gens[0]) if gens else 1
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    for g in generators:
-        if g.degree != degree:
+    for g in gens:
+        if len(g) != degree:
             raise DegreeMismatchError(
-                f"generator degree {g.degree} does not match group degree {degree}"
+                f"generator degree {len(g)} does not match group degree {degree}"
             )
-    gens = [g.as_list() for g in generators]
     seen = {tuple(range(degree))}
     frontier = list(seen)
     for p in frontier:
@@ -446,23 +461,6 @@ def table_from_perms(generators: Sequence[Perm], degree: int | None = None) -> T
                 check_table_size(len(seen))
                 frontier.append(q)
     return _group_of_perms(sorted(seen))
-
-
-def regular_permgroup(group: TableGroup) -> tuple[PermGroup, list[Perm]]:
-    """Right-regular action of a table group on itself, certified free.
-
-    Returns the permutation group and the list mapping each element index to
-    its permutation (the identity element maps to the identity permutation).
-    """
-    if group.identity != 0:
-        raise ValueError("regular action expects the identity at index 0")
-    perms = [Perm(group.table[:, a].copy(), _trusted=True) for a in range(group.n)]
-    gens = [perms[a] for a in group.non_identity()]
-    edges: dict[int, tuple[int, int, int] | None] = {0: None}
-    for slot, a in enumerate(group.non_identity()):
-        edges[a] = (slot, 1, 0)
-    reg = PermGroup._regular_from_edges(gens, group.n, edges)
-    return reg, perms
 
 
 def cayley_presentation(group: TableGroup) -> Presentation:

@@ -11,9 +11,11 @@ with both actions conjugation.  Three distinguished pieces come with it:
   * delta, the subgroup generated by the diagonal brackets [g, g'].
 
 Everything is certified at construction time: rho and rho' are each checked
-as a labelling of carrier points by points of G's regular action (GroupHom),
-mu is generated by the tensor elements whose points rho' labels with the
-identity, and mu's centrality is checked generator by generator.
+as a labelling of carrier points by elements of G (GroupHom), mu is
+generated by the tensor elements whose points rho' labels with the
+identity, and mu's centrality is checked generator by generator.  Like
+every element of the carrier, a tensor or an element of mu or delta is the
+point it sends 0 to.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import numpy as np
 from .action import conjugation_pair
 from .errors import ConstructionError
 from .eta import DEFAULT_MAX_COSETS, EtaGroup, construct_eta
-from .groups import TableGroup, regular_permgroup
-from .perm import GroupHom, Perm, PermGroup, derived_subgroup, hom_kernel
+from .groups import TableGroup
+from .perm import GroupHom, PermGroup, derived_subgroup, hom_kernel
 
 
 @dataclass(eq=False)
@@ -35,8 +37,6 @@ class NuGroup:
 
     group: TableGroup
     eta: EtaGroup
-    reg: PermGroup
-    reg_perms: tuple[Perm, ...]
     rho: GroupHom
     rho_prime: GroupHom
     mu: PermGroup
@@ -60,36 +60,29 @@ class NuGroup:
 def construct_nu(group: TableGroup, *, max_cosets: int = DEFAULT_MAX_COSETS) -> NuGroup:
     """Build nu(G) and certify rho, rho', the central mu, and delta."""
     eta = construct_eta(conjugation_pair(group), max_cosets=max_cosets)
-    reg, reg_perms = regular_permgroup(group)
     gens = group.generating_subset()
-    rho = GroupHom(eta.carrier, reg, [reg_perms[a] for a in gens + gens])
+    rho = GroupHom(eta.carrier, group, gens + gens)
 
     derived = set(group.derived_indices())
-    tensor_gens = eta.tensor_subgroup.generators
     prime_images = []
-    for p in tensor_gens:
-        a, b = eta.tensor_set.pair_for[int(p.images[0])]
-        c = group.comm(a, b)
+    for p in eta.tensor_subgroup.generators:
+        c = group.comm(*eta.tensor_set.pair_for[p])
         if c not in derived:
             raise ConstructionError("a bracket image left the derived subgroup")
-        prime_images.append(reg_perms[c])
-    rho_prime = GroupHom(eta.tensor_subgroup, reg, prime_images)
-    if rho_prime.image_group().order() != len(derived):
+        prime_images.append(c)
+    rho_prime = GroupHom(eta.tensor_subgroup, group, prime_images)
+    if len(rho_prime.image_group()) != len(derived):
         raise ConstructionError(
             "the bracket homomorphism does not cover the derived subgroup"
         )
     mu = hom_kernel(rho_prime)
-    for m in mu.generators:
-        for c in eta.carrier.generators:
-            if m.conj(c) != m:
-                raise ConstructionError("kernel of the bracket map is not central")
+    if not mu.is_central_in(eta.carrier):
+        raise ConstructionError("kernel of the bracket map is not central")
     diagonal = [eta.tensor_map[(a, a)] for a in group.non_identity()]
     delta = eta.carrier.subgroup(diagonal)
     return NuGroup(
         group=group,
         eta=eta,
-        reg=reg,
-        reg_perms=reg_perms,
         rho=rho,
         rho_prime=rho_prime,
         mu=mu,
@@ -111,24 +104,13 @@ def check_derived_decomposition(nu: NuGroup) -> dict:
     t_keys = np.fromiter(sorted(nu.tensor_subgroup.orbit0()), dtype=np.int64)
     expected = len(t_keys) * len(derived) * len(derived)
     counts_match = nu_prime.order() == expected
-    contained = all(nu_prime.contains(p) for p in nu.tensor_subgroup.generators)
-    contained = contained and all(
-        nu_prime.contains(nu.eta.embed_g[d]) for d in derived if d
-    )
-    contained = contained and all(
-        nu_prime.contains(nu.eta.embed_h[d]) for d in derived if d
-    )
-    chunks = []
-    for a in derived:
-        after_g = nu.eta.embed_g[a].images[t_keys]
-        for b in derived:
-            chunks.append(nu.eta.embed_h[b].images[after_g])
-    products = np.concatenate(chunks)
-    covers = len(np.unique(products)) == expected
-    generators = list(nu.tensor_subgroup.generators)
-    generators += [nu.eta.embed_g[d] for d in derived if d]
-    generators += [nu.eta.embed_h[d] for d in derived if d]
-    regenerated = carrier.subgroup(generators).order() == nu_prime.order()
+    factors = [*nu.tensor_subgroup.generators]
+    factors += [nu.eta.embed_g[d] for d in derived] + [nu.eta.embed_h[d] for d in derived]
+    contained = all(nu_prime.contains(p) for p in factors)
+    g_arrays, h_arrays = nu.eta.embedded_arrays()
+    d = np.asarray(derived)
+    covers = len(np.unique(h_arrays[d][:, g_arrays[d][:, t_keys]])) == expected
+    regenerated = carrier.subgroup(factors).order() == nu_prime.order()
     ok = counts_match and contained and covers and regenerated
     return {
         "ok": bool(ok),

@@ -1,23 +1,27 @@
-"""Permutations, and the groups that act freely on the orbit of point 0.
+"""Regular carriers and their subgroups, whose elements are points.
 
-Elements are bijections of {0, ..., degree-1} with the fixed left-to-right
-composition convention (p*q)(x) = q(p(x)).
+Every PermGroup is a regular carrier coming out of coset enumeration, or a
+subgroup of one. A carrier acts regularly on its points (the coset table of
+the trivial subgroup is the regular action), and a subgroup acts freely on
+the orbit of 0, so an element is determined by the point it sends 0 to:
+here an element is that point, a plain int.
 
-Every PermGroup is a regular carrier coming out of coset enumeration (or the
-right-regular action of a table group), or a subgroup of one. Such a group
-acts freely on the orbit of 0, so its element is determined by the point it
-sends 0 to: the group keeps one spanning tree of that orbit, membership is
-one tree lookup and one compare, and a homomorphism between two of them is a
-labelling of source points by target points, checked edge by edge
-(GroupHom). Groups given by arbitrary permutation generators are closed into
-multiplication tables instead (groups.table_from_perms).
+Products read left to right: mul(p, q) is the point of "p, then q", the
+image of p under q's right-multiplication array. A carrier keeps its
+generators' columns, a spanning tree of its points, and one bounded cache of
+right-multiplication arrays that its subgroups share. Scalar arithmetic
+walks the tree (an element is the product of the generators on its tree
+path) unless the array is cached; conjugation by a fixed element is one int
+array on points (conj_map). Membership is one tree lookup, and a
+homomorphism into a table group is a labelling of source points by target
+elements, checked edge by edge (GroupHom). Groups given by arbitrary
+permutation generators are closed into multiplication tables instead
+(groups.table_from_perms).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from math import lcm
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -25,16 +29,16 @@ from .abelian import AbelianInvariants, invariants_from_element_orders
 from .errors import (
     CapacityError,
     ConstructionError,
-    DegreeMismatchError,
     IllDefinedHomError,
     MembershipError,
 )
 
+if TYPE_CHECKING:
+    from .groups import TableGroup
+
 __all__ = [
-    "Perm",
     "PermGroup",
     "GroupHom",
-    "compose",
     "normal_closure",
     "derived_subgroup",
     "centralizer_index",
@@ -43,199 +47,74 @@ __all__ = [
 ]
 
 _ELEMENTS_LIMIT = 10**5
-_CACHE_BUDGET = 4_000_000  # cached transversal entries, in total array cells
-
-
-class Perm:
-    """A permutation of {0, ..., degree-1}, immutable."""
-
-    __slots__ = ("images", "_bytes")
-
-    def __init__(self, images, *, _trusted: bool = False):
-        arr = np.asarray(images, dtype=np.int32)
-        if not _trusted:
-            if arr.ndim != 1 or arr.size == 0:
-                raise ValueError("a permutation needs a non-empty 1-d image array")
-            counts = np.bincount(arr, minlength=arr.size) if arr.min() >= 0 else None
-            if counts is None or arr.max() >= arr.size or not np.all(counts == 1):
-                raise ValueError("images are not a bijection of the point set")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "images", arr)
-        object.__setattr__(self, "_bytes", None)
-
-    @staticmethod
-    def identity(degree: int) -> "Perm":
-        if degree < 1:
-            raise ValueError("degree must be at least 1")
-        return Perm(np.arange(degree, dtype=np.int32), _trusted=True)
-
-    @staticmethod
-    def from_cycles(degree: int, cycles: Sequence[Sequence[int]]) -> "Perm":
-        images = np.arange(degree, dtype=np.int32)
-        for cyc in cycles:
-            pts = [int(x) for x in cyc]
-            if len(set(pts)) != len(pts):
-                raise ValueError(f"repeated point in cycle {cyc}")
-            for a, b in zip(pts, pts[1:] + pts[:1]):
-                if not (0 <= a < degree):
-                    raise ValueError(f"point {a} out of range for degree {degree}")
-                images[a] = b
-        return Perm(images)
-
-    @property
-    def degree(self) -> int:
-        return int(self.images.size)
-
-    def __call__(self, point: int) -> int:
-        return int(self.images[point])
-
-    def __mul__(self, other: "Perm") -> "Perm":
-        if self.images.size != other.images.size:
-            raise DegreeMismatchError(
-                f"cannot compose degree {self.degree} with degree {other.degree}"
-            )
-        return Perm(other.images[self.images], _trusted=True)
-
-    def inverse(self) -> "Perm":
-        inv = np.empty_like(self.images)
-        inv[self.images] = np.arange(self.images.size, dtype=np.int32)
-        return Perm(inv, _trusted=True)
-
-    def conj(self, by: "Perm") -> "Perm":
-        """Conjugate by^-1 * self * by."""
-        return by.inverse() * self * by
-
-    def commutator(self, other: "Perm") -> "Perm":
-        """[self, other] = self^-1 * other^-1 * self * other."""
-        return self.inverse() * other.inverse() * self * other
-
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.images, np.arange(self.images.size)))
-
-    def order(self) -> int:
-        seen = np.zeros(self.images.size, dtype=bool)
-        result = 1
-        for start in range(self.images.size):
-            if seen[start]:
-                continue
-            length = 0
-            pt = start
-            while not seen[pt]:
-                seen[pt] = True
-                pt = int(self.images[pt])
-                length += 1
-            result = lcm(result, length)
-        return result
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Non-trivial cycles, each starting at its least point."""
-        seen = np.zeros(self.images.size, dtype=bool)
-        out = []
-        for start in range(self.images.size):
-            if seen[start]:
-                continue
-            cyc = []
-            pt = start
-            while not seen[pt]:
-                seen[pt] = True
-                cyc.append(pt)
-                pt = int(self.images[pt])
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
-        return out
-
-    def as_list(self) -> list[int]:
-        return [int(x) for x in self.images]
-
-    def _key(self) -> bytes:
-        if self._bytes is None:
-            object.__setattr__(self, "_bytes", self.images.tobytes())
-        return self._bytes
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Perm):
-            return NotImplemented
-        return self.images.size == other.images.size and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        cyc = self.cycles()
-        if not cyc:
-            return f"Perm.identity({self.degree})"
-        body = "".join("(" + " ".join(str(p) for p in c) + ")" for c in cyc)
-        return f"Perm[{self.degree}]{body}"
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Perm is immutable")
-
-
-def compose(p: Perm, q: Perm) -> Perm:
-    """Left-to-right product: compose(p, q)(x) = q(p(x))."""
-    return p * q
+_CACHE_BUDGET = 4_000_000  # cached right-multiplication arrays, in total array cells
 
 
 class PermGroup:
-    """A regular carrier or a subgroup of one, acting freely on the orbit of 0.
+    """A regular carrier or a subgroup of one; an element is a point.
 
-    The stabilizer of 0 is trivial, so an element is the point it sends 0
-    to. The group keeps a spanning tree of that orbit: the element sending
-    0 to p (its transversal element) is the product of generators along the
-    tree path to p, and membership is one lookup and one array compare.
+    The group keeps a spanning tree of the orbit of 0: the edge of a point
+    (generator index, sign, parent) says that it is its parent times that
+    generator, or its inverse when the sign is negative. Membership is one
+    lookup, and the arithmetic methods (mul, inv, conj, comm) work on
+    points of the carrier, whichever of its subgroups they are called on.
     """
 
-    def __init__(self, degree: int):
-        """The trivial group on degree points; the constructors below grow it."""
-        if degree < 1:
-            raise ValueError("degree must be at least 1")
-        self.degree = degree
-        self.generators: tuple[Perm, ...] = ()
-        # Tree edges (generator index, sign, parent), the orbit in tree order,
-        # the generators that walk the orbit, and cached transversal elements.
+    def __init__(self, carrier: "PermGroup"):
+        """The trivial subgroup of a carrier; _add_free_generator grows it."""
+        self.carrier = carrier
+        self.degree = carrier.degree
+        self.generators: tuple[int, ...] = ()
+        # Tree edges, the orbit in tree order, and the generators that walk it.
         self._tree: dict[int, tuple[int, int, int] | None] = {0: None}
         self._orbit: list[int] = [0]
         self._slots: list[int] = []
-        self._cache: dict[int, Perm] = {}
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def _regular_from_edges(
-        cls,
-        generators: Sequence[Perm],
-        degree: int,
-        edges: dict[int, tuple[int, int, int] | None],
+    def regular(
+        cls, columns: np.ndarray, tree: dict[int, tuple[int, int, int] | None]
     ) -> "PermGroup":
-        """Certified regular group whose spanning tree is supplied.
+        """Certified regular carrier of a complete table, given by its columns.
 
-        The caller certifies that the generators act regularly (the coset
-        enumerator's audited table provides exactly that) and hands over a
-        spanning tree of the single orbit rooted at point 0, each point listed
-        after its parent; slot i of an edge names generator i.
+        Row 2i of columns is generator i as an int array on points and row
+        2i+1 its inverse. The caller certifies that the generators act
+        regularly (the coset enumerator's audited table provides exactly
+        that) and hands over a spanning tree of the points rooted at 0, each
+        point listed after its parent; slot i of an edge names generator i.
         """
-        if len(edges) != degree:
+        degree = columns.shape[1]
+        if len(tree) != degree:
             raise ConstructionError("regular carrier tree does not span the point set")
-        self = cls(degree)
-        self.generators = tuple(generators)
-        self._tree = edges
-        self._orbit = [0] + [p for p in edges if p != 0]
+        self = cls.__new__(cls)
+        self.carrier = self
+        self.degree = degree
+        self.generators = tuple(int(c[0]) for c in columns[::2])
+        self._tree = tree
+        self._orbit = [0] + [p for p in tree if p != 0]
         self._slots = list(range(len(self.generators)))
+        self._columns = columns
+        self._cache: dict[int, np.ndarray] = {}
+        self._levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
         return self
 
-    @classmethod
-    def _free_subgroup(cls, degree: int, generators: Sequence[Perm]) -> "PermGroup":
-        """Subgroup generated by members of a group acting freely on the orbit of 0.
+    def subgroup(self, generators: Iterable[int]) -> "PermGroup":
+        """Subgroup generated by the given members of this group.
 
-        A subgroup inherits freeness, so plain orbit BFS builds it.
+        A subgroup inherits freeness, so plain orbit BFS builds it; a
+        generator already in the orbit so far is left out.
         """
-        self = cls(degree)
+        sub = PermGroup(self.carrier)
         for g in generators:
-            self._add_free_generator(g)
-        return self
+            g = int(g)
+            if not self.contains(g):
+                raise MembershipError("subgroup generator is not in the group")
+            if g not in sub._tree:
+                sub._add_free_generator(g)
+        return sub
 
-    def _add_free_generator(self, perm: Perm) -> None:
+    def _add_free_generator(self, g: int) -> None:
         """Extend the orbit with one more generator.
 
         The orbit is closed under the earlier generators, so its points are
@@ -244,46 +123,101 @@ class PermGroup:
         already a member: it reaches nothing and is never walked.
         """
         slot = len(self.generators)
-        self.generators += (perm,)
-        if int(perm.images[0]) in self._tree:
+        self.generators += (g,)
+        if g in self._tree:
             return
         self._slots.append(slot)
-        queue: deque[int] = deque()
+        arrays = {s: self.right(self.generators[s]) for s in self._slots}
+        tree, orbit = self._tree, self._orbit
 
         def reach(pt: int, s: int) -> None:
-            img = int(self.generators[s].images[pt])
-            if img not in self._tree:
-                self._tree[img] = (s, 1, pt)
-                self._orbit.append(img)
-                queue.append(img)
+            img = int(arrays[s][pt])
+            if img not in tree:
+                tree[img] = (s, 1, pt)
+                orbit.append(img)
 
-        for pt in self._orbit[:]:
+        start = len(orbit)
+        for pt in orbit[:start]:
             reach(pt, slot)
-        while queue:
-            pt = queue.popleft()
+        i = start
+        while i < len(orbit):
+            pt = orbit[i]
+            i += 1
             for s in self._slots:
                 reach(pt, s)
 
-    def _transversal_perm(self, pt: int) -> Perm:
-        """The element sending 0 to the orbit point pt."""
-        cached = self._cache.get(pt)
-        if cached is not None:
-            return cached
-        steps = []
-        cur = pt
-        while self._tree[cur] is not None:
-            if cur in self._cache:
-                break
-            slot, sign, parent = self._tree[cur]
-            steps.append((slot, sign))
-            cur = parent
-        u = self._cache.get(cur, Perm.identity(self.degree))
-        for slot, sign in reversed(steps):
-            g = self.generators[slot]
-            u = u * (g if sign > 0 else g.inverse())
-        if len(self._cache) * self.degree <= _CACHE_BUDGET:
-            self._cache[pt] = u
-        return u
+    # -- arithmetic on points of the carrier ---------------------------------
+
+    def _path(self, q: int, stop=()) -> tuple[int, list[int]]:
+        """(a, columns) for the carrier tree path from a to q, where a is 0 or in stop.
+
+        q is a times the carrier generators whose columns are listed.
+        """
+        tree = self.carrier._tree
+        cols = []
+        while tree[q] is not None and q not in stop:
+            slot, sign, q = tree[q]
+            cols.append(2 * slot + (sign < 0))
+        cols.reverse()
+        return q, cols
+
+    def right(self, q: int) -> np.ndarray:
+        """Right multiplication by q: the array sending each point p to mul(p, q)."""
+        c = self.carrier
+        arr = c._cache.get(q)
+        if arr is None:
+            start, cols = self._path(q, c._cache)
+            arr = c._cache.get(start)
+            if arr is None:
+                arr = np.arange(c.degree, dtype=np.int32)
+            for col in cols:
+                arr = c._columns[col][arr]
+            if len(c._cache) * c.degree <= _CACHE_BUDGET:
+                c._cache[q] = arr
+        return arr
+
+    def mul(self, p: int, q: int) -> int:
+        c = self.carrier
+        arr = c._cache.get(q)
+        if arr is not None:
+            return int(arr[p])
+        columns = c._columns
+        for col in self._path(q)[1]:
+            p = int(columns[col, p])
+        return p
+
+    def inv(self, p: int) -> int:
+        """The inverse: the path to p walked backwards from 0, inverting each step."""
+        c = self.carrier
+        tree, columns = c._tree, c._columns
+        x = 0
+        while tree[p] is not None:
+            slot, sign, p = tree[p]
+            x = int(columns[2 * slot + (sign > 0), x])
+        return x
+
+    def conj(self, p: int, c: int) -> int:
+        """p^c = c^-1 p c, read as (p^-1 c)^-1 c."""
+        return self.mul(self.inv(self.mul(self.inv(p), c)), c)
+
+    def comm(self, p: int, q: int) -> int:
+        """[p, q] = p^-1 q^-1 p q, read as (q p)^-1 p q."""
+        return self.mul(self.mul(self.inv(self.mul(q, p)), p), q)
+
+    def conj_map(self, c: int) -> np.ndarray:
+        """Conjugation by c as an array on points: x -> c^-1 x c."""
+        return self.right(c)[self._left(self.inv(c))]
+
+    def _left(self, a: int) -> np.ndarray:
+        """Left multiplication by a, grown down the carrier's tree a level at a time."""
+        c = self.carrier
+        if c._levels is None:
+            c._levels = _tree_levels(c._tree, c._orbit)
+        out = np.empty(c.degree, dtype=np.int32)
+        out[0] = a
+        for points, cols, parents in c._levels:
+            out[points] = c._columns[cols, out[parents]]
+        return out
 
     # -- queries ---------------------------------------------------------------
 
@@ -293,95 +227,83 @@ class PermGroup:
     def is_trivial(self) -> bool:
         return self.order() == 1
 
-    def contains(self, p: Perm) -> bool:
-        if p.degree != self.degree:
-            raise DegreeMismatchError(
-                f"membership of degree {p.degree} element in degree {self.degree} group"
-            )
-        pt = int(p.images[0])
-        return pt in self._tree and np.array_equal(
-            p.images, self._transversal_perm(pt).images
-        )
+    def contains(self, p: int) -> bool:
+        return p in self._tree
 
-    def __contains__(self, p: Perm) -> bool:
+    def __contains__(self, p: int) -> bool:
         return self.contains(p)
 
     def orbit0(self) -> tuple[int, ...]:
         """Orbit of point 0 in tree order (the coset ordering for carriers)."""
         return tuple(self._orbit)
 
-    def elements(self, limit: int = _ELEMENTS_LIMIT) -> list[Perm]:
-        """All elements, in the order of the points they send 0 to."""
+    def elements(self) -> list[int]:
+        """All elements, in tree order."""
         n = self.order()
-        if n > limit:
+        if n > _ELEMENTS_LIMIT:
             raise CapacityError(
-                f"refusing to enumerate {n} elements (limit {limit})", count=n
+                f"refusing to enumerate {n} elements (limit {_ELEMENTS_LIMIT})", count=n
             )
-        return [self._transversal_perm(pt) for pt in self._orbit]
+        return list(self._orbit)
 
     def element_orders(self) -> list[int]:
-        """Orders of all elements, each the length of its cycle through 0.
-
-        On a free orbit every cycle of an element has the same length.
-        """
+        """Orders of all elements, each the length of its cycle through 0."""
         orders = []
         for p in self.elements():
-            k = 1
-            pt = int(p.images[0])
-            while pt != 0:
-                pt = int(p.images[pt])
+            k, x = 1, p
+            while x != 0:
+                x = self.mul(x, p)
                 k += 1
             orders.append(k)
         return orders
 
-    def subgroup(self, generators: Iterable[Perm]) -> "PermGroup":
-        """Subgroup generated by the given members of this group."""
-        gens = []
-        seen = set()
-        for g in generators:
-            if not self.contains(g):
-                raise MembershipError("subgroup generator is not in the group")
-            if g.is_identity():
-                continue
-            if int(g.images[0]) not in seen:
-                seen.add(int(g.images[0]))
-                gens.append(g)
-        return PermGroup._free_subgroup(self.degree, gens)
-
-    def is_subgroup_of(self, other: "PermGroup") -> bool:
-        return all(other.contains(g) for g in self.generators)
-
     def same_subgroup_as(self, other: "PermGroup") -> bool:
-        return self.order() == other.order() and self.is_subgroup_of(other)
+        """Two subgroups of one carrier are equal exactly when their orbits are."""
+        return self._tree.keys() == other._tree.keys()
 
     def is_abelian(self) -> bool:
-        gens = [g for g in self.generators if not g.is_identity()]
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                if gens[i] * gens[j] != gens[j] * gens[i]:
-                    return False
-        return True
+        gens = self.generators
+        return all(
+            self.mul(a, b) == self.mul(b, a)
+            for i, a in enumerate(gens)
+            for b in gens[i + 1:]
+        )
+
+    def is_central_in(self, group: "PermGroup") -> bool:
+        """Every generator of this group commutes with every generator of group."""
+        return all(
+            self.mul(m, c) == self.mul(c, m) for m in self.generators for c in group.generators
+        )
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order()})"
 
 
-def normal_closure(group: PermGroup, seeds: Iterable[Perm]) -> PermGroup:
+def _tree_levels(tree, orbit) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(points, columns of their tree edges, parents) for each depth below 0."""
+    depth = {0: 0}
+    levels: list[list[int]] = []
+    for p in orbit[1:]:
+        d = depth[p] = depth[tree[p][2]] + 1
+        if d > len(levels):
+            levels.append([])
+        levels[d - 1].append(p)
+    out = []
+    for points in levels:
+        edges = [tree[p] for p in points]
+        cols = [2 * slot + (sign < 0) for slot, sign, _ in edges]
+        out.append((np.array(points), np.array(cols), np.array([e[2] for e in edges])))
+    return out
+
+
+def normal_closure(group: PermGroup, seeds: Iterable[int]) -> PermGroup:
     """Smallest normal subgroup of `group` containing the seeds."""
-    seed_list = list(seeds)
-    for s in seed_list:
-        if not group.contains(s):
-            raise MembershipError("normal closure seed is not in the group")
-    closure = group.subgroup(seed_list)
-    conjugators = [g for g in group.generators if not g.is_identity()]
-    inverses = [g.inverse() for g in conjugators]
-    queue = [g for g in closure.generators]
-    i = 0
-    while i < len(queue):
-        x = queue[i]
-        i += 1
-        for c, cinv in zip(conjugators, inverses):
-            y = cinv * x * c
+    closure = group.subgroup(seeds)
+    maps = [group.conj_map(c) for c in group.generators]
+    queue = list(closure.generators)
+    for x in queue:
+        for m in maps:
+            y = int(m[x])
             if not closure.contains(y):
                 closure._add_free_generator(y)
                 queue.append(y)
@@ -390,40 +312,31 @@ def normal_closure(group: PermGroup, seeds: Iterable[Perm]) -> PermGroup:
 
 def derived_subgroup(group: PermGroup) -> PermGroup:
     """Normal closure of all commutators of generator pairs."""
-    gens = [g for g in group.generators if not g.is_identity()]
-    seeds = []
-    seen = set()
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            c = gens[i].commutator(gens[j])
-            if not c.is_identity() and c._key() not in seen:
-                seen.add(c._key())
-                seeds.append(c)
-    return normal_closure(group, seeds)
+    gens = group.generators
+    seeds = {group.comm(a, b) for i, a in enumerate(gens) for b in gens[i + 1:]}
+    return normal_closure(group, sorted(seeds))
 
 
 def centralizer_index(
-    group: PermGroup, x: Perm, conjugators: Sequence[Perm] | None = None
+    group: PermGroup, x: int, conjugations: Sequence[np.ndarray] | None = None
 ) -> int:
     """Index of the centralizer of x, i.e. the size of its conjugacy class.
 
-    A custom generating set may be passed as conjugators when the caller
-    has a smaller one than group.generators; it must generate the group.
+    conjugations are the conjugation maps (PermGroup.conj_map) of a set
+    generating the group; by default those of group.generators. A caller
+    asking about several elements builds them once.
     """
     if not group.contains(x):
         raise MembershipError("element is not in the group")
-    if conjugators is None:
-        conjugators = group.generators
-    conjugators = [g for g in conjugators if not g.is_identity()]
-    inverses = [g.inverse() for g in conjugators]
-    seen = {x._key()}
-    queue = deque([x])
-    while queue:
-        y = queue.popleft()
-        for c, cinv in zip(conjugators, inverses):
-            z = cinv * y * c
-            if z._key() not in seen:
-                seen.add(z._key())
+    if conjugations is None:
+        conjugations = [group.conj_map(c) for c in group.generators]
+    seen = {x}
+    queue = [x]
+    for y in queue:
+        for m in conjugations:
+            z = int(m[y])
+            if z not in seen:
+                seen.add(z)
                 queue.append(z)
     return len(seen)
 
@@ -442,107 +355,96 @@ def abelian_invariants_of(group: PermGroup) -> AbelianInvariants:
         raise CapacityError(
             "abelianization too large to enumerate", count=quotient_order
         )
-    reps = [Perm.identity(group.degree)]
+    reps = [0]
+    rep_inverses = [0]
 
-    def rep_index(p: Perm) -> int | None:
-        for i, r in enumerate(reps):
-            if derived.contains(p * r.inverse()):
-                return i
-        return None
+    def is_new(p: int) -> bool:
+        return all(not derived.contains(group.mul(p, r)) for r in rep_inverses)
 
-    gens = [g for g in group.generators if not g.is_identity()]
-    i = 0
-    while i < len(reps):
-        r = reps[i]
-        i += 1
-        for g in gens:
-            y = r * g
-            if rep_index(y) is None:
+    for r in reps:
+        for g in group.generators:
+            y = group.mul(r, g)
+            if is_new(y):
                 reps.append(y)
+                rep_inverses.append(group.inv(y))
     if len(reps) != quotient_order:
         raise ConstructionError("coset enumeration of the abelianization went wrong")
     orders = []
     for r in reps:
-        power = r
-        k = 1
+        power, k = r, 1
         while not derived.contains(power):
-            power = power * r
+            power = group.mul(power, r)
             k += 1
         orders.append(k)
     return invariants_from_element_orders(orders)
 
 
 class GroupHom:
-    """A homomorphism given by generator images, with verified well-definedness.
+    """A homomorphism into a table group, given by generator images and verified.
 
-    Source and target act freely on the orbit of point 0, as every PermGroup
-    does, so an element of either is the point it sends 0 to. The assignment
-    is then a labelling of source points by target points, grown along the
-    source's spanning tree from label(0) = 0, and it extends to a
-    homomorphism exactly when label(g(p)) == img(g)(label(p)) holds for
-    every orbit point p and generator g. That check is complete: a word
-    trivial in the source walks 0 back to 0, so its image walks label(0) = 0
-    back to 0 as well and is trivial by freeness. The first failing
-    (point, generator index) is raised as IllDefinedHomError's edge.
+    The source acts freely on the orbit of point 0, as every PermGroup
+    does, so a source element is a point and an image is an element index
+    of the target. The assignment is a labelling of source points by target
+    elements, grown along the source's spanning tree from label(0) = the
+    identity, and it extends to a homomorphism exactly when
+    label(p g) == label(p) img(g) holds for every orbit point p and generator
+    g. That check is complete: a word trivial in the source walks 0 back to
+    0, so its image walks the identity back to the identity. The first
+    failing (point, generator index) is raised as IllDefinedHomError's edge.
     """
 
-    def __init__(self, source: PermGroup, target: PermGroup, images: Sequence[Perm]):
+    def __init__(self, source: PermGroup, target: TableGroup, images: Sequence[int]):
         if len(images) != len(source.generators):
             raise ValueError("need exactly one image per source generator")
+        images = tuple(int(img) for img in images)
         for img in images:
-            if img.degree != target.degree:
-                raise DegreeMismatchError("image degree does not match target degree")
-            if not target.contains(img):
+            if not 0 <= img < target.n:
                 raise MembershipError("generator image is not in the target group")
         self.source = source
         self.target = target
-        self.generator_images = tuple(images)
-        self._image_group: PermGroup | None = None
-        label = np.full(source.degree, -1, dtype=np.int64)
-        label[0] = 0
-        steps: dict[tuple[int, int], np.ndarray] = {}
+        self.generator_images = images
+        table, inverse = target.table.tolist(), target.inverse_table.tolist()
+        label = [-1] * source.degree
+        label[0] = target.identity
         for pt in source._orbit[1:]:
             slot, sign, parent = source._tree[pt]
-            if (slot, sign) not in steps:
-                img = self.generator_images[slot]
-                steps[(slot, sign)] = (img if sign > 0 else img.inverse()).images
-            label[pt] = steps[(slot, sign)][label[parent]]
+            img = images[slot] if sign > 0 else inverse[images[slot]]
+            label[pt] = table[label[parent]][img]
+        labels = np.asarray(label, dtype=np.int64)
         orbit = np.asarray(source._orbit)
-        for i, (g, img) in enumerate(zip(source.generators, self.generator_images)):
-            bad = np.nonzero(label[g.images[orbit]] != img.images[label[orbit]])[0]
+        for i, (g, img) in enumerate(zip(source.generators, images)):
+            step = source.right(g)
+            bad = np.nonzero(labels[step[orbit]] != target.table[labels[orbit], img])[0]
             if bad.size:
                 raise IllDefinedHomError(
                     "generator images do not satisfy the source's relations",
                     edge=(int(orbit[bad[0]]), i),
                 )
-        self._labels = label
+        self._labels = labels
 
-    def apply(self, p: Perm) -> Perm:
+    def apply(self, p: int) -> int:
         if not self.source.contains(p):
             raise MembershipError("element is not in the source group")
-        return self.target._transversal_perm(int(self._labels[p(0)]))
+        return int(self._labels[p])
 
-    def image_group(self) -> PermGroup:
-        if self._image_group is None:
-            gens = [g for g in self.generator_images if not g.is_identity()]
-            self._image_group = self.target.subgroup(gens)
-        return self._image_group
+    def image_group(self) -> tuple[int, ...]:
+        """The image, as the sorted element indices of a subgroup of the target."""
+        return self.target.subgroup_closure(self.generator_images)
 
 
 def hom_kernel(f: GroupHom) -> PermGroup:
     """Kernel of a verified homomorphism, as a subgroup of the source.
 
-    A source element is in the kernel exactly when its point is labelled 0,
-    so the transversal elements of those points generate it; one is added
-    only when its point is not yet in the kernel's orbit. Verifies
-    |source| = |kernel| * |image| before returning.
+    A source element is in the kernel exactly when its point is labelled
+    with the identity, and such a point is added as a generator only when
+    it is not yet in the kernel's orbit. Verifies |source| = |kernel| *
+    |image| before returning.
     """
     source = f.source
-    kern = PermGroup(source.degree)
-    reached = kern._tree
-    for pt in np.nonzero(f._labels == 0)[0].tolist():
-        if pt not in reached:
-            kern._add_free_generator(source._transversal_perm(pt))
-    if kern.order() * f.image_group().order() != source.order():
+    kern = PermGroup(source.carrier)
+    for pt in np.nonzero(f._labels == f.target.identity)[0].tolist():
+        if not kern.contains(pt):
+            kern._add_free_generator(pt)
+    if kern.order() * len(f.image_group()) != source.order():
         raise ConstructionError("kernel/image orders do not multiply to the source order")
     return kern

@@ -33,6 +33,19 @@ def naive_closure(gens: list[tuple[int, ...]], cap: int = 250_000) -> set[tuple[
     return seen
 
 
+def compose_columns(columns: list[list[int]], word: list[int]) -> list[int]:
+    """Images of the permutation a word over a carrier's raw columns spells.
+
+    Column c is a list of images; the word's letters act left to right, so
+    the result sends x to columns[word[-1]][...columns[word[0]][x]].
+    """
+    images = list(range(len(columns[0])))
+    for c in word:
+        column = columns[c]
+        images = [column[x] for x in images]
+    return images
+
+
 def det_bareiss(matrix: list[list[int]]) -> int:
     """Exact integer determinant (fraction-free Gaussian elimination)."""
     n = len(matrix)

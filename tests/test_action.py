@@ -22,7 +22,7 @@ from etacalc.action import (
     validate_action,
 )
 from etacalc.errors import IncompatibleActionError, InvalidActionError
-from etacalc.groups import builtin, cyclic, symmetric3
+from etacalc.groups import builtin, builtin_names, cyclic, symmetric3
 
 from oracles import naive_check_compatibility, naive_validate_action
 
@@ -89,6 +89,46 @@ def test_invalid_pair_cites_table_and_axiom():
     assert report
     assert all(entry["table"] == "g_on_h" for entry in report)
     assert any(entry["axiom"] == "row-homomorphism" for entry in report)
+
+
+def test_conjugation_rows_match_group_conj():
+    for name in builtin_names():
+        group = builtin(name)
+        rows = conjugation_pair(group).g_on_h.rows
+        assert rows == tuple(
+            tuple(group.conj(x, a) for x in group.elements()) for a in group.elements()
+        )
+
+
+def test_a_shared_table_is_validated_once(monkeypatch):
+    import etacalc.action as action
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return validate_action(*args, **kwargs)
+
+    monkeypatch.setattr(action, "validate_action", counting)
+    pair = conjugation_pair(builtin("A4"))
+    assert pair.g_on_h is pair.h_on_g
+    assert len(calls) == 1
+    calls.clear()
+    trivial_pair(builtin("C2"), builtin("C3"))
+    assert len(calls) == 2
+    # a broken shared table is still reported once per role
+    s3 = symmetric3()
+    rows = [list(row) for row in conjugation_pair(s3).g_on_h.rows]
+    rows[1][0], rows[1][1] = rows[1][1], rows[1][0]
+    bad = ActionTable.from_rows(rows)
+    calls.clear()
+    with pytest.raises(InvalidActionError) as exc:
+        ActionPair(s3, s3, bad, bad)
+    assert len(calls) == 1
+    roles = [entry.pop("table") for entry in exc.value.report]
+    half = len(roles) // 2
+    assert roles == ["g_on_h"] * half + ["h_on_g"] * half
+    assert exc.value.report[:half] == exc.value.report[half:]
 
 
 def test_conjugation_and_trivial_pairs_are_compatible():
