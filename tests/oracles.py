@@ -309,3 +309,58 @@ def naive_check_compatibility(pair) -> list[dict]:
                         }
                     )
     return failures
+
+
+def brown_loday_presentation(pair, a1s=None, b1s=None):
+    """The defining presentation of G (x) H in full (Brown and Loday, 1987).
+
+    A generator t(a, b) per pair of non-identity elements, numbered as
+    etacalc.eta numbers them; t(e, b) and t(a, e) are the empty word. In
+    the right-action convention the relators read, for all a, a1 in G and
+    b, b1 in H,
+
+        t(a a1, b) == t(a^a1, b^a1) t(a1, b)
+        t(a, b b1) == t(a, b1) t(a^b1, b^b1)
+
+    built as column tuples, freely reduced and deduplicated. a1s and b1s
+    restrict a1 and b1, which only weakens the presentation.
+    """
+    from etacalc.fpgroup import ColumnPresentation
+
+    g, h = pair.g, pair.h
+    gt, ginv = g.table.tolist(), g.inverse_table.tolist()
+    ht, hinv = h.table.tolist(), h.inverse_table.tolist()
+    goh, hog = pair.g_on_h.rows, pair.h_on_g.rows
+    width = h.n - 1
+
+    def col(a: int, b: int) -> int:
+        """Column of t(a, b); -1 for the empty word."""
+        return -1 if a == 0 or b == 0 else 2 * ((a - 1) * width + b - 1)
+
+    relators: dict[tuple[int, ...], None] = {}
+
+    def relate(lhs: int, first: int, second: int) -> None:
+        """Record lhs == first second as lhs second^-1 first^-1."""
+        word: list[int] = []
+        for c in (lhs, second ^ 1, first ^ 1):
+            if c < 0:
+                continue
+            if word and word[-1] == c ^ 1:
+                word.pop()
+            else:
+                word.append(c)
+        if word:
+            relators[tuple(word)] = None
+
+    for a in range(1, g.n):
+        for a1 in range(1, g.n) if a1s is None else a1s:
+            conj = gt[gt[ginv[a1]][a]][a1]
+            for b in range(1, h.n):
+                relate(col(gt[a][a1], b), col(conj, goh[a1][b]), col(a1, b))
+    for a in range(1, g.n):
+        for b in range(1, h.n):
+            for b1 in range(1, h.n) if b1s is None else b1s:
+                conj = ht[ht[hinv[b1]][b]][b1]
+                relate(col(a, ht[b][b1]), col(a, b1), col(hog[b1][a], conj))
+    names = tuple(f"t{a}_{b}" for a in range(1, g.n) for b in range(1, h.n))
+    return ColumnPresentation(names, tuple(relators))

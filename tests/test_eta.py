@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from functools import lru_cache
 
 import numpy as np
@@ -9,10 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import etacalc.eta as eta_module
+from etacalc import cli
 from etacalc.abelian import z_tensor
 from etacalc.action import ActionPair, ActionTable, conjugation_pair, trivial_pair
 from etacalc.errors import (
     CapacityError,
+    ConstructionError,
     IncompatibleActionError,
     InvarianceError,
 )
@@ -23,7 +27,7 @@ from etacalc.eta import (
     construct_eta,
     trivial_action_baseline,
 )
-from etacalc.fpgroup import todd_coxeter
+from etacalc.fpgroup import DEFAULT_MAX_COSETS, _Enumerator, todd_coxeter
 from etacalc.groups import (
     TableGroup,
     builtin,
@@ -34,6 +38,7 @@ from etacalc.groups import (
     symmetric3,
 )
 from etacalc.perm import abelian_invariants_of
+from oracles import brown_loday_presentation
 
 
 def test_presentation_smallest_case():
@@ -190,11 +195,34 @@ def test_capacity_precheck_reports_exact_carrier_size():
     assert exc.value.count == 32 * 64
 
 
+def _tensor_enumeration(pair: ActionPair) -> tuple[int, int]:
+    """(index, rows defined) of T's enumeration without a cap.
+
+    No run this small compacts, so the rows defined are its peak.
+    """
+    pres, _ = eta_module._tensor_presentation(pair)
+    enum = _Enumerator(pres, (), DEFAULT_MAX_COSETS)
+    enum.run()
+    return enum.alive, enum.nrows
+
+
 def test_capacity_mid_enumeration_reports_the_limit():
-    # nu(S3)'s tensor factor defines 26 cosets before it closes at 6
+    # nu(Q8)'s tensor factor closes at 64 cosets, but defines more on the way
+    pair = conjugation_pair(builtin("Q8"))
+    index, peak = _tensor_enumeration(pair)
+    assert index < 80 < peak
     with pytest.raises(CapacityError) as exc:
-        construct_eta(conjugation_pair(symmetric3()), max_cosets=20)
-    assert exc.value.count == 20
+        construct_eta(pair, max_cosets=80)
+    assert exc.value.count == 80
+
+
+def test_capacity_above_the_tensor_peak_reports_the_carrier_size():
+    pair = conjugation_pair(builtin("Q8"))
+    index, peak = _tensor_enumeration(pair)
+    assert peak < index * 64
+    with pytest.raises(CapacityError) as exc:
+        construct_eta(pair, max_cosets=peak)
+    assert exc.value.count == index * 64
 
 
 def test_capacity_of_the_assembled_carrier_reports_its_size():
@@ -348,3 +376,101 @@ def test_nu_at_order_16(group, tensor_order):
     assert eta.tensor_order() == tensor_order
     assert eta.order() == tensor_order * 256
     assert check_decomposition(eta)["ok"]
+
+
+def test_canonical_relators():
+    # columns 2i and 2i + 1 are generator i and its inverse; -1 is no letter
+    words = np.array([[5, 1, 3], [0, 1, -1], [2, 4, 3], [-1, 3, -1], [3, -1, 1]])
+    # x0 x0^-1 vanishes; each other word becomes the least rotation of it or its inverse
+    assert eta_module._canonical(words).tolist() == [
+        [0, 2, -1],  # from x1^-1 x0^-1
+        [0, 4, 2],  # from x2^-1 x0^-1 x1^-1
+        [2, -1, -1],  # from x1^-1
+        [4, -1, -1],  # from x1 x2 x1^-1, cyclically reduced
+    ]
+
+
+def test_shrink_eliminates_through_relators_of_length_one_and_two():
+    # x1 = x0, x2 = 1 and x0^2: x0 alone survives, and x1 x2^-1 x0^-1 vanishes
+    words = np.array([[0, 3, -1], [4, -1, -1], [0, 0, -1], [2, 5, 1]])
+    survivors, relators, columns = eta_module._shrink(3, words)
+    assert survivors == [0]
+    assert relators.tolist() == [[0, 0, -1]]
+    assert columns.tolist() == [0, 1, 0, 1, -1, -1]
+    # x0 x1 = 1 makes x1 the inverse of x0, whose columns it reads swapped; x0^3 stays
+    survivors, relators, columns = eta_module._shrink(2, np.array([[0, 2, -1], [0, 0, 0]]))
+    assert survivors == [0]
+    assert relators.tolist() == [[0, 0, 0]]
+    assert columns.tolist() == [0, 1, 1, 0]
+
+
+_CONJUGATION_GROUPS = [
+    "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "C10", "C11", "C12",
+    "C2xC2", "C2xC4", "C2xC6", "D6", "D8", "D10", "D12", "Q8", "S3", "A4",
+]
+
+
+def _general_pairs() -> dict[str, ActionPair]:
+    """The eight pairs (G, K) of perfbench's corpus-general workload, labelled as built."""
+    a4, q8, s3 = builtin("A4"), builtin("Q8"), symmetric3()
+    a4xc2, s3xc3 = direct_product(a4, cyclic(2)), direct_product(s3, cyclic(3))
+    d8, d12, d16 = dihedral(8), dihedral(12), dihedral(16)
+    cases = {
+        "A4,V4": (a4, a4.derived_indices()),
+        "Q8,i": (q8, q8.subgroup_closure([q8.labels.index("i")])),
+        "S3,A3": (s3, s3.derived_indices()),
+        "D8,C4": (d8, d8.subgroup_closure([1])),
+        "D12,C6": (d12, d12.subgroup_closure([1])),
+        "A4xC2,V4": (a4xc2, a4xc2.derived_indices()),
+        "S3xC3,C3xC3": (s3xc3, [a * 3 + c for a in s3.derived_indices() for c in range(3)]),
+        "D16,C8": (d16, d16.subgroup_closure([1])),
+    }
+    return {label: _normal_pair(g, list(members), False) for label, (g, members) in cases.items()}
+
+
+def _full_presentation_instances() -> list:
+    pairs = {f"nu({name})": conjugation_pair(builtin(name)) for name in _CONJUGATION_GROUPS}
+    pairs.update(_general_pairs())
+    pairs["nu(D16)"] = conjugation_pair(dihedral(16))
+    return [pytest.param(pair, id=label) for label, pair in pairs.items()]
+
+
+@pytest.mark.parametrize("pair", _full_presentation_instances())
+def test_shrunk_tensor_presentation_matches_brown_loday(pair, monkeypatch):
+    # T is enumerated from a shrunk presentation; enumerated from Brown and
+    # Loday's in full instead, it has the same index and gives eta the same
+    # table, row for row and edge for edge.
+    index = len(eta_module._tensor_table(pair, DEFAULT_MAX_COSETS))
+    eta = construct_eta(pair)
+    full = brown_loday_presentation(pair)
+    columns = np.arange(2 * len(full.generators))
+    monkeypatch.setattr(eta_module, "_tensor_presentation", lambda p: (full, columns))
+    reference = construct_eta(pair)
+    assert index * pair.g.n * pair.h.n == reference.order()
+    assert np.array_equal(eta.table.rows, reference.table.rows)
+    assert eta.table._tree == reference.table._tree
+
+
+def test_a_too_weak_tensor_presentation_is_refused(monkeypatch, capsys):
+    # The first family for a1 over one generator of D8 alone presents a
+    # group twice the size of D8 (x) D8. Enumerating T from it must end in
+    # a failed audit, never in a carrier of the wrong order.
+    pair = conjugation_pair(builtin("D8"))
+    weak = brown_loday_presentation(pair, a1s=pair.g.generating_subset()[:1])
+    rows = np.array([w + (-1,) * (3 - len(w)) for w in weak.relators])
+    monkeypatch.setattr(eta_module, "_tensor_relators", lambda p: rows)
+    assert len(eta_module._tensor_table(pair, DEFAULT_MAX_COSETS)) == 2 * 32
+    with pytest.raises(ConstructionError):
+        construct_eta(pair)
+    assert cli.main(["tensor", "--builtin", "D8", "--conjugation"]) == 6
+    assert capsys.readouterr().out == ""
+
+
+def test_decomposition_fails_when_the_factors_do_not_generate():
+    # With H embedded as the identity, the factors generate only T G; the
+    # covering check catches it, and generation is read off it.
+    eta = construct_eta(conjugation_pair(symmetric3()))
+    report = check_decomposition(dataclasses.replace(eta, embed_h=(0,) * 6))
+    assert report["counts_match"]
+    assert not report["covers"] and not report["generates"]
+    assert not report["ok"]
