@@ -34,7 +34,6 @@ from .action import (
 from .fpgroup import (
     CosetTable,
     Presentation,
-    Word,
     parse_presentation,
     regular_representation,
     todd_coxeter,
@@ -43,7 +42,6 @@ from .groups import (
     TableGroup,
     builtin,
     builtin_names,
-    cayley_presentation,
     cyclic,
     dihedral,
     direct_product,

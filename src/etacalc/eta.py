@@ -13,7 +13,9 @@ on bracketed words are conjugation in the presented group.
 It is presented on generating subsets, as in Ellis and Leonard (1995): a
 generator per member of each subset, a Cayley-graph relator w(x) s w(xs)^-1
 per element x and generator s of each group, with w(x) the BFS-tree word of
-x, and both families for generators g, g1, h, h1 only.
+x, and both families for generators g, g1, h, h1 only. Both presentations
+here, of eta and of T below, are built directly as the table columns of
+fpgroup.Presentation, which the enumerator and the audit read as stored.
 
 That presentation is not enumerated. eta is an extension of G (x) H by
 G x H, and every element is uniquely t x y with t in T = [G, H'], which is
@@ -49,10 +51,8 @@ from .action import ActionPair, require_compatible
 from .errors import CapacityError, ConstructionError, IncompleteTableError, InvarianceError
 from .fpgroup import (
     DEFAULT_MAX_COSETS,
-    ColumnPresentation,
     CosetTable,
     Presentation,
-    Word,
     bfs_renumber,
     regular_representation,
     todd_coxeter,
@@ -76,44 +76,54 @@ def _tree_edges(group: TableGroup) -> list[tuple[int, int, int]]:
     return edges
 
 
-def _tree_words(group: TableGroup, prefix: str) -> list[Word]:
-    """BFS-tree word of each element."""
-    words = {0: Word()}
+# A word of eta's presentation is a tuple of its columns, as Presentation
+# takes it; a word is reduced only when the presentation is built.
+
+
+def _tree_words(group: TableGroup, first: int) -> tuple[list[tuple], list[tuple]]:
+    """BFS-tree word of each element, and its inverse.
+
+    The group's generating subset holds generators first, first + 1, ...
+    of the presentation, in order.
+    """
+    column = {s: 2 * (first + i) for i, s in enumerate(group.generating_subset())}
+    words, inverses = {0: ()}, {0: ()}
     for x, s, y in _tree_edges(group):
-        words[y] = words[x] * Word.gen(f"{prefix}{s}")
-    return [words[x] for x in range(group.n)]
+        words[y] = words[x] + (column[s],)
+        inverses[y] = (column[s] ^ 1,) + inverses[x]
+    return [words[x] for x in range(group.n)], [inverses[x] for x in range(group.n)]
 
 
-def _cayley_relators(group: TableGroup, prefix: str, words: list[Word]) -> list[Word]:
+def _cayley_relators(group: TableGroup, first: int, words, inverses) -> list[tuple]:
     """w(x) s w(xs)^-1 for every element x and generator s; tree edges vanish."""
-    gens = group.generating_subset()
-    relators = (
-        words[x] * Word.gen(f"{prefix}{s}") * words[group.mul(x, s)].inverse()
-        for x in range(group.n)
-        for s in gens
-    )
-    return [r for r in relators if not r.is_empty()]
+    gens = list(enumerate(group.generating_subset(), start=first))
+    return [
+        words[x] + (2 * i,) + inverses[group.mul(x, s)] for x in range(group.n) for i, s in gens
+    ]
 
 
-def _family_relators(pair: ActionPair, g_words: list[Word], h_words: list[Word]) -> list[Word]:
+def _family_relators(pair: ActionPair, g_words, g_inverses, h_words, h_inverses) -> list[tuple]:
     g, h = pair.g, pair.h
     goh, hog = pair.g_on_h.rows, pair.h_on_g.rows
     g_gens, h_gens = g.generating_subset(), h.generating_subset()
 
-    def bracket(a: int, b: int) -> Word:
-        return g_words[a].commutator(h_words[b])
+    def bracket(a: int, b: int) -> tuple:
+        return g_inverses[a] + h_inverses[b] + g_words[a] + h_words[b]
+
+    def bracket_inverse(a: int, b: int) -> tuple:
+        return h_inverses[b] + g_inverses[a] + h_words[b] + g_words[a]
 
     relators = []
     for gg in g_gens:
         for g1 in g_gens:
             for hh in h_gens:
-                image = bracket(g.conj(gg, g1), goh[g1][hh])
-                relators.append(bracket(gg, hh).conjugate_by(g_words[g1]) * image.inverse())
+                image = bracket_inverse(g.conj(gg, g1), goh[g1][hh])
+                relators.append(g_inverses[g1] + bracket(gg, hh) + g_words[g1] + image)
     for gg in g_gens:
         for hh in h_gens:
             for h1 in h_gens:
-                image = bracket(hog[h1][gg], h.conj(hh, h1))
-                relators.append(bracket(gg, hh).conjugate_by(h_words[h1]) * image.inverse())
+                image = bracket_inverse(hog[h1][gg], h.conj(hh, h1))
+                relators.append(h_inverses[h1] + bracket(gg, hh) + h_words[h1] + image)
     return relators
 
 
@@ -122,11 +132,14 @@ def build_eta_presentation(pair: ActionPair) -> Presentation:
     g, h = pair.g, pair.h
     if g.n == 1 and h.n == 1:
         raise ValueError("the pair of trivial groups presents no generators")
-    g_words, h_words = _tree_words(g, "g"), _tree_words(h, "h")
+    ng = len(g.generating_subset())
+    g_words, g_inverses = _tree_words(g, 0)
+    h_words, h_inverses = _tree_words(h, ng)
     generators = tuple(f"g{a}" for a in g.generating_subset())
     generators += tuple(f"h{b}" for b in h.generating_subset())
-    relators = _cayley_relators(g, "g", g_words) + _cayley_relators(h, "h", h_words)
-    relators += _family_relators(pair, g_words, h_words)
+    relators = _cayley_relators(g, 0, g_words, g_inverses)
+    relators += _cayley_relators(h, ng, h_words, h_inverses)
+    relators += _family_relators(pair, g_words, g_inverses, h_words, h_inverses)
     return Presentation(generators, tuple(relators))
 
 
@@ -200,15 +213,14 @@ def _brackets_after(
 class EtaGroup:
     """A finished eta construction over a regular carrier; elements are points.
 
-    ``table`` is assembled from the tensor factor T and audited against
-    ``presentation``, which is build_eta_presentation(pair); it equals the
-    table coset enumeration of that presentation would give. The carrier is
-    audited against the full families. Both are None for the pair of
-    trivial groups, which is built without a table.
+    ``table`` is assembled from the tensor factor T and audited against its
+    presentation, build_eta_presentation(pair); it equals the table coset
+    enumeration of that presentation would give. The carrier is audited
+    against the full families. The table is None for the pair of trivial
+    groups, which is built without one.
     """
 
     pair: ActionPair
-    presentation: Presentation | None
     table: CosetTable | None
     carrier: PermGroup
     embed_g: tuple[int, ...]
@@ -300,7 +312,6 @@ def _trivial_eta(pair: ActionPair) -> EtaGroup:
     tensor_map = {(0, 0): 0}
     return EtaGroup(
         pair=pair,
-        presentation=None,
         table=None,
         carrier=carrier,
         embed_g=(0,),
@@ -448,7 +459,7 @@ def _shrink(m: int, words: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarra
     return survivors, number[words], number[image[:-1]]
 
 
-def _tensor_presentation(pair: ActionPair) -> tuple[ColumnPresentation | None, np.ndarray]:
+def _tensor_presentation(pair: ActionPair) -> tuple[Presentation | None, np.ndarray]:
     """A presentation of G (x) H on few generators, and how to read the rest.
 
     _tensor_relators's presentation on a generator t(a, b) per pair of
@@ -462,7 +473,7 @@ def _tensor_presentation(pair: ActionPair) -> tuple[ColumnPresentation | None, n
         return None, columns
     names = tuple(f"t{x // width + 1}_{x % width + 1}" for x in survivors)
     relators = tuple(tuple(c for c in w if c >= 0) for w in words.tolist())
-    return ColumnPresentation(names, relators), columns
+    return Presentation(names, relators), columns
 
 
 def _tensor_table(pair: ActionPair, max_cosets: int) -> np.ndarray:
@@ -549,8 +560,7 @@ def construct_eta(pair: ActionPair, *, max_cosets: int = DEFAULT_MAX_COSETS) -> 
         rows, tree = bfs_renumber(_assemble(pair, tensor))
     except IncompleteTableError as err:
         raise ConstructionError(f"assembled table: {err}") from err
-    pres = build_eta_presentation(pair)
-    table = CosetTable(presentation=pres, subgroup=(), n=n, rows=rows, _tree=tree)
+    table = CosetTable(presentation=build_eta_presentation(pair), n=n, rows=rows, _tree=tree)
     # a transitive action of the presented eta on |T| |G| |H| >= |eta| points is regular
     table.verify_complete()
     carrier, gen_map = regular_representation(table)
@@ -566,7 +576,6 @@ def construct_eta(pair: ActionPair, *, max_cosets: int = DEFAULT_MAX_COSETS) -> 
     tensor_set = _tensor_set_from(tensor_map)
     return EtaGroup(
         pair=pair,
-        presentation=pres,
         table=table,
         carrier=carrier,
         embed_g=embed_g,

@@ -1,30 +1,33 @@
-"""Finitely presented groups: words, presentations, coset enumeration.
+"""Finitely presented groups: presentations, parsing, coset enumeration.
 
-Presentations use a small text grammar: `< a, b | a^2, b^3, (a b)^2 >`.
-Inside relators, juxtaposition (or `*`) multiplies, `^n` is an integer
-power, `x^y` with a non-integer exponent is the conjugate y^-1 x y, and
-`[x, y]` is the commutator x^-1 y^-1 x y. `ab` is `a b` and `A` is `a^-1`
-unless declared. All sugar expands eagerly, so a parsed relator is a flat,
-freely reduced word. A presentation built by machine may instead give its
-relators as tuples of table columns (ColumnPresentation).
+A Presentation's relators are tuples of coset-table columns: column 2i is
+generator i and column 2i + 1 its inverse. Its constructor reduces each
+relator freely and drops empty and repeated ones, so the enumerator and the
+audit read the relators as they are stored. Presentations built by machine
+give the columns directly; text is parsed into them.
 
-Coset enumeration is the relator-scanning strategy with full row filling.
-Every scan keeps the table's mirror invariant (an entry and its inverse
-entry are set and cleared together), which is what makes coincidence
-processing able to repair every stale reference by walking dead rows.
-Tables are renumbered by breadth-first search from coset 0 over the columns
-in order before they are returned (bfs_renumber, which also renumbers
-tables built by other means), so the numbering depends only on the
-quotient itself, not on the enumeration history.
+The text grammar is `< a, b | a^2, b^3, (a b)^2 >`. Inside relators,
+juxtaposition (or `*`) multiplies, `^n` is an integer power, `x^y` with a
+non-integer exponent is the conjugate y^-1 x y, `[x, y]` is the commutator
+x^-1 y^-1 x y, and `()` is the empty word. `ab` is `a b` and `A` is `a^-1`
+unless declared.
+
+Coset enumeration, of the trivial subgroup, is the relator-scanning strategy
+with full row filling. Every scan keeps the table's mirror invariant (an
+entry and its inverse entry are set and cleared together), which is what
+makes coincidence processing able to repair every stale reference by
+walking dead rows. Tables are renumbered by breadth-first search from coset
+0 over the columns in order before they are returned (bfs_renumber, which
+also renumbers tables built by other means), so the numbering depends only
+on the group itself, not on the enumeration history.
 """
 
 from __future__ import annotations
 
-import re
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -32,9 +35,7 @@ from .errors import CapacityError, ConstructionError, IncompleteTableError, Pars
 from .perm import PermGroup
 
 __all__ = [
-    "Word",
     "Presentation",
-    "ColumnPresentation",
     "CosetTable",
     "parse_presentation",
     "todd_coxeter",
@@ -44,126 +45,28 @@ __all__ = [
 
 DEFAULT_MAX_COSETS = 10**6
 
-_NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
-
-def _reduce(letters: Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
-    stack: list[tuple[str, int]] = []
-    for sym, sign in letters:
-        if stack and stack[-1][0] == sym and stack[-1][1] == -sign:
+def _reduce(word: Iterable[int]) -> tuple[int, ...]:
+    """Free reduction: cancel each column against a neighbouring inverse column."""
+    stack: list[int] = []
+    for c in word:
+        if stack and stack[-1] == c ^ 1:
             stack.pop()
         else:
-            stack.append((sym, sign))
+            stack.append(c)
     return tuple(stack)
 
 
-@dataclass(frozen=True)
-class Word:
-    """A freely reduced word over named generators."""
-
-    letters: tuple[tuple[str, int], ...] = ()
-
-    def __post_init__(self):
-        for item in self.letters:
-            sym, sign = item
-            if not isinstance(sym, str) or sign not in (1, -1):
-                raise ValueError(f"bad letter {item!r}")
-        object.__setattr__(self, "letters", _reduce(self.letters))
-
-    @staticmethod
-    def gen(symbol: str) -> "Word":
-        return Word(((symbol, 1),))
-
-    def is_empty(self) -> bool:
-        return not self.letters
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
-
-    def inverse(self) -> "Word":
-        return Word(tuple((s, -sg) for s, sg in reversed(self.letters)))
-
-    def __pow__(self, n: int) -> "Word":
-        if n == 0:
-            return Word()
-        base = self if n > 0 else self.inverse()
-        return Word(base.letters * abs(n))
-
-    def conjugate_by(self, other: "Word") -> "Word":
-        return other.inverse() * self * other
-
-    def commutator(self, other: "Word") -> "Word":
-        return self.inverse() * other.inverse() * self * other
-
-    def symbols(self) -> frozenset[str]:
-        return frozenset(s for s, _ in self.letters)
-
-    def render(self) -> str:
-        if not self.letters:
-            return "()"
-        parts = []
-        i = 0
-        while i < len(self.letters):
-            sym, sign = self.letters[i]
-            j = i
-            while j < len(self.letters) and self.letters[j] == (sym, sign):
-                j += 1
-            count = (j - i) * sign
-            parts.append(sym if count == 1 else f"{sym}^{count}")
-            i = j
-        return " ".join(parts)
-
-    def __str__(self) -> str:
-        return self.render()
+def _inverse(word: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(c ^ 1 for c in reversed(word))
 
 
 @dataclass(frozen=True)
 class Presentation:
-    """Generators and defining relators."""
+    """Generators and defining relators, each relator a tuple of columns.
 
-    generators: tuple[str, ...]
-    relators: tuple[Word, ...]
-
-    def __post_init__(self):
-        if not self.generators:
-            raise ValueError("a presentation needs at least one generator")
-        seen = set()
-        for name in self.generators:
-            if not _NAME_RE.match(name):
-                raise ValueError(f"bad generator name {name!r}")
-            if name in seen:
-                raise ValueError(f"duplicate generator {name!r}")
-            seen.add(name)
-        for w in self.relators:
-            stray = w.symbols() - seen
-            if stray:
-                raise ValueError(f"relator uses undeclared generators {sorted(stray)}")
-
-    def render(self) -> str:
-        gens = ", ".join(self.generators)
-        if not self.relators:
-            return f"< {gens} | >"
-        rels = ", ".join(w.render() for w in self.relators)
-        return f"< {gens} | {rels} >"
-
-    def __str__(self) -> str:
-        return self.render()
-
-    def columns(self) -> list[tuple[int, ...]]:
-        """The distinct non-empty relators as coset-table column tuples."""
-        return _compile_relators(self, self.relators)
-
-
-@dataclass(frozen=True)
-class ColumnPresentation:
-    """A presentation whose relators are given as coset-table column tuples.
-
-    Column 2i is generator i and column 2i+1 its inverse. Presentations
-    built by machine with thousands of short relators use this form, which
-    skips a Word object per relator.
+    The relators are kept freely reduced, non-empty and distinct, in the
+    order of their first occurrence.
     """
 
     generators: tuple[str, ...]
@@ -173,12 +76,15 @@ class ColumnPresentation:
         if not self.generators:
             raise ValueError("a presentation needs at least one generator")
         ncols = 2 * len(self.generators)
-        for cols in self.relators:
-            if not cols or not all(0 <= c < ncols for c in cols):
-                raise ValueError(f"bad relator columns {cols!r}")
-
-    def columns(self) -> list[tuple[int, ...]]:
-        return list(self.relators)
+        relators: dict[tuple[int, ...], None] = {}
+        for word in self.relators:
+            if word and (min(word) < 0 or max(word) >= ncols):
+                raise ValueError(f"bad relator columns {word!r}")
+            word = _reduce(word)
+            if word:
+                relators[word] = None
+        object.__setattr__(self, "generators", tuple(self.generators))
+        object.__setattr__(self, "relators", tuple(relators))
 
 
 # -- parsing ------------------------------------------------------------------
@@ -281,7 +187,7 @@ class _Parser:
             self.next()
             gens.append(self.expect("SYM").value)
         self.expect("PIPE")
-        known = set(gens)
+        known = {name: 2 * i for i, name in enumerate(gens)}
         if len(known) != len(gens):
             self.fail("duplicate generator")
         relators = []
@@ -294,49 +200,56 @@ class _Parser:
         self.expect("EOF")
         return Presentation(tuple(gens), tuple(relators))
 
-    def word(self, known: set[str]) -> Word:
+    # A word is a reduced tuple of columns; known maps a generator to its column.
+
+    def word(self, known: dict[str, int]) -> tuple[int, ...]:
         result = self.term(known)
         while True:
             kind = self.peek().kind
             if kind == "STAR":
                 self.next()
-                result = result * self.term(known)
-            elif kind in ("SYM", "LPAREN", "LBRACK"):
-                result = result * self.term(known)
-            else:
+            elif kind not in ("SYM", "LPAREN", "LBRACK"):
                 return result
+            result = _reduce(result + self.term(known))
 
-    def term(self, known: set[str]) -> Word:
+    def term(self, known: dict[str, int]) -> tuple[int, ...]:
         value = self.atom(known)
         while self.peek().kind == "CARET":
             self.next()
             tok = self.peek()
             if tok.kind == "INT":
                 self.next()
-                value = value ** tok.value
+                base = value if tok.value > 0 else _inverse(value)
+                value = _reduce(base * abs(tok.value))
             elif tok.kind in ("SYM", "LPAREN", "LBRACK"):
-                value = value.conjugate_by(self.atom(known))
+                other = self.atom(known)
+                value = _reduce(_inverse(other) + value + other)
             else:
                 self.fail("expected an integer or a word after '^'")
         return value
 
-    def atom(self, known: set[str]) -> Word:
+    def atom(self, known: dict[str, int]) -> tuple[int, ...]:
         tok = self.next()
         if tok.kind == "SYM":
             if tok.value in known:
-                return Word.gen(tok.value)
+                return (known[tok.value],)
             # An undeclared name spelled in single-letter generators is their
             # product; an undeclared upper-case letter inverts its lower case.
-            letters = [(ch, 1) if ch in known else (ch.lower(), -1) for ch in tok.value]
-            if all(sym in known for sym, _ in letters):
-                return Word(tuple(letters))
-            raise ParseError(
-                f"unknown generator {tok.value!r}", line=tok.line, column=tok.column
-            )
+            letters = []
+            for ch in tok.value:
+                if ch in known:
+                    letters.append(known[ch])
+                elif ch.lower() in known:
+                    letters.append(known[ch.lower()] ^ 1)
+                else:
+                    raise ParseError(
+                        f"unknown generator {tok.value!r}", line=tok.line, column=tok.column
+                    )
+            return _reduce(letters)
         if tok.kind == "LPAREN":
             if self.peek().kind == "RPAREN":
                 self.next()
-                return Word()
+                return ()
             inner = self.word(known)
             self.expect("RPAREN")
             return inner
@@ -345,7 +258,7 @@ class _Parser:
             self.expect("COMMA")
             right = self.word(known)
             self.expect("RBRACK")
-            return left.commutator(right)
+            return _reduce(_inverse(left) + _inverse(right) + left + right)
         raise ParseError(
             f"expected a generator, '(' or '[', found {tok.value!r}",
             line=tok.line,
@@ -365,8 +278,7 @@ def parse_presentation(text: str) -> Presentation:
 class CosetTable:
     """A complete, audited, canonically numbered coset table."""
 
-    presentation: Presentation | ColumnPresentation
-    subgroup: tuple[Word, ...]
+    presentation: Presentation
     n: int
     rows: np.ndarray  # (n, ncols) int32: one row per coset, one entry per column
     _tree: dict[int, tuple[int, int, int] | None] = field(default_factory=dict, repr=False)
@@ -374,15 +286,6 @@ class CosetTable:
     @property
     def ncols(self) -> int:
         return 2 * len(self.presentation.generators)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "generators": list(self.presentation.generators),
-            "subgroup": [w.render() for w in self.subgroup],
-            "cosets": self.n,
-            "table": self.rows[:, ::2].tolist(),
-        }
 
     def verify_complete(self) -> None:
         """Re-run the full relator audit; raises on any violation."""
@@ -393,36 +296,15 @@ class _Full(Exception):
     pass
 
 
-def _compile_relators(
-    presentation: Presentation | ColumnPresentation, words: Sequence[Word]
-) -> list[tuple[int, ...]]:
-    index = {name: i for i, name in enumerate(presentation.generators)}
-    out = []
-    seen = set()
-    for w in words:
-        cols = tuple(2 * index[s] + (0 if sg > 0 else 1) for s, sg in w.letters)
-        if cols and cols not in seen:
-            seen.add(cols)
-            out.append(cols)
-    return out
-
-
 class _Enumerator:
-    def __init__(
-        self,
-        presentation: Presentation | ColumnPresentation,
-        subgroup: Sequence[Word],
-        max_cosets: int,
-    ):
-        self.pres = presentation
+    def __init__(self, presentation: Presentation, max_cosets: int):
         self.nc = 2 * len(presentation.generators)
         self.max = max_cosets
         self.tbl = array("i", [-1] * self.nc)
         self.p = array("i", [0])
         self.nrows = 1
         self.alive = 1
-        self.relators = presentation.columns()
-        self.subgroup = _compile_relators(presentation, subgroup)
+        self.relators = presentation.relators
 
     def rep(self, k: int) -> int:
         p = self.p
@@ -539,13 +421,6 @@ class _Enumerator:
         return self.compact(alpha)
 
     def run(self) -> None:
-        for w in self.subgroup:
-            while True:
-                try:
-                    self.scan_and_fill(0, w)
-                    break
-                except _Full:
-                    self._room_or_compact(0)
         alpha = 0
         while alpha < self.nrows:
             if self.p[alpha] != alpha:
@@ -635,59 +510,40 @@ def _audit_table(table: CosetTable) -> None:
     for c in range(table.ncols):
         if not np.array_equal(cols[c ^ 1].take(cols[c]), idx):
             raise ConstructionError("table columns are not mutually inverse")
-    for cs in table.presentation.columns():
+    for cs in table.presentation.relators:
         v = idx
         for c in cs:
             v = cols[c].take(v)
         if not np.array_equal(v, idx):
             bad = int(np.nonzero(v != idx)[0][0])
             raise ConstructionError(f"relator fails at coset {bad}")
-    for cs in _compile_relators(table.presentation, table.subgroup):
-        v = 0
-        for c in cs:
-            v = int(cols[c, v])
-        if v != 0:
-            raise ConstructionError("subgroup word does not stabilize coset 0")
 
 
-def todd_coxeter(
-    presentation: Presentation | ColumnPresentation,
-    subgroup: Sequence[Word] = (),
-    *,
-    max_cosets: int = DEFAULT_MAX_COSETS,
-) -> CosetTable:
-    """Enumerate the cosets of the subgroup generated by the given words.
+def todd_coxeter(presentation: Presentation, *, max_cosets: int = DEFAULT_MAX_COSETS) -> CosetTable:
+    """Enumerate the cosets of the trivial subgroup: the presented group's elements.
 
     Returns a complete table, renumbered canonically and audited against
     every relator at every coset; raises CapacityError if the enumeration
     needs more than max_cosets simultaneously live-plus-dead cosets even
     after compaction.
     """
-    enum = _Enumerator(presentation, tuple(subgroup), max_cosets)
+    enum = _Enumerator(presentation, max_cosets)
     enum.run()
     rows, tree = enum.finish()
-    table = CosetTable(
-        presentation=presentation,
-        subgroup=tuple(subgroup),
-        n=len(rows),
-        rows=rows,
-        _tree=tree,
-    )
+    table = CosetTable(presentation=presentation, n=len(rows), rows=rows, _tree=tree)
     _audit_table(table)
     return table
 
 
 def regular_representation(table: CosetTable) -> tuple[PermGroup, dict[str, np.ndarray]]:
-    """The regular carrier of a trivial-subgroup table, and each generator's column.
+    """The regular carrier of a coset table, and each generator's column.
 
-    For an empty subgroup the audited table is the regular action of the
-    presented group on itself, so the carrier is certified to act regularly
-    and its order equals the number of cosets. A generator's column is its
+    The audited table is the regular action of the presented group on
+    itself, so the carrier is certified to act regularly and its order
+    equals the number of cosets. A generator's column is its
     right-multiplication array on the points; its point is the column's
     entry at 0.
     """
-    if table.subgroup:
-        raise ValueError("regular representation needs a trivial subgroup")
     # one contiguous array per column, as _audit_table reads them
     columns = table.rows.T.copy()
     group = PermGroup.regular(columns, dict(table._tree))

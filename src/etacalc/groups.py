@@ -20,7 +20,6 @@ import numpy as np
 
 from .abelian import AbelianInvariants, invariants_from_element_orders, pi_set
 from .errors import CapacityError, DegreeMismatchError
-from .fpgroup import Presentation, Word
 
 __all__ = [
     "TableGroup",
@@ -34,7 +33,6 @@ __all__ = [
     "builtin_names",
     "table_from_perms",
     "check_table_size",
-    "cayley_presentation",
 ]
 
 _VALIDATION_SIZE_LIMIT = 512
@@ -462,22 +460,3 @@ def table_from_perms(generators: Sequence[Sequence[int]], degree: int | None = N
                 frontier.append(q)
     return _group_of_perms(sorted(seen))
 
-
-def cayley_presentation(group: TableGroup) -> Presentation:
-    """Presentation with one generator per non-identity element.
-
-    The relators are all products x_i x_j = x_(i*j) over non-identity pairs;
-    a product landing on the identity contributes the two-letter relator.
-    """
-    symbols = {a: f"x{a}" for a in group.non_identity()}
-
-    def word_of(a: int) -> Word:
-        return Word() if a == group.identity else Word.gen(symbols[a])
-
-    relators = []
-    for a in group.non_identity():
-        for b in group.non_identity():
-            relators.append(
-                word_of(a) * word_of(b) * word_of(group.mul(a, b)).inverse()
-            )
-    return Presentation(tuple(symbols.values()), tuple(relators))

@@ -96,10 +96,10 @@ def check_derived_decomposition(nu: NuGroup) -> dict:
     The derived subgroup must equal the threefold product of the tensor
     subgroup and the two embedded copies of G's derived subgroup: orders
     multiply, the products cover without repetition, and the three factors
-    both sit inside and generate it.
+    sit inside it. That they generate it is read off the other three: the
+    products of the contained factors are |nu(G)'| distinct points of it.
     """
-    carrier = nu.carrier
-    nu_prime = derived_subgroup(carrier)
+    nu_prime = derived_subgroup(nu.carrier)
     derived = nu.group.derived_indices()
     t_keys = np.fromiter(sorted(nu.tensor_subgroup.orbit0()), dtype=np.int64)
     expected = len(t_keys) * len(derived) * len(derived)
@@ -110,8 +110,7 @@ def check_derived_decomposition(nu: NuGroup) -> dict:
     g_arrays, h_arrays = nu.eta.embedded_arrays()
     d = np.asarray(derived)
     covers = len(np.unique(h_arrays[d][:, g_arrays[d][:, t_keys]])) == expected
-    regenerated = carrier.subgroup(factors).order() == nu_prime.order()
-    ok = counts_match and contained and covers and regenerated
+    ok = counts_match and contained and covers
     return {
         "ok": bool(ok),
         "derived_order": nu_prime.order(),
@@ -120,5 +119,5 @@ def check_derived_decomposition(nu: NuGroup) -> dict:
         "counts_match": bool(counts_match),
         "factors_contained": bool(contained),
         "covers": bool(covers),
-        "generates": bool(regenerated),
+        "generates": bool(ok),
     }

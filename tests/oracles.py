@@ -322,10 +322,10 @@ def brown_loday_presentation(pair, a1s=None, b1s=None):
         t(a a1, b) == t(a^a1, b^a1) t(a1, b)
         t(a, b b1) == t(a, b1) t(a^b1, b^b1)
 
-    built as column tuples, freely reduced and deduplicated. a1s and b1s
-    restrict a1 and b1, which only weakens the presentation.
+    built as column tuples. a1s and b1s restrict a1 and b1, which only
+    weakens the presentation.
     """
-    from etacalc.fpgroup import ColumnPresentation
+    from etacalc.fpgroup import Presentation
 
     g, h = pair.g, pair.h
     gt, ginv = g.table.tolist(), g.inverse_table.tolist()
@@ -337,20 +337,12 @@ def brown_loday_presentation(pair, a1s=None, b1s=None):
         """Column of t(a, b); -1 for the empty word."""
         return -1 if a == 0 or b == 0 else 2 * ((a - 1) * width + b - 1)
 
-    relators: dict[tuple[int, ...], None] = {}
+    relators: list[tuple[int, ...]] = []
 
     def relate(lhs: int, first: int, second: int) -> None:
         """Record lhs == first second as lhs second^-1 first^-1."""
-        word: list[int] = []
-        for c in (lhs, second ^ 1, first ^ 1):
-            if c < 0:
-                continue
-            if word and word[-1] == c ^ 1:
-                word.pop()
-            else:
-                word.append(c)
-        if word:
-            relators[tuple(word)] = None
+        # the inverse of the empty word -1 is -2, also dropped
+        relators.append(tuple(c for c in (lhs, second ^ 1, first ^ 1) if c >= 0))
 
     for a in range(1, g.n):
         for a1 in range(1, g.n) if a1s is None else a1s:
@@ -363,4 +355,4 @@ def brown_loday_presentation(pair, a1s=None, b1s=None):
                 conj = ht[ht[hinv[b1]][b]][b1]
                 relate(col(a, ht[b][b1]), col(a, b1), col(hog[b1][a], conj))
     names = tuple(f"t{a}_{b}" for a in range(1, g.n) for b in range(1, h.n))
-    return ColumnPresentation(names, tuple(relators))
+    return Presentation(names, tuple(relators))

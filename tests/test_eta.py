@@ -46,16 +46,16 @@ def test_presentation_smallest_case():
     pres = build_eta_presentation(pair)
     assert pres.generators == ("g1", "h1")
     assert len(pres.relators) == 4
-    rendered = [str(r) for r in pres.relators]
-    assert rendered[0] == "g1^2"
-    assert rendered[1] == "h1^2"
+    # columns 0 and 2 are g1 and h1
+    assert pres.relators[0] == (0, 0)
+    assert pres.relators[1] == (2, 2)
 
 
 def test_presentation_trivial_side_reduces_to_other_group():
     pair = trivial_pair(cyclic(1), cyclic(4))
     pres = build_eta_presentation(pair)
     assert pres.generators == ("h1",)
-    assert [str(r) for r in pres.relators] == ["h1^4"]
+    assert pres.relators == ((0, 0, 0, 0),)
     with pytest.raises(ValueError):
         build_eta_presentation(trivial_pair(cyclic(1), cyclic(1)))
 
@@ -169,15 +169,14 @@ def test_eta_keeps_the_enumerated_presentation():
     # which are never presented.
     pair = conjugation_pair(symmetric3())
     eta = construct_eta(pair)
-    assert eta.presentation is eta.table.presentation
-    assert eta.presentation == build_eta_presentation(pair)
+    assert eta.table.presentation == build_eta_presentation(pair)
 
 
 def test_doubly_trivial_pair():
     eta = construct_eta(trivial_pair(cyclic(1), cyclic(1)))
     assert eta.order() == 1
     assert eta.tensor_order() == 1
-    assert eta.presentation is None
+    assert eta.table is None
     assert check_decomposition(eta)["ok"]
 
 
@@ -201,7 +200,7 @@ def _tensor_enumeration(pair: ActionPair) -> tuple[int, int]:
     No run this small compacts, so the rows defined are its peak.
     """
     pres, _ = eta_module._tensor_presentation(pair)
-    enum = _Enumerator(pres, (), DEFAULT_MAX_COSETS)
+    enum = _Enumerator(pres, DEFAULT_MAX_COSETS)
     enum.run()
     return enum.alive, enum.nrows
 

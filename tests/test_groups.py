@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etacalc.fpgroup import todd_coxeter
+from etacalc.fpgroup import Presentation, todd_coxeter
 from etacalc.groups import (
     TableGroup,
     alternating4,
     builtin,
     builtin_names,
-    cayley_presentation,
     cyclic,
     dihedral,
     direct_product,
@@ -217,14 +216,32 @@ def test_table_from_perms():
     assert sorted(t.element_order(a) for a in t.elements()) == [1, 2, 2, 2, 3, 3]
 
 
+def _cayley_presentation(group: TableGroup) -> Presentation:
+    """Presentation with one generator x_a per non-identity element a.
+
+    The relators are all products x_a x_b = x_(ab) over non-identity pairs;
+    a product landing on the identity contributes the two-letter relator.
+    """
+    others = group.non_identity()
+    column = {a: 2 * i for i, a in enumerate(others)}
+    # the identity has no column: -1 ^ 1 is -2, and -2 is dropped
+    column[group.identity] = -1
+    relators = [
+        tuple(c for c in (column[a], column[b], column[group.mul(a, b)] ^ 1) if c >= 0)
+        for a in others
+        for b in others
+    ]
+    return Presentation(tuple(f"x{a}" for a in others), tuple(relators))
+
+
 def test_cayley_presentation_enumerates_to_group_order():
     for name in ["C1", "C4", "C2xC2", "S3", "D8", "Q8"]:
         g = builtin(name)
         if g.n == 1:
             continue
-        pres = cayley_presentation(g)
+        pres = _cayley_presentation(g)
         assert len(pres.generators) == g.n - 1
         assert len(pres.relators) == (g.n - 1) ** 2
         assert todd_coxeter(pres).n == g.n
     big = direct_product(cyclic(2), alternating4())
-    assert todd_coxeter(cayley_presentation(big)).n == 24
+    assert todd_coxeter(_cayley_presentation(big)).n == 24

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from etacalc.abelian import delta_of_abelian
@@ -111,3 +113,14 @@ def test_abelian_invariants_of_nu_pieces():
     a4 = construct_nu(builtin("A4"))
     assert not a4.tensor_subgroup.is_abelian()
     assert tuple(abelian_invariants_of(a4.tensor_subgroup)) == (2, 6)
+
+
+def test_derived_decomposition_fails_when_the_factors_do_not_generate():
+    # With H embedded as the identity, the factors generate only T G'; the
+    # covering check catches it, and generation is read off it.
+    nu = construct_nu(symmetric3())
+    broken = dataclasses.replace(nu, eta=dataclasses.replace(nu.eta, embed_h=(0,) * 6))
+    report = check_derived_decomposition(broken)
+    assert report["counts_match"] and report["factors_contained"]
+    assert not report["covers"] and not report["generates"]
+    assert not report["ok"]

@@ -9,7 +9,6 @@ import pytest
 
 from etacalc import verify
 from etacalc.action import conjugation_pair, incompatible_example, trivial_pair
-from etacalc.eta import construct_eta
 from etacalc.groups import builtin
 from etacalc.verify import (
     CLAIM_IDS,
@@ -21,9 +20,6 @@ from etacalc.verify import (
     default_corpus,
     run_corpus,
     summary,
-    verify_centralizer_bound,
-    verify_lemma_identities,
-    verify_theorem_A_machinery,
 )
 
 
@@ -164,43 +160,56 @@ def test_instances_are_built_once_before_the_checks(
     assert reports and all(r.elapsed < 0.2 for r in reports)
 
 
+def _reports_on(pairs, cases=(), claim_filter=None) -> dict[tuple[str, str], ClaimReport]:
+    """run_corpus over the given pairs and subgroup cases, by (instance, claim)."""
+    corpus = Corpus(pairs=tuple(pairs), incompatible=(), subgroup_cases=tuple(cases))
+    reports = run_corpus(corpus=corpus, claim_filter=claim_filter)
+    return {(r.instance, r.claim): r for r in reports}
+
+
 def test_lemma_identities_counts_and_both_readings():
-    eta = construct_eta(trivial_pair(builtin("C2"), builtin("C2")))
-    report = verify_lemma_identities(eta, instance="trivial:C2,C2")
+    c2, c3 = builtin("C2"), builtin("C3")
+    reports = _reports_on(
+        [
+            CorpusPair("trivial:C2,C2", "trivial", trivial_pair(c2, c2)),
+            CorpusPair("trivial:C2,C3", "trivial", trivial_pair(c2, c3)),
+        ],
+        claim_filter="lemma23",
+    )
+    report = reports[("trivial:C2,C2", "lemma23")]
     assert report.verdict == "PASS"
-    assert report.claim == "lemma23" and report.anchor == "Lemma 2.3"
+    assert report.anchor == "Lemma 2.3"
     assert "(b) 16 checks, 0 failures" in report.detail
     assert "(a) adopted reading: 16 tuples, 0 failures" in report.detail
     assert "literal reading" in report.detail
-
-    distinct = construct_eta(trivial_pair(builtin("C2"), builtin("C3")))
-    report = verify_lemma_identities(distinct, instance="trivial:C2,C3")
-    assert "not evaluable" in report.detail
+    assert "not evaluable" in reports[("trivial:C2,C3", "lemma23")].detail
 
 
 def test_theorem_a_on_proper_subgroups():
     q8 = builtin("Q8")
-    eta = construct_eta(conjugation_pair(q8))
-    n_sub = q8.subgroup_closure([2])
-    k_sub = q8.subgroup_closure([4])
-    report = verify_theorem_A_machinery(eta, n_sub, k_sub, instance="sub:Q8:i,j")
+    case = SubgroupCase(
+        "sub:Q8:i,j", "nu:Q8", q8.subgroup_closure([2]), q8.subgroup_closure([4])
+    )
+    host = CorpusPair("nu:Q8", "conjugation", conjugation_pair(q8))
+    reports = _reports_on([host], [case])
+    report = reports[("sub:Q8:i,j", "thma")]
     assert report.verdict == "PASS"
     assert "(1) normal subset" in report.detail
     assert "(4)" in report.detail and "(5)" in report.detail
 
-    bound = verify_centralizer_bound(eta, n_sub, k_sub, instance="sub:Q8:i,j")
+    bound = reports[("sub:Q8:i,j", "lemma22")]
     assert bound.verdict == "PASS"
     assert "largest class size" in bound.detail
 
 
 def test_theorem_a_rejects_non_invariant_subgroups():
     s3 = builtin("S3")
-    eta = construct_eta(conjugation_pair(s3))
     transposition = next(a for a in s3.non_identity() if s3.element_order(a) == 2)
-    n_sub = s3.subgroup_closure([transposition])
-    report = verify_theorem_A_machinery(
-        eta, n_sub, range(s3.n), instance="sub:S3:bad"
+    case = SubgroupCase(
+        "sub:S3:bad", "nu:S3", s3.subgroup_closure([transposition]), tuple(range(s3.n))
     )
+    host = CorpusPair("nu:S3", "conjugation", conjugation_pair(s3))
+    report = _reports_on([host], [case], claim_filter="thma")[("sub:S3:bad", "thma")]
     assert report.verdict == "FAIL"
     assert "precondition" in report.detail
     assert report.witness is not None
