@@ -33,10 +33,11 @@ presentation of eta above: it is then a transitive action of eta on
 action, and an element is the point it sends 0 to: embed_g, embed_h, the
 tensors and every subgroup generator are plain ints. Every element of G
 and H is embedded by evaluating its tree word, which builds its
-right-multiplication array once; a bracket [a, b'] is then three lookups
-into those arrays from the point of a^-1. Both embeddings and the full
-families, over all g, g1, h, h1, are checked by point chasing, so the
-carrier is eta.  A failed audit is a bug.
+right-multiplication array once; a point times a bracket [a, b'] is then
+four lookups into those arrays, done for whole arrays of points, a and b
+at once (EtaGroup.times_bracket). Both embeddings and the full families,
+over all g, g1, h, h1, are checked by point chasing, so the carrier is
+eta.  A failed audit is a bug.
 """
 
 from __future__ import annotations
@@ -201,14 +202,6 @@ def _bracket_walk(
     return h_arrays[b, g_arrays[a, x]]
 
 
-def _brackets_after(
-    pair: ActionPair, g_arrays: np.ndarray, h_arrays: np.ndarray, start
-) -> np.ndarray:
-    """start [a, b'] for all a in G and b in H, as a (|G|, |H|) array."""
-    a, b = np.arange(pair.g.n)[:, None], np.arange(pair.h.n)[None, :]
-    return _bracket_walk(pair, g_arrays, h_arrays, start, a, b)
-
-
 @dataclass(eq=False)
 class EtaGroup:
     """A finished eta construction over a regular carrier; elements are points.
@@ -217,7 +210,8 @@ class EtaGroup:
     presentation, build_eta_presentation(pair); it equals the table coset
     enumeration of that presentation would give. The carrier is audited
     against the full families. The table is None for the pair of trivial
-    groups, which is built without one.
+    groups, which is built without one. Claims about brackets walk points
+    through them with times_bracket, over whole arrays at once.
     """
 
     pair: ActionPair
@@ -244,14 +238,8 @@ class EtaGroup:
         g_arrays = np.stack([right(p) for p in self.embed_g])
         return g_arrays, np.stack([right(p) for p in self.embed_h])
 
-    def brackets_after(self, start, arrays: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """start [a, b'] for all a in G and b in H; arrays from embedded_arrays()."""
-        return _brackets_after(self.pair, *arrays, start)
-
-    def times_bracket(
-        self, points, a: int, b: int, arrays: tuple[np.ndarray, np.ndarray]
-    ) -> np.ndarray:
-        """points [a, b'] for an array of points; arrays from embedded_arrays()."""
+    def times_bracket(self, points, a, b, arrays: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """points [a, b'], with points, a and b broadcast; arrays from embedded_arrays()."""
         return _bracket_walk(self.pair, *arrays, points, a, b)
 
 
@@ -291,15 +279,16 @@ def _audit_families(
     g, h = pair.g, pair.h
     goh, hog = np.asarray(pair.g_on_h.rows), np.asarray(pair.h_on_g.rows)
     g_conj, h_conj = g.conj_table(), h.conj_table()
+    a, b = np.arange(g.n)[:, None], np.arange(h.n)[None, :]
     for g1 in range(g.n):
-        lhs = g_arrays[g1][_brackets_after(pair, g_arrays, h_arrays, g_arrays[g.inv(g1), 0])]
+        lhs = g_arrays[g1][_bracket_walk(pair, g_arrays, h_arrays, g_arrays[g.inv(g1), 0], a, b)]
         rhs = tensor[g_conj[:, g1, None], goh[g1][None, :]]
         bad = np.argwhere(lhs != rhs)
         if bad.size:
             gg, hh = bad[0].tolist()
             raise ConstructionError(f"first relation family fails at g={gg}, g1={g1}, h={hh}")
     for h1 in range(h.n):
-        lhs = h_arrays[h1][_brackets_after(pair, g_arrays, h_arrays, h_arrays[h.inv(h1), 0])]
+        lhs = h_arrays[h1][_bracket_walk(pair, g_arrays, h_arrays, h_arrays[h.inv(h1), 0], a, b)]
         rhs = tensor[hog[h1][:, None], h_conj[None, :, h1]]
         bad = np.argwhere(lhs != rhs)
         if bad.size:
@@ -569,7 +558,8 @@ def construct_eta(pair: ActionPair, *, max_cosets: int = DEFAULT_MAX_COSETS) -> 
     h_arrays = _embedding(h, "h", gen_map, n)
     embed_g = _certify_embedding(g, "g", g_arrays)
     embed_h = _certify_embedding(h, "h", h_arrays)
-    tensor = _brackets_after(pair, g_arrays, h_arrays, 0)
+    a, b = np.arange(g.n)[:, None], np.arange(h.n)[None, :]
+    tensor = _bracket_walk(pair, g_arrays, h_arrays, 0, a, b)
     _audit_families(pair, g_arrays, h_arrays, tensor)
     rows = tensor.tolist()
     tensor_map = {(a, b): rows[a][b] for a in range(g.n) for b in range(h.n)}

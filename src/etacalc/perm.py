@@ -11,8 +11,9 @@ image of p under q's right-multiplication array. A carrier keeps its
 generators' columns, a spanning tree of its points, and one bounded cache of
 right-multiplication arrays that its subgroups share. Scalar arithmetic
 walks the tree (an element is the product of the generators on its tree
-path) unless the array is cached; conjugation by a fixed element is one int
-array on points (conj_map). Membership is one tree lookup, and a
+path) unless the array is cached, and products and inverses walk the paths
+of whole arrays of points at once; conjugation by a fixed element is one
+int array on points (conj_map). Membership is one tree lookup, and a
 homomorphism into a table group is a labelling of source points by target
 elements, checked edge by edge (GroupHom). Groups given by arbitrary
 permutation generators are closed into multiplication tables instead
@@ -97,6 +98,7 @@ class PermGroup:
         self._columns = columns
         self._cache: dict[int, np.ndarray] = {}
         self._levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
+        self._edges: tuple[np.ndarray, np.ndarray] | None = None
         return self
 
     def subgroup(self, generators: Iterable[int]) -> "PermGroup":
@@ -204,6 +206,35 @@ class PermGroup:
         """[p, q] = p^-1 q^-1 p q, read as (q p)^-1 p q."""
         return self.mul(self.mul(self.inv(self.mul(q, p)), p), q)
 
+    def products(self, p, q) -> np.ndarray:
+        """mul over arrays: the points p q, with p and q broadcast together.
+
+        The tree paths of all the q are read upwards at once, and p is then
+        walked down them together, one gather per level of the tree each way.
+        """
+        c = self.carrier
+        parent, column = c._tree_arrays()
+        p, q = np.broadcast_arrays(np.asarray(p), np.asarray(q))
+        steps = []
+        for _ in c._tree_by_depth():
+            steps.append(column[q])
+            q = parent[q]
+        for col in reversed(steps):
+            p = np.where(col < 0, p, c._columns[col, p])
+        return np.array(p)
+
+    def inverses(self, p) -> np.ndarray:
+        """inv over an array of points: their tree paths walked backwards at once."""
+        c = self.carrier
+        parent, column = c._tree_arrays()
+        p = np.asarray(p)
+        x = np.zeros(p.shape, dtype=np.int32)
+        for _ in c._tree_by_depth():
+            col = column[p]
+            x = np.where(col < 0, x, c._columns[col ^ 1, x])
+            p = parent[p]
+        return x
+
     def conj_map(self, c: int) -> np.ndarray:
         """Conjugation by c as an array on points: x -> c^-1 x c."""
         return self.right(c)[self._left(self.inv(c))]
@@ -211,13 +242,27 @@ class PermGroup:
     def _left(self, a: int) -> np.ndarray:
         """Left multiplication by a, grown down the carrier's tree a level at a time."""
         c = self.carrier
-        if c._levels is None:
-            c._levels = _tree_levels(c._tree, c._orbit)
         out = np.empty(c.degree, dtype=np.int32)
         out[0] = a
-        for points, cols, parents in c._levels:
+        for points, cols, parents in c._tree_by_depth():
             out[points] = c._columns[cols, out[parents]]
         return out
+
+    def _tree_by_depth(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The carrier's _tree_levels, built once."""
+        if self._levels is None:
+            self._levels = _tree_levels(self._tree, self._orbit)
+        return self._levels
+
+    def _tree_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each point's parent in the carrier's tree and its edge's column (-1 at 0), built once."""
+        if self._edges is None:
+            parent = np.zeros(self.degree, dtype=np.int32)
+            column = np.full(self.degree, -1, dtype=np.int32)
+            for points, cols, parents in self._tree_by_depth():
+                parent[points], column[points] = parents, cols
+            self._edges = parent, column
+        return self._edges
 
     # -- queries ---------------------------------------------------------------
 

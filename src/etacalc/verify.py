@@ -335,7 +335,9 @@ def _derived_decomposition(nu: NuGroup):
     t_keys = set(nu.eta.tensor_set.members)
     gd_keys = {nu.eta.embed_g[d] for d in derived}
     hd_keys = {nu.eta.embed_h[d] for d in derived}
-    tg_keys = {nu.carrier.mul(tk, nu.eta.embed_g[d]) for tk in t_keys for d in derived}
+    members = np.array(nu.eta.tensor_set.members)[:, None]
+    g_derived = np.array([nu.eta.embed_g[d] for d in derived])[None, :]
+    tg_keys = set(nu.carrier.products(members, g_derived).ravel().tolist())
     meets = {
         "tensor_meets_g_derived": sorted(t_keys & gd_keys),
         "tg_meets_h_derived": sorted(tg_keys & hd_keys),
@@ -384,6 +386,88 @@ def _centralizer_bound(eta: EtaGroup, n_elements, k_elements):
     return "PASS", detail, None
 
 
+def _tensor_keys(eta: EtaGroup) -> np.ndarray:
+    """key[a, b] = eta.tensor(a, b), the point of [a, b'], for all a in G and b in H."""
+    g, h = eta.pair.g, eta.pair.h
+    return np.array([[eta.tensor(a, b) for b in range(h.n)] for a in range(g.n)], dtype=np.int32)
+
+
+def _first(bad: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first True entry in C order, or None."""
+    spots = np.argwhere(bad)
+    return tuple(spots[0].tolist()) if len(spots) else None
+
+
+def _identity_b(eta: EtaGroup, arrays, key, key_inv, g_shift):
+    """(checks, failures, first failure) of identity (b), over (g, h, y, form)."""
+    h = eta.pair.h
+    hog = np.asarray(eta.pair.h_on_g.rows)
+    h_arr = arrays[1]
+    gg = np.arange(eta.pair.g.n)[:, None, None]
+    hh, y = np.arange(h.n)[None, :, None], np.arange(h.n)[None, None, :]
+    lhs = key[g_shift[:, :, None], y]
+    start = key_inv[:, :, None]
+    conjugation = h_arr[y, eta.times_bracket(h_arr[h.inverse_table[y], start], gg, hh, arrays)]
+    substitution = eta.times_bracket(start, hog[y, gg], h.conj_table()[hh, y], arrays)
+    forms = (conjugation, substitution)
+    bad = np.stack([lhs != rhs for rhs in forms], axis=-1)
+    spot = _first(bad)
+    if spot is None:
+        return bad.size, 0, None
+    witness = {
+        "identity": "b",
+        "form": ("conjugation", "substitution")[spot[3]],
+        "g": spot[0],
+        "h": spot[1],
+        "y": spot[2],
+        "lhs": int(lhs[spot[:3]]),
+        "rhs": int(forms[spot[3]][spot[:3]]),
+    }
+    return bad.size, np.count_nonzero(bad), witness
+
+
+def _identity_a(eta: EtaGroup, arrays, key_inv, g_shift, h_shift):
+    """(failures, literal-reading divergences, first failure) of identity (a).
+
+    Over (x, y, g, h), one x at a time: [g, h'] conjugated by [x, y'], by
+    x^-1 x^y and by (y^x)^-1 y; the last two are gathered from [g, h']
+    conjugated by each element of G and of H. The divergences are None
+    when the groups differ.
+    """
+    g, h = eta.pair.g, eta.pair.h
+    g_arr, h_arr = arrays
+    a, b = np.arange(g.n)[:, None], np.arange(h.n)[None, :]
+    e = np.arange(g.n)[:, None, None]
+    by_g = g_arr[e, eta.times_bracket(g_arr[g.inverse_table[e], 0], a, b, arrays)]
+    e = np.arange(h.n)[:, None, None]
+    by_h = h_arr[e, eta.times_bracket(h_arr[h.inverse_table[e], 0], a, b, arrays)]
+    y = np.arange(h.n)[:, None, None]
+    same_group = g == h
+    witness, failures, diverging = None, 0, 0
+    for x in range(g.n):
+        start = key_inv[x][:, None, None]
+        k1 = eta.times_bracket(eta.times_bracket(start, a, b, arrays), x, y, arrays)
+        k2, k3 = by_g[g_shift[x]], by_h[h_shift[x]]
+        bad = (k1 != k2) | (k2 != k3)
+        failures += np.count_nonzero(bad)
+        if witness is None and (spot := _first(bad)) is not None:
+            witness = {
+                "identity": "a",
+                "g": spot[1],
+                "h": spot[2],
+                "x": x,
+                "y": spot[0],
+                "conjugated": int(k1[spot]),
+                "first_copy": int(k2[spot]),
+                "second_copy": int(k3[spot]),
+            }
+        if same_group:
+            # the literal reading: the plain commutator [g, h] of two first-copy elements
+            plain = eta.times_bracket(start, a, b, (g_arr, g_arr))
+            diverging += np.count_nonzero(eta.times_bracket(plain, x, y, arrays) != k2)
+    return failures, diverging if same_group else None, witness
+
+
 def _lemma_identities(eta: EtaGroup):
     """Exhaustive check of the two bracket identities over the carrier.
 
@@ -398,95 +482,35 @@ def _lemma_identities(eta: EtaGroup):
     first-copy elements instead, is only evaluable when both groups
     coincide, and its outcome is recorded in the detail without affecting
     the verdict.
+
+    Each side of identity (b) is one broadcast walk over all (g, h, y), and
+    each side of identity (a) one walk over all (y, g, h) per x. The
+    witness is the first failure in the order (x, y, g, h) of identity (a),
+    then (g, h, y, form) of identity (b).
     """
     g, h = eta.pair.g, eta.pair.h
-    goh, hog = eta.pair.g_on_h.rows, eta.pair.h_on_g.rows
-    carrier = eta.carrier
     arrays = eta.embedded_arrays()
-    g_arr, h_arr = arrays
-    g_inv, h_inv = g.inverse_table, h.inverse_table
-    key = np.array([[eta.tensor(a, b) for b in range(h.n)] for a in range(g.n)])
-    ys = np.arange(h.n)
-    h_conj = h.conj_table()
-    hog_arr = np.asarray(hog)
+    key = _tensor_keys(eta)
+    key_inv = eta.carrier.inverses(key)
+    a, b = np.arange(g.n)[:, None], np.arange(h.n)[None, :]
+    g_shift = g.table[g.inverse_table[a], np.asarray(eta.pair.h_on_g.rows).T]  # a^-1 a^b
+    h_shift = h.table[h.inverse_table[np.asarray(eta.pair.g_on_h.rows)], b]  # (b^a)^-1 b
+    checked_b, fail_b, witness_b = _identity_b(eta, arrays, key, key_inv, g_shift)
+    fail_a, diverging, witness_a = _identity_a(eta, arrays, key_inv, g_shift, h_shift)
 
-    checked_b = 0
-    fail_b: list[dict] = []
-    for gg in range(g.n):
-        for hh in range(h.n):
-            kk = int(key[gg, hh])
-            it0 = carrier.inv(kk)
-            lhs = key[g.mul(g.inv(gg), hog[hh][gg])]
-            rhs_forms = (
-                ("conjugation", h_arr[ys, eta.times_bracket(h_arr[h_inv, it0], gg, hh, arrays)]),
-                ("substitution", eta.brackets_after(it0, arrays)[hog_arr[:, gg], h_conj[hh]]),
-            )
-            checked_b += 2 * h.n
-            for y in range(h.n):
-                for form, rhs in rhs_forms:
-                    if lhs[y] != rhs[y]:
-                        fail_b.append(
-                            {
-                                "identity": "b",
-                                "form": form,
-                                "g": gg,
-                                "h": hh,
-                                "y": y,
-                                "lhs": int(lhs[y]),
-                                "rhs": int(rhs[y]),
-                            }
-                        )
-
-    same_group = g == h
-    checked_a = 0
-    fail_a: list[dict] = []
-    lit_checked = 0
-    lit_fail = 0
-    for x in range(g.n):
-        for y in range(h.n):
-            kc = int(key[x, y])
-            s1 = carrier.inv(kc)
-            e2 = g.mul(g.inv(x), hog[y][x])
-            e3 = h.mul(h.inv(goh[x][y]), y)
-            k1 = eta.times_bracket(eta.brackets_after(s1, arrays), x, y, arrays)
-            k2 = g_arr[e2][eta.brackets_after(eta.embed_g[g_inv[e2]], arrays)]
-            k3 = h_arr[e3][eta.brackets_after(eta.embed_h[h_inv[e3]], arrays)]
-            checked_a += g.n * h.n
-            for gg, hh in np.argwhere((k1 != k2) | (k2 != k3)).tolist():
-                fail_a.append(
-                    {
-                        "identity": "a",
-                        "g": gg,
-                        "h": hh,
-                        "x": x,
-                        "y": y,
-                        "conjugated": int(k1[gg, hh]),
-                        "first_copy": int(k2[gg, hh]),
-                        "second_copy": int(k3[gg, hh]),
-                    }
-                )
-            if same_group:
-                # the literal reading: the plain commutator [g, h] of two first-copy elements
-                plain = eta.brackets_after(s1, (g_arr, g_arr))
-                lit_checked += g.n * h.n
-                lit_fail += int(np.count_nonzero(eta.times_bracket(plain, x, y, arrays) != k2))
-
-    if same_group:
-        if lit_fail:
-            literal = f"literal reading diverges at {lit_fail} of {lit_checked} tuples"
-        else:
-            literal = f"literal reading agrees at all {lit_checked} tuples"
-    else:
+    checked_a = g.n * h.n * g.n * h.n
+    if diverging is None:
         literal = "literal reading not evaluable (distinct groups)"
-
-    failures = fail_a + fail_b
+    elif diverging:
+        literal = f"literal reading diverges at {diverging} of {checked_a} tuples"
+    else:
+        literal = f"literal reading agrees at all {checked_a} tuples"
     detail = (
-        f"(a) adopted reading: {checked_a} tuples, {len(fail_a)} failures; "
-        f"{literal}; (b) {checked_b} checks, {len(fail_b)} failures"
+        f"(a) adopted reading: {checked_a} tuples, {fail_a} failures; "
+        f"{literal}; (b) {checked_b} checks, {fail_b} failures"
     )
-    verdict = "PASS" if not failures else "FAIL"
-    witness = failures[0] if failures else None
-    return verdict, detail, witness
+    witness = witness_a or witness_b
+    return ("PASS" if witness is None else "FAIL"), detail, witness
 
 
 def _mu_quotient(nu: NuGroup):
@@ -526,6 +550,10 @@ def _theorem_A(eta: EtaGroup, n_elements, k_elements):
     [N,K^phi,K^phi].  Steps (4) and (5) only apply under their printed
     hypotheses ([N,K^phi] abelian, K^phi centralizing [N,K^phi]); the
     report records whether each hypothesis held.
+
+    Each step checks all of its tuples with a few whole-array walks; its
+    witness is the first failure in the order (n, k, h) for step (3),
+    (n, h, k) for step (4) and (n, k) for step (5).
     """
     g, h = eta.pair.g, eta.pair.h
     goh, hog = eta.pair.g_on_h.rows, eta.pair.h_on_g.rows
@@ -565,39 +593,44 @@ def _theorem_A(eta: EtaGroup, n_elements, k_elements):
 
     arrays = eta.embedded_arrays()
     h_arr = arrays[1]
-    k_arr = np.array(K)
+    n_arr, k_arr = np.array(N), np.array(K)
     k_inv = h.inverse_table[k_arr]
-    hog_k = np.asarray(hog)[k_arr]  # [i, n] = n^(K[i])
-    k_conj = h.conj_table()[np.ix_(k_arr, k_arr)]  # [i, j] = K[i]^K[j]
-    tinvt: set[int] = set()
-    for u in tset.members:
-        tinvt.update(eta.brackets_after(carrier.inv(u), arrays)[np.ix_(N, K)].ravel().tolist())
+    all_keys = _tensor_keys(eta)
+    key = all_keys[np.ix_(n_arr, k_arr)]
+    inverses = carrier.inverses(np.concatenate([key.ravel(), tset.members]))
+    key_inv, members_inv = inverses[: key.size].reshape(key.shape), inverses[key.size :]
+    t_nk = eta.times_bracket(members_inv[:, None, None], n_arr[:, None], k_arr[None, :], arrays)
+    tinvt = set(np.unique(t_nk).tolist())
 
-    x_keys: dict[int, None] = {}
+    # w[n, i, j] = [n, K[i]']^-1 [n^K[j], (K[i]^K[j])']: step (3)'s t1^-1 t2
+    # at (n, k, hh) = (n, K[i], K[j]), and step (4)'s w at (n, hh, k)
+    n, i, j = n_arr[:, None, None], k_arr[None, :, None], k_arr[None, None, :]
+    hog_arr = np.asarray(hog)
+    w = eta.times_bracket(key_inv[:, :, None], hog_arr[j, n], h.conj_table()[i, j], arrays)
+    # [t1, hh'] = t1^-1 t1^hh, walked directly
+    start = h_arr[k_inv[None, None, :], key_inv[:, :, None]]
+    direct = h_arr[j, eta.times_bracket(start, n, i, arrays)]
+    spot = _first(direct != w)
     identity_fail = None
-    for n in N:
-        for i, k in enumerate(K):
-            t1 = eta.tensor(n, k)
-            it1 = carrier.inv(t1)
-            # t1^-1 t2 for t2 = [n^hh, (k^hh)'], and [t1, hh'], for every hh in K
-            w_keys = eta.brackets_after(it1, arrays)[hog_k[:, n], k_conj[i]]
-            direct = h_arr[k_arr, eta.times_bracket(h_arr[k_inv, it1], n, k, arrays)]
-            for hh, w_key, bracket in zip(K, w_keys.tolist(), direct.tolist()):
-                if bracket != w_key and identity_fail is None:
-                    identity_fail = {
-                        "step": 3,
-                        "n": n,
-                        "k": k,
-                        "h": hh,
-                        "bracket": bracket,
-                        "substitution": w_key,
-                    }
-                x_keys.setdefault(w_key)
-    if identity_fail is not None:
+    if spot is not None:
+        identity_fail = {
+            "step": 3,
+            "n": N[spot[0]],
+            "k": K[spot[1]],
+            "h": K[spot[2]],
+            "bracket": int(direct[spot]),
+            "substitution": int(w[spot]),
+        }
         failures.append(identity_fail)
+    # the distinct w, in order of first occurrence
+    flat = w.ravel()
+    x_keys = flat[np.sort(np.unique(flat, return_index=True)[1])].tolist()
 
-    s_keys = {carrier.comm(a, eta.embed_h[k]): None for a in sub_a.elements() for k in K}
-    sub_s = carrier.subgroup(s_keys)
+    # [a, k'] = a^-1 k'^-1 a k' for every a in [N,K^phi] and k in K
+    elements = np.array(sub_a.orbit0())[:, None]
+    after = h_arr[k_inv, carrier.inverses(elements)]
+    s_keys = h_arr[k_arr, carrier.products(after, elements)]
+    sub_s = carrier.subgroup(np.unique(s_keys).tolist())
     x_group = carrier.subgroup(x_keys)
     in_tinvt = set(x_keys) <= tinvt
     generates_s = x_group.same_subgroup_as(sub_s)
@@ -620,57 +653,48 @@ def _theorem_A(eta: EtaGroup, n_elements, k_elements):
             )
         parts.append("(3) FAILS")
 
-    hyp4 = sub_a.is_abelian()
-    if hyp4:
-        count4 = 0
-        fail4 = None
-        for n in N:
-            for i, hh in enumerate(K):
-                n1 = g.mul(g.inv(n), hog[hh][n])
-                # w = t1^-1 t2 for t1 = [n, hh'] and t2 = [n^k, (hh^k)'], per k in K
-                after = eta.brackets_after(carrier.inv(eta.tensor(n, hh)), arrays)
-                w_keys = after[hog_k[:, n], k_conj[i]].tolist()
-                for k, w in zip(K, w_keys):
-                    square = carrier.mul(w, w)
-                    expected = eta.tensor(g.mul(n1, n1), k)
-                    count4 += 1
-                    if square != expected and fail4 is None:
-                        fail4 = {
-                            "step": 4,
-                            "n": n,
-                            "h": hh,
-                            "k": k,
-                            "square": square,
-                            "expected": expected,
-                        }
-        if fail4 is None:
-            parts.append(f"(4) abelian hypothesis holds: {count4} squares match")
+    if sub_a.is_abelian():
+        # n1 = n^-1 n^hh, and w^2 against [n1^2, k']
+        n1 = g.table[g.inverse_table[n], hog_arr[i, n]]
+        expected = all_keys[g.table[n1, n1], j]
+        square = carrier.products(w, w)
+        spot = _first(square != expected)
+        if spot is None:
+            parts.append(f"(4) abelian hypothesis holds: {square.size} squares match")
         else:
-            failures.append(fail4)
+            failures.append(
+                {
+                    "step": 4,
+                    "n": N[spot[0]],
+                    "h": K[spot[1]],
+                    "k": K[spot[2]],
+                    "square": int(square[spot]),
+                    "expected": int(expected[spot]),
+                }
+            )
             parts.append("(4) FAILS")
     else:
         parts.append("(4) hypothesis fails ([N,K^phi] not abelian), step not applicable")
 
     hyp5 = all(
-        carrier.mul(a, eta.embed_h[k]) == carrier.mul(eta.embed_h[k], a)
-        for k in K
-        for a in sub_a.generators
+        h_arr[k, a] == carrier.mul(eta.embed_h[k], a) for k in K for a in sub_a.generators
     )
     if hyp5:
-        count5 = 0
-        fail5 = None
-        for n in N:
-            for k in K:
-                t = eta.tensor(n, k)
-                square = carrier.mul(t, t)
-                expected = eta.tensor(n, h.mul(k, k))
-                count5 += 1
-                if square != expected and fail5 is None:
-                    fail5 = {"step": 5, "n": n, "k": k, "square": square, "expected": expected}
-        if fail5 is None:
-            parts.append(f"(5) centralizing hypothesis holds: {count5} squares match")
+        square = carrier.products(key, key)
+        expected = all_keys[n_arr[:, None], h.table[k_arr, k_arr][None, :]]
+        spot = _first(square != expected)
+        if spot is None:
+            parts.append(f"(5) centralizing hypothesis holds: {square.size} squares match")
         else:
-            failures.append(fail5)
+            failures.append(
+                {
+                    "step": 5,
+                    "n": N[spot[0]],
+                    "k": K[spot[1]],
+                    "square": int(square[spot]),
+                    "expected": int(expected[spot]),
+                }
+            )
             parts.append("(5) FAILS")
     else:
         parts.append(

@@ -12,6 +12,11 @@ from collections import deque
 from itertools import product
 from math import gcd, lcm
 
+import numpy as np
+
+from etacalc.errors import InvarianceError
+from etacalc.verify import _tensor_frame
+
 
 def naive_closure(gens: list[tuple[int, ...]], cap: int = 250_000) -> set[tuple[int, ...]]:
     """Closure of image tuples under left-to-right composition."""
@@ -356,3 +361,285 @@ def brown_loday_presentation(pair, a1s=None, b1s=None):
                 relate(col(a, ht[b][b1]), col(a, b1), col(hog[b1][a], conj))
     names = tuple(f"t{a}_{b}" for a in range(1, g.n) for b in range(1, h.n))
     return Presentation(names, tuple(relators))
+
+
+# verify's lemma23 and thma checks as they were written before they were
+# batched into whole-array walks: one loop step per tuple, scalar products
+# on the carrier. The batched checks must agree with them report for report.
+
+
+def _brackets_after(eta, start, arrays):
+    """start [a, b'] for all a in G and b in H, as a (|G|, |H|) array."""
+    a, b = np.arange(eta.pair.g.n)[:, None], np.arange(eta.pair.h.n)[None, :]
+    return eta.times_bracket(start, a, b, arrays)
+
+
+def looped_lemma_identities(eta):
+    """verify's lemma23 check as a loop over tuples, one bracket walk per step.
+
+    Identity (b) is checked in both printed forms: the conjugation form
+    [g^-1 g^h, y^phi] = [g,h^phi]^-1 [g,h^phi]^(y^phi) and the substitution
+    form with [g^y,(h^y)^phi] on the right.
+
+    Identity (a) as printed drops a phi on the leftmost bracket.  The
+    adopted reading restores it and demands
+    [g,h^phi]^[x,y^phi] = [g,h^phi]^(x^-1 x^y) = [g,h^phi]^((y^-x y)^phi);
+    the literal reading, which conjugates the plain commutator [g,h] of two
+    first-copy elements instead, is only evaluable when both groups
+    coincide, and its outcome is recorded in the detail without affecting
+    the verdict.
+    """
+    g, h = eta.pair.g, eta.pair.h
+    goh, hog = eta.pair.g_on_h.rows, eta.pair.h_on_g.rows
+    carrier = eta.carrier
+    arrays = eta.embedded_arrays()
+    g_arr, h_arr = arrays
+    g_inv, h_inv = g.inverse_table, h.inverse_table
+    key = np.array([[eta.tensor(a, b) for b in range(h.n)] for a in range(g.n)])
+    ys = np.arange(h.n)
+    h_conj = h.conj_table()
+    hog_arr = np.asarray(hog)
+
+    checked_b = 0
+    fail_b: list[dict] = []
+    for gg in range(g.n):
+        for hh in range(h.n):
+            kk = int(key[gg, hh])
+            it0 = carrier.inv(kk)
+            lhs = key[g.mul(g.inv(gg), hog[hh][gg])]
+            rhs_forms = (
+                ("conjugation", h_arr[ys, eta.times_bracket(h_arr[h_inv, it0], gg, hh, arrays)]),
+                ("substitution", _brackets_after(eta, it0, arrays)[hog_arr[:, gg], h_conj[hh]]),
+            )
+            checked_b += 2 * h.n
+            for y in range(h.n):
+                for form, rhs in rhs_forms:
+                    if lhs[y] != rhs[y]:
+                        fail_b.append(
+                            {
+                                "identity": "b",
+                                "form": form,
+                                "g": gg,
+                                "h": hh,
+                                "y": y,
+                                "lhs": int(lhs[y]),
+                                "rhs": int(rhs[y]),
+                            }
+                        )
+
+    same_group = g == h
+    checked_a = 0
+    fail_a: list[dict] = []
+    lit_checked = 0
+    lit_fail = 0
+    for x in range(g.n):
+        for y in range(h.n):
+            kc = int(key[x, y])
+            s1 = carrier.inv(kc)
+            e2 = g.mul(g.inv(x), hog[y][x])
+            e3 = h.mul(h.inv(goh[x][y]), y)
+            k1 = eta.times_bracket(_brackets_after(eta, s1, arrays), x, y, arrays)
+            k2 = g_arr[e2][_brackets_after(eta, eta.embed_g[g_inv[e2]], arrays)]
+            k3 = h_arr[e3][_brackets_after(eta, eta.embed_h[h_inv[e3]], arrays)]
+            checked_a += g.n * h.n
+            for gg, hh in np.argwhere((k1 != k2) | (k2 != k3)).tolist():
+                fail_a.append(
+                    {
+                        "identity": "a",
+                        "g": gg,
+                        "h": hh,
+                        "x": x,
+                        "y": y,
+                        "conjugated": int(k1[gg, hh]),
+                        "first_copy": int(k2[gg, hh]),
+                        "second_copy": int(k3[gg, hh]),
+                    }
+                )
+            if same_group:
+                # the literal reading: the plain commutator [g, h] of two first-copy elements
+                plain = _brackets_after(eta, s1, (g_arr, g_arr))
+                lit_checked += g.n * h.n
+                lit_fail += int(np.count_nonzero(eta.times_bracket(plain, x, y, arrays) != k2))
+
+    if same_group:
+        if lit_fail:
+            literal = f"literal reading diverges at {lit_fail} of {lit_checked} tuples"
+        else:
+            literal = f"literal reading agrees at all {lit_checked} tuples"
+    else:
+        literal = "literal reading not evaluable (distinct groups)"
+
+    failures = fail_a + fail_b
+    detail = (
+        f"(a) adopted reading: {checked_a} tuples, {len(fail_a)} failures; "
+        f"{literal}; (b) {checked_b} checks, {len(fail_b)} failures"
+    )
+    verdict = "PASS" if not failures else "FAIL"
+    witness = failures[0] if failures else None
+    return verdict, detail, witness
+
+
+def looped_theorem_A(eta, n_elements, k_elements):
+    """verify's thma check as loops over tuples, with scalar carrier products.
+
+    Steps (1)-(3) are unconditional: the restricted tensor set is a normal
+    subset of M = <N, K^phi>, the subgroup it generates is normal in M, and
+    the triple brackets [n,k^phi,h^phi] land in T^-1 T and generate
+    [N,K^phi,K^phi].  Steps (4) and (5) only apply under their printed
+    hypotheses ([N,K^phi] abelian, K^phi centralizing [N,K^phi]); the
+    report records whether each hypothesis held.
+    """
+    g, h = eta.pair.g, eta.pair.h
+    goh, hog = eta.pair.g_on_h.rows, eta.pair.h_on_g.rows
+    carrier = eta.carrier
+    N = tuple(sorted(set(n_elements)))
+    K = tuple(sorted(set(k_elements)))
+    nset, kset = set(N), set(K)
+
+    invariant = all(hog[k][n] in nset for k in K for n in N) and all(
+        goh[n][k] in kset for n in N for k in K
+    )
+    if not invariant:
+        return (
+            "FAIL",
+            "precondition fails: N and K are not mutually invariant",
+            {"n_elements": list(N), "k_elements": list(K)},
+        )
+
+    big_m, conjugations, tset = _tensor_frame(eta, N, K)
+    parts = [f"|N|={len(N)} |K|={len(K)} |T(N,K)|={tset.size} |M|={big_m.order()}"]
+    failures: list[dict] = []
+
+    try:
+        tset.require_invariant_under(conjugations)
+        parts.append("(1) normal subset")
+    except InvarianceError as err:
+        failures.append({"step": 1, **(err.witness or {})})
+        parts.append("(1) FAILS")
+
+    sub_a = carrier.subgroup(tset.members)
+    normal = all(sub_a.contains(int(m[s])) for s in sub_a.generators for m in conjugations)
+    if normal:
+        parts.append(f"(2) [N,K^phi] of order {sub_a.order()} normal")
+    else:
+        failures.append({"step": 2, "subgroup_order": sub_a.order()})
+        parts.append("(2) FAILS")
+
+    arrays = eta.embedded_arrays()
+    h_arr = arrays[1]
+    k_arr = np.array(K)
+    k_inv = h.inverse_table[k_arr]
+    hog_k = np.asarray(hog)[k_arr]  # [i, n] = n^(K[i])
+    k_conj = h.conj_table()[np.ix_(k_arr, k_arr)]  # [i, j] = K[i]^K[j]
+    tinvt: set[int] = set()
+    for u in tset.members:
+        tinvt.update(_brackets_after(eta, carrier.inv(u), arrays)[np.ix_(N, K)].ravel().tolist())
+
+    x_keys: dict[int, None] = {}
+    identity_fail = None
+    for n in N:
+        for i, k in enumerate(K):
+            t1 = eta.tensor(n, k)
+            it1 = carrier.inv(t1)
+            # t1^-1 t2 for t2 = [n^hh, (k^hh)'], and [t1, hh'], for every hh in K
+            w_keys = _brackets_after(eta, it1, arrays)[hog_k[:, n], k_conj[i]]
+            direct = h_arr[k_arr, eta.times_bracket(h_arr[k_inv, it1], n, k, arrays)]
+            for hh, w_key, bracket in zip(K, w_keys.tolist(), direct.tolist()):
+                if bracket != w_key and identity_fail is None:
+                    identity_fail = {
+                        "step": 3,
+                        "n": n,
+                        "k": k,
+                        "h": hh,
+                        "bracket": bracket,
+                        "substitution": w_key,
+                    }
+                x_keys.setdefault(w_key)
+    if identity_fail is not None:
+        failures.append(identity_fail)
+
+    s_keys = {carrier.comm(a, eta.embed_h[k]): None for a in sub_a.elements() for k in K}
+    sub_s = carrier.subgroup(s_keys)
+    x_group = carrier.subgroup(x_keys)
+    in_tinvt = set(x_keys) <= tinvt
+    generates_s = x_group.same_subgroup_as(sub_s)
+    if in_tinvt and generates_s and identity_fail is None:
+        parts.append(
+            f"(3) {len(x_keys)} triple brackets inside T^-1 T generate "
+            f"[N,K^phi,K^phi] of order {sub_s.order()}"
+        )
+    else:
+        if not in_tinvt:
+            stray = sorted(set(x_keys) - tinvt)[0]
+            failures.append({"step": 3, "bracket_key": stray, "reason": "outside T^-1 T"})
+        if not generates_s:
+            failures.append(
+                {
+                    "step": 3,
+                    "generated_order": x_group.order(),
+                    "expected_order": sub_s.order(),
+                }
+            )
+        parts.append("(3) FAILS")
+
+    hyp4 = sub_a.is_abelian()
+    if hyp4:
+        count4 = 0
+        fail4 = None
+        for n in N:
+            for i, hh in enumerate(K):
+                n1 = g.mul(g.inv(n), hog[hh][n])
+                # w = t1^-1 t2 for t1 = [n, hh'] and t2 = [n^k, (hh^k)'], per k in K
+                after = _brackets_after(eta, carrier.inv(eta.tensor(n, hh)), arrays)
+                w_keys = after[hog_k[:, n], k_conj[i]].tolist()
+                for k, w in zip(K, w_keys):
+                    square = carrier.mul(w, w)
+                    expected = eta.tensor(g.mul(n1, n1), k)
+                    count4 += 1
+                    if square != expected and fail4 is None:
+                        fail4 = {
+                            "step": 4,
+                            "n": n,
+                            "h": hh,
+                            "k": k,
+                            "square": square,
+                            "expected": expected,
+                        }
+        if fail4 is None:
+            parts.append(f"(4) abelian hypothesis holds: {count4} squares match")
+        else:
+            failures.append(fail4)
+            parts.append("(4) FAILS")
+    else:
+        parts.append("(4) hypothesis fails ([N,K^phi] not abelian), step not applicable")
+
+    hyp5 = all(
+        carrier.mul(a, eta.embed_h[k]) == carrier.mul(eta.embed_h[k], a)
+        for k in K
+        for a in sub_a.generators
+    )
+    if hyp5:
+        count5 = 0
+        fail5 = None
+        for n in N:
+            for k in K:
+                t = eta.tensor(n, k)
+                square = carrier.mul(t, t)
+                expected = eta.tensor(n, h.mul(k, k))
+                count5 += 1
+                if square != expected and fail5 is None:
+                    fail5 = {"step": 5, "n": n, "k": k, "square": square, "expected": expected}
+        if fail5 is None:
+            parts.append(f"(5) centralizing hypothesis holds: {count5} squares match")
+        else:
+            failures.append(fail5)
+            parts.append("(5) FAILS")
+    else:
+        parts.append(
+            "(5) hypothesis fails (K^phi does not centralize [N,K^phi]), "
+            "step not applicable"
+        )
+
+    verdict = "PASS" if not failures else "FAIL"
+    witness = failures[0] if failures else None
+    return verdict, "; ".join(parts), witness

@@ -586,3 +586,16 @@ def test_point_arithmetic_matches_column_composition(name, data):
     assert sub.order() == len(powers)
     for probe in (v, u + u, inverse_word(u), u + v):
         assert sub.contains(point(probe)) == (tuple(compose_columns(columns, probe)) in powers)
+
+
+@pytest.mark.parametrize("name", sorted(ARITHMETIC_CARRIERS))
+def test_array_arithmetic_matches_scalar(name):
+    g = arithmetic_carrier(name).carrier
+    rng = np.random.default_rng(0)
+    p = np.append(rng.integers(0, g.degree, size=30), 0)
+    q = np.append(rng.integers(0, g.degree, size=20), 0)
+    products = g.products(p[:, None], q[None, :])
+    assert products.tolist() == [[g.mul(a, b) for b in q.tolist()] for a in p.tolist()]
+    assert g.inverses(p).tolist() == [g.inv(a) for a in p.tolist()]
+    trivial = construct_eta(trivial_pair(cyclic(1), cyclic(1))).carrier
+    assert trivial.products([0], 0).tolist() == [0] and trivial.inverses([0]).tolist() == [0]

@@ -2,25 +2,36 @@
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 
 from etacalc import verify
 from etacalc.action import conjugation_pair, incompatible_example, trivial_pair
+from etacalc.eta import DEFAULT_MAX_COSETS
 from etacalc.groups import builtin
+from etacalc.nu import construct_nu
 from etacalc.verify import (
     CLAIM_IDS,
     ClaimReport,
     Corpus,
     CorpusPair,
     SubgroupCase,
+    _lemma_identities,
+    _theorem_A,
     corpus_from_json_dict,
     default_corpus,
     run_corpus,
     summary,
 )
+
+from oracles import looped_lemma_identities, looped_theorem_A
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +224,50 @@ def test_theorem_a_rejects_non_invariant_subgroups():
     assert report.verdict == "FAIL"
     assert "precondition" in report.detail
     assert report.witness is not None
+
+
+@pytest.mark.parametrize("workload", ["corpus-default", "corpus-general"])
+def test_batched_bracket_checks_equal_the_loops(monkeypatch, workload):
+    # every lemma23 and thma job of the default corpus, its subgroup cases
+    # included, and of the benchmark's general corpus at seed 0
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    corpus = importlib.import_module("corpora").make_corpus(workload, 0)
+    built = verify._build(list(corpus.pairs), DEFAULT_MAX_COSETS)
+    loops = {"lemma23": looped_lemma_identities, "thma": looped_theorem_A}
+    jobs = 0
+    for claim in verify._CLAIMS:
+        for instance, cp, args in claim.scope(corpus) if claim.id in loops else ():
+            eta = built[cp.label]["eta"]
+            assert claim.check(eta, *args) == loops[claim.id](eta, *args), (claim.id, instance)
+            jobs += 1
+    assert jobs == {"corpus-default": 76, "corpus-general": 32}[workload]
+
+
+def _swapped_tensors(eta):
+    """eta with the first two distinct non-identity values of tensor_map swapped."""
+    pairs = [p for p, point in eta.tensor_map.items() if point != 0]
+    first = pairs[0]
+    second = next(p for p in pairs if eta.tensor_map[p] != eta.tensor_map[first])
+    tensor_map = dict(eta.tensor_map)
+    tensor_map[first], tensor_map[second] = tensor_map[second], tensor_map[first]
+    return dataclasses.replace(eta, tensor_map=tensor_map)
+
+
+@pytest.mark.parametrize("name, failing_steps", [("S3", {4}), ("D8", {3, 4})])
+def test_swapped_tensors_fail_both_checks_as_the_loops_do(name, failing_steps):
+    eta = _swapped_tensors(construct_nu(builtin(name)).eta)
+    report = _lemma_identities(eta)
+    assert report[0] == "FAIL" and report[2]["identity"] == "a"
+    assert report == looped_lemma_identities(eta)
+    json.dumps(report[2])  # witness values are plain ints
+
+    everything = (range(eta.pair.g.n), range(eta.pair.h.n))
+    report = _theorem_A(eta, *everything)
+    assert report[0] == "FAIL"
+    failing = {int(part[1]) for part in report[1].split("; ") if part.endswith("FAILS")}
+    assert failing == failing_steps
+    assert report == looped_theorem_A(eta, *everything)
+    json.dumps(report[2])
 
 
 def test_claim_filter_selects_substring(mini_corpus):
