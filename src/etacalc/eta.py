@@ -37,12 +37,15 @@ right-multiplication array once; a point times a bracket [a, b'] is then
 four lookups into those arrays, done for whole arrays of points, a and b
 at once (EtaGroup.times_bracket). Both embeddings and the full families,
 over all g, g1, h, h1, are checked by point chasing, so the carrier is
-eta.  A failed audit is a bug.
+eta.  A failed audit is a bug. The table is let go once audited; the
+EtaGroup keeps the carrier and the arrays the audits certified: those of
+the embedded elements and the table of brackets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -181,10 +184,13 @@ class TensorSet:
                 )
 
 
-def _tensor_set_from(tensor_map: dict[tuple[int, int], int]) -> TensorSet:
+def _tensor_set_from(tensors: np.ndarray, n_elements, k_elements) -> TensorSet:
+    """The distinct tensors[a, b] over a in n_elements and b in k_elements, read in that order."""
+    rows = tensors.tolist()
     pair_for: dict[int, tuple[int, int]] = {}
-    for pair, point in tensor_map.items():
-        pair_for.setdefault(point, pair)
+    for a in n_elements:
+        for b in k_elements:
+            pair_for.setdefault(rows[a][b], (a, b))
     return TensorSet(tuple(pair_for), pair_for)
 
 
@@ -206,22 +212,31 @@ def _bracket_walk(
 class EtaGroup:
     """A finished eta construction over a regular carrier; elements are points.
 
-    ``table`` is assembled from the tensor factor T and audited against its
-    presentation, build_eta_presentation(pair); it equals the table coset
-    enumeration of that presentation would give. The carrier is audited
-    against the full families. The table is None for the pair of trivial
-    groups, which is built without one. Claims about brackets walk points
-    through them with times_bracket, over whole arrays at once.
+    The carrier is the regular action of eta, audited against its
+    presentation, build_eta_presentation(pair), and against the full
+    families. g_arrays and h_arrays hold the right-multiplication arrays of
+    the embedded elements of G and H, one row each, and tensors[a, b] is the
+    point of [a, b']; the audits certified all three, and the embeddings are
+    read off them. Claims about brackets walk points through them with
+    times_bracket, over whole arrays at once.
     """
 
     pair: ActionPair
-    table: CosetTable | None
     carrier: PermGroup
-    embed_g: tuple[int, ...]
-    embed_h: tuple[int, ...]
-    tensor_map: dict[tuple[int, int], int]
+    g_arrays: np.ndarray
+    h_arrays: np.ndarray
+    tensors: np.ndarray
     tensor_set: TensorSet
     tensor_subgroup: PermGroup
+
+    @cached_property
+    def embed_g(self) -> tuple[int, ...]:
+        """The point of each element of G: where its array sends 0."""
+        return tuple(self.g_arrays[:, 0].tolist())
+
+    @cached_property
+    def embed_h(self) -> tuple[int, ...]:
+        return tuple(self.h_arrays[:, 0].tolist())
 
     def order(self) -> int:
         return self.carrier.order()
@@ -230,17 +245,11 @@ class EtaGroup:
         return self.tensor_subgroup.order()
 
     def tensor(self, g: int, h: int) -> int:
-        return self.tensor_map[(g, h)]
+        return int(self.tensors[g, h])
 
-    def embedded_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Right-multiplication arrays of the embedded G and H, one row per element."""
-        right = self.carrier.right
-        g_arrays = np.stack([right(p) for p in self.embed_g])
-        return g_arrays, np.stack([right(p) for p in self.embed_h])
-
-    def times_bracket(self, points, a, b, arrays: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """points [a, b'], with points, a and b broadcast; arrays from embedded_arrays()."""
-        return _bracket_walk(self.pair, *arrays, points, a, b)
+    def times_bracket(self, points, a, b) -> np.ndarray:
+        """points [a, b'], with points, a and b broadcast."""
+        return _bracket_walk(self.pair, self.g_arrays, self.h_arrays, points, a, b)
 
 
 def _embedding(
@@ -258,14 +267,13 @@ def _embedding(
     return arrays
 
 
-def _certify_embedding(group: TableGroup, prefix: str, arrays: np.ndarray) -> tuple[int, ...]:
+def _certify_embedding(group: TableGroup, prefix: str, arrays: np.ndarray) -> None:
     points = arrays[:, 0]
     if len(set(points.tolist())) != group.n:
         raise ConstructionError(f"embedding of the {prefix}-side is not injective")
     # arrays[b, points[a]] is the point of a b
     if not np.array_equal(arrays[:, points], points[group.table.T]):
         raise ConstructionError(f"embedding of the {prefix}-side is not a homomorphism")
-    return tuple(points.tolist())
 
 
 def _audit_families(
@@ -298,15 +306,14 @@ def _audit_families(
 
 def _trivial_eta(pair: ActionPair) -> EtaGroup:
     carrier = PermGroup.regular(np.zeros((0, 1), dtype=np.int32), {0: None})
-    tensor_map = {(0, 0): 0}
+    zero = np.zeros((1, 1), dtype=np.int32)
     return EtaGroup(
         pair=pair,
-        table=None,
         carrier=carrier,
-        embed_g=(0,),
-        embed_h=(0,),
-        tensor_map=tensor_map,
-        tensor_set=_tensor_set_from(tensor_map),
+        g_arrays=zero,
+        h_arrays=zero,
+        tensors=zero,
+        tensor_set=_tensor_set_from(zero, [0], [0]),
         tensor_subgroup=carrier.subgroup([]),
     )
 
@@ -553,24 +560,22 @@ def construct_eta(pair: ActionPair, *, max_cosets: int = DEFAULT_MAX_COSETS) -> 
     # a transitive action of the presented eta on |T| |G| |H| >= |eta| points is regular
     table.verify_complete()
     carrier, gen_map = regular_representation(table)
+    del table, rows  # the carrier keeps the columns and the tree
     # tree words are positive: each element's array is a product of generator columns
     g_arrays = _embedding(g, "g", gen_map, n)
     h_arrays = _embedding(h, "h", gen_map, n)
-    embed_g = _certify_embedding(g, "g", g_arrays)
-    embed_h = _certify_embedding(h, "h", h_arrays)
+    _certify_embedding(g, "g", g_arrays)
+    _certify_embedding(h, "h", h_arrays)
     a, b = np.arange(g.n)[:, None], np.arange(h.n)[None, :]
-    tensor = _bracket_walk(pair, g_arrays, h_arrays, 0, a, b)
-    _audit_families(pair, g_arrays, h_arrays, tensor)
-    rows = tensor.tolist()
-    tensor_map = {(a, b): rows[a][b] for a in range(g.n) for b in range(h.n)}
-    tensor_set = _tensor_set_from(tensor_map)
+    tensors = _bracket_walk(pair, g_arrays, h_arrays, 0, a, b)
+    _audit_families(pair, g_arrays, h_arrays, tensors)
+    tensor_set = _tensor_set_from(tensors, range(g.n), range(h.n))
     return EtaGroup(
         pair=pair,
-        table=table,
         carrier=carrier,
-        embed_g=embed_g,
-        embed_h=embed_h,
-        tensor_map=tensor_map,
+        g_arrays=g_arrays,
+        h_arrays=h_arrays,
+        tensors=tensors,
         tensor_set=tensor_set,
         tensor_subgroup=carrier.subgroup(tensor_set.members),
     )
@@ -591,12 +596,7 @@ def restricted_tensor_set(
     The elements are indices into the pair's groups; iteration order is
     ascending so the member tuple is deterministic.
     """
-    sub = {
-        (a, b): eta.tensor_map[(a, b)]
-        for a in sorted(n_elements)
-        for b in sorted(k_elements)
-    }
-    return _tensor_set_from(sub)
+    return _tensor_set_from(eta.tensors, sorted(n_elements), sorted(k_elements))
 
 
 def check_decomposition(eta: EtaGroup) -> dict:
@@ -611,11 +611,10 @@ def check_decomposition(eta: EtaGroup) -> dict:
     g, h = eta.pair.g, eta.pair.h
     n_eta = eta.carrier.order()
     t_keys = np.fromiter(sorted(eta.tensor_subgroup.orbit0()), dtype=np.int64)
-    g_arrays, h_arrays = eta.embedded_arrays()
     tensor_order = len(t_keys)
     counts_match = n_eta == tensor_order * g.n * h.n
-    after_g = g_arrays[:, t_keys]
-    covers = len(np.unique(h_arrays[:, after_g])) == n_eta
+    after_g = eta.g_arrays[:, t_keys]
+    covers = len(np.unique(eta.h_arrays[:, after_g])) == n_eta
     tensor_meets_g = set(t_keys.tolist()) & set(eta.embed_g)
     tg_meets_h = set(after_g.ravel().tolist()) & set(eta.embed_h)
     ok = counts_match and covers and tensor_meets_g == {0} and tg_meets_h == {0}

@@ -546,6 +546,6 @@ def regular_representation(table: CosetTable) -> tuple[PermGroup, dict[str, np.n
     """
     # one contiguous array per column, as _audit_table reads them
     columns = table.rows.T.copy()
-    group = PermGroup.regular(columns, dict(table._tree))
+    group = PermGroup.regular(columns, table._tree)
     gen_map = {name: columns[2 * i] for i, name in enumerate(table.presentation.generators)}
     return group, gen_map

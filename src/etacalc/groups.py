@@ -176,8 +176,9 @@ class TableGroup:
         return all(self.conj(a, g) in mset for a in mset for g in range(self.n))
 
     def derived_indices(self) -> tuple[int, ...]:
-        comms = {self.comm(a, b) for a in range(self.n) for b in range(self.n)}
-        return self.subgroup_closure(comms)
+        t, inv = self.table, self.inverse_table
+        comms = t[t[inv[:, None], inv[None, :]], t]  # [a, b] = a^-1 b^-1 a b, for all a and b
+        return self.subgroup_closure(comms.ravel().tolist())
 
     def center_indices(self) -> tuple[int, ...]:
         return tuple(

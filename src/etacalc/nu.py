@@ -78,7 +78,7 @@ def construct_nu(group: TableGroup, *, max_cosets: int = DEFAULT_MAX_COSETS) -> 
     mu = hom_kernel(rho_prime)
     if not mu.is_central_in(eta.carrier):
         raise ConstructionError("kernel of the bracket map is not central")
-    diagonal = [eta.tensor_map[(a, a)] for a in group.non_identity()]
+    diagonal = [eta.tensor(a, a) for a in group.non_identity()]
     delta = eta.carrier.subgroup(diagonal)
     return NuGroup(
         group=group,
@@ -107,9 +107,8 @@ def check_derived_decomposition(nu: NuGroup) -> dict:
     factors = [*nu.tensor_subgroup.generators]
     factors += [nu.eta.embed_g[d] for d in derived] + [nu.eta.embed_h[d] for d in derived]
     contained = all(nu_prime.contains(p) for p in factors)
-    g_arrays, h_arrays = nu.eta.embedded_arrays()
     d = np.asarray(derived)
-    covers = len(np.unique(h_arrays[d][:, g_arrays[d][:, t_keys]])) == expected
+    covers = len(np.unique(nu.eta.h_arrays[d][:, nu.eta.g_arrays[d][:, t_keys]])) == expected
     ok = counts_match and contained and covers
     return {
         "ok": bool(ok),

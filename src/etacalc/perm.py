@@ -8,16 +8,16 @@ here an element is that point, a plain int.
 
 Products read left to right: mul(p, q) is the point of "p, then q", the
 image of p under q's right-multiplication array. A carrier keeps its
-generators' columns, a spanning tree of its points, and one bounded cache of
-right-multiplication arrays that its subgroups share. Scalar arithmetic
-walks the tree (an element is the product of the generators on its tree
-path) unless the array is cached, and products and inverses walk the paths
-of whole arrays of points at once; conjugation by a fixed element is one
-int array on points (conj_map). Membership is one tree lookup, and a
-homomorphism into a table group is a labelling of source points by target
-elements, checked edge by edge (GroupHom). Groups given by arbitrary
-permutation generators are closed into multiplication tables instead
-(groups.table_from_perms).
+generators' columns and a spanning tree of its points; a subgroup keeps the
+right-multiplication arrays of the generators that grew its orbit. Scalar
+arithmetic walks the tree (an element is the product of the generators on
+its tree path), and products and inverses walk the paths of whole arrays of
+points at once; conjugation by a fixed element is one int array on points
+(conj_map), and a group builds those of its generators once
+(conjugations). Membership is one tree lookup, and a homomorphism into a
+table group is a labelling of source points by target elements, checked
+edge by edge (GroupHom). Groups given by arbitrary permutation generators
+are closed into multiplication tables instead (groups.table_from_perms).
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ __all__ = [
 ]
 
 _ELEMENTS_LIMIT = 10**5
-_CACHE_BUDGET = 4_000_000  # cached right-multiplication arrays, in total array cells
 
 
 class PermGroup:
@@ -66,10 +65,12 @@ class PermGroup:
         self.carrier = carrier
         self.degree = carrier.degree
         self.generators: tuple[int, ...] = ()
-        # Tree edges, the orbit in tree order, and the generators that walk it.
+        # Tree edges, the orbit in tree order, (slot, right-multiplication
+        # array) of each generator that walks it, and conjugations() once built.
         self._tree: dict[int, tuple[int, int, int] | None] = {0: None}
         self._orbit: list[int] = [0]
-        self._slots: list[int] = []
+        self._walks: list[tuple[int, np.ndarray]] = []
+        self._conjugations: list[np.ndarray] = []
 
     # -- constructors ---------------------------------------------------------
 
@@ -94,9 +95,9 @@ class PermGroup:
         self.generators = tuple(int(c[0]) for c in columns[::2])
         self._tree = tree
         self._orbit = [0] + [p for p in tree if p != 0]
-        self._slots = list(range(len(self.generators)))
+        self._walks = list(enumerate(columns[::2]))
+        self._conjugations = []
         self._columns = columns
-        self._cache: dict[int, np.ndarray] = {}
         self._levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
         self._edges: tuple[np.ndarray, np.ndarray] | None = None
         return self
@@ -128,63 +129,49 @@ class PermGroup:
         self.generators += (g,)
         if g in self._tree:
             return
-        self._slots.append(slot)
-        arrays = {s: self.right(self.generators[s]) for s in self._slots}
+        walks = self._walks
+        walks.append((slot, self.right(g)))
         tree, orbit = self._tree, self._orbit
 
-        def reach(pt: int, s: int) -> None:
-            img = int(arrays[s][pt])
+        def reach(pt: int, s: int, array: np.ndarray) -> None:
+            img = int(array[pt])
             if img not in tree:
                 tree[img] = (s, 1, pt)
                 orbit.append(img)
 
         start = len(orbit)
         for pt in orbit[:start]:
-            reach(pt, slot)
+            reach(pt, *walks[-1])
         i = start
         while i < len(orbit):
             pt = orbit[i]
             i += 1
-            for s in self._slots:
-                reach(pt, s)
+            for walk in walks:
+                reach(pt, *walk)
 
     # -- arithmetic on points of the carrier ---------------------------------
 
-    def _path(self, q: int, stop=()) -> tuple[int, list[int]]:
-        """(a, columns) for the carrier tree path from a to q, where a is 0 or in stop.
-
-        q is a times the carrier generators whose columns are listed.
-        """
+    def _path(self, q: int) -> list[int]:
+        """The columns of the carrier generators on q's tree path: q is their product."""
         tree = self.carrier._tree
         cols = []
-        while tree[q] is not None and q not in stop:
+        while tree[q] is not None:
             slot, sign, q = tree[q]
             cols.append(2 * slot + (sign < 0))
         cols.reverse()
-        return q, cols
+        return cols
 
     def right(self, q: int) -> np.ndarray:
         """Right multiplication by q: the array sending each point p to mul(p, q)."""
         c = self.carrier
-        arr = c._cache.get(q)
-        if arr is None:
-            start, cols = self._path(q, c._cache)
-            arr = c._cache.get(start)
-            if arr is None:
-                arr = np.arange(c.degree, dtype=np.int32)
-            for col in cols:
-                arr = c._columns[col][arr]
-            if len(c._cache) * c.degree <= _CACHE_BUDGET:
-                c._cache[q] = arr
+        arr = np.arange(c.degree, dtype=np.int32)
+        for col in self._path(q):
+            arr = c._columns[col][arr]
         return arr
 
     def mul(self, p: int, q: int) -> int:
-        c = self.carrier
-        arr = c._cache.get(q)
-        if arr is not None:
-            return int(arr[p])
-        columns = c._columns
-        for col in self._path(q)[1]:
+        columns = self.carrier._columns
+        for col in self._path(q):
             p = int(columns[col, p])
         return p
 
@@ -238,6 +225,12 @@ class PermGroup:
     def conj_map(self, c: int) -> np.ndarray:
         """Conjugation by c as an array on points: x -> c^-1 x c."""
         return self.right(c)[self._left(self.inv(c))]
+
+    def conjugations(self) -> list[np.ndarray]:
+        """The conj_map of each generator, in order; each is built once."""
+        maps = self._conjugations
+        maps.extend(self.conj_map(c) for c in self.generators[len(maps):])
+        return maps
 
     def _left(self, a: int) -> np.ndarray:
         """Left multiplication by a, grown down the carrier's tree a level at a time."""
@@ -344,7 +337,7 @@ def _tree_levels(tree, orbit) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 def normal_closure(group: PermGroup, seeds: Iterable[int]) -> PermGroup:
     """Smallest normal subgroup of `group` containing the seeds."""
     closure = group.subgroup(seeds)
-    maps = [group.conj_map(c) for c in group.generators]
+    maps = group.conjugations()
     queue = list(closure.generators)
     for x in queue:
         for m in maps:
@@ -362,23 +355,19 @@ def derived_subgroup(group: PermGroup) -> PermGroup:
     return normal_closure(group, sorted(seeds))
 
 
-def centralizer_index(
-    group: PermGroup, x: int, conjugations: Sequence[np.ndarray] | None = None
-) -> int:
+def centralizer_index(group: PermGroup, x: int) -> int:
     """Index of the centralizer of x, i.e. the size of its conjugacy class.
 
-    conjugations are the conjugation maps (PermGroup.conj_map) of a set
-    generating the group; by default those of group.generators. A caller
-    asking about several elements builds them once.
+    The class is the orbit of x under the group's conjugations(), which
+    the group builds once for every element asked about.
     """
     if not group.contains(x):
         raise MembershipError("element is not in the group")
-    if conjugations is None:
-        conjugations = [group.conj_map(c) for c in group.generators]
+    maps = group.conjugations()
     seen = {x}
     queue = [x]
     for y in queue:
-        for m in conjugations:
+        for m in maps:
             z = int(m[y])
             if z not in seen:
                 seen.add(z)

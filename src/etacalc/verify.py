@@ -39,6 +39,7 @@ from .errors import CapacityError, IncompatibleActionError, InvarianceError
 from .eta import (
     DEFAULT_MAX_COSETS,
     EtaGroup,
+    _bracket_walk,
     check_decomposition,
     construct_eta,
     restricted_tensor_set,
@@ -244,21 +245,16 @@ def corpus_from_json_dict(data: dict) -> Corpus:
 
 
 def _tensor_frame(eta: EtaGroup, N: tuple[int, ...], K: tuple[int, ...]):
-    """(M, conjugation maps of a set generating M, T(N,K)) for M = <N, K^phi>.
+    """(M, T(N,K)) for M = <N, K^phi>; M.conjugations() are those of its generators.
 
-    For the full pair M is the whole carrier, generated by the embedded
-    generating subsets of G and H; otherwise M is the subgroup generated
-    by the embedded members of N and K.
+    For the full pair M is the whole carrier, whose generators are the
+    embedded generating subsets of G and H, in order; otherwise M is the
+    subgroup generated by the embedded members of N and K.
     """
-    g, h = eta.pair.g, eta.pair.h
-    if len(N) == g.n and len(K) == h.n:
-        big_m, tset = eta.carrier, eta.tensor_set
-        conjugators = [eta.embed_g[a] for a in g.generating_subset()]
-        conjugators += [eta.embed_h[b] for b in h.generating_subset()]
-    else:
-        big_m = eta.carrier.subgroup([eta.embed_g[a] for a in N] + [eta.embed_h[b] for b in K])
-        conjugators, tset = big_m.generators, restricted_tensor_set(eta, N, K)
-    return big_m, [eta.carrier.conj_map(c) for c in conjugators], tset
+    if len(N) == eta.pair.g.n and len(K) == eta.pair.h.n:
+        return eta.carrier, eta.tensor_set
+    big_m = eta.carrier.subgroup([eta.embed_g[a] for a in N] + [eta.embed_h[b] for b in K])
+    return big_m, restricted_tensor_set(eta, N, K)
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +360,9 @@ def _centralizer_bound(eta: EtaGroup, n_elements, k_elements):
     """
     N = tuple(sorted(set(n_elements)))
     K = tuple(sorted(set(k_elements)))
-    big_m, conjugations, tset = _tensor_frame(eta, N, K)
+    big_m, tset = _tensor_frame(eta, N, K)
     try:
-        tset.require_invariant_under(conjugations)
+        tset.require_invariant_under(big_m.conjugations())
     except InvarianceError as err:
         detail = "tensor set is not a normal subset, bound does not apply"
         return "FAIL", detail, err.witness
@@ -374,7 +370,7 @@ def _centralizer_bound(eta: EtaGroup, n_elements, k_elements):
     bound = tset.size
     worst = 0
     for t in tset.members:
-        index = centralizer_index(big_m, t, conjugations)
+        index = centralizer_index(big_m, t)
         worst = max(worst, index)
         if index > bound:
             witness = {"member": list(tset.pair_for[t]), "index": index, "bound": bound}
@@ -386,29 +382,23 @@ def _centralizer_bound(eta: EtaGroup, n_elements, k_elements):
     return "PASS", detail, None
 
 
-def _tensor_keys(eta: EtaGroup) -> np.ndarray:
-    """key[a, b] = eta.tensor(a, b), the point of [a, b'], for all a in G and b in H."""
-    g, h = eta.pair.g, eta.pair.h
-    return np.array([[eta.tensor(a, b) for b in range(h.n)] for a in range(g.n)], dtype=np.int32)
-
-
 def _first(bad: np.ndarray) -> tuple[int, ...] | None:
     """Index of the first True entry in C order, or None."""
     spots = np.argwhere(bad)
     return tuple(spots[0].tolist()) if len(spots) else None
 
 
-def _identity_b(eta: EtaGroup, arrays, key, key_inv, g_shift):
+def _identity_b(eta: EtaGroup, key, key_inv, g_shift):
     """(checks, failures, first failure) of identity (b), over (g, h, y, form)."""
     h = eta.pair.h
     hog = np.asarray(eta.pair.h_on_g.rows)
-    h_arr = arrays[1]
+    h_arr = eta.h_arrays
     gg = np.arange(eta.pair.g.n)[:, None, None]
     hh, y = np.arange(h.n)[None, :, None], np.arange(h.n)[None, None, :]
     lhs = key[g_shift[:, :, None], y]
     start = key_inv[:, :, None]
-    conjugation = h_arr[y, eta.times_bracket(h_arr[h.inverse_table[y], start], gg, hh, arrays)]
-    substitution = eta.times_bracket(start, hog[y, gg], h.conj_table()[hh, y], arrays)
+    conjugation = h_arr[y, eta.times_bracket(h_arr[h.inverse_table[y], start], gg, hh)]
+    substitution = eta.times_bracket(start, hog[y, gg], h.conj_table()[hh, y])
     forms = (conjugation, substitution)
     bad = np.stack([lhs != rhs for rhs in forms], axis=-1)
     spot = _first(bad)
@@ -426,7 +416,7 @@ def _identity_b(eta: EtaGroup, arrays, key, key_inv, g_shift):
     return bad.size, np.count_nonzero(bad), witness
 
 
-def _identity_a(eta: EtaGroup, arrays, key_inv, g_shift, h_shift):
+def _identity_a(eta: EtaGroup, key_inv, g_shift, h_shift):
     """(failures, literal-reading divergences, first failure) of identity (a).
 
     Over (x, y, g, h), one x at a time: [g, h'] conjugated by [x, y'], by
@@ -435,18 +425,18 @@ def _identity_a(eta: EtaGroup, arrays, key_inv, g_shift, h_shift):
     when the groups differ.
     """
     g, h = eta.pair.g, eta.pair.h
-    g_arr, h_arr = arrays
+    g_arr, h_arr = eta.g_arrays, eta.h_arrays
     a, b = np.arange(g.n)[:, None], np.arange(h.n)[None, :]
     e = np.arange(g.n)[:, None, None]
-    by_g = g_arr[e, eta.times_bracket(g_arr[g.inverse_table[e], 0], a, b, arrays)]
+    by_g = g_arr[e, eta.times_bracket(g_arr[g.inverse_table[e], 0], a, b)]
     e = np.arange(h.n)[:, None, None]
-    by_h = h_arr[e, eta.times_bracket(h_arr[h.inverse_table[e], 0], a, b, arrays)]
+    by_h = h_arr[e, eta.times_bracket(h_arr[h.inverse_table[e], 0], a, b)]
     y = np.arange(h.n)[:, None, None]
     same_group = g == h
     witness, failures, diverging = None, 0, 0
     for x in range(g.n):
         start = key_inv[x][:, None, None]
-        k1 = eta.times_bracket(eta.times_bracket(start, a, b, arrays), x, y, arrays)
+        k1 = eta.times_bracket(eta.times_bracket(start, a, b), x, y)
         k2, k3 = by_g[g_shift[x]], by_h[h_shift[x]]
         bad = (k1 != k2) | (k2 != k3)
         failures += np.count_nonzero(bad)
@@ -463,8 +453,8 @@ def _identity_a(eta: EtaGroup, arrays, key_inv, g_shift, h_shift):
             }
         if same_group:
             # the literal reading: the plain commutator [g, h] of two first-copy elements
-            plain = eta.times_bracket(start, a, b, (g_arr, g_arr))
-            diverging += np.count_nonzero(eta.times_bracket(plain, x, y, arrays) != k2)
+            plain = _bracket_walk(eta.pair, g_arr, g_arr, start, a, b)
+            diverging += np.count_nonzero(eta.times_bracket(plain, x, y) != k2)
     return failures, diverging if same_group else None, witness
 
 
@@ -489,14 +479,13 @@ def _lemma_identities(eta: EtaGroup):
     then (g, h, y, form) of identity (b).
     """
     g, h = eta.pair.g, eta.pair.h
-    arrays = eta.embedded_arrays()
-    key = _tensor_keys(eta)
+    key = eta.tensors
     key_inv = eta.carrier.inverses(key)
     a, b = np.arange(g.n)[:, None], np.arange(h.n)[None, :]
     g_shift = g.table[g.inverse_table[a], np.asarray(eta.pair.h_on_g.rows).T]  # a^-1 a^b
     h_shift = h.table[h.inverse_table[np.asarray(eta.pair.g_on_h.rows)], b]  # (b^a)^-1 b
-    checked_b, fail_b, witness_b = _identity_b(eta, arrays, key, key_inv, g_shift)
-    fail_a, diverging, witness_a = _identity_a(eta, arrays, key_inv, g_shift, h_shift)
+    checked_b, fail_b, witness_b = _identity_b(eta, key, key_inv, g_shift)
+    fail_a, diverging, witness_a = _identity_a(eta, key_inv, g_shift, h_shift)
 
     checked_a = g.n * h.n * g.n * h.n
     if diverging is None:
@@ -572,7 +561,8 @@ def _theorem_A(eta: EtaGroup, n_elements, k_elements):
             {"n_elements": list(N), "k_elements": list(K)},
         )
 
-    big_m, conjugations, tset = _tensor_frame(eta, N, K)
+    big_m, tset = _tensor_frame(eta, N, K)
+    conjugations = big_m.conjugations()
     parts = [f"|N|={len(N)} |K|={len(K)} |T(N,K)|={tset.size} |M|={big_m.order()}"]
     failures: list[dict] = []
 
@@ -591,25 +581,23 @@ def _theorem_A(eta: EtaGroup, n_elements, k_elements):
         failures.append({"step": 2, "subgroup_order": sub_a.order()})
         parts.append("(2) FAILS")
 
-    arrays = eta.embedded_arrays()
-    h_arr = arrays[1]
+    h_arr = eta.h_arrays
     n_arr, k_arr = np.array(N), np.array(K)
     k_inv = h.inverse_table[k_arr]
-    all_keys = _tensor_keys(eta)
-    key = all_keys[np.ix_(n_arr, k_arr)]
+    key = eta.tensors[np.ix_(n_arr, k_arr)]
     inverses = carrier.inverses(np.concatenate([key.ravel(), tset.members]))
     key_inv, members_inv = inverses[: key.size].reshape(key.shape), inverses[key.size :]
-    t_nk = eta.times_bracket(members_inv[:, None, None], n_arr[:, None], k_arr[None, :], arrays)
+    t_nk = eta.times_bracket(members_inv[:, None, None], n_arr[:, None], k_arr[None, :])
     tinvt = set(np.unique(t_nk).tolist())
 
     # w[n, i, j] = [n, K[i]']^-1 [n^K[j], (K[i]^K[j])']: step (3)'s t1^-1 t2
     # at (n, k, hh) = (n, K[i], K[j]), and step (4)'s w at (n, hh, k)
     n, i, j = n_arr[:, None, None], k_arr[None, :, None], k_arr[None, None, :]
     hog_arr = np.asarray(hog)
-    w = eta.times_bracket(key_inv[:, :, None], hog_arr[j, n], h.conj_table()[i, j], arrays)
+    w = eta.times_bracket(key_inv[:, :, None], hog_arr[j, n], h.conj_table()[i, j])
     # [t1, hh'] = t1^-1 t1^hh, walked directly
     start = h_arr[k_inv[None, None, :], key_inv[:, :, None]]
-    direct = h_arr[j, eta.times_bracket(start, n, i, arrays)]
+    direct = h_arr[j, eta.times_bracket(start, n, i)]
     spot = _first(direct != w)
     identity_fail = None
     if spot is not None:
@@ -656,7 +644,7 @@ def _theorem_A(eta: EtaGroup, n_elements, k_elements):
     if sub_a.is_abelian():
         # n1 = n^-1 n^hh, and w^2 against [n1^2, k']
         n1 = g.table[g.inverse_table[n], hog_arr[i, n]]
-        expected = all_keys[g.table[n1, n1], j]
+        expected = eta.tensors[g.table[n1, n1], j]
         square = carrier.products(w, w)
         spot = _first(square != expected)
         if spot is None:
@@ -681,7 +669,7 @@ def _theorem_A(eta: EtaGroup, n_elements, k_elements):
     )
     if hyp5:
         square = carrier.products(key, key)
-        expected = all_keys[n_arr[:, None], h.table[k_arr, k_arr][None, :]]
+        expected = eta.tensors[n_arr[:, None], h.table[k_arr, k_arr][None, :]]
         spot = _first(square != expected)
         if spot is None:
             parts.append(f"(5) centralizing hypothesis holds: {square.size} squares match")

@@ -15,6 +15,7 @@ from math import gcd, lcm
 import numpy as np
 
 from etacalc.errors import InvarianceError
+from etacalc.eta import _bracket_walk
 from etacalc.verify import _tensor_frame
 
 
@@ -316,6 +317,12 @@ def naive_check_compatibility(pair) -> list[dict]:
     return failures
 
 
+def looped_derived_indices(group):
+    """TableGroup.derived_indices as a loop: one scalar commutator per pair of elements."""
+    comms = {group.comm(a, b) for a in range(group.n) for b in range(group.n)}
+    return group.subgroup_closure(comms)
+
+
 def brown_loday_presentation(pair, a1s=None, b1s=None):
     """The defining presentation of G (x) H in full (Brown and Loday, 1987).
 
@@ -368,10 +375,13 @@ def brown_loday_presentation(pair, a1s=None, b1s=None):
 # on the carrier. The batched checks must agree with them report for report.
 
 
-def _brackets_after(eta, start, arrays):
-    """start [a, b'] for all a in G and b in H, as a (|G|, |H|) array."""
+def _brackets_after(eta, start, arrays=None):
+    """start [a, b'] for all a in G and b in H, as a (|G|, |H|) array.
+
+    arrays replaces eta's (g_arrays, h_arrays) in the walk.
+    """
     a, b = np.arange(eta.pair.g.n)[:, None], np.arange(eta.pair.h.n)[None, :]
-    return eta.times_bracket(start, a, b, arrays)
+    return _bracket_walk(eta.pair, *(arrays or (eta.g_arrays, eta.h_arrays)), start, a, b)
 
 
 def looped_lemma_identities(eta):
@@ -392,8 +402,7 @@ def looped_lemma_identities(eta):
     g, h = eta.pair.g, eta.pair.h
     goh, hog = eta.pair.g_on_h.rows, eta.pair.h_on_g.rows
     carrier = eta.carrier
-    arrays = eta.embedded_arrays()
-    g_arr, h_arr = arrays
+    g_arr, h_arr = eta.g_arrays, eta.h_arrays
     g_inv, h_inv = g.inverse_table, h.inverse_table
     key = np.array([[eta.tensor(a, b) for b in range(h.n)] for a in range(g.n)])
     ys = np.arange(h.n)
@@ -408,8 +417,8 @@ def looped_lemma_identities(eta):
             it0 = carrier.inv(kk)
             lhs = key[g.mul(g.inv(gg), hog[hh][gg])]
             rhs_forms = (
-                ("conjugation", h_arr[ys, eta.times_bracket(h_arr[h_inv, it0], gg, hh, arrays)]),
-                ("substitution", _brackets_after(eta, it0, arrays)[hog_arr[:, gg], h_conj[hh]]),
+                ("conjugation", h_arr[ys, eta.times_bracket(h_arr[h_inv, it0], gg, hh)]),
+                ("substitution", _brackets_after(eta, it0)[hog_arr[:, gg], h_conj[hh]]),
             )
             checked_b += 2 * h.n
             for y in range(h.n):
@@ -438,9 +447,9 @@ def looped_lemma_identities(eta):
             s1 = carrier.inv(kc)
             e2 = g.mul(g.inv(x), hog[y][x])
             e3 = h.mul(h.inv(goh[x][y]), y)
-            k1 = eta.times_bracket(_brackets_after(eta, s1, arrays), x, y, arrays)
-            k2 = g_arr[e2][_brackets_after(eta, eta.embed_g[g_inv[e2]], arrays)]
-            k3 = h_arr[e3][_brackets_after(eta, eta.embed_h[h_inv[e3]], arrays)]
+            k1 = eta.times_bracket(_brackets_after(eta, s1), x, y)
+            k2 = g_arr[e2][_brackets_after(eta, eta.embed_g[g_inv[e2]])]
+            k3 = h_arr[e3][_brackets_after(eta, eta.embed_h[h_inv[e3]])]
             checked_a += g.n * h.n
             for gg, hh in np.argwhere((k1 != k2) | (k2 != k3)).tolist():
                 fail_a.append(
@@ -459,7 +468,7 @@ def looped_lemma_identities(eta):
                 # the literal reading: the plain commutator [g, h] of two first-copy elements
                 plain = _brackets_after(eta, s1, (g_arr, g_arr))
                 lit_checked += g.n * h.n
-                lit_fail += int(np.count_nonzero(eta.times_bracket(plain, x, y, arrays) != k2))
+                lit_fail += int(np.count_nonzero(eta.times_bracket(plain, x, y) != k2))
 
     if same_group:
         if lit_fail:
@@ -506,7 +515,8 @@ def looped_theorem_A(eta, n_elements, k_elements):
             {"n_elements": list(N), "k_elements": list(K)},
         )
 
-    big_m, conjugations, tset = _tensor_frame(eta, N, K)
+    big_m, tset = _tensor_frame(eta, N, K)
+    conjugations = [carrier.conj_map(c) for c in big_m.generators]
     parts = [f"|N|={len(N)} |K|={len(K)} |T(N,K)|={tset.size} |M|={big_m.order()}"]
     failures: list[dict] = []
 
@@ -525,15 +535,14 @@ def looped_theorem_A(eta, n_elements, k_elements):
         failures.append({"step": 2, "subgroup_order": sub_a.order()})
         parts.append("(2) FAILS")
 
-    arrays = eta.embedded_arrays()
-    h_arr = arrays[1]
+    h_arr = eta.h_arrays
     k_arr = np.array(K)
     k_inv = h.inverse_table[k_arr]
     hog_k = np.asarray(hog)[k_arr]  # [i, n] = n^(K[i])
     k_conj = h.conj_table()[np.ix_(k_arr, k_arr)]  # [i, j] = K[i]^K[j]
     tinvt: set[int] = set()
     for u in tset.members:
-        tinvt.update(_brackets_after(eta, carrier.inv(u), arrays)[np.ix_(N, K)].ravel().tolist())
+        tinvt.update(_brackets_after(eta, carrier.inv(u))[np.ix_(N, K)].ravel().tolist())
 
     x_keys: dict[int, None] = {}
     identity_fail = None
@@ -542,8 +551,8 @@ def looped_theorem_A(eta, n_elements, k_elements):
             t1 = eta.tensor(n, k)
             it1 = carrier.inv(t1)
             # t1^-1 t2 for t2 = [n^hh, (k^hh)'], and [t1, hh'], for every hh in K
-            w_keys = _brackets_after(eta, it1, arrays)[hog_k[:, n], k_conj[i]]
-            direct = h_arr[k_arr, eta.times_bracket(h_arr[k_inv, it1], n, k, arrays)]
+            w_keys = _brackets_after(eta, it1)[hog_k[:, n], k_conj[i]]
+            direct = h_arr[k_arr, eta.times_bracket(h_arr[k_inv, it1], n, k)]
             for hh, w_key, bracket in zip(K, w_keys.tolist(), direct.tolist()):
                 if bracket != w_key and identity_fail is None:
                     identity_fail = {
@@ -590,7 +599,7 @@ def looped_theorem_A(eta, n_elements, k_elements):
             for i, hh in enumerate(K):
                 n1 = g.mul(g.inv(n), hog[hh][n])
                 # w = t1^-1 t2 for t1 = [n, hh'] and t2 = [n^k, (hh^k)'], per k in K
-                after = _brackets_after(eta, carrier.inv(eta.tensor(n, hh)), arrays)
+                after = _brackets_after(eta, carrier.inv(eta.tensor(n, hh)))
                 w_keys = after[hog_k[:, n], k_conj[i]].tolist()
                 for k, w in zip(K, w_keys):
                     square = carrier.mul(w, w)

@@ -65,7 +65,7 @@ def test_eta_c2_c2_trivial_actions():
     assert eta.order() == 8
     assert eta.tensor_order() == 2
     assert eta.tensor_set.size == 2
-    assert len(eta.tensor_map) == 4
+    assert eta.tensors.shape == (2, 2)
     report = check_decomposition(eta)
     assert report["ok"]
     assert report["counts_match"] and report["covers"] and report["generates"]
@@ -165,18 +165,21 @@ def test_tensor_set_is_normal_in_carrier():
 
 def test_eta_keeps_the_enumerated_presentation():
     # The assembled table is audited against the one presentation on
-    # generating subsets; the carrier is audited against the full families,
-    # which are never presented.
+    # generating subsets and let go; the carrier keeps its columns and tree,
+    # those of the enumerated presentation. The carrier is audited against
+    # the full families, which are never presented.
     pair = conjugation_pair(symmetric3())
     eta = construct_eta(pair)
-    assert eta.table.presentation == build_eta_presentation(pair)
+    reference = todd_coxeter(build_eta_presentation(pair))
+    assert np.array_equal(eta.carrier._columns, reference.rows.T)
+    assert eta.carrier._tree == reference._tree
 
 
 def test_doubly_trivial_pair():
     eta = construct_eta(trivial_pair(cyclic(1), cyclic(1)))
     assert eta.order() == 1
     assert eta.tensor_order() == 1
-    assert eta.table is None
+    assert eta.carrier.generators == () and eta.tensors.tolist() == [[0]]
     assert check_decomposition(eta)["ok"]
 
 
@@ -246,9 +249,9 @@ def test_incompatible_pair_is_refused():
 def test_construction_is_deterministic():
     first = construct_eta(conjugation_pair(builtin("D8")))
     second = construct_eta(conjugation_pair(builtin("D8")))
-    assert np.array_equal(first.table.rows, second.table.rows)
+    assert np.array_equal(first.carrier._columns, second.carrier._columns)
     assert first.tensor_order() == second.tensor_order()
-    assert first.embed_g == second.embed_g and first.tensor_map == second.tensor_map
+    assert first.embed_g == second.embed_g and np.array_equal(first.tensors, second.tensors)
 
 
 def _relabel(group: TableGroup, order: list[int]) -> TableGroup:
@@ -356,8 +359,8 @@ def test_assembled_table_equals_enumerated_eta(make_pair):
     pair = make_pair()
     eta = construct_eta(pair)
     reference = todd_coxeter(build_eta_presentation(pair))
-    assert np.array_equal(eta.table.rows, reference.rows)
-    assert eta.table._tree == reference._tree
+    assert np.array_equal(eta.carrier._columns, reference.rows.T)
+    assert eta.carrier._tree == reference._tree
 
 
 @pytest.mark.parametrize(
@@ -446,8 +449,8 @@ def test_shrunk_tensor_presentation_matches_brown_loday(pair, monkeypatch):
     monkeypatch.setattr(eta_module, "_tensor_presentation", lambda p: (full, columns))
     reference = construct_eta(pair)
     assert index * pair.g.n * pair.h.n == reference.order()
-    assert np.array_equal(eta.table.rows, reference.table.rows)
-    assert eta.table._tree == reference.table._tree
+    assert np.array_equal(eta.carrier._columns, reference.carrier._columns)
+    assert eta.carrier._tree == reference.carrier._tree
 
 
 def test_a_too_weak_tensor_presentation_is_refused(monkeypatch, capsys):
@@ -469,7 +472,8 @@ def test_decomposition_fails_when_the_factors_do_not_generate():
     # With H embedded as the identity, the factors generate only T G; the
     # covering check catches it, and generation is read off it.
     eta = construct_eta(conjugation_pair(symmetric3()))
-    report = check_decomposition(dataclasses.replace(eta, embed_h=(0,) * 6))
+    identity_rows = np.tile(np.arange(eta.order(), dtype=np.int32), (6, 1))
+    report = check_decomposition(dataclasses.replace(eta, h_arrays=identity_rows))
     assert report["counts_match"]
     assert not report["covers"] and not report["generates"]
     assert not report["ok"]

@@ -21,7 +21,7 @@ from etacalc.groups import (
 )
 from etacalc.action import trivial_pair
 from etacalc.eta import construct_eta
-from oracles import naive_closure
+from oracles import looped_derived_indices, naive_closure
 
 
 def test_cyclic():
@@ -35,6 +35,22 @@ def test_cyclic():
     assert c6.element_order(3) == 2
     assert c6.is_abelian()
     assert cyclic(1).n == 1
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_derived_indices_equal_the_loop(name):
+    group = builtin(name)
+    assert group.derived_indices() == looped_derived_indices(group)
+
+
+def test_derived_indices_with_the_identity_last():
+    s3 = symmetric3()
+    order = list(range(s3.n - 1, -1, -1))
+    pos = {old: new for new, old in enumerate(order)}
+    moved = TableGroup([[pos[s3.mul(a, b)] for b in order] for a in order])
+    assert moved.identity == s3.n - 1
+    assert moved.derived_indices() == looped_derived_indices(moved)
+    assert len(moved.derived_indices()) == 3
 
 
 def test_dihedral():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from etacalc.abelian import delta_of_abelian
@@ -119,7 +120,8 @@ def test_derived_decomposition_fails_when_the_factors_do_not_generate():
     # With H embedded as the identity, the factors generate only T G'; the
     # covering check catches it, and generation is read off it.
     nu = construct_nu(symmetric3())
-    broken = dataclasses.replace(nu, eta=dataclasses.replace(nu.eta, embed_h=(0,) * 6))
+    identity_rows = np.tile(np.arange(nu.order(), dtype=np.int32), (6, 1))
+    broken = dataclasses.replace(nu, eta=dataclasses.replace(nu.eta, h_arrays=identity_rows))
     report = check_derived_decomposition(broken)
     assert report["counts_match"] and report["factors_contained"]
     assert not report["covers"] and not report["generates"]

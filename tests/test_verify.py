@@ -8,12 +8,14 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from etacalc import verify
+from etacalc.abelian import z_tensor
 from etacalc.action import conjugation_pair, incompatible_example, trivial_pair
 from etacalc.eta import DEFAULT_MAX_COSETS
-from etacalc.groups import builtin
+from etacalc.groups import builtin, cyclic, direct_product
 from etacalc.nu import construct_nu
 from etacalc.verify import (
     CLAIM_IDS,
@@ -243,14 +245,55 @@ def test_batched_bracket_checks_equal_the_loops(monkeypatch, workload):
     assert jobs == {"corpus-default": 76, "corpus-general": 32}[workload]
 
 
+@pytest.mark.parametrize("workload", ["corpus-default", "corpus-general"])
+def test_full_pair_frame_is_the_carrier(monkeypatch, workload):
+    # For a full pair, lemma22 and thma conjugate by the carrier's generators:
+    # the embedded generating subsets of G and H, in order, so the witnesses'
+    # conjugator indices are those of the embedded generators.
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    corpus = importlib.import_module("corpora").make_corpus(workload, 0)
+    built = verify._build(list(corpus.pairs), DEFAULT_MAX_COSETS)
+    for cp in corpus.pairs:
+        eta = built[cp.label]["eta"]
+        g, h = eta.pair.g, eta.pair.h
+        embedded = [eta.embed_g[a] for a in g.generating_subset()]
+        embedded += [eta.embed_h[b] for b in h.generating_subset()]
+        assert list(eta.carrier.generators) == embedded, cp.label
+        big_m, tset = verify._tensor_frame(eta, tuple(range(g.n)), tuple(range(h.n)))
+        assert big_m is eta.carrier and tset is eta.tensor_set
+        maps = eta.carrier.conjugations()
+        assert len(maps) == len(embedded)
+        for m, c in zip(maps, embedded):
+            assert np.array_equal(m, eta.carrier.conj_map(c))
+        assert eta.carrier.conjugations() is maps
+
+
+def test_order_16_instance_passes_every_claim():
+    # nu(C4xC4) on 65,536 points; G is abelian, so conjugation is trivial and
+    # ztensor applies: the tensor square is the Z-tensor, of order 4^4
+    group = direct_product(cyclic(4), cyclic(4))
+    corpus = Corpus(
+        pairs=(CorpusPair("nu:C4xC4", "conjugation", conjugation_pair(group)),),
+        incompatible=(),
+        subgroup_cases=(),
+    )
+    reports = run_corpus(corpus=corpus)
+    assert {r.claim for r in reports} == set(CLAIM_IDS)
+    assert all(r.verdict == "PASS" for r in reports), [r.to_json_line() for r in reports]
+    tensor_order = z_tensor(group.abelian_invariants(), group.abelian_invariants()).order
+    assert tensor_order == 256
+    decomposition = next(r for r in reports if r.claim == "decomposition")
+    assert decomposition.detail.startswith(f"|eta| = 65536 = {tensor_order} * 16 * 16;")
+
+
 def _swapped_tensors(eta):
-    """eta with the first two distinct non-identity values of tensor_map swapped."""
-    pairs = [p for p, point in eta.tensor_map.items() if point != 0]
+    """eta with the first two distinct non-identity values of tensors swapped, in C order."""
+    tensors = eta.tensors.copy()
+    pairs = [tuple(p) for p in np.argwhere(tensors != 0).tolist()]
     first = pairs[0]
-    second = next(p for p in pairs if eta.tensor_map[p] != eta.tensor_map[first])
-    tensor_map = dict(eta.tensor_map)
-    tensor_map[first], tensor_map[second] = tensor_map[second], tensor_map[first]
-    return dataclasses.replace(eta, tensor_map=tensor_map)
+    second = next(p for p in pairs if tensors[p] != tensors[first])
+    tensors[first], tensors[second] = tensors[second], tensors[first]
+    return dataclasses.replace(eta, tensors=tensors)
 
 
 @pytest.mark.parametrize("name, failing_steps", [("S3", {4}), ("D8", {3, 4})])
