@@ -1,0 +1,59 @@
+"""Build nu(G) for one group of order 16 and check every claim on it.
+
+    PYTHONPATH=src python scripts/nu_order16.py [GROUP]
+
+GROUP is a key of GROUPS (default C2xD8). The script builds nu(G) with
+construct_nu, then runs every claim through run_corpus on a one-pair
+corpus, with verify.construct_nu serving the instance already built, so
+the claims time excludes construction. It exits 1 unless every claim
+passes and |nu(G)| and |G (x) G| are the orders listed. It prints one
+line: the build time, the claims time and the peak RSS of the process.
+"""
+
+from __future__ import annotations
+
+import resource
+import sys
+import time
+
+from etacalc import verify
+from etacalc.action import conjugation_pair
+from etacalc.groups import builtin, cyclic, dihedral, direct_product
+from etacalc.nu import construct_nu
+from etacalc.verify import Corpus, CorpusPair, run_corpus
+
+# name -> (factory, |nu(G)|, |G (x) G|)
+GROUPS = {
+    "D16": (lambda: dihedral(16), 16_384, 64),
+    "C2xC8": (lambda: direct_product(cyclic(2), cyclic(8)), 16_384, 64),
+    "C4xC4": (lambda: direct_product(cyclic(4), cyclic(4)), 65_536, 256),
+    "C2xC2xC4": (lambda: direct_product(builtin("C2xC2"), cyclic(4)), 262_144, 1_024),
+    "C2xD8": (lambda: direct_product(cyclic(2), builtin("D8")), 262_144, 1_024),
+    "C2xQ8": (lambda: direct_product(cyclic(2), builtin("Q8")), 524_288, 2_048),
+}
+
+
+def main(name: str) -> int:
+    factory, nu_order, tensor_order = GROUPS[name]
+    group = factory()
+    start = time.perf_counter()
+    nu = construct_nu(group)
+    built = time.perf_counter()
+    verify.construct_nu = lambda g, max_cosets: nu
+    corpus = Corpus((CorpusPair(f"nu:{name}", "conjugation", conjugation_pair(group)),), (), ())
+    reports = run_corpus(corpus=corpus)
+    claims = time.perf_counter()
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    failed = [r.to_json_line() for r in reports if r.verdict != "PASS"]
+    orders = (nu.order(), nu.tensor_order())
+    print(
+        f"nu({name}): |nu| = {orders[0]}, |T| = {orders[1]}, {len(reports)} claims;"
+        f" build {built - start:.2f} s, claims {claims - built:.2f} s, peak RSS {peak:.0f} MB"
+    )
+    for line in failed:
+        print(line)
+    return 0 if not failed and orders == (nu_order, tensor_order) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1] if len(sys.argv) > 1 else "C2xD8"))

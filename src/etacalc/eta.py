@@ -305,7 +305,8 @@ def _audit_families(
 
 
 def _trivial_eta(pair: ActionPair) -> EtaGroup:
-    carrier = PermGroup.regular(np.zeros((0, 1), dtype=np.int32), {0: None})
+    tree = (np.full(1, -1, dtype=np.int32), np.zeros(1, dtype=np.int32), [1])
+    carrier = PermGroup.regular(np.zeros((0, 1), dtype=np.int32), tree)
     zero = np.zeros((1, 1), dtype=np.int32)
     return EtaGroup(
         pair=pair,
@@ -614,7 +615,9 @@ def check_decomposition(eta: EtaGroup) -> dict:
     tensor_order = len(t_keys)
     counts_match = n_eta == tensor_order * g.n * h.n
     after_g = eta.g_arrays[:, t_keys]
-    covers = len(np.unique(eta.h_arrays[:, after_g])) == n_eta
+    covered = np.zeros(n_eta, dtype=bool)
+    covered[eta.h_arrays[:, after_g]] = True
+    covers = np.count_nonzero(covered) == n_eta
     tensor_meets_g = set(t_keys.tolist()) & set(eta.embed_g)
     tg_meets_h = set(after_g.ravel().tolist()) & set(eta.embed_h)
     ok = counts_match and covers and tensor_meets_g == {0} and tg_meets_h == {0}

@@ -32,7 +32,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import CapacityError, ConstructionError, IncompleteTableError, ParseError
-from .perm import PermGroup
+from .perm import PermGroup, _first_reached
 
 __all__ = [
     "Presentation",
@@ -276,12 +276,12 @@ def parse_presentation(text: str) -> Presentation:
 
 @dataclass(frozen=True, eq=False)
 class CosetTable:
-    """A complete, audited, canonically numbered coset table."""
+    """A complete, audited, canonically numbered coset table and its BFS tree."""
 
     presentation: Presentation
     n: int
     rows: np.ndarray  # (n, ncols) int32: one row per coset, one entry per column
-    _tree: dict[int, tuple[int, int, int] | None] = field(default_factory=dict, repr=False)
+    _tree: tuple = field(repr=False)  # (column, parent, bounds) from bfs_renumber
 
     @property
     def ncols(self) -> int:
@@ -450,21 +450,24 @@ class _Enumerator:
                                 row = alpha * self.nc
             alpha += 1
 
-    def finish(self) -> tuple[np.ndarray, dict[int, tuple[int, int, int] | None]]:
+    def finish(self) -> tuple[np.ndarray, tuple]:
         """Compact, then renumber canonically (see bfs_renumber)."""
         self.compact(0)
         flat = np.frombuffer(self.tbl, dtype=np.int32)
         return bfs_renumber(flat.reshape(self.nrows, self.nc))
 
 
-def bfs_renumber(table: np.ndarray) -> tuple[np.ndarray, dict[int, tuple[int, int, int] | None]]:
+def bfs_renumber(table: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Renumber a complete (n, ncols) table by BFS from 0 over the columns in order.
 
     The numbering depends only on the action and its base point 0, not on
     how the table was built. Returns the renumbered (n, ncols) int32 table,
-    read-only, as CosetTable holds it, and the BFS tree, which maps each
-    point but 0 to the (generator index, sign, parent) of the edge that
-    first reached it.
+    read-only, as CosetTable holds it, and the BFS tree as
+    PermGroup.regular takes it: (column, parent, bounds), the column of
+    the edge that first reached each point and that edge's parent, as
+    int32 arrays (-1 and 0 at the root), and the level bounds. Points are
+    numbered a level at a time, so depth d holds the points bounds[d-1]
+    to bounds[d] - 1.
 
     A whole level is taken at once: its rows, flattened in row-major
     order, list the edges in the order a FIFO queue visits them, so the
@@ -475,30 +478,25 @@ def bfs_renumber(table: np.ndarray) -> tuple[np.ndarray, dict[int, tuple[int, in
         raise IncompleteTableError("enumeration left an undefined entry")
     order = np.full(n, -1, dtype=np.int32)  # old -> new
     order[0] = 0
-    first = np.full(n, n * nc, dtype=np.int64)  # earliest edge of a level reaching each point
+    first = np.empty(n, dtype=np.int64)  # earliest edge of a level reaching each point
     frontier = np.zeros(1, dtype=np.int32)
-    cols, parents = [], []
-    assigned = 1
-    while frontier.size:
+    cols, parents, bounds = [np.full(1, -1)], [np.zeros(1, dtype=np.int32)], [1]
+    while True:
         reached = table[frontier].ravel()
-        fresh = np.flatnonzero(order[reached] < 0)
-        np.minimum.at(first, reached[fresh], fresh)
-        fresh = fresh[first[reached[fresh]] == fresh]
+        fresh = _first_reached(reached, np.flatnonzero(order[reached] < 0), first)
+        if not fresh.size:
+            break
         cols.append(fresh % nc)
         parents.append(order[frontier[fresh // nc]])
         frontier = reached[fresh]
-        order[frontier] = np.arange(assigned, assigned + frontier.size, dtype=np.int32)
-        assigned += frontier.size
-    if assigned != n:
+        order[frontier] = np.arange(bounds[-1], bounds[-1] + frontier.size, dtype=np.int32)
+        bounds.append(bounds[-1] + frontier.size)
+    if bounds[-1] != n:
         raise IncompleteTableError("coset graph is not connected from coset 0")
-    col = np.concatenate(cols)
-    edges = zip((col // 2).tolist(), (1 - 2 * (col % 2)).tolist(), np.concatenate(parents).tolist())
-    tree: dict[int, tuple[int, int, int] | None] = {0: None}
-    tree.update(zip(range(1, n), edges))
     renumbered = np.empty((n, nc), dtype=np.int32)
     renumbered[order] = order[table]
     renumbered.setflags(write=False)
-    return renumbered, tree
+    return renumbered, (np.concatenate(cols).astype(np.int32), np.concatenate(parents), bounds)
 
 
 def _audit_table(table: CosetTable) -> None:

@@ -108,7 +108,9 @@ def check_derived_decomposition(nu: NuGroup) -> dict:
     factors += [nu.eta.embed_g[d] for d in derived] + [nu.eta.embed_h[d] for d in derived]
     contained = all(nu_prime.contains(p) for p in factors)
     d = np.asarray(derived)
-    covers = len(np.unique(nu.eta.h_arrays[d][:, nu.eta.g_arrays[d][:, t_keys]])) == expected
+    covered = np.zeros(nu.carrier.degree, dtype=bool)
+    covered[nu.eta.h_arrays[d][:, nu.eta.g_arrays[d][:, t_keys]]] = True
+    covers = np.count_nonzero(covered) == expected
     ok = counts_match and contained and covers
     return {
         "ok": bool(ok),

@@ -8,13 +8,14 @@ here an element is that point, a plain int.
 
 Products read left to right: mul(p, q) is the point of "p, then q", the
 image of p under q's right-multiplication array. A carrier keeps its
-generators' columns and a spanning tree of its points; a subgroup keeps the
-right-multiplication arrays of the generators that grew its orbit. Scalar
-arithmetic walks the tree (an element is the product of the generators on
-its tree path), and products and inverses walk the paths of whole arrays of
-points at once; conjugation by a fixed element is one int array on points
-(conj_map), and a group builds those of its generators once
-(conjugations). Membership is one tree lookup, and a homomorphism into a
+generators' columns and its BFS tree as each point's edge column and
+parent, two int32 arrays (Holt, Eick and O'Brien's Schreier vector); a
+subgroup keeps a mask of its points and the right-multiplication arrays of
+the generators that grew its orbit. Scalar arithmetic walks the tree (an
+element is the product of the generators on its tree path), and products
+and inverses walk the paths of whole arrays of points at once; conjugation
+by a fixed element is one int array on points (conj_map), and a group
+builds those of its generators once (conjugations). A homomorphism into a
 table group is a labelling of source points by target elements, checked
 edge by edge (GroupHom). Groups given by arbitrary permutation generators
 are closed into multiplication tables instead (groups.table_from_perms).
@@ -50,13 +51,28 @@ __all__ = [
 _ELEMENTS_LIMIT = 10**5
 
 
+def _first_reached(reached: np.ndarray, candidates: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """The candidates (ascending indices into reached) first to reach their point.
+
+    reached lists the points a BFS level's edges reach, in the order a FIFO
+    queue visits the edges, and first is scratch space over the points.
+    np.minimum.at keeps the least index of a repeated point, where fancy
+    assignment would not promise which one.
+    """
+    points = reached[candidates]
+    first[points] = len(reached)
+    np.minimum.at(first, points, candidates)
+    return candidates[first[points] == candidates]
+
+
 class PermGroup:
     """A regular carrier or a subgroup of one; an element is a point.
 
-    The group keeps a spanning tree of the orbit of 0: the edge of a point
-    (generator index, sign, parent) says that it is its parent times that
-    generator, or its inverse when the sign is negative. Membership is one
-    lookup, and the arithmetic methods (mul, inv, conj, comm) work on
+    The group keeps a spanning tree of the orbit of 0 as levels, arrays
+    (points, columns, parents) in the order the orbit grew: each point is
+    its parent, of an earlier level, times the generator of its edge's
+    column (column 2i is generator i, 2i+1 its inverse). Membership is one
+    mask lookup, and the arithmetic methods (mul, inv, conj, comm) work on
     points of the carrier, whichever of its subgroups they are called on.
     """
 
@@ -65,41 +81,57 @@ class PermGroup:
         self.carrier = carrier
         self.degree = carrier.degree
         self.generators: tuple[int, ...] = ()
-        # Tree edges, the orbit in tree order, (slot, right-multiplication
-        # array) of each generator that walks it, and conjugations() once built.
-        self._tree: dict[int, tuple[int, int, int] | None] = {0: None}
-        self._orbit: list[int] = [0]
-        self._walks: list[tuple[int, np.ndarray]] = []
+        # Membership of each carrier point, the tree's levels, each
+        # generator's right-multiplication array, and conjugations() once built.
+        self._mask = np.zeros(self.degree, dtype=bool)
+        self._mask[0] = True
+        self._levels: list[tuple] = []
+        self._walks: list[np.ndarray] = []
         self._conjugations: list[np.ndarray] = []
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def regular(
-        cls, columns: np.ndarray, tree: dict[int, tuple[int, int, int] | None]
-    ) -> "PermGroup":
+    def regular(cls, columns: np.ndarray, tree: tuple) -> "PermGroup":
         """Certified regular carrier of a complete table, given by its columns.
 
         Row 2i of columns is generator i as an int array on points and row
         2i+1 its inverse. The caller certifies that the generators act
         regularly (the coset enumerator's audited table provides exactly
-        that) and hands over a spanning tree of the points rooted at 0, each
-        point listed after its parent; slot i of an edge names generator i.
+        that) and hands over a spanning tree of the points rooted at 0, as
+        bfs_renumber returns it: (column, parent, bounds), the column and
+        parent of each point's edge as int32 arrays (-1 and 0 at the root)
+        and the level bounds, level d being the points bounds[d] to
+        bounds[d+1] - 1. A tree not of that shape raises ConstructionError.
         """
+        column, parent, bounds = tree
         degree = columns.shape[1]
-        if len(tree) != degree:
-            raise ConstructionError("regular carrier tree does not span the point set")
+        bounds = [int(b) for b in bounds]
+        if (
+            len(column) != degree
+            or len(parent) != degree
+            or bounds[:1] != [1]
+            or bounds[-1] != degree
+            or any(lo >= hi for lo, hi in zip(bounds, bounds[1:]))
+        ):
+            raise ConstructionError("regular carrier tree levels do not span the point set")
+        start = np.repeat(bounds[:-1], np.diff(bounds))
+        if parent[0] != 0 or np.any((parent[1:] < 0) | (parent[1:] >= start)):
+            raise ConstructionError("a tree edge does not come from an earlier level")
+        if column[0] != -1 or np.any((column[1:] < 0) | (column[1:] >= len(columns))):
+            raise ConstructionError("a tree edge names no generator column")
         self = cls.__new__(cls)
         self.carrier = self
         self.degree = degree
         self.generators = tuple(int(c[0]) for c in columns[::2])
-        self._tree = tree
-        self._orbit = [0] + [p for p in tree if p != 0]
-        self._walks = list(enumerate(columns[::2]))
+        self._mask = np.ones(degree, dtype=bool)
+        self._levels = [
+            (slice(lo, hi), column[lo:hi], parent[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
+        ]
+        self._walks = []
         self._conjugations = []
         self._columns = columns
-        self._levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
-        self._edges: tuple[np.ndarray, np.ndarray] | None = None
+        self._column, self._parent = column, parent
         return self
 
     def subgroup(self, generators: Iterable[int]) -> "PermGroup":
@@ -113,51 +145,48 @@ class PermGroup:
             g = int(g)
             if not self.contains(g):
                 raise MembershipError("subgroup generator is not in the group")
-            if g not in sub._tree:
-                sub._add_free_generator(g)
+            sub._add_free_generator(g)
         return sub
 
-    def _add_free_generator(self, g: int) -> None:
-        """Extend the orbit with one more generator.
+    def _add_free_generator(self, g: int) -> bool:
+        """Extend the orbit with g, a level at a time, unless g is a member.
 
         The orbit is closed under the earlier generators, so its points are
         walked with the new one only, and the points it reaches with every
-        generator. A generator sending 0 into the orbit is, by freeness,
-        already a member: it reaches nothing and is never walked.
+        generator. Each level lists its edges in the order a FIFO queue
+        visits them, so the tree is the queue's. Returns whether g was
+        added; by freeness a generator sending 0 into the orbit is a member.
         """
-        slot = len(self.generators)
+        if self._mask[g]:
+            return False
         self.generators += (g,)
-        if g in self._tree:
-            return
-        walks = self._walks
-        walks.append((slot, self.right(g)))
-        tree, orbit = self._tree, self._orbit
-
-        def reach(pt: int, s: int, array: np.ndarray) -> None:
-            img = int(array[pt])
-            if img not in tree:
-                tree[img] = (s, 1, pt)
-                orbit.append(img)
-
-        start = len(orbit)
-        for pt in orbit[:start]:
-            reach(pt, *walks[-1])
-        i = start
-        while i < len(orbit):
-            pt = orbit[i]
-            i += 1
-            for walk in walks:
-                reach(pt, *walk)
+        self._walks.append(self.right(g))
+        cols = np.arange(0, 2 * len(self._walks), 2, dtype=np.int32)
+        first = np.empty(self.degree, dtype=np.intp)
+        frontier, w = self._orbit(), 1  # the orbit so far walks the new generator only
+        while True:
+            reached = np.empty((frontier.size, w), dtype=np.int32)
+            for j, array in enumerate(self._walks[-w:]):
+                reached[:, j] = array[frontier]
+            reached = reached.ravel()
+            fresh = _first_reached(reached, np.nonzero(~self._mask[reached])[0], first)
+            if not fresh.size:
+                return True
+            parents = frontier[fresh // w]
+            frontier = reached[fresh]
+            self._mask[frontier] = True
+            self._levels.append((frontier, cols[-w:][fresh % w], parents))
+            w = len(cols)
 
     # -- arithmetic on points of the carrier ---------------------------------
 
     def _path(self, q: int) -> list[int]:
         """The columns of the carrier generators on q's tree path: q is their product."""
-        tree = self.carrier._tree
+        c = self.carrier
         cols = []
-        while tree[q] is not None:
-            slot, sign, q = tree[q]
-            cols.append(2 * slot + (sign < 0))
+        while q:
+            cols.append(c._column.item(q))
+            q = c._parent.item(q)
         cols.reverse()
         return cols
 
@@ -172,17 +201,16 @@ class PermGroup:
     def mul(self, p: int, q: int) -> int:
         columns = self.carrier._columns
         for col in self._path(q):
-            p = int(columns[col, p])
+            p = columns.item(col, p)
         return p
 
     def inv(self, p: int) -> int:
         """The inverse: the path to p walked backwards from 0, inverting each step."""
         c = self.carrier
-        tree, columns = c._tree, c._columns
         x = 0
-        while tree[p] is not None:
-            slot, sign, p = tree[p]
-            x = int(columns[2 * slot + (sign > 0), x])
+        while p:
+            x = c._columns.item(c._column.item(p) ^ 1, x)
+            p = c._parent.item(p)
         return x
 
     def conj(self, p: int, c: int) -> int:
@@ -200,12 +228,11 @@ class PermGroup:
         walked down them together, one gather per level of the tree each way.
         """
         c = self.carrier
-        parent, column = c._tree_arrays()
         p, q = np.broadcast_arrays(np.asarray(p), np.asarray(q))
         steps = []
-        for _ in c._tree_by_depth():
-            steps.append(column[q])
-            q = parent[q]
+        for _ in c._levels:
+            steps.append(c._column[q])
+            q = c._parent[q]
         for col in reversed(steps):
             p = np.where(col < 0, p, c._columns[col, p])
         return np.array(p)
@@ -213,13 +240,12 @@ class PermGroup:
     def inverses(self, p) -> np.ndarray:
         """inv over an array of points: their tree paths walked backwards at once."""
         c = self.carrier
-        parent, column = c._tree_arrays()
         p = np.asarray(p)
         x = np.zeros(p.shape, dtype=np.int32)
-        for _ in c._tree_by_depth():
-            col = column[p]
+        for _ in c._levels:
+            col = c._column[p]
             x = np.where(col < 0, x, c._columns[col ^ 1, x])
-            p = parent[p]
+            p = c._parent[p]
         return x
 
     def conj_map(self, c: int) -> np.ndarray:
@@ -237,43 +263,33 @@ class PermGroup:
         c = self.carrier
         out = np.empty(c.degree, dtype=np.int32)
         out[0] = a
-        for points, cols, parents in c._tree_by_depth():
+        for points, cols, parents in c._levels:
             out[points] = c._columns[cols, out[parents]]
         return out
 
-    def _tree_by_depth(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The carrier's _tree_levels, built once."""
-        if self._levels is None:
-            self._levels = _tree_levels(self._tree, self._orbit)
-        return self._levels
-
-    def _tree_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each point's parent in the carrier's tree and its edge's column (-1 at 0), built once."""
-        if self._edges is None:
-            parent = np.zeros(self.degree, dtype=np.int32)
-            column = np.full(self.degree, -1, dtype=np.int32)
-            for points, cols, parents in self._tree_by_depth():
-                parent[points], column[points] = parents, cols
-            self._edges = parent, column
-        return self._edges
+    def _orbit(self) -> np.ndarray:
+        """The orbit of 0 in tree order; a carrier numbers its points in it."""
+        if self.carrier is self:
+            return np.arange(self.degree, dtype=np.int32)
+        return np.concatenate([np.zeros(1, dtype=np.int32), *(p for p, _, _ in self._levels)])
 
     # -- queries ---------------------------------------------------------------
 
     def order(self) -> int:
-        return len(self._orbit)
+        return int(np.count_nonzero(self._mask))
 
     def is_trivial(self) -> bool:
         return self.order() == 1
 
     def contains(self, p: int) -> bool:
-        return p in self._tree
+        return 0 <= p < self.degree and bool(self._mask[p])
 
     def __contains__(self, p: int) -> bool:
         return self.contains(p)
 
     def orbit0(self) -> tuple[int, ...]:
         """Orbit of point 0 in tree order (the coset ordering for carriers)."""
-        return tuple(self._orbit)
+        return tuple(self._orbit().tolist())
 
     def elements(self) -> list[int]:
         """All elements, in tree order."""
@@ -282,7 +298,7 @@ class PermGroup:
             raise CapacityError(
                 f"refusing to enumerate {n} elements (limit {_ELEMENTS_LIMIT})", count=n
             )
-        return list(self._orbit)
+        return self._orbit().tolist()
 
     def element_orders(self) -> list[int]:
         """Orders of all elements, each the length of its cycle through 0."""
@@ -297,7 +313,7 @@ class PermGroup:
 
     def same_subgroup_as(self, other: "PermGroup") -> bool:
         """Two subgroups of one carrier are equal exactly when their orbits are."""
-        return self._tree.keys() == other._tree.keys()
+        return np.array_equal(self._mask, other._mask)
 
     def is_abelian(self) -> bool:
         gens = self.generators
@@ -317,23 +333,6 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order()})"
 
 
-def _tree_levels(tree, orbit) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(points, columns of their tree edges, parents) for each depth below 0."""
-    depth = {0: 0}
-    levels: list[list[int]] = []
-    for p in orbit[1:]:
-        d = depth[p] = depth[tree[p][2]] + 1
-        if d > len(levels):
-            levels.append([])
-        levels[d - 1].append(p)
-    out = []
-    for points in levels:
-        edges = [tree[p] for p in points]
-        cols = [2 * slot + (sign < 0) for slot, sign, _ in edges]
-        out.append((np.array(points), np.array(cols), np.array([e[2] for e in edges])))
-    return out
-
-
 def normal_closure(group: PermGroup, seeds: Iterable[int]) -> PermGroup:
     """Smallest normal subgroup of `group` containing the seeds."""
     closure = group.subgroup(seeds)
@@ -342,8 +341,7 @@ def normal_closure(group: PermGroup, seeds: Iterable[int]) -> PermGroup:
     for x in queue:
         for m in maps:
             y = int(m[x])
-            if not closure.contains(y):
-                closure._add_free_generator(y)
+            if closure._add_free_generator(y):
                 queue.append(y)
     return closure
 
@@ -419,8 +417,8 @@ class GroupHom:
     The source acts freely on the orbit of point 0, as every PermGroup
     does, so a source element is a point and an image is an element index
     of the target. The assignment is a labelling of source points by target
-    elements, grown along the source's spanning tree from label(0) = the
-    identity, and it extends to a homomorphism exactly when
+    elements, grown down the source's spanning tree a level at a time from
+    label(0) = the identity, and it extends to a homomorphism exactly when
     label(p g) == label(p) img(g) holds for every orbit point p and generator
     g. That check is complete: a word trivial in the source walks 0 back to
     0, so its image walks the identity back to the identity. The first
@@ -437,15 +435,14 @@ class GroupHom:
         self.source = source
         self.target = target
         self.generator_images = images
-        table, inverse = target.table.tolist(), target.inverse_table.tolist()
-        label = [-1] * source.degree
-        label[0] = target.identity
-        for pt in source._orbit[1:]:
-            slot, sign, parent = source._tree[pt]
-            img = images[slot] if sign > 0 else inverse[images[slot]]
-            label[pt] = table[label[parent]][img]
-        labels = np.asarray(label, dtype=np.int64)
-        orbit = np.asarray(source._orbit)
+        # the image of each column: generator i's at 2i, its inverse's at 2i+1
+        steps = np.repeat(np.asarray(images, dtype=np.intp), 2)
+        steps[1::2] = target.inverse_table[steps[1::2]]
+        labels = np.full(source.degree, -1, dtype=np.int32)
+        labels[0] = target.identity
+        for points, cols, parents in source._levels:
+            labels[points] = target.table[labels[parents], steps[cols]]
+        orbit = source._orbit()
         for i, (g, img) in enumerate(zip(source.generators, images)):
             step = source.right(g)
             bad = np.nonzero(labels[step[orbit]] != target.table[labels[orbit], img])[0]
@@ -477,8 +474,7 @@ def hom_kernel(f: GroupHom) -> PermGroup:
     source = f.source
     kern = PermGroup(source.carrier)
     for pt in np.nonzero(f._labels == f.target.identity)[0].tolist():
-        if not kern.contains(pt):
-            kern._add_free_generator(pt)
+        kern._add_free_generator(pt)
     if kern.order() * len(f.image_group()) != source.order():
         raise ConstructionError("kernel/image orders do not multiply to the source order")
     return kern

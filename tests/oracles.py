@@ -52,6 +52,63 @@ def compose_columns(columns: list[list[int]], word: list[int]) -> list[int]:
     return images
 
 
+def tree_dict(column: np.ndarray, parent: np.ndarray) -> dict:
+    """A spanning tree's edge arrays as {point: (generator index, sign, parent)}.
+
+    Column 2i is generator i (sign 1) and 2i + 1 its inverse (sign -1); the
+    root 0 maps to None. This is the form carriers kept their trees in.
+    """
+    edges = zip((column // 2).tolist(), (1 - 2 * (column % 2)).tolist(), parent.tolist())
+    return {0: None, **{p: edge for p, edge in enumerate(edges) if p}}
+
+
+def fifo_subgroup_tree(carrier, generators) -> tuple[list[int], dict]:
+    """Orbit of 0 and tree of the subgroup grown by adding generators in order.
+
+    The orbit is walked one point and one edge at a time with a FIFO queue:
+    a new generator walks the orbit so far, and then every walked generator
+    walks each new point. Returns the orbit in tree order and
+    {point: (slot, 1, parent)}; a generator already in the orbit is skipped
+    but keeps its slot.
+    """
+    tree: dict = {0: None}
+    orbit = [0]
+    walks = []
+
+    def reach(pt, slot, array):
+        img = int(array[pt])
+        if img not in tree:
+            tree[img] = (slot, 1, pt)
+            orbit.append(img)
+
+    for slot, g in enumerate(generators):
+        if g in tree:
+            continue
+        walks.append((slot, carrier.right(g)))
+        start = len(orbit)
+        for pt in orbit[:start]:
+            reach(pt, *walks[-1])
+        i = start
+        while i < len(orbit):
+            pt = orbit[i]
+            i += 1
+            for walk in walks:
+                reach(pt, *walk)
+    return orbit, tree
+
+
+def tree_walk_labels(orbit, tree, target, images, degree) -> list[int]:
+    """Target label of each point, one tree edge at a time; -1 off the orbit."""
+    table, inverse = target.table.tolist(), target.inverse_table.tolist()
+    label = [-1] * degree
+    label[0] = target.identity
+    for pt in orbit[1:]:
+        slot, sign, parent = tree[pt]
+        img = images[slot] if sign > 0 else inverse[images[slot]]
+        label[pt] = table[label[parent]][img]
+    return label
+
+
 def det_bareiss(matrix: list[list[int]]) -> int:
     """Exact integer determinant (fraction-free Gaussian elimination)."""
     n = len(matrix)

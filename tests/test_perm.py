@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from etacalc.action import ActionPair, ActionTable, conjugation_pair, trivial_pair
 from etacalc.errors import (
     CapacityError,
+    ConstructionError,
     DegreeMismatchError,
     IllDefinedHomError,
     MembershipError,
@@ -32,7 +33,7 @@ from etacalc.perm import (
     hom_kernel,
     normal_closure,
 )
-from oracles import compose_columns, naive_closure
+from oracles import compose_columns, naive_closure, tree_dict
 
 
 def P(*cycles, degree):
@@ -293,8 +294,16 @@ def regular_cyclic(n):
     """C_n with each non-trivial rotation a generator, through the certified path."""
     points = np.arange(n)
     columns = np.array([(points + s * k) % n for k in range(1, n) for s in (1, -1)], dtype=np.int32)
-    tree = {0: None, **{k: (0, 1, k - 1) for k in range(1, n)}}
-    return PermGroup.regular(columns, tree)
+    return PermGroup.regular(columns, rotation_path(n))
+
+
+def rotation_path(n):
+    """The tree 0 - 1 - ... - n-1 of steps by the first rotation, one point per level."""
+    column = np.zeros(n, dtype=np.int32)
+    column[0] = -1
+    parent = np.arange(-1, n - 1, dtype=np.int32)
+    parent[0] = 0
+    return column, parent, list(range(1, n + 1))
 
 
 def test_certified_regular_carrier():
@@ -328,9 +337,10 @@ def test_free_subgroup_matches_table_closure(name, data):
 
 def tree_label(source, target, images, pt):
     """Target element that the source's spanning-tree path to pt labels it with."""
+    tree = tree_dict(source._column, source._parent)
     path = []
-    while source._tree[pt] is not None:
-        slot, sign, pt = source._tree[pt]
+    while tree[pt] is not None:
+        slot, sign, pt = tree[pt]
         path.append(images[slot] if sign > 0 else target.inv(images[slot]))
     label = target.identity
     for img in reversed(path):
@@ -376,8 +386,26 @@ def single_rotation(n):
     """C_n = <r | r^n> on n points, r the rotation, as a certified carrier."""
     points = np.arange(n)
     columns = np.array([(points + 1) % n, (points - 1) % n], dtype=np.int32)
-    tree = {0: None, **{k: (0, 1, k - 1) for k in range(1, n)}}
-    return PermGroup.regular(columns, tree)
+    return PermGroup.regular(columns, rotation_path(n))
+
+
+@pytest.mark.parametrize(
+    "column, parent, bounds",
+    [
+        ([-1, 0, 0, 0], [0, 0, 1, 2], [0, 2, 3, 4]),  # bounds do not start at 1
+        ([-1, 0, 0, 0], [0, 0, 1, 2], [1, 2, 3]),  # bounds do not end at the degree
+        ([-1, 0, 0, 0], [0, 0, 1, 2], [1, 3, 2, 4]),  # bounds go backwards
+        ([-1, 0, 0, 0], [0, 0, 2, 2], [1, 2, 3, 4]),  # a parent in its own level
+        ([-1, 0, 0, 0], [0, 0, 3, 2], [1, 2, 3, 4]),  # a parent in a later level
+        ([-1, 0, 2, 0], [0, 0, 1, 2], [1, 2, 3, 4]),  # column 2 of two
+        ([0, 0, 0, 0], [0, 0, 1, 2], [1, 2, 3, 4]),  # an edge into the root
+    ],
+)
+def test_regular_rejects_a_malformed_tree(column, parent, bounds):
+    columns = single_rotation(4)._columns
+    tree = np.array(column, dtype=np.int32), np.array(parent, dtype=np.int32), bounds
+    with pytest.raises(ConstructionError):
+        PermGroup.regular(columns, tree)
 
 
 def test_hom_relator_mode():

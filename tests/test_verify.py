@@ -17,6 +17,7 @@ from etacalc.action import conjugation_pair, incompatible_example, trivial_pair
 from etacalc.eta import DEFAULT_MAX_COSETS
 from etacalc.groups import builtin, cyclic, direct_product
 from etacalc.nu import construct_nu
+from etacalc.perm import GroupHom, PermGroup
 from etacalc.verify import (
     CLAIM_IDS,
     ClaimReport,
@@ -31,7 +32,13 @@ from etacalc.verify import (
     summary,
 )
 
-from oracles import looped_lemma_identities, looped_theorem_A
+from oracles import (
+    fifo_subgroup_tree,
+    looped_lemma_identities,
+    looped_theorem_A,
+    tree_dict,
+    tree_walk_labels,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -243,6 +250,49 @@ def test_batched_bracket_checks_equal_the_loops(monkeypatch, workload):
             assert claim.check(eta, *args) == loops[claim.id](eta, *args), (claim.id, instance)
             jobs += 1
     assert jobs == {"corpus-default": 76, "corpus-general": 32}[workload]
+
+
+def _oracle_tree(group: PermGroup) -> tuple[list[int], dict]:
+    """A group's orbit and tree as the point-at-a-time walks build them."""
+    if group.carrier is group:
+        return list(range(group.degree)), tree_dict(group._column, group._parent)
+    return fifo_subgroup_tree(group.carrier, group.generators)
+
+
+@pytest.mark.parametrize("workload", ["corpus-default", "corpus-general"])
+def test_subgroups_and_homs_equal_the_fifo_oracles(monkeypatch, workload):
+    # every subgroup and homomorphism a corpus run builds, in its final state:
+    # the level-at-a-time orbit has the FIFO queue's order and tree edges,
+    # and the level-at-a-time labelling is the edge-by-edge one
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    corpus = importlib.import_module("corpora").make_corpus(workload, 0)
+    subgroups, homs = [], []
+    for cls, made in ((PermGroup, subgroups), (GroupHom, homs)):
+
+        def recording_init(self, *args, _init=cls.__init__, _made=made):
+            _init(self, *args)
+            _made.append(self)
+
+        monkeypatch.setattr(cls, "__init__", recording_init)
+    assert summary(run_corpus(corpus=corpus))["ok"]
+    for sub in subgroups:
+        orbit, tree = _oracle_tree(sub)
+        assert sub.orbit0() == tuple(orbit)
+        edges = {
+            p: (c // 2, 1 - 2 * (c % 2), q)
+            for points, cols, parents in sub._levels
+            for p, c, q in zip(points.tolist(), cols.tolist(), parents.tolist())
+        }
+        assert edges == {p: tree[p] for p in orbit[1:]}
+    for f in homs:
+        orbit, tree = _oracle_tree(f.source)
+        labels = tree_walk_labels(orbit, tree, f.target, f.generator_images, f.source.degree)
+        assert f._labels.tolist() == labels
+    # rho and rho' of each nu; the general corpus builds no nu
+    assert (len(subgroups), len(homs)) == {
+        "corpus-default": (256, 42),
+        "corpus-general": (64, 0),
+    }[workload]
 
 
 @pytest.mark.parametrize("workload", ["corpus-default", "corpus-general"])
