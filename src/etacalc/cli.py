@@ -51,7 +51,7 @@ from .groups import (
 )
 from .nu import check_derived_decomposition, construct_nu
 from .perm import abelian_invariants_of
-from .verify import corpus_from_json_dict, run_corpus, summary
+from .verify import CLAIM_IDS, corpus_from_json_dict, run_corpus, summary
 
 
 class _CliError(Exception):
@@ -331,6 +331,8 @@ def _cmd_compat(args) -> int:
 
 def _cmd_verify(args) -> int:
     max_cosets = _max_cosets(args)
+    if args.filter is not None and not any(args.filter in claim for claim in CLAIM_IDS):
+        raise _CliError(2, f"no claim id contains {args.filter!r}; ids: {', '.join(CLAIM_IDS)}")
     corpus = None
     if args.corpus:
         corpus = _load(args.corpus, corpus_from_json_dict)

@@ -173,7 +173,9 @@ class TensorSet:
         """
         members = np.asarray(self.members)
         for i, conjugation in enumerate(conjugations):
-            outside = ~np.isin(conjugation[members], members)
+            inside = np.zeros(len(conjugation), dtype=bool)
+            inside[members] = True
+            outside = ~inside[conjugation[members]]
             if outside.any():
                 witness = {
                     "member": self.pair_for[self.members[int(np.argmax(outside))]],
@@ -348,8 +350,8 @@ def _tensor_relators(pair: ActionPair) -> np.ndarray:
     g_conj, h_conj = g.conj_table(), h.conj_table()
     a, b = np.arange(g.n)[:, None], np.arange(h.n)[None, :]
     # C_G and C_H, each along a new leading axis
-    a1 = np.unique(g_conj[list(g.generating_subset())])[:, None, None]
-    b1 = np.unique(h_conj[list(h.generating_subset())])[:, None, None]
+    a1 = np.array(sorted(set(g_conj[list(g.generating_subset())].ravel().tolist())))[:, None, None]
+    b1 = np.array(sorted(set(h_conj[list(h.generating_subset())].ravel().tolist())))[:, None, None]
 
     def col(a, b) -> np.ndarray:
         """Column of t(a, b); -1 for the empty word."""
@@ -400,8 +402,8 @@ def _canonical(words: np.ndarray) -> np.ndarray:
             code(big_z, big_y, big_x), code(big_y, big_x, big_z), code(big_x, big_z, big_y),
         ]),
     ]
-    codes = np.unique(np.select([length == 1, length == 2, length == 3], least, 0))
-    codes = codes[codes > 0]
+    codes = np.sort(np.select([length == 1, length == 2, length == 3], least, 0))
+    codes = codes[(codes > 0) & np.append(True, codes[1:] != codes[:-1])]  # distinct
     return np.stack([codes // (k * k), codes // k % k, codes % k], axis=1) - 1
 
 

@@ -10,12 +10,12 @@ Products read left to right: mul(p, q) is the point of "p, then q", the
 image of p under q's right-multiplication array. A carrier keeps its
 generators' columns and its BFS tree as each point's edge column and
 parent, two int32 arrays (Holt, Eick and O'Brien's Schreier vector); a
-subgroup keeps a mask of its points and the right-multiplication arrays of
-the generators that grew its orbit. Scalar arithmetic walks the tree (an
-element is the product of the generators on its tree path), and products
-and inverses walk the paths of whole arrays of points at once; conjugation
-by a fixed element is one int array on points (conj_map), and a group
-builds those of its generators once (conjugations). A homomorphism into a
+subgroup keeps a mask of its points and its tree's levels, and drops its
+generators' right-multiplication arrays once grown. Scalar arithmetic walks
+the tree (an element is the product of the generators on its tree path),
+and products and inverses walk the paths of whole arrays of points at once;
+conjugation by a fixed element is one int array on points (conj_map), and a
+group builds those of its generators once (conjugations). A homomorphism into a
 table group is a labelling of source points by target elements, checked
 edge by edge (GroupHom). Groups given by arbitrary permutation generators
 are closed into multiplication tables instead (groups.table_from_perms).
@@ -74,6 +74,8 @@ class PermGroup:
     column (column 2i is generator i, 2i+1 its inverse). Membership is one
     mask lookup, and the arithmetic methods (mul, inv, conj, comm) work on
     points of the carrier, whichever of its subgroups they are called on.
+    A subgroup owns its generators, the mask, the levels and conjugations()
+    once built; a carrier also owns its columns and tree.
     """
 
     def __init__(self, carrier: "PermGroup"):
@@ -81,12 +83,9 @@ class PermGroup:
         self.carrier = carrier
         self.degree = carrier.degree
         self.generators: tuple[int, ...] = ()
-        # Membership of each carrier point, the tree's levels, each
-        # generator's right-multiplication array, and conjugations() once built.
         self._mask = np.zeros(self.degree, dtype=bool)
         self._mask[0] = True
         self._levels: list[tuple] = []
-        self._walks: list[np.ndarray] = []
         self._conjugations: list[np.ndarray] = []
 
     # -- constructors ---------------------------------------------------------
@@ -128,45 +127,52 @@ class PermGroup:
         self._levels = [
             (slice(lo, hi), column[lo:hi], parent[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
         ]
-        self._walks = []
         self._conjugations = []
         self._columns = columns
         self._column, self._parent = column, parent
         return self
 
-    def subgroup(self, generators: Iterable[int]) -> "PermGroup":
-        """Subgroup generated by the given members of this group.
+    def subgroup(self, generators: Iterable[int], maps: Sequence[np.ndarray] = ()) -> "PermGroup":
+        """Subgroup generated by the given members, closed under the conjugation maps.
 
         A subgroup inherits freeness, so plain orbit BFS builds it; a
-        generator already in the orbit so far is left out.
+        generator already in the orbit so far is left out. Each map then sends
+        every generator, those it adds included, to one more (a FIFO queue).
         """
         sub = PermGroup(self.carrier)
+        walks: list[np.ndarray] = []
         for g in generators:
             g = int(g)
             if not self.contains(g):
                 raise MembershipError("subgroup generator is not in the group")
-            sub._add_free_generator(g)
+            sub._add_free_generator(g, walks)
+        queue = list(sub.generators)
+        for x in queue:
+            for m in maps:
+                y = int(m[x])
+                if sub._add_free_generator(y, walks):
+                    queue.append(y)
         return sub
 
-    def _add_free_generator(self, g: int) -> bool:
+    def _add_free_generator(self, g: int, walks: list[np.ndarray]) -> bool:
         """Extend the orbit with g, a level at a time, unless g is a member.
 
-        The orbit is closed under the earlier generators, so its points are
-        walked with the new one only, and the points it reaches with every
-        generator. Each level lists its edges in the order a FIFO queue
-        visits them, so the tree is the queue's. Returns whether g was
-        added; by freeness a generator sending 0 into the orbit is a member.
+        walks holds the caller's right-multiplication arrays of the generators
+        so far; the orbit is closed under them, so its points are walked with
+        the new one only, and the points it reaches with every generator. Each
+        level lists its edges in FIFO queue order, so the tree is the queue's.
+        Returns whether g was added: by freeness, unless 0 g is in the orbit.
         """
         if self._mask[g]:
             return False
         self.generators += (g,)
-        self._walks.append(self.right(g))
-        cols = np.arange(0, 2 * len(self._walks), 2, dtype=np.int32)
-        first = np.empty(self.degree, dtype=np.intp)
+        walks.append(self.right(g))
+        cols = np.arange(0, 2 * len(walks), 2, dtype=np.int32)
+        first = np.empty(self.degree, dtype=np.intp)  # fresh: only the pages it touches count
         frontier, w = self._orbit(), 1  # the orbit so far walks the new generator only
         while True:
             reached = np.empty((frontier.size, w), dtype=np.int32)
-            for j, array in enumerate(self._walks[-w:]):
+            for j, array in enumerate(walks[-w:]):
                 reached[:, j] = array[frontier]
             reached = reached.ravel()
             fresh = _first_reached(reached, np.nonzero(~self._mask[reached])[0], first)
@@ -301,15 +307,26 @@ class PermGroup:
         return self._orbit().tolist()
 
     def element_orders(self) -> list[int]:
-        """Orders of all elements, each the length of its cycle through 0."""
-        orders = []
-        for p in self.elements():
-            k, x = 1, p
-            while x != 0:
-                x = self.mul(x, p)
-                k += 1
-            orders.append(k)
-        return orders
+        """Orders of all elements, in tree order.
+
+        By Lagrange the order of p is the least divisor d of the order n with
+        p^d = 0, or n: all elements' d-th powers are taken at once (products of
+        two smaller powers) until every order below n is found.
+        """
+        elements = np.asarray(self.elements())
+        n = elements.size
+        orders = np.where(elements == 0, 1, n)
+        powers = {1: elements}
+
+        def power(k: int) -> np.ndarray:
+            if k not in powers:
+                powers[k] = self.products(power(k // 2), power(k - k // 2))
+            return powers[k]
+
+        for d in range(2, n):
+            if n % d == 0 and not (orders < n).all():
+                orders[(orders == n) & (power(d) == 0)] = d
+        return orders.tolist()
 
     def same_subgroup_as(self, other: "PermGroup") -> bool:
         """Two subgroups of one carrier are equal exactly when their orbits are."""
@@ -335,15 +352,7 @@ class PermGroup:
 
 def normal_closure(group: PermGroup, seeds: Iterable[int]) -> PermGroup:
     """Smallest normal subgroup of `group` containing the seeds."""
-    closure = group.subgroup(seeds)
-    maps = group.conjugations()
-    queue = list(closure.generators)
-    for x in queue:
-        for m in maps:
-            y = int(m[x])
-            if closure._add_free_generator(y):
-                queue.append(y)
-    return closure
+    return group.subgroup(seeds, group.conjugations())
 
 
 def derived_subgroup(group: PermGroup) -> PermGroup:
@@ -472,9 +481,7 @@ def hom_kernel(f: GroupHom) -> PermGroup:
     |image| before returning.
     """
     source = f.source
-    kern = PermGroup(source.carrier)
-    for pt in np.nonzero(f._labels == f.target.identity)[0].tolist():
-        kern._add_free_generator(pt)
+    kern = source.subgroup(np.nonzero(f._labels == f.target.identity)[0].tolist())
     if kern.order() * len(f.image_group()) != source.order():
         raise ConstructionError("kernel/image orders do not multiply to the source order")
     return kern

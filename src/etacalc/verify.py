@@ -588,7 +588,7 @@ def _theorem_A(eta: EtaGroup, n_elements, k_elements):
     inverses = carrier.inverses(np.concatenate([key.ravel(), tset.members]))
     key_inv, members_inv = inverses[: key.size].reshape(key.shape), inverses[key.size :]
     t_nk = eta.times_bracket(members_inv[:, None, None], n_arr[:, None], k_arr[None, :])
-    tinvt = set(np.unique(t_nk).tolist())
+    tinvt = set(t_nk.ravel().tolist())
 
     # w[n, i, j] = [n, K[i]']^-1 [n^K[j], (K[i]^K[j])']: step (3)'s t1^-1 t2
     # at (n, k, hh) = (n, K[i], K[j]), and step (4)'s w at (n, hh, k)
@@ -611,14 +611,13 @@ def _theorem_A(eta: EtaGroup, n_elements, k_elements):
         }
         failures.append(identity_fail)
     # the distinct w, in order of first occurrence
-    flat = w.ravel()
-    x_keys = flat[np.sort(np.unique(flat, return_index=True)[1])].tolist()
+    x_keys = list(dict.fromkeys(w.ravel().tolist()))
 
     # [a, k'] = a^-1 k'^-1 a k' for every a in [N,K^phi] and k in K
     elements = np.array(sub_a.orbit0())[:, None]
     after = h_arr[k_inv, carrier.inverses(elements)]
     s_keys = h_arr[k_arr, carrier.products(after, elements)]
-    sub_s = carrier.subgroup(np.unique(s_keys).tolist())
+    sub_s = carrier.subgroup(sorted(set(s_keys.ravel().tolist())))
     x_group = carrier.subgroup(x_keys)
     in_tinvt = set(x_keys) <= tinvt
     generates_s = x_group.same_subgroup_as(sub_s)

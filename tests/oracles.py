@@ -109,6 +109,18 @@ def tree_walk_labels(orbit, tree, target, images, degree) -> list[int]:
     return label
 
 
+def looped_element_orders(group) -> list[int]:
+    """Order of each element in tree order, powering it one scalar mul at a time."""
+    orders = []
+    for p in group.elements():
+        k, x = 1, p
+        while x != 0:
+            x = group.mul(x, p)
+            k += 1
+        orders.append(k)
+    return orders
+
+
 def det_bareiss(matrix: list[list[int]]) -> int:
     """Exact integer determinant (fraction-free Gaussian elimination)."""
     n = len(matrix)

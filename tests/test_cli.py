@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from etacalc.action import conjugation_pair, incompatible_example
 from etacalc.groups import builtin
+from etacalc.verify import CLAIM_IDS
 
 
 def run_cli(*args: str, env_extra: dict | None = None) -> subprocess.CompletedProcess:
@@ -370,6 +371,41 @@ def test_verify_filter_restricts_claims(tmp_path):
     assert reports
     assert {r["claim"] for r in reports} == {"lemma23"}
     assert "adopted reading" in reports[0]["detail"]
+
+
+def test_verify_filter_matching_no_claim_exits_2():
+    # a mistyped filter must not pass silently with no reports
+    result = run_cli("verify", "--filter", "nosuch")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert "'nosuch'" in result.stderr
+    assert all(claim in result.stderr for claim in CLAIM_IDS)
+
+
+def test_no_command_loads_numpy_ma():
+    # np.unique imports numpy.ma on first use, at a cost in time and memory
+    # that every process would pay; nothing on these paths may load it
+    script = """
+import contextlib, io, sys
+from etacalc.cli import main
+from etacalc.verify import run_corpus, summary
+
+assert summary(run_corpus())["ok"]
+loaded = ["numpy.ma" in sys.modules]
+for argv in (["nu", "--builtin", "Q8"], ["tensor", "--builtin", "S3", "--conjugation"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    loaded.append("numpy.ma" in sys.modules)
+print(loaded)
+"""
+    env = dict(os.environ)
+    env.pop("ETA_MAX_COSETS", None)
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[False, False, False]\n"
 
 
 def test_verify_capacity_cap_yields_skipped_not_fail():

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from etacalc.abelian import delta_of_abelian
 from etacalc.eta import check_decomposition
-from etacalc.groups import builtin, cyclic, symmetric3
+from etacalc.groups import builtin, cyclic, direct_product, symmetric3
 from etacalc.nu import check_derived_decomposition, construct_nu
 from etacalc.perm import abelian_invariants_of
 
@@ -126,3 +128,33 @@ def test_derived_decomposition_fails_when_the_factors_do_not_generate():
     assert report["counts_match"] and report["factors_contained"]
     assert not report["covers"] and not report["generates"]
     assert not report["ok"]
+
+
+def test_nu_retains_only_the_arrays_it_owns():
+    # After construction, nu(C4xC4) on 65,536 points holds the carrier's
+    # columns and tree, the certified g_arrays, h_arrays and tensors, each
+    # group's mask and levels, and the two hom labellings. The arrays that
+    # grow a subgroup are let go: keeping one right-multiplication array
+    # (256 KiB here) per subgroup generator would exceed the slack.
+    group = direct_product(cyclic(4), cyclic(4))
+    construct_nu(cyclic(2))  # first-call caches outside the measured span
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        nu = construct_nu(group)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    carrier = nu.carrier
+    arrays = [carrier._columns, carrier._column, carrier._parent]
+    arrays += [nu.eta.g_arrays, nu.eta.h_arrays, nu.eta.tensors]
+    arrays += [nu.rho._labels, nu.rho_prime._labels]
+    for g in (carrier, nu.tensor_subgroup, nu.mu, nu.delta):
+        arrays.append(g._mask)
+        arrays += [a for level in g._levels for a in level if isinstance(a, np.ndarray)]
+    bases = {id(a if a.base is None else a.base): a if a.base is None else a.base for a in arrays}
+    owned = sum(a.nbytes for a in bases.values())
+    assert carrier.degree == 65_536 and owned > 11 * 2**20
+    assert owned <= retained <= owned + 128 * 2**10, (retained, owned)

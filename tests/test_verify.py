@@ -34,6 +34,7 @@ from etacalc.verify import (
 
 from oracles import (
     fifo_subgroup_tree,
+    looped_element_orders,
     looped_lemma_identities,
     looped_theorem_A,
     tree_dict,
@@ -293,6 +294,32 @@ def test_subgroups_and_homs_equal_the_fifo_oracles(monkeypatch, workload):
         "corpus-default": (256, 42),
         "corpus-general": (64, 0),
     }[workload]
+
+
+def test_element_orders_equal_the_scalar_loop(monkeypatch):
+    # every group the default corpus's claims take abelian invariants or
+    # element orders of: tensor subgroups, and delta of each nu
+    seen = []
+    recorded_invariants = verify.abelian_invariants_of
+    recorded_orders = PermGroup.element_orders
+
+    def invariants(group):
+        seen.append(group)
+        return recorded_invariants(group)
+
+    def element_orders(group):
+        seen.append(group)
+        return recorded_orders(group)
+
+    monkeypatch.setattr(verify, "abelian_invariants_of", invariants)
+    monkeypatch.setattr(PermGroup, "element_orders", element_orders)
+    assert summary(run_corpus())["ok"]
+    groups = list({id(g): g for g in seen}.values())
+    monkeypatch.undo()
+    assert len(groups) > 40
+    assert max(g.order() for g in groups) >= 64
+    for group in groups:
+        assert group.element_orders() == looped_element_orders(group), group
 
 
 @pytest.mark.parametrize("workload", ["corpus-default", "corpus-general"])
