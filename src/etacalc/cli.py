@@ -379,6 +379,8 @@ def _cmd_abelian(args) -> int:
         matrix = data.get("matrix")
         if not isinstance(matrix, list) or not matrix:
             raise _CliError(2, f"{args.matrix}: needs a non-empty matrix")
+        if not all(isinstance(row, list) and all(type(x) is int for x in row) for row in matrix):
+            raise _CliError(2, f"{args.matrix}: matrix entries must be JSON integers")
         try:
             diagonal, _, _ = smith_normal_form(matrix)
         except (ValueError, TypeError) as err:

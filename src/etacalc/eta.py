@@ -13,33 +13,33 @@ on bracketed words are conjugation in the presented group.
 It is presented on generating subsets, as in Ellis and Leonard (1995): a
 generator per member of each subset, a Cayley-graph relator w(x) s w(xs)^-1
 per element x and generator s of each group, with w(x) the BFS-tree word of
-x, and both families for generators g, g1, h, h1 only. Both presentations
-here, of eta and of T below, are built directly as the table columns of
-fpgroup.Presentation, which the enumerator and the audit read as stored.
+x, and both families for generators g, g1, h, h1 only. That presentation is
+never written out as words; its relators are chased over points instead.
 
-That presentation is not enumerated. eta is an extension of G (x) H by
-G x H, and every element is uniquely t x y with t in T = [G, H'], which is
-isomorphic to G (x) H. So T alone is enumerated, and eta's coset table is
-assembled as the action on the products t x y, as in Rocco's
+Nor is it enumerated. eta is an extension of G (x) H by G x H, and every
+element is uniquely t x y with t in T = [G, H'], which is isomorphic to
+G (x) H. So T alone is enumerated, and eta's coset table is assembled as
+the action on the products t x y, as in Rocco's
 nu(G) = ((G (x) G) x| G) x| G. T is presented by Brown and Loday's
 relations (1987) for conjugation-closed generating sets only, which imply
 the rest, and generators are eliminated through the relators of length 1
 and 2 before enumerating; an eliminated generator reads its survivor's
 column. Every relator used is a consequence of Brown and Loday's, so the
 enumerated group maps onto G (x) H and has at least its order. The
-assembled table is renumbered canonically and audited against the
-presentation of eta above: it is then a transitive action of eta on
-|T| |G| |H| points, at least |eta| of them, so it is the regular
-action, and an element is the point it sends 0 to: embed_g, embed_h, the
-tensors and every subgroup generator are plain ints. Every element of G
-and H is embedded by evaluating its tree word, which builds its
-right-multiplication array once; a point times a bracket [a, b'] is then
-four lookups into those arrays, done for whole arrays of points, a and b
-at once (EtaGroup.times_bracket). Both embeddings and the full families,
-over all g, g1, h, h1, are checked by point chasing, so the carrier is
-eta.  A failed audit is a bug. The table is let go once audited; the
-EtaGroup keeps the carrier and the arrays the audits certified: those of
-the embedded elements and the table of brackets.
+assembled table is renumbered canonically and eta's presentation above is
+checked on it at every point by point chasing (_audit_carrier): each
+column against its inverse's, each Cayley relator by building the tree
+word's right-multiplication array of every element of G and H once, and
+each family relator as a bracket walked over all points. The table is
+then a transitive action of eta on |T| |G| |H| points, at least |eta| of
+them, so it is the regular action, and an element is the point it sends 0
+to: embed_g, embed_h, the tensors and every subgroup generator are plain
+ints. A point times a bracket [a, b'] is four lookups into the arrays of
+the embedded elements, done for whole arrays of points, a and b at once
+(EtaGroup.times_bracket). The full families, over all g, g1, h, h1, are
+checked the same way. A failed audit is a bug. The EtaGroup keeps the
+carrier and the arrays the audits certified: those of the embedded
+elements and the table of brackets.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .action import ActionPair, require_compatible
 from .errors import CapacityError, ConstructionError, IncompleteTableError, InvarianceError
 from .fpgroup import (
     DEFAULT_MAX_COSETS,
-    CosetTable,
     Presentation,
     bfs_renumber,
     regular_representation,
@@ -63,88 +62,6 @@ from .fpgroup import (
 )
 from .groups import TableGroup
 from .perm import PermGroup
-
-
-def _tree_edges(group: TableGroup) -> list[tuple[int, int, int]]:
-    """BFS tree of right multiplication, generators ascending: (x, s, x s) per edge."""
-    gens = group.generating_subset()
-    edges, seen = [], {0}
-    queue = [0]
-    for x in queue:
-        for s in gens:
-            y = group.mul(x, s)
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-                edges.append((x, s, y))
-    return edges
-
-
-# A word of eta's presentation is a tuple of its columns, as Presentation
-# takes it; a word is reduced only when the presentation is built.
-
-
-def _tree_words(group: TableGroup, first: int) -> tuple[list[tuple], list[tuple]]:
-    """BFS-tree word of each element, and its inverse.
-
-    The group's generating subset holds generators first, first + 1, ...
-    of the presentation, in order.
-    """
-    column = {s: 2 * (first + i) for i, s in enumerate(group.generating_subset())}
-    words, inverses = {0: ()}, {0: ()}
-    for x, s, y in _tree_edges(group):
-        words[y] = words[x] + (column[s],)
-        inverses[y] = (column[s] ^ 1,) + inverses[x]
-    return [words[x] for x in range(group.n)], [inverses[x] for x in range(group.n)]
-
-
-def _cayley_relators(group: TableGroup, first: int, words, inverses) -> list[tuple]:
-    """w(x) s w(xs)^-1 for every element x and generator s; tree edges vanish."""
-    gens = list(enumerate(group.generating_subset(), start=first))
-    return [
-        words[x] + (2 * i,) + inverses[group.mul(x, s)] for x in range(group.n) for i, s in gens
-    ]
-
-
-def _family_relators(pair: ActionPair, g_words, g_inverses, h_words, h_inverses) -> list[tuple]:
-    g, h = pair.g, pair.h
-    goh, hog = pair.g_on_h.rows, pair.h_on_g.rows
-    g_gens, h_gens = g.generating_subset(), h.generating_subset()
-
-    def bracket(a: int, b: int) -> tuple:
-        return g_inverses[a] + h_inverses[b] + g_words[a] + h_words[b]
-
-    def bracket_inverse(a: int, b: int) -> tuple:
-        return h_inverses[b] + g_inverses[a] + h_words[b] + g_words[a]
-
-    relators = []
-    for gg in g_gens:
-        for g1 in g_gens:
-            for hh in h_gens:
-                image = bracket_inverse(g.conj(gg, g1), goh[g1][hh])
-                relators.append(g_inverses[g1] + bracket(gg, hh) + g_words[g1] + image)
-    for gg in g_gens:
-        for hh in h_gens:
-            for h1 in h_gens:
-                image = bracket_inverse(hog[h1][gg], h.conj(hh, h1))
-                relators.append(h_inverses[h1] + bracket(gg, hh) + h_words[h1] + image)
-    return relators
-
-
-def build_eta_presentation(pair: ActionPair) -> Presentation:
-    """The defining presentation of eta on generating subsets of G and H."""
-    g, h = pair.g, pair.h
-    if g.n == 1 and h.n == 1:
-        raise ValueError("the pair of trivial groups presents no generators")
-    ng = len(g.generating_subset())
-    g_words, g_inverses = _tree_words(g, 0)
-    h_words, h_inverses = _tree_words(h, ng)
-    generators = tuple(f"g{a}" for a in g.generating_subset())
-    generators += tuple(f"h{b}" for b in h.generating_subset())
-    relators = _cayley_relators(g, 0, g_words, g_inverses)
-    relators += _cayley_relators(h, ng, h_words, h_inverses)
-    relators += _family_relators(pair, g_words, g_inverses, h_words, h_inverses)
-    return Presentation(generators, tuple(relators))
 
 
 @dataclass(eq=False)
@@ -214,13 +131,13 @@ def _bracket_walk(
 class EtaGroup:
     """A finished eta construction over a regular carrier; elements are points.
 
-    The carrier is the regular action of eta, audited against its
-    presentation, build_eta_presentation(pair), and against the full
-    families. g_arrays and h_arrays hold the right-multiplication arrays of
-    the embedded elements of G and H, one row each, and tensors[a, b] is the
-    point of [a, b']; the audits certified all three, and the embeddings are
-    read off them. Claims about brackets walk points through them with
-    times_bracket, over whole arrays at once.
+    The carrier is the regular action of eta, its presentation on
+    generating subsets and the full families checked at every point by
+    point chasing. g_arrays and h_arrays hold the right-multiplication
+    arrays of the embedded elements of G and H, one row each, and
+    tensors[a, b] is the point of [a, b']; the audits certified all three,
+    and the embeddings are read off them. Claims about brackets walk points
+    through them with times_bracket, over whole arrays at once.
     """
 
     pair: ActionPair
@@ -254,28 +171,78 @@ class EtaGroup:
         return _bracket_walk(self.pair, self.g_arrays, self.h_arrays, points, a, b)
 
 
-def _embedding(
-    group: TableGroup, prefix: str, gen_map: dict[str, np.ndarray], n: int
-) -> np.ndarray:
+def _embedding(group: TableGroup, side: str, gen_columns: np.ndarray) -> np.ndarray:
     """Right-multiplication arrays of the embedded elements, one row each.
 
-    Row x s is row x followed by generator s's column, so row x evaluates
-    x's tree word, and its entry at 0 is the point of x.
+    gen_columns holds the column of each member of the group's generating
+    subset, in order. A BFS over right multiplication, generators
+    ascending, sets row x s to row x followed by s's column when it first
+    reaches x s, so row x evaluates x's tree word w(x), and its entry at 0
+    is the point of x. Every other edge checks the Cayley relator
+    w(x) s w(xs)^-1 at every point: row x followed by s's column is row x s.
+    The rows are then a homomorphism of the group, checked to be injective.
     """
+    n = gen_columns.shape[1]
     arrays = np.empty((group.n, n), dtype=np.int32)
     arrays[0] = np.arange(n, dtype=np.int32)
-    for x, s, y in _tree_edges(group):
-        arrays[y] = gen_map[f"{prefix}{s}"][arrays[x]]
+    queue, seen = [0], {0}
+    for x in queue:
+        for s, column in zip(group.generating_subset(), gen_columns):
+            y, image = group.mul(x, s), column.take(arrays[x])
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+                arrays[y] = image
+            elif not np.array_equal(image, arrays[y]):
+                raise ConstructionError(f"Cayley relator of the {side}-side fails at x={x}, s={s}")
+    if len(set(arrays[:, 0].tolist())) != group.n:
+        raise ConstructionError(f"embedding of the {side}-side is not injective")
     return arrays
 
 
-def _certify_embedding(group: TableGroup, prefix: str, arrays: np.ndarray) -> None:
-    points = arrays[:, 0]
-    if len(set(points.tolist())) != group.n:
-        raise ConstructionError(f"embedding of the {prefix}-side is not injective")
-    # arrays[b, points[a]] is the point of a b
-    if not np.array_equal(arrays[:, points], points[group.table.T]):
-        raise ConstructionError(f"embedding of the {prefix}-side is not a homomorphism")
+def _audit_carrier(pair: ActionPair, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate eta's presentation on generating subsets at every point.
+
+    Column 2i is generator i of G's generating subset, followed by those of
+    H's. Checks, in the order the argument needs, that each column's
+    partner is its inverse, the Cayley relators of G and H (_embedding),
+    and both families for generators g, g1, h, h1: conjugating a bracket
+    by c is walking it from the array of c^-1, then applying c's. Returns
+    the embeddings; a failed check raises ConstructionError.
+    """
+    g, h = pair.g, pair.h
+    points = np.arange(columns.shape[1], dtype=np.int32)
+    # on a finite set, a left inverse is the inverse
+    for c in range(0, len(columns), 2):
+        if not np.array_equal(columns[c + 1].take(columns[c]), points):
+            raise ConstructionError(f"carrier columns {c} and {c + 1} are not mutually inverse")
+    ng = len(g.generating_subset())
+    g_arrays = _embedding(g, "g", columns[: 2 * ng : 2])
+    h_arrays = _embedding(h, "h", columns[2 * ng :: 2])
+    goh, hog = pair.g_on_h.rows, pair.h_on_g.rows
+
+    def walk(p: np.ndarray, a: int, b: int) -> np.ndarray:
+        """_bracket_walk for one a and b: a row's take gathers faster than fancy indexing."""
+        for row in (g_arrays[g.inv(a)], h_arrays[h.inv(b)], g_arrays[a], h_arrays[b]):
+            p = row.take(p)
+        return p
+
+    families = (
+        ("first", g, g_arrays, lambda a, b, c: (g.conj(a, c), goh[c][b])),
+        ("second", h, h_arrays, lambda a, b, c: (hog[c][a], h.conj(b, c))),
+    )
+    for name, group, arrays, image in families:
+        for c in group.generating_subset():
+            start = arrays[group.inv(c)]
+            for a in g.generating_subset():
+                for b in h.generating_subset():
+                    if not np.array_equal(
+                        arrays[c].take(walk(start, a, b)), walk(points, *image(a, b, c))
+                    ):
+                        raise ConstructionError(
+                            f"{name} relation family fails on generators g={a}, h={b}, conjugator {c}"
+                        )
+    return g_arrays, h_arrays
 
 
 def _audit_families(
@@ -556,19 +523,11 @@ def construct_eta(pair: ActionPair, *, max_cosets: int = DEFAULT_MAX_COSETS) -> 
     n = len(tensor) * g.n * h.n
     _require_room(n, max_cosets)
     try:
-        rows, tree = bfs_renumber(_assemble(pair, tensor))
+        carrier, columns = regular_representation(*bfs_renumber(_assemble(pair, tensor)))
     except IncompleteTableError as err:
         raise ConstructionError(f"assembled table: {err}") from err
-    table = CosetTable(presentation=build_eta_presentation(pair), n=n, rows=rows, _tree=tree)
     # a transitive action of the presented eta on |T| |G| |H| >= |eta| points is regular
-    table.verify_complete()
-    carrier, gen_map = regular_representation(table)
-    del table, rows  # the carrier keeps the columns and the tree
-    # tree words are positive: each element's array is a product of generator columns
-    g_arrays = _embedding(g, "g", gen_map, n)
-    h_arrays = _embedding(h, "h", gen_map, n)
-    _certify_embedding(g, "g", g_arrays)
-    _certify_embedding(h, "h", h_arrays)
+    g_arrays, h_arrays = _audit_carrier(pair, columns)
     a, b = np.arange(g.n)[:, None], np.arange(h.n)[None, :]
     tensors = _bracket_walk(pair, g_arrays, h_arrays, 0, a, b)
     _audit_families(pair, g_arrays, h_arrays, tensors)

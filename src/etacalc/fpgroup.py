@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_COSETS = 10**6
+MAX_WORD_LETTERS = 10**6  # the longest word the parser builds
 
 
 def _reduce(word: Iterable[int]) -> tuple[int, ...]:
@@ -59,6 +60,14 @@ def _reduce(word: Iterable[int]) -> tuple[int, ...]:
 
 def _inverse(word: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(c ^ 1 for c in reversed(word))
+
+
+def _reduced(*parts: tuple[int, ...], times: int = 1) -> tuple[int, ...]:
+    """The parts joined, times times over, and reduced; CapacityError above MAX_WORD_LETTERS."""
+    letters = sum(map(len, parts)) * times
+    if letters > MAX_WORD_LETTERS:
+        raise CapacityError(f"a word of {letters} letters is over {MAX_WORD_LETTERS}", count=letters)
+    return _reduce(sum(parts, ()) * times)
 
 
 @dataclass(frozen=True)
@@ -210,7 +219,7 @@ class _Parser:
                 self.next()
             elif kind not in ("SYM", "LPAREN", "LBRACK"):
                 return result
-            result = _reduce(result + self.term(known))
+            result = _reduced(result, self.term(known))
 
     def term(self, known: dict[str, int]) -> tuple[int, ...]:
         value = self.atom(known)
@@ -220,10 +229,10 @@ class _Parser:
             if tok.kind == "INT":
                 self.next()
                 base = value if tok.value > 0 else _inverse(value)
-                value = _reduce(base * abs(tok.value))
+                value = _reduced(base, times=abs(tok.value))
             elif tok.kind in ("SYM", "LPAREN", "LBRACK"):
                 other = self.atom(known)
-                value = _reduce(_inverse(other) + value + other)
+                value = _reduced(_inverse(other), value, other)
             else:
                 self.fail("expected an integer or a word after '^'")
         return value
@@ -258,7 +267,7 @@ class _Parser:
             self.expect("COMMA")
             right = self.word(known)
             self.expect("RBRACK")
-            return _reduce(_inverse(left) + _inverse(right) + left + right)
+            return _reduced(_inverse(left), _inverse(right), left, right)
         raise ParseError(
             f"expected a generator, '(' or '[', found {tok.value!r}",
             line=tok.line,
@@ -286,10 +295,6 @@ class CosetTable:
     @property
     def ncols(self) -> int:
         return 2 * len(self.presentation.generators)
-
-    def verify_complete(self) -> None:
-        """Re-run the full relator audit; raises on any violation."""
-        _audit_table(self)
 
 
 class _Full(Exception):
@@ -533,17 +538,16 @@ def todd_coxeter(presentation: Presentation, *, max_cosets: int = DEFAULT_MAX_CO
     return table
 
 
-def regular_representation(table: CosetTable) -> tuple[PermGroup, dict[str, np.ndarray]]:
-    """The regular carrier of a coset table, and each generator's column.
+def regular_representation(rows: np.ndarray, tree: tuple) -> tuple[PermGroup, np.ndarray]:
+    """The regular carrier of a complete table, and its columns.
 
-    The audited table is the regular action of the presented group on
-    itself, so the carrier is certified to act regularly and its order
-    equals the number of cosets. A generator's column is its
-    right-multiplication array on the points; its point is the column's
-    entry at 0.
+    rows and tree are as bfs_renumber returns them. The caller certifies
+    that the table is the regular action of a group on itself, by
+    todd_coxeter's relator audit or construct_eta's point chasing; the
+    carrier's order is then the number of points. Row 2i of the columns is
+    generator i's right-multiplication array on the points and row 2i + 1
+    its inverse's; generator i's point is its entry at 0.
     """
     # one contiguous array per column, as _audit_table reads them
-    columns = table.rows.T.copy()
-    group = PermGroup.regular(columns, table._tree)
-    gen_map = {name: columns[2 * i] for i, name in enumerate(table.presentation.generators)}
-    return group, gen_map
+    columns = rows.T.copy()
+    return PermGroup.regular(columns, tree), columns

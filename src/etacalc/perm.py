@@ -96,12 +96,13 @@ class PermGroup:
 
         Row 2i of columns is generator i as an int array on points and row
         2i+1 its inverse. The caller certifies that the generators act
-        regularly (the coset enumerator's audited table provides exactly
-        that) and hands over a spanning tree of the points rooted at 0, as
-        bfs_renumber returns it: (column, parent, bounds), the column and
-        parent of each point's edge as int32 arrays (-1 and 0 at the root)
-        and the level bounds, level d being the points bounds[d] to
-        bounds[d+1] - 1. A tree not of that shape raises ConstructionError.
+        regularly (todd_coxeter's relator audit, or construct_eta's point
+        chasing, provides exactly that) and hands over a spanning tree of
+        the points rooted at 0, as bfs_renumber returns it: (column,
+        parent, bounds), the column and parent of each point's edge as int32
+        arrays (-1 and 0 at the root) and the level bounds, level d being
+        the points bounds[d] to bounds[d+1] - 1. A tree not of that shape
+        raises ConstructionError.
         """
         column, parent, bounds = tree
         degree = columns.shape[1]

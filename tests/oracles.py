@@ -16,6 +16,7 @@ import numpy as np
 
 from etacalc.errors import InvarianceError
 from etacalc.eta import _bracket_walk
+from etacalc.fpgroup import Presentation
 from etacalc.verify import _tensor_frame
 
 
@@ -406,8 +407,6 @@ def brown_loday_presentation(pair, a1s=None, b1s=None):
     built as column tuples. a1s and b1s restrict a1 and b1, which only
     weakens the presentation.
     """
-    from etacalc.fpgroup import Presentation
-
     g, h = pair.g, pair.h
     gt, ginv = g.table.tolist(), g.inverse_table.tolist()
     ht, hinv = h.table.tolist(), h.inverse_table.tolist()
@@ -437,6 +436,91 @@ def brown_loday_presentation(pair, a1s=None, b1s=None):
                 relate(col(a, ht[b][b1]), col(a, b1), col(hog[b1][a], conj))
     names = tuple(f"t{a}_{b}" for a in range(1, g.n) for b in range(1, h.n))
     return Presentation(names, tuple(relators))
+
+
+# eta's presentation on generating subsets (Ellis and Leonard, 1995),
+# written out as words: the relators construct_eta chases over points.
+# Enumerating it is the reference the assembled carrier must equal, row for
+# row. A word is a tuple of its columns, as Presentation takes it; a word
+# is reduced only when the presentation is built.
+
+
+def _tree_edges(group: TableGroup) -> list[tuple[int, int, int]]:
+    """BFS tree of right multiplication, generators ascending: (x, s, x s) per edge."""
+    gens = group.generating_subset()
+    edges, seen = [], {0}
+    queue = [0]
+    for x in queue:
+        for s in gens:
+            y = group.mul(x, s)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+                edges.append((x, s, y))
+    return edges
+
+
+def _tree_words(group: TableGroup, first: int) -> tuple[list[tuple], list[tuple]]:
+    """BFS-tree word of each element, and its inverse.
+
+    The group's generating subset holds generators first, first + 1, ...
+    of the presentation, in order.
+    """
+    column = {s: 2 * (first + i) for i, s in enumerate(group.generating_subset())}
+    words, inverses = {0: ()}, {0: ()}
+    for x, s, y in _tree_edges(group):
+        words[y] = words[x] + (column[s],)
+        inverses[y] = (column[s] ^ 1,) + inverses[x]
+    return [words[x] for x in range(group.n)], [inverses[x] for x in range(group.n)]
+
+
+def _cayley_relators(group: TableGroup, first: int, words, inverses) -> list[tuple]:
+    """w(x) s w(xs)^-1 for every element x and generator s; tree edges vanish."""
+    gens = list(enumerate(group.generating_subset(), start=first))
+    return [
+        words[x] + (2 * i,) + inverses[group.mul(x, s)] for x in range(group.n) for i, s in gens
+    ]
+
+
+def _family_relators(pair: ActionPair, g_words, g_inverses, h_words, h_inverses) -> list[tuple]:
+    g, h = pair.g, pair.h
+    goh, hog = pair.g_on_h.rows, pair.h_on_g.rows
+    g_gens, h_gens = g.generating_subset(), h.generating_subset()
+
+    def bracket(a: int, b: int) -> tuple:
+        return g_inverses[a] + h_inverses[b] + g_words[a] + h_words[b]
+
+    def bracket_inverse(a: int, b: int) -> tuple:
+        return h_inverses[b] + g_inverses[a] + h_words[b] + g_words[a]
+
+    relators = []
+    for gg in g_gens:
+        for g1 in g_gens:
+            for hh in h_gens:
+                image = bracket_inverse(g.conj(gg, g1), goh[g1][hh])
+                relators.append(g_inverses[g1] + bracket(gg, hh) + g_words[g1] + image)
+    for gg in g_gens:
+        for hh in h_gens:
+            for h1 in h_gens:
+                image = bracket_inverse(hog[h1][gg], h.conj(hh, h1))
+                relators.append(h_inverses[h1] + bracket(gg, hh) + h_words[h1] + image)
+    return relators
+
+
+def build_eta_presentation(pair: ActionPair) -> Presentation:
+    """The defining presentation of eta on generating subsets of G and H."""
+    g, h = pair.g, pair.h
+    if g.n == 1 and h.n == 1:
+        raise ValueError("the pair of trivial groups presents no generators")
+    ng = len(g.generating_subset())
+    g_words, g_inverses = _tree_words(g, 0)
+    h_words, h_inverses = _tree_words(h, ng)
+    generators = tuple(f"g{a}" for a in g.generating_subset())
+    generators += tuple(f"h{b}" for b in h.generating_subset())
+    relators = _cayley_relators(g, 0, g_words, g_inverses)
+    relators += _cayley_relators(h, ng, h_words, h_inverses)
+    relators += _family_relators(pair, g_words, g_inverses, h_words, h_inverses)
+    return Presentation(generators, tuple(relators))
 
 
 # verify's lemma23 and thma checks as they were written before they were

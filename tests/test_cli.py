@@ -271,6 +271,15 @@ def test_groups_above_the_table_limit_are_refused_alike(tmp_path, spec):
     )
 
 
+def test_a_huge_exponent_is_refused_before_the_word_is_built():
+    # a^(10^12) would be a word of 10^12 letters: one line, exit 5, no traceback
+    result = run_cli("nu", "--presentation", "< a | a^1000000000000 >")
+    assert result.returncode == 5
+    assert result.stdout == "" and "Traceback" not in result.stderr
+    assert result.stderr.count("\n") == 1
+    assert "a word of 1000000000000 letters" in result.stderr
+
+
 def test_construction_error_exits_6_without_traceback(monkeypatch, capsys):
     # A failed certification is a bug, reported in one line, never exit 1.
     from etacalc import cli
@@ -476,6 +485,20 @@ def test_abelian_snf(tmp_path):
     assert report["diagonal"] == [2, 4]
     assert report["invariant_factors"] == [2, 4]
     assert report["rank"] == 2
+
+
+@pytest.mark.parametrize(
+    "entries",
+    ["[[1.5, 2]]", '[["7", 2]]', "[[true, 2]]", "[[Infinity, 2]]", "[[1, 2], 3]"],
+    ids=["float", "string", "bool", "infinity", "bare-row"],
+)
+def test_abelian_snf_refuses_entries_that_are_not_integers(tmp_path, entries):
+    path = tmp_path / "m.json"
+    path.write_text(f'{{"schema": 1, "matrix": {entries}}}')
+    result = run_cli("abelian", "snf", "--matrix", str(path))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"etacalc: {path}: matrix entries must be JSON integers\n"
 
 
 def test_abelian_ztensor():

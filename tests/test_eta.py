@@ -22,7 +22,6 @@ from etacalc.errors import (
 )
 from etacalc.eta import (
     TensorSet,
-    build_eta_presentation,
     check_decomposition,
     construct_eta,
     trivial_action_baseline,
@@ -38,7 +37,7 @@ from etacalc.groups import (
     symmetric3,
 )
 from etacalc.perm import abelian_invariants_of
-from oracles import brown_loday_presentation, tree_dict
+from oracles import brown_loday_presentation, build_eta_presentation, tree_dict
 
 
 def test_presentation_smallest_case():
@@ -164,10 +163,10 @@ def test_tensor_set_is_normal_in_carrier():
 
 
 def test_eta_keeps_the_enumerated_presentation():
-    # The assembled table is audited against the one presentation on
-    # generating subsets and let go; the carrier keeps its columns and tree,
-    # those of the enumerated presentation. The carrier is audited against
-    # the full families, which are never presented.
+    # The carrier keeps the assembled table's columns and tree, those of the
+    # enumerated presentation on generating subsets. Its relators, and the
+    # full families, are checked on the carrier by point chasing; neither
+    # is written out as words.
     pair = conjugation_pair(symmetric3())
     eta = construct_eta(pair)
     reference = todd_coxeter(build_eta_presentation(pair))
@@ -468,6 +467,58 @@ def test_a_too_weak_tensor_presentation_is_refused(monkeypatch, capsys):
         construct_eta(pair)
     assert cli.main(["tensor", "--builtin", "D8", "--conjugation"]) == 6
     assert capsys.readouterr().out == ""
+
+
+_AUDITED_PAIRS = [
+    pytest.param(lambda: conjugation_pair(symmetric3()), id="nu(S3)"),
+    pytest.param(lambda: _general_pairs()["A4,V4"], id="A4,V4"),
+]
+
+
+def _corrupt_assembly(monkeypatch, corrupt) -> None:
+    """Make construct_eta assemble its table and then corrupt it in place."""
+    assemble = eta_module._assemble
+
+    def corrupted(pair, tensor):
+        table = assemble(pair, tensor)
+        corrupt(table)
+        return table
+
+    monkeypatch.setattr(eta_module, "_assemble", corrupted)
+
+
+@pytest.mark.parametrize("make_pair", _AUDITED_PAIRS)
+def test_audit_refuses_a_corrupted_column_pair(make_pair, monkeypatch):
+    # Two images of generator 0 swapped and its inverse column rebuilt: both
+    # columns stay mutually inverse permutations, and only the relators of
+    # eta's presentation, chased over every point, can tell.
+    def corrupt(table):
+        forward = table[:, 0]
+        forward[[0, 1]] = forward[[1, 0]]
+        table[forward, 1] = np.arange(len(table))
+
+    _corrupt_assembly(monkeypatch, corrupt)
+    with pytest.raises(ConstructionError, match="relator|family"):
+        construct_eta(make_pair())
+
+
+@pytest.mark.parametrize("make_pair", _AUDITED_PAIRS)
+def test_audit_refuses_a_broken_inverse_column(make_pair, monkeypatch):
+    # Generator 0's column is intact; two entries of its inverse's are swapped.
+    def corrupt(table):
+        table[[0, 1], 1] = table[[1, 0], 1]
+
+    _corrupt_assembly(monkeypatch, corrupt)
+    with pytest.raises(ConstructionError, match="not mutually inverse"):
+        construct_eta(make_pair())
+
+
+def test_audit_checks_the_families_on_generators():
+    # nu(S3)'s carrier satisfies every Cayley relator of S3 on both sides,
+    # but not the families of S3 acting trivially on itself.
+    columns = construct_eta(conjugation_pair(symmetric3())).carrier._columns
+    with pytest.raises(ConstructionError, match="first relation family"):
+        eta_module._audit_carrier(trivial_pair(symmetric3(), symmetric3()), columns)
 
 
 def test_decomposition_fails_when_the_factors_do_not_generate():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from etacalc.errors import CapacityError, IncompleteTableError, ParseError
 from etacalc.fpgroup import (
+    MAX_WORD_LETTERS,
     Presentation,
     bfs_renumber,
     parse_presentation,
@@ -140,11 +141,32 @@ def test_word_render_round_trip(word):
     assert p == Presentation(("a", "b", "c"), (tuple(word),))
 
 
+def test_parser_refuses_a_word_over_the_letter_limit_before_building_it():
+    longest = parse_presentation(f"< a | a^-{MAX_WORD_LETTERS} >")
+    assert longest.relators == ((A_,) * MAX_WORD_LETTERS,)
+    nested = "a"
+    for level in range(40):
+        # each conjugation about doubles the word: 2^40 letters unchecked
+        nested = f"{'ab'[level % 2]}^({nested})"
+    for text, letters in [
+        (f"a^{MAX_WORD_LETTERS + 1}", MAX_WORD_LETTERS + 1),
+        (f"a^{MAX_WORD_LETTERS} a", MAX_WORD_LETTERS + 1),
+        (f"[a^{MAX_WORD_LETTERS // 2}, b]", MAX_WORD_LETTERS + 2),
+        (nested, None),
+    ]:
+        with pytest.raises(CapacityError) as exc:
+            parse_presentation(f"< a, b | {text} >")
+        assert exc.value.count > MAX_WORD_LETTERS
+        assert letters is None or exc.value.count == letters
+
+
 def test_todd_coxeter_cyclic():
     t = todd_coxeter(parse_presentation("<a|a^3>"))
     assert t.n == 3
     assert t.rows.shape == (3, 2) and t.rows.dtype == np.int32
-    t.verify_complete()
+    # a is a 3-cycle and column 1 its inverse
+    assert np.array_equal(t.rows[t.rows[:, 0], 1], np.arange(3))
+    assert np.array_equal(t.rows[t.rows[t.rows[:, 0], 0], 0], np.arange(3))
 
 
 def test_todd_coxeter_s3():
@@ -155,13 +177,14 @@ def test_todd_coxeter_s3():
 def test_todd_coxeter_quaternion():
     t = todd_coxeter(parse_presentation("<i,j| i^4, j^2 i^-2, j^-1 i j i >"))
     assert t.n == 8
-    g, gen_map = regular_representation(t)
+    g, columns = regular_representation(t.rows, t._tree)
     assert g.order() == 8
     assert sorted(g.element_orders()) == [1, 2, 4, 4, 4, 4, 4, 4]
-    assert set(gen_map) == {"i", "j"}
+    # generator k of ("i", "j") is column 2 k
+    assert columns.shape == (4, 8)
     orders = dict(zip(g.elements(), g.element_orders()))
-    assert orders[int(gen_map["i"][0])] == 4
-    assert g.generators == tuple(int(gen_map[name][0]) for name in ("i", "j"))
+    assert orders[int(columns[0, 0])] == 4
+    assert g.generators == tuple(int(columns[2 * k, 0]) for k in range(2))
 
 
 def test_todd_coxeter_infinite_capacity():
@@ -194,14 +217,15 @@ def test_empty_relators_are_harmless():
 
 def test_regular_representation_word_round_trip():
     t = todd_coxeter(parse_presentation("<a,b|a^2,b^3,(a b)^2>"))
-    g, gen_map = regular_representation(t)
+    g, columns = regular_representation(t.rows, t._tree)
     assert g.order() == 6
-    a, b = (int(gen_map[name][0]) for name in ("a", "b"))
+    a, b = (int(columns[2 * k, 0]) for k in range(2))
     orders = dict(zip(g.elements(), g.element_orders()))
     assert orders[g.mul(a, b)] == 2
     assert orders[b] == 3
-    # a generator's column is its right-multiplication array
-    assert all(g.mul(p, b) == gen_map["b"][p] for p in g.elements())
+    # a generator's column is its right-multiplication array, its inverse's the next
+    assert all(g.mul(p, b) == columns[2][p] for p in g.elements())
+    assert all(g.mul(p, g.inv(b)) == columns[3][p] for p in g.elements())
 
 
 def test_coset_table_column_consistency():
