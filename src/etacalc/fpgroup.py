@@ -12,14 +12,20 @@ non-integer exponent is the conjugate y^-1 x y, `[x, y]` is the commutator
 x^-1 y^-1 x y, and `()` is the empty word. `ab` is `a b` and `A` is `a^-1`
 unless declared.
 
-Coset enumeration, of the trivial subgroup, is the relator-scanning strategy
-with full row filling. Every scan keeps the table's mirror invariant (an
-entry and its inverse entry are set and cleared together), which is what
-makes coincidence processing able to repair every stale reference by
-walking dead rows. Tables are renumbered by breadth-first search from coset
-0 over the columns in order before they are returned (bfs_renumber, which
-also renumbers tables built by other means), so the numbering depends only
-on the group itself, not on the enumeration history.
+Coset enumeration, of the trivial subgroup, is HLT: the relator-scanning
+strategy with full row filling (Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, ch. 5). On presentations with many relators,
+each coset is first prechecked in numpy for the relators whose walk from it
+already closes, and only the others are scanned. A closed walk stays closed
+as the table grows and cosets merge, so each skipped scan would have been
+a no-op: the enumeration is HLT's step for step, with the same definitions,
+coincidences, compactions and capacity errors. Every scan keeps the table's
+mirror invariant (an entry and its inverse entry are set and cleared
+together), which is what makes coincidence processing able to repair every
+stale reference by walking dead rows. Tables are renumbered by breadth-first
+search from coset 0 over the columns in order before they are returned
+(bfs_renumber, which also renumbers tables built by other means), so the
+numbering depends only on the group itself, not on the enumeration history.
 """
 
 from __future__ import annotations
@@ -301,15 +307,62 @@ class _Full(Exception):
     pass
 
 
+# A letter position is prechecked only while at least this many relators
+# reach it, so presentations with fewer relators scan every one. T's
+# presentations, timed with and without prechecks, break even between
+# about 48 and 80 relators.
+_PRECHECK_RELATORS = 64
+
+
+def _letter_positions(relators: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The relators' letters position by position, longest relators first.
+
+    Returns (order, letters): order lists the relator indices by descending
+    length, ties in their own order, and letters[i] holds the i-th columns
+    of the relators longer than i, which are the first len(letters[i]) of
+    order. Building them reads each letter once.
+    """
+    order = sorted(range(len(relators)), key=lambda k: -len(relators[k]))
+    letters: list[np.ndarray] = []
+    reach = len(order)
+    for i in range(len(relators[order[0]]) if order else 0):
+        while len(relators[order[reach - 1]]) <= i:
+            reach -= 1
+        letters.append(np.array([relators[k][i] for k in order[:reach]], dtype=np.intp))
+    return np.array(order, dtype=np.intp), letters
+
+
 class _Enumerator:
+    """HLT: each live coset in turn scans every relator, then fills its row.
+
+    Before its relators, a coset is prechecked: one gather per letter
+    position finds the relators whose walk from it is already closed, and
+    only the others are scanned, in order. Skipping them changes nothing.
+    Scanning a closed walk is a no-op, and a walk closed at alpha stays
+    closed under definitions, deductions, coincidences and compaction, so
+    each skipped scan would have been a no-op when its turn came. The
+    definitions, coincidences, compactions and CapacityErrors are HLT's at
+    every cap.
+
+    The table keeps one blank row past its last coset, so a step from an
+    undefined entry (-1) reads that row and stays undefined.
+    """
+
     def __init__(self, presentation: Presentation, max_cosets: int):
         self.nc = 2 * len(presentation.generators)
         self.max = max_cosets
-        self.tbl = array("i", [-1] * self.nc)
+        self.blank = array("i", [-1] * self.nc)
+        self.tbl = self.blank * 2
         self.p = array("i", [0])
         self.nrows = 1
         self.alive = 1
         self.relators = presentation.relators
+        order, letters = _letter_positions(self.relators)
+        # the prechecked positions; relators longer than them are always scanned
+        self.letters = [cols for cols in letters if len(cols) >= _PRECHECK_RELATORS]
+        deeper = letters[len(self.letters) :]
+        self.unchecked = len(deeper[0]) if deeper else 0
+        self.rank = np.argsort(order)  # each relator's place in order
 
     def rep(self, k: int) -> int:
         p = self.p
@@ -357,7 +410,7 @@ class _Enumerator:
         if self.nrows >= self.max:
             raise _Full
         beta = self.nrows
-        self.tbl.extend([-1] * self.nc)
+        self.tbl.extend(self.blank)
         self.p.append(beta)
         self.nrows += 1
         self.alive += 1
@@ -372,16 +425,20 @@ class _Enumerator:
         b = alpha
         j = len(cols) - 1
         while True:
-            while i <= j and tbl[f * nc + cols[i]] >= 0:
-                f = tbl[f * nc + cols[i]]
-                i += 1
+            while i <= j:
+                e = tbl[f * nc + cols[i]]
+                if e < 0:
+                    break
+                f, i = e, i + 1
             if i > j:
                 if f != b:
                     self.coincidence(f, b)
                 return
-            while j >= i and tbl[b * nc + (cols[j] ^ 1)] >= 0:
-                b = tbl[b * nc + (cols[j] ^ 1)]
-                j -= 1
+            while j >= i:
+                e = tbl[b * nc + (cols[j] ^ 1)]
+                if e < 0:
+                    break
+                b, j = e, j - 1
             if j < i:
                 if f != b:
                     self.coincidence(f, b)
@@ -392,31 +449,40 @@ class _Enumerator:
                 return
             self.define(f, cols[i])
 
+    def open_relators(self, alpha: int) -> list[int]:
+        """Indices, in order, of the relators whose walk from alpha is not closed.
+
+        Relators longer than the prechecked positions are always listed.
+        The view of the table is released before returning: define cannot
+        extend the table while a buffer of it is exported.
+        """
+        view = np.frombuffer(self.tbl, dtype=np.int32)
+        nc = self.nc
+        f = view.take(self.letters[0] + alpha * nc)
+        for cols in self.letters[1:]:
+            k = len(cols)
+            f[:k] = view.take(f[:k] * nc + cols)
+        del view
+        f[: self.unchecked] = -1
+        return np.flatnonzero(f[self.rank] != alpha).tolist()
+
     def compact(self, track: int) -> int:
         """Remove dead rows; returns the new index of the tracked live coset."""
-        nc = self.nc
-        mapping = array("i", [-1] * self.nrows)
-        new = 0
-        for i in range(self.nrows):
-            if self.p[i] == i:
-                mapping[i] = new
-                new += 1
-        fresh = array("i", [-1] * (new * nc))
-        for i in range(self.nrows):
-            if self.p[i] != i:
-                continue
-            src = i * nc
-            dst = mapping[i] * nc
-            for c in range(nc):
-                v = self.tbl[src + c]
-                if v >= 0:
-                    fresh[dst + c] = mapping[self.rep(v)]
-        tracked = mapping[self.rep(track)]
-        self.tbl = fresh
-        self.nrows = new
-        self.alive = new
-        self.p = array("i", range(new))
-        return tracked
+        n, nc = self.nrows, self.nc
+        p = np.frombuffer(self.p, dtype=np.int32).copy()
+        while True:
+            root = p[p]
+            if np.array_equal(root, p):
+                break
+            p = root
+        live = p == np.arange(n)
+        mapping = np.cumsum(live, dtype=np.int32) - 1  # new index of each live row
+        rows = np.frombuffer(self.tbl, dtype=np.int32)[: n * nc].reshape(n, nc)[live]
+        fresh = np.where(rows >= 0, mapping[p[rows]], -1).astype(np.int32)
+        self.nrows = self.alive = len(fresh)
+        self.tbl = array("i", fresh.tobytes()) + self.blank
+        self.p = array("i", np.arange(self.nrows, dtype=np.int32).tobytes())
+        return int(mapping[p[track]])
 
     def _room_or_compact(self, alpha: int) -> int:
         if self.alive == self.nrows:
@@ -433,15 +499,16 @@ class _Enumerator:
                 continue
             if self.nrows > 4096 and (self.nrows - self.alive) > 0.3 * self.nrows:
                 alpha = self.compact(alpha)
-            k = 0
-            while k < len(self.relators):
+            todo = self.open_relators(alpha) if self.letters else range(len(self.relators))
+            for k in todo:
                 if self.p[alpha] != alpha:
                     break
-                try:
-                    self.scan_and_fill(alpha, self.relators[k])
-                    k += 1
-                except _Full:
-                    alpha = self._room_or_compact(alpha)
+                while True:
+                    try:
+                        self.scan_and_fill(alpha, self.relators[k])
+                        break
+                    except _Full:
+                        alpha = self._room_or_compact(alpha)
             if self.p[alpha] == alpha:
                 row = alpha * self.nc
                 for c in range(self.nc):
@@ -458,7 +525,7 @@ class _Enumerator:
     def finish(self) -> tuple[np.ndarray, tuple]:
         """Compact, then renumber canonically (see bfs_renumber)."""
         self.compact(0)
-        flat = np.frombuffer(self.tbl, dtype=np.int32)
+        flat = np.frombuffer(self.tbl, dtype=np.int32)[: self.nrows * self.nc]
         return bfs_renumber(flat.reshape(self.nrows, self.nc))
 
 
@@ -504,22 +571,48 @@ def bfs_renumber(table: np.ndarray) -> tuple[np.ndarray, tuple]:
     return renumbered, (np.concatenate(cols).astype(np.int32), np.concatenate(parents), bounds)
 
 
+# The audit walks words in blocks of about this many (word, coset) pairs,
+# so its arrays stay within tens of MB however many words there are.
+_AUDIT_WALKS = 1 << 20
+
+
+def _first_failure(flat: np.ndarray, n: int, order: np.ndarray, letters: list[np.ndarray]) -> tuple[int, int] | None:
+    """The first word, by index, whose walk from some coset does not close, and that coset.
+
+    flat is a table of n cosets read column-contiguous, so flat[c * n + x]
+    is coset x's entry in column c: gathers from it run about 3x faster
+    than from a strided column of the row-major table. order and letters
+    lay out the words as _letter_positions does. A block of words is
+    walked from every coset at once, one take per letter position.
+    """
+    idx = np.arange(n, dtype=np.int32)
+    step = max(1, _AUDIT_WALKS // n)
+    failures = []  # (word, first coset it fails at), the first of each block
+    for start in range(0, len(order), step):
+        block = order[start : start + step]
+        walks = np.tile(idx, len(block))  # word block[r] from coset x at r * n + x
+        for cols in letters:
+            cols = cols[start : start + step].astype(np.int32)
+            reach = walks[: len(cols) * n]  # the words longer than this position
+            reach.reshape(len(cols), n)[:] += cols[:, None] * n
+            flat.take(reach, out=reach)
+        bad = walks.reshape(len(block), n) != idx
+        failing = np.flatnonzero(bad.any(axis=1))
+        if failing.size:
+            first = failing[block[failing].argmin()]
+            failures.append((int(block[first]), int(bad[first].argmax())))
+    return min(failures, default=None)
+
+
 def _audit_table(table: CosetTable) -> None:
-    # one contiguous array per column: gathers from it run about 3x faster
-    # than from a strided column of the row-major table
-    cols = table.rows.T.copy()
-    idx = np.arange(table.n, dtype=np.int32)
-    # inverse-column consistency
-    for c in range(table.ncols):
-        if not np.array_equal(cols[c ^ 1].take(cols[c]), idx):
-            raise ConstructionError("table columns are not mutually inverse")
-    for cs in table.presentation.relators:
-        v = idx
-        for c in cs:
-            v = cols[c].take(v)
-        if not np.array_equal(v, idx):
-            bad = int(np.nonzero(v != idx)[0][0])
-            raise ConstructionError(f"relator fails at coset {bad}")
+    """Check every inverse column pair and every relator at every coset."""
+    flat = table.rows.T.ravel()
+    columns = np.arange(table.ncols)
+    if _first_failure(flat, table.n, columns, [columns, columns ^ 1]):
+        raise ConstructionError("table columns are not mutually inverse")
+    failure = _first_failure(flat, table.n, *_letter_positions(table.presentation.relators))
+    if failure:
+        raise ConstructionError(f"relator fails at coset {failure[1]}")
 
 
 def todd_coxeter(presentation: Presentation, *, max_cosets: int = DEFAULT_MAX_COSETS) -> CosetTable:

@@ -13,6 +13,7 @@ tables, reports) is reproducible byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 from typing import Iterable, Sequence
 
@@ -153,6 +154,11 @@ class TableGroup:
 
     def generating_subset(self) -> tuple[int, ...]:
         """Small generating set, chosen greedily over ascending element indices."""
+        return self._generating_subset
+
+    @cached_property
+    def _generating_subset(self) -> tuple[int, ...]:
+        # the table is read-only, so the choice is made once
         gens: list[int] = []
         current = (self.identity,)
         for x in range(self.n):

@@ -232,12 +232,13 @@ class PermGroup:
         """mul over arrays: the points p q, with p and q broadcast together.
 
         The tree paths of all the q are read upwards at once, and p is then
-        walked down them together, one gather per level of the tree each way.
+        walked down them together, one gather per level each way, down to
+        the deepest q.
         """
         c = self.carrier
         p, q = np.broadcast_arrays(np.asarray(p), np.asarray(q))
         steps = []
-        for _ in c._levels:
+        while q.any():  # until every q has reached the root 0
             steps.append(c._column[q])
             q = c._parent[q]
         for col in reversed(steps):
@@ -249,7 +250,7 @@ class PermGroup:
         c = self.carrier
         p = np.asarray(p)
         x = np.zeros(p.shape, dtype=np.int32)
-        for _ in c._levels:
+        while p.any():  # until every p has reached the root 0
             col = c._column[p]
             x = np.where(col < 0, x, c._columns[col ^ 1, x])
             p = c._parent[p]

@@ -53,6 +53,28 @@ def compose_columns(columns: list[list[int]], word: list[int]) -> list[int]:
     return images
 
 
+def looped_compact(tbl, p, nrows: int, nc: int, track: int) -> tuple[list[int], int]:
+    """A coset table's dead rows removed one entry at a time.
+
+    tbl and p are an enumerator's flat table and coincidence forest.
+    Returns the live rows, renumbered in order with each entry read through
+    its root, and the new number of track's root.
+    """
+
+    def root(k: int) -> int:
+        while p[k] != k:
+            k = p[k]
+        return k
+
+    mapping = {i: new for new, i in enumerate(i for i in range(nrows) if p[i] == i)}
+    fresh = [
+        -1 if v < 0 else mapping[root(v)]
+        for i in mapping
+        for v in tbl[i * nc : (i + 1) * nc]
+    ]
+    return fresh, mapping[root(track)]
+
+
 def tree_dict(column: np.ndarray, parent: np.ndarray) -> dict:
     """A spanning tree's edge arrays as {point: (generator index, sign, parent)}.
 

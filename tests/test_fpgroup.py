@@ -9,17 +9,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etacalc.errors import CapacityError, IncompleteTableError, ParseError
+from etacalc import fpgroup
+from etacalc.action import ActionPair, ActionTable, conjugation_pair
+from etacalc.errors import CapacityError, ConstructionError, IncompleteTableError, ParseError
+from etacalc.eta import _tensor_presentation
 from etacalc.fpgroup import (
+    DEFAULT_MAX_COSETS,
     MAX_WORD_LETTERS,
+    CosetTable,
     Presentation,
+    _audit_table,
+    _Enumerator,
     bfs_renumber,
     parse_presentation,
     regular_representation,
     todd_coxeter,
 )
+from etacalc.groups import TableGroup, builtin
 from etacalc.perm import PermGroup
-from oracles import tree_dict
+from oracles import looped_compact, tree_dict
 
 # Columns of a relator: 2i is generator i and 2i + 1 its inverse.
 A, A_, B, B_ = 0, 1, 2, 3
@@ -301,3 +309,133 @@ def test_column_presentation_enumerates_like_words():
     assert np.array_equal(todd_coxeter(columns).rows, todd_coxeter(words).rows)
     with pytest.raises(ValueError):
         Presentation(("a",), ((A, B),))
+
+
+def _a4_on_v4() -> ActionPair:
+    """A4 and its normal V4 acting on each other by conjugation in A4."""
+    a4 = builtin("A4")
+    members = a4.derived_indices()
+    pos = {x: i for i, x in enumerate(members)}
+    v4 = TableGroup([[pos[a4.mul(a, b)] for b in members] for a in members])
+    return ActionPair(
+        a4,
+        v4,
+        ActionTable.from_rows([[pos[a4.conj(x, g)] for x in members] for g in range(a4.n)]),
+        ActionTable.from_rows([[a4.conj(x, c) for x in range(a4.n)] for c in members]),
+    )
+
+
+def _step_identity_presentations() -> list[tuple[str, Presentation]]:
+    tensors = [(f"nu:{name}", conjugation_pair(builtin(name))) for name in ("D8", "Q8", "D12", "C2xC6")]
+    return [
+        *((label, _tensor_presentation(pair)[0]) for label, pair in tensors),
+        ("A4,V4", _tensor_presentation(_a4_on_v4())[0]),
+        ("S4", parse_presentation("< a, b, c | a^2, b^2, c^2, (a b)^3, (b c)^3, (a c)^2 >")),
+        ("PSL(2,7)", parse_presentation("< a, b | a^2, b^3, (a b)^7, [a, b]^4 >")),
+        # long relators whose first letters close: prechecked only part way
+        ("PSL(2,7)'", parse_presentation("< a, b | a^2, b^3, b^3 (a b)^7, a^2 [a, b]^4 >")),
+    ]
+
+
+def _enumerated(enum: _Enumerator) -> tuple:
+    """What an enumeration leaves: its outcome, table, forest and counts."""
+    try:
+        enum.run()
+        outcome = None
+    except CapacityError as exc:
+        outcome = exc.count
+    return outcome, enum.tbl.tobytes(), enum.p.tobytes(), enum.nrows, enum.alive
+
+
+@pytest.mark.parametrize("label, presentation", _step_identity_presentations())
+def test_precheck_is_step_identical(label, presentation, monkeypatch):
+    # skipping closed relators leaves every definition, coincidence,
+    # compaction and overrun where scanning them all puts it
+    if label.startswith("nu:"):
+        assert _Enumerator(presentation, 10).letters  # prechecked by default
+    for max_cosets in (50, 100, 300, DEFAULT_MAX_COSETS):
+        default = _Enumerator(presentation, max_cosets)
+        disabled = _Enumerator(presentation, max_cosets)
+        disabled.letters = []
+        expected = _enumerated(disabled)
+        assert _enumerated(default) == expected, (label, max_cosets)
+        for least in (1, 2, 3):  # 1 prechecks every letter; 2 and 3 stop short of the longest
+            monkeypatch.setattr(fpgroup, "_PRECHECK_RELATORS", least)
+            assert _enumerated(_Enumerator(presentation, max_cosets)) == expected, (label, least)
+        monkeypatch.undo()
+
+
+def test_compact_matches_the_loop():
+    # nu(Q8)'s tensor factor closes at 64 cosets of the 445 it defines
+    presentation = dict(_step_identity_presentations())["nu:Q8"]
+    enum = _Enumerator(presentation, DEFAULT_MAX_COSETS)
+    enum.run()
+    nrows, nc = enum.nrows, enum.nc
+    assert enum.alive < nrows
+    # the same dead rows chained one under the next: roots many steps deep
+    dead = [x for x in range(nrows) if enum.p[x] != x]
+    chained = enum.p[:]
+    for x, y in zip(dead, dead[1:]):
+        chained[y] = x
+    for forest in (enum.p, chained):
+        for track in (0, nrows - 1):
+            expected = looped_compact(enum.tbl.tolist(), forest.tolist(), nrows, nc, track)
+            copy = _Enumerator(presentation, DEFAULT_MAX_COSETS)
+            copy.tbl, copy.p, copy.nrows, copy.alive = enum.tbl[:], forest[:], nrows, enum.alive
+            tracked = copy.compact(track)
+            assert (copy.tbl.tolist()[: copy.nrows * nc], tracked) == expected
+            assert copy.tbl.tolist()[copy.nrows * nc :] == [-1] * nc  # the blank row
+            assert copy.nrows == copy.alive == enum.alive
+
+
+# S3 on three points: a = (0 1), b = (0 1 2); columns a, a^-1, b, b^-1
+_THREE_POINTS = np.array([[1, 1, 1, 2], [0, 0, 2, 0], [2, 2, 0, 1]], dtype=np.int32)
+
+
+def _audit(rows: np.ndarray, text: str) -> None:
+    _audit_table(CosetTable(parse_presentation(text), len(rows), rows, None))
+
+
+def _first_failure(rows: np.ndarray, text: str) -> int | None:
+    """The first coset of the first relator, in order, whose walk does not close."""
+    for word in parse_presentation(text).relators:
+        for x in range(len(rows)):
+            y = x
+            for c in word:
+                y = rows[y, c]
+            if y != x:
+                return x
+    return None
+
+
+def test_audit_refuses_swapped_entries():
+    rows = todd_coxeter(parse_presentation("< a, b | a^2, b^3, (a b)^2 >")).rows.copy()
+    _audit(rows, "< a, b | a^2, b^3, (a b)^2 >")
+    for c in range(4):
+        bad = rows.copy()
+        bad[[2, 4], c] = bad[[4, 2], c]
+        with pytest.raises(ConstructionError, match="not mutually inverse"):
+            _audit(bad, "< a, b | a^2, b^3, (a b)^2 >")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "< a, b | a^2, b^3, (a b)^2 >",
+        # b^-1 a b is (1 2): it fails at cosets 1 and 2 only
+        "< a, b | a^2, b^3, (a b)^2, b^-1 a b >",
+        # (a b)^3 fails at 0 and 2, but b^-1 a b comes first
+        "< a, b | a^2, b^-1 a b, b^3, (a b)^3 >",
+        # a longer relator failing at 0 comes before b^-1 a b
+        "< a, b | a^2, b^3, b a b^-1 b^-1 a b, b^-1 a b >",
+    ],
+)
+@pytest.mark.parametrize("walks", [fpgroup._AUDIT_WALKS, 1, 6])  # one block; a relator or two each
+def test_audit_names_the_first_failing_coset(text, walks, monkeypatch):
+    monkeypatch.setattr(fpgroup, "_AUDIT_WALKS", walks)
+    expected = _first_failure(_THREE_POINTS, text)
+    if expected is None:
+        _audit(_THREE_POINTS, text)
+        return
+    with pytest.raises(ConstructionError, match=f"relator fails at coset {expected}$"):
+        _audit(_THREE_POINTS, text)
