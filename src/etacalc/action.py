@@ -18,11 +18,13 @@ construction refuses pairs with a nonempty report.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import IncompatibleActionError, InvalidActionError
+from .fpgroup import audit_blocks
 from .groups import TableGroup
 
 _SCHEMA = 1
@@ -66,6 +68,13 @@ class ActionTable:
         row = tuple(range(acted_size))
         return cls(acting_size, acted_size, tuple(row for _ in range(acting_size)))
 
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The rows as one read-only int array: array[a, x] is x^a."""
+        arr = np.array(self.rows, dtype=np.intp)
+        arr.setflags(write=False)
+        return arr
+
     def apply(self, acting: int, acted: int) -> int:
         return self.rows[acting][acted]
 
@@ -94,6 +103,11 @@ class ActionTable:
             if key in data and data[key] != getattr(table, key):
                 raise ValueError(f"declared {key} disagrees with the rows")
         return table
+
+
+def _spots(bad: np.ndarray) -> list[list[int]]:
+    """The indices of bad's true entries in C order: those of a loop over its axes."""
+    return np.argwhere(bad).tolist() if bad.any() else []
 
 
 def validate_action(action: ActionTable, acted: TableGroup, acting: TableGroup) -> list[dict]:
@@ -136,37 +150,39 @@ def validate_action(action: ActionTable, acted: TableGroup, acting: TableGroup) 
                     "image": rows[e][x],
                 }
             )
-    # One acting element at a time, so each comparison is |X|^2 or |A| |X|.
-    arr = np.asarray(rows, dtype=np.intp)
+    # Each axiom is one broadcast over its triples, in blocks of acting
+    # elements; np.argwhere lists failures in the order of a loop over them.
+    arr = action.array
     mul = acted.table
-    for a in range(acting.n):
-        row = arr[a]
-        lhs = row[mul]  # lhs[x, y] = (x y)^a
-        rhs = mul[row[:, None], row[None, :]]  # rhs[x, y] = x^a y^a
-        for x, y in np.argwhere(lhs != rhs):
+    for block in audit_blocks(acting.n, acted.n * acted.n):
+        images = arr[block]
+        lhs = images[:, mul]  # lhs[a, x, y] = (x y)^a
+        rhs = mul.ravel().take(images[:, :, None] * acted.n + images[:, None, :])  # x^a y^a
+        for a, x, y in _spots(lhs != rhs):
             report.append(
                 {
                     "axiom": "row-homomorphism",
-                    "acting": a,
-                    "acting_label": acting.labels[a],
-                    "left": int(x),
-                    "right": int(y),
-                    "lhs": int(lhs[x, y]),
-                    "rhs": int(rhs[x, y]),
+                    "acting": a + block.start,
+                    "acting_label": acting.labels[a + block.start],
+                    "left": x,
+                    "right": y,
+                    "lhs": int(lhs[a, x, y]),
+                    "rhs": int(rhs[a, x, y]),
                 }
             )
-    for a in range(acting.n):
-        lhs = arr[acting.table[a]]  # lhs[b, x] = x^(a b)
-        rhs = arr[:, arr[a]]  # rhs[b, x] = (x^a)^b
-        for b, x in np.argwhere(lhs != rhs):
+    for block in audit_blocks(acting.n, acting.n * acted.n):
+        # gathered along [b, a, x], where both sides are gathers of whole rows
+        lhs = arr[acting.table[block].T].transpose(1, 0, 2)  # lhs[a, b, x] = x^(a b)
+        rhs = arr[:, arr[block]].transpose(1, 0, 2)  # rhs[a, b, x] = (x^a)^b
+        for a, b, x in _spots(lhs != rhs):
             report.append(
                 {
                     "axiom": "composition",
-                    "first": a,
-                    "second": int(b),
-                    "acted": int(x),
-                    "lhs": int(lhs[b, x]),
-                    "rhs": int(rhs[b, x]),
+                    "first": a + block.start,
+                    "second": b,
+                    "acted": x,
+                    "lhs": int(lhs[a, b, x]),
+                    "rhs": int(rhs[a, b, x]),
                 }
             )
     return report
@@ -201,12 +217,9 @@ class ActionPair:
     def is_conjugation(self) -> bool:
         if self.g is not self.h and self.g != self.h:
             return False
-        t = self.g
-        return all(
-            self.g_on_h.rows[a][x] == t.conj(x, a)
-            and self.h_on_g.rows[a][x] == t.conj(x, a)
-            for a in range(t.n)
-            for x in range(t.n)
+        conj = self.g.conj_table().T  # conj[a, x] = x^a
+        return bool(
+            np.array_equal(self.g_on_h.array, conj) and np.array_equal(self.h_on_g.array, conj)
         )
 
     def to_json_dict(self) -> dict:
@@ -282,10 +295,8 @@ def check_compatibility(pair: ActionPair) -> list[dict]:
     a proof of compatibility for these tables.
     """
     g, h = pair.g, pair.h
-    goh = np.asarray(pair.g_on_h.rows, dtype=np.intp)
-    hog = np.asarray(pair.h_on_g.rows, dtype=np.intp)
+    goh, hog = pair.g_on_h.array, pair.h_on_g.array
     failures: list[dict] = []
-    # Family 1 one g at a time: arrays are indexed [g1, h].
     for gg, g1, hh, lhs, rhs in _compat_failures(g, h, hog, goh):
         failures.append(
             {
@@ -302,7 +313,6 @@ def check_compatibility(pair: ActionPair) -> list[dict]:
                 "rhs_label": g.labels[rhs],
             }
         )
-    # Family 2 is the mirror, one h at a time over [h1, g].
     for hh, h1, gg, lhs, rhs in _compat_failures(h, g, goh, hog):
         failures.append(
             {
@@ -325,18 +335,19 @@ def check_compatibility(pair: ActionPair) -> list[dict]:
 def _compat_failures(g: TableGroup, h: TableGroup, h_on_g, g_on_h):
     """Failing (g, g1, h, lhs, rhs) of g^(h^(g1)) == ((g^(g1^-1))^h)^(g1).
 
-    The two actions are int arrays indexed [acting, acted].  Triples come
+    The two actions are int arrays indexed [acting, acted]. All triples are
+    compared in one broadcast over [g, g1, h], in blocks of g, so they come
     out in the order of a loop over g, then g1, then h.
     """
-    mul, inv = g.table, g.inverse_table
-    column = np.arange(g.n)[:, None]
-    for gg in range(g.n):
-        twisted = mul[mul[:, gg], inv]  # twisted[g1] = g^(g1^-1) = g1 g g1^-1
-        lhs = h_on_g[:, gg][g_on_h]  # lhs[g1, h] = g^(h^(g1))
-        acted = h_on_g[:, twisted].T  # acted[g1, h] = (g^(g1^-1))^h
-        rhs = mul[mul[inv[:, None], acted], column]  # conjugated by g1
-        for g1, hh in np.argwhere(lhs != rhs):
-            yield gg, int(g1), int(hh), int(lhs[g1, hh]), int(rhs[g1, hh])
+    twisted = g.conj_table()[:, g.inverse_table]  # twisted[g, g1] = g^(g1^-1)
+    conj = g.conj_table().T.ravel()  # conj[g1 |G| + x] = x^(g1)
+    by_g = np.ascontiguousarray(h_on_g.T)  # by_g[g, h] = g^h
+    shift = np.arange(g.n)[:, None] * g.n  # g1 |G|, along the g1 axis
+    for block in audit_blocks(g.n, g.n * h.n):
+        lhs = by_g[block][:, g_on_h]  # lhs[g, g1, h] = g^(h^(g1))
+        rhs = conj.take(by_g[twisted[block]] + shift)  # ((g^(g1^-1))^h)^(g1)
+        for a, a1, b in _spots(lhs != rhs):
+            yield a + block.start, a1, b, int(lhs[a, a1, b]), int(rhs[a, a1, b])
 
 
 def compatibility_triples(pair: ActionPair) -> int:

@@ -56,6 +56,7 @@ from .errors import CapacityError, ConstructionError, IncompleteTableError, Inva
 from .fpgroup import (
     DEFAULT_MAX_COSETS,
     Presentation,
+    audit_blocks,
     bfs_renumber,
     regular_representation,
     todd_coxeter,
@@ -251,26 +252,30 @@ def _audit_families(
     """Check both full relation families by point chasing on the carrier.
 
     Conjugating a bracket by c is walking it from the point of c^-1 and
-    then applying c; tensor[a, b] is the point of [a, b'].
+    then applying c; tensor[a, b] is the point of [a, b']. Each family is
+    one broadcast over (c, a, b), in blocks of conjugators c, and the
+    error names its first failure in that order.
     """
     g, h = pair.g, pair.h
-    goh, hog = np.asarray(pair.g_on_h.rows), np.asarray(pair.h_on_g.rows)
-    g_conj, h_conj = g.conj_table(), h.conj_table()
-    a, b = np.arange(g.n)[:, None], np.arange(h.n)[None, :]
-    for g1 in range(g.n):
-        lhs = g_arrays[g1][_bracket_walk(pair, g_arrays, h_arrays, g_arrays[g.inv(g1), 0], a, b)]
-        rhs = tensor[g_conj[:, g1, None], goh[g1][None, :]]
-        bad = np.argwhere(lhs != rhs)
-        if bad.size:
-            gg, hh = bad[0].tolist()
-            raise ConstructionError(f"first relation family fails at g={gg}, g1={g1}, h={hh}")
-    for h1 in range(h.n):
-        lhs = h_arrays[h1][_bracket_walk(pair, g_arrays, h_arrays, h_arrays[h.inv(h1), 0], a, b)]
-        rhs = tensor[hog[h1][:, None], h_conj[None, :, h1]]
-        bad = np.argwhere(lhs != rhs)
-        if bad.size:
-            gg, hh = bad[0].tolist()
-            raise ConstructionError(f"second relation family fails at g={gg}, h={hh}, h1={h1}")
+    goh, hog = pair.g_on_h.array, pair.h_on_g.array
+    g_conj, h_conj = g.conj_table().T, h.conj_table().T  # [c, x] = x^c
+    a, b = np.arange(g.n)[None, :, None], np.arange(h.n)[None, None, :]
+    families = (
+        # [a, b']^c == [a^c, (b^c)'], for c in G and then in H
+        ("first relation family fails at g={1}, g1={0}, h={2}", g, g_arrays,
+         lambda c: tensor[g_conj[c][:, :, None], goh[c][:, None, :]]),
+        ("second relation family fails at g={1}, h={2}, h1={0}", h, h_arrays,
+         lambda c: tensor[hog[c][:, :, None], h_conj[c][:, None, :]]),
+    )
+    for message, group, arrays, image in families:
+        for block in audit_blocks(group.n, g.n * h.n):
+            c = np.arange(group.n)[block]
+            start = arrays[group.inverse_table[c], 0][:, None, None]
+            lhs = arrays[c[:, None, None], _bracket_walk(pair, g_arrays, h_arrays, start, a, b)]
+            bad = lhs != image(c)
+            if bad.any():
+                first, gg, hh = np.argwhere(bad)[0].tolist()
+                raise ConstructionError(message.format(first + block.start, gg, hh))
 
 
 def _trivial_eta(pair: ActionPair) -> EtaGroup:
@@ -309,31 +314,46 @@ def _tensor_relators(pair: ActionPair) -> np.ndarray:
     _shrink to eliminate generators through.
 
     Each relation l == f s is the row (l, s^-1, f^-1) of three columns,
-    -1 standing for the empty word; rows are not yet reduced.
+    -1 standing for the empty word; rows are not yet reduced, and their
+    order does not matter, since _canonical sorts them.
     """
     g, h = pair.g, pair.h
-    goh, hog = np.asarray(pair.g_on_h.rows), np.asarray(pair.h_on_g.rows)
+    goh, hog = pair.g_on_h.array, pair.h_on_g.array
     gt, ginv, ht, hinv = g.table, g.inverse_table, h.table, h.inverse_table
     g_conj, h_conj = g.conj_table(), h.conj_table()
     a, b = np.arange(g.n)[:, None], np.arange(h.n)[None, :]
     # C_G and C_H, each along a new leading axis
     a1 = np.array(sorted(set(g_conj[list(g.generating_subset())].ravel().tolist())))[:, None, None]
     b1 = np.array(sorted(set(h_conj[list(h.generating_subset())].ravel().tolist())))[:, None, None]
+    # col[a, b] is the column of t(a, b) and inv[a, b] its inverse's; -1 for the empty word
+    col, inv = np.full((2, g.n, h.n), -1)
+    col[1:, 1:] = 2 * np.arange((g.n - 1) * (h.n - 1)).reshape(g.n - 1, h.n - 1)
+    inv[1:, 1:] = col[1:, 1:] + 1
+    relations = [
+        (col[gt[a, a1], b], inv[a1, b], inv[g_conj[a, a1], goh[a1, b]]),
+        (col[a, ht[b, b1]], inv[hog[b1, a], h_conj[b, b1]], inv[a, b1]),
+        (-1, inv[ginv[a], b], inv[a, goh[ginv[a], b]]),
+        (-1, inv[hog[hinv[b], a], b], inv[a, hinv[b]]),
+    ]
+    rows = [np.broadcast_arrays(*relation) for relation in relations]
+    # built as three contiguous columns, which _canonical reads one at a time
+    return np.stack([np.concatenate([r[i].ravel() for r in rows]) for i in range(3)]).T
 
-    def col(a, b) -> np.ndarray:
-        """Column of t(a, b); -1 for the empty word."""
-        return np.where((a == 0) | (b == 0), -1, 2 * ((a - 1) * (h.n - 1) + b - 1))
 
-    def rows(lhs, first, second) -> np.ndarray:
-        inverse = [np.where(c < 0, -1, c ^ 1) for c in (second, first)]
-        return np.stack(np.broadcast_arrays(lhs, *inverse), axis=-1).reshape(-1, 3)
+def _reduced(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Rows of at most three letters, left-justified and freely and cyclically reduced.
 
-    return np.concatenate([
-        rows(col(gt[a, a1], b), col(g_conj[a, a1], goh[a1, b]), col(a1, b)),
-        rows(col(a, ht[b, b1]), col(a, b1), col(hog[b1, a], h_conj[b, b1])),
-        rows(-1, col(a, goh[ginv[a], b]), col(ginv[a], b)),
-        rows(-1, col(a, hinv[b]), col(hog[hinv[b], a], b)),
-    ])
+    The three columns hold each row's letters, -1 for no letter; a row that
+    vanishes comes back as three -1s.
+    """
+    gap = y < 0
+    y, z = np.where(gap, z, y), np.where(gap, -1, z)
+    gap = x < 0
+    x, y, z = np.where(gap, y, x), np.where(gap, z, y), np.where(gap, -1, z)
+    # in a cyclic word of two or three letters, a cancelling pair of neighbours leaves the rest
+    rest = np.where(x == y ^ 1, z, np.where(y == z ^ 1, x, np.where(z == x ^ 1, y, -2)))
+    hit = rest > -2
+    return np.where(hit, rest, x), np.where(hit, -1, y), np.where(hit, -1, z)
 
 
 def _canonical(words: np.ndarray) -> np.ndarray:
@@ -344,33 +364,36 @@ def _canonical(words: np.ndarray) -> np.ndarray:
     those of its inverse, which all have the same normal closure. Returns
     them sorted, left-justified and padded with -1.
     """
-    justified = np.take_along_axis(words, np.argsort(words < 0, axis=1, kind="stable"), axis=1)
-    x, y, z = justified.T.astype(np.int64)
-    length = (justified >= 0).sum(axis=1)
-    # in a cyclic word of two or three letters, a cancelling pair of neighbours leaves the rest
-    length[(length == 2) & (y == x ^ 1)] = 0
-    for rest, first, second in ((z, x, y), (x, y, z), (y, z, x)):
-        hit = (length == 3) & (first == second ^ 1)
-        x[hit], y[hit], z[hit] = rest[hit], -1, -1
-        length[hit] = 1
+    return _least_forms(*_reduced(*np.asarray(words, dtype=np.int64).T))
+
+
+def _least_forms(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """_canonical of rows already reduced, given as int64 columns."""
     # lexicographic order on rows of columns + 1 is numeric order on their
     # base-k digits; a digit is at most (the largest column | 1) + 1
-    k = (int(words.max()) | 1) + 2
+    k = (int(max(c.max(initial=0) for c in (x, y, z))) | 1) + 2
 
-    def code(a, b, c):
-        return ((a + 1) * k + b + 1) * k + c + 1
+    def least(*word: np.ndarray) -> np.ndarray:
+        """The least code among the rotations of the words and of their inverses."""
+        best = None
+        for letters in (word, tuple(c ^ 1 for c in reversed(word))):
+            for i in range(len(word)):
+                # the base-k value of the rotation's letters alone orders it among its length
+                first, *rest = letters[i:] + letters[:i]
+                value = first
+                for c in rest:
+                    value = value * k + c
+                best = value if best is None else np.minimum(best, value)
+        # shift the digits up by one and append the -1s of the padding
+        return best * k ** (3 - len(word)) + sum(k ** (2 - i) for i in range(len(word)))
 
-    big_x, big_y, big_z = x ^ 1, y ^ 1, z ^ 1  # inverse letters
-    least = [
-        np.minimum(code(x, y, z), code(big_x, y, z)),
-        np.minimum.reduce([code(x, y, z), code(y, x, z), code(big_y, big_x, z), code(big_x, big_y, z)]),
-        np.minimum.reduce([
-            code(x, y, z), code(y, z, x), code(z, x, y),
-            code(big_z, big_y, big_x), code(big_y, big_x, big_z), code(big_x, big_z, big_y),
-        ]),
-    ]
-    codes = np.sort(np.select([length == 1, length == 2, length == 3], least, 0))
-    codes = codes[(codes > 0) & np.append(True, codes[1:] != codes[:-1])]  # distinct
+    three = z >= 0
+    two = (y >= 0) & ~three
+    one = (x >= 0) & (y < 0)
+    groups = ((x[one],), (x[two], y[two]), (x[three], y[three], z[three]))
+    codes = [np.zeros(0, dtype=np.int64)] + [least(*word) for word in groups if word[0].size]
+    codes = np.sort(np.concatenate(codes))
+    codes = codes[np.diff(codes, prepend=-1) != 0]  # distinct
     return np.stack([codes // (k * k), codes // k % k, codes % k], axis=1) - 1
 
 
@@ -381,11 +404,14 @@ def _shrink(m: int, words: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarra
     x != y sets the later of the two to a power +-1 of the earlier.
     Eliminations are kept in a union-find over the m generators, with each
     one's sign relative to its parent and the identity as an extra root m.
-    Every relator is then rewritten and brought to _canonical form, and the
-    round repeats until no such relator is left; x^2 stays. Returns the
-    surviving generators, ascending; the relators, in the columns of a
-    presentation on the survivors; and for each column of all m generators,
-    its column there, or -1 for the identity.
+    The relators are brought to _canonical form once, which drops repeats.
+    Each round then merges the short relators in canonical order, rewrites
+    every row through a column map of that round's merges, reduces the
+    rows and drops those that vanish, until no short relator is left;
+    x^2 stays. Returns the surviving generators, ascending; the relators,
+    in _canonical form in the columns of a presentation on the survivors;
+    and for each column of all m generators, its column there, or -1 for
+    the identity.
     """
     parent, flip = list(range(m + 1)), [0] * (m + 1)
 
@@ -401,28 +427,42 @@ def _shrink(m: int, words: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarra
             parent[y], flip[y] = x, sign
         return x, sign
 
+    x, y, z = _canonical(words).T
+    # Every row's letters are roots. A round rewrites them through this map,
+    # which sends a column to itself and -1 (no letter) to -1, except for
+    # the columns of the round's merges; those of earlier rounds are no
+    # longer read.
+    round_map = np.append(np.arange(2 * m), -1)
     while True:
-        image = []
-        for x in range(m):
-            root, sign = find(x)
-            image += (-1, -1) if root == m else (2 * root + sign, 2 * root + (sign ^ 1))
-        image = np.array(image + [-1], dtype=np.int32)  # image[-1] is -1: no letter stays no letter
-        words = _canonical(image[words])
-        length = (words >= 0).sum(axis=1)
-        short = (length == 1) | ((length == 2) & (words[:, 0] >> 1 != words[:, 1] >> 1))
+        short = (x >= 0) & (z < 0) & ((y < 0) | (x >> 1 != y >> 1))
         if not short.any():
             break
-        for x, y, _ in words[short].tolist():
-            # x y == 1 makes letter x the inverse of letter y, or of the identity
-            (rx, fx), (ry, fy) = find(x >> 1), find(y >> 1 if y >= 0 else m)
-            if rx != ry:
-                keep, child = (m, rx + ry - m) if m in (rx, ry) else (min(rx, ry), max(rx, ry))
-                parent[child], flip[child] = keep, fx ^ fy ^ (0 if y < 0 else (x ^ y ^ 1) & 1)
-    survivors = [x for x in range(m) if parent[x] == x]
+        merged = []
+        for a, b, _ in _least_forms(x[short], y[short], z[short]).tolist():
+            # a b == 1 makes letter a the inverse of letter b, or of the identity
+            (ra, fa), (rb, fb) = find(a >> 1), find(b >> 1 if b >= 0 else m)
+            if ra != rb:
+                keep, child = (m, ra + rb - m) if m in (ra, rb) else (min(ra, rb), max(ra, rb))
+                parent[child], flip[child] = keep, fa ^ fb ^ (0 if b < 0 else (a ^ b ^ 1) & 1)
+                merged.append(child)
+        for child in merged:
+            root, sign = find(child)
+            columns = (2 * root + sign, 2 * root + (sign ^ 1)) if root < m else -1
+            round_map[2 * child : 2 * child + 2] = columns
+        x, y, z = _reduced(round_map[x], round_map[y], round_map[z])
+        kept = x >= 0
+        x, y, z = x[kept], y[kept], z[kept]
+    # every generator's root and sign at once, by pointer jumping
+    root, sign = np.array(parent), np.array(flip)
+    while (root[root] != root).any():
+        root, sign = root[root], sign ^ sign[root]
+    survivors = np.flatnonzero(root[:m] == np.arange(m))
     number = np.full(2 * m + 1, -1)
-    for i, x in enumerate(survivors):
-        number[2 * x : 2 * x + 2] = 2 * i, 2 * i + 1
-    return survivors, number[words], number[image[:-1]]
+    number[2 * survivors] = 2 * np.arange(len(survivors))
+    number[2 * survivors + 1] = 2 * np.arange(len(survivors)) + 1
+    image = np.where(root[:m, None] == m, -1, 2 * root[:m, None] + (sign[:m, None] ^ [0, 1]))
+    relators = _least_forms(x, y, z)
+    return survivors.tolist(), number[relators], number[image.ravel()]
 
 
 def _tensor_presentation(pair: ActionPair) -> tuple[Presentation | None, np.ndarray]:
@@ -471,7 +511,7 @@ def _assemble(pair: ActionPair, tensor: np.ndarray) -> np.ndarray:
     n = nt * ng * nh
     steps = np.column_stack([tensor, np.arange(nt, dtype=np.int32)])
     no_step = tensor.shape[1]
-    goh, hog = np.asarray(pair.g_on_h.rows), np.asarray(pair.h_on_g.rows)
+    goh, hog = pair.g_on_h.array, pair.h_on_g.array
     gt, ginv, ht, hinv = g.table, g.inverse_table, h.table, h.inverse_table
     t = np.arange(nt, dtype=np.int32).reshape(-1, 1, 1)
     x = np.arange(ng, dtype=np.int32).reshape(1, -1, 1)

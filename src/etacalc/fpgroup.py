@@ -33,7 +33,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -571,9 +571,20 @@ def bfs_renumber(table: np.ndarray) -> tuple[np.ndarray, tuple]:
     return renumbered, (np.concatenate(cols).astype(np.int32), np.concatenate(parents), bounds)
 
 
-# The audit walks words in blocks of about this many (word, coset) pairs,
-# so its arrays stay within tens of MB however many words there are.
+# The audits walk words in blocks of about this many (word, coset) pairs,
+# and broadcast over blocks of about this many triples, so their arrays
+# stay within tens of MB however large the input is.
 _AUDIT_WALKS = 1 << 20
+
+
+def audit_blocks(count: int, size: int) -> Iterator[slice]:
+    """Consecutive slices of range(count), each of about _AUDIT_WALKS // size members.
+
+    Each member stands for size entries of an audit's arrays, so a block
+    holds at most _AUDIT_WALKS of them, or one member when size is more.
+    """
+    step = max(1, _AUDIT_WALKS // max(size, 1))
+    return (slice(start, start + step) for start in range(0, count, step))
 
 
 def _first_failure(flat: np.ndarray, n: int, order: np.ndarray, letters: list[np.ndarray]) -> tuple[int, int] | None:
@@ -586,13 +597,12 @@ def _first_failure(flat: np.ndarray, n: int, order: np.ndarray, letters: list[np
     walked from every coset at once, one take per letter position.
     """
     idx = np.arange(n, dtype=np.int32)
-    step = max(1, _AUDIT_WALKS // n)
     failures = []  # (word, first coset it fails at), the first of each block
-    for start in range(0, len(order), step):
-        block = order[start : start + step]
+    for words in audit_blocks(len(order), n):
+        block = order[words]
         walks = np.tile(idx, len(block))  # word block[r] from coset x at r * n + x
         for cols in letters:
-            cols = cols[start : start + step].astype(np.int32)
+            cols = cols[words].astype(np.int32)
             reach = walks[: len(cols) * n]  # the words longer than this position
             reach.reshape(len(cols), n)[:] += cols[:, None] * n
             flat.take(reach, out=reach)

@@ -110,9 +110,16 @@ class TableGroup:
         return self.mul(self.mul(self.inv(b), a), b)
 
     def conj_table(self) -> np.ndarray:
-        """conj_table()[a, b] = a^b = b^-1 a b, for all a and b at once."""
+        """conj_table()[a, b] = a^b = b^-1 a b, for all a and b at once; read-only."""
+        return self._conj_table
+
+    @cached_property
+    def _conj_table(self) -> np.ndarray:
+        # the table is read-only, so its conjugates are computed once
         b = np.arange(self.n)
-        return self.table[self.table[self.inverse_table[None, :], b[:, None]], b[None, :]]
+        conj = self.table[self.table[self.inverse_table[None, :], b[:, None]], b[None, :]]
+        conj.setflags(write=False)
+        return conj
 
     def comm(self, a: int, b: int) -> int:
         """[a, b] = a^-1 b^-1 a b."""

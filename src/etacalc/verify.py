@@ -391,7 +391,7 @@ def _first(bad: np.ndarray) -> tuple[int, ...] | None:
 def _identity_b(eta: EtaGroup, key, key_inv, g_shift):
     """(checks, failures, first failure) of identity (b), over (g, h, y, form)."""
     h = eta.pair.h
-    hog = np.asarray(eta.pair.h_on_g.rows)
+    hog = eta.pair.h_on_g.array
     h_arr = eta.h_arrays
     gg = np.arange(eta.pair.g.n)[:, None, None]
     hh, y = np.arange(h.n)[None, :, None], np.arange(h.n)[None, None, :]
@@ -482,8 +482,8 @@ def _lemma_identities(eta: EtaGroup):
     key = eta.tensors
     key_inv = eta.carrier.inverses(key)
     a, b = np.arange(g.n)[:, None], np.arange(h.n)[None, :]
-    g_shift = g.table[g.inverse_table[a], np.asarray(eta.pair.h_on_g.rows).T]  # a^-1 a^b
-    h_shift = h.table[h.inverse_table[np.asarray(eta.pair.g_on_h.rows)], b]  # (b^a)^-1 b
+    g_shift = g.table[g.inverse_table[a], eta.pair.h_on_g.array.T]  # a^-1 a^b
+    h_shift = h.table[h.inverse_table[eta.pair.g_on_h.array], b]  # (b^a)^-1 b
     checked_b, fail_b, witness_b = _identity_b(eta, key, key_inv, g_shift)
     fail_a, diverging, witness_a = _identity_a(eta, key_inv, g_shift, h_shift)
 
@@ -593,7 +593,7 @@ def _theorem_A(eta: EtaGroup, n_elements, k_elements):
     # w[n, i, j] = [n, K[i]']^-1 [n^K[j], (K[i]^K[j])']: step (3)'s t1^-1 t2
     # at (n, k, hh) = (n, K[i], K[j]), and step (4)'s w at (n, hh, k)
     n, i, j = n_arr[:, None, None], k_arr[None, :, None], k_arr[None, None, :]
-    hog_arr = np.asarray(hog)
+    hog_arr = eta.pair.h_on_g.array
     w = eta.times_bracket(key_inv[:, :, None], hog_arr[j, n], h.conj_table()[i, j])
     # [t1, hh'] = t1^-1 t1^hh, walked directly
     start = h_arr[k_inv[None, None, :], key_inv[:, :, None]]

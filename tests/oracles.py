@@ -409,6 +409,133 @@ def naive_check_compatibility(pair) -> list[dict]:
     return failures
 
 
+def looped_audit_families(pair, g_arrays, h_arrays, tensor) -> str | None:
+    """eta._audit_families as a loop over (c, g, h): the message of its first failure, or None.
+
+    One scalar bracket walk per triple, conjugator outermost, the first
+    family before the second.
+    """
+    g, h = pair.g, pair.h
+    goh, hog = pair.g_on_h.rows, pair.h_on_g.rows
+
+    def bracket(p: int, a: int, b: int) -> int:
+        """p [a, b'] = p a^-1 b^-1 a b."""
+        for row in (g_arrays[g.inv(a)], h_arrays[h.inv(b)], g_arrays[a], h_arrays[b]):
+            p = int(row[p])
+        return p
+
+    for g1 in range(g.n):
+        start = int(g_arrays[g.inv(g1), 0])
+        for a in range(g.n):
+            for b in range(h.n):
+                lhs = int(g_arrays[g1, bracket(start, a, b)])
+                if lhs != int(tensor[g.conj(a, g1), goh[g1][b]]):
+                    return f"first relation family fails at g={a}, g1={g1}, h={b}"
+    for h1 in range(h.n):
+        start = int(h_arrays[h.inv(h1), 0])
+        for a in range(g.n):
+            for b in range(h.n):
+                lhs = int(h_arrays[h1, bracket(start, a, b)])
+                if lhs != int(tensor[hog[h1][a], h.conj(b, h1)]):
+                    return f"second relation family fails at g={a}, h={b}, h1={h1}"
+    return None
+
+
+# T's presentation shrunk the way it was before the rounds rewrote only
+# their own merges: every round relabels every word through the whole
+# union-find and brings all of them to canonical form again. The shrink
+# must agree with it on survivors, relators and column maps.
+
+
+def naive_canonical(words: np.ndarray) -> np.ndarray:
+    """The distinct non-trivial relators among rows of at most three letters.
+
+    A row holds a word's columns, -1 for no letter. Each word is freely and
+    cyclically reduced and then replaced by the least of its rotations and
+    those of its inverse, which all have the same normal closure. Returns
+    them sorted, left-justified and padded with -1.
+    """
+    justified = np.take_along_axis(words, np.argsort(words < 0, axis=1, kind="stable"), axis=1)
+    x, y, z = justified.T.astype(np.int64)
+    length = (justified >= 0).sum(axis=1)
+    # in a cyclic word of two or three letters, a cancelling pair of neighbours leaves the rest
+    length[(length == 2) & (y == x ^ 1)] = 0
+    for rest, first, second in ((z, x, y), (x, y, z), (y, z, x)):
+        hit = (length == 3) & (first == second ^ 1)
+        x[hit], y[hit], z[hit] = rest[hit], -1, -1
+        length[hit] = 1
+    # lexicographic order on rows of columns + 1 is numeric order on their
+    # base-k digits; a digit is at most (the largest column | 1) + 1
+    k = (int(words.max()) | 1) + 2
+
+    def code(a, b, c):
+        return ((a + 1) * k + b + 1) * k + c + 1
+
+    big_x, big_y, big_z = x ^ 1, y ^ 1, z ^ 1  # inverse letters
+    least = [
+        np.minimum(code(x, y, z), code(big_x, y, z)),
+        np.minimum.reduce([code(x, y, z), code(y, x, z), code(big_y, big_x, z), code(big_x, big_y, z)]),
+        np.minimum.reduce([
+            code(x, y, z), code(y, z, x), code(z, x, y),
+            code(big_z, big_y, big_x), code(big_y, big_x, big_z), code(big_x, big_z, big_y),
+        ]),
+    ]
+    codes = np.sort(np.select([length == 1, length == 2, length == 3], least, 0))
+    codes = codes[(codes > 0) & np.append(True, codes[1:] != codes[:-1])]  # distinct
+    return np.stack([codes // (k * k), codes // k % k, codes % k], axis=1) - 1
+
+
+def naive_shrink(m: int, words: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Eliminate generators through the relators of length 1 and 2.
+
+    A relator x^+-1 sets generator x to the identity, and x^+-1 y^+-1 with
+    x != y sets the later of the two to a power +-1 of the earlier.
+    Eliminations are kept in a union-find over the m generators, with each
+    one's sign relative to its parent and the identity as an extra root m.
+    Every relator is then rewritten and brought to canonical form, and the
+    round repeats until no such relator is left; x^2 stays. Returns the
+    surviving generators, ascending; the relators, in the columns of a
+    presentation on the survivors; and for each column of all m generators,
+    its column there, or -1 for the identity.
+    """
+    parent, flip = list(range(m + 1)), [0] * (m + 1)
+
+    def find(x: int) -> tuple[int, int]:
+        """(root, sign): x is root, or root^-1 when sign is 1."""
+        path = []
+        while parent[x] != x:
+            path.append(x)
+            x = parent[x]
+        sign = 0
+        for y in reversed(path):
+            sign ^= flip[y]
+            parent[y], flip[y] = x, sign
+        return x, sign
+
+    while True:
+        image = []
+        for x in range(m):
+            root, sign = find(x)
+            image += (-1, -1) if root == m else (2 * root + sign, 2 * root + (sign ^ 1))
+        image = np.array(image + [-1], dtype=np.int32)  # image[-1] is -1: no letter stays no letter
+        words = naive_canonical(image[words])
+        length = (words >= 0).sum(axis=1)
+        short = (length == 1) | ((length == 2) & (words[:, 0] >> 1 != words[:, 1] >> 1))
+        if not short.any():
+            break
+        for x, y, _ in words[short].tolist():
+            # x y == 1 makes letter x the inverse of letter y, or of the identity
+            (rx, fx), (ry, fy) = find(x >> 1), find(y >> 1 if y >= 0 else m)
+            if rx != ry:
+                keep, child = (m, rx + ry - m) if m in (rx, ry) else (min(rx, ry), max(rx, ry))
+                parent[child], flip[child] = keep, fx ^ fy ^ (0 if y < 0 else (x ^ y ^ 1) & 1)
+    survivors = [x for x in range(m) if parent[x] == x]
+    number = np.full(2 * m + 1, -1)
+    for i, x in enumerate(survivors):
+        number[2 * x : 2 * x + 2] = 2 * i, 2 * i + 1
+    return survivors, number[words], number[image[:-1]]
+
+
 def looped_derived_indices(group):
     """TableGroup.derived_indices as a loop: one scalar commutator per pair of elements."""
     comms = {group.comm(a, b) for a in range(group.n) for b in range(group.n)}

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etacalc import fpgroup
 from etacalc.action import (
     ActionPair,
     ActionTable,
@@ -229,9 +230,7 @@ _AUDITED = (
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_vectorised_audits_match_the_triple_loops(data):
+def _audits_match_the_triple_loops(data) -> None:
     pair = data.draw(st.sampled_from(_AUDITED))
     rows = {
         "g_on_h": [list(row) for row in pair.g_on_h.rows],
@@ -255,3 +254,52 @@ def test_vectorised_audits_match_the_triple_loops(data):
         assert json.dumps(validate_action(table, acted, acting)) == json.dumps(
             naive_validate_action(table, acted, acting)
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_vectorised_audits_match_the_triple_loops(data):
+    _audits_match_the_triple_loops(data)
+
+
+# one element per block, then blocks of up to ten elements
+@pytest.mark.parametrize("walks", [1, 7, 40])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_vectorised_audits_match_the_triple_loops_in_blocks(walks, data):
+    # The reports list failures across blocks in the order of the loops.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fpgroup, "_AUDIT_WALKS", walks)
+        _audits_match_the_triple_loops(data)
+
+
+def test_is_conjugation_matches_the_group_conjugates():
+    def looped(pair) -> bool:
+        if pair.g is not pair.h and pair.g != pair.h:
+            return False
+        t = pair.g
+        return all(
+            pair.g_on_h.rows[a][x] == t.conj(x, a) and pair.h_on_g.rows[a][x] == t.conj(x, a)
+            for a in range(t.n)
+            for x in range(t.n)
+        )
+
+    pairs = [trivial_pair(symmetric3(), cyclic(2)), incompatible_example()]
+    for name in ("C3", "C2xC2", "S3", "D8", "Q8", "A4"):
+        pairs += [conjugation_pair(builtin(name)), trivial_pair(builtin(name), builtin(name))]
+    s3 = symmetric3()  # equal to S3 but another object: its conjugation acts on the other copy
+    pairs.append(ActionPair(s3, symmetric3(), *[conjugation_pair(s3).g_on_h] * 2))
+    pairs.append(ActionPair(s3, s3, conjugation_pair(s3).g_on_h, ActionTable.trivial(6, 6)))
+    assert [pair.is_conjugation() for pair in pairs] == [looped(pair) for pair in pairs]
+    # seven conjugations, and C3 and C2xC2 acting trivially
+    assert sum(looped(pair) for pair in pairs) == 9
+
+
+def test_conjugates_and_action_arrays_are_built_once_and_read_only():
+    group = builtin("S3")
+    pair = conjugation_pair(group)
+    for get in (group.conj_table, lambda: pair.g_on_h.array):
+        assert get() is get()
+        assert not get().flags.writeable
+    assert pair.g_on_h.array.tolist() == [list(row) for row in pair.g_on_h.rows]
+    assert group.conj_table().tolist() == [[group.conj(a, b) for b in range(6)] for a in range(6)]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import etacalc.eta as eta_module
-from etacalc import cli
+from etacalc import cli, fpgroup
 from etacalc.abelian import z_tensor
 from etacalc.action import ActionPair, ActionTable, conjugation_pair, trivial_pair
 from etacalc.errors import (
@@ -37,7 +38,15 @@ from etacalc.groups import (
     symmetric3,
 )
 from etacalc.perm import abelian_invariants_of
-from oracles import brown_loday_presentation, build_eta_presentation, tree_dict
+from etacalc.verify import default_corpus
+from oracles import (
+    brown_loday_presentation,
+    build_eta_presentation,
+    looped_audit_families,
+    naive_canonical,
+    naive_shrink,
+    tree_dict,
+)
 
 
 def test_presentation_smallest_case():
@@ -530,3 +539,93 @@ def test_decomposition_fails_when_the_factors_do_not_generate():
     assert report["counts_match"]
     assert not report["covers"] and not report["generates"]
     assert not report["ok"]
+
+
+_FAMILY_CASES = {
+    "nu(S3)": lambda: conjugation_pair(symmetric3()),
+    "nu(D8)": lambda: conjugation_pair(builtin("D8")),
+    "A4,V4": lambda: _general_pairs()["A4,V4"],
+}
+
+
+@lru_cache(maxsize=None)
+def _family_case(name: str):
+    return construct_eta(_FAMILY_CASES[name]())
+
+
+# one block, then one conjugator per block
+@pytest.mark.parametrize("walks", [fpgroup._AUDIT_WALKS, 1, 7])
+@pytest.mark.parametrize("target", ["tensors", "g_on_h", "h_on_g"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_family_audit_names_the_first_failure_of_the_loops(target, walks, data):
+    # A corrupted bracket fails the first family already at the identity
+    # conjugator; a corrupted action entry fails only the family that reads
+    # it, at the conjugator it belongs to.
+    eta = _family_case(data.draw(st.sampled_from(sorted(_FAMILY_CASES))))
+    pair, tensors = eta.pair, eta.tensors.copy()
+    rows = {side: [list(r) for r in getattr(pair, side).rows] for side in ("g_on_h", "h_on_g")}
+    if target == "tensors":
+        table, size = tensors, eta.order()
+    else:
+        table, size = rows[target], len(rows[target][0])
+    a = data.draw(st.integers(0, len(table) - 1))
+    x = data.draw(st.integers(0, len(table[0]) - 1))
+    table[a][x] = data.draw(st.integers(0, size - 1).filter(lambda v: v != table[a][x]))
+    loose = SimpleNamespace(
+        g=pair.g,
+        h=pair.h,
+        g_on_h=ActionTable.from_rows(rows["g_on_h"]),
+        h_on_g=ActionTable.from_rows(rows["h_on_g"]),
+    )
+    expected = looped_audit_families(loose, eta.g_arrays, eta.h_arrays, tensors)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fpgroup, "_AUDIT_WALKS", walks)
+        if expected is None:
+            eta_module._audit_families(loose, eta.g_arrays, eta.h_arrays, tensors)
+            return
+        with pytest.raises(ConstructionError) as err:
+            eta_module._audit_families(loose, eta.g_arrays, eta.h_arrays, tensors)
+    assert str(err.value) == expected
+    assert expected.startswith("second" if target == "h_on_g" else "first")
+
+
+def _assert_shrinks_alike(m: int, words: np.ndarray) -> None:
+    assert eta_module._canonical(words).tolist() == naive_canonical(words).tolist()
+    survivors, relators, columns = eta_module._shrink(m, words)
+    expected = naive_shrink(m, words)
+    assert survivors == expected[0]
+    assert relators.tolist() == expected[1].tolist()
+    assert columns.tolist() == expected[2].tolist()
+
+
+def _corpus_tensor_pairs() -> list:
+    pairs = [(cp.label, cp.pair) for cp in default_corpus().pairs]
+    pairs += _general_pairs().items()
+    return [pytest.param(pair, id=label) for label, pair in pairs if pair.g.n > 1 and pair.h.n > 1]
+
+
+@pytest.mark.parametrize("pair", _corpus_tensor_pairs())
+def test_shrink_matches_the_round_by_round_oracle(pair):
+    _assert_shrinks_alike((pair.g.n - 1) * (pair.h.n - 1), eta_module._tensor_relators(pair))
+
+
+def test_shrink_matches_the_oracle_on_the_written_cases():
+    _assert_shrinks_alike(3, np.array([[0, 3, -1], [4, -1, -1], [0, 0, -1], [2, 5, 1]]))
+    _assert_shrinks_alike(2, np.array([[0, 2, -1], [0, 0, 0]]))
+
+
+@st.composite
+def _rows(draw) -> tuple[int, np.ndarray]:
+    m = draw(st.integers(1, 5))
+    letter = st.integers(-1, 2 * m - 1)
+    rows = draw(st.lists(st.tuples(letter, letter, letter), min_size=1, max_size=30))
+    return m, np.array(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rows())
+def test_shrink_matches_the_oracle_on_random_rows(case):
+    # Few generators and many short relators: merges within one round
+    # disagree on signs, so the order they are made in shows.
+    _assert_shrinks_alike(*case)
