@@ -5,8 +5,8 @@ repeated invocation with the same inputs is byte-identical; `--pretty` adds
 an aligned human-readable summary (including timings) on standard error.
 
 Exit codes: 0 success, 1 verification failure, 2 parse or input error,
-3 invalid action table, 4 incompatible actions, 5 capacity exceeded,
-6 failed certification (a bug).
+3 invalid action table, 4 incompatible actions, 5 capacity exceeded or
+out of memory, 6 failed certification (a bug).
 """
 
 from __future__ import annotations
@@ -578,8 +578,9 @@ def main(argv=None) -> int:
         where = f" (first failure: {first})" if first else ""
         print(f"etacalc: incompatible actions: {err}{where}", file=sys.stderr)
         return 4
-    except CapacityError as err:
-        print(f"etacalc: capacity exceeded: {err}", file=sys.stderr)
+    except (CapacityError, MemoryError) as err:
+        what = "capacity exceeded" if isinstance(err, CapacityError) else "out of memory"
+        print(f"etacalc: {what}: {err or 'an allocation failed'}", file=sys.stderr)
         return 5
     except ConstructionError as err:
         print(f"etacalc: construction failed: {err}", file=sys.stderr)

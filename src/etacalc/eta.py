@@ -13,39 +13,37 @@ on bracketed words are conjugation in the presented group.
 It is presented on generating subsets, as in Ellis and Leonard (1995): a
 generator per member of each subset, a Cayley-graph relator w(x) s w(xs)^-1
 per element x and generator s of each group, with w(x) the BFS-tree word of
-x, and both families for generators g, g1, h, h1 only. That presentation is
-never written out as words; its relators are chased over points instead.
+x, and both families for generators g, g1, h, h1 only, never enumerated.
 
-Nor is it enumerated. eta is an extension of G (x) H by G x H, and every
-element is uniquely t x y with t in T = [G, H'], which is isomorphic to
-G (x) H. So T alone is enumerated, and eta's coset table is assembled as
-the action on the products t x y, as in Rocco's
-nu(G) = ((G (x) G) x| G) x| G. T is presented by Brown and Loday's
-relations (1987) for conjugation-closed generating sets only, which imply
-the rest, and generators are eliminated through the relators of length 1
-and 2 before enumerating; an eliminated generator reads its survivor's
-column. Every relator used is a consequence of Brown and Loday's, so the
-enumerated group maps onto G (x) H and has at least its order. The
-assembled table is renumbered canonically and eta's presentation above is
-checked on it at every point by point chasing (_audit_carrier): each
-column against its inverse's, each Cayley relator by building the tree
-word's right-multiplication array of every element of G and H once, and
-each family relator as a bracket walked over all points. The table is
-then a transitive action of eta on |T| |G| |H| points, at least |eta| of
-them, so it is the regular action, and an element is the point it sends 0
-to: embed_g, embed_h, the tensors and every subgroup generator are plain
-ints. A point times a bracket [a, b'] is four lookups into the arrays of
-the embedded elements, done for whole arrays of points, a and b at once
-(EtaGroup.times_bracket). The full families, over all g, g1, h, h1, are
-checked the same way. A failed audit is a bug. The EtaGroup keeps the
-carrier and the arrays the audits certified: those of the embedded
-elements and the table of brackets.
+eta is an extension of G (x) H by G x H, and every element is uniquely t x y
+with t in T = [G, H'], which is isomorphic to G (x) H. So T alone is
+enumerated, and eta's coset table is assembled as the action on the products
+t x y, as in Rocco's nu(G) = ((G (x) G) x| G) x| G. T is presented by Brown
+and Loday's relations (1987) for conjugation-closed generating sets only,
+which imply the rest, and generators are eliminated through the relators of
+length 1 and 2 before enumerating; an eliminated generator reads its
+survivor's column. Every relator used is a consequence of Brown and Loday's,
+so the enumerated group maps onto G (x) H and has at least its order. Each
+assembled column sends t x y to (t sigma) x' y', with sigma a column of T's
+certified table chosen by (x, y) alone (_assemble): right multiplication in
+T. So every word in the columns commutes with left multiplication by T,
+whose orbits T x y each meet the fibre t = e once, in the point 0 w(x) w(y);
+a word fixing those |G| |H| points fixes all. The assembled table is
+renumbered canonically, and eta's presentation above is walked on it from
+the fibre alone by T's own word walker (_audit_carrier). The table is then a
+transitive action of eta on |T| |G| |H| >= |eta| points, so it is the
+regular action, and an element is the point it sends 0 to: embed_g, embed_h,
+the tensors and every subgroup generator are plain ints. A point times a
+bracket [a, b'] is four lookups, for whole arrays of points, a and b at once
+(EtaGroup.times_bracket), into the arrays of the elements of G and H. The
+full families are checked the same way. A failed audit is a bug.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -56,6 +54,8 @@ from .errors import CapacityError, ConstructionError, IncompleteTableError, Inva
 from .fpgroup import (
     DEFAULT_MAX_COSETS,
     Presentation,
+    _first_failure,
+    _letter_positions,
     audit_blocks,
     bfs_renumber,
     regular_representation,
@@ -132,13 +132,12 @@ def _bracket_walk(
 class EtaGroup:
     """A finished eta construction over a regular carrier; elements are points.
 
-    The carrier is the regular action of eta, its presentation on
-    generating subsets and the full families checked at every point by
-    point chasing. g_arrays and h_arrays hold the right-multiplication
-    arrays of the embedded elements of G and H, one row each, and
-    tensors[a, b] is the point of [a, b']; the audits certified all three,
-    and the embeddings are read off them. Claims about brackets walk points
-    through them with times_bracket, over whole arrays at once.
+    The carrier is the regular action of eta, its presentation on generating
+    subsets checked from the fibre t = e, which speaks for every point as
+    the columns commute with left multiplication by T. g_arrays and h_arrays
+    hold the right-multiplication arrays of the elements of G and H, one row
+    each, and tensors[a, b] is the point of [a, b']; the embeddings are read
+    off them, and times_bracket walks whole arrays of points through them.
     """
 
     pair: ActionPair
@@ -172,77 +171,67 @@ class EtaGroup:
         return _bracket_walk(self.pair, self.g_arrays, self.h_arrays, points, a, b)
 
 
-def _embedding(group: TableGroup, side: str, gen_columns: np.ndarray) -> np.ndarray:
-    """Right-multiplication arrays of the embedded elements, one row each.
+def _embedding(group: TableGroup, side: str, first: int, columns: np.ndarray):
+    """Right-multiplication arrays of the embedded elements, tree words, Cayley relators.
 
-    gen_columns holds the column of each member of the group's generating
-    subset, in order. A BFS over right multiplication, generators
-    ascending, sets row x s to row x followed by s's column when it first
-    reaches x s, so row x evaluates x's tree word w(x), and its entry at 0
-    is the point of x. Every other edge checks the Cayley relator
-    w(x) s w(xs)^-1 at every point: row x followed by s's column is row x s.
-    The rows are then a homomorphism of the group, checked to be injective.
+    Member i of the group's generating subset is column 2 (first + i). A BFS
+    over right multiplication, generators ascending, sets row x s to row x
+    followed by s's column when it first reaches x s: row x evaluates w(x),
+    and its entry at 0 is the point of x. Returns the arrays, each w(x) and
+    w(x)^-1, and each other edge's relator w(x) s w(xs)^-1 with its message.
     """
-    n = gen_columns.shape[1]
-    arrays = np.empty((group.n, n), dtype=np.int32)
-    arrays[0] = np.arange(n, dtype=np.int32)
-    queue, seen = [0], {0}
+    arrays = np.empty((group.n, columns.shape[1]), dtype=np.int32)
+    arrays[0] = np.arange(columns.shape[1], dtype=np.int32)
+    gens = group.generating_subset()
+    right = group.table[:, list(gens)].tolist()
+    words, inverses, relators, queue = {0: ()}, {0: ()}, [], [0]
     for x in queue:
-        for s, column in zip(group.generating_subset(), gen_columns):
-            y, image = group.mul(x, s), column.take(arrays[x])
-            if y not in seen:
-                seen.add(y)
+        for i, (s, y) in enumerate(zip(gens, right[x])):
+            c = 2 * (first + i)
+            if y in words:
+                message = f"Cayley relator of the {side}-side fails at x={x}, s={s}"
+                relators.append((words[x] + (c,) + inverses[y], message))
+            else:
+                words[y], inverses[y] = words[x] + (c,), (c + 1,) + inverses[x]
                 queue.append(y)
-                arrays[y] = image
-            elif not np.array_equal(image, arrays[y]):
-                raise ConstructionError(f"Cayley relator of the {side}-side fails at x={x}, s={s}")
-    if len(set(arrays[:, 0].tolist())) != group.n:
-        raise ConstructionError(f"embedding of the {side}-side is not injective")
-    return arrays
+                columns[c].take(arrays[x], out=arrays[y])
+    return arrays, words, inverses, relators
 
 
 def _audit_carrier(pair: ActionPair, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate eta's presentation on generating subsets at every point.
+    """Walk eta's presentation on generating subsets from the fibre t = e.
 
-    Column 2i is generator i of G's generating subset, followed by those of
-    H's. Checks, in the order the argument needs, that each column's
-    partner is its inverse, the Cayley relators of G and H (_embedding),
-    and both families for generators g, g1, h, h1: conjugating a bracket
-    by c is walking it from the array of c^-1, then applying c's. Returns
-    the embeddings; a failed check raises ConstructionError.
+    Column 2i is generator i of G's generating subset, then those of H's,
+    one contiguous row each. The words, in the order the argument needs:
+    each generator then its inverse, the Cayley relators of G and H, and
+    c^-1 [a, b'] c [a^c, (b^c)']^-1 for generators a, b, c. From the
+    fibre's points 0 w(x) w(y) they speak for every point, as the columns
+    commute with left multiplication by T. Returns the arrays.
     """
     g, h = pair.g, pair.h
-    points = np.arange(columns.shape[1], dtype=np.int32)
-    # on a finite set, a left inverse is the inverse
-    for c in range(0, len(columns), 2):
-        if not np.array_equal(columns[c + 1].take(columns[c]), points):
-            raise ConstructionError(f"carrier columns {c} and {c + 1} are not mutually inverse")
-    ng = len(g.generating_subset())
-    g_arrays = _embedding(g, "g", columns[: 2 * ng : 2])
-    h_arrays = _embedding(h, "h", columns[2 * ng :: 2])
+    sg, sh = g.generating_subset(), h.generating_subset()
+    g_arrays, g_words, g_inverses, g_cayley = _embedding(g, "g", 0, columns)
+    h_arrays, h_words, h_inverses, h_cayley = _embedding(h, "h", len(sg), columns)
+    checks = [((c, c + 1), f"carrier columns {c} and {c + 1} are not mutually inverse")
+              for c in range(0, len(columns), 2)] + g_cayley + h_cayley
+    g_conj, h_conj = g.conj_table().tolist(), h.conj_table().tolist()  # [x][c] = x^c
     goh, hog = pair.g_on_h.rows, pair.h_on_g.rows
-
-    def walk(p: np.ndarray, a: int, b: int) -> np.ndarray:
-        """_bracket_walk for one a and b: a row's take gathers faster than fancy indexing."""
-        for row in (g_arrays[g.inv(a)], h_arrays[h.inv(b)], g_arrays[a], h_arrays[b]):
-            p = row.take(p)
-        return p
-
     families = (
-        ("first", g, g_arrays, lambda a, b, c: (g.conj(a, c), goh[c][b])),
-        ("second", h, h_arrays, lambda a, b, c: (hog[c][a], h.conj(b, c))),
+        ("first", sg, g_words, g_inverses, lambda a, b, c: (g_conj[a][c], goh[c][b])),
+        ("second", sh, h_words, h_inverses, lambda a, b, c: (hog[c][a], h_conj[b][c])),
     )
-    for name, group, arrays, image in families:
-        for c in group.generating_subset():
-            start = arrays[group.inv(c)]
-            for a in g.generating_subset():
-                for b in h.generating_subset():
-                    if not np.array_equal(
-                        arrays[c].take(walk(start, a, b)), walk(points, *image(a, b, c))
-                    ):
-                        raise ConstructionError(
-                            f"{name} relation family fails on generators g={a}, h={b}, conjugator {c}"
-                        )
+    for name, conjugators, words, inverses, image in families:
+        for c, a, b in product(conjugators, sg, sh):
+            x, y = image(a, b, c)
+            word = inverses[c] + g_inverses[a] + h_inverses[b] + g_words[a] + h_words[b] + words[c]
+            word += h_inverses[y] + g_inverses[x] + h_words[y] + g_words[x]
+            message = f"{name} relation family fails on generators g={a}, h={b}, conjugator {c}"
+            checks.append((word, message))
+    words, messages = zip(*checks)
+    fibre = h_arrays[:, g_arrays[:, 0]].ravel()
+    failure = _first_failure(columns.ravel(), columns.shape[1], *_letter_positions(words), fibre)
+    if failure:
+        raise ConstructionError(messages[failure[0]])
     return g_arrays, h_arrays
 
 
@@ -504,37 +493,41 @@ def _assemble(pair: ActionPair, tensor: np.ndarray) -> np.ndarray:
     An H generator s sends t x y to t x (ys). A G generator s sends it to
     (t sigma)(xs) y, where sigma is [s, y']^-1 conjugated by y^-1 and then
     by (xs)^-1. Both conjugations send a generator t(a, b) of T to another,
-    t(s^(y^-1) ^ (xs)^-1, y^(xs)^-1), so sigma is one column of T's table.
+    t(s^(y^-1) ^ (xs)^-1, y^(xs)^-1), so sigma is one column of T's table,
+    chosen by (x, y) alone (_cocycle). Each column, one gather from T's
+    certified table, commutes with left multiplication by T, so a word in
+    them that fixes the fibre t = e fixes every point (_audit_carrier).
     """
     g, h = pair.g, pair.h
     nt, ng, nh = len(tensor), g.n, h.n
-    n = nt * ng * nh
     steps = np.column_stack([tensor, np.arange(nt, dtype=np.int32)])
-    no_step = tensor.shape[1]
-    goh, hog = pair.g_on_h.array, pair.h_on_g.array
-    gt, ginv, ht, hinv = g.table, g.inverse_table, h.table, h.inverse_table
     t = np.arange(nt, dtype=np.int32).reshape(-1, 1, 1)
     x = np.arange(ng, dtype=np.int32).reshape(1, -1, 1)
     y = np.arange(nh, dtype=np.int32).reshape(1, 1, -1)
-    images = []
-    for s in g.generating_subset():
-        z = ginv[gt[:, s]]  # (xs)^-1, per x
-        u = hog[hinv, s]  # s^(y^-1), per y
-        a = gt[gt[ginv[z][:, None], u[None, :]], z[:, None]]  # u^z, per (x, y)
-        b = goh[z]  # y^z, per (x, y)
-        step = np.where((a == 0) | (b == 0), no_step, 2 * ((a - 1) * (nh - 1) + b - 1) + 1)
-        images.append((steps[t, step] * ng + gt[x, s]) * nh + y)
-    for s in h.generating_subset():
-        images.append((t * ng + x) * nh + ht[y, s])
-    columns = np.empty((n, 2 * len(images)), dtype=np.int32)
-    points = np.arange(n, dtype=np.int32)
+    images = [(steps[t, _cocycle(pair, s)] * ng + g.table[x, s]) * nh + y
+              for s in g.generating_subset()]
+    images += [(t * ng + x) * nh + h.table[y, s] for s in h.generating_subset()]
+    points = np.arange(nt * ng * nh, dtype=np.int32)
+    columns = np.empty((len(points), 2 * len(images)), dtype=np.int32)
     for i, image in enumerate(images):
-        image = image.ravel()
-        if not (np.bincount(image, minlength=n) == 1).all():
-            raise ConstructionError(f"assembled column {i} is not a permutation")
-        columns[:, 2 * i] = image
-        columns[image, 2 * i + 1] = points
+        columns[:, 2 * i] = image.ravel()
+        columns[image.ravel(), 2 * i + 1] = points
     return columns
+
+
+def _cocycle(pair: ActionPair, s: int) -> np.ndarray:
+    """The column of T's table _assemble reads at each (x, y) for G generator s.
+
+    It is 2 k + 1 for t(a, b)^-1, numbered k as in _tensor_relators, or the
+    last, the identity's.
+    """
+    g, h = pair.g, pair.h
+    z = g.inverse_table[g.table[:, s]]  # (xs)^-1, per x
+    u = pair.h_on_g.array[h.inverse_table, s]  # s^(y^-1), per y
+    a = g.table[g.table[g.inverse_table[z][:, None], u[None, :]], z[:, None]]  # u^z, per (x, y)
+    b = pair.g_on_h.array[z]  # y^z, per (x, y)
+    identity = 2 * (g.n - 1) * (h.n - 1)
+    return np.where((a == 0) | (b == 0), identity, 2 * ((a - 1) * (h.n - 1) + b - 1) + 1)
 
 
 def _require_room(n: int, max_cosets: int) -> None:

@@ -587,40 +587,45 @@ def audit_blocks(count: int, size: int) -> Iterator[slice]:
     return (slice(start, start + step) for start in range(0, count, step))
 
 
-def _first_failure(flat: np.ndarray, n: int, order: np.ndarray, letters: list[np.ndarray]) -> tuple[int, int] | None:
-    """The first word, by index, whose walk from some coset does not close, and that coset.
+def _first_failure(
+    flat: np.ndarray, n: int, order: np.ndarray, letters: list[np.ndarray], starts: np.ndarray
+) -> tuple[int, int] | None:
+    """The first word, by index, whose walk from some start does not close, and that start.
 
-    flat is a table of n cosets read column-contiguous, so flat[c * n + x]
-    is coset x's entry in column c: gathers from it run about 3x faster
+    flat is a table of n points read column-contiguous, so flat[c * n + x]
+    is point x's entry in column c: gathers from it run about 3x faster
     than from a strided column of the row-major table. order and letters
-    lay out the words as _letter_positions does. A block of words is
-    walked from every coset at once, one take per letter position.
+    lay out the words as _letter_positions does. A block of words is walked
+    from all int32 starts at once, one take per letter position: every
+    coset for _audit_table, and for construct_eta one point per orbit of a
+    group of permutations that commute with every column.
     """
-    idx = np.arange(n, dtype=np.int32)
-    failures = []  # (word, first coset it fails at), the first of each block
-    for words in audit_blocks(len(order), n):
+    m = len(starts)
+    offsets = [(cols * n).astype(np.int32) for cols in letters]  # where each column starts
+    failures = []  # (word, first start it fails at), the first of each block
+    for words in audit_blocks(len(order), m):
         block = order[words]
-        walks = np.tile(idx, len(block))  # word block[r] from coset x at r * n + x
-        for cols in letters:
-            cols = cols[words].astype(np.int32)
-            reach = walks[: len(cols) * n]  # the words longer than this position
-            reach.reshape(len(cols), n)[:] += cols[:, None] * n
+        walks = np.tile(starts, len(block))  # word block[r] from starts[x] at r * m + x
+        for offset in offsets:
+            offset = offset[words]
+            reach = walks[: len(offset) * m]  # the words longer than this position
+            reach.reshape(len(offset), m)[:] += offset[:, None]
             flat.take(reach, out=reach)
-        bad = walks.reshape(len(block), n) != idx
+        bad = walks.reshape(len(block), m) != starts
         failing = np.flatnonzero(bad.any(axis=1))
         if failing.size:
             first = failing[block[failing].argmin()]
-            failures.append((int(block[first]), int(bad[first].argmax())))
+            failures.append((int(block[first]), int(starts[bad[first].argmax()])))
     return min(failures, default=None)
 
 
 def _audit_table(table: CosetTable) -> None:
     """Check every inverse column pair and every relator at every coset."""
-    flat = table.rows.T.ravel()
+    flat, cosets = table.rows.T.ravel(), np.arange(table.n, dtype=np.int32)
     columns = np.arange(table.ncols)
-    if _first_failure(flat, table.n, columns, [columns, columns ^ 1]):
+    if _first_failure(flat, table.n, columns, [columns, columns ^ 1], cosets):
         raise ConstructionError("table columns are not mutually inverse")
-    failure = _first_failure(flat, table.n, *_letter_positions(table.presentation.relators))
+    failure = _first_failure(flat, table.n, *_letter_positions(table.presentation.relators), cosets)
     if failure:
         raise ConstructionError(f"relator fails at coset {failure[1]}")
 
@@ -651,6 +656,6 @@ def regular_representation(rows: np.ndarray, tree: tuple) -> tuple[PermGroup, np
     generator i's right-multiplication array on the points and row 2i + 1
     its inverse's; generator i's point is its entry at 0.
     """
-    # one contiguous array per column, as _audit_table reads them
+    # one contiguous array per column, as _audit_carrier reads them
     columns = rows.T.copy()
     return PermGroup.regular(columns, tree), columns

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 from functools import lru_cache
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,7 +29,13 @@ from etacalc.eta import (
     construct_eta,
     trivial_action_baseline,
 )
-from etacalc.fpgroup import DEFAULT_MAX_COSETS, _Enumerator, todd_coxeter
+from etacalc.fpgroup import (
+    DEFAULT_MAX_COSETS,
+    _Enumerator,
+    _first_failure,
+    _letter_positions,
+    todd_coxeter,
+)
 from etacalc.groups import (
     TableGroup,
     builtin,
@@ -47,6 +55,8 @@ from oracles import (
     naive_shrink,
     tree_dict,
 )
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def test_presentation_smallest_case():
@@ -528,6 +538,132 @@ def test_audit_checks_the_families_on_generators():
     columns = construct_eta(conjugation_pair(symmetric3())).carrier._columns
     with pytest.raises(ConstructionError, match="first relation family"):
         eta_module._audit_carrier(trivial_pair(symmetric3(), symmetric3()), columns)
+
+
+# Two mutants of the construction that keep every column a gather from a
+# table of right multiplications in T, so the columns still commute with
+# left multiplication by T and the fibre t = e still speaks for every point.
+
+
+def _changed_cocycle(monkeypatch) -> list:
+    """Change one step of G's first generator at the last (x, y), both not the identity.
+
+    The new step is the least column of T's table that acts unlike the old
+    one; a trivial side or a trivial T leaves nothing to change. Returns a
+    list that records each pair whose cocycle was changed.
+    """
+    assemble, cocycle, changed, steps = eta_module._assemble, eta_module._cocycle, [], []
+
+    def recording(pair, tensor):
+        steps[:] = [np.column_stack([tensor, np.arange(len(tensor))])]
+        return assemble(pair, tensor)
+
+    def mutated(pair, s):
+        k = cocycle(pair, s).copy()
+        table = steps[0]
+        x, y = pair.g.n - 1, pair.h.n - 1
+        unlike = np.flatnonzero(table[0] != table[0, k[x, y]])
+        if s == pair.g.generating_subset()[0] and y and unlike.size:
+            k[x, y] = unlike[0]
+            changed.append(pair)
+        return k
+
+    monkeypatch.setattr(eta_module, "_assemble", recording)
+    monkeypatch.setattr(eta_module, "_cocycle", mutated)
+    return changed
+
+
+def _repointed_column_map(monkeypatch) -> list:
+    """Point the last inverse column that a cocycle reads at another survivor's.
+
+    The new column is the least survivor's inverse that acts unlike the
+    old one; a T where none does is left as it is. Returns a list that
+    records each pair whose column map was changed.
+    """
+    presentation, changed = eta_module._tensor_presentation, []
+
+    def mutated(pair):
+        pres, columns = presentation(pair)
+        if pres is None:
+            return pres, columns
+        read = [eta_module._cocycle(pair, s) for s in pair.g.generating_subset()]
+        k = max(c for c in np.unique(read).tolist() if c < len(columns) and columns[c] >= 0)
+        first_row = todd_coxeter(pres).rows[0]
+        unlike = np.flatnonzero(first_row[1::2] != first_row[columns[k]])
+        if unlike.size:
+            columns = columns.copy()
+            columns[k] = 2 * unlike[0] + 1
+            changed.append(pair)
+        return pres, columns
+
+    monkeypatch.setattr(eta_module, "_tensor_presentation", mutated)
+    return changed
+
+
+_MUTANTS = {"cocycle": _changed_cocycle, "column-map": _repointed_column_map}
+
+
+@pytest.mark.parametrize("mutant", sorted(_MUTANTS))
+@pytest.mark.parametrize("make_pair", _AUDITED_PAIRS)
+def test_audit_refuses_a_mutated_construction(make_pair, mutant, monkeypatch):
+    # Either mutant changes where a G generator sends whole cosets T x y
+    # with y not the identity, the same way at every t, so the columns still
+    # commute with left multiplication by T. A loop of G's Cayley graph
+    # through a changed edge can now move t, and on these pairs one does, so
+    # a Cayley relator of G walked from the fibre at such a y fails first;
+    # walked from y = e alone, none would.
+    changed = _MUTANTS[mutant](monkeypatch)
+    with pytest.raises(ConstructionError, match="Cayley relator of the g-side"):
+        construct_eta(make_pair())
+    assert changed
+
+
+def _presentation_failure(pair, columns: np.ndarray) -> bool:
+    """Whether eta's written presentation, or an inverse pair, fails at some point."""
+    n, ncols = columns.shape[1], len(columns)
+    flat, points = columns.ravel(), np.arange(n, dtype=np.int32)
+    pairs = np.arange(ncols)
+    words = _letter_positions(build_eta_presentation(pair).relators)
+    return bool(
+        _first_failure(flat, n, pairs, [pairs, pairs ^ 1], points)
+        or _first_failure(flat, n, *words, points)
+    )
+
+
+@pytest.mark.parametrize("mutant", [None, *sorted(_MUTANTS)])
+@pytest.mark.parametrize("workload", ["corpus-default", "corpus-general"])
+def test_fibre_audit_agrees_with_the_presentation_walked_from_every_point(
+    workload, mutant, monkeypatch
+):
+    # Every pair of the default corpus and of the benchmark's general corpus
+    # at seed 0: the audit from the fibre refuses exactly the carriers on
+    # which eta's presentation, written out as words, fails at some point.
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    corpus = importlib.import_module("corpora").make_corpus(workload, 0)
+    changed = _MUTANTS[mutant](monkeypatch) if mutant else []
+    audit, audited = eta_module._audit_carrier, []
+
+    def recording(pair, columns):
+        audited.append((pair, columns, True))
+        try:
+            return audit(pair, columns)
+        except ConstructionError:
+            audited[-1] = (pair, columns, False)
+            raise
+
+    monkeypatch.setattr(eta_module, "_audit_carrier", recording)
+    refused = []
+    for cp in corpus.pairs:
+        try:
+            construct_eta(cp.pair)
+        except ConstructionError:
+            refused.append(cp.pair)
+    for pair, columns, passed in audited:
+        assert passed != _presentation_failure(pair, columns)
+    # A change acts unlike the original somewhere, so each one is refused:
+    # mostly by the audit, or before it when the carrier is not transitive.
+    assert list(map(id, refused)) == list(map(id, changed))
+    assert bool(changed) == bool(mutant)
 
 
 def test_decomposition_fails_when_the_factors_do_not_generate():
