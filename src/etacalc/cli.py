@@ -580,7 +580,7 @@ def main(argv=None) -> int:
         return 4
     except (CapacityError, MemoryError) as err:
         what = "capacity exceeded" if isinstance(err, CapacityError) else "out of memory"
-        print(f"etacalc: {what}: {err or 'an allocation failed'}", file=sys.stderr)
+        print(f"etacalc: {what}: {str(err) or 'an allocation failed'}", file=sys.stderr)
         return 5
     except ConstructionError as err:
         print(f"etacalc: construction failed: {err}", file=sys.stderr)

@@ -33,10 +33,13 @@ renumbered canonically, and eta's presentation above is walked on it from
 the fibre alone by T's own word walker (_audit_carrier). The table is then a
 transitive action of eta on |T| |G| |H| >= |eta| points, so it is the
 regular action, and an element is the point it sends 0 to: embed_g, embed_h,
-the tensors and every subgroup generator are plain ints. A point times a
-bracket [a, b'] is four lookups, for whole arrays of points, a and b at once
-(EtaGroup.times_bracket), into the arrays of the elements of G and H. The
-full families are checked the same way. A failed audit is a bug.
+the tensors and every subgroup generator are plain ints. Points times an
+element of G or of H, for whole arrays of points and elements at once, are
+EtaGroup.times_g and times_h, and a bracket [a, b'] is four such steps
+(times_bracket). Those methods are the only readers of the arrays they
+look the elements up in, so another representation of the elements changes
+this module alone. The full families are checked the same way. A failed
+audit is a bug.
 """
 
 from __future__ import annotations
@@ -114,20 +117,6 @@ def _tensor_set_from(tensors: np.ndarray, n_elements, k_elements) -> TensorSet:
     return TensorSet(tuple(pair_for), pair_for)
 
 
-def _bracket_walk(
-    pair: ActionPair, g_arrays: np.ndarray, h_arrays: np.ndarray, p, a, b
-) -> np.ndarray:
-    """The points p [a, b'] = p a^-1 b^-1 a b, with p, a and b broadcast together.
-
-    The arrays are the right-multiplication arrays of the embedded elements,
-    one row per element, and a, b index them; a bracket is never built as
-    an array of its own.
-    """
-    x = g_arrays[pair.g.inverse_table[a], p]
-    x = h_arrays[pair.h.inverse_table[b], x]
-    return h_arrays[b, g_arrays[a, x]]
-
-
 @dataclass(eq=False)
 class EtaGroup:
     """A finished eta construction over a regular carrier; elements are points.
@@ -136,8 +125,10 @@ class EtaGroup:
     subsets checked from the fibre t = e, which speaks for every point as
     the columns commute with left multiplication by T. g_arrays and h_arrays
     hold the right-multiplication arrays of the elements of G and H, one row
-    each, and tensors[a, b] is the point of [a, b']; the embeddings are read
-    off them, and times_bracket walks whole arrays of points through them.
+    each, and tensors[a, b] is the point of [a, b']. Only times_g and times_h
+    read the arrays; everything else, the embeddings and times_bracket
+    included, multiplies through them, so replacing the arrays touches this
+    module alone.
     """
 
     pair: ActionPair
@@ -150,12 +141,12 @@ class EtaGroup:
 
     @cached_property
     def embed_g(self) -> tuple[int, ...]:
-        """The point of each element of G: where its array sends 0."""
-        return tuple(self.g_arrays[:, 0].tolist())
+        """The point of each element of G: where it sends 0."""
+        return tuple(self.times_g(0, np.arange(self.pair.g.n)).tolist())
 
     @cached_property
     def embed_h(self) -> tuple[int, ...]:
-        return tuple(self.h_arrays[:, 0].tolist())
+        return tuple(self.times_h(0, np.arange(self.pair.h.n)).tolist())
 
     def order(self) -> int:
         return self.carrier.order()
@@ -166,9 +157,19 @@ class EtaGroup:
     def tensor(self, g: int, h: int) -> int:
         return int(self.tensors[g, h])
 
+    def times_g(self, points, a) -> np.ndarray:
+        """points a, for elements a of G, with points and a broadcast."""
+        return self.g_arrays[a, points]
+
+    def times_h(self, points, b) -> np.ndarray:
+        """points b', for elements b of H, with points and b broadcast."""
+        return self.h_arrays[b, points]
+
     def times_bracket(self, points, a, b) -> np.ndarray:
-        """points [a, b'], with points, a and b broadcast."""
-        return _bracket_walk(self.pair, self.g_arrays, self.h_arrays, points, a, b)
+        """points [a, b'] = points a^-1 b'^-1 a b', with points, a and b broadcast."""
+        g, h = self.pair.g, self.pair.h
+        x = self.times_h(self.times_g(points, g.inverse_table[a]), h.inverse_table[b])
+        return self.times_h(self.times_g(x, a), b)
 
 
 def _embedding(group: TableGroup, side: str, first: int, columns: np.ndarray):
@@ -235,32 +236,31 @@ def _audit_carrier(pair: ActionPair, columns: np.ndarray) -> tuple[np.ndarray, n
     return g_arrays, h_arrays
 
 
-def _audit_families(
-    pair: ActionPair, g_arrays: np.ndarray, h_arrays: np.ndarray, tensor: np.ndarray
-) -> None:
+def _audit_families(eta: EtaGroup) -> None:
     """Check both full relation families by point chasing on the carrier.
 
     Conjugating a bracket by c is walking it from the point of c^-1 and
-    then applying c; tensor[a, b] is the point of [a, b']. Each family is
-    one broadcast over (c, a, b), in blocks of conjugators c, and the
+    then applying c; eta.tensors[a, b] is the point of [a, b']. Each family
+    is one broadcast over (c, a, b), in blocks of conjugators c, and the
     error names its first failure in that order.
     """
+    pair, tensor = eta.pair, eta.tensors
     g, h = pair.g, pair.h
     goh, hog = pair.g_on_h.array, pair.h_on_g.array
     g_conj, h_conj = g.conj_table().T, h.conj_table().T  # [c, x] = x^c
     a, b = np.arange(g.n)[None, :, None], np.arange(h.n)[None, None, :]
     families = (
         # [a, b']^c == [a^c, (b^c)'], for c in G and then in H
-        ("first relation family fails at g={1}, g1={0}, h={2}", g, g_arrays,
+        ("first relation family fails at g={1}, g1={0}, h={2}", g, eta.times_g,
          lambda c: tensor[g_conj[c][:, :, None], goh[c][:, None, :]]),
-        ("second relation family fails at g={1}, h={2}, h1={0}", h, h_arrays,
+        ("second relation family fails at g={1}, h={2}, h1={0}", h, eta.times_h,
          lambda c: tensor[hog[c][:, :, None], h_conj[c][:, None, :]]),
     )
-    for message, group, arrays, image in families:
+    for message, group, times, image in families:
         for block in audit_blocks(group.n, g.n * h.n):
             c = np.arange(group.n)[block]
-            start = arrays[group.inverse_table[c], 0][:, None, None]
-            lhs = arrays[c[:, None, None], _bracket_walk(pair, g_arrays, h_arrays, start, a, b)]
+            start = times(0, group.inverse_table[c])[:, None, None]
+            lhs = times(eta.times_bracket(start, a, b), c[:, None, None])
             bad = lhs != image(c)
             if bad.any():
                 first, gg, hh = np.argwhere(bad)[0].tolist()
@@ -467,7 +467,9 @@ def _tensor_presentation(pair: ActionPair) -> tuple[Presentation | None, np.ndar
     if not survivors:
         return None, columns
     names = tuple(f"t{x // width + 1}_{x % width + 1}" for x in survivors)
-    relators = tuple(tuple(c for c in w if c >= 0) for w in words.tolist())
+    # rows are left-justified: each row's letters, then -1s
+    lengths = np.count_nonzero(words >= 0, axis=1).tolist()
+    relators = tuple(tuple(w[:n]) for w, n in zip(words.tolist(), lengths))
     return Presentation(names, relators), columns
 
 
@@ -561,19 +563,13 @@ def construct_eta(pair: ActionPair, *, max_cosets: int = DEFAULT_MAX_COSETS) -> 
         raise ConstructionError(f"assembled table: {err}") from err
     # a transitive action of the presented eta on |T| |G| |H| >= |eta| points is regular
     g_arrays, h_arrays = _audit_carrier(pair, columns)
-    a, b = np.arange(g.n)[:, None], np.arange(h.n)[None, :]
-    tensors = _bracket_walk(pair, g_arrays, h_arrays, 0, a, b)
-    _audit_families(pair, g_arrays, h_arrays, tensors)
-    tensor_set = _tensor_set_from(tensors, range(g.n), range(h.n))
-    return EtaGroup(
-        pair=pair,
-        carrier=carrier,
-        g_arrays=g_arrays,
-        h_arrays=h_arrays,
-        tensors=tensors,
-        tensor_set=tensor_set,
-        tensor_subgroup=carrier.subgroup(tensor_set.members),
-    )
+    # the tensors are walked with eta's own element arithmetic, then audited
+    eta = EtaGroup(pair, carrier, g_arrays, h_arrays, None, None, None)
+    eta.tensors = eta.times_bracket(0, np.arange(g.n)[:, None], np.arange(h.n)[None, :])
+    _audit_families(eta)
+    eta.tensor_set = _tensor_set_from(eta.tensors, range(g.n), range(h.n))
+    eta.tensor_subgroup = carrier.subgroup(eta.tensor_set.members)
+    return eta
 
 
 def trivial_action_baseline(g: TableGroup, h: TableGroup):
@@ -608,9 +604,9 @@ def check_decomposition(eta: EtaGroup) -> dict:
     t_keys = np.fromiter(sorted(eta.tensor_subgroup.orbit0()), dtype=np.int64)
     tensor_order = len(t_keys)
     counts_match = n_eta == tensor_order * g.n * h.n
-    after_g = eta.g_arrays[:, t_keys]
+    after_g = eta.times_g(t_keys, np.arange(g.n)[:, None])
     covered = np.zeros(n_eta, dtype=bool)
-    covered[eta.h_arrays[:, after_g]] = True
+    covered[eta.times_h(after_g, np.arange(h.n)[:, None, None])] = True
     covers = np.count_nonzero(covered) == n_eta
     tensor_meets_g = set(t_keys.tolist()) & set(eta.embed_g)
     tg_meets_h = set(after_g.ravel().tolist()) & set(eta.embed_h)

@@ -109,7 +109,7 @@ def check_derived_decomposition(nu: NuGroup) -> dict:
     contained = all(nu_prime.contains(p) for p in factors)
     d = np.asarray(derived)
     covered = np.zeros(nu.carrier.degree, dtype=bool)
-    covered[nu.eta.h_arrays[d[:, None, None], nu.eta.g_arrays[d[:, None], t_keys]]] = True
+    covered[nu.eta.times_h(nu.eta.times_g(t_keys, d[:, None]), d[:, None, None])] = True
     covers = np.count_nonzero(covered) == expected
     ok = counts_match and contained and covers
     return {

@@ -39,7 +39,6 @@ from .errors import CapacityError, IncompatibleActionError, InvarianceError
 from .eta import (
     DEFAULT_MAX_COSETS,
     EtaGroup,
-    _bracket_walk,
     check_decomposition,
     construct_eta,
     restricted_tensor_set,
@@ -332,8 +331,7 @@ def _derived_decomposition(nu: NuGroup):
     gd_keys = {nu.eta.embed_g[d] for d in derived}
     hd_keys = {nu.eta.embed_h[d] for d in derived}
     members = np.array(nu.eta.tensor_set.members)[:, None]
-    g_derived = np.array([nu.eta.embed_g[d] for d in derived])[None, :]
-    tg_keys = set(nu.carrier.products(members, g_derived).ravel().tolist())
+    tg_keys = set(nu.eta.times_g(members, np.asarray(derived)[None, :]).ravel().tolist())
     meets = {
         "tensor_meets_g_derived": sorted(t_keys & gd_keys),
         "tg_meets_h_derived": sorted(tg_keys & hd_keys),
@@ -392,12 +390,12 @@ def _identity_b(eta: EtaGroup, key, key_inv, g_shift):
     """(checks, failures, first failure) of identity (b), over (g, h, y, form)."""
     h = eta.pair.h
     hog = eta.pair.h_on_g.array
-    h_arr = eta.h_arrays
     gg = np.arange(eta.pair.g.n)[:, None, None]
     hh, y = np.arange(h.n)[None, :, None], np.arange(h.n)[None, None, :]
     lhs = key[g_shift[:, :, None], y]
     start = key_inv[:, :, None]
-    conjugation = h_arr[y, eta.times_bracket(h_arr[h.inverse_table[y], start], gg, hh)]
+    conjugated = eta.times_bracket(eta.times_h(start, h.inverse_table[y]), gg, hh)
+    conjugation = eta.times_h(conjugated, y)
     substitution = eta.times_bracket(start, hog[y, gg], h.conj_table()[hh, y])
     forms = (conjugation, substitution)
     bad = np.stack([lhs != rhs for rhs in forms], axis=-1)
@@ -425,12 +423,11 @@ def _identity_a(eta: EtaGroup, key_inv, g_shift, h_shift):
     when the groups differ.
     """
     g, h = eta.pair.g, eta.pair.h
-    g_arr, h_arr = eta.g_arrays, eta.h_arrays
     a, b = np.arange(g.n)[:, None], np.arange(h.n)[None, :]
     e = np.arange(g.n)[:, None, None]
-    by_g = g_arr[e, eta.times_bracket(g_arr[g.inverse_table[e], 0], a, b)]
+    by_g = eta.times_g(eta.times_bracket(eta.times_g(0, g.inverse_table[e]), a, b), e)
     e = np.arange(h.n)[:, None, None]
-    by_h = h_arr[e, eta.times_bracket(h_arr[h.inverse_table[e], 0], a, b)]
+    by_h = eta.times_h(eta.times_bracket(eta.times_h(0, h.inverse_table[e]), a, b), e)
     y = np.arange(h.n)[:, None, None]
     same_group = g == h
     witness, failures, diverging = None, 0, 0
@@ -453,7 +450,8 @@ def _identity_a(eta: EtaGroup, key_inv, g_shift, h_shift):
             }
         if same_group:
             # the literal reading: the plain commutator [g, h] of two first-copy elements
-            plain = _bracket_walk(eta.pair, g_arr, g_arr, start, a, b)
+            plain = eta.times_g(eta.times_g(start, g.inverse_table[a]), g.inverse_table[b])
+            plain = eta.times_g(eta.times_g(plain, a), b)
             diverging += np.count_nonzero(eta.times_bracket(plain, x, y) != k2)
     return failures, diverging if same_group else None, witness
 
@@ -581,7 +579,6 @@ def _theorem_A(eta: EtaGroup, n_elements, k_elements):
         failures.append({"step": 2, "subgroup_order": sub_a.order()})
         parts.append("(2) FAILS")
 
-    h_arr = eta.h_arrays
     n_arr, k_arr = np.array(N), np.array(K)
     k_inv = h.inverse_table[k_arr]
     key = eta.tensors[np.ix_(n_arr, k_arr)]
@@ -596,8 +593,8 @@ def _theorem_A(eta: EtaGroup, n_elements, k_elements):
     hog_arr = eta.pair.h_on_g.array
     w = eta.times_bracket(key_inv[:, :, None], hog_arr[j, n], h.conj_table()[i, j])
     # [t1, hh'] = t1^-1 t1^hh, walked directly
-    start = h_arr[k_inv[None, None, :], key_inv[:, :, None]]
-    direct = h_arr[j, eta.times_bracket(start, n, i)]
+    start = eta.times_h(key_inv[:, :, None], k_inv[None, None, :])
+    direct = eta.times_h(eta.times_bracket(start, n, i), j)
     spot = _first(direct != w)
     identity_fail = None
     if spot is not None:
@@ -615,8 +612,8 @@ def _theorem_A(eta: EtaGroup, n_elements, k_elements):
 
     # [a, k'] = a^-1 k'^-1 a k' for every a in [N,K^phi] and k in K
     elements = np.array(sub_a.orbit0())[:, None]
-    after = h_arr[k_inv, carrier.inverses(elements)]
-    s_keys = h_arr[k_arr, carrier.products(after, elements)]
+    after = eta.times_h(carrier.inverses(elements), k_inv)
+    s_keys = eta.times_h(carrier.products(after, elements), k_arr)
     sub_s = carrier.subgroup(sorted(set(s_keys.ravel().tolist())))
     x_group = carrier.subgroup(x_keys)
     in_tinvt = set(x_keys) <= tinvt
@@ -663,9 +660,10 @@ def _theorem_A(eta: EtaGroup, n_elements, k_elements):
     else:
         parts.append("(4) hypothesis fails ([N,K^phi] not abelian), step not applicable")
 
-    hyp5 = all(
-        h_arr[k, a] == carrier.mul(eta.embed_h[k], a) for k in K for a in sub_a.generators
-    )
+    # a k' == k' a for every generator a of [N,K^phi] and k in K
+    gens = np.array(sub_a.generators, dtype=np.int64)[None, :]
+    k_points = eta.times_h(0, k_arr)[:, None]
+    hyp5 = np.array_equal(eta.times_h(gens, k_arr[:, None]), carrier.products(k_points, gens))
     if hyp5:
         square = carrier.products(key, key)
         expected = eta.tensors[n_arr[:, None], h.table[k_arr, k_arr][None, :]]

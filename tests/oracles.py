@@ -15,7 +15,6 @@ from math import gcd, lcm
 import numpy as np
 
 from etacalc.errors import InvarianceError
-from etacalc.eta import _bracket_walk
 from etacalc.fpgroup import Presentation
 from etacalc.verify import _tensor_frame
 
@@ -409,33 +408,53 @@ def naive_check_compatibility(pair) -> list[dict]:
     return failures
 
 
-def looped_audit_families(pair, g_arrays, h_arrays, tensor) -> str | None:
+def _element_rows(eta) -> tuple[np.ndarray, np.ndarray]:
+    """Right multiplication by each element of G and of H, one row each.
+
+    Each row is built from the carrier's own tree (PermGroup.right) at the
+    element's point, never read from eta's arrays.
+    """
+    right = eta.carrier.right
+    return np.array([right(p) for p in eta.embed_g]), np.array([right(p) for p in eta.embed_h])
+
+
+def _walk_bracket(pair, rows, p, a, b) -> np.ndarray:
+    """p [a, b'] = p a^-1 b'^-1 a b' through rows = (G's, H's), with p, a and b broadcast."""
+    g_rows, h_rows = rows
+    x = g_rows[pair.g.inverse_table[a], p]
+    x = h_rows[pair.h.inverse_table[b], x]
+    return h_rows[b, g_rows[a, x]]
+
+
+def looped_audit_families(eta) -> str | None:
     """eta._audit_families as a loop over (c, g, h): the message of its first failure, or None.
 
-    One scalar bracket walk per triple, conjugator outermost, the first
-    family before the second.
+    One scalar bracket walk per triple, through _element_rows, conjugator
+    outermost, the first family before the second.
     """
+    pair, tensor = eta.pair, eta.tensors
     g, h = pair.g, pair.h
     goh, hog = pair.g_on_h.rows, pair.h_on_g.rows
+    g_rows, h_rows = _element_rows(eta)
 
     def bracket(p: int, a: int, b: int) -> int:
         """p [a, b'] = p a^-1 b^-1 a b."""
-        for row in (g_arrays[g.inv(a)], h_arrays[h.inv(b)], g_arrays[a], h_arrays[b]):
+        for row in (g_rows[g.inv(a)], h_rows[h.inv(b)], g_rows[a], h_rows[b]):
             p = int(row[p])
         return p
 
     for g1 in range(g.n):
-        start = int(g_arrays[g.inv(g1), 0])
+        start = int(g_rows[g.inv(g1), 0])
         for a in range(g.n):
             for b in range(h.n):
-                lhs = int(g_arrays[g1, bracket(start, a, b)])
+                lhs = int(g_rows[g1, bracket(start, a, b)])
                 if lhs != int(tensor[g.conj(a, g1), goh[g1][b]]):
                     return f"first relation family fails at g={a}, g1={g1}, h={b}"
     for h1 in range(h.n):
-        start = int(h_arrays[h.inv(h1), 0])
+        start = int(h_rows[h.inv(h1), 0])
         for a in range(g.n):
             for b in range(h.n):
-                lhs = int(h_arrays[h1, bracket(start, a, b)])
+                lhs = int(h_rows[h1, bracket(start, a, b)])
                 if lhs != int(tensor[hog[h1][a], h.conj(b, h1)]):
                     return f"second relation family fails at g={a}, h={b}, h1={h1}"
     return None
@@ -623,6 +642,24 @@ def _tree_words(group: TableGroup, first: int) -> tuple[list[tuple], list[tuple]
     return [words[x] for x in range(group.n)], [inverses[x] for x in range(group.n)]
 
 
+def generator_points(eta) -> tuple[np.ndarray, np.ndarray]:
+    """The point of each element of G and of H, from the carrier's generators alone.
+
+    The carrier's generators are the points of G's generating subset, then
+    of H's; an element's point is its BFS-tree word in them, multiplied out
+    on the carrier's own tree.
+    """
+    gens = iter(eta.carrier.generators)
+    points = []
+    for group in (eta.pair.g, eta.pair.h):
+        step = dict(zip(group.generating_subset(), gens))
+        point = {0: 0}
+        for x, s, y in _tree_edges(group):
+            point[y] = eta.carrier.mul(point[x], step[s])
+        points.append(np.array([point[x] for x in range(group.n)]))
+    return points[0], points[1]
+
+
 def _cayley_relators(group: TableGroup, first: int, words, inverses) -> list[tuple]:
     """w(x) s w(xs)^-1 for every element x and generator s; tree edges vanish."""
     gens = list(enumerate(group.generating_subset(), start=first))
@@ -677,13 +714,10 @@ def build_eta_presentation(pair: ActionPair) -> Presentation:
 # on the carrier. The batched checks must agree with them report for report.
 
 
-def _brackets_after(eta, start, arrays=None):
-    """start [a, b'] for all a in G and b in H, as a (|G|, |H|) array.
-
-    arrays replaces eta's (g_arrays, h_arrays) in the walk.
-    """
+def _brackets_after(eta, rows, start):
+    """start [a, b'] for all a in G and b in H, as a (|G|, |H|) array, walked through rows."""
     a, b = np.arange(eta.pair.g.n)[:, None], np.arange(eta.pair.h.n)[None, :]
-    return _bracket_walk(eta.pair, *(arrays or (eta.g_arrays, eta.h_arrays)), start, a, b)
+    return _walk_bracket(eta.pair, rows, start, a, b)
 
 
 def looped_lemma_identities(eta):
@@ -704,7 +738,8 @@ def looped_lemma_identities(eta):
     g, h = eta.pair.g, eta.pair.h
     goh, hog = eta.pair.g_on_h.rows, eta.pair.h_on_g.rows
     carrier = eta.carrier
-    g_arr, h_arr = eta.g_arrays, eta.h_arrays
+    rows = _element_rows(eta)
+    g_arr, h_arr = rows
     g_inv, h_inv = g.inverse_table, h.inverse_table
     key = np.array([[eta.tensor(a, b) for b in range(h.n)] for a in range(g.n)])
     ys = np.arange(h.n)
@@ -718,9 +753,10 @@ def looped_lemma_identities(eta):
             kk = int(key[gg, hh])
             it0 = carrier.inv(kk)
             lhs = key[g.mul(g.inv(gg), hog[hh][gg])]
+            conjugated = _walk_bracket(eta.pair, rows, h_arr[h_inv, it0], gg, hh)
             rhs_forms = (
-                ("conjugation", h_arr[ys, eta.times_bracket(h_arr[h_inv, it0], gg, hh)]),
-                ("substitution", _brackets_after(eta, it0)[hog_arr[:, gg], h_conj[hh]]),
+                ("conjugation", h_arr[ys, conjugated]),
+                ("substitution", _brackets_after(eta, rows, it0)[hog_arr[:, gg], h_conj[hh]]),
             )
             checked_b += 2 * h.n
             for y in range(h.n):
@@ -749,9 +785,9 @@ def looped_lemma_identities(eta):
             s1 = carrier.inv(kc)
             e2 = g.mul(g.inv(x), hog[y][x])
             e3 = h.mul(h.inv(goh[x][y]), y)
-            k1 = eta.times_bracket(_brackets_after(eta, s1), x, y)
-            k2 = g_arr[e2][_brackets_after(eta, eta.embed_g[g_inv[e2]])]
-            k3 = h_arr[e3][_brackets_after(eta, eta.embed_h[h_inv[e3]])]
+            k1 = _walk_bracket(eta.pair, rows, _brackets_after(eta, rows, s1), x, y)
+            k2 = g_arr[e2][_brackets_after(eta, rows, eta.embed_g[g_inv[e2]])]
+            k3 = h_arr[e3][_brackets_after(eta, rows, eta.embed_h[h_inv[e3]])]
             checked_a += g.n * h.n
             for gg, hh in np.argwhere((k1 != k2) | (k2 != k3)).tolist():
                 fail_a.append(
@@ -768,9 +804,9 @@ def looped_lemma_identities(eta):
                 )
             if same_group:
                 # the literal reading: the plain commutator [g, h] of two first-copy elements
-                plain = _brackets_after(eta, s1, (g_arr, g_arr))
+                plain = _brackets_after(eta, (g_arr, g_arr), s1)
                 lit_checked += g.n * h.n
-                lit_fail += int(np.count_nonzero(eta.times_bracket(plain, x, y) != k2))
+                lit_fail += int(np.count_nonzero(_walk_bracket(eta.pair, rows, plain, x, y) != k2))
 
     if same_group:
         if lit_fail:
@@ -837,14 +873,15 @@ def looped_theorem_A(eta, n_elements, k_elements):
         failures.append({"step": 2, "subgroup_order": sub_a.order()})
         parts.append("(2) FAILS")
 
-    h_arr = eta.h_arrays
+    rows = _element_rows(eta)
+    h_arr = rows[1]
     k_arr = np.array(K)
     k_inv = h.inverse_table[k_arr]
     hog_k = np.asarray(hog)[k_arr]  # [i, n] = n^(K[i])
     k_conj = h.conj_table()[np.ix_(k_arr, k_arr)]  # [i, j] = K[i]^K[j]
     tinvt: set[int] = set()
     for u in tset.members:
-        tinvt.update(_brackets_after(eta, carrier.inv(u))[np.ix_(N, K)].ravel().tolist())
+        tinvt.update(_brackets_after(eta, rows, carrier.inv(u))[np.ix_(N, K)].ravel().tolist())
 
     x_keys: dict[int, None] = {}
     identity_fail = None
@@ -853,8 +890,8 @@ def looped_theorem_A(eta, n_elements, k_elements):
             t1 = eta.tensor(n, k)
             it1 = carrier.inv(t1)
             # t1^-1 t2 for t2 = [n^hh, (k^hh)'], and [t1, hh'], for every hh in K
-            w_keys = _brackets_after(eta, it1)[hog_k[:, n], k_conj[i]]
-            direct = h_arr[k_arr, eta.times_bracket(h_arr[k_inv, it1], n, k)]
+            w_keys = _brackets_after(eta, rows, it1)[hog_k[:, n], k_conj[i]]
+            direct = h_arr[k_arr, _walk_bracket(eta.pair, rows, h_arr[k_inv, it1], n, k)]
             for hh, w_key, bracket in zip(K, w_keys.tolist(), direct.tolist()):
                 if bracket != w_key and identity_fail is None:
                     identity_fail = {
@@ -901,7 +938,7 @@ def looped_theorem_A(eta, n_elements, k_elements):
             for i, hh in enumerate(K):
                 n1 = g.mul(g.inv(n), hog[hh][n])
                 # w = t1^-1 t2 for t1 = [n, hh'] and t2 = [n^k, (hh^k)'], per k in K
-                after = _brackets_after(eta, carrier.inv(eta.tensor(n, hh)))
+                after = _brackets_after(eta, rows, carrier.inv(eta.tensor(n, hh)))
                 w_keys = after[hog_k[:, n], k_conj[i]].tolist()
                 for k, w in zip(K, w_keys):
                     square = carrier.mul(w, w)

@@ -46,10 +46,11 @@ from etacalc.groups import (
     symmetric3,
 )
 from etacalc.perm import abelian_invariants_of
-from etacalc.verify import default_corpus
+from etacalc.verify import _build, default_corpus
 from oracles import (
     brown_loday_presentation,
     build_eta_presentation,
+    generator_points,
     looped_audit_families,
     naive_canonical,
     naive_shrink,
@@ -154,6 +155,31 @@ def test_embeddings_are_faithful_homomorphisms():
         seen.add(eta.embed_g[a])
     assert len(seen) == 8
     assert eta.embed_g[0] == 0 and eta.embed_h[0] == 0
+
+
+@pytest.mark.parametrize(
+    "workload, seed", [("corpus-default", 0), ("corpus-general", 0), ("corpus-general", 7)]
+)
+def test_element_arithmetic_equals_the_carrier_products(monkeypatch, workload, seed):
+    # times_g, times_h and times_bracket at every point, for every element,
+    # against products and inverses on the carrier's tree at the elements'
+    # points as the carrier's generators give them
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    corpus = importlib.import_module("corpora").make_corpus(workload, seed)
+    built = _build(list(corpus.pairs), DEFAULT_MAX_COSETS)
+    etas = [b["eta"] for b in built.values() if isinstance(b["eta"], eta_module.EtaGroup)]
+    assert len(etas) == len(corpus.pairs)  # every instance builds
+    for eta in etas:
+        carrier, g, h = eta.carrier, eta.pair.g, eta.pair.h
+        g_points, h_points = generator_points(eta)
+        p, a, b = np.arange(carrier.degree), np.arange(g.n), np.arange(h.n)
+        products = carrier.products
+        assert np.array_equal(eta.times_g(p, a[:, None]), products(p, g_points[:, None]))
+        assert np.array_equal(eta.times_h(p, b[:, None]), products(p, h_points[:, None]))
+        x, y = g_points[:, None], h_points[None, :]
+        brackets = products(carrier.inverses(products(y, x)), products(x, y))
+        expected = products(p, brackets[:, :, None])
+        assert np.array_equal(eta.times_bracket(p, a[:, None, None], b[None, :, None]), expected)
 
 
 def test_tensor_set_is_normal_in_carrier():
@@ -714,14 +740,15 @@ def test_family_audit_names_the_first_failure_of_the_loops(target, walks, data):
         g_on_h=ActionTable.from_rows(rows["g_on_h"]),
         h_on_g=ActionTable.from_rows(rows["h_on_g"]),
     )
-    expected = looped_audit_families(loose, eta.g_arrays, eta.h_arrays, tensors)
+    corrupted = dataclasses.replace(eta, pair=loose, tensors=tensors)
+    expected = looped_audit_families(corrupted)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fpgroup, "_AUDIT_WALKS", walks)
         if expected is None:
-            eta_module._audit_families(loose, eta.g_arrays, eta.h_arrays, tensors)
+            eta_module._audit_families(corrupted)
             return
         with pytest.raises(ConstructionError) as err:
-            eta_module._audit_families(loose, eta.g_arrays, eta.h_arrays, tensors)
+            eta_module._audit_families(corrupted)
     assert str(err.value) == expected
     assert expected.startswith("second" if target == "h_on_g" else "first")
 
