@@ -8,6 +8,11 @@ corpus, with verify.construct_nu serving the instance already built, so
 the claims time excludes construction. It exits 1 unless every claim
 passes and |nu(G)| and |G (x) G| are the orders listed. It prints one
 line: the build time, the claims time and the peak RSS of the process.
+
+The peak RSS moves by about 1.3 MB with glibc's dynamic mmap threshold,
+not with what the code allocates: on nu(C2xQ8), builds whose tracemalloc
+peaks agree to the KB read 191 and 192 MB. To compare two checkouts at
+that level, run both with MALLOC_MMAP_THRESHOLD_=131072 set.
 """
 
 from __future__ import annotations

@@ -21,25 +21,29 @@ enumerated, and eta's coset table is assembled as the action on the products
 t x y, as in Rocco's nu(G) = ((G (x) G) x| G) x| G. T is presented by Brown
 and Loday's relations (1987) for conjugation-closed generating sets only,
 which imply the rest, and generators are eliminated through the relators of
-length 1 and 2 before enumerating; an eliminated generator reads its
-survivor's column. Every relator used is a consequence of Brown and Loday's,
-so the enumerated group maps onto G (x) H and has at least its order. Each
-assembled column sends t x y to (t sigma) x' y', with sigma a column of T's
-certified table chosen by (x, y) alone (_assemble): right multiplication in
-T. So every word in the columns commutes with left multiplication by T,
-whose orbits T x y each meet the fibre t = e once, in the point 0 w(x) w(y);
-a word fixing those |G| |H| points fixes all. The assembled table is
-renumbered canonically, and eta's presentation above is walked on it from
-the fibre alone by T's own word walker (_audit_carrier). The table is then a
-transitive action of eta on |T| |G| |H| >= |eta| points, so it is the
-regular action, and an element is the point it sends 0 to: embed_g, embed_h,
-the tensors and every subgroup generator are plain ints. Points times an
-element of G or of H, for whole arrays of points and elements at once, are
-EtaGroup.times_g and times_h, and a bracket [a, b'] is four such steps
-(times_bracket). Those methods are the only readers of the arrays they
-look the elements up in, so another representation of the elements changes
-this module alone. The full families are checked the same way. A failed
-audit is a bug.
+length 1 and 2 before enumerating. Every relator used is a consequence of
+Brown and Loday's, so the enumerated group maps onto G (x) H and has at
+least its order. Every pair takes this one path; a trivial G or H leaves T
+no generator, so T is the one coset 0. Each assembled column sends t x y to
+(t sigma) x' y', with sigma a column of T's certified table chosen by
+(x, y) alone (_assemble): right multiplication in T. So every word in the
+columns commutes with left multiplication by T, whose orbits T x y each
+meet the fibre t = e once, in the point 0 w(x) w(y); a word fixing those
+|G| |H| points fixes all. T's table is read as enumerated, with one
+identity column added: _cocycle names sigma as some t(a, b)^-1 or the
+identity, and _shrink's column map, with the identity last, gives the
+column that acts so, an eliminated generator reading its survivor's. The
+assembled table is renumbered canonically, and eta's presentation above is
+walked on it from the fibre alone by T's own word walker (_audit_carrier).
+The table is then a transitive action of eta on |T| |G| |H| >= |eta|
+points, so it is the regular action, and an element is the point it sends 0
+to: embed_g, embed_h, the tensors and every subgroup generator are plain
+ints. Points times an element of G or of H, for whole arrays of points and
+elements at once, are EtaGroup.times_g and times_h, and a bracket [a, b']
+is four such steps (times_bracket). Those methods are the only readers of
+the arrays they look the elements up in, so another representation of the
+elements changes this module alone. The full families are checked the same
+way. A failed audit is a bug.
 """
 
 from __future__ import annotations
@@ -228,11 +232,11 @@ def _audit_carrier(pair: ActionPair, columns: np.ndarray) -> tuple[np.ndarray, n
             word += h_inverses[y] + g_inverses[x] + h_words[y] + g_words[x]
             message = f"{name} relation family fails on generators g={a}, h={b}, conjugator {c}"
             checks.append((word, message))
-    words, messages = zip(*checks)
+    words = [word for word, _ in checks]
     fibre = h_arrays[:, g_arrays[:, 0]].ravel()
     failure = _first_failure(columns.ravel(), columns.shape[1], *_letter_positions(words), fibre)
     if failure:
-        raise ConstructionError(messages[failure[0]])
+        raise ConstructionError(checks[failure[0]][1])
     return g_arrays, h_arrays
 
 
@@ -267,21 +271,6 @@ def _audit_families(eta: EtaGroup) -> None:
                 raise ConstructionError(message.format(first + block.start, gg, hh))
 
 
-def _trivial_eta(pair: ActionPair) -> EtaGroup:
-    tree = (np.full(1, -1, dtype=np.int32), np.zeros(1, dtype=np.int32), [1])
-    carrier = PermGroup.regular(np.zeros((0, 1), dtype=np.int32), tree)
-    zero = np.zeros((1, 1), dtype=np.int32)
-    return EtaGroup(
-        pair=pair,
-        carrier=carrier,
-        g_arrays=zero,
-        h_arrays=zero,
-        tensors=zero,
-        tensor_set=_tensor_set_from(zero, [0], [0]),
-        tensor_subgroup=carrier.subgroup([]),
-    )
-
-
 def _tensor_relators(pair: ActionPair) -> np.ndarray:
     """Relators of G (x) H that imply Brown and Loday's (1987), one per row.
 
@@ -311,9 +300,9 @@ def _tensor_relators(pair: ActionPair) -> np.ndarray:
     gt, ginv, ht, hinv = g.table, g.inverse_table, h.table, h.inverse_table
     g_conj, h_conj = g.conj_table(), h.conj_table()
     a, b = np.arange(g.n)[:, None], np.arange(h.n)[None, :]
-    # C_G and C_H, each along a new leading axis
-    a1 = np.array(sorted(set(g_conj[list(g.generating_subset())].ravel().tolist())))[:, None, None]
-    b1 = np.array(sorted(set(h_conj[list(h.generating_subset())].ravel().tolist())))[:, None, None]
+    # C_G and C_H, each along a new leading axis, of ints even when empty
+    a1 = np.array(sorted(set(g_conj[list(g.generating_subset())].flat)), dtype=int)[:, None, None]
+    b1 = np.array(sorted(set(h_conj[list(h.generating_subset())].flat)), dtype=int)[:, None, None]
     # col[a, b] is the column of t(a, b) and inv[a, b] its inverse's; -1 for the empty word
     col, inv = np.full((2, g.n, h.n), -1)
     col[1:, 1:] = 2 * np.arange((g.n - 1) * (h.n - 1)).reshape(g.n - 1, h.n - 1)
@@ -473,55 +462,57 @@ def _tensor_presentation(pair: ActionPair) -> tuple[Presentation | None, np.ndar
     return Presentation(names, relators), columns
 
 
-def _tensor_table(pair: ActionPair, max_cosets: int) -> np.ndarray:
-    """The regular coset table of T = G (x) H, one column pair per t(a, b).
+def _tensor_table(pair: ActionPair, max_cosets: int) -> tuple[np.ndarray, np.ndarray]:
+    """T = G (x) H's coset table as enumerated, one identity column last, and its map.
 
-    T is enumerated from _tensor_presentation, and each t(a, b) reads the
-    column of the survivor it was eliminated to, or the identity's.
+    The map is _tensor_presentation's with -1 appended: for each column of
+    every t(a, b), numbered as in _tensor_relators, and then the identity,
+    the column of the table that acts so. A trivial G or H leaves T no
+    generator, so T is the one coset 0.
     """
-    if pair.g.n == 1 or pair.h.n == 1:
-        return np.zeros((1, 0), dtype=np.int32)
     pres, columns = _tensor_presentation(pair)
     rows = np.zeros((1, 0), dtype=np.int32)
     if pres is not None:
         rows = todd_coxeter(pres, max_cosets=max_cosets).rows
-    # column -1, appended last, is the identity's
-    return np.hstack([rows, np.arange(len(rows), dtype=np.int32)[:, None]])[:, columns]
+    steps = np.hstack([rows, np.arange(len(rows), dtype=np.int32)[:, None]])
+    return steps, np.append(columns, -1)
 
 
-def _assemble(pair: ActionPair, tensor: np.ndarray) -> np.ndarray:
+def _assemble(pair: ActionPair, steps: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """Columns of eta acting on its elements t x y, numbered (t |G| + x) |H| + y.
 
-    An H generator s sends t x y to t x (ys). A G generator s sends it to
-    (t sigma)(xs) y, where sigma is [s, y']^-1 conjugated by y^-1 and then
-    by (xs)^-1. Both conjugations send a generator t(a, b) of T to another,
-    t(s^(y^-1) ^ (xs)^-1, y^(xs)^-1), so sigma is one column of T's table,
-    chosen by (x, y) alone (_cocycle). Each column, one gather from T's
+    steps and columns are _tensor_table's. An H generator s sends t x y to
+    t x (ys). A G generator s sends it to (t sigma)(xs) y, where sigma is
+    [s, y']^-1 conjugated by y^-1 and then by (xs)^-1. Both conjugations
+    send a generator t(a, b) of T to another, t(s^(y^-1) ^ (xs)^-1,
+    y^(xs)^-1), so sigma is one column of T's table, chosen by (x, y)
+    alone: _cocycle numbers it as a t(a, b)^-1 or the identity, and columns
+    turns that into a column of steps. Each column, one gather from T's
     certified table, commutes with left multiplication by T, so a word in
     them that fixes the fibre t = e fixes every point (_audit_carrier).
     """
     g, h = pair.g, pair.h
-    nt, ng, nh = len(tensor), g.n, h.n
-    steps = np.column_stack([tensor, np.arange(nt, dtype=np.int32)])
+    nt, ng, nh = len(steps), g.n, h.n
     t = np.arange(nt, dtype=np.int32).reshape(-1, 1, 1)
     x = np.arange(ng, dtype=np.int32).reshape(1, -1, 1)
     y = np.arange(nh, dtype=np.int32).reshape(1, 1, -1)
-    images = [(steps[t, _cocycle(pair, s)] * ng + g.table[x, s]) * nh + y
+    images = [(steps[t, columns[_cocycle(pair, s)]] * ng + g.table[x, s]) * nh + y
               for s in g.generating_subset()]
     images += [(t * ng + x) * nh + h.table[y, s] for s in h.generating_subset()]
     points = np.arange(nt * ng * nh, dtype=np.int32)
-    columns = np.empty((len(points), 2 * len(images)), dtype=np.int32)
+    table = np.empty((len(points), 2 * len(images)), dtype=np.int32)
     for i, image in enumerate(images):
-        columns[:, 2 * i] = image.ravel()
-        columns[image.ravel(), 2 * i + 1] = points
-    return columns
+        table[:, 2 * i] = image.ravel()
+        table[image.ravel(), 2 * i + 1] = points
+    return table
 
 
 def _cocycle(pair: ActionPair, s: int) -> np.ndarray:
-    """The column of T's table _assemble reads at each (x, y) for G generator s.
+    """Which step of T _assemble takes at each (x, y) for G generator s.
 
-    It is 2 k + 1 for t(a, b)^-1, numbered k as in _tensor_relators, or the
-    last, the identity's.
+    It is 2 k + 1 for t(a, b)^-1, numbered k as in _tensor_relators, or
+    2 (|G| - 1) (|H| - 1), one past them, for the identity. _tensor_table's
+    column map sends it to the column of T's table that acts so.
     """
     g, h = pair.g, pair.h
     z = g.inverse_table[g.table[:, s]]  # (xs)^-1, per x
@@ -540,25 +531,24 @@ def _require_room(n: int, max_cosets: int) -> None:
 def construct_eta(pair: ActionPair, *, max_cosets: int = DEFAULT_MAX_COSETS) -> EtaGroup:
     """Assemble, carry, embed, and audit the eta group of a compatible pair.
 
-    T = G (x) H is enumerated from its shrunk presentation, and eta's table is
-    assembled from T's as the action on elements t x y. Raises
-    IncompatibleActionError when the pair fails the compatibility equations,
-    CapacityError when T or the carrier needs more cosets than allowed, and
-    ConstructionError if a certification audit fails, which is a bug.
+    Every pair takes one path: T = G (x) H is enumerated from its shrunk
+    presentation, and eta's table is assembled from T's, as enumerated, as
+    the action on elements t x y. A trivial G or H only makes T trivial.
+    Raises IncompatibleActionError when the pair fails the compatibility
+    equations, CapacityError when T or the carrier needs more cosets than
+    allowed, and ConstructionError if a certification audit fails, which is
+    a bug.
     """
     require_compatible(pair)
     g, h = pair.g, pair.h
-    if g.n == 1 and h.n == 1:
-        return _trivial_eta(pair)
     if pair.g_on_h.is_trivial() and pair.h_on_g.is_trivial():
         # G (x) H is the Z-tensor: refuse an oversized carrier before enumerating it
         predicted = z_tensor(g.abelian_invariants(), h.abelian_invariants()).order
         _require_room(predicted * g.n * h.n, max_cosets)
     tensor = _tensor_table(pair, max_cosets)
-    n = len(tensor) * g.n * h.n
-    _require_room(n, max_cosets)
+    _require_room(len(tensor[0]) * g.n * h.n, max_cosets)
     try:
-        carrier, columns = regular_representation(*bfs_renumber(_assemble(pair, tensor)))
+        carrier, columns = regular_representation(*bfs_renumber(_assemble(pair, *tensor)))
     except IncompleteTableError as err:
         raise ConstructionError(f"assembled table: {err}") from err
     # a transitive action of the presented eta on |T| |G| |H| >= |eta| points is regular

@@ -1,10 +1,10 @@
 """Finitely presented groups: presentations, parsing, coset enumeration.
 
 A Presentation's relators are tuples of coset-table columns: column 2i is
-generator i and column 2i + 1 its inverse. Its constructor reduces each
-relator freely and drops empty and repeated ones, so the enumerator and the
-audit read the relators as they are stored. Presentations built by machine
-give the columns directly; text is parsed into them.
+generator i and column 2i + 1 its inverse. The enumerator and the audit
+read them as stored, laid out once per presentation (letter_positions).
+Code gives them freely reduced, non-empty and distinct, and the parser
+makes the words of text so.
 
 The text grammar is `< a, b | a^2, b^3, (a b)^2 >`. Inside relators,
 juxtaposition (or `*`) multiplies, `^n` is an integer power, `x^y` with a
@@ -33,6 +33,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -80,8 +81,8 @@ def _reduced(*parts: tuple[int, ...], times: int = 1) -> tuple[int, ...]:
 class Presentation:
     """Generators and defining relators, each relator a tuple of columns.
 
-    The relators are kept freely reduced, non-empty and distinct, in the
-    order of their first occurrence.
+    The relators are kept as given; the constructor checks only that there
+    is a generator and that every letter is one of their columns.
     """
 
     generators: tuple[str, ...]
@@ -91,15 +92,14 @@ class Presentation:
         if not self.generators:
             raise ValueError("a presentation needs at least one generator")
         ncols = 2 * len(self.generators)
-        relators: dict[tuple[int, ...], None] = {}
         for word in self.relators:
             if word and (min(word) < 0 or max(word) >= ncols):
                 raise ValueError(f"bad relator columns {word!r}")
-            word = _reduce(word)
-            if word:
-                relators[word] = None
-        object.__setattr__(self, "generators", tuple(self.generators))
-        object.__setattr__(self, "relators", tuple(relators))
+
+    @cached_property
+    def letter_positions(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The relators laid out by _letter_positions, for the enumerator and the audit."""
+        return _letter_positions(self.relators)
 
 
 # -- parsing ------------------------------------------------------------------
@@ -213,7 +213,8 @@ class _Parser:
                 relators.append(self.word(known))
         self.expect("RANGLE")
         self.expect("EOF")
-        return Presentation(tuple(gens), tuple(relators))
+        # each word is reduced already; the empty ones and repeats go
+        return Presentation(tuple(gens), tuple(dict.fromkeys(w for w in relators if w)))
 
     # A word is a reduced tuple of columns; known maps a generator to its column.
 
@@ -357,7 +358,7 @@ class _Enumerator:
         self.nrows = 1
         self.alive = 1
         self.relators = presentation.relators
-        order, letters = _letter_positions(self.relators)
+        order, letters = presentation.letter_positions
         # the prechecked positions; relators longer than them are always scanned
         self.letters = [cols for cols in letters if len(cols) >= _PRECHECK_RELATORS]
         deeper = letters[len(self.letters) :]
@@ -546,7 +547,7 @@ def bfs_renumber(table: np.ndarray) -> tuple[np.ndarray, tuple]:
     earliest edge to each unvisited point is the one that reaches it.
     """
     n, nc = table.shape
-    if table.min() < 0:
+    if table.min(initial=0) < 0:
         raise IncompleteTableError("enumeration left an undefined entry")
     order = np.full(n, -1, dtype=np.int32)  # old -> new
     order[0] = 0
@@ -625,7 +626,7 @@ def _audit_table(table: CosetTable) -> None:
     columns = np.arange(table.ncols)
     if _first_failure(flat, table.n, columns, [columns, columns ^ 1], cosets):
         raise ConstructionError("table columns are not mutually inverse")
-    failure = _first_failure(flat, table.n, *_letter_positions(table.presentation.relators), cosets)
+    failure = _first_failure(flat, table.n, *table.presentation.letter_positions, cosets)
     if failure:
         raise ConstructionError(f"relator fails at coset {failure[1]}")
 

@@ -561,6 +561,25 @@ def looped_derived_indices(group):
     return group.subgroup_closure(comms)
 
 
+def _presentation(generators: tuple[str, ...], words: list[tuple[int, ...]]) -> Presentation:
+    """A Presentation of the words freely reduced, the empty ones and repeats dropped.
+
+    The parser normalises its words the same way; Presentation itself keeps
+    what it is given.
+    """
+    relators: dict[tuple[int, ...], None] = {}
+    for word in words:
+        stack: list[int] = []
+        for c in word:
+            if stack and stack[-1] == c ^ 1:
+                stack.pop()
+            else:
+                stack.append(c)
+        if stack:
+            relators[tuple(stack)] = None
+    return Presentation(generators, tuple(relators))
+
+
 def brown_loday_presentation(pair, a1s=None, b1s=None):
     """The defining presentation of G (x) H in full (Brown and Loday, 1987).
 
@@ -603,14 +622,14 @@ def brown_loday_presentation(pair, a1s=None, b1s=None):
                 conj = ht[ht[hinv[b1]][b]][b1]
                 relate(col(a, ht[b][b1]), col(a, b1), col(hog[b1][a], conj))
     names = tuple(f"t{a}_{b}" for a in range(1, g.n) for b in range(1, h.n))
-    return Presentation(names, tuple(relators))
+    return _presentation(names, relators)
 
 
 # eta's presentation on generating subsets (Ellis and Leonard, 1995),
 # written out as words: the relators construct_eta chases over points.
 # Enumerating it is the reference the assembled carrier must equal, row for
 # row. A word is a tuple of its columns, as Presentation takes it; a word
-# is reduced only when the presentation is built.
+# is reduced only when the presentation is built (_presentation).
 
 
 def _tree_edges(group: TableGroup) -> list[tuple[int, int, int]]:
@@ -706,7 +725,7 @@ def build_eta_presentation(pair: ActionPair) -> Presentation:
     relators = _cayley_relators(g, 0, g_words, g_inverses)
     relators += _cayley_relators(h, ng, h_words, h_inverses)
     relators += _family_relators(pair, g_words, g_inverses, h_words, h_inverses)
-    return Presentation(generators, tuple(relators))
+    return _presentation(generators, relators)
 
 
 # verify's lemma23 and thma checks as they were written before they were

@@ -486,7 +486,7 @@ def test_shrunk_tensor_presentation_matches_brown_loday(pair, monkeypatch):
     # T is enumerated from a shrunk presentation; enumerated from Brown and
     # Loday's in full instead, it has the same index and gives eta the same
     # table, row for row and edge for edge.
-    index = len(eta_module._tensor_table(pair, DEFAULT_MAX_COSETS))
+    index = len(eta_module._tensor_table(pair, DEFAULT_MAX_COSETS)[0])
     eta = construct_eta(pair)
     full = brown_loday_presentation(pair)
     columns = np.arange(2 * len(full.generators))
@@ -507,7 +507,7 @@ def test_a_too_weak_tensor_presentation_is_refused(monkeypatch, capsys):
     weak = brown_loday_presentation(pair, a1s=pair.g.generating_subset()[:1])
     rows = np.array([w + (-1,) * (3 - len(w)) for w in weak.relators])
     monkeypatch.setattr(eta_module, "_tensor_relators", lambda p: rows)
-    assert len(eta_module._tensor_table(pair, DEFAULT_MAX_COSETS)) == 2 * 32
+    assert len(eta_module._tensor_table(pair, DEFAULT_MAX_COSETS)[0]) == 2 * 32
     with pytest.raises(ConstructionError):
         construct_eta(pair)
     assert cli.main(["tensor", "--builtin", "D8", "--conjugation"]) == 6
@@ -524,8 +524,8 @@ def _corrupt_assembly(monkeypatch, corrupt) -> None:
     """Make construct_eta assemble its table and then corrupt it in place."""
     assemble = eta_module._assemble
 
-    def corrupted(pair, tensor):
-        table = assemble(pair, tensor)
+    def corrupted(pair, steps, columns):
+        table = assemble(pair, steps, columns)
         corrupt(table)
         return table
 
@@ -574,21 +574,23 @@ def test_audit_checks_the_families_on_generators():
 def _changed_cocycle(monkeypatch) -> list:
     """Change one step of G's first generator at the last (x, y), both not the identity.
 
-    The new step is the least column of T's table that acts unlike the old
-    one; a trivial side or a trivial T leaves nothing to change. Returns a
-    list that records each pair whose cocycle was changed.
+    The new step is the least index of a t(a, b)^+-1, or of the identity,
+    whose column of T's table acts unlike the old one; a trivial side or a
+    trivial T leaves nothing to change. Returns a list that records each
+    pair whose cocycle was changed.
     """
-    assemble, cocycle, changed, steps = eta_module._assemble, eta_module._cocycle, [], []
+    assemble, cocycle, changed, first_row = eta_module._assemble, eta_module._cocycle, [], []
 
-    def recording(pair, tensor):
-        steps[:] = [np.column_stack([tensor, np.arange(len(tensor))])]
-        return assemble(pair, tensor)
+    def recording(pair, steps, columns):
+        # where coset 0 goes under each index _cocycle can give
+        first_row[:] = [steps[0, columns]]
+        return assemble(pair, steps, columns)
 
     def mutated(pair, s):
         k = cocycle(pair, s).copy()
-        table = steps[0]
+        row = first_row[0]
         x, y = pair.g.n - 1, pair.h.n - 1
-        unlike = np.flatnonzero(table[0] != table[0, k[x, y]])
+        unlike = np.flatnonzero(row != row[k[x, y]])
         if s == pair.g.generating_subset()[0] and y and unlike.size:
             k[x, y] = unlike[0]
             changed.append(pair)
