@@ -293,7 +293,7 @@ def _tensor_relators(pair: ActionPair) -> np.ndarray:
 
     Each relation l == f s is the row (l, s^-1, f^-1) of three columns,
     -1 standing for the empty word; rows are not yet reduced, and their
-    order does not matter, since _canonical sorts them.
+    order does not matter: _shrink merges and returns them in _least_forms order.
     """
     g, h = pair.g, pair.h
     goh, hog = pair.g_on_h.array, pair.h_on_g.array
@@ -314,7 +314,7 @@ def _tensor_relators(pair: ActionPair) -> np.ndarray:
         (-1, inv[hog[hinv[b], a], b], inv[a, hinv[b]]),
     ]
     rows = [np.broadcast_arrays(*relation) for relation in relations]
-    # built as three contiguous columns, which _canonical reads one at a time
+    # built as three contiguous columns, which _shrink reads one at a time
     return np.stack([np.concatenate([r[i].ravel() for r in rows]) for i in range(3)]).T
 
 
@@ -334,19 +334,13 @@ def _reduced(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, .
     return np.where(hit, rest, x), np.where(hit, -1, y), np.where(hit, -1, z)
 
 
-def _canonical(words: np.ndarray) -> np.ndarray:
-    """The distinct non-trivial relators among rows of at most three letters.
-
-    A row holds a word's columns, -1 for no letter. Each word is freely and
-    cyclically reduced and then replaced by the least of its rotations and
-    those of its inverse, which all have the same normal closure. Returns
-    them sorted, left-justified and padded with -1.
-    """
-    return _least_forms(*_reduced(*np.asarray(words, dtype=np.int64).T))
-
-
 def _least_forms(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """_canonical of rows already reduced, given as int64 columns."""
+    """The distinct non-trivial relators among _reduced rows, given as int64 columns.
+
+    Each word is replaced by the least of its rotations and those of its
+    inverse, which all have the same normal closure. Returns them sorted,
+    left-justified and padded with -1.
+    """
     # lexicographic order on rows of columns + 1 is numeric order on their
     # base-k digits; a digit is at most (the largest column | 1) + 1
     k = (int(max(c.max(initial=0) for c in (x, y, z))) | 1) + 2
@@ -382,14 +376,13 @@ def _shrink(m: int, words: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarra
     x != y sets the later of the two to a power +-1 of the earlier.
     Eliminations are kept in a union-find over the m generators, with each
     one's sign relative to its parent and the identity as an extra root m.
-    The relators are brought to _canonical form once, which drops repeats.
-    Each round then merges the short relators in canonical order, rewrites
-    every row through a column map of that round's merges, reduces the
-    rows and drops those that vanish, until no short relator is left;
-    x^2 stays. Returns the surviving generators, ascending; the relators,
-    in _canonical form in the columns of a presentation on the survivors;
-    and for each column of all m generators, its column there, or -1 for
-    the identity.
+    Each round rewrites every row through a column map of the last round's
+    merges, reduces the rows and drops those that vanish, then merges the
+    short relators in _least_forms order, until no short relator is left;
+    x^2 stays. Returns the surviving generators, ascending; the distinct
+    relators, in _least_forms order in the columns of a presentation on the
+    survivors; and for each column of all m generators, its column there,
+    or -1 for the identity.
     """
     parent, flip = list(range(m + 1)), [0] * (m + 1)
 
@@ -405,14 +398,18 @@ def _shrink(m: int, words: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarra
             parent[y], flip[y] = x, sign
         return x, sign
 
-    x, y, z = _canonical(words).T
-    # Every row's letters are roots. A round rewrites them through this map,
-    # which sends a column to itself and -1 (no letter) to -1, except for
-    # the columns of the round's merges; those of earlier rounds are no
-    # longer read.
+    # Each round rewrites every row through this map, which sends a column
+    # to itself and -1 (no letter) to -1, except for the columns of the
+    # last round's merges; those of earlier rounds are no longer read. The
+    # rows are then reduced and those that vanish dropped, so every row's
+    # letters are roots.
     round_map = np.append(np.arange(2 * m), -1)
+    x, y, z = np.asarray(words, dtype=np.int64).T
     while True:
-        short = (x >= 0) & (z < 0) & ((y < 0) | (x >> 1 != y >> 1))
+        x, y, z = _reduced(round_map[x], round_map[y], round_map[z])
+        kept = x >= 0
+        x, y, z = x[kept], y[kept], z[kept]
+        short = (z < 0) & ((y < 0) | (x >> 1 != y >> 1))
         if not short.any():
             break
         merged = []
@@ -427,9 +424,6 @@ def _shrink(m: int, words: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarra
             root, sign = find(child)
             columns = (2 * root + sign, 2 * root + (sign ^ 1)) if root < m else -1
             round_map[2 * child : 2 * child + 2] = columns
-        x, y, z = _reduced(round_map[x], round_map[y], round_map[z])
-        kept = x >= 0
-        x, y, z = x[kept], y[kept], z[kept]
     # every generator's root and sign at once, by pointer jumping
     root, sign = np.array(parent), np.array(flip)
     while (root[root] != root).any():

@@ -388,7 +388,10 @@ class _Enumerator:
         while queue:
             dead = queue.popleft()
             row = dead * nc
-            for c in range(nc):
+            # writes go to representatives, so a dead row only loses entries: its
+            # columns defined now are all it has, each read again in case it was cleared
+            defined = np.frombuffer(tbl, dtype=np.int32, count=nc, offset=4 * row) >= 0
+            for c in np.flatnonzero(defined).tolist():
                 d = tbl[row + c]
                 if d < 0:
                     continue

@@ -74,6 +74,34 @@ def looped_compact(tbl, p, nrows: int, nc: int, track: int) -> tuple[list[int], 
     return fresh, mapping[root(track)]
 
 
+def looped_coincidence(enum, a: int, b: int) -> None:
+    """_Enumerator.coincidence as a loop over every column of each dead row in turn."""
+    queue: deque[int] = deque()
+    enum._merge(a, b, queue)
+    tbl, nc = enum.tbl, enum.nc
+    while queue:
+        dead = queue.popleft()
+        row = dead * nc
+        for c in range(nc):
+            d = tbl[row + c]
+            if d < 0:
+                continue
+            # remove the mirror entry pointing back at the dead coset
+            tbl[d * nc + (c ^ 1)] = -1
+            mu = enum.rep(dead)
+            nu = enum.rep(d)
+            e = tbl[mu * nc + c]
+            if e >= 0:
+                enum._merge(nu, e, queue)
+            else:
+                e = tbl[nu * nc + (c ^ 1)]
+                if e >= 0:
+                    enum._merge(mu, e, queue)
+                else:
+                    tbl[mu * nc + c] = nu
+                    tbl[nu * nc + (c ^ 1)] = mu
+
+
 def tree_dict(column: np.ndarray, parent: np.ndarray) -> dict:
     """A spanning tree's edge arrays as {point: (generator index, sign, parent)}.
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import json
 from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
@@ -44,6 +45,7 @@ from etacalc.groups import (
     dihedral,
     direct_product,
     symmetric3,
+    table_from_perms,
 )
 from etacalc.perm import abelian_invariants_of
 from etacalc.verify import _build, default_corpus
@@ -424,16 +426,22 @@ def test_nu_at_order_16(group, tensor_order):
     assert check_decomposition(eta)["ok"]
 
 
+def _least_forms_of(words: np.ndarray) -> list:
+    """The distinct relators of the rows in least form, as _shrink's last pass leaves them."""
+    return eta_module._least_forms(*eta_module._reduced(*words.T)).tolist()
+
+
 def test_canonical_relators():
     # columns 2i and 2i + 1 are generator i and its inverse; -1 is no letter
     words = np.array([[5, 1, 3], [0, 1, -1], [2, 4, 3], [-1, 3, -1], [3, -1, 1]])
     # x0 x0^-1 vanishes; each other word becomes the least rotation of it or its inverse
-    assert eta_module._canonical(words).tolist() == [
+    expected = [
         [0, 2, -1],  # from x1^-1 x0^-1
         [0, 4, 2],  # from x2^-1 x0^-1 x1^-1
         [2, -1, -1],  # from x1^-1
         [4, -1, -1],  # from x1 x2 x1^-1, cyclically reduced
     ]
+    assert _least_forms_of(words) == naive_canonical(words).tolist() == expected
 
 
 def test_shrink_eliminates_through_relators_of_length_one_and_two():
@@ -756,7 +764,7 @@ def test_family_audit_names_the_first_failure_of_the_loops(target, walks, data):
 
 
 def _assert_shrinks_alike(m: int, words: np.ndarray) -> None:
-    assert eta_module._canonical(words).tolist() == naive_canonical(words).tolist()
+    assert _least_forms_of(words) == naive_canonical(words).tolist()
     survivors, relators, columns = eta_module._shrink(m, words)
     expected = naive_shrink(m, words)
     assert survivors == expected[0]
@@ -767,6 +775,9 @@ def _assert_shrinks_alike(m: int, words: np.ndarray) -> None:
 def _corpus_tensor_pairs() -> list:
     pairs = [(cp.label, cp.pair) for cp in default_corpus().pairs]
     pairs += _general_pairs().items()
+    # S5's 316,800 rows hold the most repeats, rotations and inverses of one relator
+    s5 = json.loads((REPO / "tests" / "data" / "s5.json").read_text(encoding="utf-8"))
+    pairs.append(("nu:S5", conjugation_pair(table_from_perms(s5["generators"], degree=5))))
     return [pytest.param(pair, id=label) for label, pair in pairs if pair.g.n > 1 and pair.h.n > 1]
 
 
@@ -778,6 +789,11 @@ def test_shrink_matches_the_round_by_round_oracle(pair):
 def test_shrink_matches_the_oracle_on_the_written_cases():
     _assert_shrinks_alike(3, np.array([[0, 3, -1], [4, -1, -1], [0, 0, -1], [2, 5, 1]]))
     _assert_shrinks_alike(2, np.array([[0, 2, -1], [0, 0, 0]]))
+    # x0 x1 written as a rotation, as its inverse and as a gapped row, each
+    # alone and then all together with a duplicate, beside x1 x2 x2
+    forms = [[0, 2, -1], [2, 0, -1], [3, 1, -1], [-1, 0, 2]]
+    for rows in [*([form] for form in forms[1:]), [*forms, forms[0]]]:
+        _assert_shrinks_alike(3, np.array([*rows, [2, 4, 4]]))
 
 
 @st.composite

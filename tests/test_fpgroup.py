@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import importlib
 from collections import deque
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +30,9 @@ from etacalc.fpgroup import (
 )
 from etacalc.groups import TableGroup, builtin
 from etacalc.perm import PermGroup
-from oracles import looped_compact, tree_dict
+from oracles import looped_coincidence, looped_compact, tree_dict
+
+REPO = Path(__file__).resolve().parent.parent
 
 # Columns of a relator: 2i is generator i and 2i + 1 its inverse.
 A, A_, B, B_ = 0, 1, 2, 3
@@ -389,6 +394,27 @@ def test_compact_matches_the_loop():
             assert (copy.tbl.tolist()[: copy.nrows * nc], tracked) == expected
             assert copy.tbl.tolist()[copy.nrows * nc :] == [-1] * nc  # the blank row
             assert copy.nrows == copy.alive == enum.alive
+
+
+@pytest.mark.parametrize(
+    "workload, seed", [("corpus-default", 0), ("corpus-general", 0), ("corpus-general", 7)]
+)
+def test_coincidence_matches_the_loop(workload, seed, monkeypatch):
+    # every T presentation of the benchmark's corpora enumerates to the same
+    # table, forest and row count when each coincidence walks all columns
+    # of its dead rows
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    corpus = importlib.import_module("corpora").make_corpus(workload, seed)
+    presentations = [_tensor_presentation(cp.pair)[0] for cp in corpus.pairs]
+    merged = 0
+    for presentation in filter(None, presentations):
+        enum, looped = (_Enumerator(presentation, DEFAULT_MAX_COSETS) for _ in range(2))
+        looped.coincidence = partial(looped_coincidence, looped)
+        enum.run()
+        looped.run()
+        assert (enum.tbl, enum.p, enum.nrows) == (looped.tbl, looped.p, looped.nrows)
+        merged += enum.nrows - enum.alive
+    assert merged  # some enumeration met coincidences
 
 
 # S3 on three points: a = (0 1), b = (0 1 2); columns a, a^-1, b, b^-1
