@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import IncompatibleActionError, InvalidActionError
 from .fpgroup import audit_blocks
-from .groups import TableGroup
+from .groups import TableGroup, is_int_rows, table_group_from_json
 
 _SCHEMA = 1
 
@@ -98,6 +98,8 @@ class ActionTable:
             raise ValueError(f"unsupported action table schema: {data.get('schema')!r}")
         if "rows" not in data:
             raise ValueError("action table json needs a 'rows' field")
+        if not is_int_rows(data["rows"]):
+            raise ValueError("action table rows must be lists of JSON integers")
         table = cls.from_rows(data["rows"])
         for key in ("acting_size", "acted_size"):
             if key in data and data[key] != getattr(table, key):
@@ -257,32 +259,18 @@ def pair_from_json_dict(data: dict) -> ActionPair:
         if key not in data:
             raise ValueError(f"pair json needs a '{key}' field")
 
-    def normalized(group_data: dict) -> tuple[TableGroup, list[int]]:
-        group = TableGroup.from_json_dict(group_data)
-        raw = [list(row) for row in group_data["table"]]
-        e = next(
-            a
-            for a in range(len(raw))
-            if all(raw[a][x] == x and raw[x][a] == x for x in range(len(raw)))
-        )
-        order = [e] + [i for i in range(len(raw)) if i != e]
-        pos = [0] * len(raw)
-        for new, old in enumerate(order):
-            pos[old] = new
-        return group, pos
+    g, g_order = table_group_from_json(data["g"])
+    h, h_order = table_group_from_json(data["h"])
 
-    g, pos_g = normalized(data["g"])
-    h, pos_h = normalized(data["h"])
+    def renumbered(table_data: dict, acting: np.ndarray, acted: np.ndarray) -> ActionTable:
+        """The action on the groups' new numbering, one gather from the JSON rows."""
+        table = ActionTable.from_json_dict(table_data)
+        if table.array.shape != (acting.size, acted.size):
+            return table  # validate_action refuses it by its sizes
+        return ActionTable.from_rows(np.argsort(acted)[table.array[np.ix_(acting, acted)]].tolist())
 
-    def remap(table: ActionTable, pos_acting: list[int], pos_acted: list[int]) -> ActionTable:
-        rows = [[0] * table.acted_size for _ in range(table.acting_size)]
-        for a, row in enumerate(table.rows):
-            for x, y in enumerate(row):
-                rows[pos_acting[a]][pos_acted[x]] = pos_acted[y]
-        return ActionTable.from_rows(rows)
-
-    g_on_h = remap(ActionTable.from_json_dict(data["g_on_h"]), pos_g, pos_h)
-    h_on_g = remap(ActionTable.from_json_dict(data["h_on_g"]), pos_h, pos_g)
+    g_on_h = renumbered(data["g_on_h"], g_order, h_order)
+    h_on_g = renumbered(data["h_on_g"], h_order, g_order)
     return ActionPair(g, h, g_on_h, h_on_g)
 
 

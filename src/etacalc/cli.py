@@ -47,6 +47,7 @@ from .groups import (
     builtin,
     builtin_names,
     check_table_size,
+    is_int_rows,
     table_from_perms,
 )
 from .nu import check_derived_decomposition, construct_nu
@@ -114,8 +115,8 @@ def _group_from_spec(kind: str, value: str, max_cosets: int) -> tuple[TableGroup
             if not isinstance(data, dict) or data.get("schema") != 1:
                 raise _CliError(2, f"{value}: permutation file must carry schema 1")
             gens_field = data.get("generators")
-            if not isinstance(gens_field, list) or not gens_field:
-                raise _CliError(2, f"{value}: needs a non-empty generators list")
+            if not gens_field or not is_int_rows(gens_field):
+                raise _CliError(2, f"{value}: needs a non-empty list of JSON integer image lists")
             degree = data.get("degree")
             if degree is not None and type(degree) is not int:
                 raise _CliError(2, f"{value}: degree must be an integer")
@@ -379,7 +380,7 @@ def _cmd_abelian(args) -> int:
         matrix = data.get("matrix")
         if not isinstance(matrix, list) or not matrix:
             raise _CliError(2, f"{args.matrix}: needs a non-empty matrix")
-        if not all(isinstance(row, list) and all(type(x) is int for x in row) for row in matrix):
+        if not is_int_rows(matrix):
             raise _CliError(2, f"{args.matrix}: matrix entries must be JSON integers")
         try:
             diagonal, _, _ = smith_normal_form(matrix)

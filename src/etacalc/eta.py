@@ -87,28 +87,23 @@ class TensorSet:
     def size(self) -> int:
         return len(self.members)
 
-    def require_invariant_under(
-        self, conjugations: Sequence[np.ndarray], labels: Sequence[str] | None = None
-    ) -> None:
-        """Check closure under each conjugation map (PermGroup.conj_map).
+    def require_invariant_under(self, group: PermGroup) -> None:
+        """Check closure under conjugation by each generator of group.
 
-        The set is finite, so invariance under the conjugations by a
-        generating set proves the full group leaves it invariant.  Raises
-        InvarianceError naming the member pair and the offending conjugator.
+        The set is finite, so invariance under conjugation by each member
+        of a generating set proves the full group leaves it invariant.  Raises
+        InvarianceError naming the member pair and the offending conjugator's
+        index, the first failure with the conjugator outermost.
         """
         members = np.asarray(self.members)
-        for i, conjugation in enumerate(conjugations):
-            inside = np.zeros(len(conjugation), dtype=bool)
-            inside[members] = True
-            outside = ~inside[conjugation[members]]
-            if outside.any():
-                witness = {
-                    "member": self.pair_for[self.members[int(np.argmax(outside))]],
-                    "conjugator": labels[i] if labels else i,
-                }
-                raise InvarianceError(
-                    "tensor set is not closed under conjugation", witness=witness
-                )
+        inside = np.zeros(group.degree, dtype=bool)
+        inside[members] = True
+        images = group.conjugates(members, np.asarray(group.generators, dtype=np.intp)[:, None])
+        outside = np.argwhere(~inside[images])
+        if outside.size:
+            conjugator, member = outside[0].tolist()
+            witness = {"member": self.pair_for[self.members[member]], "conjugator": conjugator}
+            raise InvarianceError("tensor set is not closed under conjugation", witness=witness)
 
 
 def _tensor_set_from(tensors: np.ndarray, n_elements, k_elements) -> TensorSet:
@@ -477,8 +472,8 @@ def _assemble(pair: ActionPair, steps: np.ndarray, columns: np.ndarray) -> np.nd
 
     steps and columns are _tensor_table's. An H generator s sends t x y to
     t x (ys). A G generator s sends it to (t sigma)(xs) y, where sigma is
-    [s, y']^-1 conjugated by y^-1 and then by (xs)^-1. Both conjugations
-    send a generator t(a, b) of T to another, t(s^(y^-1) ^ (xs)^-1,
+    [s, y']^-1 conjugated by y^-1 and then by (xs)^-1. Each conjugation
+    sends a generator t(a, b) of T to another, t(s^(y^-1) ^ (xs)^-1,
     y^(xs)^-1), so sigma is one column of T's table, chosen by (x, y)
     alone: _cocycle numbers it as a t(a, b)^-1 or the identity, and columns
     turns that into a column of steps. Each column, one gather from T's

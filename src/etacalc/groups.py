@@ -232,22 +232,7 @@ class TableGroup:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TableGroup":
-        if not isinstance(data, dict) or data.get("schema") != 1:
-            raise ValueError('expected an object with "schema": 1')
-        if "table" not in data:
-            raise ValueError('missing "table"')
-        if data.get("labels") is not None and not isinstance(data["labels"], list):
-            raise ValueError('"labels" must be a list')
-        group = cls(data["table"], data.get("labels"))
-        if group.identity == 0:
-            return group
-        # renumber so the identity sits at index 0, keeping the rest in order
-        order = [group.identity] + [i for i in range(group.n) if i != group.identity]
-        pos = {old: new for new, old in enumerate(order)}
-        table = [
-            [pos[int(group.table[a, b])] for b in order] for a in order
-        ]
-        return cls(table, [group.labels[i] for i in order])
+        return table_group_from_json(data)[0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TableGroup):
@@ -259,6 +244,35 @@ class TableGroup:
 
     def __repr__(self) -> str:
         return f"TableGroup(order={self.n})"
+
+
+def is_int_rows(value) -> bool:
+    """Whether a JSON value is a list of lists of integers; a bool, float or string is not one."""
+    return isinstance(value, list) and all(
+        isinstance(row, list) and all(type(x) is int for x in row) for row in value
+    )
+
+
+def table_group_from_json(data: dict) -> tuple[TableGroup, np.ndarray]:
+    """A group read from its JSON object, renumbered so its identity is index 0.
+
+    The other elements keep their order. Returns the group and the order:
+    order[i] is the index in the JSON table of the element now numbered i.
+    """
+    if not isinstance(data, dict) or data.get("schema") != 1:
+        raise ValueError('expected an object with "schema": 1')
+    if not is_int_rows(data.get("table")):
+        raise ValueError('"table" must be a list of rows of JSON integers')
+    if data.get("labels") is not None and not isinstance(data["labels"], list):
+        raise ValueError('"labels" must be a list')
+    group = TableGroup(data["table"], data.get("labels"))
+    e = group.identity
+    order = np.r_[e, np.delete(np.arange(group.n), e)]
+    if e:
+        pos = np.argsort(order)
+        table = pos[group.table[np.ix_(order, order)]]
+        group = TableGroup(table, [group.labels[i] for i in order])
+    return group, order
 
 
 # -- stock constructions -----------------------------------------------------------

@@ -13,9 +13,9 @@ parent, two int32 arrays (Holt, Eick and O'Brien's Schreier vector); a
 subgroup keeps a mask of its points and its tree's levels, and drops its
 generators' right-multiplication arrays once grown. Scalar arithmetic walks
 the tree (an element is the product of the generators on its tree path),
-and products and inverses walk the paths of whole arrays of points at once;
-conjugation by a fixed element is one int array on points (conj_map), and a
-group builds those of its generators once (conjugations). A homomorphism into a
+and products, inverses and conjugates walk the paths of whole arrays of
+points at once, so a conjugacy class is grown as an orbit of the generators
+at only the points it holds (centralizer_index). A homomorphism into a
 table group is a labelling of source points by target elements, checked
 edge by edge (GroupHom). Groups given by arbitrary permutation generators
 are closed into multiplication tables instead (groups.table_from_perms).
@@ -74,8 +74,8 @@ class PermGroup:
     column (column 2i is generator i, 2i+1 its inverse). Membership is one
     mask lookup, and the arithmetic methods (mul, inv, conj, comm) work on
     points of the carrier, whichever of its subgroups they are called on.
-    A subgroup owns its generators, the mask, the levels and conjugations()
-    once built; a carrier also owns its columns and tree.
+    A subgroup owns its generators, the mask and the levels; a carrier also
+    owns its columns and tree.
     """
 
     def __init__(self, carrier: "PermGroup"):
@@ -86,7 +86,6 @@ class PermGroup:
         self._mask = np.zeros(self.degree, dtype=bool)
         self._mask[0] = True
         self._levels: list[tuple] = []
-        self._conjugations: list[np.ndarray] = []
 
     # -- constructors ---------------------------------------------------------
 
@@ -128,32 +127,27 @@ class PermGroup:
         self._levels = [
             (slice(lo, hi), column[lo:hi], parent[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
         ]
-        self._conjugations = []
         self._columns = columns
         self._column, self._parent = column, parent
         return self
 
-    def subgroup(self, generators: Iterable[int], maps: Sequence[np.ndarray] = ()) -> "PermGroup":
-        """Subgroup generated by the given members, closed under the conjugation maps.
+    def subgroup(self, generators: Iterable[int]) -> "PermGroup":
+        """Subgroup generated by the given members.
 
         A subgroup inherits freeness, so plain orbit BFS builds it; a
-        generator already in the orbit so far is left out. Each map then sends
-        every generator, those it adds included, to one more (a FIFO queue).
+        generator already in the orbit so far is left out.
         """
-        sub = PermGroup(self.carrier)
-        walks: list[np.ndarray] = []
-        for g in generators:
-            g = int(g)
-            if not self.contains(g):
-                raise MembershipError("subgroup generator is not in the group")
+        sub, walks = PermGroup(self.carrier), []
+        for g in self._members(generators):
             sub._add_free_generator(g, walks)
-        queue = list(sub.generators)
-        for x in queue:
-            for m in maps:
-                y = int(m[x])
-                if sub._add_free_generator(y, walks):
-                    queue.append(y)
         return sub
+
+    def _members(self, points: Iterable[int]) -> list[int]:
+        """The points as ints, each checked to be an element of this group."""
+        points = [int(p) for p in points]
+        if not all(map(self.contains, points)):
+            raise MembershipError("element is not in the group")
+        return points
 
     def _add_free_generator(self, g: int, walks: list[np.ndarray]) -> bool:
         """Extend the orbit with g, a level at a time, unless g is a member.
@@ -256,24 +250,9 @@ class PermGroup:
             p = c._parent[p]
         return x
 
-    def conj_map(self, c: int) -> np.ndarray:
-        """Conjugation by c as an array on points: x -> c^-1 x c."""
-        return self.right(c)[self._left(self.inv(c))]
-
-    def conjugations(self) -> list[np.ndarray]:
-        """The conj_map of each generator, in order; each is built once."""
-        maps = self._conjugations
-        maps.extend(self.conj_map(c) for c in self.generators[len(maps):])
-        return maps
-
-    def _left(self, a: int) -> np.ndarray:
-        """Left multiplication by a, grown down the carrier's tree a level at a time."""
-        c = self.carrier
-        out = np.empty(c.degree, dtype=np.int32)
-        out[0] = a
-        for points, cols, parents in c._levels:
-            out[points] = c._columns[cols, out[parents]]
-        return out
+    def conjugates(self, p, c) -> np.ndarray:
+        """conj over arrays: the points c^-1 p c, with p and c broadcast together."""
+        return self.products(self.products(self.inverses(c), p), c)
 
     def _orbit(self) -> np.ndarray:
         """The orbit of 0 in tree order; a carrier numbers its points in it."""
@@ -353,8 +332,18 @@ class PermGroup:
 
 
 def normal_closure(group: PermGroup, seeds: Iterable[int]) -> PermGroup:
-    """Smallest normal subgroup of `group` containing the seeds."""
-    return group.subgroup(seeds, group.conjugations())
+    """Smallest normal subgroup of `group` containing the seeds.
+
+    A FIFO queue of candidates, the seeds first: each one the closure does
+    not hold yet is added as a generator and queues its conjugates by the
+    group's generators, in order.
+    """
+    closure, walks = PermGroup(group.carrier), []
+    queue = group._members(seeds)
+    for x in queue:
+        if closure._add_free_generator(x, walks):
+            queue.extend(group.conjugates(x, group.generators).tolist())
+    return closure
 
 
 def derived_subgroup(group: PermGroup) -> PermGroup:
@@ -364,24 +353,35 @@ def derived_subgroup(group: PermGroup) -> PermGroup:
     return normal_closure(group, sorted(seeds))
 
 
-def centralizer_index(group: PermGroup, x: int) -> int:
-    """Index of the centralizer of x, i.e. the size of its conjugacy class.
+def centralizer_index(group: PermGroup, members: Iterable[int]) -> list[int]:
+    """Index of each member's centralizer, i.e. the size of its conjugacy class.
 
-    The class is the orbit of x under the group's conjugations(), which
-    the group builds once for every element asked about.
+    A class is an orbit under conjugation by the generators. All the
+    members' classes are grown together, conjugating every point reached so
+    far once per level until no point is new, so a normal set of members
+    takes one level. The least member index is then carried back along the
+    conjugation edges until no label falls; a class, strongly connected, is the
+    set of points carrying one label.
     """
-    if not group.contains(x):
-        raise MembershipError("element is not in the group")
-    maps = group.conjugations()
-    seen = {x}
-    queue = [x]
-    for y in queue:
-        for m in maps:
-            z = int(m[y])
-            if z not in seen:
-                seen.add(z)
-                queue.append(z)
-    return len(seen)
+    members = np.asarray(group._members(members), dtype=np.intp)
+    gens = np.asarray(group.generators, dtype=np.intp)
+    seen = members
+    while True:
+        seen = np.sort(seen)
+        seen = seen[np.diff(seen, prepend=-1) != 0]
+        reached = group.conjugates(seen[:, None], gens)
+        heads = np.minimum(np.searchsorted(seen, reached), seen.size - 1)
+        if np.array_equal(seen[heads], reached):
+            break
+        seen = np.concatenate([seen, reached.ravel()])
+    at = np.searchsorted(seen, members)
+    label = np.full(seen.size, members.size)
+    np.minimum.at(label, at, np.arange(members.size))
+    while True:
+        moved = np.minimum(label, label[heads].min(axis=1, initial=members.size))
+        if np.array_equal(moved, label):
+            return np.bincount(label)[label[at]].tolist()
+        label = moved
 
 
 def abelian_invariants_of(group: PermGroup) -> AbelianInvariants:

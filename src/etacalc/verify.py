@@ -244,7 +244,7 @@ def corpus_from_json_dict(data: dict) -> Corpus:
 
 
 def _tensor_frame(eta: EtaGroup, N: tuple[int, ...], K: tuple[int, ...]):
-    """(M, T(N,K)) for M = <N, K^phi>; M.conjugations() are those of its generators.
+    """(M, T(N,K)) for M = <N, K^phi>; M's generators are the conjugators of its checks.
 
     For the full pair M is the whole carrier, whose generators are the
     embedded generating subsets of G and H, in order; otherwise M is the
@@ -360,15 +360,14 @@ def _centralizer_bound(eta: EtaGroup, n_elements, k_elements):
     K = tuple(sorted(set(k_elements)))
     big_m, tset = _tensor_frame(eta, N, K)
     try:
-        tset.require_invariant_under(big_m.conjugations())
+        tset.require_invariant_under(big_m)
     except InvarianceError as err:
         detail = "tensor set is not a normal subset, bound does not apply"
         return "FAIL", detail, err.witness
 
     bound = tset.size
     worst = 0
-    for t in tset.members:
-        index = centralizer_index(big_m, t)
+    for t, index in zip(tset.members, centralizer_index(big_m, tset.members)):
         worst = max(worst, index)
         if index > bound:
             witness = {"member": list(tset.pair_for[t]), "index": index, "bound": bound}
@@ -560,19 +559,19 @@ def _theorem_A(eta: EtaGroup, n_elements, k_elements):
         )
 
     big_m, tset = _tensor_frame(eta, N, K)
-    conjugations = big_m.conjugations()
     parts = [f"|N|={len(N)} |K|={len(K)} |T(N,K)|={tset.size} |M|={big_m.order()}"]
     failures: list[dict] = []
 
     try:
-        tset.require_invariant_under(conjugations)
+        tset.require_invariant_under(big_m)
         parts.append("(1) normal subset")
     except InvarianceError as err:
         failures.append({"step": 1, **(err.witness or {})})
         parts.append("(1) FAILS")
 
     sub_a = carrier.subgroup(tset.members)
-    normal = all(sub_a.contains(int(m[s])) for s in sub_a.generators for m in conjugations)
+    gens = np.asarray(sub_a.generators, dtype=np.intp)[:, None]
+    normal = all(map(sub_a.contains, carrier.conjugates(gens, big_m.generators).ravel().tolist()))
     if normal:
         parts.append(f"(2) [N,K^phi] of order {sub_a.order()} normal")
     else:

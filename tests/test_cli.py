@@ -322,6 +322,50 @@ def test_running_out_of_memory_exits_5_in_one_line(monkeypatch, capsys, error, r
     assert captured.err == f"etacalc: out of memory: {reason}\n"
 
 
+def _main_on_json(tmp_path, capsys, args, data) -> tuple[int, str]:
+    """cli.main with data written to a file given as the last argument: (exit code, stderr)."""
+    from etacalc import cli
+
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([*args, str(path)])
+    return code, capsys.readouterr().err
+
+
+# Each entry would be read as the integer 1 (numpy truncates 1.9 and parses
+# "1"), so accepting it would build the group or action of another input.
+NOT_INTEGERS = pytest.mark.parametrize("entry", [1.9, True, "1"], ids=["float", "bool", "string"])
+
+
+@NOT_INTEGERS
+def test_cayley_table_entries_must_be_integers(tmp_path, capsys, entry):
+    data = builtin("C2").to_json_dict()
+    assert _main_on_json(tmp_path, capsys, ["nu", "--cayley"], data)[0] == 0
+    data["table"][0][1] = entry
+    code, err = _main_on_json(tmp_path, capsys, ["nu", "--cayley"], data)
+    assert code == 2 and err == 'etacalc: "table" must be a list of rows of JSON integers\n'
+
+
+@NOT_INTEGERS
+def test_action_table_entries_must_be_integers(tmp_path, capsys, entry):
+    data = pair_json_dict(conjugation_pair(builtin("C2")))
+    assert _main_on_json(tmp_path, capsys, ["tensor", "--pair"], data)[0] == 0
+    data["g_on_h"]["rows"][1][1] = entry
+    code, err = _main_on_json(tmp_path, capsys, ["tensor", "--pair"], data)
+    assert code == 2 and err == "etacalc: action table rows must be lists of JSON integers\n"
+
+
+@NOT_INTEGERS
+def test_permutation_images_must_be_integers(tmp_path, capsys, entry):
+    data = {"schema": 1, "generators": [[1, 0]]}
+    assert _main_on_json(tmp_path, capsys, ["nu", "--perms"], data)[0] == 0
+    data["generators"][0][0] = entry
+    code, err = _main_on_json(tmp_path, capsys, ["nu", "--perms"], data)
+    assert code == 2
+    assert err.endswith("input.json: needs a non-empty list of JSON integer image lists\n")
+
+
 def test_argparse_usage_error_exits_2():
     result = run_cli("tensor")
     assert result.returncode == 2

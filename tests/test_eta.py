@@ -52,8 +52,10 @@ from etacalc.verify import _build, default_corpus
 from oracles import (
     brown_loday_presentation,
     build_eta_presentation,
+    conjugation_map,
     generator_points,
     looped_audit_families,
+    looped_invariance_witness,
     naive_canonical,
     naive_shrink,
     tree_dict,
@@ -187,8 +189,7 @@ def test_element_arithmetic_equals_the_carrier_products(monkeypatch, workload, s
 def test_tensor_set_is_normal_in_carrier():
     eta = construct_eta(conjugation_pair(symmetric3()))
     carrier = eta.carrier
-    maps = [carrier.conj_map(c) for c in carrier.generators]
-    eta.tensor_set.require_invariant_under(maps)
+    eta.tensor_set.require_invariant_under(carrier)
     # find a member whose conjugate is a different member, prune the target
     target = None
     for t in eta.tensor_set.members:
@@ -205,8 +206,9 @@ def test_tensor_set_is_normal_in_carrier():
         dict(eta.tensor_set.pair_for),
     )
     with pytest.raises(InvarianceError) as exc:
-        pruned.require_invariant_under(maps, labels=[str(i) for i in range(len(maps))])
-    assert "member" in exc.value.witness
+        pruned.require_invariant_under(carrier)
+    maps = [conjugation_map(carrier, c) for c in carrier.generators]
+    assert exc.value.witness == looped_invariance_witness(pruned, maps)
 
 
 def test_eta_keeps_the_enumerated_presentation():

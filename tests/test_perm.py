@@ -33,7 +33,7 @@ from etacalc.perm import (
     hom_kernel,
     normal_closure,
 )
-from oracles import compose_columns, naive_closure, tree_dict
+from oracles import compose_columns, conjugation_map, naive_closure, tree_dict
 
 
 def P(*cycles, degree):
@@ -109,7 +109,7 @@ def test_perm_basics():
     assert g.comm(p, g.mul(p, p)) == 0  # powers commute
     assert g.comm(p, r) == g.mul(g.mul(g.mul(g.inv(p), g.inv(r)), p), r)
     assert g.conj(p, r) == g.mul(g.mul(g.inv(r), p), r) == g.inv(p)
-    assert g.conj_map(r)[p] == g.conj(p, r)
+    assert g.conjugates(p, r) == g.conj(p, r) == conjugation_map(g, r)[p]
 
 
 def test_perm_validation():
@@ -273,12 +273,13 @@ def test_derived_subgroup():
 
 def test_centralizer_index():
     g, el = s3()
-    assert centralizer_index(g, el["(0 1)"]) == 3
-    assert centralizer_index(g, el["(0 1 2)"]) == 2
-    assert centralizer_index(g, el["e"]) == 1
+    members = [el[x] for x in ("(0 1)", "(0 1 2)", "e", "(1 2)", "(0 2 1)")]
+    assert centralizer_index(g, members) == [3, 2, 1, 3, 2]
+    assert centralizer_index(g, [el["(0 1 2)"]]) == [2]
+    assert centralizer_index(g, []) == []
     a4_group = a4()[0]
     with pytest.raises(MembershipError):
-        centralizer_index(a4_group, a4_group.degree)
+        centralizer_index(a4_group, [0, a4_group.degree])
 
 
 def test_abelian_invariants():
@@ -605,7 +606,7 @@ def test_point_arithmetic_matches_column_composition(name, data):
     assert g.conj(p, q) == point(inverse_word(v) + u + v)
     assert g.comm(p, q) == point(inverse_word(u) + inverse_word(v) + u + v)
     assert g.right(q).tolist() == compose_columns(columns, v)
-    assert g.conj_map(q)[p] == point(inverse_word(v) + u + v)
+    assert g.conjugates(p, q) == point(inverse_word(v) + u + v)
     sub = g.subgroup([p])
     powers = naive_closure([tuple(compose_columns(columns, u))])
     assert sub.order() == len(powers)
@@ -622,5 +623,7 @@ def test_array_arithmetic_matches_scalar(name):
     products = g.products(p[:, None], q[None, :])
     assert products.tolist() == [[g.mul(a, b) for b in q.tolist()] for a in p.tolist()]
     assert g.inverses(p).tolist() == [g.inv(a) for a in p.tolist()]
+    conjugates = g.conjugates(p[:, None], q[None, :])
+    assert conjugates.tolist() == [[g.conj(a, b) for b in q.tolist()] for a in p.tolist()]
     trivial = construct_eta(trivial_pair(cyclic(1), cyclic(1))).carrier
     assert trivial.products([0], 0).tolist() == [0] and trivial.inverses([0]).tolist() == [0]

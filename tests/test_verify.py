@@ -17,7 +17,7 @@ from etacalc.action import conjugation_pair, incompatible_example, trivial_pair
 from etacalc.eta import DEFAULT_MAX_COSETS
 from etacalc.groups import builtin, cyclic, direct_product
 from etacalc.nu import construct_nu
-from etacalc.perm import GroupHom, PermGroup
+from etacalc.perm import GroupHom, PermGroup, centralizer_index
 from etacalc.verify import (
     CLAIM_IDS,
     ClaimReport,
@@ -33,7 +33,9 @@ from etacalc.verify import (
 )
 
 from oracles import (
+    conjugation_map,
     fifo_subgroup_tree,
+    looped_class_sizes,
     looped_element_orders,
     looped_lemma_identities,
     looped_theorem_A,
@@ -338,11 +340,44 @@ def test_full_pair_frame_is_the_carrier(monkeypatch, workload):
         assert list(eta.carrier.generators) == embedded, cp.label
         big_m, tset = verify._tensor_frame(eta, tuple(range(g.n)), tuple(range(h.n)))
         assert big_m is eta.carrier and tset is eta.tensor_set
-        maps = eta.carrier.conjugations()
-        assert len(maps) == len(embedded)
-        for m, c in zip(maps, embedded):
-            assert np.array_equal(m, eta.carrier.conj_map(c))
-        assert eta.carrier.conjugations() is maps
+        points = np.arange(eta.carrier.degree)
+        for c in big_m.generators:
+            assert np.array_equal(big_m.conjugates(points, c), conjugation_map(big_m, c))
+
+
+@pytest.mark.parametrize("workload", ["corpus-default", "corpus-general"])
+def test_conjugates_equal_the_reference_map(monkeypatch, workload):
+    # c^-1 p c at every point of every carrier, for each of its generators and
+    # three more points c, against right(c) after left multiplication by c^-1
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    corpus = importlib.import_module("corpora").make_corpus(workload, 0)
+    built = verify._build(list(corpus.pairs), DEFAULT_MAX_COSETS)
+    rng = np.random.default_rng(0)
+    for cp in corpus.pairs:
+        carrier = built[cp.label]["eta"].carrier
+        points = np.arange(carrier.degree)
+        for c in [*carrier.generators, *rng.integers(0, carrier.degree, size=3).tolist()]:
+            reference = conjugation_map(carrier, c)
+            assert np.array_equal(carrier.conjugates(points, c), reference), (cp.label, c)
+
+
+@pytest.mark.parametrize("workload", ["corpus-default", "corpus-general"])
+def test_centralizer_index_equals_the_class_bfs(monkeypatch, workload):
+    # every tensor member of every lemma22 frame, its subgroup cases included:
+    # the classes grown together equal one scalar BFS per member
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    corpus = importlib.import_module("corpora").make_corpus(workload, 0)
+    built = verify._build(list(corpus.pairs), DEFAULT_MAX_COSETS)
+    (claim,) = [claim for claim in verify._CLAIMS if claim.id == "lemma22"]
+    frames = 0
+    for instance, cp, (n_elements, k_elements) in claim.scope(corpus):
+        eta = built[cp.label]["eta"]
+        N, K = tuple(sorted(set(n_elements))), tuple(sorted(set(k_elements)))
+        big_m, tset = verify._tensor_frame(eta, N, K)
+        expected = looped_class_sizes(big_m, tset.members)
+        assert centralizer_index(big_m, tset.members) == expected, instance
+        frames += 1
+    assert frames == len(corpus.pairs) + len(corpus.subgroup_cases)
 
 
 def test_order_16_instance_passes_every_claim():
