@@ -100,16 +100,15 @@ def _emit(report: dict, pretty_lines: list[str] | None, pretty: bool) -> None:
 
 
 def _group_from_spec(kind: str, value: str, max_cosets: int) -> tuple[TableGroup, dict]:
+    """The group of one (kind, value) spec, as the group flags tag it, and its echo."""
     if kind == "builtin":
         try:
             group = builtin(value)
         except ValueError as err:
             raise _CliError(2, str(err)) from err
-        return group, {"kind": "builtin", "value": value, "order": group.n}
-    if kind == "cayley":
+    elif kind == "cayley":
         group = _load(value, TableGroup.from_json_dict)
-        return group, {"kind": "cayley", "value": value, "order": group.n}
-    if kind == "perms":
+    elif kind == "perms":
 
         def from_perms(data) -> TableGroup:
             if not isinstance(data, dict) or data.get("schema") != 1:
@@ -123,8 +122,7 @@ def _group_from_spec(kind: str, value: str, max_cosets: int) -> tuple[TableGroup
             return table_from_perms(gens_field, degree=degree)
 
         group = _load(value, from_perms)
-        return group, {"kind": "perms", "value": value, "order": group.n}
-    if kind == "presentation":
+    else:  # presentation
         text = value
         if "<" not in text:
             try:
@@ -137,21 +135,11 @@ def _group_from_spec(kind: str, value: str, max_cosets: int) -> tuple[TableGroup
         check_table_size(table.n)  # the index of the trivial subgroup is |G|
         # the generators' columns are the regular action of the presented group
         group = table_from_perms(table.rows[:, ::2].T.tolist(), degree=table.n)
-        return group, {"kind": "presentation", "value": value, "order": group.n}
-    raise _CliError(2, f"unknown group spec kind {kind!r}")
-
-
-def _collect_specs(args) -> list[tuple[str, str]]:
-    specs: list[tuple[str, str]] = []
-    for kind in ("builtin", "cayley", "perms", "presentation"):
-        values = getattr(args, kind, None)
-        if values:
-            specs.extend((kind, v) for v in values)
-    return specs
+    return group, {"kind": kind, "value": value, "order": group.n}
 
 
 def _resolve_pair(args, max_cosets: int) -> tuple[ActionPair, dict]:
-    specs = _collect_specs(args)
+    specs = args.specs
     if args.pair:
         if specs or args.conjugation or args.trivial_actions:
             raise _CliError(2, "--pair replaces group specs and action flags")
@@ -184,10 +172,9 @@ def _resolve_pair(args, max_cosets: int) -> tuple[ActionPair, dict]:
 
 
 def _resolve_group(args, max_cosets: int) -> tuple[TableGroup, dict]:
-    specs = _collect_specs(args)
-    if len(specs) != 1:
-        raise _CliError(2, f"exactly one group spec required, got {len(specs)}")
-    return _group_from_spec(*specs[0], max_cosets)
+    if len(args.specs) != 1:
+        raise _CliError(2, f"exactly one group spec required, got {len(args.specs)}")
+    return _group_from_spec(*args.specs[0], max_cosets)
 
 
 def _max_cosets(args) -> int:
@@ -468,23 +455,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def group_flags(p: argparse.ArgumentParser, pair_mode: bool) -> None:
-        nargs = "+"
-        p.add_argument("--builtin", nargs=nargs, metavar="NAME", help="builtin name")
-        p.add_argument(
-            "--cayley", nargs=nargs, metavar="FILE", help="Cayley table JSON file"
-        )
-        p.add_argument(
-            "--perms",
-            nargs=nargs,
-            metavar="FILE",
-            help="permutation generators JSON file",
-        )
-        p.add_argument(
-            "--presentation",
-            nargs=nargs,
-            metavar="TEXT",
-            help="presentation text '< a, b | ... >' or a file containing one",
-        )
+        # every flag extends one list of (kind, value), in command-line order
+        for kind, metavar, help_text in (
+            ("builtin", "NAME", "builtin name"),
+            ("cayley", "FILE", "Cayley table JSON file"),
+            ("perms", "FILE", "permutation generators JSON file"),
+            ("presentation", "TEXT", "presentation text '< a, b | ... >' or a file containing one"),
+        ):
+            p.add_argument(
+                f"--{kind}",
+                dest="specs",
+                action="extend",
+                nargs="+",
+                type=lambda value, kind=kind: (kind, value),
+                default=[],
+                metavar=metavar,
+                help=help_text,
+            )
         if pair_mode:
             p.add_argument("--pair", metavar="FILE", help="action pair JSON file")
             p.add_argument(

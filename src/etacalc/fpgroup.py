@@ -609,13 +609,13 @@ def _first_failure(
     failures = []  # (word, first start it fails at), the first of each block
     for words in audit_blocks(len(order), m):
         block = order[words]
-        walks = np.tile(starts, len(block))  # word block[r] from starts[x] at r * m + x
+        ends = np.tile(starts, len(block))  # word block[r] from starts[x] at r * m + x
         for offset in offsets:
             offset = offset[words]
-            reach = walks[: len(offset) * m]  # the words longer than this position
+            reach = ends[: len(offset) * m]  # the words longer than this position
             reach.reshape(len(offset), m)[:] += offset[:, None]
             flat.take(reach, out=reach)
-        bad = walks.reshape(len(block), m) != starts
+        bad = ends.reshape(len(block), m) != starts
         failing = np.flatnonzero(bad.any(axis=1))
         if failing.size:
             first = failing[block[failing].argmin()]

@@ -6,19 +6,19 @@ the trivial subgroup is the regular action), and a subgroup acts freely on
 the orbit of 0, so an element is determined by the point it sends 0 to:
 here an element is that point, a plain int.
 
-Products read left to right: mul(p, q) is the point of "p, then q", the
-image of p under q's right-multiplication array. A carrier keeps its
-generators' columns and its BFS tree as each point's edge column and
-parent, two int32 arrays (Holt, Eick and O'Brien's Schreier vector); a
-subgroup keeps a mask of its points and its tree's levels, and drops its
-generators' right-multiplication arrays once grown. Scalar arithmetic walks
-the tree (an element is the product of the generators on its tree path),
-and products, inverses and conjugates walk the paths of whole arrays of
-points at once, so a conjugacy class is grown as an orbit of the generators
-at only the points it holds (centralizer_index). A homomorphism into a
-table group is a labelling of source points by target elements, checked
-edge by edge (GroupHom). Groups given by arbitrary permutation generators
-are closed into multiplication tables instead (groups.table_from_perms).
+Products read left to right: mul(p, q) is the point of "p, then q", reached
+from p down q's tree path. A carrier keeps its generators' columns and its
+BFS tree as each point's edge column and parent, two int32 arrays (Holt,
+Eick and O'Brien's Schreier vector); a subgroup keeps a mask of its points
+and its tree's levels. Scalar arithmetic follows the tree (an element is
+the product of the generators on its tree path), and products, inverses and
+conjugates follow the paths of whole arrays of points at once. Only the
+points in question are gathered: a subgroup is grown, and a homomorphism
+into a table group (GroupHom, a labelling of source points by target
+elements) checked edge by edge, at the group's own points; a conjugacy
+class is grown at only the points it holds (centralizer_index). Groups
+given by arbitrary permutation generators are closed into multiplication
+tables instead (groups.table_from_perms).
 """
 
 from __future__ import annotations
@@ -137,9 +137,9 @@ class PermGroup:
         A subgroup inherits freeness, so plain orbit BFS builds it; a
         generator already in the orbit so far is left out.
         """
-        sub, walks = PermGroup(self.carrier), []
+        sub = PermGroup(self.carrier)
         for g in self._members(generators):
-            sub._add_free_generator(g, walks)
+            sub._add_free_generator(g)
         return sub
 
     def _members(self, points: Iterable[int]) -> list[int]:
@@ -149,26 +149,25 @@ class PermGroup:
             raise MembershipError("element is not in the group")
         return points
 
-    def _add_free_generator(self, g: int, walks: list[np.ndarray]) -> bool:
+    def _add_free_generator(self, g: int) -> bool:
         """Extend the orbit with g, a level at a time, unless g is a member.
 
-        walks holds the caller's right-multiplication arrays of the generators
-        so far; the orbit is closed under them, so its points are walked with
-        the new one only, and the points it reaches with every generator. Each
-        level lists its edges in FIFO queue order, so the tree is the queue's.
-        Returns whether g was added: by freeness, unless 0 g is in the orbit.
+        The group's own points are gathered down each generator's tree path
+        (_walk): the orbit so far, closed under the old generators, takes the
+        new one only, and each new level every generator. Each level lists
+        its edges in FIFO queue order, so the tree is the queue's. Returns
+        whether g was added: by freeness, unless 0 g is in the orbit.
         """
         if self._mask[g]:
             return False
         self.generators += (g,)
-        walks.append(self.right(g))
-        cols = np.arange(0, 2 * len(walks), 2, dtype=np.int32)
+        cols = np.arange(0, 2 * len(self.generators), 2, dtype=np.int32)
         first = np.empty(self.degree, dtype=np.intp)  # fresh: only the pages it touches count
-        frontier, w = self._orbit(), 1  # the orbit so far walks the new generator only
+        frontier, w = self._orbit(), 1  # the orbit so far takes the new generator only
         while True:
             reached = np.empty((frontier.size, w), dtype=np.int32)
-            for j, array in enumerate(walks[-w:]):
-                reached[:, j] = array[frontier]
+            for j, x in enumerate(self.generators[-w:]):
+                reached[:, j] = self._walk(frontier, x)
             reached = reached.ravel()
             fresh = _first_reached(reached, np.nonzero(~self._mask[reached])[0], first)
             if not fresh.size:
@@ -191,13 +190,12 @@ class PermGroup:
         cols.reverse()
         return cols
 
-    def right(self, q: int) -> np.ndarray:
-        """Right multiplication by q: the array sending each point p to mul(p, q)."""
-        c = self.carrier
-        arr = np.arange(c.degree, dtype=np.int32)
+    def _walk(self, points: np.ndarray, q: int) -> np.ndarray:
+        """mul over an array of points by one q: a plain gather per step of q's path."""
+        columns = self.carrier._columns
         for col in self._path(q):
-            arr = c._columns[col][arr]
-        return arr
+            points = columns[col][points]
+        return points
 
     def mul(self, p: int, q: int) -> int:
         columns = self.carrier._columns
@@ -338,10 +336,10 @@ def normal_closure(group: PermGroup, seeds: Iterable[int]) -> PermGroup:
     not hold yet is added as a generator and queues its conjugates by the
     group's generators, in order.
     """
-    closure, walks = PermGroup(group.carrier), []
+    closure = PermGroup(group.carrier)
     queue = group._members(seeds)
     for x in queue:
-        if closure._add_free_generator(x, walks):
+        if closure._add_free_generator(x):
             queue.extend(group.conjugates(x, group.generators).tolist())
     return closure
 
@@ -431,9 +429,10 @@ class GroupHom:
     elements, grown down the source's spanning tree a level at a time from
     label(0) = the identity, and it extends to a homomorphism exactly when
     label(p g) == label(p) img(g) holds for every orbit point p and generator
-    g. That check is complete: a word trivial in the source walks 0 back to
-    0, so its image walks the identity back to the identity. The first
-    failing (point, generator index) is raised as IllDefinedHomError's edge.
+    g. It is checked at the orbit alone, and that is complete: a word
+    trivial in the source takes 0 back to 0, so its image takes the
+    identity back to the identity. The first failing (point, generator
+    index) is raised as IllDefinedHomError's edge.
     """
 
     def __init__(self, source: PermGroup, target: TableGroup, images: Sequence[int]):
@@ -455,8 +454,7 @@ class GroupHom:
             labels[points] = target.table[labels[parents], steps[cols]]
         orbit = source._orbit()
         for i, (g, img) in enumerate(zip(source.generators, images)):
-            step = source.right(g)
-            bad = np.nonzero(labels[step[orbit]] != target.table[labels[orbit], img])[0]
+            bad = np.nonzero(labels[source._walk(orbit, g)] != target.table[labels[orbit], img])[0]
             if bad.size:
                 raise IllDefinedHomError(
                     "generator images do not satisfy the source's relations",

@@ -537,7 +537,7 @@ def _theorem_A(eta: EtaGroup, n_elements, k_elements):
     hypotheses ([N,K^phi] abelian, K^phi centralizing [N,K^phi]); the
     report records whether each hypothesis held.
 
-    Each step checks all of its tuples with a few whole-array walks; its
+    Each step checks all of its tuples with a few whole-array passes; its
     witness is the first failure in the order (n, k, h) for step (3),
     (n, h, k) for step (4) and (n, k) for step (5).
     """

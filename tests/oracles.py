@@ -133,7 +133,7 @@ def fifo_subgroup_tree(carrier, generators) -> tuple[list[int], dict]:
     for slot, g in enumerate(generators):
         if g in tree:
             continue
-        walks.append((slot, carrier.right(g)))
+        walks.append((slot, right_multiplication(carrier, g)))
         start = len(orbit)
         for pt in orbit[:start]:
             reach(pt, *walks[-1])
@@ -158,6 +158,15 @@ def tree_walk_labels(orbit, tree, target, images, degree) -> list[int]:
     return label
 
 
+def right_multiplication(carrier, q: int) -> np.ndarray:
+    """Right multiplication by q: the array sending each point p to mul(p, q)."""
+    c = carrier.carrier
+    arr = np.arange(c.degree, dtype=np.int32)
+    for col in carrier._path(q):
+        arr = c._columns[col][arr]
+    return arr
+
+
 def left_multiplication(carrier, a: int) -> np.ndarray:
     """Left multiplication by a as an array on points, grown down the carrier's tree."""
     out = np.empty(carrier.degree, dtype=np.int32)
@@ -174,7 +183,7 @@ def conjugation_map(group, c: int) -> np.ndarray:
     whole carrier-wide array; PermGroup.conjugates must agree at every point.
     """
     carrier = group.carrier
-    return carrier.right(c)[left_multiplication(carrier, carrier.inv(c))]
+    return right_multiplication(carrier, c)[left_multiplication(carrier, carrier.inv(c))]
 
 
 def looped_class_sizes(group, members) -> list[int]:
@@ -484,11 +493,12 @@ def naive_check_compatibility(pair) -> list[dict]:
 def _element_rows(eta) -> tuple[np.ndarray, np.ndarray]:
     """Right multiplication by each element of G and of H, one row each.
 
-    Each row is built from the carrier's own tree (PermGroup.right) at the
-    element's point, never read from eta's arrays.
+    Each row is built from the carrier's own tree (right_multiplication) at
+    the element's point, never read from eta's arrays.
     """
-    right = eta.carrier.right
-    return np.array([right(p) for p in eta.embed_g]), np.array([right(p) for p in eta.embed_h])
+    g_rows = [right_multiplication(eta.carrier, p) for p in eta.embed_g]
+    h_rows = [right_multiplication(eta.carrier, p) for p in eta.embed_h]
+    return np.array(g_rows), np.array(h_rows)
 
 
 def _walk_bracket(pair, rows, p, a, b) -> np.ndarray:

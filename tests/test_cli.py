@@ -151,6 +151,34 @@ def test_group_from_presentation_file(tmp_path):
     assert report["orders"]["nu"] == 125
 
 
+# Each use of a group flag adds its groups, in command-line order; none
+# overwrites an earlier one.
+
+
+def test_nu_refuses_a_second_builtin_flag():
+    result = run_cli("nu", "--builtin", "C4", "--builtin", "S3")
+    assert result.returncode == 2
+    assert "exactly one group spec required, got 2" in result.stderr
+
+
+def test_a_repeated_builtin_flag_keeps_the_first_group():
+    report = stdout_json(
+        run_cli("tensor", "--builtin", "C1", "--builtin", "S3", "--trivial-actions")
+    )
+    assert report["orders"]["g"] == 1
+    assert report["orders"]["tensor"] == 1
+
+
+def test_mixed_group_flags_keep_command_line_order(tmp_path):
+    path = tmp_path / "c3.json"
+    path.write_text(json.dumps(builtin("C3").to_json_dict()))
+    report = stdout_json(
+        run_cli("tensor", "--cayley", str(path), "--builtin", "C2", "--trivial-actions")
+    )
+    assert report["inputs"]["g"] == {"kind": "cayley", "value": str(path), "order": 3}
+    assert report["inputs"]["h"] == {"kind": "builtin", "value": "C2", "order": 2}
+
+
 # ---------------------------------------------------------------------------
 # pinned nu examples
 

@@ -33,7 +33,13 @@ from etacalc.perm import (
     hom_kernel,
     normal_closure,
 )
-from oracles import compose_columns, conjugation_map, naive_closure, tree_dict
+from oracles import (
+    compose_columns,
+    conjugation_map,
+    naive_closure,
+    right_multiplication,
+    tree_dict,
+)
 
 
 def P(*cycles, degree):
@@ -97,7 +103,7 @@ def test_compose_is_left_to_right():
     p, q = el["(0 1)"], el["(1 2)"]
     assert g.mul(p, q) == el["(0 2 1)"]
     assert g.mul(q, p) == el["(0 1 2)"]
-    assert g.right(q)[p] == g.mul(p, q)
+    assert right_multiplication(g, q)[p] == g.mul(p, q)
 
 
 def test_perm_basics():
@@ -605,7 +611,7 @@ def test_point_arithmetic_matches_column_composition(name, data):
     assert g.inv(p) == point(inverse_word(u))
     assert g.conj(p, q) == point(inverse_word(v) + u + v)
     assert g.comm(p, q) == point(inverse_word(u) + inverse_word(v) + u + v)
-    assert g.right(q).tolist() == compose_columns(columns, v)
+    assert right_multiplication(g, q).tolist() == compose_columns(columns, v)
     assert g.conjugates(p, q) == point(inverse_word(v) + u + v)
     sub = g.subgroup([p])
     powers = naive_closure([tuple(compose_columns(columns, u))])
