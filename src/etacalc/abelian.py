@@ -173,28 +173,34 @@ def smith_normal_form(
 def canonical_invariants(factors: Iterable[int]) -> AbelianInvariants:
     """Canonical divisor chain of a direct product of cyclic groups.
 
-    Accepts cyclic orders in any arrangement (1s allowed and dropped) and
-    canonicalizes via the Smith form of the diagonal relation matrix.
+    Accepts cyclic orders in any arrangement (1s allowed and dropped). Each
+    is split into its prime powers; the largest power of every prime goes
+    into the last factor of the chain, the next largest into the one before
+    it, and so on.
     """
-    fs = [int(f) for f in factors]
-    for f in fs:
+    powers: dict[int, list[int]] = {}
+    for f in factors:
+        f = int(f)
         if f < 1:
             raise ValueError(f"cyclic order {f} must be >= 1")
-    fs = [f for f in fs if f > 1]
-    if not fs:
-        return AbelianInvariants(())
-    n = len(fs)
-    diag = [[fs[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    d, _, _ = smith_normal_form(diag)
-    return AbelianInvariants(tuple(d[i][i] for i in range(n) if d[i][i] > 1))
+        for p in prime_factors(f):
+            q = p
+            while f % (q * p) == 0:
+                q *= p
+            powers.setdefault(p, []).append(q)
+    chain = [1] * max(map(len, powers.values()), default=0)
+    for qs in powers.values():
+        for slot, q in enumerate(sorted(qs, reverse=True)):
+            chain[slot] *= q
+    return AbelianInvariants(tuple(reversed(chain)))
 
 
 def invariants_from_element_orders(orders: Iterable[int]) -> AbelianInvariants:
     """Invariants of a finite abelian group given the orders of all elements.
 
     For each prime p, the census of solutions of x^(p^j) = 1 determines the
-    p-primary partition; primary components are then aligned largest-first
-    into a divisor chain.
+    p-primary partition, whose cyclic factors canonical_invariants then
+    aligns into a divisor chain.
     """
     census = Counter(int(o) for o in orders)
     n = sum(census.values())
@@ -202,10 +208,7 @@ def invariants_from_element_orders(orders: Iterable[int]) -> AbelianInvariants:
         raise ValueError("empty element-order census")
     if census.get(1, 0) != 1:
         raise ValueError("census must contain exactly one identity element")
-    if n == 1:
-        return AbelianInvariants(())
-
-    exponents_by_prime: dict[int, list[int]] = {}
+    powers = []
     for p in prime_factors(n):
         # c[j] = number of x with x^(p^j) = 1, i.e. with p-power order <= p^j.
         emax = 0
@@ -230,24 +233,10 @@ def invariants_from_element_orders(orders: Iterable[int]) -> AbelianInvariants:
                     raise ValueError("order census is not that of an abelian group")
                 e += 1
             m.append(e)
-        exps = []
         for j, mj in enumerate(m, start=1):
             nxt = m[j] if j < len(m) else 0
-            exps.extend([j] * (mj - nxt))
-        exps.sort(reverse=True)
-        if exps:
-            exponents_by_prime[p] = exps
-
-    rank = max(len(v) for v in exponents_by_prime.values())
-    chain = []
-    for slot in range(rank):
-        d = 1
-        for p, exps in exponents_by_prime.items():
-            if slot < len(exps):
-                d *= p ** exps[slot]
-        chain.append(d)
-    chain.reverse()
-    result = AbelianInvariants(tuple(chain))
+            powers.extend([p**j] * (mj - nxt))
+    result = canonical_invariants(powers)
     if result.order != n:
         raise ValueError("order census is not that of an abelian group")
     return result

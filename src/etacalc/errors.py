@@ -67,9 +67,9 @@ class IncompatibleActionError(EtacalcError, ValueError):
 
 
 class InvarianceError(EtacalcError, ValueError):
-    """A subgroup is not invariant under the partner group's action.
+    """A set of elements is not closed under conjugation by a group.
 
-    ``witness`` is one (element label, actor label) pair that escapes.
+    ``witness`` names the first escape: the member and the conjugator's index.
     """
 
     def __init__(self, message: str, *, witness=None):

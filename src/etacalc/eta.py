@@ -57,8 +57,9 @@ import numpy as np
 
 from .abelian import z_tensor
 from .action import ActionPair, require_compatible
-from .errors import CapacityError, ConstructionError, IncompleteTableError, InvarianceError
+from .errors import CapacityError, ConstructionError, IncompleteTableError
 from .fpgroup import (
+    COMPACT_ROWS,
     DEFAULT_MAX_COSETS,
     Presentation,
     _first_failure,
@@ -86,24 +87,6 @@ class TensorSet:
     @property
     def size(self) -> int:
         return len(self.members)
-
-    def require_invariant_under(self, group: PermGroup) -> None:
-        """Check closure under conjugation by each generator of group.
-
-        The set is finite, so invariance under conjugation by each member
-        of a generating set proves the full group leaves it invariant.  Raises
-        InvarianceError naming the member pair and the offending conjugator's
-        index, the first failure with the conjugator outermost.
-        """
-        members = np.asarray(self.members)
-        inside = np.zeros(group.degree, dtype=bool)
-        inside[members] = True
-        images = group.conjugates(members, np.asarray(group.generators, dtype=np.intp)[:, None])
-        outside = np.argwhere(~inside[images])
-        if outside.size:
-            conjugator, member = outside[0].tolist()
-            witness = {"member": self.pair_for[self.members[member]], "conjugator": conjugator}
-            raise InvarianceError("tensor set is not closed under conjugation", witness=witness)
 
 
 def _tensor_set_from(tensors: np.ndarray, n_elements, k_elements) -> TensorSet:
@@ -458,11 +441,24 @@ def _tensor_table(pair: ActionPair, max_cosets: int) -> tuple[np.ndarray, np.nda
     every t(a, b), numbered as in _tensor_relators, and then the identity,
     the column of the table that acts so. A trivial G or H leaves T no
     generator, so T is the one coset 0.
+
+    The enumeration has the room the carrier cap leaves T, max_cosets //
+    (|G| |H|), but never less than the rows it runs before it compacts
+    (nor more than the cap): an input whose enumeration passes that room
+    is refused, even if its carrier would fit.
     """
     pres, columns = _tensor_presentation(pair)
     rows = np.zeros((1, 0), dtype=np.int32)
     if pres is not None:
-        rows = todd_coxeter(pres, max_cosets=max_cosets).rows
+        room = min(max_cosets, max(max_cosets // (pair.g.n * pair.h.n), COMPACT_ROWS))
+        try:
+            rows = todd_coxeter(pres, max_cosets=room).rows
+        except CapacityError as err:
+            raise CapacityError(
+                f"enumerating G (x) H passed its room of {room} cosets"
+                f" under the carrier cap of {max_cosets}",
+                count=err.count,
+            ) from err
     steps = np.hstack([rows, np.arange(len(rows), dtype=np.int32)[:, None]])
     return steps, np.append(columns, -1)
 

@@ -52,6 +52,7 @@ __all__ = [
 
 DEFAULT_MAX_COSETS = 10**6
 MAX_WORD_LETTERS = 10**6  # the longest word the parser builds
+COMPACT_ROWS = 4096  # an enumeration past this many rows compacts once 30 % are dead
 
 
 def _reduce(word: Iterable[int]) -> tuple[int, ...]:
@@ -501,7 +502,7 @@ class _Enumerator:
             if self.p[alpha] != alpha:
                 alpha += 1
                 continue
-            if self.nrows > 4096 and (self.nrows - self.alive) > 0.3 * self.nrows:
+            if self.nrows > COMPACT_ROWS and (self.nrows - self.alive) > 0.3 * self.nrows:
                 alpha = self.compact(alpha)
             todo = self.open_relators(alpha) if self.letters else range(len(self.relators))
             for k in todo:

@@ -15,8 +15,8 @@ the product of the generators on its tree path), and products, inverses and
 conjugates follow the paths of whole arrays of points at once. Only the
 points in question are gathered: a subgroup is grown, and a homomorphism
 into a table group (GroupHom, a labelling of source points by target
-elements) checked edge by edge, at the group's own points; a conjugacy
-class is grown at only the points it holds (centralizer_index). Groups
+elements) checked edge by edge, at the group's own points; the classes of
+a normal set are read at only its own points (centralizer_index). Groups
 given by arbitrary permutation generators are closed into multiplication
 tables instead (groups.table_from_perms).
 """
@@ -32,6 +32,7 @@ from .errors import (
     CapacityError,
     ConstructionError,
     IllDefinedHomError,
+    InvarianceError,
     MembershipError,
 )
 
@@ -354,29 +355,30 @@ def derived_subgroup(group: PermGroup) -> PermGroup:
 def centralizer_index(group: PermGroup, members: Iterable[int]) -> list[int]:
     """Index of each member's centralizer, i.e. the size of its conjugacy class.
 
-    A class is an orbit under conjugation by the generators. All the
-    members' classes are grown together, conjugating every point reached so
-    far once per level until no point is new, so a normal set of members
-    takes one level. The least member index is then carried back along the
-    conjugation edges until no label falls; a class, strongly connected, is the
-    set of points carrying one label.
+    The members must be closed under conjugation by the group's generators,
+    as a finite normal subset is; one pass, conjugator outermost, checks
+    that and gives the conjugation edges. The first (conjugator, member)
+    index whose image leaves the set is raised as InvarianceError's
+    witness. The least member index is then carried back along the edges
+    until no label falls; a class, strongly connected, is the set of points
+    carrying one label.
     """
     members = np.asarray(group._members(members), dtype=np.intp)
-    gens = np.asarray(group.generators, dtype=np.intp)
-    seen = members
-    while True:
-        seen = np.sort(seen)
-        seen = seen[np.diff(seen, prepend=-1) != 0]
-        reached = group.conjugates(seen[:, None], gens)
-        heads = np.minimum(np.searchsorted(seen, reached), seen.size - 1)
-        if np.array_equal(seen[heads], reached):
-            break
-        seen = np.concatenate([seen, reached.ravel()])
+    seen = np.sort(members)
+    seen = seen[np.diff(seen, prepend=-1) != 0]
+    reached = group.conjugates(members, np.asarray(group.generators, dtype=np.intp)[:, None])
+    heads = np.minimum(np.searchsorted(seen, reached), seen.size - 1)
+    outside = np.argwhere(seen[heads] != reached)
+    if outside.size:
+        conjugator, member = outside[0].tolist()
+        witness = {"conjugator": conjugator, "member": member}
+        raise InvarianceError("members are not closed under conjugation", witness=witness)
     at = np.searchsorted(seen, members)
     label = np.full(seen.size, members.size)
     np.minimum.at(label, at, np.arange(members.size))
+    heads = heads[:, label]  # each point's edges, read at its first member
     while True:
-        moved = np.minimum(label, label[heads].min(axis=1, initial=members.size))
+        moved = np.minimum(label, label[heads].min(axis=0, initial=members.size))
         if np.array_equal(moved, label):
             return np.bincount(label)[label[at]].tolist()
         label = moved

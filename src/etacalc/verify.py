@@ -256,6 +256,15 @@ def _tensor_frame(eta: EtaGroup, N: tuple[int, ...], K: tuple[int, ...]):
     return big_m, restricted_tensor_set(eta, N, K)
 
 
+def _class_sizes(big_m, tset) -> list[int]:
+    """centralizer_index over T(N,K); an InvarianceError's witness names the member's pair."""
+    try:
+        return centralizer_index(big_m, tset.members)
+    except InvarianceError as err:
+        err.witness["member"] = tset.pair_for[tset.members[err.witness["member"]]]
+        raise
+
+
 # ---------------------------------------------------------------------------
 # claim checks: each returns (verdict, detail, witness)
 
@@ -360,14 +369,14 @@ def _centralizer_bound(eta: EtaGroup, n_elements, k_elements):
     K = tuple(sorted(set(k_elements)))
     big_m, tset = _tensor_frame(eta, N, K)
     try:
-        tset.require_invariant_under(big_m)
+        sizes = _class_sizes(big_m, tset)
     except InvarianceError as err:
         detail = "tensor set is not a normal subset, bound does not apply"
         return "FAIL", detail, err.witness
 
     bound = tset.size
     worst = 0
-    for t, index in zip(tset.members, centralizer_index(big_m, tset.members)):
+    for t, index in zip(tset.members, sizes):
         worst = max(worst, index)
         if index > bound:
             witness = {"member": list(tset.pair_for[t]), "index": index, "bound": bound}
@@ -563,13 +572,13 @@ def _theorem_A(eta: EtaGroup, n_elements, k_elements):
     failures: list[dict] = []
 
     try:
-        tset.require_invariant_under(big_m)
+        _class_sizes(big_m, tset)
         parts.append("(1) normal subset")
     except InvarianceError as err:
-        failures.append({"step": 1, **(err.witness or {})})
+        failures.append({"step": 1, **err.witness})
         parts.append("(1) FAILS")
 
-    sub_a = carrier.subgroup(tset.members)
+    sub_a = eta.tensor_subgroup if tset is eta.tensor_set else carrier.subgroup(tset.members)
     gens = np.asarray(sub_a.generators, dtype=np.intp)[:, None]
     normal = all(map(sub_a.contains, carrier.conjugates(gens, big_m.generators).ravel().tolist()))
     if normal:

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
+from etacalc.abelian import smith_normal_form
 from etacalc.fpgroup import Presentation
 from etacalc.verify import _tensor_frame
 
@@ -204,13 +205,46 @@ def looped_class_sizes(group, members) -> list[int]:
 
 
 def looped_invariance_witness(tset, maps) -> dict | None:
-    """TensorSet.require_invariant_under's witness, conjugator outermost, or None if closed."""
+    """verify's invariance witness, conjugator outermost, or None if the set is closed."""
     inside = set(tset.members)
     for i, m in enumerate(maps):
         for t in tset.members:
             if int(m[t]) not in inside:
                 return {"member": tset.pair_for[t], "conjugator": i}
     return None
+
+
+def module_tensor_order(pair) -> int:
+    """|IG (x)_ZG A| for G acting on a module A = pair.h that acts trivially on G.
+
+    For such a pair G (x) A is IG (x)_ZG A, IG being G's augmentation
+    ideal: the abelian group on x(g, a) = (g - 1) (x) a for g != e, linear
+    in a, with (gh - 1) (x) a = (h - 1) (x) a + (g - 1) (x) h.a, where h.a
+    is a^(h^-1) in the pair's right action. Its order is the product of the
+    Smith form's diagonal, computed without any coset enumeration.
+    """
+    g, a = pair.g, pair.h
+    left = np.asarray(pair.g_on_h.rows)[g.inverse_table]  # left[h, y] = h.y
+    width = (g.n - 1) * a.n
+    rows = []
+
+    def relate(*terms: tuple[int, int, int]) -> None:
+        row = [0] * width
+        for sign, x, y in terms:
+            if x != g.identity:
+                row[(x - 1) * a.n + y] += sign
+        rows.append(row)
+
+    for x in range(g.n):
+        for y in range(a.n):
+            for z in range(a.n):
+                relate((1, x, int(a.table[y, z])), (-1, x, y), (-1, x, z))
+            for h in range(g.n):
+                relate((1, int(g.table[x, h]), y), (-1, h, y), (-1, x, int(left[h, y])))
+    d, _, _ = smith_normal_form(rows)
+    diagonal = [d[i][i] for i in range(width)]
+    assert all(diagonal), "IG (x)_ZG A is infinite"
+    return prod(diagonal)
 
 
 def looped_element_orders(group) -> list[int]:

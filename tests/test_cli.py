@@ -24,7 +24,9 @@ from etacalc.groups import builtin
 from etacalc.verify import CLAIM_IDS
 
 
-def run_cli(*args: str, env_extra: dict | None = None) -> subprocess.CompletedProcess:
+def run_cli(
+    *args: str, env_extra: dict | None = None, timeout: int = 300
+) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env.pop("ETA_MAX_COSETS", None)
     if env_extra:
@@ -34,7 +36,7 @@ def run_cli(*args: str, env_extra: dict | None = None) -> subprocess.CompletedPr
         capture_output=True,
         text=True,
         env=env,
-        timeout=300,
+        timeout=timeout,
     )
 
 
@@ -306,6 +308,20 @@ def test_a_huge_exponent_is_refused_before_the_word_is_built():
     assert result.stdout == "" and "Traceback" not in result.stderr
     assert result.stderr.count("\n") == 1
     assert "a word of 1000000000000 letters" in result.stderr
+
+
+def test_an_oversized_tensor_enumeration_is_refused_early():
+    # nu(C2xC2xD8): |G| |G| = 1024, so T's enumeration has 4096 rows of room
+    # under the default cap; it passes them well inside the timeout, where an
+    # uncapped run went on for minutes
+    data = os.path.join(os.path.dirname(__file__), "data", "c2xc2xd8.json")
+    result = run_cli("nu", "--perms", data, timeout=30)
+    assert result.returncode == 5
+    assert result.stdout == ""
+    assert result.stderr == (
+        "etacalc: capacity exceeded: enumerating G (x) H passed its room of 4096 cosets"
+        " under the carrier cap of 1000000\n"
+    )
 
 
 def test_construction_error_exits_6_without_traceback(monkeypatch, capsys):

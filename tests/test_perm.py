@@ -20,6 +20,7 @@ from etacalc.errors import (
     ConstructionError,
     DegreeMismatchError,
     IllDefinedHomError,
+    InvarianceError,
     MembershipError,
 )
 from etacalc.eta import construct_eta
@@ -279,10 +280,20 @@ def test_derived_subgroup():
 
 def test_centralizer_index():
     g, el = s3()
-    members = [el[x] for x in ("(0 1)", "(0 1 2)", "e", "(1 2)", "(0 2 1)")]
-    assert centralizer_index(g, members) == [3, 2, 1, 3, 2]
-    assert centralizer_index(g, [el["(0 1 2)"]]) == [2]
+    members = [el[x] for x in ("(0 1)", "(0 1 2)", "e", "(1 2)", "(0 2 1)", "(0 2)")]
+    assert centralizer_index(g, members) == [3, 2, 1, 3, 2, 3]
+    rotations = [el[x] for x in ("(0 2 1)", "(0 1 2)", "(0 2 1)", "e")]
+    assert centralizer_index(g, rotations) == [2, 2, 2, 1]
     assert centralizer_index(g, []) == []
+    # a set that is not normal: the first escape, conjugator outermost
+    maps = [conjugation_map(g, c) for c in g.generators]
+    for subset in (members[:5], [el["(0 1 2)"]], [0, el["(1 2)"]]):
+        with pytest.raises(InvarianceError) as exc:
+            centralizer_index(g, subset)
+        escapes = [(i, j) for i, m in enumerate(maps) for j, t in enumerate(subset)
+                   if int(m[t]) not in subset]
+        conjugator, member = escapes[0]
+        assert exc.value.witness == {"conjugator": conjugator, "member": member}
     a4_group = a4()[0]
     with pytest.raises(MembershipError):
         centralizer_index(a4_group, [0, a4_group.degree])

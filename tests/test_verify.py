@@ -14,7 +14,7 @@ import pytest
 from etacalc import verify
 from etacalc.abelian import z_tensor
 from etacalc.action import conjugation_pair, incompatible_example, trivial_pair
-from etacalc.eta import DEFAULT_MAX_COSETS
+from etacalc.eta import DEFAULT_MAX_COSETS, construct_eta
 from etacalc.groups import builtin, cyclic, direct_product
 from etacalc.nu import construct_nu
 from etacalc.perm import GroupHom, PermGroup, centralizer_index
@@ -39,6 +39,7 @@ from oracles import (
     looped_element_orders,
     looped_lemma_identities,
     looped_theorem_A,
+    module_tensor_order,
     tree_dict,
     tree_walk_labels,
 )
@@ -293,8 +294,8 @@ def test_subgroups_and_homs_equal_the_fifo_oracles(monkeypatch, workload):
         assert f._labels.tolist() == labels
     # rho and rho' of each nu; the general corpus builds no nu
     assert (len(subgroups), len(homs)) == {
-        "corpus-default": (256, 42),
-        "corpus-general": (64, 0),
+        "corpus-default": (220, 42),
+        "corpus-general": (48, 0),
     }[workload]
 
 
@@ -450,6 +451,24 @@ def test_capacity_overrun_is_skipped_not_passed():
     stats = summary(reports)
     assert stats["skipped"] == 5 and stats["fail"] == 0
     assert stats["pass"] == 1
+
+
+def test_module_pairs_match_the_module_oracle():
+    # G acting on a module A that acts trivially on G: the general eta path
+    # with an action that is neither trivial nor conjugation
+    data = json.loads((REPO / "tests" / "data" / "module_pairs.json").read_text())
+    corpus = corpus_from_json_dict(data)
+    orders = []
+    for cp in corpus.pairs:
+        assert cp.pair.h_on_g.is_trivial() and not cp.pair.g_on_h.is_trivial()
+        eta = construct_eta(cp.pair)
+        assert eta.tensor_order() == module_tensor_order(cp.pair), cp.label
+        orders.append(eta.tensor_order())
+    # C2 on C3, C4 and C8; C4 on C5; C6 on C7; C2 and C3 on C2xC2
+    assert orders == [3, 4, 4, 5, 7, 2, 4]
+    reports = run_corpus(corpus=corpus)
+    assert len(reports) == 35
+    assert all(r.verdict == "PASS" for r in reports), [r.to_json_line() for r in reports]
 
 
 def test_corpus_from_json_dict_round_trip():
