@@ -203,10 +203,8 @@ def _cmd_tensor(args) -> int:
     pair, echo = _resolve_pair(args, max_cosets)
     eta = construct_eta(pair, max_cosets=max_cosets)
     audit = check_decomposition(eta)
-    abelian = eta.tensor_subgroup.is_abelian()
-    invariants = (
-        list(abelian_invariants_of(eta.tensor_subgroup).factors) if abelian else None
-    )
+    invariants = abelian_invariants_of(eta.tensor_subgroup)
+    factors = None if invariants is None else list(invariants.factors)
     elapsed = time.perf_counter() - t0
     report = {
         "schema": 1,
@@ -218,8 +216,8 @@ def _cmd_tensor(args) -> int:
             "g": pair.g.n,
             "h": pair.h.n,
         },
-        "tensor_abelian": abelian,
-        "tensor_invariants": invariants,
+        "tensor_abelian": factors is not None,
+        "tensor_invariants": factors,
         "checks": {"decomposition": audit},
     }
     _emit(
@@ -227,7 +225,7 @@ def _cmd_tensor(args) -> int:
         [
             f"carrier order: {eta.order()}",
             f"tensor order: {eta.tensor_order()}",
-            f"tensor invariants: {invariants if abelian else 'non-abelian'}",
+            f"tensor invariants: {'non-abelian' if factors is None else factors}",
             f"decomposition: {'ok' if audit['ok'] else 'FAILED'}",
             f"elapsed: {elapsed:.2f}s",
         ],

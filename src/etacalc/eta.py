@@ -528,8 +528,7 @@ def construct_eta(pair: ActionPair, *, max_cosets: int = DEFAULT_MAX_COSETS) -> 
     g, h = pair.g, pair.h
     if pair.g_on_h.is_trivial() and pair.h_on_g.is_trivial():
         # G (x) H is the Z-tensor: refuse an oversized carrier before enumerating it
-        predicted = z_tensor(g.abelian_invariants(), h.abelian_invariants()).order
-        _require_room(predicted * g.n * h.n, max_cosets)
+        _require_room(trivial_action_baseline(g, h).order * g.n * h.n, max_cosets)
     tensor = _tensor_table(pair, max_cosets)
     _require_room(len(tensor[0]) * g.n * h.n, max_cosets)
     try:

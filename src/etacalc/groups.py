@@ -189,6 +189,11 @@ class TableGroup:
         return all(self.conj(a, g) in mset for a in mset for g in range(self.n))
 
     def derived_indices(self) -> tuple[int, ...]:
+        return self._derived_indices
+
+    @cached_property
+    def _derived_indices(self) -> tuple[int, ...]:
+        # the table is read-only, so G' is closed once
         t, inv = self.table, self.inverse_table
         comms = t[t[inv[:, None], inv[None, :]], t]  # [a, b] = a^-1 b^-1 a b, for all a and b
         return self.subgroup_closure(comms.ravel().tolist())
@@ -204,6 +209,11 @@ class TableGroup:
         return bool(np.array_equal(self.table, self.table.T))
 
     def abelian_invariants(self) -> AbelianInvariants:
+        return self._abelian_invariants
+
+    @cached_property
+    def _abelian_invariants(self) -> AbelianInvariants:
+        # the table is read-only, so G^ab is read once
         derived = set(self.derived_indices())
         reps = sorted(
             {min(self.mul(x, d) for d in derived) for x in range(self.n)}

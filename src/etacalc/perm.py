@@ -384,42 +384,11 @@ def centralizer_index(group: PermGroup, members: Iterable[int]) -> list[int]:
         label = moved
 
 
-def abelian_invariants_of(group: PermGroup) -> AbelianInvariants:
-    """Invariant factors of the abelianization of the group."""
-    derived = derived_subgroup(group)
-    if derived.order() == 1:  # abelian: its element orders give the invariants
-        return invariants_from_element_orders(group.element_orders())
-    quotient_order, rem = divmod(group.order(), derived.order())
-    if rem:
-        raise ConstructionError("derived subgroup order does not divide group order")
-    if quotient_order == 1:
-        return AbelianInvariants(())
-    if quotient_order > 10**5:
-        raise CapacityError(
-            "abelianization too large to enumerate", count=quotient_order
-        )
-    reps = [0]
-    rep_inverses = [0]
-
-    def is_new(p: int) -> bool:
-        return all(not derived.contains(group.mul(p, r)) for r in rep_inverses)
-
-    for r in reps:
-        for g in group.generators:
-            y = group.mul(r, g)
-            if is_new(y):
-                reps.append(y)
-                rep_inverses.append(group.inv(y))
-    if len(reps) != quotient_order:
-        raise ConstructionError("coset enumeration of the abelianization went wrong")
-    orders = []
-    for r in reps:
-        power, k = r, 1
-        while not derived.contains(power):
-            power = group.mul(power, r)
-            k += 1
-        orders.append(k)
-    return invariants_from_element_orders(orders)
+def abelian_invariants_of(group: PermGroup) -> AbelianInvariants | None:
+    """Invariant factors of an abelian group, read from its element orders; None if not abelian."""
+    if not group.is_abelian():
+        return None
+    return invariants_from_element_orders(group.element_orders())
 
 
 class GroupHom:

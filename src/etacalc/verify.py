@@ -313,10 +313,9 @@ def _decomposition(eta: EtaGroup):
 
 def _ztensor(eta: EtaGroup, pair: ActionPair):
     baseline = trivial_action_baseline(pair.g, pair.h)
-    abelian = eta.tensor_subgroup.is_abelian()
-    observed = abelian_invariants_of(eta.tensor_subgroup) if abelian else None
+    observed = abelian_invariants_of(eta.tensor_subgroup)
     checks = {
-        "tensor_abelian": abelian,
+        "tensor_abelian": observed is not None,
         "invariants_match": observed == baseline,
         "order_match": eta.tensor_order() == baseline.order,
         "carrier_order": eta.order() == baseline.order * pair.g.n * pair.h.n,
@@ -329,7 +328,7 @@ def _ztensor(eta: EtaGroup, pair: ActionPair):
         return "PASS", detail, None
     witness = {k: bool(okv) for k, okv in checks.items()}
     witness["expected"] = list(baseline.factors)
-    witness["observed"] = list(observed.factors) if observed else None
+    witness["observed"] = None if observed is None else list(observed.factors)
     return "FAIL", "tensor subgroup disagrees with the abelianized baseline", witness
 
 

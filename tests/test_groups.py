@@ -21,7 +21,7 @@ from etacalc.groups import (
 )
 from etacalc.action import trivial_pair
 from etacalc.eta import construct_eta
-from oracles import looped_derived_indices, naive_closure
+from oracles import looped_derived_indices, naive_closure, order_census_invariants
 
 
 def test_cyclic():
@@ -39,8 +39,22 @@ def test_cyclic():
 
 @pytest.mark.parametrize("name", builtin_names())
 def test_derived_indices_equal_the_loop(name):
+    # G' and G^ab are cached; both calls agree with the loops, the second from the cache
     group = builtin(name)
-    assert group.derived_indices() == looped_derived_indices(group)
+    derived = looped_derived_indices(group)
+    # the order of each coset of G' in G/G', one coset at a time
+    cosets = {frozenset(group.mul(x, d) for d in derived): x for x in range(group.n)}
+    orders = []
+    for x in cosets.values():
+        k, power = 1, x
+        while power not in derived:
+            power, k = group.mul(power, x), k + 1
+        orders.append(k)
+    for _ in range(2):
+        assert group.derived_indices() == derived
+        assert group.abelian_invariants().factors == order_census_invariants(orders)
+    assert group.derived_indices() is group.derived_indices()
+    assert group.abelian_invariants() is group.abelian_invariants()
 
 
 def test_derived_indices_with_the_identity_last():

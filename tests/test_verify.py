@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from etacalc import verify
-from etacalc.abelian import z_tensor
+from etacalc.abelian import AbelianInvariants, z_tensor
 from etacalc.action import conjugation_pair, incompatible_example, trivial_pair
 from etacalc.eta import DEFAULT_MAX_COSETS, construct_eta
 from etacalc.groups import builtin, cyclic, direct_product
 from etacalc.nu import construct_nu
-from etacalc.perm import GroupHom, PermGroup, centralizer_index
+from etacalc.perm import GroupHom, PermGroup, abelian_invariants_of, centralizer_index
 from etacalc.verify import (
     CLAIM_IDS,
     ClaimReport,
@@ -40,6 +40,7 @@ from oracles import (
     looped_lemma_identities,
     looped_theorem_A,
     module_tensor_order,
+    order_census_invariants,
     tree_dict,
     tree_walk_labels,
 )
@@ -294,7 +295,7 @@ def test_subgroups_and_homs_equal_the_fifo_oracles(monkeypatch, workload):
         assert f._labels.tolist() == labels
     # rho and rho' of each nu; the general corpus builds no nu
     assert (len(subgroups), len(homs)) == {
-        "corpus-default": (220, 42),
+        "corpus-default": (191, 42),
         "corpus-general": (48, 0),
     }[workload]
 
@@ -379,6 +380,48 @@ def test_centralizer_index_equals_the_class_bfs(monkeypatch, workload):
         assert centralizer_index(big_m, tset.members) == expected, instance
         frames += 1
     assert frames == len(corpus.pairs) + len(corpus.subgroup_cases)
+
+
+def test_abelian_invariants_of_equal_the_census_or_none(monkeypatch):
+    # every tensor subgroup of both benchmark corpora and the crossed-module
+    # pairs: None exactly when two elements fail to commute; otherwise the
+    # element orders, taken one scalar mul at a time, give the invariants by census
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    make_corpus = importlib.import_module("corpora").make_corpus
+    data = json.loads((REPO / "tests" / "data" / "module_pairs.json").read_text())
+    corpora = [make_corpus("corpus-default", 0), make_corpus("corpus-general", 0)]
+    seen = {True: 0, False: 0}
+    for corpus in [*corpora, corpus_from_json_dict(data)]:
+        built = verify._build(list(corpus.pairs), DEFAULT_MAX_COSETS)
+        for cp in corpus.pairs:
+            group = built[cp.label]["eta"].tensor_subgroup
+            elements = group.elements()
+            commutes = all(group.mul(a, b) == group.mul(b, a) for a in elements for b in elements)
+            invariants = abelian_invariants_of(group)
+            seen[commutes] += 1
+            if commutes:
+                expected = order_census_invariants(looped_element_orders(group))
+                assert invariants is not None and invariants.factors == expected, cp.label
+            else:
+                assert invariants is None, cp.label
+    assert seen == {True: 54, False: 5}
+
+
+def test_ztensor_witness_keeps_trivial_invariants(monkeypatch):
+    # an abelian but trivial tensor subgroup is observed as [], not as null
+    monkeypatch.setattr(verify, "trivial_action_baseline", lambda g, h: AbelianInvariants((2,)))
+    c2, c3 = builtin("C2"), builtin("C3")
+    pair = CorpusPair("trivial:C2,C3", "trivial", trivial_pair(c2, c3))
+    report = _reports_on([pair], claim_filter="ztensor")[("trivial:C2,C3", "ztensor")]
+    assert report.verdict == "FAIL"
+    assert report.witness == {
+        "tensor_abelian": True,
+        "invariants_match": False,
+        "order_match": False,
+        "carrier_order": False,
+        "expected": [2],
+        "observed": [],
+    }
 
 
 def test_order_16_instance_passes_every_claim():
