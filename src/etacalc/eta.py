@@ -89,16 +89,6 @@ class TensorSet:
         return len(self.members)
 
 
-def _tensor_set_from(tensors: np.ndarray, n_elements, k_elements) -> TensorSet:
-    """The distinct tensors[a, b] over a in n_elements and b in k_elements, read in that order."""
-    rows = tensors.tolist()
-    pair_for: dict[int, tuple[int, int]] = {}
-    for a in n_elements:
-        for b in k_elements:
-            pair_for.setdefault(rows[a][b], (a, b))
-    return TensorSet(tuple(pair_for), pair_for)
-
-
 @dataclass(eq=False)
 class EtaGroup:
     """A finished eta construction over a regular carrier; elements are points.
@@ -541,7 +531,7 @@ def construct_eta(pair: ActionPair, *, max_cosets: int = DEFAULT_MAX_COSETS) -> 
     eta = EtaGroup(pair, carrier, g_arrays, h_arrays, None, None, None)
     eta.tensors = eta.times_bracket(0, np.arange(g.n)[:, None], np.arange(h.n)[None, :])
     _audit_families(eta)
-    eta.tensor_set = _tensor_set_from(eta.tensors, range(g.n), range(h.n))
+    eta.tensor_set = restricted_tensor_set(eta, range(g.n), range(h.n))
     eta.tensor_subgroup = carrier.subgroup(eta.tensor_set.members)
     return eta
 
@@ -556,12 +546,19 @@ def restricted_tensor_set(
     n_elements: Sequence[int],
     k_elements: Sequence[int],
 ) -> TensorSet:
-    """The tensor set of a pair of subgroups, read off a finished carrier.
+    """The distinct tensors [a, b'] over a in n_elements and b in k_elements.
 
-    The elements are indices into the pair's groups; iteration order is
-    ascending so the member tuple is deterministic.
+    The elements are indices into the pair's groups, read off eta.tensors in
+    ascending order so the member tuple is deterministic; pair_for keeps the
+    first (a, b) giving each member.
     """
-    return _tensor_set_from(eta.tensors, sorted(n_elements), sorted(k_elements))
+    rows = eta.tensors.tolist()
+    ks = sorted(k_elements)
+    pair_for: dict[int, tuple[int, int]] = {}
+    for a in sorted(n_elements):
+        for b in ks:
+            pair_for.setdefault(rows[a][b], (a, b))
+    return TensorSet(tuple(pair_for), pair_for)
 
 
 def check_decomposition(eta: EtaGroup) -> dict:

@@ -73,8 +73,9 @@ class PermGroup:
     (points, columns, parents) in the order the orbit grew: each point is
     its parent, of an earlier level, times the generator of its edge's
     column (column 2i is generator i, 2i+1 its inverse). Membership is one
-    mask lookup, and the arithmetic methods (mul, inv, conj, comm) work on
-    points of the carrier, whichever of its subgroups they are called on.
+    mask lookup, and the arithmetic methods (mul, inv, comm and the array
+    forms products, inverses, conjugates) work on points of the carrier,
+    whichever of its subgroups they are called on.
     A subgroup owns its generators, the mask and the levels; a carrier also
     owns its columns and tree.
     """
@@ -154,21 +155,23 @@ class PermGroup:
         """Extend the orbit with g, a level at a time, unless g is a member.
 
         The group's own points are gathered down each generator's tree path
-        (_walk): the orbit so far, closed under the old generators, takes the
-        new one only, and each new level every generator. Each level lists
-        its edges in FIFO queue order, so the tree is the queue's. Returns
-        whether g was added: by freeness, unless 0 g is in the orbit.
+        (_walk), each path read once: the orbit so far, closed under the old
+        generators, takes the new one only, and each new level every
+        generator. Each level lists its edges in FIFO queue order, so the
+        tree is the queue's. Returns whether g was added: by freeness,
+        unless 0 g is in the orbit.
         """
         if self._mask[g]:
             return False
         self.generators += (g,)
+        paths = [self._path(x) for x in self.generators]
         cols = np.arange(0, 2 * len(self.generators), 2, dtype=np.int32)
         first = np.empty(self.degree, dtype=np.intp)  # fresh: only the pages it touches count
         frontier, w = self._orbit(), 1  # the orbit so far takes the new generator only
         while True:
             reached = np.empty((frontier.size, w), dtype=np.int32)
-            for j, x in enumerate(self.generators[-w:]):
-                reached[:, j] = self._walk(frontier, x)
+            for j, path in enumerate(paths[-w:]):
+                reached[:, j] = self._walk(frontier, path)
             reached = reached.ravel()
             fresh = _first_reached(reached, np.nonzero(~self._mask[reached])[0], first)
             if not fresh.size:
@@ -191,10 +194,10 @@ class PermGroup:
         cols.reverse()
         return cols
 
-    def _walk(self, points: np.ndarray, q: int) -> np.ndarray:
-        """mul over an array of points by one q: a plain gather per step of q's path."""
+    def _walk(self, points: np.ndarray, path: list[int]) -> np.ndarray:
+        """mul over an array of points by one q, given as _path(q): a plain gather per step."""
         columns = self.carrier._columns
-        for col in self._path(q):
+        for col in path:
             points = columns[col][points]
         return points
 
@@ -212,10 +215,6 @@ class PermGroup:
             x = c._columns.item(c._column.item(p) ^ 1, x)
             p = c._parent.item(p)
         return x
-
-    def conj(self, p: int, c: int) -> int:
-        """p^c = c^-1 p c, read as (p^-1 c)^-1 c."""
-        return self.mul(self.inv(self.mul(self.inv(p), c)), c)
 
     def comm(self, p: int, q: int) -> int:
         """[p, q] = p^-1 q^-1 p q, read as (q p)^-1 p q."""
@@ -250,7 +249,7 @@ class PermGroup:
         return x
 
     def conjugates(self, p, c) -> np.ndarray:
-        """conj over arrays: the points c^-1 p c, with p and c broadcast together."""
+        """The points p^c = c^-1 p c, with p and c broadcast together."""
         return self.products(self.products(self.inverses(c), p), c)
 
     def _orbit(self) -> np.ndarray:
@@ -263,9 +262,6 @@ class PermGroup:
 
     def order(self) -> int:
         return int(np.count_nonzero(self._mask))
-
-    def is_trivial(self) -> bool:
-        return self.order() == 1
 
     def contains(self, p: int) -> bool:
         return 0 <= p < self.degree and bool(self._mask[p])
@@ -425,7 +421,8 @@ class GroupHom:
             labels[points] = target.table[labels[parents], steps[cols]]
         orbit = source._orbit()
         for i, (g, img) in enumerate(zip(source.generators, images)):
-            bad = np.nonzero(labels[source._walk(orbit, g)] != target.table[labels[orbit], img])[0]
+            reached = source._walk(orbit, source._path(g))
+            bad = np.nonzero(labels[reached] != target.table[labels[orbit], img])[0]
             if bad.size:
                 raise IllDefinedHomError(
                     "generator images do not satisfy the source's relations",

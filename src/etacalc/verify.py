@@ -10,8 +10,10 @@ are never counted as passes.
 The claims form one table, _CLAIMS: each row is a claim id, the corpus
 instances it applies to, and a check that returns (verdict, detail,
 witness).  run_corpus first builds every instance the selected claims need,
-once and in corpus order, then runs each row over its instances in one
-loop.  A report's elapsed time covers its check alone, never construction.
+once and in corpus order, and each (N, K) tensor frame that Lemma 2.2 and
+Theorem A share, once; then it runs each row over its instances in one
+loop.  A report's elapsed time covers its check alone, never construction,
+and a frame counts as construction.
 Reports are sorted by (instance, claim), so two runs over the same corpus
 emit byte-identical JSON lines.
 """
@@ -39,6 +41,7 @@ from .errors import CapacityError, IncompatibleActionError, InvarianceError
 from .eta import (
     DEFAULT_MAX_COSETS,
     EtaGroup,
+    TensorSet,
     check_decomposition,
     construct_eta,
     restricted_tensor_set,
@@ -46,7 +49,7 @@ from .eta import (
 )
 from .groups import TableGroup, builtin
 from .nu import NuGroup, check_derived_decomposition, construct_nu
-from .perm import abelian_invariants_of, centralizer_index
+from .perm import PermGroup, abelian_invariants_of, centralizer_index
 
 
 @dataclass(frozen=True)
@@ -243,26 +246,41 @@ def corpus_from_json_dict(data: dict) -> Corpus:
 # subgroup frames
 
 
-def _tensor_frame(eta: EtaGroup, N: tuple[int, ...], K: tuple[int, ...]):
-    """(M, T(N,K)) for M = <N, K^phi>; M's generators are the conjugators of its checks.
+class _Frame(NamedTuple):
+    """T(N,K) inside M = <N, K^phi> over one carrier, with its classes in M.
+
+    sizes is centralizer_index over T(N,K)'s members, or the InvarianceError
+    it raised, whose witness names the escaping member by its (g, h) pair.
+    """
+
+    eta: EtaGroup
+    N: tuple[int, ...]
+    K: tuple[int, ...]
+    big_m: PermGroup
+    tset: TensorSet
+    sizes: list[int] | InvarianceError
+
+
+def _tensor_frame(eta: EtaGroup, n_elements, k_elements) -> _Frame:
+    """The frame of (N, K); M's generators are the conjugators of its checks.
 
     For the full pair M is the whole carrier, whose generators are the
     embedded generating subsets of G and H, in order; otherwise M is the
     subgroup generated by the embedded members of N and K.
     """
+    N = tuple(sorted(set(n_elements)))
+    K = tuple(sorted(set(k_elements)))
     if len(N) == eta.pair.g.n and len(K) == eta.pair.h.n:
-        return eta.carrier, eta.tensor_set
-    big_m = eta.carrier.subgroup([eta.embed_g[a] for a in N] + [eta.embed_h[b] for b in K])
-    return big_m, restricted_tensor_set(eta, N, K)
-
-
-def _class_sizes(big_m, tset) -> list[int]:
-    """centralizer_index over T(N,K); an InvarianceError's witness names the member's pair."""
+        big_m, tset = eta.carrier, eta.tensor_set
+    else:
+        big_m = eta.carrier.subgroup([eta.embed_g[a] for a in N] + [eta.embed_h[b] for b in K])
+        tset = restricted_tensor_set(eta, N, K)
     try:
-        return centralizer_index(big_m, tset.members)
+        sizes = centralizer_index(big_m, tset.members)
     except InvarianceError as err:
         err.witness["member"] = tset.pair_for[tset.members[err.witness["member"]]]
-        raise
+        sizes = err
+    return _Frame(eta, N, K, big_m, tset, sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -279,24 +297,15 @@ def _failure_text(f: dict) -> str:
 
 def _compat(pair: ActionPair, expect_compatible: bool):
     failures = check_compatibility(pair)
-    if expect_compatible and failures:
-        return (
-            "FAIL",
-            f"{len(failures)} of {compatibility_triples(pair)} triples fail, first at "
-            + _failure_text(failures[0]),
-            failures[0],
-        )
+    if not failures:
+        if expect_compatible:
+            return "PASS", f"both families hold over {compatibility_triples(pair)} triples", None
+        return "FAIL", "expected rejection, but both families hold", None
+    first = _failure_text(failures[0])
     if expect_compatible:
-        checked = compatibility_triples(pair)
-        return "PASS", f"both families hold over {checked} triples", None
-    if failures:
-        return (
-            "PASS",
-            f"rejected: {len(failures)} failing triples, first at "
-            + _failure_text(failures[0]),
-            failures[0],
-        )
-    return "FAIL", "expected rejection, but both families hold", None
+        detail = f"{len(failures)} of {compatibility_triples(pair)} triples fail, first at {first}"
+        return "FAIL", detail, failures[0]
+    return "PASS", f"rejected: {len(failures)} failing triples, first at {first}", failures[0]
 
 
 def _decomposition(eta: EtaGroup):
@@ -344,10 +353,7 @@ def _derived_decomposition(nu: NuGroup):
         "tensor_meets_g_derived": sorted(t_keys & gd_keys),
         "tg_meets_h_derived": sorted(tg_keys & hd_keys),
     }
-    trivial_meets = meets["tensor_meets_g_derived"] == [0] and meets[
-        "tg_meets_h_derived"
-    ] == [0]
-    if audit["ok"] and trivial_meets:
+    if audit["ok"] and all(meet == [0] for meet in meets.values()):
         detail = (
             f"|nu(G)'| = {audit['derived_order']} = {audit['tensor_order']} * "
             f"{audit['g_derived_order']}^2; intersections trivial"
@@ -358,31 +364,23 @@ def _derived_decomposition(nu: NuGroup):
     return "FAIL", "derived subgroup decomposition audit failed", witness
 
 
-def _centralizer_bound(eta: EtaGroup, n_elements, k_elements):
+def _centralizer_bound(frame: _Frame):
     """Conjugacy classes of tensors are no larger than the tensor set.
 
     T(N,K) is a finite normal subset of M = <N, K^phi>, so the index of
     each member's centralizer in M is bounded by |T(N,K)|.
     """
-    N = tuple(sorted(set(n_elements)))
-    K = tuple(sorted(set(k_elements)))
-    big_m, tset = _tensor_frame(eta, N, K)
-    try:
-        sizes = _class_sizes(big_m, tset)
-    except InvarianceError as err:
+    if isinstance(frame.sizes, InvarianceError):
         detail = "tensor set is not a normal subset, bound does not apply"
-        return "FAIL", detail, err.witness
-
-    bound = tset.size
-    worst = 0
-    for t, index in zip(tset.members, sizes):
-        worst = max(worst, index)
+        return "FAIL", detail, dict(frame.sizes.witness)
+    tset, bound = frame.tset, frame.tset.size
+    for t, index in zip(tset.members, frame.sizes):
         if index > bound:
             witness = {"member": list(tset.pair_for[t]), "index": index, "bound": bound}
             return "FAIL", f"class size {index} exceeds |T(N,K)| = {bound}", witness
     detail = (
-        f"largest class size {worst} <= {bound} over {tset.size} members, "
-        f"|M| = {big_m.order()}"
+        f"largest class size {max(frame.sizes, default=0)} <= {bound} over {tset.size} "
+        f"members, |M| = {frame.big_m.order()}"
     )
     return "PASS", detail, None
 
@@ -535,84 +533,72 @@ def _mu_quotient(nu: NuGroup):
     return "FAIL", "quotient of the tensor subgroup by mu is not G'", witness
 
 
-def _theorem_A(eta: EtaGroup, n_elements, k_elements):
-    """The five structural steps behind Theorem A, over one carrier.
+def _mutually_invariant(frame: _Frame) -> bool:
+    """Theorem A's precondition: K's action keeps N inside N, and N's keeps K inside K."""
+    goh, hog = frame.eta.pair.g_on_h.rows, frame.eta.pair.h_on_g.rows
+    nset, kset = set(frame.N), set(frame.K)
+    pairs = [(n, k) for n in frame.N for k in frame.K]
+    return all(hog[k][n] in nset and goh[n][k] in kset for n, k in pairs)
 
-    Steps (1)-(3) are unconditional: the restricted tensor set is a normal
-    subset of M = <N, K^phi>, the subgroup it generates is normal in M, and
-    the triple brackets [n,k^phi,h^phi] land in T^-1 T and generate
-    [N,K^phi,K^phi].  Steps (4) and (5) only apply under their printed
-    hypotheses ([N,K^phi] abelian, K^phi centralizing [N,K^phi]); the
-    report records whether each hypothesis held.
 
-    Each step checks all of its tuples with a few whole-array passes; its
-    witness is the first failure in the order (n, k, h) for step (3),
-    (n, h, k) for step (4) and (n, k) for step (5).
+def _mismatch(step: int, axes, observed, expected, names=("square", "expected")) -> dict | None:
+    """The first spot in C order where observed != expected, as a step's witness.
+
+    axes name each array axis and list its elements; names key the two values.
     """
-    g, h = eta.pair.g, eta.pair.h
-    goh, hog = eta.pair.g_on_h.rows, eta.pair.h_on_g.rows
-    carrier = eta.carrier
-    N = tuple(sorted(set(n_elements)))
-    K = tuple(sorted(set(k_elements)))
-    nset, kset = set(N), set(K)
+    spot = _first(observed != expected)
+    if spot is None:
+        return None
+    witness = {"step": step, **{name: elements[x] for (name, elements), x in zip(axes, spot)}}
+    return {**witness, names[0]: int(observed[spot]), names[1]: int(expected[spot])}
 
-    invariant = all(hog[k][n] in nset for k in K for n in N) and all(
-        goh[n][k] in kset for n in N for k in K
-    )
-    if not invariant:
-        return (
-            "FAIL",
-            "precondition fails: N and K are not mutually invariant",
-            {"n_elements": list(N), "k_elements": list(K)},
-        )
 
-    big_m, tset = _tensor_frame(eta, N, K)
-    parts = [f"|N|={len(N)} |K|={len(K)} |T(N,K)|={tset.size} |M|={big_m.order()}"]
-    failures: list[dict] = []
-
-    try:
-        _class_sizes(big_m, tset)
-        parts.append("(1) normal subset")
-    except InvarianceError as err:
-        failures.append({"step": 1, **err.witness})
+def _normal_subset(frame: _Frame, parts: list[str], failures: list[dict]) -> None:
+    """Step (1): T(N,K) is a normal subset of M, as the frame's classes found."""
+    if isinstance(frame.sizes, InvarianceError):
+        failures.append({"step": 1, **frame.sizes.witness})
         parts.append("(1) FAILS")
+    else:
+        parts.append("(1) normal subset")
 
-    sub_a = eta.tensor_subgroup if tset is eta.tensor_set else carrier.subgroup(tset.members)
+
+def _normal_subgroup(frame: _Frame, parts: list[str], failures: list[dict]) -> PermGroup:
+    """Step (2): [N,K^phi], the subgroup T(N,K) generates, is normal in M; returns it."""
+    eta, tset = frame.eta, frame.tset
+    sub_a = eta.tensor_subgroup if tset is eta.tensor_set else eta.carrier.subgroup(tset.members)
     gens = np.asarray(sub_a.generators, dtype=np.intp)[:, None]
-    normal = all(map(sub_a.contains, carrier.conjugates(gens, big_m.generators).ravel().tolist()))
-    if normal:
+    conjugates = eta.carrier.conjugates(gens, frame.big_m.generators)
+    if all(map(sub_a.contains, conjugates.ravel().tolist())):
         parts.append(f"(2) [N,K^phi] of order {sub_a.order()} normal")
     else:
         failures.append({"step": 2, "subgroup_order": sub_a.order()})
         parts.append("(2) FAILS")
+    return sub_a
 
+
+def _triple_brackets(frame: _Frame, sub_a: PermGroup, parts, failures) -> np.ndarray:
+    """Step (3): the triple brackets lie in T^-1 T and generate [N,K^phi,K^phi].
+
+    Returns w[n, i, j] = [n, K[i]']^-1 [n^K[j], (K[i]^K[j])']: step (3)'s
+    t1^-1 t2 at (n, k, hh) = (n, K[i], K[j]), and step (4)'s w at (n, hh, k).
+    """
+    eta, N, K = frame.eta, frame.N, frame.K
+    carrier, h = eta.carrier, eta.pair.h
     n_arr, k_arr = np.array(N), np.array(K)
     k_inv = h.inverse_table[k_arr]
     key = eta.tensors[np.ix_(n_arr, k_arr)]
-    inverses = carrier.inverses(np.concatenate([key.ravel(), tset.members]))
+    inverses = carrier.inverses(np.concatenate([key.ravel(), frame.tset.members]))
     key_inv, members_inv = inverses[: key.size].reshape(key.shape), inverses[key.size :]
     t_nk = eta.times_bracket(members_inv[:, None, None], n_arr[:, None], k_arr[None, :])
     tinvt = set(t_nk.ravel().tolist())
 
-    # w[n, i, j] = [n, K[i]']^-1 [n^K[j], (K[i]^K[j])']: step (3)'s t1^-1 t2
-    # at (n, k, hh) = (n, K[i], K[j]), and step (4)'s w at (n, hh, k)
     n, i, j = n_arr[:, None, None], k_arr[None, :, None], k_arr[None, None, :]
-    hog_arr = eta.pair.h_on_g.array
-    w = eta.times_bracket(key_inv[:, :, None], hog_arr[j, n], h.conj_table()[i, j])
+    w = eta.times_bracket(key_inv[:, :, None], eta.pair.h_on_g.array[j, n], h.conj_table()[i, j])
     # [t1, hh'] = t1^-1 t1^hh, walked directly
-    start = eta.times_h(key_inv[:, :, None], k_inv[None, None, :])
-    direct = eta.times_h(eta.times_bracket(start, n, i), j)
-    spot = _first(direct != w)
-    identity_fail = None
-    if spot is not None:
-        identity_fail = {
-            "step": 3,
-            "n": N[spot[0]],
-            "k": K[spot[1]],
-            "h": K[spot[2]],
-            "bracket": int(direct[spot]),
-            "substitution": int(w[spot]),
-        }
+    direct = eta.times_h(eta.times_bracket(eta.times_h(key_inv[:, :, None], k_inv), n, i), j)
+    names = ("bracket", "substitution")
+    identity_fail = _mismatch(3, (("n", N), ("k", K), ("h", K)), direct, w, names)
+    if identity_fail:
         failures.append(identity_fail)
     # the distinct w, in order of first occurrence
     x_keys = list(dict.fromkeys(w.ravel().tolist()))
@@ -630,73 +616,85 @@ def _theorem_A(eta: EtaGroup, n_elements, k_elements):
             f"(3) {len(x_keys)} triple brackets inside T^-1 T generate "
             f"[N,K^phi,K^phi] of order {sub_s.order()}"
         )
-    else:
-        if not in_tinvt:
-            stray = sorted(set(x_keys) - tinvt)[0]
-            failures.append({"step": 3, "bracket_key": stray, "reason": "outside T^-1 T"})
-        if not generates_s:
-            failures.append(
-                {
-                    "step": 3,
-                    "generated_order": x_group.order(),
-                    "expected_order": sub_s.order(),
-                }
-            )
-        parts.append("(3) FAILS")
+        return w
+    if not in_tinvt:
+        stray = sorted(set(x_keys) - tinvt)[0]
+        failures.append({"step": 3, "bracket_key": stray, "reason": "outside T^-1 T"})
+    if not generates_s:
+        orders = {"generated_order": x_group.order(), "expected_order": sub_s.order()}
+        failures.append({"step": 3, **orders})
+    parts.append("(3) FAILS")
+    return w
 
+
+def _squares(step: int, hypothesis: str, unmet: str, squares, parts, failures) -> None:
+    """Steps (4) and (5): under the hypothesis, each square against its expected tensor.
+
+    squares is None when the hypothesis fails (unmet says how), and
+    otherwise (axes, square, expected) as _mismatch takes them.
+    """
+    if squares is None:
+        parts.append(f"({step}) hypothesis fails ({unmet}), step not applicable")
+    elif (witness := _mismatch(step, *squares)) is None:
+        parts.append(f"({step}) {hypothesis} hypothesis holds: {squares[1].size} squares match")
+    else:
+        failures.append(witness)
+        parts.append(f"({step}) FAILS")
+
+
+def _abelian_squares(frame: _Frame, sub_a: PermGroup, w: np.ndarray, parts, failures) -> None:
+    """Step (4): if [N,K^phi] is abelian, w^2 = [n1^2, k'] at (n, hh, k), n1 = n^-1 n^hh."""
+    squares = None
     if sub_a.is_abelian():
-        # n1 = n^-1 n^hh, and w^2 against [n1^2, k']
-        n1 = g.table[g.inverse_table[n], hog_arr[i, n]]
-        expected = eta.tensors[g.table[n1, n1], j]
-        square = carrier.products(w, w)
-        spot = _first(square != expected)
-        if spot is None:
-            parts.append(f"(4) abelian hypothesis holds: {square.size} squares match")
-        else:
-            failures.append(
-                {
-                    "step": 4,
-                    "n": N[spot[0]],
-                    "h": K[spot[1]],
-                    "k": K[spot[2]],
-                    "square": int(square[spot]),
-                    "expected": int(expected[spot]),
-                }
-            )
-            parts.append("(4) FAILS")
-    else:
-        parts.append("(4) hypothesis fails ([N,K^phi] not abelian), step not applicable")
+        eta, g, N, K = frame.eta, frame.eta.pair.g, frame.N, frame.K
+        n, i, j = np.array(N)[:, None, None], np.array(K)[None, :, None], np.array(K)[None, None, :]
+        n1 = g.table[g.inverse_table[n], eta.pair.h_on_g.array[i, n]]
+        axes = (("n", N), ("h", K), ("k", K))
+        squares = (axes, eta.carrier.products(w, w), eta.tensors[g.table[n1, n1], j])
+    _squares(4, "abelian", "[N,K^phi] not abelian", squares, parts, failures)
 
+
+def _centralizing_squares(frame: _Frame, sub_a: PermGroup, parts, failures) -> None:
+    """Step (5): if K^phi centralizes [N,K^phi], [n, k']^2 = [n, (k^2)'] at (n, k)."""
+    eta, h = frame.eta, frame.eta.pair.h
+    n_arr, k_arr = np.array(frame.N), np.array(frame.K)
     # a k' == k' a for every generator a of [N,K^phi] and k in K
     gens = np.array(sub_a.generators, dtype=np.int64)[None, :]
     k_points = eta.times_h(0, k_arr)[:, None]
-    hyp5 = np.array_equal(eta.times_h(gens, k_arr[:, None]), carrier.products(k_points, gens))
-    if hyp5:
-        square = carrier.products(key, key)
+    squares = None
+    if np.array_equal(eta.times_h(gens, k_arr[:, None]), eta.carrier.products(k_points, gens)):
+        key = eta.tensors[np.ix_(n_arr, k_arr)]
         expected = eta.tensors[n_arr[:, None], h.table[k_arr, k_arr][None, :]]
-        spot = _first(square != expected)
-        if spot is None:
-            parts.append(f"(5) centralizing hypothesis holds: {square.size} squares match")
-        else:
-            failures.append(
-                {
-                    "step": 5,
-                    "n": N[spot[0]],
-                    "k": K[spot[1]],
-                    "square": int(square[spot]),
-                    "expected": int(expected[spot]),
-                }
-            )
-            parts.append("(5) FAILS")
-    else:
-        parts.append(
-            "(5) hypothesis fails (K^phi does not centralize [N,K^phi]), "
-            "step not applicable"
-        )
+        squares = ((("n", frame.N), ("k", frame.K)), eta.carrier.products(key, key), expected)
+    _squares(5, "centralizing", "K^phi does not centralize [N,K^phi]", squares, parts, failures)
 
-    verdict = "PASS" if not failures else "FAIL"
-    witness = failures[0] if failures else None
-    return verdict, "; ".join(parts), witness
+
+def _theorem_A(frame: _Frame):
+    """The five structural steps behind Theorem A, over one frame.
+
+    Steps (1)-(3) are unconditional: the restricted tensor set is a normal
+    subset of M = <N, K^phi>, the subgroup it generates is normal in M, and
+    the triple brackets [n,k^phi,h^phi] land in T^-1 T and generate
+    [N,K^phi,K^phi].  Steps (4) and (5) only apply under their printed
+    hypotheses ([N,K^phi] abelian, K^phi centralizing [N,K^phi]); the
+    report records whether each hypothesis held.
+
+    Each step checks all of its tuples with a few whole-array passes; its
+    witness is the first failure in the order (n, k, h) for step (3),
+    (n, h, k) for step (4) and (n, k) for step (5).
+    """
+    N, K = frame.N, frame.K
+    if not _mutually_invariant(frame):
+        detail = "precondition fails: N and K are not mutually invariant"
+        return "FAIL", detail, {"n_elements": list(N), "k_elements": list(K)}
+    parts = [f"|N|={len(N)} |K|={len(K)} |T(N,K)|={frame.tset.size} |M|={frame.big_m.order()}"]
+    failures: list[dict] = []
+    _normal_subset(frame, parts, failures)
+    sub_a = _normal_subgroup(frame, parts, failures)
+    w = _triple_brackets(frame, sub_a, parts, failures)
+    _abelian_squares(frame, sub_a, w, parts, failures)
+    _centralizing_squares(frame, sub_a, parts, failures)
+    return ("FAIL" if failures else "PASS"), "; ".join(parts), (failures[0] if failures else None)
 
 
 def _finiteness(nu: NuGroup):
@@ -795,8 +793,9 @@ def _conjugation_group(cp: CorpusPair) -> TableGroup | None:
     return None
 
 
-# A scope lists a claim's jobs over a corpus: (instance, host pair, extra
-# arguments for the check after its subject).
+# A scope lists a claim's jobs over a corpus: (instance, host pair, args).
+# The args follow the subject into the check, except for a frame's job,
+# whose args are the N and K its frame is built from.
 
 
 def _every_pair(corpus: Corpus):
@@ -809,29 +808,19 @@ def _pairs_and_rejects(corpus: Corpus):
 
 
 def _trivial_pairs(corpus: Corpus):
-    return [
-        (cp.label, cp, (cp.pair,))
-        for cp in corpus.pairs
-        if cp.pair.g_on_h.is_trivial() and cp.pair.h_on_g.is_trivial()
-    ]
+    pairs = [cp for cp in corpus.pairs if cp.pair.g_on_h.is_trivial()]
+    return [(cp.label, cp, (cp.pair,)) for cp in pairs if cp.pair.h_on_g.is_trivial()]
 
 
 def _conjugation_instances(corpus: Corpus):
-    return [
-        (cp.label, cp, ())
-        for cp in corpus.pairs
-        if _conjugation_group(cp) is not None
-    ]
+    return [(cp.label, cp, ()) for cp in corpus.pairs if _conjugation_group(cp) is not None]
 
 
 def _pairs_and_cases(corpus: Corpus):
     hosts = {cp.label: cp for cp in (*corpus.pairs, *corpus.incompatible)}
-    jobs = [
-        (cp.label, cp, (range(cp.pair.g.n), range(cp.pair.h.n))) for cp in corpus.pairs
-    ]
-    for case in corpus.subgroup_cases:
-        jobs.append((case.label, hosts[case.host], (case.n_elements, case.k_elements)))
-    return jobs
+    jobs = [(cp.label, cp, (range(cp.pair.g.n), range(cp.pair.h.n))) for cp in corpus.pairs]
+    cases = corpus.subgroup_cases
+    return jobs + [(c.label, hosts[c.host], (c.n_elements, c.k_elements)) for c in cases]
 
 
 class _Claim(NamedTuple):
@@ -839,7 +828,7 @@ class _Claim(NamedTuple):
 
     id: str
     scope: Callable[[Corpus], list]
-    subject: str  # what the check gets first: "pair", "eta" or "nu"
+    subject: str  # what the check gets first: "pair", "eta", "nu" or "frame"
     check: Callable[..., tuple]
 
 
@@ -848,10 +837,10 @@ _CLAIMS = (
     _Claim("decomposition", _every_pair, "eta", _decomposition),
     _Claim("ztensor", _trivial_pairs, "eta", _ztensor),
     _Claim("lemma21", _conjugation_instances, "nu", _derived_decomposition),
-    _Claim("lemma22", _pairs_and_cases, "eta", _centralizer_bound),
+    _Claim("lemma22", _pairs_and_cases, "frame", _centralizer_bound),
     _Claim("lemma23", _every_pair, "eta", _lemma_identities),
     _Claim("mu-quotient", _conjugation_instances, "nu", _mu_quotient),
-    _Claim("thma", _pairs_and_cases, "eta", _theorem_A),
+    _Claim("thma", _pairs_and_cases, "frame", _theorem_A),
     _Claim("cor32", _conjugation_instances, "nu", _finiteness),
     _Claim("prop31-delta", _conjugation_instances, "nu", _delta_divisibility),
     _Claim("thmc-pi", _conjugation_instances, "nu", _prime_support),
@@ -868,7 +857,8 @@ def _build(hosts: list[CorpusPair], max_cosets: int) -> dict[str, dict]:
     kept in place of the construction and replayed by every claim that
     needs it.  Both constructors are looked up in this module's namespace
     at call time, so a caller may rebind them (perfbench serves prebuilt
-    instances this way).
+    instances this way).  run_corpus then adds the tensor frames, which
+    count as construction too.
     """
     built: dict[str, dict] = {}
     for cp in hosts:
@@ -893,8 +883,10 @@ def run_corpus(
 
     claim_filter keeps only claims whose id contains the given substring.
     The instances the kept claims need are constructed once, before any
-    check runs, so a report's elapsed time excludes construction;
-    instances that exceed max_cosets yield SKIPPED reports.
+    check runs, and so is each (N, K) tensor frame that lemma22 or thma
+    reads, stored under its own instance label; a report's elapsed time
+    excludes construction.  Instances that exceed max_cosets, and their
+    frames, yield SKIPPED reports.
     """
     if corpus is None:
         corpus = default_corpus()
@@ -907,12 +899,19 @@ def run_corpus(
     needed = {cp.label for claim, (_, cp, _) in jobs if claim.subject != "pair"}
     hosts = [cp for cp in (*corpus.pairs, *corpus.incompatible) if cp.label in needed]
     built = _build(hosts, max_cosets)
+    for claim, (instance, cp, args) in jobs:
+        if claim.subject == "frame" and "frame" not in built.setdefault(instance, {}):
+            eta = built[cp.label]["eta"]
+            frame = eta if isinstance(eta, Exception) else _tensor_frame(eta, *args)
+            built[instance]["frame"] = frame
     reports: list[ClaimReport] = []
     for claim, (instance, cp, args) in jobs:
         if claim.subject == "pair":
             subject = cp.pair
+        elif claim.subject == "frame":
+            subject, args = built[instance]["frame"], ()
         else:
-            subject = built[cp.label][claim.subject]
+            subject = built[instance][claim.subject]
         if isinstance(subject, Exception):
             reports.append(_timed(claim.id, instance, _refusal, subject))
         else:

@@ -989,7 +989,8 @@ def looped_theorem_A(eta, n_elements, k_elements):
             {"n_elements": list(N), "k_elements": list(K)},
         )
 
-    big_m, tset = _tensor_frame(eta, N, K)
+    frame = _tensor_frame(eta, N, K)
+    big_m, tset = frame.big_m, frame.tset
     conjugations = [conjugation_map(carrier, c) for c in big_m.generators]
     parts = [f"|N|={len(N)} |K|={len(K)} |T(N,K)|={tset.size} |M|={big_m.order()}"]
     failures: list[dict] = []

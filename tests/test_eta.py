@@ -48,7 +48,7 @@ from etacalc.groups import (
     table_from_perms,
 )
 from etacalc.perm import abelian_invariants_of
-from etacalc.verify import _build, _class_sizes, default_corpus
+from etacalc.verify import _build, _centralizer_bound, _tensor_frame, _theorem_A, default_corpus
 from oracles import (
     brown_loday_presentation,
     build_eta_presentation,
@@ -139,11 +139,11 @@ def test_eta_s3_conjugation_structure():
             t = eta.tensor(gg, hh)
             assert t == carrier.comm(eta.embed_g[gg], eta.embed_h[hh])
             for g1 in range(6):
-                lhs = carrier.conj(t, eta.embed_g[g1])
+                lhs = carrier.conjugates(t, eta.embed_g[g1])
                 rhs = eta.tensor(s3.conj(gg, g1), goh[g1][hh])
                 assert lhs == rhs
             for h1 in range(6):
-                lhs = carrier.conj(t, eta.embed_h[h1])
+                lhs = carrier.conjugates(t, eta.embed_h[h1])
                 rhs = eta.tensor(hog[h1][gg], s3.conj(hh, h1))
                 assert lhs == rhs
 
@@ -187,16 +187,17 @@ def test_element_arithmetic_equals_the_carrier_products(monkeypatch, workload, s
 
 
 def test_tensor_set_is_normal_in_carrier():
-    # verify's lemma22 and thma step (1) read invariance off centralizer_index,
-    # whose witness names the escaping member by its pair
+    # lemma22 and thma step (1) read invariance off one frame, whose witness
+    # names the escaping member by its pair, rewritten once when it is built
     eta = construct_eta(conjugation_pair(symmetric3()))
     carrier = eta.carrier
-    assert len(_class_sizes(carrier, eta.tensor_set)) == eta.tensor_set.size
+    everything = (range(6), range(6))
+    assert len(_tensor_frame(eta, *everything).sizes) == eta.tensor_set.size
     # find a member whose conjugate is a different member, prune the target
     target = None
     for t in eta.tensor_set.members:
         for c in carrier.generators:
-            image = carrier.conj(t, c)
+            image = int(carrier.conjugates(t, c))
             if image != t and image != 0:
                 target = image
                 break
@@ -207,10 +208,16 @@ def test_tensor_set_is_normal_in_carrier():
         tuple(p for p in eta.tensor_set.members if p != target),
         dict(eta.tensor_set.pair_for),
     )
-    with pytest.raises(InvarianceError) as exc:
-        _class_sizes(carrier, pruned)
+    eta.tensor_set = pruned  # the full pair's frame reads the carrier's tensor set
+    frame = _tensor_frame(eta, *everything)
+    assert frame.tset is pruned and isinstance(frame.sizes, InvarianceError)
     maps = [conjugation_map(carrier, c) for c in carrier.generators]
-    assert exc.value.witness == looped_invariance_witness(pruned, maps)
+    expected = looped_invariance_witness(pruned, maps)
+    assert frame.sizes.witness == expected
+    for _ in range(2):  # both checks, twice, name the member by the same pair
+        assert _centralizer_bound(frame)[::2] == ("FAIL", expected)
+        assert _theorem_A(frame)[::2] == ("FAIL", {"step": 1, **expected})
+    assert frame.sizes.witness == expected
 
 
 def test_eta_keeps_the_enumerated_presentation():

@@ -57,7 +57,7 @@ def test_nu_s3():
     assert nu.mu.is_central_in(nu.carrier)
     for m in nu.mu.generators:
         for c in nu.carrier.generators:
-            assert nu.carrier.conj(m, c) == m
+            assert nu.carrier.conjugates(m, c) == m
     report = check_derived_decomposition(nu)
     assert report["ok"]
     assert report["derived_order"] == nu.tensor_order() * 9

@@ -115,8 +115,8 @@ def test_perm_basics():
     assert sorted(g.element_orders()) == [1, 2, 2, 2, 3, 3]
     assert g.comm(p, g.mul(p, p)) == 0  # powers commute
     assert g.comm(p, r) == g.mul(g.mul(g.mul(g.inv(p), g.inv(r)), p), r)
-    assert g.conj(p, r) == g.mul(g.mul(g.inv(r), p), r) == g.inv(p)
-    assert g.conjugates(p, r) == g.conj(p, r) == conjugation_map(g, r)[p]
+    assert g.conjugates(p, r) == g.mul(g.mul(g.inv(r), p), r) == g.inv(p)
+    assert g.conjugates(p, r) == conjugation_map(g, r)[p]
 
 
 def test_perm_validation():
@@ -155,7 +155,6 @@ def test_trivial_group():
     assert t4.n == 1 and elements_of(t4, 4) == naive_closure([tuple(range(4))])
     trivial = PermGroup(s3()[0])
     assert trivial.order() == 1
-    assert trivial.is_trivial()
     assert 0 in trivial
     assert trivial.elements() == [0]
     one = regular_of(cyclic(1)).carrier
@@ -266,7 +265,7 @@ def test_normal_closure_is_normal():
     assert v4.order() == 4
     for x in v4.elements():
         for c in g.generators:
-            assert v4.contains(g.conj(x, c))
+            assert v4.contains(int(g.conjugates(x, c)))
 
 
 def test_derived_subgroup():
@@ -621,7 +620,6 @@ def test_point_arithmetic_matches_column_composition(name, data):
 
     assert g.mul(p, q) == point(u + v)
     assert g.inv(p) == point(inverse_word(u))
-    assert g.conj(p, q) == point(inverse_word(v) + u + v)
     assert g.comm(p, q) == point(inverse_word(u) + inverse_word(v) + u + v)
     assert right_multiplication(g, q).tolist() == compose_columns(columns, v)
     assert g.conjugates(p, q) == point(inverse_word(v) + u + v)
@@ -642,6 +640,7 @@ def test_array_arithmetic_matches_scalar(name):
     assert products.tolist() == [[g.mul(a, b) for b in q.tolist()] for a in p.tolist()]
     assert g.inverses(p).tolist() == [g.inv(a) for a in p.tolist()]
     conjugates = g.conjugates(p[:, None], q[None, :])
-    assert conjugates.tolist() == [[g.conj(a, b) for b in q.tolist()] for a in p.tolist()]
+    scalar = [[g.mul(g.mul(g.inv(b), a), b) for b in q.tolist()] for a in p.tolist()]
+    assert conjugates.tolist() == scalar
     trivial = construct_eta(trivial_pair(cyclic(1), cyclic(1))).carrier
     assert trivial.products([0], 0).tolist() == [0] and trivial.inverses([0]).tolist() == [0]

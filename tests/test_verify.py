@@ -252,7 +252,9 @@ def test_batched_bracket_checks_equal_the_loops(monkeypatch, workload):
     for claim in verify._CLAIMS:
         for instance, cp, args in claim.scope(corpus) if claim.id in loops else ():
             eta = built[cp.label]["eta"]
-            assert claim.check(eta, *args) == loops[claim.id](eta, *args), (claim.id, instance)
+            subject = verify._tensor_frame(eta, *args) if claim.subject == "frame" else eta
+            batched = claim.check(subject)
+            assert batched == loops[claim.id](eta, *args), (claim.id, instance)
             jobs += 1
     assert jobs == {"corpus-default": 76, "corpus-general": 32}[workload]
 
@@ -293,9 +295,10 @@ def test_subgroups_and_homs_equal_the_fifo_oracles(monkeypatch, workload):
         orbit, tree = _oracle_tree(f.source)
         labels = tree_walk_labels(orbit, tree, f.target, f.generator_images, f.source.degree)
         assert f._labels.tolist() == labels
-    # rho and rho' of each nu; the general corpus builds no nu
+    # rho and rho' of each nu; the general corpus builds no nu. Each subgroup
+    # case's M is built once, in its frame, which lemma22 and thma share
     assert (len(subgroups), len(homs)) == {
-        "corpus-default": (191, 42),
+        "corpus-default": (187, 42),
         "corpus-general": (48, 0),
     }[workload]
 
@@ -340,11 +343,12 @@ def test_full_pair_frame_is_the_carrier(monkeypatch, workload):
         embedded = [eta.embed_g[a] for a in g.generating_subset()]
         embedded += [eta.embed_h[b] for b in h.generating_subset()]
         assert list(eta.carrier.generators) == embedded, cp.label
-        big_m, tset = verify._tensor_frame(eta, tuple(range(g.n)), tuple(range(h.n)))
-        assert big_m is eta.carrier and tset is eta.tensor_set
-        points = np.arange(eta.carrier.degree)
-        for c in big_m.generators:
-            assert np.array_equal(big_m.conjugates(points, c), conjugation_map(big_m, c))
+        frame = verify._tensor_frame(eta, range(g.n), range(h.n))
+        assert frame.big_m is eta.carrier and frame.tset is eta.tensor_set
+        carrier = eta.carrier
+        points = np.arange(carrier.degree)
+        for c in carrier.generators:
+            assert np.array_equal(carrier.conjugates(points, c), conjugation_map(carrier, c))
 
 
 @pytest.mark.parametrize("workload", ["corpus-default", "corpus-general"])
@@ -373,13 +377,28 @@ def test_centralizer_index_equals_the_class_bfs(monkeypatch, workload):
     (claim,) = [claim for claim in verify._CLAIMS if claim.id == "lemma22"]
     frames = 0
     for instance, cp, (n_elements, k_elements) in claim.scope(corpus):
-        eta = built[cp.label]["eta"]
-        N, K = tuple(sorted(set(n_elements))), tuple(sorted(set(k_elements)))
-        big_m, tset = verify._tensor_frame(eta, N, K)
-        expected = looped_class_sizes(big_m, tset.members)
-        assert centralizer_index(big_m, tset.members) == expected, instance
+        frame = verify._tensor_frame(built[cp.label]["eta"], n_elements, k_elements)
+        expected = looped_class_sizes(frame.big_m, frame.tset.members)
+        assert frame.sizes == expected, instance
         frames += 1
     assert frames == len(corpus.pairs) + len(corpus.subgroup_cases)
+
+
+def test_one_frame_per_instance(monkeypatch):
+    # lemma22 and thma read one frame per instance, built once, so
+    # centralizer_index runs once for each of the 36 pairs and 4 subgroup
+    # cases, whether one or both of the claims is selected
+    calls = []
+
+    def counted(group, members):
+        calls.append(group)
+        return centralizer_index(group, members)
+
+    monkeypatch.setattr(verify, "centralizer_index", counted)
+    for claim_filter in (None, "lemma22", "thma"):
+        calls.clear()
+        run_corpus(claim_filter=claim_filter)
+        assert len(calls) == 40, claim_filter
 
 
 def test_abelian_invariants_of_equal_the_census_or_none(monkeypatch):
@@ -461,7 +480,7 @@ def test_swapped_tensors_fail_both_checks_as_the_loops_do(name, failing_steps):
     json.dumps(report[2])  # witness values are plain ints
 
     everything = (range(eta.pair.g.n), range(eta.pair.h.n))
-    report = _theorem_A(eta, *everything)
+    report = _theorem_A(verify._tensor_frame(eta, *everything))
     assert report[0] == "FAIL"
     failing = {int(part[1]) for part in report[1].split("; ") if part.endswith("FAILS")}
     assert failing == failing_steps
