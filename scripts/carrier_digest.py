@@ -6,10 +6,12 @@ Builds construct_eta for every pair of corpus-default and of corpus-general
 at each SEED (default 0 and 7), then for the trivial-action pairs of
 DEGENERATE, whose G (x) H is trivial because a factor is, and prints one
 line per instance: its label, then a SHA-256 of the carrier's columns, of
-its tree's edge columns and parents, and of its level bounds. Two checkouts that print the same
-lines build the same carriers, point for point and edge for edge, so a
-change to enumeration, assembly or certification can be checked against
-its parent by comparing the outputs of the two.
+its tree's edge columns and parents, and of its level bounds, all in the
+canonical numbering of tests/oracles.py's bfs_renumber, and checked there
+against the carrier's own tree. Two checkouts that print the same lines
+build the same carriers up to numbering, point for point and edge for edge,
+so a change to enumeration, assembly or certification can be checked
+against its parent by comparing the outputs of the two.
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ import hashlib
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+REPO = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(REPO / "perfbench"), str(REPO / "tests")]
 
 import corpora  # noqa: E402
 import numpy as np  # noqa: E402
+from oracles import canonical_carrier  # noqa: E402
 from etacalc.action import trivial_pair  # noqa: E402
 from etacalc.errors import CapacityError  # noqa: E402
 from etacalc.eta import construct_eta  # noqa: E402
@@ -33,8 +37,8 @@ DEGENERATE = (("C1", "C1"), ("C1", "C4"), ("S3", "C1"))
 
 def digest(carrier) -> str:
     sha = hashlib.sha256()
-    bounds = [level.stop for level, _, _ in carrier._levels]
-    for part in (carrier._columns, carrier._column, carrier._parent, bounds):
+    rows, (column, parent, bounds) = canonical_carrier(carrier)
+    for part in (rows.T, column, parent, bounds[1:]):
         part = np.asarray(part, dtype=np.int64)
         sha.update(repr(part.shape).encode() + part.tobytes())
     return sha.hexdigest()

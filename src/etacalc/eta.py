@@ -33,17 +33,19 @@ meet the fibre t = e once, in the point 0 w(x) w(y); a word fixing those
 identity column added: _cocycle names sigma as some t(a, b)^-1 or the
 identity, and _shrink's column map, with the identity last, gives the
 column that acts so, an eliminated generator reading its survivor's. The
-assembled table is renumbered canonically, and eta's presentation above is
-walked on it from the fibre alone by T's own word walker (_audit_carrier).
-The table is then a transitive action of eta on |T| |G| |H| >= |eta|
-points, so it is the regular action, and an element is the point it sends 0
-to: embed_g, embed_h, the tensors and every subgroup generator are plain
-ints. Points times an element of G or of H, for whole arrays of points and
-elements at once, are EtaGroup.times_g and times_h, and a bracket [a, b']
-is four such steps (times_bracket). Those methods are the only readers of
-the arrays they look the elements up in, so another representation of the
-elements changes this module alone. The full families are checked the same
-way. A failed audit is a bug.
+assembled table keeps its numbering: t x y is the point (t |G| + x) |H| + y,
+so x in G is the point x |H|, y in H is y, and T is the multiples of
+|G| |H|. eta's presentation above is walked on it from the fibre alone by
+T's own word walker (_audit_carrier), and the carrier checks that 0 reaches
+every point. The table is then a transitive action of eta on
+|T| |G| |H| >= |eta| points, so it is the regular action, and an element
+is the point it sends 0 to: embed_g, embed_h, the tensors and every
+subgroup generator are plain ints. Points times an element of G or of H,
+for whole arrays of points and elements at once, are EtaGroup.times_g and
+times_h, and a bracket [a, b'] is four such steps (times_bracket). Those
+methods are the only readers of the arrays they look the elements up in,
+so another representation of the elements changes this module alone. The
+full families are checked the same way. A failed audit is a bug.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ from .fpgroup import (
     _first_failure,
     _letter_positions,
     audit_blocks,
-    bfs_renumber,
     regular_representation,
     todd_coxeter,
 )
@@ -454,7 +455,7 @@ def _tensor_table(pair: ActionPair, max_cosets: int) -> tuple[np.ndarray, np.nda
 
 
 def _assemble(pair: ActionPair, steps: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """Columns of eta acting on its elements t x y, numbered (t |G| + x) |H| + y.
+    """Columns of eta, a contiguous row each, on its elements t x y as (t |G| + x) |H| + y.
 
     steps and columns are _tensor_table's. An H generator s sends t x y to
     t x (ys). A G generator s sends it to (t sigma)(xs) y, where sigma is
@@ -475,10 +476,10 @@ def _assemble(pair: ActionPair, steps: np.ndarray, columns: np.ndarray) -> np.nd
               for s in g.generating_subset()]
     images += [(t * ng + x) * nh + h.table[y, s] for s in h.generating_subset()]
     points = np.arange(nt * ng * nh, dtype=np.int32)
-    table = np.empty((len(points), 2 * len(images)), dtype=np.int32)
+    table = np.empty((2 * len(images), len(points)), dtype=np.int32)
     for i, image in enumerate(images):
-        table[:, 2 * i] = image.ravel()
-        table[image.ravel(), 2 * i + 1] = points
+        table[2 * i] = image.ravel()
+        table[2 * i + 1, image.ravel()] = points
     return table
 
 
@@ -522,7 +523,7 @@ def construct_eta(pair: ActionPair, *, max_cosets: int = DEFAULT_MAX_COSETS) -> 
     tensor = _tensor_table(pair, max_cosets)
     _require_room(len(tensor[0]) * g.n * h.n, max_cosets)
     try:
-        carrier, columns = regular_representation(*bfs_renumber(_assemble(pair, *tensor)))
+        carrier, columns = regular_representation(_assemble(pair, *tensor))
     except IncompleteTableError as err:
         raise ConstructionError(f"assembled table: {err}") from err
     # a transitive action of the presented eta on |T| |G| |H| >= |eta| points is regular

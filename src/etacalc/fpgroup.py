@@ -22,24 +22,24 @@ a no-op: the enumeration is HLT's step for step, with the same definitions,
 coincidences, compactions and capacity errors. Every scan keeps the table's
 mirror invariant (an entry and its inverse entry are set and cleared
 together), which is what makes coincidence processing able to repair every
-stale reference by walking dead rows. Tables are renumbered by breadth-first
-search from coset 0 over the columns in order before they are returned
-(bfs_renumber, which also renumbers tables built by other means), so the
-numbering depends only on the group itself, not on the enumeration history.
+stale reference by walking dead rows. A table keeps the numbering its
+enumeration ends in, compacted: the live cosets in the order they were
+defined, the subgroup's coset 0 first. Only its checks walk it from 0: an
+undefined entry, or a coset no path from 0 reaches, is IncompleteTableError.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import CapacityError, ConstructionError, IncompleteTableError, ParseError
-from .perm import PermGroup, _first_reached
+from .perm import PermGroup, _fifo_tree
 
 __all__ = [
     "Presentation",
@@ -293,12 +293,11 @@ def parse_presentation(text: str) -> Presentation:
 
 @dataclass(frozen=True, eq=False)
 class CosetTable:
-    """A complete, audited, canonically numbered coset table and its BFS tree."""
+    """A complete, audited coset table, numbered as its enumeration left it."""
 
     presentation: Presentation
     n: int
     rows: np.ndarray  # (n, ncols) int32: one row per coset, one entry per column
-    _tree: tuple = field(repr=False)  # (column, parent, bounds) from bfs_renumber
 
     @property
     def ncols(self) -> int:
@@ -527,53 +526,12 @@ class _Enumerator:
                                 row = alpha * self.nc
             alpha += 1
 
-    def finish(self) -> tuple[np.ndarray, tuple]:
-        """Compact, then renumber canonically (see bfs_renumber)."""
+    def finish(self) -> np.ndarray:
+        """Compact, and return the (n, ncols) table read-only, as CosetTable holds it."""
         self.compact(0)
         flat = np.frombuffer(self.tbl, dtype=np.int32)[: self.nrows * self.nc]
-        return bfs_renumber(flat.reshape(self.nrows, self.nc))
-
-
-def bfs_renumber(table: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Renumber a complete (n, ncols) table by BFS from 0 over the columns in order.
-
-    The numbering depends only on the action and its base point 0, not on
-    how the table was built. Returns the renumbered (n, ncols) int32 table,
-    read-only, as CosetTable holds it, and the BFS tree as
-    PermGroup.regular takes it: (column, parent, bounds), the column of
-    the edge that first reached each point and that edge's parent, as
-    int32 arrays (-1 and 0 at the root), and the level bounds. Points are
-    numbered a level at a time, so depth d holds the points bounds[d-1]
-    to bounds[d] - 1.
-
-    A whole level is taken at once: its rows, flattened in row-major
-    order, list the edges in the order a FIFO queue visits them, so the
-    earliest edge to each unvisited point is the one that reaches it.
-    """
-    n, nc = table.shape
-    if table.min(initial=0) < 0:
-        raise IncompleteTableError("enumeration left an undefined entry")
-    order = np.full(n, -1, dtype=np.int32)  # old -> new
-    order[0] = 0
-    first = np.empty(n, dtype=np.int64)  # earliest edge of a level reaching each point
-    frontier = np.zeros(1, dtype=np.int32)
-    cols, parents, bounds = [np.full(1, -1)], [np.zeros(1, dtype=np.int32)], [1]
-    while True:
-        reached = table[frontier].ravel()
-        fresh = _first_reached(reached, np.flatnonzero(order[reached] < 0), first)
-        if not fresh.size:
-            break
-        cols.append(fresh % nc)
-        parents.append(order[frontier[fresh // nc]])
-        frontier = reached[fresh]
-        order[frontier] = np.arange(bounds[-1], bounds[-1] + frontier.size, dtype=np.int32)
-        bounds.append(bounds[-1] + frontier.size)
-    if bounds[-1] != n:
-        raise IncompleteTableError("coset graph is not connected from coset 0")
-    renumbered = np.empty((n, nc), dtype=np.int32)
-    renumbered[order] = order[table]
-    renumbered.setflags(write=False)
-    return renumbered, (np.concatenate(cols).astype(np.int32), np.concatenate(parents), bounds)
+        flat.setflags(write=False)
+        return flat.reshape(self.nrows, self.nc)
 
 
 # The audits walk words in blocks of about this many (word, coset) pairs,
@@ -638,29 +596,30 @@ def _audit_table(table: CosetTable) -> None:
 def todd_coxeter(presentation: Presentation, *, max_cosets: int = DEFAULT_MAX_COSETS) -> CosetTable:
     """Enumerate the cosets of the trivial subgroup: the presented group's elements.
 
-    Returns a complete table, renumbered canonically and audited against
-    every relator at every coset; raises CapacityError if the enumeration
-    needs more than max_cosets simultaneously live-plus-dead cosets even
-    after compaction.
+    Returns a complete table, numbered as the enumeration left it and
+    audited against every relator at every coset; raises
+    IncompleteTableError if an entry is undefined or a coset is not reached
+    from coset 0, and CapacityError if the enumeration needs more than
+    max_cosets simultaneously live-plus-dead cosets even after compaction.
     """
     enum = _Enumerator(presentation, max_cosets)
     enum.run()
-    rows, tree = enum.finish()
-    table = CosetTable(presentation=presentation, n=len(rows), rows=rows, _tree=tree)
+    rows = enum.finish()
+    _fifo_tree(rows.T)  # for its IncompleteTableErrors only
+    table = CosetTable(presentation=presentation, n=len(rows), rows=rows)
     _audit_table(table)
     return table
 
 
-def regular_representation(rows: np.ndarray, tree: tuple) -> tuple[PermGroup, np.ndarray]:
-    """The regular carrier of a complete table, and its columns.
+def regular_representation(columns: np.ndarray) -> tuple[PermGroup, np.ndarray]:
+    """The regular carrier of a complete table given by its columns, and the columns.
 
-    rows and tree are as bfs_renumber returns them. The caller certifies
-    that the table is the regular action of a group on itself, by
-    todd_coxeter's relator audit or construct_eta's point chasing; the
-    carrier's order is then the number of points. Row 2i of the columns is
-    generator i's right-multiplication array on the points and row 2i + 1
-    its inverse's; generator i's point is its entry at 0.
+    Row 2i of the columns is generator i's right-multiplication array on
+    the points and row 2i + 1 its inverse's; generator i's point is its
+    entry at 0. The caller certifies that the table is the regular action
+    of a group on itself, by todd_coxeter's relator audit or construct_eta's
+    point chasing; the carrier's order is then the number of points.
     """
     # one contiguous array per column, as _audit_carrier reads them
-    columns = rows.T.copy()
-    return PermGroup.regular(columns, tree), columns
+    columns = np.ascontiguousarray(columns)
+    return PermGroup.regular(columns), columns

@@ -95,30 +95,38 @@ def check_derived_decomposition(nu: NuGroup) -> dict:
 
     The derived subgroup must equal the threefold product of the tensor
     subgroup and the two embedded copies of G's derived subgroup: orders
-    multiply, the products cover without repetition, and the three factors
-    sit inside it. That they generate it is read off the other three: the
-    products of the contained factors are |nu(G)'| distinct points of it.
+    multiply, the products cover without repetition, the three factors
+    sit inside it, and T meets G', and T G' meets H', in the identity
+    alone (the points they share are listed). That they generate it is
+    read off the first three: the products of the contained factors are
+    |nu(G)'| distinct points of it.
     """
     nu_prime = derived_subgroup(nu.carrier)
     derived = nu.group.derived_indices()
     t_keys = np.fromiter(sorted(nu.tensor_subgroup.orbit0()), dtype=np.int64)
     expected = len(t_keys) * len(derived) * len(derived)
     counts_match = nu_prime.order() == expected
-    factors = [*nu.tensor_subgroup.generators]
-    factors += [nu.eta.embed_g[d] for d in derived] + [nu.eta.embed_h[d] for d in derived]
-    contained = all(nu_prime.contains(p) for p in factors)
     d = np.asarray(derived)
+    g_derived, h_derived = nu.eta.times_g(0, d).tolist(), nu.eta.times_h(0, d).tolist()
+    factors = [*nu.tensor_subgroup.generators, *g_derived, *h_derived]
+    contained = all(nu_prime.contains(p) for p in factors)
+    after_g = nu.eta.times_g(t_keys, d[:, None])
     covered = np.zeros(nu.carrier.degree, dtype=bool)
-    covered[nu.eta.times_h(nu.eta.times_g(t_keys, d[:, None]), d[:, None, None])] = True
+    covered[nu.eta.times_h(after_g, d[:, None, None])] = True
     covers = np.count_nonzero(covered) == expected
-    ok = counts_match and contained and covers
+    meets = {
+        "tensor_meets_g_derived": sorted(set(t_keys.tolist()) & set(g_derived)),
+        "tg_meets_h_derived": sorted(set(after_g.ravel().tolist()) & set(h_derived)),
+    }
+    generates = counts_match and contained and covers
     return {
-        "ok": bool(ok),
+        "ok": bool(generates and all(meet == [0] for meet in meets.values())),
         "derived_order": nu_prime.order(),
         "tensor_order": len(t_keys),
         "g_derived_order": len(derived),
         "counts_match": bool(counts_match),
         "factors_contained": bool(contained),
         "covers": bool(covers),
-        "generates": bool(ok),
+        "generates": bool(generates),
+        **meets,
     }

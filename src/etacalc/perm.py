@@ -7,10 +7,11 @@ the orbit of 0, so an element is determined by the point it sends 0 to:
 here an element is that point, a plain int.
 
 Products read left to right: mul(p, q) is the point of "p, then q", reached
-from p down q's tree path. A carrier keeps its generators' columns and its
-BFS tree as each point's edge column and parent, two int32 arrays (Holt,
-Eick and O'Brien's Schreier vector); a subgroup keeps a mask of its points
-and its tree's levels. Scalar arithmetic follows the tree (an element is
+from p down q's tree path. A carrier keeps the numbering its table was
+built in, its generators' columns, and the BFS tree it grows over them as
+each point's edge column and parent, two int32 arrays (Holt, Eick and
+O'Brien's Schreier vector); a subgroup keeps a mask of its points and its
+tree's levels. Scalar arithmetic follows the tree (an element is
 the product of the generators on its tree path), and products, inverses and
 conjugates follow the paths of whole arrays of points at once. Only the
 points in question are gathered: a subgroup is grown, and a homomorphism
@@ -32,6 +33,7 @@ from .errors import (
     CapacityError,
     ConstructionError,
     IllDefinedHomError,
+    IncompleteTableError,
     InvarianceError,
     MembershipError,
 )
@@ -66,6 +68,37 @@ def _first_reached(reached: np.ndarray, candidates: np.ndarray, first: np.ndarra
     return candidates[first[points] == candidates]
 
 
+def _fifo_tree(columns: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """The FIFO BFS tree from point 0 over the columns in order, on the points as numbered.
+
+    Returns the levels below the root, each its points as the queue reaches
+    them, and each point's edge column and parent as int32 arrays (-1 and 0
+    at the root). A level's points' entries, point by point and column by
+    column, list its edges in the queue's order. Raises IncompleteTableError
+    on an undefined entry or on a point the tree does not reach.
+    """
+    nc, n = columns.shape
+    if columns.min(initial=0) < 0:
+        raise IncompleteTableError("the table has an undefined entry")
+    column = np.full(n, -1, dtype=np.int32)
+    parent = np.full(n, -1, dtype=np.int32)  # -1 until the point is reached
+    parent[0] = 0
+    first = np.empty(n, dtype=np.intp)  # scratch for _first_reached
+    frontier, levels = np.zeros(1, dtype=columns.dtype), []
+    while True:
+        reached = columns[:, frontier].T.ravel()
+        fresh = _first_reached(reached, np.flatnonzero(parent[reached] < 0), first)
+        if not fresh.size:
+            break
+        parents = frontier[fresh // nc]
+        frontier = reached[fresh]
+        column[frontier], parent[frontier] = fresh % nc, parents
+        levels.append(frontier)
+    if parent.min(initial=0) < 0:
+        raise IncompleteTableError("the table is not connected from point 0")
+    return levels, column, parent
+
+
 class PermGroup:
     """A regular carrier or a subgroup of one; an element is a point.
 
@@ -77,7 +110,7 @@ class PermGroup:
     forms products, inverses, conjugates) work on points of the carrier,
     whichever of its subgroups they are called on.
     A subgroup owns its generators, the mask and the levels; a carrier also
-    owns its columns and tree.
+    owns its columns and tree, and its levels keep only their points.
     """
 
     def __init__(self, carrier: "PermGroup"):
@@ -92,43 +125,23 @@ class PermGroup:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def regular(cls, columns: np.ndarray, tree: tuple) -> "PermGroup":
+    def regular(cls, columns: np.ndarray) -> "PermGroup":
         """Certified regular carrier of a complete table, given by its columns.
 
         Row 2i of columns is generator i as an int array on points and row
         2i+1 its inverse. The caller certifies that the generators act
         regularly (todd_coxeter's relator audit, or construct_eta's point
-        chasing, provides exactly that) and hands over a spanning tree of
-        the points rooted at 0, as bfs_renumber returns it: (column,
-        parent, bounds), the column and parent of each point's edge as int32
-        arrays (-1 and 0 at the root) and the level bounds, level d being
-        the points bounds[d] to bounds[d+1] - 1. A tree not of that shape
-        raises ConstructionError.
+        chasing, provides exactly that). It grows its own tree over the
+        points as numbered: _fifo_tree raises IncompleteTableError on an
+        undefined entry or an unreached point.
         """
-        column, parent, bounds = tree
-        degree = columns.shape[1]
-        bounds = [int(b) for b in bounds]
-        if (
-            len(column) != degree
-            or len(parent) != degree
-            or bounds[:1] != [1]
-            or bounds[-1] != degree
-            or any(lo >= hi for lo, hi in zip(bounds, bounds[1:]))
-        ):
-            raise ConstructionError("regular carrier tree levels do not span the point set")
-        start = np.repeat(bounds[:-1], np.diff(bounds))
-        if parent[0] != 0 or np.any((parent[1:] < 0) | (parent[1:] >= start)):
-            raise ConstructionError("a tree edge does not come from an earlier level")
-        if column[0] != -1 or np.any((column[1:] < 0) | (column[1:] >= len(columns))):
-            raise ConstructionError("a tree edge names no generator column")
+        levels, column, parent = _fifo_tree(columns)
         self = cls.__new__(cls)
         self.carrier = self
-        self.degree = degree
+        self.degree = columns.shape[1]
         self.generators = tuple(int(c[0]) for c in columns[::2])
-        self._mask = np.ones(degree, dtype=bool)
-        self._levels = [
-            (slice(lo, hi), column[lo:hi], parent[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
-        ]
+        self._mask = np.ones(self.degree, dtype=bool)
+        self._levels = [(points, None, None) for points in levels]
         self._columns = columns
         self._column, self._parent = column, parent
         return self
@@ -253,9 +266,7 @@ class PermGroup:
         return self.products(self.products(self.inverses(c), p), c)
 
     def _orbit(self) -> np.ndarray:
-        """The orbit of 0 in tree order; a carrier numbers its points in it."""
-        if self.carrier is self:
-            return np.arange(self.degree, dtype=np.int32)
+        """The orbit of 0 in tree order."""
         return np.concatenate([np.zeros(1, dtype=np.int32), *(p for p, _, _ in self._levels)])
 
     # -- queries ---------------------------------------------------------------
@@ -418,6 +429,8 @@ class GroupHom:
         labels = np.full(source.degree, -1, dtype=np.int32)
         labels[0] = target.identity
         for points, cols, parents in source._levels:
+            if cols is None:  # a carrier's level: its edges are its tree's
+                cols, parents = source._column[points], source._parent[points]
             labels[points] = target.table[labels[parents], steps[cols]]
         orbit = source._orbit()
         for i, (g, img) in enumerate(zip(source.generators, images)):

@@ -15,7 +15,9 @@ from math import gcd, lcm, prod
 import numpy as np
 
 from etacalc.abelian import smith_normal_form
+from etacalc.errors import IncompleteTableError
 from etacalc.fpgroup import Presentation
+from etacalc.perm import _first_reached
 from etacalc.verify import _tensor_frame
 
 
@@ -112,6 +114,71 @@ def tree_dict(column: np.ndarray, parent: np.ndarray) -> dict:
     return {0: None, **{p: edge for p, edge in enumerate(edges) if p}}
 
 
+def bfs_renumber(table: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Renumber a complete (n, ncols) table by BFS from 0 over the columns in order.
+
+    The numbering depends only on the action and its base point 0, not on
+    how the table was built. Returns the renumbered (n, ncols) int32 table,
+    read-only, as CosetTable holds it, and the BFS tree as
+    PermGroup.regular takes it: (column, parent, bounds), the column of
+    the edge that first reached each point and that edge's parent, as
+    int32 arrays (-1 and 0 at the root), and the level bounds. Points are
+    numbered a level at a time, so depth d holds the points bounds[d-1]
+    to bounds[d] - 1.
+
+    A whole level is taken at once: its rows, flattened in row-major
+    order, list the edges in the order a FIFO queue visits them, so the
+    earliest edge to each unvisited point is the one that reaches it.
+    """
+    n, nc = table.shape
+    if table.min(initial=0) < 0:
+        raise IncompleteTableError("enumeration left an undefined entry")
+    order = np.full(n, -1, dtype=np.int32)  # old -> new
+    order[0] = 0
+    first = np.empty(n, dtype=np.int64)  # earliest edge of a level reaching each point
+    frontier = np.zeros(1, dtype=np.int32)
+    cols, parents, bounds = [np.full(1, -1)], [np.zeros(1, dtype=np.int32)], [1]
+    while True:
+        reached = table[frontier].ravel()
+        fresh = _first_reached(reached, np.flatnonzero(order[reached] < 0), first)
+        if not fresh.size:
+            break
+        cols.append(fresh % nc)
+        parents.append(order[frontier[fresh // nc]])
+        frontier = reached[fresh]
+        order[frontier] = np.arange(bounds[-1], bounds[-1] + frontier.size, dtype=np.int32)
+        bounds.append(bounds[-1] + frontier.size)
+    if bounds[-1] != n:
+        raise IncompleteTableError("coset graph is not connected from coset 0")
+    renumbered = np.empty((n, nc), dtype=np.int32)
+    renumbered[order] = order[table]
+    renumbered.setflags(write=False)
+    return renumbered, (np.concatenate(cols).astype(np.int32), np.concatenate(parents), bounds)
+
+
+def canonical_carrier(carrier) -> tuple[np.ndarray, tuple]:
+    """bfs_renumber of a carrier's table, checked against the carrier's own tree.
+
+    The carrier's tree order is the canonical numbering: its i-th point in
+    orbit0 order is canonical point i. Relabelled so, its table, its tree
+    edges and its level sizes must be bfs_renumber's. Returns
+    bfs_renumber's rows and tree, which two carriers of one action share
+    whatever their numberings.
+    """
+    table = carrier._columns.T
+    rows, tree = bfs_renumber(table)
+    column, parent, bounds = tree
+    order = carrier._orbit()
+    new = np.empty(len(order), dtype=np.int64)  # the carrier's point -> canonical
+    new[order] = np.arange(len(order))
+    assert np.array_equal(rows[new], new[table])
+    assert np.array_equal(column[new], carrier._column)
+    assert np.array_equal(parent[new], new[carrier._parent])
+    sizes = [len(points) for points, _, _ in carrier._levels]
+    assert bounds == [1, *(1 + np.cumsum(sizes, dtype=np.int64)).tolist()]
+    return rows, tree
+
+
 def fifo_subgroup_tree(carrier, generators) -> tuple[list[int], dict]:
     """Orbit of 0 and tree of the subgroup grown by adding generators in order.
 
@@ -172,8 +239,8 @@ def left_multiplication(carrier, a: int) -> np.ndarray:
     """Left multiplication by a as an array on points, grown down the carrier's tree."""
     out = np.empty(carrier.degree, dtype=np.int32)
     out[0] = a
-    for points, cols, parents in carrier._levels:
-        out[points] = carrier._columns[cols, out[parents]]
+    for points, _, _ in carrier._levels:
+        out[points] = carrier._columns[carrier._column[points], out[carrier._parent[points]]]
     return out
 
 

@@ -22,6 +22,7 @@ from etacalc.errors import (
     CapacityError,
     ConstructionError,
     IncompatibleActionError,
+    IncompleteTableError,
     InvarianceError,
 )
 from etacalc.eta import (
@@ -50,8 +51,10 @@ from etacalc.groups import (
 from etacalc.perm import abelian_invariants_of
 from etacalc.verify import _build, _centralizer_bound, _tensor_frame, _theorem_A, default_corpus
 from oracles import (
+    bfs_renumber,
     brown_loday_presentation,
     build_eta_presentation,
+    canonical_carrier,
     conjugation_map,
     generator_points,
     looped_audit_families,
@@ -62,6 +65,9 @@ from oracles import (
 )
 
 REPO = Path(__file__).resolve().parent.parent
+
+# (G, H) with a trivial factor, each built with trivial actions
+DEGENERATE = (("C1", "C1"), ("C1", "C4"), ("S3", "C1"))
 
 
 def test_presentation_smallest_case():
@@ -220,16 +226,40 @@ def test_tensor_set_is_normal_in_carrier():
     assert frame.sizes.witness == expected
 
 
+def _same_up_to_numbering(carrier, rows: np.ndarray) -> None:
+    """The carrier's table is rows', point for point and edge for edge, once both are canonical."""
+    ours, our_tree = canonical_carrier(carrier)
+    theirs, their_tree = bfs_renumber(rows)
+    assert np.array_equal(ours, theirs)
+    assert tree_dict(*our_tree[:2]) == tree_dict(*their_tree[:2])
+
+
 def test_eta_keeps_the_enumerated_presentation():
     # The carrier keeps the assembled table's columns and tree, those of the
-    # enumerated presentation on generating subsets. Its relators, and the
-    # full families, are checked on the carrier by point chasing; neither
-    # is written out as words.
+    # enumerated presentation on generating subsets up to numbering. Its
+    # relators, and the full families, are checked on the carrier by point
+    # chasing; neither is written out as words.
     pair = conjugation_pair(symmetric3())
     eta = construct_eta(pair)
-    reference = todd_coxeter(build_eta_presentation(pair))
-    assert np.array_equal(eta.carrier._columns, reference.rows.T)
-    assert tree_dict(eta.carrier._column, eta.carrier._parent) == tree_dict(*reference._tree[:2])
+    _same_up_to_numbering(eta.carrier, todd_coxeter(build_eta_presentation(pair)).rows)
+
+
+@pytest.mark.parametrize("workload", ["corpus-default", "corpus-general"])
+def test_eta_points_are_coordinates(workload, monkeypatch):
+    # t x y is the point (t |G| + x) |H| + y, as _assemble numbers it: x in
+    # G is x |H|, y in H is y, and the tensor subgroup T is the multiples
+    # of |G| |H|. The default workload adds the pairs with a trivial factor.
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    corpus = importlib.import_module("corpora").make_corpus(workload, 0)
+    pairs = [cp.pair for cp in corpus.pairs]
+    if workload == "corpus-default":
+        pairs += [trivial_pair(builtin(g), builtin(h)) for g, h in DEGENERATE]
+    for pair in pairs:
+        eta = construct_eta(pair)
+        ng, nh = pair.g.n, pair.h.n
+        assert eta.embed_g == tuple(range(0, ng * nh, nh))
+        assert eta.embed_h == tuple(range(nh))
+        assert all(p % (ng * nh) == 0 for p in eta.tensor_subgroup.orbit0())
 
 
 def test_doubly_trivial_pair():
@@ -412,12 +442,11 @@ def test_normal_subgroup_pairs(name, members, order):
 )
 def test_assembled_table_equals_enumerated_eta(make_pair):
     # The table assembled from G (x) H is the one coset enumeration of the
-    # presentation of eta gives, row for row and edge for edge.
+    # presentation of eta gives, row for row and edge for edge once both
+    # are numbered canonically.
     pair = make_pair()
     eta = construct_eta(pair)
-    reference = todd_coxeter(build_eta_presentation(pair))
-    assert np.array_equal(eta.carrier._columns, reference.rows.T)
-    assert tree_dict(eta.carrier._column, eta.carrier._parent) == tree_dict(*reference._tree[:2])
+    _same_up_to_numbering(eta.carrier, todd_coxeter(build_eta_presentation(pair)).rows)
 
 
 @pytest.mark.parametrize(
@@ -504,7 +533,7 @@ def _full_presentation_instances() -> list:
 def test_shrunk_tensor_presentation_matches_brown_loday(pair, monkeypatch):
     # T is enumerated from a shrunk presentation; enumerated from Brown and
     # Loday's in full instead, it has the same index and gives eta the same
-    # table, row for row and edge for edge.
+    # table, row for row and edge for edge once both are numbered canonically.
     index = len(eta_module._tensor_table(pair, DEFAULT_MAX_COSETS)[0])
     eta = construct_eta(pair)
     full = brown_loday_presentation(pair)
@@ -512,10 +541,7 @@ def test_shrunk_tensor_presentation_matches_brown_loday(pair, monkeypatch):
     monkeypatch.setattr(eta_module, "_tensor_presentation", lambda p: (full, columns))
     reference = construct_eta(pair)
     assert index * pair.g.n * pair.h.n == reference.order()
-    assert np.array_equal(eta.carrier._columns, reference.carrier._columns)
-    assert tree_dict(eta.carrier._column, eta.carrier._parent) == tree_dict(
-        reference.carrier._column, reference.carrier._parent
-    )
+    _same_up_to_numbering(eta.carrier, canonical_carrier(reference.carrier)[0])
 
 
 def test_a_too_weak_tensor_presentation_is_refused(monkeypatch, capsys):
@@ -557,9 +583,9 @@ def test_audit_refuses_a_corrupted_column_pair(make_pair, monkeypatch):
     # columns stay mutually inverse permutations, and only the relators of
     # eta's presentation, chased over every point, can tell.
     def corrupt(table):
-        forward = table[:, 0]
+        forward = table[0]
         forward[[0, 1]] = forward[[1, 0]]
-        table[forward, 1] = np.arange(len(table))
+        table[1, forward] = np.arange(table.shape[1])
 
     _corrupt_assembly(monkeypatch, corrupt)
     with pytest.raises(ConstructionError, match="relator|family"):
@@ -570,11 +596,32 @@ def test_audit_refuses_a_corrupted_column_pair(make_pair, monkeypatch):
 def test_audit_refuses_a_broken_inverse_column(make_pair, monkeypatch):
     # Generator 0's column is intact; two entries of its inverse's are swapped.
     def corrupt(table):
-        table[[0, 1], 1] = table[[1, 0], 1]
+        table[1, [0, 1]] = table[1, [1, 0]]
 
     _corrupt_assembly(monkeypatch, corrupt)
     with pytest.raises(ConstructionError, match="not mutually inverse"):
         construct_eta(make_pair())
+
+
+def _undefine(table):
+    table[3, 5] = -1
+
+
+def _fix_every_point(table):
+    table[:] = np.arange(table.shape[1])  # every column the identity
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [(_undefine, "undefined entry"), (_fix_every_point, "not connected")],
+    ids=["undefined-entry", "unreached-point"],
+)
+def test_carrier_refuses_an_incomplete_assembly(corrupt, message, monkeypatch):
+    # the carrier's own tree must reach every point of the assembled table
+    _corrupt_assembly(monkeypatch, corrupt)
+    with pytest.raises(ConstructionError, match=f"assembled table: .*{message}") as exc:
+        construct_eta(conjugation_pair(symmetric3()))
+    assert isinstance(exc.value.__cause__, IncompleteTableError)
 
 
 def test_audit_checks_the_families_on_generators():

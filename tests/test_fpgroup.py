@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import importlib
-from collections import deque
 from functools import partial
 from pathlib import Path
 
@@ -23,14 +22,13 @@ from etacalc.fpgroup import (
     Presentation,
     _audit_table,
     _Enumerator,
-    bfs_renumber,
     parse_presentation,
     regular_representation,
     todd_coxeter,
 )
 from etacalc.groups import TableGroup, builtin
 from etacalc.perm import PermGroup
-from oracles import looped_coincidence, looped_compact, tree_dict
+from oracles import canonical_carrier, looped_coincidence, looped_compact, tree_dict
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -191,7 +189,7 @@ def test_todd_coxeter_s3():
 def test_todd_coxeter_quaternion():
     t = todd_coxeter(parse_presentation("<i,j| i^4, j^2 i^-2, j^-1 i j i >"))
     assert t.n == 8
-    g, columns = regular_representation(t.rows, t._tree)
+    g, columns = regular_representation(t.rows.T)
     assert g.order() == 8
     assert sorted(g.element_orders()) == [1, 2, 4, 4, 4, 4, 4, 4]
     # generator k of ("i", "j") is column 2 k
@@ -221,7 +219,8 @@ def test_todd_coxeter_deterministic():
     t2 = todd_coxeter(parse_presentation(text))
     assert t1.n == t2.n == 6
     assert np.array_equal(t1.rows, t2.rows)
-    assert tree_dict(*t1._tree[:2]) == tree_dict(*t2._tree[:2])
+    g1, g2 = (regular_representation(t.rows.T)[0] for t in (t1, t2))
+    assert tree_dict(g1._column, g1._parent) == tree_dict(g2._column, g2._parent)
 
 
 def test_empty_relators_are_harmless():
@@ -233,7 +232,7 @@ def test_empty_relators_are_harmless():
 
 def test_regular_representation_word_round_trip():
     t = todd_coxeter(parse_presentation("<a,b|a^2,b^3,(a b)^2>"))
-    g, columns = regular_representation(t.rows, t._tree)
+    g, columns = regular_representation(t.rows.T)
     assert g.order() == 6
     a, b = (int(columns[2 * k, 0]) for k in range(2))
     orders = dict(zip(g.elements(), g.element_orders()))
@@ -253,29 +252,20 @@ def test_coset_table_column_consistency():
             assert inv[fwd[pt]] == pt
 
 
-def _queue_renumber(table):
-    """Reference: BFS from 0 with a FIFO queue, one edge at a time."""
+def _queue_tree(table):
+    """Reference: BFS from 0 with a FIFO queue, one edge at a time, on the points as numbered."""
     n, nc = len(table), len(table[0])
-    order = [-1] * n
-    order[0] = 0
+    order = [0]
     tree = {0: None}
-    queue = deque([0])
-    assigned = 1
-    while queue:
-        cur = queue.popleft()
+    for cur in order:
         for c in range(nc):
             v = table[cur][c]
-            if order[v] < 0:
-                order[v] = assigned
-                tree[assigned] = (c // 2, 1 if c % 2 == 0 else -1, order[cur])
-                assigned += 1
-                queue.append(v)
-    if assigned != n:
+            if v not in tree:
+                tree[v] = (c // 2, 1 if c % 2 == 0 else -1, cur)
+                order.append(v)
+    if len(order) != n:
         raise IncompleteTableError("coset graph is not connected from coset 0")
-    rows = [None] * n
-    for i in range(n):
-        rows[order[i]] = tuple(order[v] for v in table[i])
-    return tuple(rows), tree
+    return order, tree
 
 
 @st.composite
@@ -292,21 +282,30 @@ def _permutation_tables(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_permutation_tables())
-def test_bfs_renumber_matches_the_queue(table):
+def test_carrier_tree_matches_the_queue(table):
+    # the carrier grows its tree on the points as numbered; relabelled by
+    # its own tree order, it is bfs_renumber's canonical table and tree
     try:
-        expected = _queue_renumber(table.tolist())
+        expected = _queue_tree(table.tolist())
     except IncompleteTableError:
         with pytest.raises(IncompleteTableError):
-            bfs_renumber(table)
+            PermGroup.regular(table.T.copy())
         return
-    rows, tree = bfs_renumber(table)
-    assert (tuple(map(tuple, rows.tolist())), tree_dict(*tree[:2])) == expected
-    PermGroup.regular(rows.T.copy(), tree)  # levels as the carrier checks them
+    carrier = PermGroup.regular(table.T.copy())
+    assert (list(carrier.orbit0()), tree_dict(carrier._column, carrier._parent)) == expected
+    canonical_carrier(carrier)
 
 
-def test_bfs_renumber_rejects_undefined_entries():
+@pytest.mark.parametrize(
+    "rows",
+    [[[1, -1], [0, 0]], [[0, 0], [1, 1]]],
+    ids=["undefined-entry", "unreached-coset"],
+)
+def test_todd_coxeter_rejects_an_incomplete_table(rows, monkeypatch):
+    # the enumeration's table is checked before its audit, as it is returned
+    monkeypatch.setattr(_Enumerator, "finish", lambda self: np.array(rows, dtype=np.int32))
     with pytest.raises(IncompleteTableError):
-        bfs_renumber(np.array([[0, -1]], dtype=np.int32))
+        todd_coxeter(parse_presentation("< a | a^2 >"))
 
 
 def test_column_presentation_enumerates_like_words():
@@ -422,7 +421,7 @@ _THREE_POINTS = np.array([[1, 1, 1, 2], [0, 0, 2, 0], [2, 2, 0, 1]], dtype=np.in
 
 
 def _audit(rows: np.ndarray, text: str) -> None:
-    _audit_table(CosetTable(parse_presentation(text), len(rows), rows, None))
+    _audit_table(CosetTable(parse_presentation(text), len(rows), rows))
 
 
 def _first_failure(rows: np.ndarray, text: str) -> int | None:

@@ -14,6 +14,7 @@ from etacalc.eta import check_decomposition
 from etacalc.groups import builtin, cyclic, direct_product, symmetric3
 from etacalc.nu import check_derived_decomposition, construct_nu
 from etacalc.perm import abelian_invariants_of
+from etacalc.verify import _derived_decomposition, default_corpus
 
 
 def test_nu_c2():
@@ -156,3 +157,28 @@ def test_nu_retains_only_the_arrays_it_owns():
     owned = sum(a.nbytes for a in bases.values())
     assert carrier.degree == 65_536 and owned > 11 * 2**20
     assert owned <= retained <= owned + 128 * 2**10, (retained, owned)
+
+
+def test_derived_decomposition_checks_both_intersections():
+    # etacalc nu's audit meets T with G' and T G' with H', as lemma21 does:
+    # on every nu of the default corpus each meeting is the identity alone
+    names = [cp.label.split(":")[1] for cp in default_corpus().pairs if cp.kind == "conjugation"]
+    assert len(names) == 21
+    for name in names:
+        report = check_derived_decomposition(construct_nu(builtin(name)))
+        assert report["tensor_meets_g_derived"] == report["tg_meets_h_derived"] == [0]
+        assert report["ok"]
+
+
+def test_derived_decomposition_fails_when_the_factors_meet():
+    # With H's copy embedded as G's, G' and H' coincide, so T G' meets H' in
+    # all of G'; the audit names those points and fails, as lemma21 does
+    s3 = symmetric3()
+    nu = construct_nu(s3)
+    broken = dataclasses.replace(nu, eta=dataclasses.replace(nu.eta, h_arrays=nu.eta.g_arrays))
+    report = check_derived_decomposition(broken)
+    assert report["tensor_meets_g_derived"] == [0]
+    assert report["tg_meets_h_derived"] == sorted(nu.eta.embed_g[d] for d in s3.derived_indices())
+    assert not report["ok"]
+    status, _, witness = _derived_decomposition(broken)
+    assert status == "FAIL" and witness == report

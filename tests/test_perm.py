@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 from etacalc.action import ActionPair, ActionTable, conjugation_pair, trivial_pair
 from etacalc.errors import (
     CapacityError,
-    ConstructionError,
     DegreeMismatchError,
     IllDefinedHomError,
+    IncompleteTableError,
     InvarianceError,
     MembershipError,
 )
@@ -312,16 +312,7 @@ def regular_cyclic(n):
     """C_n with each non-trivial rotation a generator, through the certified path."""
     points = np.arange(n)
     columns = np.array([(points + s * k) % n for k in range(1, n) for s in (1, -1)], dtype=np.int32)
-    return PermGroup.regular(columns, rotation_path(n))
-
-
-def rotation_path(n):
-    """The tree 0 - 1 - ... - n-1 of steps by the first rotation, one point per level."""
-    column = np.zeros(n, dtype=np.int32)
-    column[0] = -1
-    parent = np.arange(-1, n - 1, dtype=np.int32)
-    parent[0] = 0
-    return column, parent, list(range(1, n + 1))
+    return PermGroup.regular(columns)
 
 
 def test_certified_regular_carrier():
@@ -401,34 +392,30 @@ def test_hom_graph_mode_rejects():
 
 
 def single_rotation(n):
-    """C_n = <r | r^n> on n points, r the rotation, as a certified carrier."""
+    """C_n = <r | r^n> on n points, r the rotation, as a certified carrier.
+
+    Its tree reaches 1, 2, ... by r from 0, and n - 1, n - 2, ... by r^-1.
+    """
     points = np.arange(n)
     columns = np.array([(points + 1) % n, (points - 1) % n], dtype=np.int32)
-    return PermGroup.regular(columns, rotation_path(n))
+    return PermGroup.regular(columns)
 
 
 @pytest.mark.parametrize(
-    "column, parent, bounds",
-    [
-        ([-1, 0, 0, 0], [0, 0, 1, 2], [0, 2, 3, 4]),  # bounds do not start at 1
-        ([-1, 0, 0, 0], [0, 0, 1, 2], [1, 2, 3]),  # bounds do not end at the degree
-        ([-1, 0, 0, 0], [0, 0, 1, 2], [1, 3, 2, 4]),  # bounds go backwards
-        ([-1, 0, 0, 0], [0, 0, 2, 2], [1, 2, 3, 4]),  # a parent in its own level
-        ([-1, 0, 0, 0], [0, 0, 3, 2], [1, 2, 3, 4]),  # a parent in a later level
-        ([-1, 0, 2, 0], [0, 0, 1, 2], [1, 2, 3, 4]),  # column 2 of two
-        ([0, 0, 0, 0], [0, 0, 1, 2], [1, 2, 3, 4]),  # an edge into the root
-    ],
+    "columns",
+    [[[1, -1], [1, 0]], [[0, 1], [0, 1]]],
+    ids=["undefined-entry", "unreached-point"],
 )
-def test_regular_rejects_a_malformed_tree(column, parent, bounds):
-    columns = single_rotation(4)._columns
-    tree = np.array(column, dtype=np.int32), np.array(parent, dtype=np.int32), bounds
-    with pytest.raises(ConstructionError):
-        PermGroup.regular(columns, tree)
+def test_regular_rejects_an_incomplete_table(columns):
+    # the carrier's own tree must reach every point along defined entries
+    with pytest.raises(IncompleteTableError):
+        PermGroup.regular(np.array(columns, dtype=np.int32))
 
 
 def test_hom_relator_mode():
-    # C4 = <r | r^4> onto C2 with r -> t: the relator r^4 is the tree's one
-    # closing edge, from point 3 back to 0, so the labelling checks exactly it.
+    # C4 = <r | r^4> onto C2 with r -> t: the tree is 0 - 1 - 2 by r and
+    # 0 - 3 by r^-1, so the relator r^4 is the one r edge off the tree, from
+    # point 2 to 3, and the labelling checks exactly it.
     c4 = single_rotation(4)
     r = c4.generators[0]
     f = GroupHom(c4, cyclic(2), [1])
@@ -441,12 +428,12 @@ def test_hom_relator_mode():
 
 
 def test_hom_relator_mode_rejects():
-    # C4 = <r | r^4> onto C3 with r -> t fails on r^4, the closing edge.
+    # C4 = <r | r^4> onto C3 with r -> t fails on r^4, the edge from 2 to 3.
     c4 = single_rotation(4)
     c3 = cyclic(3)
     with pytest.raises(IllDefinedHomError) as exc:
         GroupHom(c4, c3, [1])
-    assert exc.value.edge == (3, 0)
+    assert exc.value.edge == (2, 0)
     assert_breaks_labelling(c4, c3, [1], exc.value.edge)
 
 

@@ -262,7 +262,7 @@ def test_batched_bracket_checks_equal_the_loops(monkeypatch, workload):
 def _oracle_tree(group: PermGroup) -> tuple[list[int], dict]:
     """A group's orbit and tree as the point-at-a-time walks build them."""
     if group.carrier is group:
-        return list(range(group.degree)), tree_dict(group._column, group._parent)
+        return list(group.orbit0()), tree_dict(group._column, group._parent)
     return fifo_subgroup_tree(group.carrier, group.generators)
 
 
