@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
+from .errors import CapacityError
+
 __all__ = [
     "AbelianInvariants",
     "smith_normal_form",
@@ -271,12 +273,17 @@ def delta_of_abelian(a: AbelianInvariants) -> AbelianInvariants:
 
 
 def prime_factors(n: int) -> tuple[int, ...]:
-    """Ascending tuple of the distinct primes dividing n (n >= 1)."""
+    """Ascending tuple of the distinct primes dividing n (n >= 1), by trial division up to 10^6.
+
+    A cofactor left above 10^12 with no divisor that small raises CapacityError.
+    """
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
     out = []
     d = 2
     while d * d <= n:
+        if d > 10**6:
+            raise CapacityError(f"{n} has no prime factor up to 10^6 and is above 10^12", count=n)
         if n % d == 0:
             out.append(d)
             while n % d == 0:

@@ -371,52 +371,28 @@ def _cmd_abelian(args) -> int:
             diagonal, _, _ = smith_normal_form(matrix)
         except (ValueError, TypeError) as err:
             raise _CliError(2, f"{args.matrix}: {err}") from err
-        diag = [
-            int(diagonal[i][i]) for i in range(min(len(diagonal), len(diagonal[0])))
-        ]
-        report = {
-            "schema": 1,
-            "command": "abelian",
-            "op": "snf",
+        diag = [int(diagonal[i][i]) for i in range(min(len(diagonal), len(diagonal[0])))]
+        fields = {
             "inputs": {"matrix": matrix},
             "diagonal": diag,
             "invariant_factors": [d for d in diag if d > 1],
             "rank": sum(1 for d in diag if d != 0),
         }
-        _emit(report, [f"diagonal: {diag}"], args.pretty)
-        return 0
-    if args.op == "ztensor":
-        if args.left is None or args.right is None:
-            raise _CliError(2, "ztensor needs --left and --right factor lists")
-        left = _parse_factors(args.left)
-        right = _parse_factors(args.right)
-        result = z_tensor(left, right)
-        report = {
-            "schema": 1,
-            "command": "abelian",
-            "op": "ztensor",
-            "inputs": {"left": left, "right": right},
-            "factors": list(result.factors),
-            "order": result.order,
-        }
-        _emit(report, [f"factors: {list(result.factors)}"], args.pretty)
-        return 0
-    if args.op == "delta":
-        if args.invariants is None:
-            raise _CliError(2, "delta needs --invariants")
-        inv = canonical_invariants(_parse_factors(args.invariants))
-        result = delta_of_abelian(inv)
-        report = {
-            "schema": 1,
-            "command": "abelian",
-            "op": "delta",
-            "inputs": {"invariants": list(inv.factors)},
-            "factors": list(result.factors),
-            "order": result.order,
-        }
-        _emit(report, [f"factors: {list(result.factors)}"], args.pretty)
-        return 0
-    if args.op == "pi":
+        line = f"diagonal: {diag}"
+    elif args.op in ("ztensor", "delta"):
+        if args.op == "ztensor":
+            if args.left is None or args.right is None:
+                raise _CliError(2, "ztensor needs --left and --right factor lists")
+            left, right = _parse_factors(args.left), _parse_factors(args.right)
+            inputs, result = {"left": left, "right": right}, z_tensor(left, right)
+        else:
+            if args.invariants is None:
+                raise _CliError(2, "delta needs --invariants")
+            inv = canonical_invariants(_parse_factors(args.invariants))
+            inputs, result = {"invariants": list(inv.factors)}, delta_of_abelian(inv)
+        fields = {"inputs": inputs, "factors": list(result.factors), "order": result.order}
+        line = f"factors: {list(result.factors)}"
+    else:
         if args.order is not None:
             primes = sorted(pi_set(args.order))
             inputs = {"order": args.order}
@@ -426,16 +402,10 @@ def _cmd_abelian(args) -> int:
             inputs = {"invariants": list(inv.factors)}
         else:
             raise _CliError(2, "pi needs --order or --invariants")
-        report = {
-            "schema": 1,
-            "command": "abelian",
-            "op": "pi",
-            "inputs": inputs,
-            "primes": primes,
-        }
-        _emit(report, [f"primes: {primes}"], args.pretty)
-        return 0
-    raise _CliError(2, f"unknown abelian op {args.op!r}")
+        fields, line = {"inputs": inputs, "primes": primes}, f"primes: {primes}"
+    report = {"schema": 1, "command": "abelian", "op": args.op, **fields}
+    _emit(report, [line], args.pretty)
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -34,18 +34,18 @@ identity column added: _cocycle names sigma as some t(a, b)^-1 or the
 identity, and _shrink's column map, with the identity last, gives the
 column that acts so, an eliminated generator reading its survivor's. The
 assembled table keeps its numbering: t x y is the point (t |G| + x) |H| + y,
-so x in G is the point x |H|, y in H is y, and T is the multiples of
-|G| |H|. eta's presentation above is walked on it from the fibre alone by
-T's own word walker (_audit_carrier), and the carrier checks that 0 reaches
-every point. The table is then a transitive action of eta on
-|T| |G| |H| >= |eta| points, so it is the regular action, and an element
-is the point it sends 0 to: embed_g, embed_h, the tensors and every
-subgroup generator are plain ints. Points times an element of G or of H,
-for whole arrays of points and elements at once, are EtaGroup.times_g and
-times_h, and a bracket [a, b'] is four such steps (times_bracket). Those
-methods are the only readers of the arrays they look the elements up in,
-so another representation of the elements changes this module alone. The
-full families are checked the same way. A failed audit is a bug.
+so x in G is the point x |H|, y in H is y, T is the multiples of |G| |H|,
+and the fibre is the first |G| |H| points. eta's presentation above is
+walked on the fibre by T's own word walker (_audit_carrier), and the
+carrier checks that 0 reaches every point. The table is then a transitive
+action of eta on |T| |G| |H| >= |eta| points, so it is the regular action,
+and an element is the point it sends 0 to: embed_g, embed_h, the tensors
+and every subgroup generator are plain ints. Points times elements of G or
+of H, whole arrays of both at once, are EtaGroup.times_g and times_h, and a
+bracket [a, b'] is four such steps (times_bracket). Only G's elements have
+arrays, a right-multiplication row each; H acts on the last coordinate
+alone, t x y b' = t x (yb). The full families are checked the same way. A
+failed audit is a bug.
 """
 
 from __future__ import annotations
@@ -96,30 +96,35 @@ class EtaGroup:
 
     The carrier is the regular action of eta, its presentation on generating
     subsets checked from the fibre t = e, which speaks for every point as
-    the columns commute with left multiplication by T. g_arrays and h_arrays
-    hold the right-multiplication arrays of the elements of G and H, one row
-    each, and tensors[a, b] is the point of [a, b']. Only times_g and times_h
-    read the arrays; everything else, the embeddings and times_bracket
-    included, multiplies through them, so replacing the arrays touches this
-    module alone.
+    the columns commute with left multiplication by T. g_arrays holds the
+    right-multiplication arrays of the elements of G, one row each, read by
+    times_g alone. H has no arrays: b' changes only a point's last
+    coordinate y to yb, which times_h reads off the point. tensors[a, b] is
+    the point of [a, b']. embed_g and embed_h read the coordinates, and
+    everything else, times_bracket included, multiplies through times_g and
+    times_h, so replacing them touches this module alone.
     """
 
     pair: ActionPair
     carrier: PermGroup
     g_arrays: np.ndarray
-    h_arrays: np.ndarray
     tensors: np.ndarray
     tensor_set: TensorSet
     tensor_subgroup: PermGroup
 
     @cached_property
     def embed_g(self) -> tuple[int, ...]:
-        """The point of each element of G: where it sends 0."""
-        return tuple(self.times_g(0, np.arange(self.pair.g.n)).tolist())
+        """The point of each element of G, where it sends 0: x is (0 |G| + x) |H| + 0."""
+        return tuple(range(0, self.pair.g.n * self.pair.h.n, self.pair.h.n))
 
     @cached_property
     def embed_h(self) -> tuple[int, ...]:
-        return tuple(self.times_h(0, np.arange(self.pair.h.n)).tolist())
+        return tuple(range(self.pair.h.n))
+
+    @cached_property
+    def _h_steps(self) -> np.ndarray:
+        """[y, b] = yb - y, what b' adds to a point whose last coordinate is y."""
+        return self.pair.h.table - np.arange(self.pair.h.n, dtype=np.int32)[:, None]
 
     def order(self) -> int:
         return self.carrier.order()
@@ -135,8 +140,8 @@ class EtaGroup:
         return self.g_arrays[a, points]
 
     def times_h(self, points, b) -> np.ndarray:
-        """points b', for elements b of H, with points and b broadcast."""
-        return self.h_arrays[b, points]
+        """points b', for elements b of H, with points and b broadcast: y becomes yb."""
+        return points + self._h_steps[points % self.pair.h.n, b]
 
     def times_bracket(self, points, a, b) -> np.ndarray:
         """points [a, b'] = points a^-1 b'^-1 a b', with points, a and b broadcast."""
@@ -145,17 +150,20 @@ class EtaGroup:
         return self.times_h(self.times_g(x, a), b)
 
 
-def _embedding(group: TableGroup, side: str, first: int, columns: np.ndarray):
+def _embedding(group: TableGroup, side: str, first: int, columns: np.ndarray | None = None):
     """Right-multiplication arrays of the embedded elements, tree words, Cayley relators.
 
     Member i of the group's generating subset is column 2 (first + i). A BFS
     over right multiplication, generators ascending, sets row x s to row x
     followed by s's column when it first reaches x s: row x evaluates w(x),
-    and its entry at 0 is the point of x. Returns the arrays, each w(x) and
-    w(x)^-1, and each other edge's relator w(x) s w(xs)^-1 with its message.
+    and its entry at 0 is the point of x. Returns the arrays (None without
+    columns), each w(x) and w(x)^-1, and each other edge's relator
+    w(x) s w(xs)^-1 with its message.
     """
-    arrays = np.empty((group.n, columns.shape[1]), dtype=np.int32)
-    arrays[0] = np.arange(columns.shape[1], dtype=np.int32)
+    arrays = None
+    if columns is not None:
+        arrays = np.empty((group.n, columns.shape[1]), dtype=np.int32)
+        arrays[0] = np.arange(columns.shape[1], dtype=np.int32)
     gens = group.generating_subset()
     right = group.table[:, list(gens)].tolist()
     words, inverses, relators, queue = {0: ()}, {0: ()}, [], [0]
@@ -168,24 +176,25 @@ def _embedding(group: TableGroup, side: str, first: int, columns: np.ndarray):
             else:
                 words[y], inverses[y] = words[x] + (c,), (c + 1,) + inverses[x]
                 queue.append(y)
-                columns[c].take(arrays[x], out=arrays[y])
+                if arrays is not None:
+                    columns[c].take(arrays[x], out=arrays[y])
     return arrays, words, inverses, relators
 
 
-def _audit_carrier(pair: ActionPair, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _audit_carrier(pair: ActionPair, columns: np.ndarray) -> np.ndarray:
     """Walk eta's presentation on generating subsets from the fibre t = e.
 
     Column 2i is generator i of G's generating subset, then those of H's,
     one contiguous row each. The words, in the order the argument needs:
     each generator then its inverse, the Cayley relators of G and H, and
     c^-1 [a, b'] c [a^c, (b^c)']^-1 for generators a, b, c. From the
-    fibre's points 0 w(x) w(y) they speak for every point, as the columns
-    commute with left multiplication by T. Returns the arrays.
+    fibre's points 0 x y, the first |G| |H|, they speak for every point, as
+    the columns commute with left multiplication by T. Returns G's arrays.
     """
     g, h = pair.g, pair.h
     sg, sh = g.generating_subset(), h.generating_subset()
     g_arrays, g_words, g_inverses, g_cayley = _embedding(g, "g", 0, columns)
-    h_arrays, h_words, h_inverses, h_cayley = _embedding(h, "h", len(sg), columns)
+    _, h_words, h_inverses, h_cayley = _embedding(h, "h", len(sg))
     checks = [((c, c + 1), f"carrier columns {c} and {c + 1} are not mutually inverse")
               for c in range(0, len(columns), 2)] + g_cayley + h_cayley
     g_conj, h_conj = g.conj_table().tolist(), h.conj_table().tolist()  # [x][c] = x^c
@@ -202,11 +211,11 @@ def _audit_carrier(pair: ActionPair, columns: np.ndarray) -> tuple[np.ndarray, n
             message = f"{name} relation family fails on generators g={a}, h={b}, conjugator {c}"
             checks.append((word, message))
     words = [word for word, _ in checks]
-    fibre = h_arrays[:, g_arrays[:, 0]].ravel()
+    fibre = np.arange(g.n * h.n, dtype=np.int32)
     failure = _first_failure(columns.ravel(), columns.shape[1], *_letter_positions(words), fibre)
     if failure:
         raise ConstructionError(checks[failure[0]][1])
-    return g_arrays, h_arrays
+    return g_arrays
 
 
 def _audit_families(eta: EtaGroup) -> None:
@@ -527,9 +536,9 @@ def construct_eta(pair: ActionPair, *, max_cosets: int = DEFAULT_MAX_COSETS) -> 
     except IncompleteTableError as err:
         raise ConstructionError(f"assembled table: {err}") from err
     # a transitive action of the presented eta on |T| |G| |H| >= |eta| points is regular
-    g_arrays, h_arrays = _audit_carrier(pair, columns)
+    g_arrays = _audit_carrier(pair, columns)
     # the tensors are walked with eta's own element arithmetic, then audited
-    eta = EtaGroup(pair, carrier, g_arrays, h_arrays, None, None, None)
+    eta = EtaGroup(pair, carrier, g_arrays, None, None, None)
     eta.tensors = eta.times_bracket(0, np.arange(g.n)[:, None], np.arange(h.n)[None, :])
     _audit_families(eta)
     eta.tensor_set = restricted_tensor_set(eta, range(g.n), range(h.n))
@@ -562,6 +571,27 @@ def restricted_tensor_set(
     return TensorSet(tuple(pair_for), pair_for)
 
 
+def product_cover(eta: EtaGroup, a: Sequence[int], b: Sequence[int]) -> tuple:
+    """The products t x y' for t in T, x in a and y in b, elements of G and of H.
+
+    Returns |T|, the points of a and of b', how many distinct points the
+    products reach, and the points T shares with a and T a shares with b',
+    each sorted. check_decomposition reads it for G and H, and nu's
+    check_derived_decomposition for their derived subgroups.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    t_keys = np.fromiter(sorted(eta.tensor_subgroup.orbit0()), dtype=np.int64)
+    a_points, b_points = eta.times_g(0, a).tolist(), eta.times_h(0, b).tolist()
+    after_a = eta.times_g(t_keys, a[:, None])
+    covered = np.zeros(eta.carrier.degree, dtype=bool)
+    covered[eta.times_h(after_a, b[:, None, None])] = True
+    meets = (
+        sorted(set(t_keys.tolist()) & set(a_points)),
+        sorted(set(after_a.ravel().tolist()) & set(b_points)),
+    )
+    return len(t_keys), a_points, b_points, np.count_nonzero(covered), meets
+
+
 def check_decomposition(eta: EtaGroup) -> dict:
     """Audit the product decomposition of the carrier into tensor, G, H.
 
@@ -573,16 +603,10 @@ def check_decomposition(eta: EtaGroup) -> dict:
     """
     g, h = eta.pair.g, eta.pair.h
     n_eta = eta.carrier.order()
-    t_keys = np.fromiter(sorted(eta.tensor_subgroup.orbit0()), dtype=np.int64)
-    tensor_order = len(t_keys)
+    tensor_order, _, _, covered, meets = product_cover(eta, range(g.n), range(h.n))
     counts_match = n_eta == tensor_order * g.n * h.n
-    after_g = eta.times_g(t_keys, np.arange(g.n)[:, None])
-    covered = np.zeros(n_eta, dtype=bool)
-    covered[eta.times_h(after_g, np.arange(h.n)[:, None, None])] = True
-    covers = np.count_nonzero(covered) == n_eta
-    tensor_meets_g = set(t_keys.tolist()) & set(eta.embed_g)
-    tg_meets_h = set(after_g.ravel().tolist()) & set(eta.embed_h)
-    ok = counts_match and covers and tensor_meets_g == {0} and tg_meets_h == {0}
+    covers = covered == n_eta
+    ok = counts_match and covers and meets == ([0], [0])
     return {
         "ok": bool(ok),
         "order": n_eta,

@@ -22,11 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .action import conjugation_pair
 from .errors import ConstructionError
-from .eta import DEFAULT_MAX_COSETS, EtaGroup, construct_eta
+from .eta import DEFAULT_MAX_COSETS, EtaGroup, construct_eta, product_cover
 from .groups import TableGroup
 from .perm import GroupHom, PermGroup, derived_subgroup, hom_kernel
 
@@ -103,26 +101,18 @@ def check_derived_decomposition(nu: NuGroup) -> dict:
     """
     nu_prime = derived_subgroup(nu.carrier)
     derived = nu.group.derived_indices()
-    t_keys = np.fromiter(sorted(nu.tensor_subgroup.orbit0()), dtype=np.int64)
-    expected = len(t_keys) * len(derived) * len(derived)
+    tensor_order, g_derived, h_derived, covered, meets = product_cover(nu.eta, derived, derived)
+    expected = tensor_order * len(derived) * len(derived)
     counts_match = nu_prime.order() == expected
-    d = np.asarray(derived)
-    g_derived, h_derived = nu.eta.times_g(0, d).tolist(), nu.eta.times_h(0, d).tolist()
     factors = [*nu.tensor_subgroup.generators, *g_derived, *h_derived]
     contained = all(nu_prime.contains(p) for p in factors)
-    after_g = nu.eta.times_g(t_keys, d[:, None])
-    covered = np.zeros(nu.carrier.degree, dtype=bool)
-    covered[nu.eta.times_h(after_g, d[:, None, None])] = True
-    covers = np.count_nonzero(covered) == expected
-    meets = {
-        "tensor_meets_g_derived": sorted(set(t_keys.tolist()) & set(g_derived)),
-        "tg_meets_h_derived": sorted(set(after_g.ravel().tolist()) & set(h_derived)),
-    }
+    covers = covered == expected
+    meets = dict(zip(("tensor_meets_g_derived", "tg_meets_h_derived"), meets))
     generates = counts_match and contained and covers
     return {
         "ok": bool(generates and all(meet == [0] for meet in meets.values())),
         "derived_order": nu_prime.order(),
-        "tensor_order": len(t_keys),
+        "tensor_order": tensor_order,
         "g_derived_order": len(derived),
         "counts_match": bool(counts_match),
         "factors_contained": bool(contained),

@@ -19,6 +19,7 @@ from etacalc.abelian import (
     smith_normal_form,
     z_tensor,
 )
+from etacalc.errors import CapacityError
 from oracles import brute_delta_of_abelian, det_bareiss
 
 
@@ -179,6 +180,17 @@ def test_prime_factors():
     assert prime_factors(97) == (97,)
     with pytest.raises(ValueError):
         prime_factors(0)
+
+
+def test_prime_factors_stops_at_its_trial_divisors():
+    # smooth inputs and primes up to 10^12 are settled by trial division up to 10^6
+    assert prime_factors(2**50) == (2,)
+    assert prime_factors(999_999_999_989) == (999_999_999_989,)
+    assert prime_factors(2 * 999_999_999_989) == (2, 999_999_999_989)
+    # a cofactor above 10^12 with no divisor up to 10^6 is refused, not run on
+    for n in (10**18 + 3, 8 * (10**18 + 3)):
+        with pytest.raises(CapacityError):
+            prime_factors(n)
 
 
 def test_pi_set():

@@ -633,6 +633,24 @@ def test_abelian_pi():
     assert by_invariants["primes"] == [2, 3]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("pi", "--order", "1000000000000000003"),
+        ("delta", "--invariants", "1000000000000000003"),
+        ("ztensor", "--left", "1000000000000000003", "--right", "6"),
+    ],
+    ids=["pi", "delta", "ztensor"],
+)
+def test_abelian_refuses_a_factor_past_trial_division(args):
+    # no prime of 10^18 + 3 is at most 10^6, so it is refused in one line, not factored for minutes
+    result = run_cli("abelian", *args, timeout=30)
+    assert result.returncode == 5
+    assert result.stdout == ""
+    assert result.stderr.startswith("etacalc: capacity exceeded: ")
+    assert result.stderr.count("\n") == 1
+
+
 def test_abelian_bad_factor_list_exits_2():
     result = run_cli("abelian", "ztensor", "--left", "two", "--right", "3")
     assert result.returncode == 2

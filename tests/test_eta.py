@@ -761,11 +761,11 @@ def test_fibre_audit_agrees_with_the_presentation_walked_from_every_point(
 
 
 def test_decomposition_fails_when_the_factors_do_not_generate():
-    # With H embedded as the identity, the factors generate only T G; the
+    # With G embedded as the identity, the factors generate only T H; the
     # covering check catches it, and generation is read off it.
     eta = construct_eta(conjugation_pair(symmetric3()))
     identity_rows = np.tile(np.arange(eta.order(), dtype=np.int32), (6, 1))
-    report = check_decomposition(dataclasses.replace(eta, h_arrays=identity_rows))
+    report = check_decomposition(dataclasses.replace(eta, g_arrays=identity_rows))
     assert report["counts_match"]
     assert not report["covers"] and not report["generates"]
     assert not report["ok"]

@@ -118,11 +118,11 @@ def test_abelian_invariants_of_nu_pieces():
 
 
 def test_derived_decomposition_fails_when_the_factors_do_not_generate():
-    # With H embedded as the identity, the factors generate only T G'; the
+    # With G embedded as the identity, the factors generate only T H'; the
     # covering check catches it, and generation is read off it.
     nu = construct_nu(symmetric3())
     identity_rows = np.tile(np.arange(nu.order(), dtype=np.int32), (6, 1))
-    broken = dataclasses.replace(nu, eta=dataclasses.replace(nu.eta, h_arrays=identity_rows))
+    broken = dataclasses.replace(nu, eta=dataclasses.replace(nu.eta, g_arrays=identity_rows))
     report = check_derived_decomposition(broken)
     assert report["counts_match"] and report["factors_contained"]
     assert not report["covers"] and not report["generates"]
@@ -131,7 +131,7 @@ def test_derived_decomposition_fails_when_the_factors_do_not_generate():
 
 def test_nu_retains_only_the_arrays_it_owns():
     # After construction, nu(C4xC4) on 65,536 points holds the carrier's
-    # columns and tree, the certified g_arrays, h_arrays and tensors, each
+    # columns and tree, the certified g_arrays and tensors (H has no arrays), each
     # group's mask and levels, and the two hom labellings. The arrays that
     # grow a subgroup are let go: keeping one right-multiplication array
     # (256 KiB here) per subgroup generator would exceed the slack.
@@ -148,14 +148,14 @@ def test_nu_retains_only_the_arrays_it_owns():
         tracemalloc.stop()
     carrier = nu.carrier
     arrays = [carrier._columns, carrier._column, carrier._parent]
-    arrays += [nu.eta.g_arrays, nu.eta.h_arrays, nu.eta.tensors]
+    arrays += [nu.eta.g_arrays, nu.eta.tensors]
     arrays += [nu.rho._labels, nu.rho_prime._labels]
     for g in (carrier, nu.tensor_subgroup, nu.mu, nu.delta):
         arrays.append(g._mask)
         arrays += [a for level in g._levels for a in level if isinstance(a, np.ndarray)]
     bases = {id(a if a.base is None else a.base): a if a.base is None else a.base for a in arrays}
     owned = sum(a.nbytes for a in bases.values())
-    assert carrier.degree == 65_536 and owned > 11 * 2**20
+    assert carrier.degree == 65_536 and owned > 7 * 2**20
     assert owned <= retained <= owned + 128 * 2**10, (retained, owned)
 
 
@@ -171,14 +171,15 @@ def test_derived_decomposition_checks_both_intersections():
 
 
 def test_derived_decomposition_fails_when_the_factors_meet():
-    # With H's copy embedded as G's, G' and H' coincide, so T G' meets H' in
-    # all of G'; the audit names those points and fails, as lemma21 does
+    # With G's copy embedded as H's, G' and H' coincide, so T G' meets H' in
+    # all of H'; the audit names those points and fails, as lemma21 does
     s3 = symmetric3()
     nu = construct_nu(s3)
-    broken = dataclasses.replace(nu, eta=dataclasses.replace(nu.eta, h_arrays=nu.eta.g_arrays))
+    h_rows = nu.eta.times_h(np.arange(nu.order(), dtype=np.int32), np.arange(s3.n)[:, None])
+    broken = dataclasses.replace(nu, eta=dataclasses.replace(nu.eta, g_arrays=h_rows))
     report = check_derived_decomposition(broken)
     assert report["tensor_meets_g_derived"] == [0]
-    assert report["tg_meets_h_derived"] == sorted(nu.eta.embed_g[d] for d in s3.derived_indices())
+    assert report["tg_meets_h_derived"] == sorted(nu.eta.embed_h[d] for d in s3.derived_indices())
     assert not report["ok"]
     status, _, witness = _derived_decomposition(broken)
     assert status == "FAIL" and witness == report
