@@ -11,48 +11,51 @@ are the mutual actions (conjugation inside a single group), and exponents
 on bracketed words are conjugation in the presented group.
 
 It is presented on generating subsets, as in Ellis and Leonard (1995): a
-generator per member of each subset, a Cayley-graph relator w(x) s w(xs)^-1
-per element x and generator s of each group, with w(x) the BFS-tree word of
-x, and both families for generators g, g1, h, h1 only, never enumerated.
+generator per member of each subset, the Cayley graphs of G and H, and
+both families for generators g, g1, h, h1 only, never enumerated.
 
 eta is an extension of G (x) H by G x H, and every element is uniquely t x y
 with t in T = [G, H'], which is isomorphic to G (x) H. So T alone is
-enumerated, and eta's coset table is assembled as the action on the products
-t x y, as in Rocco's nu(G) = ((G (x) G) x| G) x| G. T is presented by Brown
-and Loday's relations (1987) for conjugation-closed generating sets only,
-which imply the rest, and generators are eliminated through the relators of
-length 1 and 2 before enumerating. Every relator used is a consequence of
-Brown and Loday's, so the enumerated group maps onto G (x) H and has at
-least its order. Every pair takes this one path; a trivial G or H leaves T
-no generator, so T is the one coset 0. Each assembled column sends t x y to
-(t sigma) x' y', with sigma a column of T's certified table chosen by
-(x, y) alone (_assemble): right multiplication in T. So every word in the
-columns commutes with left multiplication by T, whose orbits T x y each
-meet the fibre t = e once, in the point 0 w(x) w(y); a word fixing those
-|G| |H| points fixes all. T's table is read as enumerated, with one
-identity column added: _cocycle names sigma as some t(a, b)^-1 or the
-identity, and _shrink's column map, with the identity last, gives the
-column that acts so, an eliminated generator reading its survivor's. The
-assembled table keeps its numbering: t x y is the point (t |G| + x) |H| + y,
-so x in G is the point x |H|, y in H is y, T is the multiples of |G| |H|,
-and the fibre is the first |G| |H| points. eta's presentation above is
-walked on the fibre by T's own word walker (_audit_carrier), and the
-carrier checks that 0 reaches every point. The table is then a transitive
-action of eta on |T| |G| |H| >= |eta| points, so it is the regular action,
-and an element is the point it sends 0 to: embed_g, embed_h, the tensors
-and every subgroup generator are plain ints. Points times elements of G or
-of H, whole arrays of both at once, are EtaGroup.times_g and times_h, and a
-bracket [a, b'] is four such steps (times_bracket). Only G's elements have
-arrays, a right-multiplication row each; H acts on the last coordinate
-alone, t x y b' = t x (yb). The full families are checked the same way. A
-failed audit is a bug.
+enumerated, and eta acts on the products t x y, as in Rocco's nu(G) =
+((G (x) G) x| G) x| G. T is presented by Brown and Loday's relations (1987)
+for conjugation-closed generating sets only, which imply the rest, and
+generators are eliminated through the relators of length 1 and 2 before
+enumerating. Every relator used is a consequence of Brown and Loday's, so
+the enumerated group maps onto G (x) H and has at least its order. Every
+pair takes this one path; a trivial G or H leaves T no generator, so T is
+the one coset 0.
+
+The point of t x y is (t |G| + x) |H| + y: x in G is the point x |H|, y in
+H is y, T is the multiples of |G| |H|, and the fibre t = e is the first
+|G| |H| points. Right multiplication by any a in G is one formula, a
+gather from T's certified table: t x y a = (t sigma)(xa) y, with sigma a
+column of T's table chosen by (a, x, y) alone (_cocycle). It gives the
+carrier's columns for G's generating subset and their inverses, and then
+g_arrays, a row per element of G, read by EtaGroup.times_g. H acts on the
+last coordinate alone, t x y b' = t x (yb): H's columns are times_h's step,
+and H has no arrays. T's table is read as enumerated, with one identity
+column added: _cocycle names sigma as some t(a, b)^-1 or the identity, and
+_shrink's column map, with the identity last, gives the column that acts
+so, an eliminated generator reading its survivor's.
+
+Every column and row commutes with left multiplication by T, whose orbits
+T x y each meet the fibre once, so a fact about them that holds on the
+fibre holds everywhere. _audit_carrier chases the fibre's points through
+times_g and times_h: G's identity row fixes them, G's columns follow G's
+Cayley graph row by row, H's columns are times_h's step, and both families
+hold on generators. The columns then satisfy eta's presentation, and the
+carrier checks that 0 reaches every point: a transitive action of eta on
+|T| |G| |H| >= |eta| points is the regular action, and an element is the
+point it sends 0 to. embed_g, embed_h, the tensors and every subgroup
+generator are plain ints, a bracket [a, b'] is four steps of times_g and
+times_h (times_bracket), and the full families are checked the same way
+(_audit_families). A failed audit is a bug.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -64,8 +67,6 @@ from .fpgroup import (
     COMPACT_ROWS,
     DEFAULT_MAX_COSETS,
     Presentation,
-    _first_failure,
-    _letter_positions,
     audit_blocks,
     regular_representation,
     todd_coxeter,
@@ -94,10 +95,9 @@ class TensorSet:
 class EtaGroup:
     """A finished eta construction over a regular carrier; elements are points.
 
-    The carrier is the regular action of eta, its presentation on generating
-    subsets checked from the fibre t = e, which speaks for every point as
-    the columns commute with left multiplication by T. g_arrays holds the
-    right-multiplication arrays of the elements of G, one row each, read by
+    The carrier is the regular action of eta, certified from the fibre t = e
+    (_audit_carrier). g_arrays holds the right-multiplication arrays of the
+    elements of G, one row each, all from _cocycle's formula and read by
     times_g alone. H has no arrays: b' changes only a point's last
     coordinate y to yb, which times_h reads off the point. tensors[a, b] is
     the point of [a, b']. embed_g and embed_h read the coordinates, and
@@ -150,72 +150,54 @@ class EtaGroup:
         return self.times_h(self.times_g(x, a), b)
 
 
-def _embedding(group: TableGroup, side: str, first: int, columns: np.ndarray | None = None):
-    """Right-multiplication arrays of the embedded elements, tree words, Cayley relators.
+def _audit_carrier(eta: EtaGroup) -> None:
+    """Chase the fibre's points through eta's columns, times_g and times_h.
 
-    Member i of the group's generating subset is column 2 (first + i). A BFS
-    over right multiplication, generators ascending, sets row x s to row x
-    followed by s's column when it first reaches x s: row x evaluates w(x),
-    and its entry at 0 is the point of x. Returns the arrays (None without
-    columns), each w(x) and w(x)^-1, and each other edge's relator
-    w(x) s w(xs)^-1 with its message.
+    The carrier's column 2i is generator i of G's generating subset and
+    2i + 1 its inverse, then those of H's. At every fibre point 0 x y, the
+    first |G| |H|: G's identity row fixes it; for each element x and each
+    G column, standing for s or s^-1, the column after row x is row xs or
+    xs^-1, G's Cayley graph; each H column is times_h's step; and
+    c^-1 [a, b'] c == [a^c, (b^c)'] for generators a, b and c of G, then c
+    of H. So by induction along Cayley paths each row is its element's
+    word in G's columns, and the columns satisfy eta's presentation on the
+    fibre, and so everywhere, as all commute with left multiplication by T.
     """
-    arrays = None
-    if columns is not None:
-        arrays = np.empty((group.n, columns.shape[1]), dtype=np.int32)
-        arrays[0] = np.arange(columns.shape[1], dtype=np.int32)
-    gens = group.generating_subset()
-    right = group.table[:, list(gens)].tolist()
-    words, inverses, relators, queue = {0: ()}, {0: ()}, [], [0]
-    for x in queue:
-        for i, (s, y) in enumerate(zip(gens, right[x])):
-            c = 2 * (first + i)
-            if y in words:
-                message = f"Cayley relator of the {side}-side fails at x={x}, s={s}"
-                relators.append((words[x] + (c,) + inverses[y], message))
-            else:
-                words[y], inverses[y] = words[x] + (c,), (c + 1,) + inverses[x]
-                queue.append(y)
-                if arrays is not None:
-                    columns[c].take(arrays[x], out=arrays[y])
-    return arrays, words, inverses, relators
-
-
-def _audit_carrier(pair: ActionPair, columns: np.ndarray) -> np.ndarray:
-    """Walk eta's presentation on generating subsets from the fibre t = e.
-
-    Column 2i is generator i of G's generating subset, then those of H's,
-    one contiguous row each. The words, in the order the argument needs:
-    each generator then its inverse, the Cayley relators of G and H, and
-    c^-1 [a, b'] c [a^c, (b^c)']^-1 for generators a, b, c. From the
-    fibre's points 0 x y, the first |G| |H|, they speak for every point, as
-    the columns commute with left multiplication by T. Returns G's arrays.
-    """
+    pair, columns = eta.pair, eta.carrier._columns
     g, h = pair.g, pair.h
     sg, sh = g.generating_subset(), h.generating_subset()
-    g_arrays, g_words, g_inverses, g_cayley = _embedding(g, "g", 0, columns)
-    _, h_words, h_inverses, h_cayley = _embedding(h, "h", len(sg))
-    checks = [((c, c + 1), f"carrier columns {c} and {c + 1} are not mutually inverse")
-              for c in range(0, len(columns), 2)] + g_cayley + h_cayley
-    g_conj, h_conj = g.conj_table().tolist(), h.conj_table().tolist()  # [x][c] = x^c
-    goh, hog = pair.g_on_h.rows, pair.h_on_g.rows
-    families = (
-        ("first", sg, g_words, g_inverses, lambda a, b, c: (g_conj[a][c], goh[c][b])),
-        ("second", sh, h_words, h_inverses, lambda a, b, c: (hog[c][a], h_conj[b][c])),
-    )
-    for name, conjugators, words, inverses, image in families:
-        for c, a, b in product(conjugators, sg, sh):
-            x, y = image(a, b, c)
-            word = inverses[c] + g_inverses[a] + h_inverses[b] + g_words[a] + h_words[b] + words[c]
-            word += h_inverses[y] + g_inverses[x] + h_words[y] + g_words[x]
-            message = f"{name} relation family fails on generators g={a}, h={b}, conjugator {c}"
-            checks.append((word, message))
-    words = [word for word, _ in checks]
     fibre = np.arange(g.n * h.n, dtype=np.int32)
-    failure = _first_failure(columns.ravel(), columns.shape[1], *_letter_positions(words), fibre)
-    if failure:
-        raise ConstructionError(checks[failure[0]][1])
-    return g_arrays
+    rows = eta.g_arrays[:, : len(fibre)]  # [x, p]: where row x sends fibre point p
+    if not np.array_equal(rows[0], fibre):
+        raise ConstructionError("the identity row of G moves the fibre")
+    for c, (s, a) in enumerate((s, a) for s in sg for a in (s, g.inverse_table[s])):
+        bad = (columns[c][rows] != rows[g.table[:, a]]).any(axis=1)
+        if bad.any():
+            power = "" if c % 2 == 0 else "^-1"
+            raise ConstructionError(
+                f"Cayley relator of the g-side fails at x={bad.argmax()}, s={s}{power}"
+            )
+    for c, b in enumerate((b for s in sh for b in (s, h.inverse_table[s])), start=2 * len(sg)):
+        bad = columns[c][fibre] != eta.times_h(fibre, b)
+        if bad.any():
+            raise ConstructionError(f"column {c} of H is not its step at point {bad.argmax()}")
+    g_conj, h_conj = g.conj_table(), h.conj_table()  # [x, c] = x^c
+    goh, hog = pair.g_on_h.array, pair.h_on_g.array
+    a, b = np.array(sg, dtype=int)[:, None, None], np.array(sh, dtype=int)[:, None]
+    families = (
+        ("first", g, sg, eta.times_g, lambda c: (g_conj[a, c], goh[c, b])),
+        ("second", h, sh, eta.times_h, lambda c: (hog[c, a], h_conj[b, c])),
+    )
+    for name, group, conjugators, times, image in families:
+        c = np.array(conjugators, dtype=int)[:, None, None, None]
+        lhs = times(eta.times_bracket(times(fibre, group.inverse_table[c]), a, b), c)
+        bad = (lhs != eta.times_bracket(fibre, *image(c))).any(axis=-1)
+        if bad.any():
+            i, j, k = np.argwhere(bad)[0].tolist()
+            raise ConstructionError(
+                f"{name} relation family fails on generators g={sg[j]}, h={sh[k]},"
+                f" conjugator {conjugators[i]}"
+            )
 
 
 def _audit_families(eta: EtaGroup) -> None:
@@ -463,47 +445,23 @@ def _tensor_table(pair: ActionPair, max_cosets: int) -> tuple[np.ndarray, np.nda
     return steps, np.append(columns, -1)
 
 
-def _assemble(pair: ActionPair, steps: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """Columns of eta, a contiguous row each, on its elements t x y as (t |G| + x) |H| + y.
+def _cocycle(pair: ActionPair) -> np.ndarray:
+    """Which step of T right multiplication by a takes at x y, for every (a, x, y).
 
-    steps and columns are _tensor_table's. An H generator s sends t x y to
-    t x (ys). A G generator s sends it to (t sigma)(xs) y, where sigma is
-    [s, y']^-1 conjugated by y^-1 and then by (xs)^-1. Each conjugation
-    sends a generator t(a, b) of T to another, t(s^(y^-1) ^ (xs)^-1,
-    y^(xs)^-1), so sigma is one column of T's table, chosen by (x, y)
-    alone: _cocycle numbers it as a t(a, b)^-1 or the identity, and columns
-    turns that into a column of steps. Each column, one gather from T's
-    certified table, commutes with left multiplication by T, so a word in
-    them that fixes the fibre t = e fixes every point (_audit_carrier).
+    t x y a = (t sigma)(xa) y, where sigma is [a, y']^-1 conjugated by y^-1
+    and then by (xa)^-1. Each conjugation sends a generator t(u, v) of T to
+    another, so sigma is t(u, v)^-1 for u = a^(y^-1) ^ (xa)^-1 and v =
+    y^(xa)^-1. It is 2 k + 1 for t(u, v)^-1, numbered k as in
+    _tensor_relators, or 2 (|G| - 1) (|H| - 1), one past them, for the
+    identity. _tensor_table's column map sends it to the column of T's
+    table that acts so.
     """
     g, h = pair.g, pair.h
-    nt, ng, nh = len(steps), g.n, h.n
-    t = np.arange(nt, dtype=np.int32).reshape(-1, 1, 1)
-    x = np.arange(ng, dtype=np.int32).reshape(1, -1, 1)
-    y = np.arange(nh, dtype=np.int32).reshape(1, 1, -1)
-    images = [(steps[t, columns[_cocycle(pair, s)]] * ng + g.table[x, s]) * nh + y
-              for s in g.generating_subset()]
-    images += [(t * ng + x) * nh + h.table[y, s] for s in h.generating_subset()]
-    points = np.arange(nt * ng * nh, dtype=np.int32)
-    table = np.empty((2 * len(images), len(points)), dtype=np.int32)
-    for i, image in enumerate(images):
-        table[2 * i] = image.ravel()
-        table[2 * i + 1, image.ravel()] = points
-    return table
-
-
-def _cocycle(pair: ActionPair, s: int) -> np.ndarray:
-    """Which step of T _assemble takes at each (x, y) for G generator s.
-
-    It is 2 k + 1 for t(a, b)^-1, numbered k as in _tensor_relators, or
-    2 (|G| - 1) (|H| - 1), one past them, for the identity. _tensor_table's
-    column map sends it to the column of T's table that acts so.
-    """
-    g, h = pair.g, pair.h
-    z = g.inverse_table[g.table[:, s]]  # (xs)^-1, per x
-    u = pair.h_on_g.array[h.inverse_table, s]  # s^(y^-1), per y
-    a = g.table[g.table[g.inverse_table[z][:, None], u[None, :]], z[:, None]]  # u^z, per (x, y)
-    b = pair.g_on_h.array[z]  # y^z, per (x, y)
+    xa = g.table.T  # [a, x]
+    z = g.inverse_table[xa]
+    u = pair.h_on_g.array[h.inverse_table].T  # a^(y^-1), [a, y]
+    a = g.table[g.table[xa[:, :, None], u[:, None, :]], z[:, :, None]]  # u^z, [a, x, y]
+    b = pair.g_on_h.array[z]  # y^z, [a, x, y]
     identity = 2 * (g.n - 1) * (h.n - 1)
     return np.where((a == 0) | (b == 0), identity, 2 * ((a - 1) * (h.n - 1) + b - 1) + 1)
 
@@ -514,35 +472,57 @@ def _require_room(n: int, max_cosets: int) -> None:
 
 
 def construct_eta(pair: ActionPair, *, max_cosets: int = DEFAULT_MAX_COSETS) -> EtaGroup:
-    """Assemble, carry, embed, and audit the eta group of a compatible pair.
+    """Enumerate T, carry eta on the products t x y, and audit it.
 
     Every pair takes one path: T = G (x) H is enumerated from its shrunk
-    presentation, and eta's table is assembled from T's, as enumerated, as
-    the action on elements t x y. A trivial G or H only makes T trivial.
-    Raises IncompatibleActionError when the pair fails the compatibility
-    equations, CapacityError when T or the carrier needs more cosets than
-    allowed, and ConstructionError if a certification audit fails, which is
-    a bug.
+    presentation, and eta acts on the elements t x y through T's table, as
+    enumerated. A trivial G or H only makes T trivial. The carrier's
+    columns are built first and g_arrays after its tree, so the two are
+    never both being built. Raises IncompatibleActionError when the pair
+    fails the compatibility equations, CapacityError when T or the carrier
+    needs more cosets than allowed, and ConstructionError if a
+    certification audit fails, which is a bug.
     """
     require_compatible(pair)
     g, h = pair.g, pair.h
     if pair.g_on_h.is_trivial() and pair.h_on_g.is_trivial():
         # G (x) H is the Z-tensor: refuse an oversized carrier before enumerating it
         _require_room(trivial_action_baseline(g, h).order * g.n * h.n, max_cosets)
-    tensor = _tensor_table(pair, max_cosets)
-    _require_room(len(tensor[0]) * g.n * h.n, max_cosets)
+    steps, column_map = _tensor_table(pair, max_cosets)
+    fibre = g.n * h.n
+    _require_room(len(steps) * fibre, max_cosets)
+    # right multiplication by a sends t x y to (t sigma)(xa) y: T's step, then the fibre's point
+    sigma = column_map[_cocycle(pair)]
+    ends = g.table.T[:, :, None] * h.n + np.arange(h.n, dtype=np.int32)  # [a, x, y]
+    t_points = steps * fibre  # [t, c]: the point of (t c) e e
+
+    def row(a: int, out: np.ndarray) -> None:
+        np.take(t_points, sigma[a], axis=1, out=out.reshape(len(steps), g.n, h.n))
+        out.reshape(len(steps), fibre)[:] += ends[a].reshape(fibre)
+
+    eta = EtaGroup(pair, None, None, None, None, None)
+    gens = [a for s in g.generating_subset() for a in (s, int(g.inverse_table[s]))]
+    h_gens = [b for s in h.generating_subset() for b in (s, int(h.inverse_table[s]))]
+    columns = np.empty((len(gens) + len(h_gens), len(steps) * fibre), dtype=np.int32)
+    for a, out in zip(gens, columns):
+        row(a, out)
+    points = np.arange(columns.shape[1], dtype=np.int32)
+    for b, out in zip(h_gens, columns[len(gens) :]):
+        out[:] = eta.times_h(points, b)
     try:
-        carrier, columns = regular_representation(_assemble(pair, *tensor))
+        eta.carrier = regular_representation(columns)[0]
     except IncompleteTableError as err:
-        raise ConstructionError(f"assembled table: {err}") from err
+        raise ConstructionError(f"eta's columns: {err}") from err
+    eta.g_arrays = np.empty((g.n, len(points)), dtype=np.int32)
+    for a, out in enumerate(eta.g_arrays):
+        row(a, out)
     # a transitive action of the presented eta on |T| |G| |H| >= |eta| points is regular
-    g_arrays = _audit_carrier(pair, columns)
+    _audit_carrier(eta)
     # the tensors are walked with eta's own element arithmetic, then audited
-    eta = EtaGroup(pair, carrier, g_arrays, None, None, None)
     eta.tensors = eta.times_bracket(0, np.arange(g.n)[:, None], np.arange(h.n)[None, :])
     _audit_families(eta)
     eta.tensor_set = restricted_tensor_set(eta, range(g.n), range(h.n))
-    eta.tensor_subgroup = carrier.subgroup(eta.tensor_set.members)
+    eta.tensor_subgroup = eta.carrier.subgroup(eta.tensor_set.members)
     return eta
 
 

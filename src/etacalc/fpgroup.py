@@ -559,9 +559,8 @@ def _first_failure(
     is point x's entry in column c: gathers from it run about 3x faster
     than from a strided column of the row-major table. order and letters
     lay out the words as _letter_positions does. A block of words is walked
-    from all int32 starts at once, one take per letter position: every
-    coset for _audit_table, and for construct_eta one point per orbit of a
-    group of permutations that commute with every column.
+    from all int32 starts at once, one take per letter position; _audit_table
+    starts from every coset.
     """
     m = len(starts)
     offsets = [(cols * n).astype(np.int32) for cols in letters]  # where each column starts

@@ -47,6 +47,7 @@ from .eta import (
     restricted_tensor_set,
     trivial_action_baseline,
 )
+from .fpgroup import audit_blocks
 from .groups import TableGroup, builtin
 from .nu import NuGroup, check_derived_decomposition, construct_nu
 from .perm import PermGroup, abelian_invariants_of, centralizer_index
@@ -295,6 +296,13 @@ def _failure_text(f: dict) -> str:
     return f"family {f['family']} at ({spot})"
 
 
+def _verdict(checks: dict, detail: str, failure: str, **extras):
+    """PASS with detail when every check holds, else FAIL with each check's bool and the extras."""
+    if all(checks.values()):
+        return "PASS", detail, None
+    return "FAIL", failure, {**{k: bool(ok) for k, ok in checks.items()}, **extras}
+
+
 def _compat(pair: ActionPair, expect_compatible: bool):
     failures = check_compatibility(pair)
     if not failures:
@@ -323,22 +331,16 @@ def _decomposition(eta: EtaGroup):
 def _ztensor(eta: EtaGroup, pair: ActionPair):
     baseline = trivial_action_baseline(pair.g, pair.h)
     observed = abelian_invariants_of(eta.tensor_subgroup)
+    factors = None if observed is None else list(observed.factors)
     checks = {
         "tensor_abelian": observed is not None,
         "invariants_match": observed == baseline,
         "order_match": eta.tensor_order() == baseline.order,
         "carrier_order": eta.order() == baseline.order * pair.g.n * pair.h.n,
     }
-    if all(checks.values()):
-        detail = (
-            f"tensor invariants {list(observed.factors)} match "
-            f"G^ab tensor_Z H^ab of order {baseline.order}"
-        )
-        return "PASS", detail, None
-    witness = {k: bool(okv) for k, okv in checks.items()}
-    witness["expected"] = list(baseline.factors)
-    witness["observed"] = None if observed is None else list(observed.factors)
-    return "FAIL", "tensor subgroup disagrees with the abelianized baseline", witness
+    detail = f"tensor invariants {factors} match G^ab tensor_Z H^ab of order {baseline.order}"
+    failure = "tensor subgroup disagrees with the abelianized baseline"
+    return _verdict(checks, detail, failure, expected=list(baseline.factors), observed=factors)
 
 
 def _derived_decomposition(nu: NuGroup):
@@ -410,7 +412,7 @@ def _identity_b(eta: EtaGroup, key, key_inv, g_shift):
 def _identity_a(eta: EtaGroup, key_inv, g_shift, h_shift):
     """(failures, literal-reading divergences, first failure) of identity (a).
 
-    Over (x, y, g, h), one x at a time: [g, h'] conjugated by [x, y'], by
+    Over (x, y, g, h), in blocks of x: [g, h'] conjugated by [x, y'], by
     x^-1 x^y and by (y^x)^-1 y; the last two are gathered from [g, h']
     conjugated by each element of G and of H. The divergences are None
     when the groups differ.
@@ -424,19 +426,21 @@ def _identity_a(eta: EtaGroup, key_inv, g_shift, h_shift):
     y = np.arange(h.n)[:, None, None]
     same_group = g == h
     witness, failures, diverging = None, 0, 0
-    for x in range(g.n):
-        start = key_inv[x][:, None, None]
+    for block in audit_blocks(g.n, h.n * g.n * h.n):
+        x = np.arange(g.n)[block]
+        start = key_inv[x][:, :, None, None]  # [x, y]
+        x = x[:, None, None, None]
         k1 = eta.times_bracket(eta.times_bracket(start, a, b), x, y)
-        k2, k3 = by_g[g_shift[x]], by_h[h_shift[x]]
+        k2, k3 = by_g[g_shift[block]], by_h[h_shift[block]]
         bad = (k1 != k2) | (k2 != k3)
         failures += np.count_nonzero(bad)
         if witness is None and (spot := _first(bad)) is not None:
             witness = {
                 "identity": "a",
-                "g": spot[1],
-                "h": spot[2],
-                "x": x,
-                "y": spot[0],
+                "g": spot[2],
+                "h": spot[3],
+                "x": block.start + spot[0],
+                "y": spot[1],
                 "conjugated": int(k1[spot]),
                 "first_copy": int(k2[spot]),
                 "second_copy": int(k3[spot]),
@@ -503,22 +507,17 @@ def _mu_quotient(nu: NuGroup):
         "mu_central": nu.mu.is_central_in(nu.carrier),
         "mu_in_tensor": all(nu.tensor_subgroup.contains(m) for m in nu.mu.generators),
     }
-    if all(checks.values()):
-        detail = (
-            f"|[G,G^phi]| = {nu.tensor_order()} = {mu_order} * {derived_order}; "
-            f"mu(G) of order {mu_order} is central"
-        )
-        return "PASS", detail, None
-    witness = {k: bool(okv) for k, okv in checks.items()}
-    witness.update(
-        {
-            "tensor_order": nu.tensor_order(),
-            "mu_order": mu_order,
-            "derived_order": derived_order,
-            "image_order": image_order,
-        }
+    detail = (
+        f"|[G,G^phi]| = {nu.tensor_order()} = {mu_order} * {derived_order}; "
+        f"mu(G) of order {mu_order} is central"
     )
-    return "FAIL", "quotient of the tensor subgroup by mu is not G'", witness
+    orders = {
+        "tensor_order": nu.tensor_order(),
+        "mu_order": mu_order,
+        "derived_order": derived_order,
+        "image_order": image_order,
+    }
+    return _verdict(checks, detail, "quotient of the tensor subgroup by mu is not G'", **orders)
 
 
 def _mutually_invariant(frame: _Frame) -> bool:
@@ -704,32 +703,23 @@ def _finiteness(nu: NuGroup):
         f"{set_size} tensors generate [G,G^phi] of order {tensor_order}; "
         f"|nu(G)| = {tensor_order} * {n}^2 = {nu.order()}"
     )
-    if all(checks.values()):
-        return "PASS", detail, None
-    witness = {k: bool(ok) for k, ok in checks.items()}
-    witness.update({"set_size": set_size, "tensor_order": tensor_order, "order": nu.order()})
-    return "FAIL", "finiteness chain broken", witness
+    sizes = {"set_size": set_size, "tensor_order": tensor_order, "order": nu.order()}
+    return _verdict(checks, detail, "finiteness chain broken", **sizes)
 
 
 def _delta_divisibility(nu: NuGroup):
     d_ab = delta_of_abelian(nu.group.abelian_invariants())
     delta_order = nu.delta.order()
-    divides = d_ab.order >= 1 and delta_order % d_ab.order == 0
-    primes_contained = pi_set(d_ab) <= pi_set(nu.delta.element_orders())
-    if divides and primes_contained:
-        detail = (
-            f"|Delta(G^ab)| = {d_ab.order} divides |Delta(G)| = {delta_order}; "
-            "prime support carries over"
-        )
-        return "PASS", detail, None
-    witness = {
-        "delta_ab_order": d_ab.order,
-        "delta_order": delta_order,
-        "divides": bool(divides),
-        "primes_contained": bool(primes_contained),
+    checks = {
+        "divides": d_ab.order >= 1 and delta_order % d_ab.order == 0,
+        "primes_contained": pi_set(d_ab) <= pi_set(nu.delta.element_orders()),
     }
-    detail = "diagonal of the abelianization does not embed at finite scale"
-    return "FAIL", detail, witness
+    detail = (
+        f"|Delta(G^ab)| = {d_ab.order} divides |Delta(G)| = {delta_order}; "
+        "prime support carries over"
+    )
+    failure = "diagonal of the abelianization does not embed at finite scale"
+    return _verdict(checks, detail, failure, delta_ab_order=d_ab.order, delta_order=delta_order)
 
 
 def _prime_support(nu: NuGroup):
@@ -743,23 +733,18 @@ def _prime_support(nu: NuGroup):
         "abelianization_primes": pi_set(a_inv) == pi_set(d_ab),
         "group_primes_in_tensor": group.pi() <= tensor_primes,
     }
-    if all(checks.values()):
-        detail = (
-            f"pi(G) = {sorted(group.pi())} inside pi([G,G^phi]) = "
-            f"{sorted(tensor_primes)}; pi(G^ab) = pi(Delta(G^ab)) = "
-            f"{sorted(pi_set(d_ab))}"
-        )
-        return "PASS", detail, None
-    witness = {k: bool(okv) for k, okv in checks.items()}
-    witness.update(
-        {
-            "group_primes": sorted(group.pi()),
-            "tensor_primes": sorted(tensor_primes),
-            "abelianization_primes_set": sorted(pi_set(a_inv)),
-            "delta_primes": sorted(pi_set(d_ab)),
-        }
+    detail = (
+        f"pi(G) = {sorted(group.pi())} inside pi([G,G^phi]) = "
+        f"{sorted(tensor_primes)}; pi(G^ab) = pi(Delta(G^ab)) = "
+        f"{sorted(pi_set(d_ab))}"
     )
-    return "FAIL", "prime support of the tensor subgroup is too small", witness
+    primes = {
+        "group_primes": sorted(group.pi()),
+        "tensor_primes": sorted(tensor_primes),
+        "abelianization_primes_set": sorted(pi_set(a_inv)),
+        "delta_primes": sorted(pi_set(d_ab)),
+    }
+    return _verdict(checks, detail, "prime support of the tensor subgroup is too small", **primes)
 
 
 def _refusal(err: CapacityError | IncompatibleActionError):

@@ -49,7 +49,14 @@ from etacalc.groups import (
     table_from_perms,
 )
 from etacalc.perm import abelian_invariants_of
-from etacalc.verify import _build, _centralizer_bound, _tensor_frame, _theorem_A, default_corpus
+from etacalc.verify import (
+    _build,
+    _centralizer_bound,
+    _tensor_frame,
+    _theorem_A,
+    corpus_from_json_dict,
+    default_corpus,
+)
 from oracles import (
     bfs_renumber,
     brown_loday_presentation,
@@ -235,7 +242,7 @@ def _same_up_to_numbering(carrier, rows: np.ndarray) -> None:
 
 
 def test_eta_keeps_the_enumerated_presentation():
-    # The carrier keeps the assembled table's columns and tree, those of the
+    # The carrier keeps its columns and tree, those of the
     # enumerated presentation on generating subsets up to numbering. Its
     # relators, and the full families, are checked on the carrier by point
     # chasing; neither is written out as words.
@@ -246,7 +253,7 @@ def test_eta_keeps_the_enumerated_presentation():
 
 @pytest.mark.parametrize("workload", ["corpus-default", "corpus-general"])
 def test_eta_points_are_coordinates(workload, monkeypatch):
-    # t x y is the point (t |G| + x) |H| + y, as _assemble numbers it: x in
+    # t x y is the point (t |G| + x) |H| + y, as construct_eta numbers it: x in
     # G is x |H|, y in H is y, and the tensor subgroup T is the multiples
     # of |G| |H|. The default workload adds the pairs with a trivial factor.
     monkeypatch.syspath_prepend(str(REPO / "perfbench"))
@@ -565,29 +572,28 @@ _AUDITED_PAIRS = [
 ]
 
 
-def _corrupt_assembly(monkeypatch, corrupt) -> None:
-    """Make construct_eta assemble its table and then corrupt it in place."""
-    assemble = eta_module._assemble
+def _corrupt_columns(monkeypatch, corrupt) -> None:
+    """Make construct_eta corrupt its columns in place before its carrier is built on them."""
+    carry = eta_module.regular_representation
 
-    def corrupted(pair, steps, columns):
-        table = assemble(pair, steps, columns)
-        corrupt(table)
-        return table
+    def corrupted(columns):
+        corrupt(columns)
+        return carry(columns)
 
-    monkeypatch.setattr(eta_module, "_assemble", corrupted)
+    monkeypatch.setattr(eta_module, "regular_representation", corrupted)
 
 
 @pytest.mark.parametrize("make_pair", _AUDITED_PAIRS)
 def test_audit_refuses_a_corrupted_column_pair(make_pair, monkeypatch):
     # Two images of generator 0 swapped and its inverse column rebuilt: both
-    # columns stay mutually inverse permutations, and only the relators of
-    # eta's presentation, chased over every point, can tell.
+    # columns stay mutually inverse permutations, and only G's Cayley graph,
+    # chased from the fibre through every row, can tell.
     def corrupt(table):
         forward = table[0]
         forward[[0, 1]] = forward[[1, 0]]
         table[1, forward] = np.arange(table.shape[1])
 
-    _corrupt_assembly(monkeypatch, corrupt)
+    _corrupt_columns(monkeypatch, corrupt)
     with pytest.raises(ConstructionError, match="relator|family"):
         construct_eta(make_pair())
 
@@ -598,9 +604,46 @@ def test_audit_refuses_a_broken_inverse_column(make_pair, monkeypatch):
     def corrupt(table):
         table[1, [0, 1]] = table[1, [1, 0]]
 
-    _corrupt_assembly(monkeypatch, corrupt)
-    with pytest.raises(ConstructionError, match="not mutually inverse"):
+    _corrupt_columns(monkeypatch, corrupt)
+    with pytest.raises(ConstructionError, match=r"Cayley relator of the g-side .*\^-1$"):
         construct_eta(make_pair())
+
+
+@pytest.mark.parametrize("make_pair", _AUDITED_PAIRS)
+def test_audit_refuses_an_h_column_that_is_not_its_step(make_pair, monkeypatch):
+    # Two images of H's first generator swapped and its inverse column
+    # rebuilt: the carrier still reaches every point, and times_h, which
+    # G's rows and both families are chased through, never reads the
+    # columns, so only comparing each H column with its step can tell.
+    pair = make_pair()
+    first = 2 * len(pair.g.generating_subset())
+
+    def corrupt(table):
+        forward = table[first]
+        forward[[0, 1]] = forward[[1, 0]]
+        table[first + 1, forward] = np.arange(table.shape[1])
+
+    _corrupt_columns(monkeypatch, corrupt)
+    with pytest.raises(ConstructionError, match=f"column {first} of H is not its step at point 0"):
+        construct_eta(pair)
+
+
+@pytest.mark.parametrize(
+    "make_pair",
+    [lambda: conjugation_pair(symmetric3()), lambda: trivial_pair(cyclic(3), cyclic(2))],
+    ids=["nu(S3)", "C3,C2"],
+)
+def test_audit_refuses_rows_shifted_off_the_identity(make_pair):
+    # Every row of G preceded by b' for H's first generator b: each G column
+    # after row x is still row xs, since the shift is on the other side. In
+    # eta(C3, C2) = C3 x C2 the shift is by a central involution, so both
+    # families hold too, and only the identity row, which now moves the
+    # fibre, can tell.
+    eta = construct_eta(make_pair())
+    b = eta.pair.h.generating_subset()[0]
+    shifted = eta.g_arrays[:, eta.times_h(np.arange(eta.order()), b)]
+    with pytest.raises(ConstructionError, match="identity row of G moves the fibre"):
+        eta_module._audit_carrier(dataclasses.replace(eta, g_arrays=shifted))
 
 
 def _undefine(table):
@@ -617,23 +660,23 @@ def _fix_every_point(table):
     ids=["undefined-entry", "unreached-point"],
 )
 def test_carrier_refuses_an_incomplete_assembly(corrupt, message, monkeypatch):
-    # the carrier's own tree must reach every point of the assembled table
-    _corrupt_assembly(monkeypatch, corrupt)
-    with pytest.raises(ConstructionError, match=f"assembled table: .*{message}") as exc:
+    # the carrier's own tree must reach every point through eta's columns
+    _corrupt_columns(monkeypatch, corrupt)
+    with pytest.raises(ConstructionError, match=f"eta's columns: .*{message}") as exc:
         construct_eta(conjugation_pair(symmetric3()))
     assert isinstance(exc.value.__cause__, IncompleteTableError)
 
 
 def test_audit_checks_the_families_on_generators():
-    # nu(S3)'s carrier satisfies every Cayley relator of S3 on both sides,
+    # nu(S3)'s carrier and rows satisfy S3's Cayley graph and H's steps,
     # but not the families of S3 acting trivially on itself.
-    columns = construct_eta(conjugation_pair(symmetric3())).carrier._columns
+    eta = construct_eta(conjugation_pair(symmetric3()))
     with pytest.raises(ConstructionError, match="first relation family"):
-        eta_module._audit_carrier(trivial_pair(symmetric3(), symmetric3()), columns)
+        eta_module._audit_carrier(dataclasses.replace(eta, pair=trivial_pair(*[symmetric3()] * 2)))
 
 
-# Two mutants of the construction that keep every column a gather from a
-# table of right multiplications in T, so the columns still commute with
+# Two mutants of the construction that keep every column and row a gather
+# from a table of right multiplications in T, so they still commute with
 # left multiplication by T and the fibre t = e still speaks for every point.
 
 
@@ -645,30 +688,32 @@ def _changed_cocycle(monkeypatch) -> list:
     trivial T leaves nothing to change. Returns a list that records each
     pair whose cocycle was changed.
     """
-    assemble, cocycle, changed, first_row = eta_module._assemble, eta_module._cocycle, [], []
+    tensor_table, cocycle = eta_module._tensor_table, eta_module._cocycle
+    changed, first_row = [], []
 
-    def recording(pair, steps, columns):
+    def recording(pair, max_cosets):
+        steps, columns = tensor_table(pair, max_cosets)
         # where coset 0 goes under each index _cocycle can give
         first_row[:] = [steps[0, columns]]
-        return assemble(pair, steps, columns)
+        return steps, columns
 
-    def mutated(pair, s):
-        k = cocycle(pair, s).copy()
-        row = first_row[0]
-        x, y = pair.g.n - 1, pair.h.n - 1
-        unlike = np.flatnonzero(row != row[k[x, y]])
-        if s == pair.g.generating_subset()[0] and y and unlike.size:
-            k[x, y] = unlike[0]
+    def mutated(pair):
+        k = cocycle(pair).copy()
+        gens, row = pair.g.generating_subset(), first_row[0]
+        s, x, y = (gens or (0,))[0], pair.g.n - 1, pair.h.n - 1
+        unlike = np.flatnonzero(row != row[k[s, x, y]])
+        if gens and y and unlike.size:
+            k[s, x, y] = unlike[0]
             changed.append(pair)
         return k
 
-    monkeypatch.setattr(eta_module, "_assemble", recording)
+    monkeypatch.setattr(eta_module, "_tensor_table", recording)
     monkeypatch.setattr(eta_module, "_cocycle", mutated)
     return changed
 
 
 def _repointed_column_map(monkeypatch) -> list:
-    """Point the last inverse column that a cocycle reads at another survivor's.
+    """Point the last inverse column that a generator's cocycle reads at another survivor's.
 
     The new column is the least survivor's inverse that acts unlike the
     old one; a T where none does is left as it is. Returns a list that
@@ -680,8 +725,8 @@ def _repointed_column_map(monkeypatch) -> list:
         pres, columns = presentation(pair)
         if pres is None:
             return pres, columns
-        read = [eta_module._cocycle(pair, s) for s in pair.g.generating_subset()]
-        k = max(c for c in np.unique(read).tolist() if c < len(columns) and columns[c] >= 0)
+        read = np.unique(eta_module._cocycle(pair)[list(pair.g.generating_subset())]).tolist()
+        k = max(c for c in read if c < len(columns) and columns[c] >= 0)
         first_row = todd_coxeter(pres).rows[0]
         unlike = np.flatnonzero(first_row[1::2] != first_row[columns[k]])
         if unlike.size:
@@ -700,12 +745,12 @@ _MUTANTS = {"cocycle": _changed_cocycle, "column-map": _repointed_column_map}
 @pytest.mark.parametrize("mutant", sorted(_MUTANTS))
 @pytest.mark.parametrize("make_pair", _AUDITED_PAIRS)
 def test_audit_refuses_a_mutated_construction(make_pair, mutant, monkeypatch):
-    # Either mutant changes where a G generator sends whole cosets T x y
-    # with y not the identity, the same way at every t, so the columns still
-    # commute with left multiplication by T. A loop of G's Cayley graph
-    # through a changed edge can now move t, and on these pairs one does, so
-    # a Cayley relator of G walked from the fibre at such a y fails first;
-    # walked from y = e alone, none would.
+    # Either mutant changes where G's elements send whole cosets T x y with
+    # y not the identity, the same way at every t, so the columns and rows
+    # still commute with left multiplication by T. A loop of G's Cayley
+    # graph through a changed edge can now move t, and on these pairs one
+    # does, so G's Cayley graph chased from the fibre at such a y fails
+    # first; chased from y = e alone, it would hold.
     changed = _MUTANTS[mutant](monkeypatch)
     with pytest.raises(ConstructionError, match="Cayley relator of the g-side"):
         construct_eta(make_pair())
@@ -724,25 +769,33 @@ def _presentation_failure(pair, columns: np.ndarray) -> bool:
     )
 
 
+def _oracle_corpus(workload: str):
+    if workload == "module-pairs":
+        data = json.loads((REPO / "tests" / "data" / "module_pairs.json").read_text())
+        return corpus_from_json_dict(data)
+    return importlib.import_module("corpora").make_corpus(workload, 0)
+
+
 @pytest.mark.parametrize("mutant", [None, *sorted(_MUTANTS)])
-@pytest.mark.parametrize("workload", ["corpus-default", "corpus-general"])
+@pytest.mark.parametrize("workload", ["corpus-default", "corpus-general", "module-pairs"])
 def test_fibre_audit_agrees_with_the_presentation_walked_from_every_point(
     workload, mutant, monkeypatch
 ):
-    # Every pair of the default corpus and of the benchmark's general corpus
-    # at seed 0: the audit from the fibre refuses exactly the carriers on
-    # which eta's presentation, written out as words, fails at some point.
+    # Every pair of the default corpus, of the benchmark's general corpus
+    # at seed 0 and of the crossed-module pairs: the point-chasing audit
+    # from the fibre refuses exactly the carriers on which eta's
+    # presentation, written out as words, fails at some point.
     monkeypatch.syspath_prepend(str(REPO / "perfbench"))
-    corpus = importlib.import_module("corpora").make_corpus(workload, 0)
+    corpus = _oracle_corpus(workload)
     changed = _MUTANTS[mutant](monkeypatch) if mutant else []
     audit, audited = eta_module._audit_carrier, []
 
-    def recording(pair, columns):
-        audited.append((pair, columns, True))
+    def recording(eta):
+        audited.append((eta.pair, eta.carrier._columns, True))
         try:
-            return audit(pair, columns)
+            return audit(eta)
         except ConstructionError:
-            audited[-1] = (pair, columns, False)
+            audited[-1] = (eta.pair, eta.carrier._columns, False)
             raise
 
     monkeypatch.setattr(eta_module, "_audit_carrier", recording)

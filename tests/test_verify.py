@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from etacalc import verify
+from etacalc import fpgroup, verify
 from etacalc.abelian import AbelianInvariants, z_tensor
 from etacalc.action import conjugation_pair, incompatible_example, trivial_pair
 from etacalc.eta import DEFAULT_MAX_COSETS, construct_eta
@@ -486,6 +486,18 @@ def test_swapped_tensors_fail_both_checks_as_the_loops_do(name, failing_steps):
     assert failing == failing_steps
     assert report == looped_theorem_A(eta, *everything)
     json.dumps(report[2])
+
+
+@pytest.mark.parametrize("per_block", [1, 2, 5])
+@pytest.mark.parametrize("name", ["S3", "D8"])
+def test_identity_a_in_blocks_of_x_equals_the_loops(name, per_block, monkeypatch):
+    # identity (a) walks x in blocks of per_block elements; the counts, the
+    # literal reading and the first failure in (x, y, g, h) order stay the loops'
+    eta = _swapped_tensors(construct_nu(builtin(name)).eta)
+    monkeypatch.setattr(fpgroup, "_AUDIT_WALKS", per_block * eta.pair.g.n**3)
+    report = _lemma_identities(eta)
+    assert report[2]["identity"] == "a"
+    assert report == looped_lemma_identities(eta)
 
 
 def test_claim_filter_selects_substring(mini_corpus):
