@@ -30,13 +30,13 @@ H is y, T is the multiples of |G| |H|, and the fibre t = e is the first
 |G| |H| points. Right multiplication by any a in G is one formula, a
 gather from T's certified table: t x y a = (t sigma)(xa) y, with sigma a
 column of T's table chosen by (a, x, y) alone (_cocycle). It gives the
-carrier's columns for G's generating subset and their inverses, and then
-g_arrays, a row per element of G, read by EtaGroup.times_g. H acts on the
-last coordinate alone, t x y b' = t x (yb): H's columns are times_h's step,
-and H has no arrays. T's table is read as enumerated, with one identity
-column added: _cocycle names sigma as some t(a, b)^-1 or the identity, and
-_shrink's column map, with the identity last, gives the column that acts
-so, an eliminated generator reading its survivor's.
+carrier's columns for G's generating subset and their inverses, and
+EtaGroup.times_g reads it for every element of G: no element keeps an
+array of its own. H acts on the last coordinate alone, t x y b' = t x
+(yb): H's columns are times_h's step. T's table is read as enumerated,
+with one identity column added: _cocycle names sigma as some t(a, b)^-1
+or the identity, and _shrink's column map, with the identity last, gives
+the column that acts so, an eliminated generator reading its survivor's.
 
 Every column and row commutes with left multiplication by T, whose orbits
 T x y each meet the fibre once, so a fact about them that holds on the
@@ -96,18 +96,20 @@ class EtaGroup:
     """A finished eta construction over a regular carrier; elements are points.
 
     The carrier is the regular action of eta, certified from the fibre t = e
-    (_audit_carrier). g_arrays holds the right-multiplication arrays of the
-    elements of G, one row each, all from _cocycle's formula and read by
-    times_g alone. H has no arrays: b' changes only a point's last
-    coordinate y to yb, which times_h reads off the point. tensors[a, b] is
-    the point of [a, b']. embed_g and embed_h read the coordinates, and
-    everything else, times_bracket included, multiplies through times_g and
-    times_h, so replacing them touches this module alone.
+    (_audit_carrier). times_g reads _cocycle's formula: t_points[t, c] is
+    the point of (t c) e e for T's column c, and at the fibre point r of
+    x y, sigma[a, r] is the column a takes and ends[a, r] the fibre point
+    of (xa) y. times_h reads b' off the point, whose last coordinate y it
+    makes yb. tensors[a, b] is the point of [a, b']. embed_g and embed_h
+    read the coordinates, and everything else, times_bracket included,
+    multiplies through times_g and times_h.
     """
 
     pair: ActionPair
     carrier: PermGroup
-    g_arrays: np.ndarray
+    t_points: np.ndarray
+    sigma: np.ndarray
+    ends: np.ndarray
     tensors: np.ndarray
     tensor_set: TensorSet
     tensor_subgroup: PermGroup
@@ -136,8 +138,11 @@ class EtaGroup:
         return int(self.tensors[g, h])
 
     def times_g(self, points, a) -> np.ndarray:
-        """points a, for elements a of G, with points and a broadcast."""
-        return self.g_arrays[a, points]
+        """points a, for elements a of G, with points and a broadcast: t r a = (t sigma) ends."""
+        fibre, width = self.ends.shape[1], self.t_points.shape[1]
+        t, r = np.divmod(points, fibre)
+        i = a * fibre + r  # [a, r], flat
+        return self.t_points.ravel()[t * width + self.sigma.ravel()[i]] + self.ends.ravel()[i]
 
     def times_h(self, points, b) -> np.ndarray:
         """points b', for elements b of H, with points and b broadcast: y becomes yb."""
@@ -167,7 +172,7 @@ def _audit_carrier(eta: EtaGroup) -> None:
     g, h = pair.g, pair.h
     sg, sh = g.generating_subset(), h.generating_subset()
     fibre = np.arange(g.n * h.n, dtype=np.int32)
-    rows = eta.g_arrays[:, : len(fibre)]  # [x, p]: where row x sends fibre point p
+    rows = eta.times_g(fibre, np.arange(g.n)[:, None])  # [x, p]: where x sends fibre point p
     if not np.array_equal(rows[0], fibre):
         raise ConstructionError("the identity row of G moves the fibre")
     for c, (s, a) in enumerate((s, a) for s in sg for a in (s, g.inverse_table[s])):
@@ -419,10 +424,10 @@ def _tensor_presentation(pair: ActionPair) -> tuple[Presentation | None, np.ndar
 def _tensor_table(pair: ActionPair, max_cosets: int) -> tuple[np.ndarray, np.ndarray]:
     """T = G (x) H's coset table as enumerated, one identity column last, and its map.
 
-    The map is _tensor_presentation's with -1 appended: for each column of
-    every t(a, b), numbered as in _tensor_relators, and then the identity,
-    the column of the table that acts so. A trivial G or H leaves T no
-    generator, so T is the one coset 0.
+    The map is _tensor_presentation's with -1 appended, each -1 read as
+    the identity column: for each column of every t(a, b), numbered as in
+    _tensor_relators, and then the identity, the column that acts so. A
+    trivial G or H leaves T no generator, so T is the one coset 0.
 
     The enumeration has the room the carrier cap leaves T, max_cosets //
     (|G| |H|), but never less than the rows it runs before it compacts
@@ -442,7 +447,7 @@ def _tensor_table(pair: ActionPair, max_cosets: int) -> tuple[np.ndarray, np.nda
                 count=err.count,
             ) from err
     steps = np.hstack([rows, np.arange(len(rows), dtype=np.int32)[:, None]])
-    return steps, np.append(columns, -1)
+    return steps, np.append(columns, -1) % steps.shape[1]
 
 
 def _cocycle(pair: ActionPair) -> np.ndarray:
@@ -476,12 +481,11 @@ def construct_eta(pair: ActionPair, *, max_cosets: int = DEFAULT_MAX_COSETS) -> 
 
     Every pair takes one path: T = G (x) H is enumerated from its shrunk
     presentation, and eta acts on the elements t x y through T's table, as
-    enumerated. A trivial G or H only makes T trivial. The carrier's
-    columns are built first and g_arrays after its tree, so the two are
-    never both being built. Raises IncompatibleActionError when the pair
-    fails the compatibility equations, CapacityError when T or the carrier
-    needs more cosets than allowed, and ConstructionError if a
-    certification audit fails, which is a bug.
+    enumerated. A trivial G or H only makes T trivial. Raises
+    IncompatibleActionError when the pair fails the compatibility
+    equations, CapacityError when T or the carrier needs more cosets than
+    allowed, and ConstructionError if a certification audit fails, which
+    is a bug.
     """
     require_compatible(pair)
     g, h = pair.g, pair.h
@@ -492,20 +496,16 @@ def construct_eta(pair: ActionPair, *, max_cosets: int = DEFAULT_MAX_COSETS) -> 
     fibre = g.n * h.n
     _require_room(len(steps) * fibre, max_cosets)
     # right multiplication by a sends t x y to (t sigma)(xa) y: T's step, then the fibre's point
-    sigma = column_map[_cocycle(pair)]
-    ends = g.table.T[:, :, None] * h.n + np.arange(h.n, dtype=np.int32)  # [a, x, y]
+    sigma = column_map[_cocycle(pair)].reshape(g.n, fibre)
+    ends = (g.table.T[:, :, None] * h.n + np.arange(h.n, dtype=np.int32)).reshape(g.n, fibre)
     t_points = steps * fibre  # [t, c]: the point of (t c) e e
 
-    def row(a: int, out: np.ndarray) -> None:
-        np.take(t_points, sigma[a], axis=1, out=out.reshape(len(steps), g.n, h.n))
-        out.reshape(len(steps), fibre)[:] += ends[a].reshape(fibre)
-
-    eta = EtaGroup(pair, None, None, None, None, None)
+    eta = EtaGroup(pair, None, t_points, sigma, ends, None, None, None)
     gens = [a for s in g.generating_subset() for a in (s, int(g.inverse_table[s]))]
     h_gens = [b for s in h.generating_subset() for b in (s, int(h.inverse_table[s]))]
     columns = np.empty((len(gens) + len(h_gens), len(steps) * fibre), dtype=np.int32)
-    for a, out in zip(gens, columns):
-        row(a, out)
+    for a, out in zip(gens, columns):  # times_g's formula, one gather of T's table per column
+        np.add(np.take(t_points, sigma[a], axis=1), ends[a], out=out.reshape(len(steps), fibre))
     points = np.arange(columns.shape[1], dtype=np.int32)
     for b, out in zip(h_gens, columns[len(gens) :]):
         out[:] = eta.times_h(points, b)
@@ -513,9 +513,6 @@ def construct_eta(pair: ActionPair, *, max_cosets: int = DEFAULT_MAX_COSETS) -> 
         eta.carrier = regular_representation(columns)[0]
     except IncompleteTableError as err:
         raise ConstructionError(f"eta's columns: {err}") from err
-    eta.g_arrays = np.empty((g.n, len(points)), dtype=np.int32)
-    for a, out in enumerate(eta.g_arrays):
-        row(a, out)
     # a transitive action of the presented eta on |T| |G| |H| >= |eta| points is regular
     _audit_carrier(eta)
     # the tensors are walked with eta's own element arithmetic, then audited

@@ -551,43 +551,41 @@ def audit_blocks(count: int, size: int) -> Iterator[slice]:
 
 
 def _first_failure(
-    flat: np.ndarray, n: int, order: np.ndarray, letters: list[np.ndarray], starts: np.ndarray
+    flat: np.ndarray, n: int, order: np.ndarray, letters: list[np.ndarray]
 ) -> tuple[int, int] | None:
-    """The first word, by index, whose walk from some start does not close, and that start.
+    """The first word, by index, whose walk from some point does not close, and that point.
 
     flat is a table of n points read column-contiguous, so flat[c * n + x]
     is point x's entry in column c: gathers from it run about 3x faster
     than from a strided column of the row-major table. order and letters
     lay out the words as _letter_positions does. A block of words is walked
-    from all int32 starts at once, one take per letter position; _audit_table
-    starts from every coset.
+    from every point at once, one take per letter position.
     """
-    m = len(starts)
+    points = np.arange(n, dtype=np.int32)
     offsets = [(cols * n).astype(np.int32) for cols in letters]  # where each column starts
-    failures = []  # (word, first start it fails at), the first of each block
-    for words in audit_blocks(len(order), m):
+    failures = []  # (word, first point it fails at), the first of each block
+    for words in audit_blocks(len(order), n):
         block = order[words]
-        ends = np.tile(starts, len(block))  # word block[r] from starts[x] at r * m + x
+        ends = np.tile(points, len(block))  # word block[r] from point x at r * n + x
         for offset in offsets:
             offset = offset[words]
-            reach = ends[: len(offset) * m]  # the words longer than this position
-            reach.reshape(len(offset), m)[:] += offset[:, None]
+            reach = ends[: len(offset) * n]  # the words longer than this position
+            reach.reshape(len(offset), n)[:] += offset[:, None]
             flat.take(reach, out=reach)
-        bad = ends.reshape(len(block), m) != starts
+        bad = ends.reshape(len(block), n) != points
         failing = np.flatnonzero(bad.any(axis=1))
         if failing.size:
             first = failing[block[failing].argmin()]
-            failures.append((int(block[first]), int(starts[bad[first].argmax()])))
+            failures.append((int(block[first]), int(bad[first].argmax())))
     return min(failures, default=None)
 
 
 def _audit_table(table: CosetTable) -> None:
     """Check every inverse column pair and every relator at every coset."""
-    flat, cosets = table.rows.T.ravel(), np.arange(table.n, dtype=np.int32)
-    columns = np.arange(table.ncols)
-    if _first_failure(flat, table.n, columns, [columns, columns ^ 1], cosets):
+    flat, columns = table.rows.T.ravel(), np.arange(table.ncols)
+    if _first_failure(flat, table.n, columns, [columns, columns ^ 1]):
         raise ConstructionError("table columns are not mutually inverse")
-    failure = _first_failure(flat, table.n, *table.presentation.letter_positions, cosets)
+    failure = _first_failure(flat, table.n, *table.presentation.letter_positions)
     if failure:
         raise ConstructionError(f"relator fails at coset {failure[1]}")
 

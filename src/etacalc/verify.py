@@ -47,7 +47,6 @@ from .eta import (
     restricted_tensor_set,
     trivial_action_baseline,
 )
-from .fpgroup import audit_blocks
 from .groups import TableGroup, builtin
 from .nu import NuGroup, check_derived_decomposition, construct_nu
 from .perm import PermGroup, abelian_invariants_of, centralizer_index
@@ -409,48 +408,54 @@ def _identity_b(eta: EtaGroup, key, key_inv, g_shift):
     return bad.size, np.count_nonzero(bad), witness
 
 
+def _classes(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tuples, in C order, in classes on which every key agrees: each one's first and size."""
+    rows = np.stack([np.ravel(key) for key in keys])
+    order = np.lexsort(rows)  # stable, so each class lists its tuples in C order
+    starts = np.flatnonzero(np.diff(rows[:, order], prepend=-1).any(axis=0))  # keys are >= 0
+    by_first = order[starts].argsort()  # the classes in order of their first tuples
+    return order[starts[by_first]], np.diff(starts, append=len(order))[by_first]
+
+
 def _identity_a(eta: EtaGroup, key_inv, g_shift, h_shift):
     """(failures, literal-reading divergences, first failure) of identity (a).
 
-    Over (x, y, g, h), in blocks of x: [g, h'] conjugated by [x, y'], by
-    x^-1 x^y and by (y^x)^-1 y; the last two are gathered from [g, h']
-    conjugated by each element of G and of H. The divergences are None
-    when the groups differ.
+    At (x, y, g, h): k = [g, h'] conjugated by w = [x, y'], by e = x^-1 x^y
+    and by f = (y^x)^-1 y. In the certified regular carrier a walk from p
+    ends at p times the walk's end from 0, so the sides are key_inv[x, y] k
+    w, k^e and k^f' (and key_inv[x, y] [g, h] w for the literal reading),
+    with k and w walked and [g, h] in G. So they read (x, y) through
+    key_inv, w, e and f alone, and (g, h) through k and [g, h]: each pair
+    of classes is walked at its first tuples and counted once per tuple it
+    stands for. The divergences are None when the groups differ.
     """
     g, h = eta.pair.g, eta.pair.h
     a, b = np.arange(g.n)[:, None], np.arange(h.n)[None, :]
-    e = np.arange(g.n)[:, None, None]
-    by_g = eta.times_g(eta.times_bracket(eta.times_g(0, g.inverse_table[e]), a, b), e)
-    e = np.arange(h.n)[:, None, None]
-    by_h = eta.times_h(eta.times_bracket(eta.times_h(0, h.inverse_table[e]), a, b), e)
-    y = np.arange(h.n)[:, None, None]
-    same_group = g == h
-    witness, failures, diverging = None, 0, 0
-    for block in audit_blocks(g.n, h.n * g.n * h.n):
-        x = np.arange(g.n)[block]
-        start = key_inv[x][:, :, None, None]  # [x, y]
-        x = x[:, None, None, None]
-        k1 = eta.times_bracket(eta.times_bracket(start, a, b), x, y)
-        k2, k3 = by_g[g_shift[block]], by_h[h_shift[block]]
-        bad = (k1 != k2) | (k2 != k3)
-        failures += np.count_nonzero(bad)
-        if witness is None and (spot := _first(bad)) is not None:
-            witness = {
-                "identity": "a",
-                "g": spot[2],
-                "h": spot[3],
-                "x": block.start + spot[0],
-                "y": spot[1],
-                "conjugated": int(k1[spot]),
-                "first_copy": int(k2[spot]),
-                "second_copy": int(k3[spot]),
-            }
-        if same_group:
-            # the literal reading: the plain commutator [g, h] of two first-copy elements
-            plain = eta.times_g(eta.times_g(start, g.inverse_table[a]), g.inverse_table[b])
-            plain = eta.times_g(eta.times_g(plain, a), b)
-            diverging += np.count_nonzero(eta.times_bracket(plain, x, y) != k2)
-    return failures, diverging if same_group else None, witness
+    walked = eta.times_bracket(0, a, b)
+    commutator = g.table[g.inverse_table[a], g.conj_table()[a, b]] if g == h else None
+    xy, m_xy = _classes(key_inv, walked, g_shift, h_shift)
+    gh, m_gh = _classes(walked, *([] if commutator is None else [commutator]))
+    weight = m_xy[:, None] * m_gh[None, :]
+    x, y = (c[:, None] for c in np.divmod(xy, h.n))
+    gg, hh = np.divmod(gh, h.n)
+    start, e, f = key_inv.flat[xy][:, None], g_shift.flat[xy][:, None], h_shift.flat[xy][:, None]
+    # k walked from key_inv[x, y], from e^-1 and from f'^-1 at once
+    starts = [start, eta.times_g(0, g.inverse_table[e]), eta.times_h(0, h.inverse_table[f])]
+    walks = eta.times_bracket(np.stack(starts), gg, hh)
+    k1 = eta.times_bracket(walks[0], x, y)
+    k2, k3 = eta.times_g(walks[1], e), eta.times_h(walks[2], f)
+    bad = (k1 != k2) | (k2 != k3)
+    witness, diverging = None, None
+    if (spot := _first(bad)) is not None:
+        i, j = spot
+        values = (x[i, 0], y[i, 0], gg[j], hh[j], k1[spot], k2[spot], k3[spot])
+        names = ("x", "y", "g", "h", "conjugated", "first_copy", "second_copy")
+        witness = {"identity": "a", **dict(zip(names, map(int, values)))}
+    if commutator is not None:
+        # the literal reading: the plain commutator [g, h] of two first-copy elements
+        plain = eta.times_g(start, commutator.flat[gh])
+        diverging = int(weight[eta.times_bracket(plain, x, y) != k2].sum())
+    return int(weight[bad].sum()), diverging, witness
 
 
 def _lemma_identities(eta: EtaGroup):
@@ -469,7 +474,7 @@ def _lemma_identities(eta: EtaGroup):
     the verdict.
 
     Each side of identity (b) is one broadcast walk over all (g, h, y), and
-    each side of identity (a) one walk over all (y, g, h) per x. The
+    each side of identity (a) one walk over its pairs of classes. The
     witness is the first failure in the order (x, y, g, h) of identity (a),
     then (g, h, y, form) of identity (b).
     """

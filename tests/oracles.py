@@ -8,6 +8,7 @@ disagree with.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import deque
 from itertools import product
 from math import gcd, lcm, prod
@@ -600,6 +601,15 @@ def _element_rows(eta) -> tuple[np.ndarray, np.ndarray]:
     g_rows = [right_multiplication(eta.carrier, p) for p in eta.embed_g]
     h_rows = [right_multiplication(eta.carrier, p) for p in eta.embed_h]
     return np.array(g_rows), np.array(h_rows)
+
+
+def with_fibre_rows(eta, ends: np.ndarray):
+    """eta with each a in G sending t r to t ends[a, r], for t in T and fibre points r.
+
+    sigma becomes T's identity column throughout, so G's action keeps t.
+    """
+    identity = np.full_like(eta.sigma, eta.t_points.shape[1] - 1)
+    return dataclasses.replace(eta, sigma=identity, ends=ends)
 
 
 def _walk_bracket(pair, rows, p, a, b) -> np.ndarray:

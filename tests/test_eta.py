@@ -69,6 +69,7 @@ from oracles import (
     naive_canonical,
     naive_shrink,
     tree_dict,
+    with_fibre_rows,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -641,9 +642,10 @@ def test_audit_refuses_rows_shifted_off_the_identity(make_pair):
     # fibre, can tell.
     eta = construct_eta(make_pair())
     b = eta.pair.h.generating_subset()[0]
-    shifted = eta.g_arrays[:, eta.times_h(np.arange(eta.order()), b)]
+    r = eta.times_h(np.arange(eta.ends.shape[1]), b)  # the fibre point of x yb at x y
+    shifted = dataclasses.replace(eta, sigma=eta.sigma[:, r], ends=eta.ends[:, r])
     with pytest.raises(ConstructionError, match="identity row of G moves the fibre"):
-        eta_module._audit_carrier(dataclasses.replace(eta, g_arrays=shifted))
+        eta_module._audit_carrier(shifted)
 
 
 def _undefine(table):
@@ -759,13 +761,11 @@ def test_audit_refuses_a_mutated_construction(make_pair, mutant, monkeypatch):
 
 def _presentation_failure(pair, columns: np.ndarray) -> bool:
     """Whether eta's written presentation, or an inverse pair, fails at some point."""
-    n, ncols = columns.shape[1], len(columns)
-    flat, points = columns.ravel(), np.arange(n, dtype=np.int32)
-    pairs = np.arange(ncols)
+    n, flat, pairs = columns.shape[1], columns.ravel(), np.arange(len(columns))
     words = _letter_positions(build_eta_presentation(pair).relators)
     return bool(
-        _first_failure(flat, n, pairs, [pairs, pairs ^ 1], points)
-        or _first_failure(flat, n, *words, points)
+        _first_failure(flat, n, pairs, [pairs, pairs ^ 1])
+        or _first_failure(flat, n, *words)
     )
 
 
@@ -817,8 +817,8 @@ def test_decomposition_fails_when_the_factors_do_not_generate():
     # With G embedded as the identity, the factors generate only T H; the
     # covering check catches it, and generation is read off it.
     eta = construct_eta(conjugation_pair(symmetric3()))
-    identity_rows = np.tile(np.arange(eta.order(), dtype=np.int32), (6, 1))
-    report = check_decomposition(dataclasses.replace(eta, g_arrays=identity_rows))
+    identity_rows = np.tile(np.arange(eta.ends.shape[1]), (6, 1))
+    report = check_decomposition(with_fibre_rows(eta, identity_rows))
     assert report["counts_match"]
     assert not report["covers"] and not report["generates"]
     assert not report["ok"]

@@ -15,6 +15,7 @@ from etacalc.groups import builtin, cyclic, direct_product, symmetric3
 from etacalc.nu import check_derived_decomposition, construct_nu
 from etacalc.perm import abelian_invariants_of
 from etacalc.verify import _derived_decomposition, default_corpus
+from oracles import with_fibre_rows
 
 
 def test_nu_c2():
@@ -121,8 +122,8 @@ def test_derived_decomposition_fails_when_the_factors_do_not_generate():
     # With G embedded as the identity, the factors generate only T H'; the
     # covering check catches it, and generation is read off it.
     nu = construct_nu(symmetric3())
-    identity_rows = np.tile(np.arange(nu.order(), dtype=np.int32), (6, 1))
-    broken = dataclasses.replace(nu, eta=dataclasses.replace(nu.eta, g_arrays=identity_rows))
+    identity_rows = np.tile(np.arange(nu.eta.ends.shape[1]), (6, 1))
+    broken = dataclasses.replace(nu, eta=with_fibre_rows(nu.eta, identity_rows))
     report = check_derived_decomposition(broken)
     assert report["counts_match"] and report["factors_contained"]
     assert not report["covers"] and not report["generates"]
@@ -131,7 +132,7 @@ def test_derived_decomposition_fails_when_the_factors_do_not_generate():
 
 def test_nu_retains_only_the_arrays_it_owns():
     # After construction, nu(C4xC4) on 65,536 points holds the carrier's
-    # columns and tree, the certified g_arrays and tensors (H has no arrays), each
+    # columns and tree, T's scaled table, sigma, ends and the tensors, each
     # group's mask and levels, and the two hom labellings. The arrays that
     # grow a subgroup are let go: keeping one right-multiplication array
     # (256 KiB here) per subgroup generator would exceed the slack.
@@ -148,14 +149,14 @@ def test_nu_retains_only_the_arrays_it_owns():
         tracemalloc.stop()
     carrier = nu.carrier
     arrays = [carrier._columns, carrier._column, carrier._parent]
-    arrays += [nu.eta.g_arrays, nu.eta.tensors]
+    arrays += [nu.eta.t_points, nu.eta.sigma, nu.eta.ends, nu.eta.tensors]
     arrays += [nu.rho._labels, nu.rho_prime._labels]
     for g in (carrier, nu.tensor_subgroup, nu.mu, nu.delta):
         arrays.append(g._mask)
         arrays += [a for level in g._levels for a in level if isinstance(a, np.ndarray)]
     bases = {id(a if a.base is None else a.base): a if a.base is None else a.base for a in arrays}
     owned = sum(a.nbytes for a in bases.values())
-    assert carrier.degree == 65_536 and owned > 7 * 2**20
+    assert carrier.degree == 65_536 and owned > 3 * 2**20
     assert owned <= retained <= owned + 128 * 2**10, (retained, owned)
 
 
@@ -175,8 +176,8 @@ def test_derived_decomposition_fails_when_the_factors_meet():
     # all of H'; the audit names those points and fails, as lemma21 does
     s3 = symmetric3()
     nu = construct_nu(s3)
-    h_rows = nu.eta.times_h(np.arange(nu.order(), dtype=np.int32), np.arange(s3.n)[:, None])
-    broken = dataclasses.replace(nu, eta=dataclasses.replace(nu.eta, g_arrays=h_rows))
+    h_rows = nu.eta.times_h(np.arange(nu.eta.ends.shape[1]), np.arange(s3.n)[:, None])
+    broken = dataclasses.replace(nu, eta=with_fibre_rows(nu.eta, h_rows))
     report = check_derived_decomposition(broken)
     assert report["tensor_meets_g_derived"] == [0]
     assert report["tg_meets_h_derived"] == sorted(nu.eta.embed_h[d] for d in s3.derived_indices())

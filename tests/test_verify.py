@@ -488,16 +488,76 @@ def test_swapped_tensors_fail_both_checks_as_the_loops_do(name, failing_steps):
     json.dumps(report[2])
 
 
+def _overwritten_tensors(eta):
+    """eta with its first non-identity tensor, in C order, set to the next distinct value."""
+    tensors = eta.tensors.copy()
+    flat = tensors.reshape(-1)  # a view: writing to it writes to tensors
+    values = flat[flat != 0]
+    flat[np.argmax(flat != 0)] = values[values != values[0]][0]
+    return dataclasses.replace(eta, tensors=tensors)
+
+
+def _module_pair_eta():
+    data = json.loads((REPO / "tests" / "data" / "module_pairs.json").read_text(encoding="utf-8"))
+    return construct_eta(corpus_from_json_dict(data).pairs[4].pair)  # C6 acting on C7
+
+
+_IDENTITY_CASES = {
+    "nu(S3)": lambda: construct_nu(builtin("S3")).eta,
+    "nu(D8)": lambda: construct_nu(builtin("D8")).eta,
+    "nu(A4)": lambda: construct_nu(builtin("A4")).eta,
+    "C6,C7": _module_pair_eta,
+}
+_CORRUPTIONS = {
+    "intact": lambda eta: eta,
+    "swapped": _swapped_tensors,
+    "overwritten": _overwritten_tensors,
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(_CORRUPTIONS))
+@pytest.mark.parametrize("name", sorted(_IDENTITY_CASES))
+def test_identity_a_per_pair_of_classes_equals_the_loops(name, corruption):
+    # identity (a) walks one tuple per pair of classes and counts it once per
+    # tuple it stands for; the counts, the literal reading and the first
+    # failure in (x, y, g, h) order stay the loops'
+    eta = _CORRUPTIONS[corruption](_IDENTITY_CASES[name]())
+    report = _lemma_identities(eta)
+    assert report == looped_lemma_identities(eta)
+    assert (report[0] == "PASS") == (corruption == "intact")
+
+
 @pytest.mark.parametrize("per_block", [1, 2, 5])
 @pytest.mark.parametrize("name", ["S3", "D8"])
 def test_identity_a_in_blocks_of_x_equals_the_loops(name, per_block, monkeypatch):
-    # identity (a) walks x in blocks of per_block elements; the counts, the
-    # literal reading and the first failure in (x, y, g, h) order stay the loops'
-    eta = _swapped_tensors(construct_nu(builtin(name)).eta)
-    monkeypatch.setattr(fpgroup, "_AUDIT_WALKS", per_block * eta.pair.g.n**3)
+    # identity (a) walks pairs of classes, not blocks of x, so the audit
+    # budget must not reach it: nu built while its audits walk per_block
+    # elements a block is the one built in one block, and on its swapped
+    # tensors the counts, the literal reading and the first failure in
+    # (x, y, g, h) order stay the loops'
+    whole = construct_nu(builtin(name)).eta
+    monkeypatch.setattr(fpgroup, "_AUDIT_WALKS", per_block * whole.pair.g.n**2)
+    eta = construct_nu(builtin(name)).eta
+    assert np.array_equal(eta.tensors, whole.tensors)
+    eta = _swapped_tensors(eta)
     report = _lemma_identities(eta)
     assert report[2]["identity"] == "a"
     assert report == looped_lemma_identities(eta)
+
+
+def test_identity_a_counts_each_pair_of_classes_once_per_tuple():
+    # One tensor of nu(A4) overwritten: identity (a) fails at every (g, h) of
+    # the one (x, y) that reads it, and the literal reading diverges at a
+    # different count than on nu(A4) itself. Counting each failing pair of
+    # classes once, or keying (g, h) on the overwritten tensors rather than
+    # on the walked brackets, gives other counts.
+    eta = _overwritten_tensors(construct_nu(builtin("A4")).eta)
+    report = _lemma_identities(eta)
+    assert report == looped_lemma_identities(eta)
+    assert report[1].startswith(
+        "(a) adopted reading: 20736 tuples, 144 failures;"
+        " literal reading diverges at 17010 of 20736 tuples;"
+    )
 
 
 def test_claim_filter_selects_substring(mini_corpus):
