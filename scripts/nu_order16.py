@@ -1,4 +1,4 @@
-"""Build nu(G) for one group of order 16, or S5, and check every claim on it.
+"""Build nu(G) for one group of order 16, Q8xC4 or S5, and check every claim on it.
 
     PYTHONPATH=src python scripts/nu_order16.py [GROUP]
 
@@ -6,10 +6,12 @@ GROUP is a key of GROUPS (default C2xD8). The script builds nu(G) with
 construct_nu, then runs every claim through run_corpus on a one-pair
 corpus, with verify.construct_nu serving the instance already built, so
 the claims time excludes construction. Both run under the row's coset
-cap: the default for the order-16 groups, and 4,000,000 for S5, whose
-carrier has 3,456,000 points. It exits 1 unless every claim
-passes and |nu(G)| and |G (x) G| are the orders listed. It prints one
-line: the build time, the claims time and the peak RSS of the process.
+cap: the default for the order-16 groups, 4,000,000 for S5, whose
+carrier has 3,456,000 points, and 10^8 for Q8xC4, whose carrier has
+4,194,304 and whose T's enumeration needs more rows than the default
+cap leaves it. It exits 1 unless every claim passes and |nu(G)| and
+|G (x) G| are the orders listed. It prints one line: the build time,
+the claims time and the peak RSS of the process.
 
 The peak RSS moves by about 1.3 MB with glibc's dynamic mmap threshold,
 not with what the code allocates: on nu(C2xQ8), builds whose tracemalloc
@@ -50,6 +52,7 @@ GROUPS = {
     "C2xD8": (lambda: direct_product(cyclic(2), builtin("D8")), 262_144, 1_024, DEFAULT_MAX_COSETS),
     "C2xQ8": (lambda: direct_product(cyclic(2), builtin("Q8")), 524_288, 2_048, DEFAULT_MAX_COSETS),
     "S5": (s5, 3_456_000, 240, 4_000_000),
+    "Q8xC4": (lambda: direct_product(builtin("Q8"), cyclic(4)), 4_194_304, 4_096, 100_000_000),
 }
 
 

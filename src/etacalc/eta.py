@@ -64,7 +64,6 @@ from .abelian import z_tensor
 from .action import ActionPair, require_compatible
 from .errors import CapacityError, ConstructionError, IncompleteTableError
 from .fpgroup import (
-    COMPACT_ROWS,
     DEFAULT_MAX_COSETS,
     Presentation,
     audit_blocks,
@@ -421,6 +420,9 @@ def _tensor_presentation(pair: ActionPair) -> tuple[Presentation | None, np.ndar
     return Presentation(names, relators), columns
 
 
+_TENSOR_ROOM_FLOOR = 4096  # the rows T's enumeration may always use, if the cap allows
+
+
 def _tensor_table(pair: ActionPair, max_cosets: int) -> tuple[np.ndarray, np.ndarray]:
     """T = G (x) H's coset table as enumerated, one identity column last, and its map.
 
@@ -430,14 +432,14 @@ def _tensor_table(pair: ActionPair, max_cosets: int) -> tuple[np.ndarray, np.nda
     trivial G or H leaves T no generator, so T is the one coset 0.
 
     The enumeration has the room the carrier cap leaves T, max_cosets //
-    (|G| |H|), but never less than the rows it runs before it compacts
-    (nor more than the cap): an input whose enumeration passes that room
-    is refused, even if its carrier would fit.
+    (|G| |H|), but never less than _TENSOR_ROOM_FLOOR (nor more than the
+    cap): an input whose enumeration passes that room is refused, even if
+    its carrier would fit.
     """
     pres, columns = _tensor_presentation(pair)
     rows = np.zeros((1, 0), dtype=np.int32)
     if pres is not None:
-        room = min(max_cosets, max(max_cosets // (pair.g.n * pair.h.n), COMPACT_ROWS))
+        room = min(max_cosets, max(max_cosets // (pair.g.n * pair.h.n), _TENSOR_ROOM_FLOOR))
         try:
             rows = todd_coxeter(pres, max_cosets=room).rows
         except CapacityError as err:
@@ -481,14 +483,18 @@ def construct_eta(pair: ActionPair, *, max_cosets: int = DEFAULT_MAX_COSETS) -> 
 
     Every pair takes one path: T = G (x) H is enumerated from its shrunk
     presentation, and eta acts on the elements t x y through T's table, as
-    enumerated. A trivial G or H only makes T trivial. Raises
-    IncompatibleActionError when the pair fails the compatibility
-    equations, CapacityError when T or the carrier needs more cosets than
-    allowed, and ConstructionError if a certification audit fails, which
-    is a bug.
+    enumerated. A trivial G or H only makes T trivial. Raises ValueError
+    when G's or H's identity is not element 0, which T's relators and the
+    coordinates assume, IncompatibleActionError when the pair fails the
+    compatibility equations, CapacityError when T or the carrier needs
+    more cosets than allowed, and ConstructionError if a certification
+    audit fails, which is a bug.
     """
-    require_compatible(pair)
     g, h = pair.g, pair.h
+    for name, group in (("G", g), ("H", h)):
+        if group.identity != 0:
+            raise ValueError(f"{name}'s identity is element {group.identity}, not 0")
+    require_compatible(pair)
     if pair.g_on_h.is_trivial() and pair.h_on_g.is_trivial():
         # G (x) H is the Z-tensor: refuse an oversized carrier before enumerating it
         _require_room(trivial_action_baseline(g, h).order * g.n * h.n, max_cosets)

@@ -19,7 +19,8 @@ each coset is first prechecked in numpy for the relators whose walk from it
 already closes, and only the others are scanned. A closed walk stays closed
 as the table grows and cosets merge, so each skipped scan would have been
 a no-op: the enumeration is HLT's step for step, with the same definitions,
-coincidences, compactions and capacity errors. Every scan keeps the table's
+coincidences, compactions (when a definition finds the table at its cap, and
+once at the end) and capacity errors. Every scan keeps the table's
 mirror invariant (an entry and its inverse entry are set and cleared
 together), which is what makes coincidence processing able to repair every
 stale reference by walking dead rows. A table keeps the numbering its
@@ -52,7 +53,6 @@ __all__ = [
 
 DEFAULT_MAX_COSETS = 10**6
 MAX_WORD_LETTERS = 10**6  # the longest word the parser builds
-COMPACT_ROWS = 4096  # an enumeration past this many rows compacts once 30 % are dead
 
 
 def _reduce(word: Iterable[int]) -> tuple[int, ...]:
@@ -343,7 +343,8 @@ class _Enumerator:
     closed under definitions, deductions, coincidences and compaction, so
     each skipped scan would have been a no-op when its turn came. The
     definitions, coincidences, compactions and CapacityErrors are HLT's at
-    every cap.
+    every cap. Dead rows stay until a definition finds the table at the cap
+    (_room_or_compact) or the run ends (finish): only then is it compacted.
 
     The table keeps one blank row past its last coset, so a step from an
     undefined entry (-1) reads that row and stays undefined.
@@ -501,8 +502,6 @@ class _Enumerator:
             if self.p[alpha] != alpha:
                 alpha += 1
                 continue
-            if self.nrows > COMPACT_ROWS and (self.nrows - self.alive) > 0.3 * self.nrows:
-                alpha = self.compact(alpha)
             todo = self.open_relators(alpha) if self.letters else range(len(self.relators))
             for k in todo:
                 if self.p[alpha] != alpha:

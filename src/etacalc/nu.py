@@ -1,21 +1,19 @@
 """The nu group of a single group: eta over conjugation, plus its markers.
 
 For a group G, nu(G) is the eta construction applied to the pair (G, G)
-with both actions conjugation.  Three distinguished pieces come with it:
+with both actions conjugation.  Two distinguished pieces come with it:
 
-  * rho, the homomorphism nu(G) -> G sending both copies of an element to
-    the element itself;
-  * rho', its restriction to the tensor subgroup, sending [g, h'] to the
+  * rho', the homomorphism on the tensor subgroup sending [g, h'] to the
     commutator [g, h] in G, whose kernel mu is central in the carrier and
     has the derived subgroup as its quotient;
   * delta, the subgroup generated by the diagonal brackets [g, g'].
 
-Everything is certified at construction time: rho and rho' are each checked
-as a labelling of carrier points by elements of G (GroupHom), mu is
-generated by the tensor elements whose points rho' labels with the
-identity, and mu's centrality is checked generator by generator.  Like
-every element of the carrier, a tensor or an element of mu or delta is the
-point it sends 0 to.
+Everything is certified at construction time: rho' is checked as a
+labelling of tensor points by elements of G (GroupHom), mu is generated
+by the tensor elements whose points rho' labels with the identity, and
+mu's centrality is checked generator by generator.  Like every element of
+the carrier, a tensor or an element of mu or delta is the point it sends
+0 to.
 """
 
 from __future__ import annotations
@@ -31,11 +29,10 @@ from .perm import GroupHom, PermGroup, derived_subgroup, hom_kernel
 
 @dataclass(eq=False)
 class NuGroup:
-    """nu(G) over a regular carrier, with rho, rho', mu, and delta."""
+    """nu(G) over a regular carrier, with rho', mu, and delta."""
 
     group: TableGroup
     eta: EtaGroup
-    rho: GroupHom
     rho_prime: GroupHom
     mu: PermGroup
     delta: PermGroup
@@ -56,11 +53,8 @@ class NuGroup:
 
 
 def construct_nu(group: TableGroup, *, max_cosets: int = DEFAULT_MAX_COSETS) -> NuGroup:
-    """Build nu(G) and certify rho, rho', the central mu, and delta."""
+    """Build nu(G) and certify rho', the central mu, and delta."""
     eta = construct_eta(conjugation_pair(group), max_cosets=max_cosets)
-    gens = group.generating_subset()
-    rho = GroupHom(eta.carrier, group, gens + gens)
-
     derived = set(group.derived_indices())
     prime_images = []
     for p in eta.tensor_subgroup.generators:
@@ -81,7 +75,6 @@ def construct_nu(group: TableGroup, *, max_cosets: int = DEFAULT_MAX_COSETS) -> 
     return NuGroup(
         group=group,
         eta=eta,
-        rho=rho,
         rho_prime=rho_prime,
         mu=mu,
         delta=delta,

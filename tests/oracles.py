@@ -315,6 +315,22 @@ def module_tensor_order(pair) -> int:
     return prod(diagonal)
 
 
+def direct_product_tensor_order(a, b, a_square: int, b_square: int) -> int:
+    """|(A x B) (x) (A x B)| = |A (x) A| |A^ab (x)_Z B^ab|^2 |B (x) B|.
+
+    a_square and b_square are |A (x) A| and |B (x) B|. The tensor square of
+    a direct product is (A (x) A) x (A (x) B) x (B (x) A) x (B (x) B); in
+    the mixed factors A and B act on each other trivially, so each is
+    A^ab (x)_Z B^ab (Brown, Johnson and Robertson, "Some computations of
+    non-abelian tensor products of groups", J. Algebra 111, 1987). That
+    Z-tensor's order is the product of gcd(m, n) over the invariant
+    factors m of A^ab and n of B^ab.
+    """
+    factors = b.abelian_invariants().factors
+    cross = prod(gcd(m, n) for m in a.abelian_invariants().factors for n in factors)
+    return a_square * cross**2 * b_square
+
+
 def looped_element_orders(group) -> list[int]:
     """Order of each element in tree order, powering it one scalar mul at a time."""
     orders = []

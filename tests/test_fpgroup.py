@@ -395,6 +395,37 @@ def test_compact_matches_the_loop():
             assert copy.nrows == copy.alive == enum.alive
 
 
+def test_compaction_at_the_cap_keeps_the_uncapped_rows(monkeypatch):
+    # the enumerator compacts only when a definition finds its room full, and
+    # once at the end; T's tables at caps of 2 and 4 times the index are the
+    # uncapped ones wherever the cap fits, compacted on the way or not
+    compactions = []
+    compact = _Enumerator.compact
+
+    def counted(enum, track):
+        compactions.append(track)
+        return compact(enum, track)
+
+    monkeypatch.setattr(_Enumerator, "compact", counted)
+    refused = []
+    for name in ("Q8", "D12", "A4", "C2xC6"):
+        presentation = _tensor_presentation(conjugation_pair(builtin(name)))[0]
+        uncapped = _Enumerator(presentation, DEFAULT_MAX_COSETS)
+        uncapped.run()
+        rows = todd_coxeter(presentation).rows
+        for times in (2, 4):
+            compactions.clear()
+            try:
+                capped = todd_coxeter(presentation, max_cosets=times * len(rows)).rows
+            except CapacityError:
+                refused.append((name, times))
+                continue
+            assert np.array_equal(capped, rows), (name, times)
+            # more than finish's one compaction exactly when the run reached its cap
+            assert (len(compactions) > 1) == (uncapped.nrows > times * len(rows)), (name, times)
+    assert refused == [("C2xC6", 2)]
+
+
 @pytest.mark.parametrize(
     "workload, seed", [("corpus-default", 0), ("corpus-general", 0), ("corpus-general", 7)]
 )

@@ -1,4 +1,4 @@
-"""nu groups: rho maps, the central kernel mu, and the diagonal subgroup."""
+"""nu groups: the bracket map rho', the central kernel mu, and the diagonal subgroup."""
 
 from __future__ import annotations
 
@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 from etacalc.abelian import delta_of_abelian
-from etacalc.eta import check_decomposition
-from etacalc.groups import builtin, cyclic, direct_product, symmetric3
+from etacalc.action import trivial_pair
+from etacalc.eta import check_decomposition, construct_eta
+from etacalc.groups import TableGroup, builtin, cyclic, direct_product, symmetric3
 from etacalc.nu import check_derived_decomposition, construct_nu
 from etacalc.perm import abelian_invariants_of
 from etacalc.verify import _derived_decomposition, default_corpus
-from oracles import with_fibre_rows
+from oracles import direct_product_tensor_order, with_fibre_rows
 
 
 def test_nu_c2():
@@ -67,15 +68,6 @@ def test_nu_s3():
     assert nu.delta.order() % abelianized == 0
 
 
-def test_rho_restricts_to_both_copies():
-    # rho labels each carrier point by an element of G
-    for group in (cyclic(4), symmetric3()):
-        nu = construct_nu(group)
-        for a in range(group.n):
-            assert nu.rho.apply(nu.eta.embed_g[a]) == a
-            assert nu.rho.apply(nu.eta.embed_h[a]) == a
-
-
 def test_rho_prime_sends_brackets_to_commutators():
     s3 = symmetric3()
     nu = construct_nu(s3)
@@ -107,6 +99,40 @@ def test_nu_quaternion():
     assert len(nu.rho_prime.image_group()) == 2
     assert nu.tensor_order() == nu.mu.order() * 2
     assert check_derived_decomposition(nu)["ok"]
+
+
+def test_direct_product_tensor_order_matches_the_build():
+    # |(A x B) (x) (A x B)| from the factors' tensor squares, against nu(A x B)
+    names = ("C2", "C3", "C4", "C6", "C2xC2", "S3", "D8", "Q8", "A4")
+    factors = {name: builtin(name) for name in names}
+    squares = {name: construct_nu(group).tensor_order() for name, group in factors.items()}
+    assert (squares["D8"], squares["Q8"], squares["C4"]) == (32, 64, 4)
+
+    def oracle(a: str, b: str) -> int:
+        return direct_product_tensor_order(factors[a], factors[b], squares[a], squares[b])
+
+    products = [
+        ("C2", "C2"), ("C2", "C3"), ("C2", "C4"), ("C3", "C3"), ("C2", "S3"), ("C3", "S3"),
+        ("C2", "C6"), ("C2", "A4"), ("C4", "C4"), ("C2xC2", "C4"), ("C2", "D8"), ("C2", "Q8"),
+    ]
+    for a, b in products:
+        nu = construct_nu(direct_product(factors[a], factors[b]))
+        assert nu.tensor_order() == oracle(a, b), (a, b)
+    # Q8xC4's T is built only at a raised cap (scripts/nu_order16.py Q8xC4)
+    assert oracle("Q8", "C4") == 4_096
+
+
+def test_identity_other_than_element_0_is_refused():
+    # T's relators and eta's coordinates number the identity 0; a table that
+    # puts it elsewhere is refused by name before any build
+    c3 = TableGroup([[1, 2, 0], [2, 0, 1], [0, 1, 2]])
+    assert c3.identity == 2
+    with pytest.raises(ValueError, match="G's identity is element 2, not 0"):
+        construct_nu(c3)
+    with pytest.raises(ValueError, match="G's identity is element 2, not 0"):
+        construct_eta(trivial_pair(c3, c3))
+    with pytest.raises(ValueError, match="H's identity is element 2, not 0"):
+        construct_eta(trivial_pair(cyclic(3), c3))
 
 
 def test_abelian_invariants_of_nu_pieces():
@@ -150,7 +176,7 @@ def test_nu_retains_only_the_arrays_it_owns():
     carrier = nu.carrier
     arrays = [carrier._columns, carrier._column, carrier._parent]
     arrays += [nu.eta.t_points, nu.eta.sigma, nu.eta.ends, nu.eta.tensors]
-    arrays += [nu.rho._labels, nu.rho_prime._labels]
+    arrays.append(nu.rho_prime._labels)
     for g in (carrier, nu.tensor_subgroup, nu.mu, nu.delta):
         arrays.append(g._mask)
         arrays += [a for level in g._levels for a in level if isinstance(a, np.ndarray)]

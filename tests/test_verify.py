@@ -295,10 +295,10 @@ def test_subgroups_and_homs_equal_the_fifo_oracles(monkeypatch, workload):
         orbit, tree = _oracle_tree(f.source)
         labels = tree_walk_labels(orbit, tree, f.target, f.generator_images, f.source.degree)
         assert f._labels.tolist() == labels
-    # rho and rho' of each nu; the general corpus builds no nu. Each subgroup
+    # rho' of each nu; the general corpus builds no nu. Each subgroup
     # case's M is built once, in its frame, which lemma22 and thma share
     assert (len(subgroups), len(homs)) == {
-        "corpus-default": (187, 42),
+        "corpus-default": (187, 21),
         "corpus-general": (48, 0),
     }[workload]
 
