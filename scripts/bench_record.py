@@ -11,7 +11,8 @@ perfbench/ is changed. The record holds:
   with the median and the quartiles of each end-to-end metric over the runs;
 * traced: one traced pass of each workload, its per-layer metrics as printed;
 * order16: one row per group of scripts/nu_order16.py, each in its own
-  process with MALLOC_MMAP_THRESHOLD_=131072: build, claims, peak RSS, exit;
+  process with MALLOC_MMAP_THRESHOLD_=131072: build, T's table within the
+  build (tensor_s), claims, peak RSS, exit;
 * src_lines: the line count of each module of src/etacalc, and their total;
 * host: CPU count, machine, Python and numpy versions, the commit, and
   whether src/ differs from it.
@@ -37,7 +38,7 @@ import numpy as np
 
 WORKLOADS = ("corpus-default", "corpus-general")
 END_TO_END = ("verify_s", "build_s", "setup_s", "peak_rss_mb")
-ROW = re.compile(r"build ([\d.]+) s, claims ([\d.]+) s, peak RSS (\d+) MB$")
+ROW = re.compile(r"build ([\d.]+) s, T's table ([\d.]+) s, claims ([\d.]+) s, peak RSS (\d+) MB$")
 CHECKOUT = Path(__file__).resolve().parent.parent
 
 
@@ -94,9 +95,10 @@ def order16_row(name: str) -> dict:
     match = ROW.search(out.stdout.splitlines()[0]) if out.stdout else None
     if match is None:
         raise SystemExit(f"nu_order16.py {name} printed no timing line (exit {out.returncode})")
-    build, claims, peak = match.groups()
+    build, tensor, claims, peak = match.groups()
     return {
         "build_s": float(build),
+        "tensor_s": float(tensor),
         "claims_s": float(claims),
         "peak_rss_mb": int(peak),
         "exit": out.returncode,

@@ -10,8 +10,10 @@ cap: the default for the order-16 groups, 4,000,000 for S5, whose
 carrier has 3,456,000 points, and 10^8 for Q8xC4, whose carrier has
 4,194,304 and whose T's enumeration needs more rows than the default
 cap leaves it. It exits 1 unless every claim passes and |nu(G)| and
-|G (x) G| are the orders listed. It prints one line: the build time,
-the claims time and the peak RSS of the process.
+|G (x) G| are the orders listed. It prints one line: the build time, the
+part of it spent on T's table (eta._tensor_table, T's presentation and
+its enumeration, timed here), the claims time and the peak RSS of the
+process.
 
 The peak RSS moves by about 1.3 MB with glibc's dynamic mmap threshold,
 not with what the code allocates: on nu(C2xQ8), builds whose tracemalloc
@@ -27,7 +29,7 @@ import sys
 import time
 from pathlib import Path
 
-from etacalc import verify
+from etacalc import eta, verify
 from etacalc.action import conjugation_pair
 from etacalc.fpgroup import DEFAULT_MAX_COSETS
 from etacalc.groups import builtin, cyclic, dihedral, direct_product, table_from_perms
@@ -59,9 +61,19 @@ GROUPS = {
 def main(name: str) -> int:
     factory, nu_order, tensor_order, cap = GROUPS[name]
     group = factory()
+    tensor_table, tensor_s = eta._tensor_table, []
+
+    def timed(pair, max_cosets):
+        begun = time.perf_counter()
+        table = tensor_table(pair, max_cosets)
+        tensor_s.append(time.perf_counter() - begun)
+        return table
+
+    eta._tensor_table = timed
     start = time.perf_counter()
     nu = construct_nu(group, max_cosets=cap)
     built = time.perf_counter()
+    eta._tensor_table = tensor_table
     verify.construct_nu = lambda g, max_cosets: nu
     corpus = Corpus((CorpusPair(f"nu:{name}", "conjugation", conjugation_pair(group)),), (), ())
     reports = run_corpus(max_cosets=cap, corpus=corpus)
@@ -71,7 +83,8 @@ def main(name: str) -> int:
     orders = (nu.order(), nu.tensor_order())
     print(
         f"nu({name}): |nu| = {orders[0]}, |T| = {orders[1]}, {len(reports)} claims;"
-        f" build {built - start:.2f} s, claims {claims - built:.2f} s, peak RSS {peak:.0f} MB"
+        f" build {built - start:.2f} s, T's table {sum(tensor_s):.2f} s,"
+        f" claims {claims - built:.2f} s, peak RSS {peak:.0f} MB"
     )
     for line in failed:
         print(line)

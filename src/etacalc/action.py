@@ -1,8 +1,8 @@
 """Group actions given by lookup tables, with axiom and compatibility audits.
 
-An action of ``A`` on ``X`` is stored as one row per acting element: row ``a``
-is the map ``x -> x^a`` written as a tuple of indices into ``X``.  Exponents
-compose on the right, so ``x^(a*b) == (x^a)^b``.
+An action of ``A`` on ``X`` is stored as one array with a row per acting
+element: row ``a`` is the map ``x -> x^a`` written as indices into ``X``.
+Exponents compose on the right, so ``x^(a*b) == (x^a)^b``.
 
 A pair of groups acting on each other is *compatible* when, for all choices
 of elements, acting and conjugating interleave:
@@ -18,7 +18,6 @@ construction refuses pairs with a nonempty report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -30,64 +29,70 @@ from .groups import TableGroup, is_int_rows, table_group_from_json
 _SCHEMA = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ActionTable:
-    """Rows of an action: ``rows[a][x]`` is the image of ``x`` under ``a``."""
+    """An action's table: ``rows[a, x]`` is the image of ``x`` under ``a``.
+
+    ``rows`` is kept as one read-only ``intp`` array of shape (acting_size,
+    acted_size). Construction refuses the first row of the wrong length or
+    with an entry out of range, reading a row's length before its entries.
+    """
 
     acting_size: int
     acted_size: int
-    rows: tuple[tuple[int, ...], ...]
+    rows: np.ndarray
 
     def __post_init__(self) -> None:
         if self.acting_size < 1 or self.acted_size < 1:
             raise ValueError("action table sizes must be positive")
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if len(rows) != self.acting_size:
+        if len(self.rows) != self.acting_size:
+            raise ValueError(f"expected {self.acting_size} rows, got {len(self.rows)}")
+        # a ragged table cannot become one array, so its lengths are read row by row
+        lengths = [len(row) for row in self.rows]
+        ragged = next((a for a, k in enumerate(lengths) if k != self.acted_size), len(lengths))
+        entries = np.asarray(self.rows[:ragged])  # beyond int64, numpy picks a wider dtype
+        out = np.argwhere((entries < 0) | (entries >= self.acted_size))
+        if out.size:
+            a, x = out[0]
+            raise ValueError(f"row {a} contains out-of-range entry {self.rows[a][x]}")
+        if ragged < len(lengths):
             raise ValueError(
-                f"expected {self.acting_size} rows, got {len(rows)}"
+                f"row {ragged} has length {lengths[ragged]}, expected {self.acted_size}"
             )
-        for a, row in enumerate(rows):
-            if len(row) != self.acted_size:
-                raise ValueError(
-                    f"row {a} has length {len(row)}, expected {self.acted_size}"
-                )
-            for x in row:
-                if not 0 <= x < self.acted_size:
-                    raise ValueError(f"row {a} contains out-of-range entry {x}")
+        rows = entries.astype(np.intp, order="C")
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "ActionTable":
-        rows = tuple(tuple(row) for row in rows)
-        if not rows or not rows[0]:
+        if len(rows) == 0 or len(rows[0]) == 0:
             raise ValueError("action table must have at least one row and column")
         return cls(len(rows), len(rows[0]), rows)
 
     @classmethod
     def trivial(cls, acting_size: int, acted_size: int) -> "ActionTable":
-        row = tuple(range(acted_size))
-        return cls(acting_size, acted_size, tuple(row for _ in range(acting_size)))
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        """The rows as one read-only int array: array[a, x] is x^a."""
-        arr = np.array(self.rows, dtype=np.intp)
-        arr.setflags(write=False)
-        return arr
+        return cls(acting_size, acted_size, [range(acted_size)] * acting_size)
 
     def apply(self, acting: int, acted: int) -> int:
-        return self.rows[acting][acted]
+        return int(self.rows[acting, acted])
 
     def is_trivial(self) -> bool:
-        row = tuple(range(self.acted_size))
-        return all(r == row for r in self.rows)
+        return bool((self.rows == np.arange(self.acted_size)).all())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ActionTable):
+            return NotImplemented
+        return np.array_equal(self.rows, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.rows.shape, self.rows.tobytes()))
 
     def to_json_dict(self) -> dict:
         return {
             "schema": _SCHEMA,
             "acting_size": self.acting_size,
             "acted_size": self.acted_size,
-            "rows": [list(row) for row in self.rows],
+            "rows": self.rows.tolist(),
         }
 
     @classmethod
@@ -130,34 +135,30 @@ def validate_action(action: ActionTable, acted: TableGroup, acting: TableGroup) 
         )
     report: list[dict] = []
     rows = action.rows
-    full = list(range(acted.n))
-    for a, row in enumerate(rows):
-        if sorted(row) != full:
-            report.append(
-                {
-                    "axiom": "row-bijection",
-                    "acting": a,
-                    "acting_label": acting.labels[a],
-                    "row": list(row),
-                }
-            )
-    e = acting.identity
-    for x in range(acted.n):
-        if rows[e][x] != x:
-            report.append(
-                {
-                    "axiom": "identity-row",
-                    "acted": x,
-                    "acted_label": acted.labels[x],
-                    "image": rows[e][x],
-                }
-            )
+    for (a,) in _spots((np.sort(rows, axis=1) != np.arange(acted.n)).any(axis=1)):
+        report.append(
+            {
+                "axiom": "row-bijection",
+                "acting": a,
+                "acting_label": acting.labels[a],
+                "row": rows[a].tolist(),
+            }
+        )
+    identity_row = rows[acting.identity]
+    for (x,) in _spots(identity_row != np.arange(acted.n)):
+        report.append(
+            {
+                "axiom": "identity-row",
+                "acted": x,
+                "acted_label": acted.labels[x],
+                "image": int(identity_row[x]),
+            }
+        )
     # Each axiom is one broadcast over its triples, in blocks of acting
     # elements; np.argwhere lists failures in the order of a loop over them.
-    arr = action.array
     mul = acted.table
     for block in audit_blocks(acting.n, acted.n * acted.n):
-        images = arr[block]
+        images = rows[block]
         lhs = images[:, mul]  # lhs[a, x, y] = (x y)^a
         rhs = mul.ravel().take(images[:, :, None] * acted.n + images[:, None, :])  # x^a y^a
         for a, x, y in _spots(lhs != rhs):
@@ -174,8 +175,8 @@ def validate_action(action: ActionTable, acted: TableGroup, acting: TableGroup) 
             )
     for block in audit_blocks(acting.n, acting.n * acted.n):
         # gathered along [b, a, x], where both sides are gathers of whole rows
-        lhs = arr[acting.table[block].T].transpose(1, 0, 2)  # lhs[a, b, x] = x^(a b)
-        rhs = arr[:, arr[block]].transpose(1, 0, 2)  # rhs[a, b, x] = (x^a)^b
+        lhs = rows[acting.table[block].T].transpose(1, 0, 2)  # lhs[a, b, x] = x^(a b)
+        rhs = rows[:, rows[block]].transpose(1, 0, 2)  # rhs[a, b, x] = (x^a)^b
         for a, b, x in _spots(lhs != rhs):
             report.append(
                 {
@@ -194,9 +195,10 @@ def validate_action(action: ActionTable, acted: TableGroup, acting: TableGroup) 
 class ActionPair:
     """Two groups with mutual actions, audited on construction.
 
-    ``g_on_h.rows[a]`` is the map ``h -> h^a`` for ``a`` in ``g``, and
-    ``h_on_g.rows[b]`` is ``g -> g^b`` for ``b`` in ``h``.  Both tables must
-    pass ``validate_action``; compatibility is a separate, explicit check.
+    ``g_on_h.rows[a, y]`` is ``y^a`` for ``a`` in ``g`` and ``y`` in ``h``, and
+    ``h_on_g.rows[b, x]`` is ``x^b`` for ``b`` in ``h`` and ``x`` in ``g``.
+    Both tables must pass ``validate_action``; compatibility is a separate,
+    explicit check.
     """
 
     g: TableGroup
@@ -221,7 +223,7 @@ class ActionPair:
             return False
         conj = self.g.conj_table().T  # conj[a, x] = x^a
         return bool(
-            np.array_equal(self.g_on_h.array, conj) and np.array_equal(self.h_on_g.array, conj)
+            np.array_equal(self.g_on_h.rows, conj) and np.array_equal(self.h_on_g.rows, conj)
         )
 
     def to_json_dict(self) -> dict:
@@ -236,7 +238,7 @@ class ActionPair:
 
 def conjugation_pair(group: TableGroup) -> ActionPair:
     """The pair (G, G) where both actions are conjugation inside G."""
-    table = ActionTable(group.n, group.n, group.conj_table().T.tolist())
+    table = ActionTable(group.n, group.n, group.conj_table().T)
     return ActionPair(group, group, table, table)
 
 
@@ -265,9 +267,9 @@ def pair_from_json_dict(data: dict) -> ActionPair:
     def renumbered(table_data: dict, acting: np.ndarray, acted: np.ndarray) -> ActionTable:
         """The action on the groups' new numbering, one gather from the JSON rows."""
         table = ActionTable.from_json_dict(table_data)
-        if table.array.shape != (acting.size, acted.size):
+        if table.rows.shape != (acting.size, acted.size):
             return table  # validate_action refuses it by its sizes
-        return ActionTable.from_rows(np.argsort(acted)[table.array[np.ix_(acting, acted)]].tolist())
+        return ActionTable.from_rows(np.argsort(acted)[table.rows[np.ix_(acting, acted)]])
 
     g_on_h = renumbered(data["g_on_h"], g_order, h_order)
     h_on_g = renumbered(data["h_on_g"], h_order, g_order)
@@ -283,7 +285,7 @@ def check_compatibility(pair: ActionPair) -> list[dict]:
     a proof of compatibility for these tables.
     """
     g, h = pair.g, pair.h
-    goh, hog = pair.g_on_h.array, pair.h_on_g.array
+    goh, hog = pair.g_on_h.rows, pair.h_on_g.rows
     failures: list[dict] = []
     for gg, g1, hh, lhs, rhs in _compat_failures(g, h, hog, goh):
         failures.append(

@@ -186,7 +186,7 @@ def _audit_carrier(eta: EtaGroup) -> None:
         if bad.any():
             raise ConstructionError(f"column {c} of H is not its step at point {bad.argmax()}")
     g_conj, h_conj = g.conj_table(), h.conj_table()  # [x, c] = x^c
-    goh, hog = pair.g_on_h.array, pair.h_on_g.array
+    goh, hog = pair.g_on_h.rows, pair.h_on_g.rows
     a, b = np.array(sg, dtype=int)[:, None, None], np.array(sh, dtype=int)[:, None]
     families = (
         ("first", g, sg, eta.times_g, lambda c: (g_conj[a, c], goh[c, b])),
@@ -214,7 +214,7 @@ def _audit_families(eta: EtaGroup) -> None:
     """
     pair, tensor = eta.pair, eta.tensors
     g, h = pair.g, pair.h
-    goh, hog = pair.g_on_h.array, pair.h_on_g.array
+    goh, hog = pair.g_on_h.rows, pair.h_on_g.rows
     g_conj, h_conj = g.conj_table().T, h.conj_table().T  # [c, x] = x^c
     a, b = np.arange(g.n)[None, :, None], np.arange(h.n)[None, None, :]
     families = (
@@ -260,7 +260,7 @@ def _tensor_relators(pair: ActionPair) -> np.ndarray:
     order does not matter: _shrink merges and returns them in _least_forms order.
     """
     g, h = pair.g, pair.h
-    goh, hog = pair.g_on_h.array, pair.h_on_g.array
+    goh, hog = pair.g_on_h.rows, pair.h_on_g.rows
     gt, ginv, ht, hinv = g.table, g.inverse_table, h.table, h.inverse_table
     g_conj, h_conj = g.conj_table(), h.conj_table()
     a, b = np.arange(g.n)[:, None], np.arange(h.n)[None, :]
@@ -466,9 +466,9 @@ def _cocycle(pair: ActionPair) -> np.ndarray:
     g, h = pair.g, pair.h
     xa = g.table.T  # [a, x]
     z = g.inverse_table[xa]
-    u = pair.h_on_g.array[h.inverse_table].T  # a^(y^-1), [a, y]
+    u = pair.h_on_g.rows[h.inverse_table].T  # a^(y^-1), [a, y]
     a = g.table[g.table[xa[:, :, None], u[:, None, :]], z[:, :, None]]  # u^z, [a, x, y]
-    b = pair.g_on_h.array[z]  # y^z, [a, x, y]
+    b = pair.g_on_h.rows[z]  # y^z, [a, x, y]
     identity = 2 * (g.n - 1) * (h.n - 1)
     return np.where((a == 0) | (b == 0), identity, 2 * ((a - 1) * (h.n - 1) + b - 1) + 1)
 

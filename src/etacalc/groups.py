@@ -21,6 +21,7 @@ import numpy as np
 
 from .abelian import AbelianInvariants, invariants_from_element_orders, pi_set
 from .errors import CapacityError, DegreeMismatchError
+from .fpgroup import audit_blocks
 
 __all__ = [
     "TableGroup",
@@ -60,26 +61,23 @@ class TableGroup:
         if arr.min() < 0 or arr.max() >= n:
             raise ValueError("table entries must be element indices")
         ident = np.arange(n, dtype=np.int32)
-        for i in range(n):
-            if not np.array_equal(np.sort(arr[i]), ident):
-                raise ValueError(f"row {i} is not a permutation of the elements")
-            if not np.array_equal(np.sort(arr[:, i]), ident):
-                raise ValueError(f"column {i} is not a permutation of the elements")
-        e = None
-        for i in range(n):
-            if np.array_equal(arr[i], ident) and np.array_equal(arr[:, i], ident):
-                e = i
-                break
-        if e is None:
+        # row i is checked before column i, and both before row i + 1
+        bad_rows = np.flatnonzero((np.sort(arr, axis=1) != ident).any(axis=1))
+        bad_cols = np.flatnonzero((np.sort(arr, axis=0) != ident[:, None]).any(axis=0))
+        if bad_rows.size and (not bad_cols.size or bad_rows[0] <= bad_cols[0]):
+            raise ValueError(f"row {bad_rows[0]} is not a permutation of the elements")
+        if bad_cols.size:
+            raise ValueError(f"column {bad_cols[0]} is not a permutation of the elements")
+        identities = np.flatnonzero((arr == ident).all(axis=1) & (arr.T == ident).all(axis=1))
+        if not identities.size:
             raise ValueError("table has no two-sided identity")
-        for a in range(n):
-            left = arr[arr[a]]          # left[b, c] = (a*b)*c
-            right = arr[a][arr]         # right[b, c] = a*(b*c)
-            if not np.array_equal(left, right):
-                bad = np.argwhere(left != right)[0]
-                raise ValueError(
-                    f"associativity fails at ({a}, {int(bad[0])}, {int(bad[1])})"
-                )
+        e = int(identities[0])
+        for block in audit_blocks(n, n * n):
+            rows = arr[block]
+            bad = arr[rows] != rows.take(arr, axis=1)  # (a*b)*c != a*(b*c), at [a, b, c]
+            if bad.any():
+                a, b, c = np.argwhere(bad)[0]
+                raise ValueError(f"associativity fails at ({a + block.start}, {b}, {c})")
         if labels is None:
             labels = tuple("e" if i == e else f"x{i}" for i in range(n))
         else:
@@ -91,9 +89,7 @@ class TableGroup:
         self.labels = labels
         self.n = n
         self.identity = e
-        inv = np.empty(n, dtype=np.int32)
-        for a in range(n):
-            inv[a] = int(np.nonzero(arr[a] == e)[0][0])
+        inv = (arr == e).argmax(axis=1).astype(np.int32)
         inv.setflags(write=False)
         self.inverse_table = inv
 

@@ -1,10 +1,11 @@
 """Regular carriers and their subgroups, whose elements are points.
 
-Every PermGroup is a regular carrier coming out of coset enumeration, or a
-subgroup of one. A carrier acts regularly on its points (the coset table of
-the trivial subgroup is the regular action), and a subgroup acts freely on
-the orbit of 0, so an element is determined by the point it sends 0 to:
-here an element is that point, a plain int.
+Every PermGroup is a regular carrier, built from the columns of a regular
+action, or a subgroup of one: eta's carrier is built from T's enumerated
+coset table and the formulas of G and H (eta.construct_eta), and only T
+comes out of coset enumeration. A carrier acts regularly on its points,
+and a subgroup acts freely on the orbit of 0, so an element is determined
+by the point it sends 0 to: here an element is that point, a plain int.
 
 Products read left to right: mul(p, q) is the point of "p, then q", reached
 from p down q's tree path. A carrier keeps the numbering its table was

@@ -383,7 +383,7 @@ def _first(bad: np.ndarray) -> tuple[int, ...] | None:
 def _identity_b(eta: EtaGroup, key, key_inv, g_shift):
     """(checks, failures, first failure) of identity (b), over (g, h, y, form)."""
     h = eta.pair.h
-    hog = eta.pair.h_on_g.array
+    hog = eta.pair.h_on_g.rows
     gg = np.arange(eta.pair.g.n)[:, None, None]
     hh, y = np.arange(h.n)[None, :, None], np.arange(h.n)[None, None, :]
     lhs = key[g_shift[:, :, None], y]
@@ -482,8 +482,8 @@ def _lemma_identities(eta: EtaGroup):
     key = eta.tensors
     key_inv = eta.carrier.inverses(key)
     a, b = np.arange(g.n)[:, None], np.arange(h.n)[None, :]
-    g_shift = g.table[g.inverse_table[a], eta.pair.h_on_g.array.T]  # a^-1 a^b
-    h_shift = h.table[h.inverse_table[eta.pair.g_on_h.array], b]  # (b^a)^-1 b
+    g_shift = g.table[g.inverse_table[a], eta.pair.h_on_g.rows.T]  # a^-1 a^b
+    h_shift = h.table[h.inverse_table[eta.pair.g_on_h.rows], b]  # (b^a)^-1 b
     checked_b, fail_b, witness_b = _identity_b(eta, key, key_inv, g_shift)
     fail_a, diverging, witness_a = _identity_a(eta, key_inv, g_shift, h_shift)
 
@@ -528,9 +528,8 @@ def _mu_quotient(nu: NuGroup):
 def _mutually_invariant(frame: _Frame) -> bool:
     """Theorem A's precondition: K's action keeps N inside N, and N's keeps K inside K."""
     goh, hog = frame.eta.pair.g_on_h.rows, frame.eta.pair.h_on_g.rows
-    nset, kset = set(frame.N), set(frame.K)
-    pairs = [(n, k) for n in frame.N for k in frame.K]
-    return all(hog[k][n] in nset and goh[n][k] in kset for n, k in pairs)
+    n, k = np.array(frame.N), np.array(frame.K)
+    return bool(np.isin(hog[np.ix_(k, n)], n).all() and np.isin(goh[np.ix_(n, k)], k).all())
 
 
 def _mismatch(step: int, axes, observed, expected, names=("square", "expected")) -> dict | None:
@@ -585,7 +584,7 @@ def _triple_brackets(frame: _Frame, sub_a: PermGroup, parts, failures) -> np.nda
     tinvt = set(t_nk.ravel().tolist())
 
     n, i, j = n_arr[:, None, None], k_arr[None, :, None], k_arr[None, None, :]
-    w = eta.times_bracket(key_inv[:, :, None], eta.pair.h_on_g.array[j, n], h.conj_table()[i, j])
+    w = eta.times_bracket(key_inv[:, :, None], eta.pair.h_on_g.rows[j, n], h.conj_table()[i, j])
     # [t1, hh'] = t1^-1 t1^hh, walked directly
     direct = eta.times_h(eta.times_bracket(eta.times_h(key_inv[:, :, None], k_inv), n, i), j)
     names = ("bracket", "substitution")
@@ -640,7 +639,7 @@ def _abelian_squares(frame: _Frame, sub_a: PermGroup, w: np.ndarray, parts, fail
     if sub_a.is_abelian():
         eta, g, N, K = frame.eta, frame.eta.pair.g, frame.N, frame.K
         n, i, j = np.array(N)[:, None, None], np.array(K)[None, :, None], np.array(K)[None, None, :]
-        n1 = g.table[g.inverse_table[n], eta.pair.h_on_g.array[i, n]]
+        n1 = g.table[g.inverse_table[n], eta.pair.h_on_g.rows[i, n]]
         axes = (("n", N), ("h", K), ("k", K))
         squares = (axes, eta.carrier.products(w, w), eta.tensors[g.table[n1, n1], j])
     _squares(4, "abelian", "[N,K^phi] not abelian", squares, parts, failures)

@@ -292,7 +292,7 @@ def module_tensor_order(pair) -> int:
     Smith form's diagonal, computed without any coset enumeration.
     """
     g, a = pair.g, pair.h
-    left = np.asarray(pair.g_on_h.rows)[g.inverse_table]  # left[h, y] = h.y
+    left = pair.g_on_h.rows[g.inverse_table]  # left[h, y] = h.y
     width = (g.n - 1) * a.n
     rows = []
 
@@ -470,6 +470,41 @@ def brute_delta_of_abelian(invariants: tuple[int, ...]) -> tuple[int, ...]:
 # vectorised validate_action and check_compatibility.
 
 
+def looped_table_failure(table: list[list[int]]) -> str | None:
+    """The first failure TableGroup reports on a square table of element indices, looped.
+
+    Row i is read before column i, both before row i + 1; then the first
+    two-sided identity is sought; then associativity is tried at every
+    (a, b, c) in the order of a loop over a, then b, then c.
+    """
+    n, full = len(table), list(range(len(table)))
+    for i in range(n):
+        if sorted(table[i]) != full:
+            return f"row {i} is not a permutation of the elements"
+        if sorted(row[i] for row in table) != full:
+            return f"column {i} is not a permutation of the elements"
+    if not any(table[i] == full and [row[i] for row in table] == full for i in range(n)):
+        return "table has no two-sided identity"
+    for a, b, c in product(range(n), repeat=3):
+        if table[table[a][b]][c] != table[a][table[b][c]]:
+            return f"associativity fails at ({a}, {b}, {c})"
+    return None
+
+
+def looped_action_rows_failure(acting_size: int, acted_size: int, rows) -> str | None:
+    """The first failure ActionTable reports on rows of the right count, looped.
+
+    Each row's length is read before its entries, and rows in order.
+    """
+    for a, row in enumerate(rows):
+        if len(row) != acted_size:
+            return f"row {a} has length {len(row)}, expected {acted_size}"
+        for x in row:
+            if not 0 <= x < acted_size:
+                return f"row {a} contains out-of-range entry {x}"
+    return None
+
+
 def naive_validate_action(action, acted, acting) -> list[dict]:
     """Audit the action axioms, returning one record per violated instance.
 
@@ -487,7 +522,7 @@ def naive_validate_action(action, acted, acting) -> list[dict]:
             f"action rows have length {action.acted_size} but the acted group has order {acted.n}"
         )
     report: list[dict] = []
-    rows = action.rows
+    rows = action.rows.tolist()
     full = list(range(acted.n))
     bad_rows = set()
     for a, row in enumerate(rows):
@@ -559,7 +594,7 @@ def naive_check_compatibility(pair) -> list[dict]:
     a proof of compatibility for these tables.
     """
     g, h = pair.g, pair.h
-    goh, hog = pair.g_on_h.rows, pair.h_on_g.rows
+    goh, hog = pair.g_on_h.rows.tolist(), pair.h_on_g.rows.tolist()
     failures: list[dict] = []
     for gg in range(g.n):
         for g1 in range(g.n):
@@ -644,7 +679,7 @@ def looped_audit_families(eta) -> str | None:
     """
     pair, tensor = eta.pair, eta.tensors
     g, h = pair.g, pair.h
-    goh, hog = pair.g_on_h.rows, pair.h_on_g.rows
+    goh, hog = pair.g_on_h.rows.tolist(), pair.h_on_g.rows.tolist()
     g_rows, h_rows = _element_rows(eta)
 
     def bracket(p: int, a: int, b: int) -> int:
@@ -807,7 +842,7 @@ def brown_loday_presentation(pair, a1s=None, b1s=None):
     g, h = pair.g, pair.h
     gt, ginv = g.table.tolist(), g.inverse_table.tolist()
     ht, hinv = h.table.tolist(), h.inverse_table.tolist()
-    goh, hog = pair.g_on_h.rows, pair.h_on_g.rows
+    goh, hog = pair.g_on_h.rows.tolist(), pair.h_on_g.rows.tolist()
     width = h.n - 1
 
     def col(a: int, b: int) -> int:
@@ -899,7 +934,7 @@ def _cayley_relators(group: TableGroup, first: int, words, inverses) -> list[tup
 
 def _family_relators(pair: ActionPair, g_words, g_inverses, h_words, h_inverses) -> list[tuple]:
     g, h = pair.g, pair.h
-    goh, hog = pair.g_on_h.rows, pair.h_on_g.rows
+    goh, hog = pair.g_on_h.rows.tolist(), pair.h_on_g.rows.tolist()
     g_gens, h_gens = g.generating_subset(), h.generating_subset()
 
     def bracket(a: int, b: int) -> tuple:
@@ -965,7 +1000,7 @@ def looped_lemma_identities(eta):
     the verdict.
     """
     g, h = eta.pair.g, eta.pair.h
-    goh, hog = eta.pair.g_on_h.rows, eta.pair.h_on_g.rows
+    goh, hog = eta.pair.g_on_h.rows.tolist(), eta.pair.h_on_g.rows.tolist()
     carrier = eta.carrier
     rows = _element_rows(eta)
     g_arr, h_arr = rows
@@ -1066,7 +1101,7 @@ def looped_theorem_A(eta, n_elements, k_elements):
     report records whether each hypothesis held.
     """
     g, h = eta.pair.g, eta.pair.h
-    goh, hog = eta.pair.g_on_h.rows, eta.pair.h_on_g.rows
+    goh, hog = eta.pair.g_on_h.rows.tolist(), eta.pair.h_on_g.rows.tolist()
     carrier = eta.carrier
     N = tuple(sorted(set(n_elements)))
     K = tuple(sorted(set(k_elements)))

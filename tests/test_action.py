@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import re
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,9 +25,9 @@ from etacalc.action import (
     validate_action,
 )
 from etacalc.errors import IncompatibleActionError, InvalidActionError
-from etacalc.groups import builtin, builtin_names, cyclic, symmetric3
+from etacalc.groups import TableGroup, builtin, builtin_names, cyclic, symmetric3
 
-from oracles import naive_check_compatibility, naive_validate_action
+from oracles import looped_action_rows_failure, naive_check_compatibility, naive_validate_action
 
 
 def test_action_table_validation():
@@ -40,6 +42,55 @@ def test_action_table_validation():
     assert t.apply(1, 3) == 3
     nontrivial = ActionTable.from_rows([[0, 1], [1, 0]])
     assert not nontrivial.is_trivial()
+
+
+@pytest.mark.parametrize(
+    "sizes, rows, message",
+    [
+        ((0, 3), (), "action table sizes must be positive"),
+        ((2, 3), ((0, 1, 2),), "expected 2 rows, got 1"),
+        ((2, 3), ((0, 1, 2), (0, 1)), "row 1 has length 2, expected 3"),
+        ((1, 2), ((0, 2),), "row 0 contains out-of-range entry 2"),
+        ((2, 3), ((0, 1, 2), (2, -1, 0)), "row 1 contains out-of-range entry -1"),
+        ((1, 2), ((0, 2**63),), f"row 0 contains out-of-range entry {2**63}"),
+        ((1, 2), ((0, -(2**70)),), f"row 0 contains out-of-range entry {-(2**70)}"),
+        # a ragged row after an out-of-range entry: the entry is read first
+        ((3, 3), ((0, 1, 2), (0, 5, -1), (0, 1)), "row 1 contains out-of-range entry 5"),
+        # an out-of-range entry after a ragged row, or in it: the length is read first
+        ((2, 3), ((0, 1), (0, 9, 1)), "row 0 has length 2, expected 3"),
+        ((2, 3), ((0, 1, 2), (7, 1)), "row 1 has length 2, expected 3"),
+    ],
+)
+def test_action_table_names_the_first_bad_row(sizes, rows, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ActionTable(*sizes, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_action_table_names_the_loops_first_failure(data):
+    acting, acted = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    in_range = st.lists(st.integers(0, acted - 1), min_size=acted, max_size=acted)
+    stray = st.lists(st.integers(-1, acted), min_size=acted, max_size=acted)
+    ragged = st.lists(st.integers(-1, acted), max_size=acted + 1)
+    rows = data.draw(st.lists(in_range | stray | ragged, min_size=acting, max_size=acting))
+    try:
+        ActionTable(acting, acted, rows)
+        found = None
+    except ValueError as err:
+        found = str(err)
+    assert found == looped_action_rows_failure(acting, acted, rows)
+
+
+def test_action_table_holds_one_read_only_array():
+    t = ActionTable(2, 3, [[0, 2, 1], (0, 1, 2)])
+    assert t.rows.tolist() == [[0, 2, 1], [0, 1, 2]]
+    assert t.rows.dtype == np.intp and not t.rows.flags.writeable
+    assert t == ActionTable.from_rows(np.array([[0, 2, 1], [0, 1, 2]], dtype=np.int32))
+    assert hash(t) == hash(ActionTable.from_rows([[0, 2, 1], [0, 1, 2]]))
+    assert t != ActionTable.from_rows([[0, 1, 2], [0, 2, 1]])
+    assert t != ActionTable.from_rows([[0, 2, 1, 3], [0, 1, 2, 3]])
+    assert type(t.apply(0, 1)) is int and t.apply(0, 1) == 2
 
 
 def test_action_table_json():
@@ -78,6 +129,21 @@ def test_validate_action_reports_each_axiom():
         validate_action(ActionTable.trivial(2, 3), acted=c3, acting=c3)
 
 
+def test_validate_action_lists_bijection_then_identity_failures_in_order():
+    c3 = cyclic(3)
+    c2 = TableGroup([[1, 0], [0, 1]])  # its identity is element 1, labelled e
+    rows = [[1, 1, 0], [0, 2, 2]]
+    report = validate_action(ActionTable.from_rows(rows), acted=c3, acting=c2)
+    assert report[:3] == [
+        {"axiom": "row-bijection", "acting": 0, "acting_label": "x0", "row": [1, 1, 0]},
+        {"axiom": "row-bijection", "acting": 1, "acting_label": "e", "row": [0, 2, 2]},
+        {"axiom": "identity-row", "acted": 1, "acted_label": "g1", "image": 2},
+    ]
+    assert report[3]["axiom"] == "row-homomorphism"
+    # json.dumps refuses numpy integers, so every number in the report is a plain int
+    assert json.loads(json.dumps(report)) == report
+
+
 def test_invalid_pair_cites_table_and_axiom():
     s3 = symmetric3()
     good = conjugation_pair(s3)
@@ -96,9 +162,9 @@ def test_conjugation_rows_match_group_conj():
     for name in builtin_names():
         group = builtin(name)
         rows = conjugation_pair(group).g_on_h.rows
-        assert rows == tuple(
-            tuple(group.conj(x, a) for x in group.elements()) for a in group.elements()
-        )
+        assert rows.tolist() == [
+            [group.conj(x, a) for x in group.elements()] for a in group.elements()
+        ]
 
 
 def test_a_shared_table_is_validated_once(monkeypatch):
@@ -298,8 +364,8 @@ def test_is_conjugation_matches_the_group_conjugates():
 def test_conjugates_and_action_arrays_are_built_once_and_read_only():
     group = builtin("S3")
     pair = conjugation_pair(group)
-    for get in (group.conj_table, lambda: pair.g_on_h.array):
+    for get in (group.conj_table, lambda: pair.g_on_h.rows):
         assert get() is get()
         assert not get().flags.writeable
-    assert pair.g_on_h.array.tolist() == [list(row) for row in pair.g_on_h.rows]
+    assert pair.g_on_h.rows.dtype == np.intp and pair.g_on_h.rows.flags.c_contiguous
     assert group.conj_table().tolist() == [[group.conj(a, b) for b in range(6)] for a in range(6)]

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etacalc import fpgroup
 from etacalc.fpgroup import Presentation, todd_coxeter
 from etacalc.groups import (
     TableGroup,
@@ -21,7 +24,12 @@ from etacalc.groups import (
 )
 from etacalc.action import trivial_pair
 from etacalc.eta import construct_eta
-from oracles import looped_derived_indices, naive_closure, order_census_invariants
+from oracles import (
+    looped_derived_indices,
+    looped_table_failure,
+    naive_closure,
+    order_census_invariants,
+)
 
 
 def test_cyclic():
@@ -156,6 +164,103 @@ def test_table_validation():
         TableGroup(loop5)
     with pytest.raises(ValueError):
         TableGroup([[0, 1], [1, 0]], labels=["a", "a"])
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        # row 1 and column 1 both fail: the row is read first
+        ([[0, 1], [1, 1]], "row 1 is not a permutation of the elements"),
+        # column 0 and row 1 both fail: column 0 is read first
+        ([[0, 1, 2], [0, 2, 2], [2, 0, 1]], "column 0 is not a permutation of the elements"),
+        ([[0, 1, 2], [1, 2, 0], [1, 2, 0]], "column 0 is not a permutation of the elements"),
+        ([[1, 0, 2], [2, 1, 0], [0, 2, 1]], "table has no two-sided identity"),
+        # row 0 is the identity's, but column 0 is not
+        ([[0, 1, 2], [2, 0, 1], [1, 2, 0]], "table has no two-sided identity"),
+    ],
+)
+def test_table_validation_names_the_first_failure(table, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TableGroup(table)
+
+
+def _loop8() -> list[list[int]]:
+    """C2 x C2 x C2's table with one intercalate's two values swapped: a loop, not a group."""
+    table = [[a ^ b for b in range(8)] for a in range(8)]
+    # rows 5 and 6 hold 4 and 7 at columns 1 and 2, crosswise; swap them
+    table[5][1], table[5][2], table[6][1], table[6][2] = 7, 4, 4, 7
+    return table
+
+
+def _first_nonassociative(table) -> tuple[int, int, int]:
+    n = len(table)
+    return next(
+        (a, b, c)
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+        if table[table[a][b]][c] != table[a][table[b][c]]
+    )
+
+
+@pytest.mark.parametrize("walks", [1, 130, 1 << 20])
+@pytest.mark.parametrize(
+    "table",
+    [
+        [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 1, 0], [3, 4, 0, 2, 1], [4, 2, 1, 0, 3]],
+        _loop8(),
+    ],
+)
+def test_associativity_names_the_first_failing_triple(table, walks, monkeypatch):
+    # The triple is the first of a loop over a, then b, then c, at any block size.
+    monkeypatch.setattr(fpgroup, "_AUDIT_WALKS", walks)
+    triple = _first_nonassociative(table)
+    assert triple[0] > 0
+    with pytest.raises(ValueError, match=re.escape(f"associativity fails at {triple}") + "$"):
+        TableGroup(table)
+
+
+def _swap_intercalate(table: list[list[int]], r1: int, r2: int) -> None:
+    """Swap the two values of the first 2 x 2 subsquare in rows r1 and r2, if any.
+
+    Only subsquares off row and column 0 are swapped, so a group's table
+    keeps its identity and stays a Latin square, but no longer associates.
+    """
+    for c1 in range(1, len(table)):
+        c2 = table[r2].index(table[r1][c1])
+        if 0 not in (r1, r2, c2) and r1 != r2 and table[r1][c2] == table[r2][c1]:
+            table[r1][c1], table[r1][c2] = table[r1][c2], table[r1][c1]
+            table[r2][c1], table[r2][c2] = table[r2][c2], table[r2][c1]
+            return
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_table_validation_names_the_loops_first_failure(data):
+    # Entries overwritten break the Latin square, values relabelled break the
+    # identity, and swapped subsquares break associativity; the message is
+    # the loop's first failure at any block size.
+    name = data.draw(st.sampled_from(["C4", "S3", "C2xC2", "C2xC4", "D8", "Q8"]))
+    table = builtin(name).table.tolist()
+    n = len(table)
+    index = st.integers(0, n - 1)
+    for _ in range(data.draw(st.integers(0, 2))):
+        _swap_intercalate(table, data.draw(index.filter(bool)), data.draw(index.filter(bool)))
+    for _ in range(data.draw(st.integers(0, 2))):
+        if data.draw(st.booleans()):
+            table[data.draw(index)][data.draw(index)] = data.draw(index)
+        else:
+            perm = data.draw(st.permutations(range(n)))
+            table = [[perm[v] for v in row] for row in table]
+    expected = looped_table_failure(table)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fpgroup, "_AUDIT_WALKS", data.draw(st.sampled_from([1, 130, 1 << 20])))
+        try:
+            TableGroup(table)
+            found = None
+        except ValueError as err:
+            found = str(err)
+    assert found == expected
 
 
 def test_subgroup_machinery():

@@ -11,11 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from etacalc import eta as eta_module
 from etacalc import fpgroup, verify
 from etacalc.abelian import AbelianInvariants, z_tensor
 from etacalc.action import conjugation_pair, incompatible_example, trivial_pair
 from etacalc.eta import DEFAULT_MAX_COSETS, construct_eta
-from etacalc.groups import builtin, cyclic, direct_product
+from etacalc.groups import TableGroup, builtin, cyclic, direct_product
 from etacalc.nu import construct_nu
 from etacalc.perm import GroupHom, PermGroup, abelian_invariants_of, centralizer_index
 from etacalc.verify import (
@@ -653,3 +654,49 @@ def test_summary_counts():
         "skipped": 1,
         "ok": False,
     }
+
+
+_REFERENCES = {
+    DEFAULT_MAX_COSETS: REPO / "perfbench" / "reference" / "corpus-default.jsonl",
+    300: REPO / "tests" / "data" / "verify_max_cosets_300.jsonl",
+}
+
+
+@pytest.mark.parametrize("cap", sorted(_REFERENCES))
+def test_reports_do_not_depend_on_how_t_numbers_its_points(cap, monkeypatch):
+    # T's table renumbered by a fixed permutation that fixes coset 0: rows
+    # move, entries are mapped, and the identity column stays the identity.
+    tensor_table, renumbered = eta_module._tensor_table, []
+
+    def shuffled(pair, max_cosets):
+        steps, columns = tensor_table(pair, max_cosets)
+        perm = np.r_[0, 1 + np.random.default_rng(7).permutation(len(steps) - 1)]
+        moved = np.empty_like(steps)
+        moved[perm] = perm[steps]  # coset i is now coset perm[i]
+        assert np.array_equal(moved[:, -1], np.arange(len(steps)))
+        renumbered.append(not np.array_equal(moved, steps))
+        return moved, columns
+
+    monkeypatch.setattr(eta_module, "_tensor_table", shuffled)
+    lines = [r.to_json_line() for r in run_corpus(max_cosets=cap)]
+    assert lines == _REFERENCES[cap].read_text(encoding="utf-8").splitlines()
+    assert any(renumbered)
+
+
+def test_reports_do_not_depend_on_q8s_generating_subset(monkeypatch):
+    # Q8's greedy generating subset is (-1, i, j); the rank-2 pair (i, j)
+    # gives the default corpus's reports byte for byte.
+    q8, greedy, asked = builtin("Q8"), TableGroup.generating_subset, []
+
+    def rank_two(group):
+        if group == q8:
+            asked.append(group)
+            return (2, 4)
+        return greedy(group)
+
+    assert q8.generating_subset() == (1, 2, 4)
+    assert q8.subgroup_closure((2, 4)) == tuple(range(8))
+    monkeypatch.setattr(TableGroup, "generating_subset", rank_two)
+    lines = [r.to_json_line() for r in run_corpus()]
+    assert lines == _REFERENCES[DEFAULT_MAX_COSETS].read_text(encoding="utf-8").splitlines()
+    assert asked
