@@ -1,4 +1,4 @@
-"""Write one BENCH record of a checkout: perfbench, the order-16 rows, src/ size, host.
+"""Write one BENCH record of a checkout: perfbench, the order-16 rows, tier-1, src/ size, host.
 
     python scripts/bench_record.py --out BENCH_<n>.json [--runs N]
 
@@ -13,6 +13,9 @@ perfbench/ is changed. The record holds:
 * order16: one row per group of scripts/nu_order16.py, each in its own
   process with MALLOC_MMAP_THRESHOLD_=131072: build, T's table within the
   build (tensor_s), claims, peak RSS, exit;
+* tier1: one run of the tier-1 suite (python -m pytest -q -p no:cacheprovider,
+  with PYTHONPATH=src): its wall time s, and how many tests passed and failed
+  (errors count as failures);
 * src_lines: the line count of each module of src/etacalc, and their total;
 * host: CPU count, machine, Python and numpy versions, the commit, and
   whether src/ differs from it.
@@ -38,6 +41,7 @@ import numpy as np
 
 WORKLOADS = ("corpus-default", "corpus-general")
 END_TO_END = ("verify_s", "build_s", "setup_s", "peak_rss_mb")
+TALLY = re.compile(r"(\d+) (passed|failed|errors?)\b")
 ROW = re.compile(r"build ([\d.]+) s, T's table ([\d.]+) s, claims ([\d.]+) s, peak RSS (\d+) MB$")
 CHECKOUT = Path(__file__).resolve().parent.parent
 
@@ -105,6 +109,24 @@ def order16_row(name: str) -> dict:
     }
 
 
+def tier1() -> dict:
+    """The tier-1 suite's wall time and tallies; its output is shown only if a test fails."""
+    env = {**os.environ, "PYTHONPATH": "src"}
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+    t0 = time.perf_counter()
+    out = subprocess.run(cmd, cwd=CHECKOUT, env=env, capture_output=True, text=True)
+    seconds = time.perf_counter() - t0
+    tally = {"passed": 0, "failed": 0}
+    summary = out.stdout.strip().splitlines()[-1] if out.stdout.strip() else ""
+    for count, outcome in TALLY.findall(summary):
+        tally["passed" if outcome == "passed" else "failed"] += int(count)
+    if out.returncode and not tally["failed"]:
+        tally["failed"] = 1  # pytest stopped without a tally of failures, say at collection
+    if tally["failed"]:
+        sys.stderr.write(out.stdout + out.stderr)
+    return {"s": round(seconds, 3), **tally}
+
+
 def src_lines() -> dict:
     modules = sorted((CHECKOUT / "src" / "etacalc").glob("*.py"))
     counts = {path.stem: len(path.read_text(encoding="utf-8").splitlines()) for path in modules}
@@ -138,11 +160,13 @@ def main(argv=None) -> int:
         "workloads": {w: workload_record(w, args.runs, seconds) for w in WORKLOADS},
         "traced": {w: traced(w) for w in WORKLOADS},
         "order16": {name: order16_row(name) for name in order16_groups()},
+        "tier1": tier1(),
         "src_lines": src_lines(),
     }
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     correct = all(w["correct"] for w in record["workloads"].values())
-    return 0 if correct and all(r["exit"] == 0 for r in record["order16"].values()) else 1
+    passed = all(r["exit"] == 0 for r in record["order16"].values())
+    return 0 if correct and passed and record["tier1"]["failed"] == 0 else 1
 
 
 if __name__ == "__main__":

@@ -287,38 +287,25 @@ def check_compatibility(pair: ActionPair) -> list[dict]:
     g, h = pair.g, pair.h
     goh, hog = pair.g_on_h.rows, pair.h_on_g.rows
     failures: list[dict] = []
-    for gg, g1, hh, lhs, rhs in _compat_failures(g, h, hog, goh):
-        failures.append(
-            {
-                "family": 1,
-                "g": gg,
-                "g1": g1,
-                "h": hh,
-                "g_label": g.labels[gg],
-                "g1_label": g.labels[g1],
-                "h_label": h.labels[hh],
-                "lhs": lhs,
-                "rhs": rhs,
-                "lhs_label": g.labels[lhs],
-                "rhs_label": g.labels[rhs],
-            }
-        )
-    for hh, h1, gg, lhs, rhs in _compat_failures(h, g, goh, hog):
-        failures.append(
-            {
-                "family": 2,
-                "h": hh,
-                "h1": h1,
-                "g": gg,
-                "h_label": h.labels[hh],
-                "h1_label": h.labels[h1],
-                "g_label": g.labels[gg],
-                "lhs": lhs,
-                "rhs": rhs,
-                "lhs_label": h.labels[lhs],
-                "rhs_label": h.labels[rhs],
-            }
-        )
+    # family 2 is family 1 with the roles of G and H, and of their names, swapped
+    sides = ((g, "g", h, "h", hog, goh), (h, "h", g, "g", goh, hog))
+    for family, (a, x, b, y, b_on_a, a_on_b) in enumerate(sides, 1):
+        for aa, a1, bb, lhs, rhs in _compat_failures(a, b, b_on_a, a_on_b):
+            failures.append(
+                {
+                    "family": family,
+                    x: aa,
+                    f"{x}1": a1,
+                    y: bb,
+                    f"{x}_label": a.labels[aa],
+                    f"{x}1_label": a.labels[a1],
+                    f"{y}_label": b.labels[bb],
+                    "lhs": lhs,
+                    "rhs": rhs,
+                    "lhs_label": a.labels[lhs],
+                    "rhs_label": a.labels[rhs],
+                }
+            )
     return failures
 
 

@@ -158,9 +158,9 @@ def _tokenize(text: str) -> list[_Token]:
             col += j - i
             i = j
             continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
+        if ch.isdecimal() or (ch == "-" and i + 1 < n and text[i + 1].isdecimal()):
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("INT", int(text[i:j]), line, col))
             col += j - i

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -53,13 +52,14 @@ class TableGroup:
     """A finite group given by its full multiplication table."""
 
     def __init__(self, table: Sequence[Sequence[int]], labels: Sequence[str] | None = None):
-        arr = np.asarray(table, dtype=np.int32)
+        arr = np.asarray(table)  # beyond int64, numpy picks a wider dtype
         n = arr.shape[0] if arr.ndim == 2 else 0
         if arr.ndim != 2 or arr.shape != (n, n) or n == 0:
             raise ValueError("multiplication table must be square and non-empty")
         check_table_size(n)
         if arr.min() < 0 or arr.max() >= n:
             raise ValueError("table entries must be element indices")
+        arr = arr.astype(np.int32)  # narrowed once in range, and a copy the caller does not hold
         ident = np.arange(n, dtype=np.int32)
         # row i is checked before column i, and both before row i + 1
         bad_rows = np.flatnonzero((np.sort(arr, axis=1) != ident).any(axis=1))
@@ -384,22 +384,12 @@ def _group_of_perms(images_list: list[tuple[int, ...]]) -> TableGroup:
 
 def symmetric3() -> TableGroup:
     """All permutations of {0,1,2} in lexicographic order of their images."""
-    return _group_of_perms(sorted(permutations(range(3))))
+    return table_from_perms([[1, 0, 2], [1, 2, 0]])
 
 
 def alternating4() -> TableGroup:
     """Even permutations of {0,1,2,3} in lexicographic order of their images."""
-    evens = []
-    for images in sorted(permutations(range(4))):
-        inversions = sum(
-            1
-            for x in range(4)
-            for y in range(x + 1, 4)
-            if images[x] > images[y]
-        )
-        if inversions % 2 == 0:
-            evens.append(images)
-    return _group_of_perms(evens)
+    return table_from_perms([[1, 2, 0, 3], [0, 2, 3, 1]])
 
 
 def direct_product(a: TableGroup, b: TableGroup) -> TableGroup:

@@ -31,7 +31,6 @@ import numpy as np
 
 from .abelian import AbelianInvariants, invariants_from_element_orders
 from .errors import (
-    CapacityError,
     ConstructionError,
     IllDefinedHomError,
     IncompleteTableError,
@@ -51,8 +50,6 @@ __all__ = [
     "hom_kernel",
     "abelian_invariants_of",
 ]
-
-_ELEMENTS_LIMIT = 10**5
 
 
 def _first_reached(reached: np.ndarray, candidates: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -287,11 +284,6 @@ class PermGroup:
 
     def elements(self) -> list[int]:
         """All elements, in tree order."""
-        n = self.order()
-        if n > _ELEMENTS_LIMIT:
-            raise CapacityError(
-                f"refusing to enumerate {n} elements (limit {_ELEMENTS_LIMIT})", count=n
-            )
         return self._orbit().tolist()
 
     def element_orders(self) -> list[int]:

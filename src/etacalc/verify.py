@@ -7,9 +7,9 @@ FAIL, or SKIPPED, a deterministic detail string, and a concrete witness
 whenever something fails.  Capacity overruns are recorded as SKIPPED and
 are never counted as passes.
 
-The claims form one table, _CLAIMS: each row is a claim id, the corpus
-instances it applies to, and a check that returns (verdict, detail,
-witness).  run_corpus first builds every instance the selected claims need,
+The claims form one table, _CLAIMS: each row is a claim id, its anchor,
+the corpus instances it applies to, and a check that returns (verdict,
+detail, witness).  run_corpus first builds every instance the selected claims need,
 once and in corpus order, and each (N, K) tensor frame that Lemma 2.2 and
 Theorem A share, once; then it runs each row over its instances in one
 loop.  A report's elapsed time covers its check alone, never construction,
@@ -109,28 +109,13 @@ class ClaimReport:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-_ANCHORS = {
-    "compat": "compatible actions, eq. (0)",
-    "decomposition": "eta(G,H) = ([G,H^phi].G).H^phi",
-    "ztensor": "G tensor H = G^ab tensor_Z H^ab for trivial actions",
-    "lemma21": "Lemma 2.1",
-    "lemma22": "Lemma 2.2",
-    "lemma23": "Lemma 2.3",
-    "mu-quotient": "[G,G^phi]/mu(G) = G'",
-    "thma": "Theorem A",
-    "cor32": "Corollary 3.2",
-    "prop31-delta": "Proposition 3.1",
-    "thmc-pi": "Theorem C",
-}
-
-
-def _timed(claim: str, instance: str, check, *args) -> ClaimReport:
-    """Report check(*args) under the claim; elapsed covers the check alone."""
+def _timed(claim: _Claim, instance: str, check, *args) -> ClaimReport:
+    """Report check(*args) under the claim's row; elapsed covers the check alone."""
     t0 = time.perf_counter()
     verdict, detail, witness = check(*args)
     return ClaimReport(
-        claim=claim,
-        anchor=_ANCHORS[claim],
+        claim=claim.id,
+        anchor=claim.anchor,
         instance=instance,
         verdict=verdict,
         detail=detail,
@@ -804,23 +789,25 @@ class _Claim(NamedTuple):
     """One row of the claim table."""
 
     id: str
+    anchor: str  # the statement the claim exercises, as its reports name it
     scope: Callable[[Corpus], list]
     subject: str  # what the check gets first: "pair", "eta", "nu" or "frame"
     check: Callable[..., tuple]
 
 
 _CLAIMS = (
-    _Claim("compat", _pairs_and_rejects, "pair", _compat),
-    _Claim("decomposition", _every_pair, "eta", _decomposition),
-    _Claim("ztensor", _trivial_pairs, "eta", _ztensor),
-    _Claim("lemma21", _conjugation_instances, "nu", _derived_decomposition),
-    _Claim("lemma22", _pairs_and_cases, "frame", _centralizer_bound),
-    _Claim("lemma23", _every_pair, "eta", _lemma_identities),
-    _Claim("mu-quotient", _conjugation_instances, "nu", _mu_quotient),
-    _Claim("thma", _pairs_and_cases, "frame", _theorem_A),
-    _Claim("cor32", _conjugation_instances, "nu", _finiteness),
-    _Claim("prop31-delta", _conjugation_instances, "nu", _delta_divisibility),
-    _Claim("thmc-pi", _conjugation_instances, "nu", _prime_support),
+    _Claim("compat", "compatible actions, eq. (0)", _pairs_and_rejects, "pair", _compat),
+    _Claim("decomposition", "eta(G,H) = ([G,H^phi].G).H^phi", _every_pair, "eta", _decomposition),
+    _Claim("ztensor", "G tensor H = G^ab tensor_Z H^ab for trivial actions",
+           _trivial_pairs, "eta", _ztensor),
+    _Claim("lemma21", "Lemma 2.1", _conjugation_instances, "nu", _derived_decomposition),
+    _Claim("lemma22", "Lemma 2.2", _pairs_and_cases, "frame", _centralizer_bound),
+    _Claim("lemma23", "Lemma 2.3", _every_pair, "eta", _lemma_identities),
+    _Claim("mu-quotient", "[G,G^phi]/mu(G) = G'", _conjugation_instances, "nu", _mu_quotient),
+    _Claim("thma", "Theorem A", _pairs_and_cases, "frame", _theorem_A),
+    _Claim("cor32", "Corollary 3.2", _conjugation_instances, "nu", _finiteness),
+    _Claim("prop31-delta", "Proposition 3.1", _conjugation_instances, "nu", _delta_divisibility),
+    _Claim("thmc-pi", "Theorem C", _conjugation_instances, "nu", _prime_support),
 )
 
 CLAIM_IDS = tuple(claim.id for claim in _CLAIMS)
@@ -890,9 +877,9 @@ def run_corpus(
         else:
             subject = built[instance][claim.subject]
         if isinstance(subject, Exception):
-            reports.append(_timed(claim.id, instance, _refusal, subject))
+            reports.append(_timed(claim, instance, _refusal, subject))
         else:
-            reports.append(_timed(claim.id, instance, claim.check, subject, *args))
+            reports.append(_timed(claim, instance, claim.check, subject, *args))
     reports.sort(key=lambda r: (r.instance, r.claim))
     return reports
 

@@ -341,6 +341,19 @@ def test_construction_error_exits_6_without_traceback(monkeypatch, capsys):
     )
 
 
+def test_a_mu_that_is_not_central_exits_1_with_its_check(monkeypatch, capsys):
+    # a failed check of nu(G) is exit 1 with the checks printed, not exit 6
+    from etacalc import cli
+    from etacalc import nu as nu_module
+
+    flip = nu_module.construct_nu(builtin("S3")).eta.embed_g[1]
+    monkeypatch.setattr(nu_module, "hom_kernel", lambda hom: hom.source.carrier.subgroup([flip]))
+    assert cli.main(["nu", "--builtin", "S3"]) == 1
+    out = capsys.readouterr().out
+    assert '"mu_central": false' in out
+    assert json.loads(out)["checks"]["mu_central"] is False
+
+
 @pytest.mark.parametrize(
     "error, reason",
     [

@@ -117,6 +117,15 @@ def test_parse_errors_have_position():
         parse_presentation("<a| (a >")
 
 
+def test_only_decimal_digits_are_numbers():
+    # a superscript two is a digit to str.isdigit but not to int(): it is an
+    # unexpected character, where an Arabic-Indic three is the number 3
+    with pytest.raises(ParseError, match="unexpected character '²'") as exc:
+        parse_presentation("< a | a^² >")
+    assert (exc.value.line, exc.value.column) == (1, 9)
+    assert parse_presentation("< a | a^\u0663 >").relators == ((A,) * 3,)
+
+
 def test_presentation_validation():
     with pytest.raises(ParseError):
         parse_presentation("< a, a | a >")

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import re
+from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,6 +118,20 @@ def test_symmetric3():
     assert sorted(s3.element_order(a) for a in s3.elements()) == [1, 2, 2, 2, 3, 3]
 
 
+def test_s3_and_a4_list_their_permutations_in_lexicographic_order():
+    # all permutations of 3 points, and the even ones of 4 (an even count of
+    # inversions), sorted by their image lists; a*b is b after a
+    def even(p):
+        return sum(p[x] > p[y] for x in range(len(p)) for y in range(x + 1, len(p))) % 2 == 0
+
+    s3 = sorted(permutations(range(3)))
+    a4 = [p for p in sorted(permutations(range(4))) if even(p)]
+    for group, perms in ((symmetric3(), s3), (alternating4(), a4)):
+        index = {p: i for i, p in enumerate(perms)}
+        expected = [[index[tuple(b[x] for x in a)] for b in perms] for a in perms]
+        assert group.table.tolist() == expected
+
+
 def test_alternating4():
     a4 = alternating4()
     assert a4.n == 12
@@ -146,6 +162,27 @@ def test_builtin_registry():
     for name in names:
         g = builtin(name)
         assert g.identity == 0
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        np.array([[0, 2**32 + 1], [1, 0]]),  # 2^32 + 1 would wrap to 1 in int32
+        [[0, 2**31], [1, 0]],  # past int32, as a Python int
+        [[0, 2**70], [1, 0]],  # past int64
+    ],
+)
+def test_table_entries_are_checked_before_they_are_narrowed(table):
+    with pytest.raises(ValueError, match="^table entries must be element indices$"):
+        TableGroup(table)
+
+
+def test_table_group_keeps_its_own_copy():
+    table = np.array([[0, 1], [1, 0]], dtype=np.int32)
+    group = TableGroup(table)
+    assert table.flags.writeable and not group.table.flags.writeable
+    table[0, 0] = 1
+    assert group.table.tolist() == [[0, 1], [1, 0]]
 
 
 def test_table_validation():

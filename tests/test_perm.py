@@ -315,6 +315,17 @@ def regular_cyclic(n):
     return PermGroup.regular(columns)
 
 
+def test_element_orders_past_ten_to_the_five_elements():
+    # C_(2^17), generated by the rotations by 1, 2, 4, ..., 2^16 so that its
+    # tree is 17 levels deep: every order is listed, with no cap of its own
+    n = 2**17
+    points = np.arange(n)
+    columns = np.array([(points + s * 2**k) % n for k in range(17) for s in (1, -1)])
+    orders = np.bincount(PermGroup.regular(columns).element_orders())
+    census = {int(d): int(orders[d]) for d in np.flatnonzero(orders)}
+    assert census == {1: 1, **{2**k: 2 ** (k - 1) for k in range(1, 18)}}
+
+
 def test_certified_regular_carrier():
     g = regular_cyclic(6)
     assert g.order() == 6

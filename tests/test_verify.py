@@ -13,6 +13,7 @@ import pytest
 
 from etacalc import eta as eta_module
 from etacalc import fpgroup, verify
+from etacalc import nu as nu_module
 from etacalc.abelian import AbelianInvariants, z_tensor
 from etacalc.action import conjugation_pair, incompatible_example, trivial_pair
 from etacalc.eta import DEFAULT_MAX_COSETS, construct_eta
@@ -567,6 +568,20 @@ def test_claim_filter_selects_substring(mini_corpus):
     assert {r.claim for r in reports} == {"lemma21", "lemma22", "lemma23"}
     nothing = run_corpus(corpus=mini_corpus, claim_filter="nosuchclaim")
     assert nothing == []
+
+
+def test_a_mu_that_is_not_central_fails_mu_quotient_and_the_rest_still_report(monkeypatch):
+    # construct_nu certifies only rho' and |mu|; whether mu is central is
+    # mu-quotient's to judge, so a kernel served out of G's embedded copy
+    # is a FAIL line, not a ConstructionError
+    flip = construct_nu(builtin("S3")).eta.embed_g[1]
+    monkeypatch.setattr(nu_module, "hom_kernel", lambda hom: hom.source.carrier.subgroup([flip]))
+    pair = CorpusPair("nu:S3", "conjugation", conjugation_pair(builtin("S3")))
+    reports = {r.claim: r for r in run_corpus(corpus=Corpus((pair,), (), ()))}
+    assert set(reports) == set(CLAIM_IDS) - {"ztensor"}
+    assert reports["mu-quotient"].verdict == "FAIL"
+    assert reports["mu-quotient"].witness["mu_central"] is False
+    assert all(r.verdict == "PASS" for claim, r in reports.items() if claim != "mu-quotient")
 
 
 def test_capacity_overrun_is_skipped_not_passed():
