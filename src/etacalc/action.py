@@ -12,7 +12,8 @@ of elements, acting and conjugating interleave:
 
 with ``x^y = y^-1 x y`` inside a single group.  ``check_compatibility``
 tests every triple on both sides and reports each failure; the eta
-construction refuses pairs with a nonempty report.
+construction refuses pairs with a nonempty report.  A group's own
+conjugation needs neither audit: both equations read ``g^(g1^-1 h g1)``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import IncompatibleActionError, InvalidActionError
 from .fpgroup import audit_blocks
-from .groups import TableGroup, is_int_rows, table_group_from_json
+from .groups import TableGroup, cyclic, is_int_rows, symmetric3, table_group_from_json
 
 _SCHEMA = 1
 
@@ -197,8 +198,8 @@ class ActionPair:
 
     ``g_on_h.rows[a, y]`` is ``y^a`` for ``a`` in ``g`` and ``y`` in ``h``, and
     ``h_on_g.rows[b, x]`` is ``x^b`` for ``b`` in ``h`` and ``x`` in ``g``.
-    Both tables must pass ``validate_action``; compatibility is a separate,
-    explicit check.
+    Both tables must pass ``validate_action``, a group's own conjugation
+    excepted; compatibility is a separate, explicit check.
     """
 
     g: TableGroup
@@ -207,11 +208,11 @@ class ActionPair:
     h_on_g: ActionTable
 
     def __post_init__(self) -> None:
+        if self.is_conjugation():
+            return
         found = validate_action(self.g_on_h, acted=self.h, acting=self.g)
         report = [{**entry, "table": "g_on_h"} for entry in found]
-        # a group acting on itself through one shared table is validated once
-        if self.h_on_g is not self.g_on_h or self.g is not self.h:
-            found = validate_action(self.h_on_g, acted=self.g, acting=self.h)
+        found = validate_action(self.h_on_g, acted=self.g, acting=self.h)
         report += [{**entry, "table": "h_on_g"} for entry in found]
         if report:
             raise InvalidActionError(
@@ -334,7 +335,8 @@ def compatibility_triples(pair: ActionPair) -> int:
 
 
 def require_compatible(pair: ActionPair) -> None:
-    failures = check_compatibility(pair)
+    """Refuse a pair that check_compatibility fails; a group's own conjugation is compatible."""
+    failures = [] if pair.is_conjugation() else check_compatibility(pair)
     if failures:
         first = failures[0]
         raise IncompatibleActionError(
@@ -351,8 +353,6 @@ def incompatible_example() -> ActionPair:
     trivial.  Both tables pass every action axiom, but the first family
     fails at each conjugator that does not commute with the transposition.
     """
-    from .groups import cyclic, symmetric3
-
     s3 = symmetric3()
     c2 = cyclic(2)
     t = next(a for a in s3.elements() if s3.element_order(a) == 2)

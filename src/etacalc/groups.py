@@ -52,9 +52,10 @@ class TableGroup:
     """A finite group given by its full multiplication table."""
 
     def __init__(self, table: Sequence[Sequence[int]], labels: Sequence[str] | None = None):
-        arr = np.asarray(table)  # beyond int64, numpy picks a wider dtype
-        n = arr.shape[0] if arr.ndim == 2 else 0
-        if arr.ndim != 2 or arr.shape != (n, n) or n == 0:
+        n = len(table)  # a ragged table cannot become one array: its row lengths come first
+        square = n > 0 and all(len(row) == n for row in table)
+        arr = np.asarray(table) if square else None  # beyond int64, numpy picks a wider dtype
+        if arr is None or arr.shape != (n, n):
             raise ValueError("multiplication table must be square and non-empty")
         check_table_size(n)
         if arr.min() < 0 or arr.max() >= n:

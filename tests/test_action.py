@@ -25,6 +25,7 @@ from etacalc.action import (
     validate_action,
 )
 from etacalc.errors import IncompatibleActionError, InvalidActionError
+from etacalc.eta import construct_eta
 from etacalc.groups import TableGroup, builtin, builtin_names, cyclic, symmetric3
 
 from oracles import looped_action_rows_failure, naive_check_compatibility, naive_validate_action
@@ -167,35 +168,53 @@ def test_conjugation_rows_match_group_conj():
         ]
 
 
-def test_a_shared_table_is_validated_once(monkeypatch):
+def test_a_groups_own_conjugation_skips_both_audits(monkeypatch):
+    # conjugation inside a validated group is an action by automorphisms and
+    # meets both compatibility equations, so neither |G|^3 audit runs on it;
+    # every other pair, a broken conjugation table included, is audited
     import etacalc.action as action
 
-    calls = []
+    calls = {"validate_action": 0, "check_compatibility": 0}
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return validate_action(*args, **kwargs)
+    def counted(name):
+        audit = getattr(action, name)
 
-    monkeypatch.setattr(action, "validate_action", counting)
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return audit(*args, **kwargs)
+
+        return counting
+
+    for name in calls:
+        monkeypatch.setattr(action, name, counted(name))
+
+    def taken() -> tuple[int, int]:
+        counts = tuple(calls.values())
+        calls.update(dict.fromkeys(calls, 0))
+        return counts
+
     pair = conjugation_pair(builtin("A4"))
-    assert pair.g_on_h is pair.h_on_g
-    assert len(calls) == 1
-    calls.clear()
-    trivial_pair(builtin("C2"), builtin("C3"))
-    assert len(calls) == 2
-    # a broken shared table is still reported once per role
+    assert taken() == (0, 0)
+    loaded = pair_from_json_dict(json.loads(json.dumps(pair.to_json_dict())))
+    assert loaded.is_conjugation() and taken() == (0, 0)
+    construct_eta(conjugation_pair(symmetric3()))
+    assert taken() == (0, 0)
+    trivial = trivial_pair(builtin("C2"), builtin("C3"))
+    assert taken() == (2, 0)
+    construct_eta(trivial)
+    assert taken() == (0, 1)
+    # one shared table with two entries swapped: each role is reported as the loops report it
     s3 = symmetric3()
     rows = [list(row) for row in conjugation_pair(s3).g_on_h.rows]
     rows[1][0], rows[1][1] = rows[1][1], rows[1][0]
     bad = ActionTable.from_rows(rows)
-    calls.clear()
     with pytest.raises(InvalidActionError) as exc:
         ActionPair(s3, s3, bad, bad)
-    assert len(calls) == 1
-    roles = [entry.pop("table") for entry in exc.value.report]
-    half = len(roles) // 2
-    assert roles == ["g_on_h"] * half + ["h_on_g"] * half
-    assert exc.value.report[:half] == exc.value.report[half:]
+    assert taken() == (2, 0)
+    found = naive_validate_action(bad, s3, s3)
+    assert found
+    roles = [{**entry, "table": table} for table in ("g_on_h", "h_on_g") for entry in found]
+    assert exc.value.report == roles
 
 
 def test_conjugation_and_trivial_pairs_are_compatible():

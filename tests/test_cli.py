@@ -713,6 +713,22 @@ def test_malformed_json_exits_2_in_one_line(tmp_path, option, data):
     assert result.stderr.count("\n") == 1 and result.stderr.startswith("etacalc: ")
 
 
+@pytest.mark.parametrize("option", ["--cayley", "--pair", "--corpus"])
+def test_a_ragged_table_is_refused_in_its_own_words(tmp_path, option):
+    # numpy's "inhomogeneous shape" error does not reach the user: the row
+    # lengths are read before the table becomes an array
+    ragged = {"schema": 1, "table": [[0, 1], [1]]}
+    rows = {"schema": 1, "rows": [[0, 1], [0, 1]]}
+    pair = {"schema": 1, "g": ragged, "h": ragged, "g_on_h": rows, "h_on_g": rows}
+    data = {"--cayley": ragged, "--pair": pair, "--corpus": {"schema": 1, "pairs": [pair]}}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data[option]))
+    result = run_cli(_COMMANDS.get(option, "nu"), option, str(path))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "etacalc: multiplication table must be square and non-empty\n"
+
+
 _COMMANDS = {"--pair": "tensor", "--corpus": "verify"}
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),

@@ -490,6 +490,28 @@ def test_swapped_tensors_fail_both_checks_as_the_loops_do(name, failing_steps):
     json.dumps(report[2])
 
 
+def test_a_walked_triple_bracket_outside_t_inverse_t_is_named():
+    # [1, 1'] of nu(S3) replaced by the point of 1 in the first copy, which
+    # is outside T: step (3) walks [t1, h'] from it and names a walked
+    # bracket that T^-1 T misses
+    eta = construct_nu(builtin("S3")).eta
+    point = eta.embed_g[1]
+    assert not eta.tensor_subgroup.contains(point)
+    tensors = eta.tensors.copy()
+    tensors[1, 1] = point
+    eta = dataclasses.replace(eta, tensors=tensors)
+    everything = (range(eta.pair.g.n), range(eta.pair.h.n))
+    frame = verify._tensor_frame(eta, *everything)
+    failures: list[dict] = []
+    walked = verify._triple_brackets(frame, verify._normal_subgroup(frame, [], []), [], failures)
+    stray = failures[0]
+    assert stray == {"step": 3, "bracket_key": stray["bracket_key"], "reason": "outside T^-1 T"}
+    assert stray["bracket_key"] in walked[1, 1].tolist()
+    report = _theorem_A(frame)
+    assert report[2] == stray
+    assert report == looped_theorem_A(eta, *everything)
+
+
 def _overwritten_tensors(eta):
     """eta with its first non-identity tensor, in C order, set to the next distinct value."""
     tensors = eta.tensors.copy()
